@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,6 +38,8 @@ class Item:
         emb = np.asarray(self.embedding, dtype=np.float64)
         object.__setattr__(self, "embedding", emb)
         emb.flags.writeable = False
+        if not np.isfinite(emb).all():
+            raise ConfigError(f"item {self.id}: embedding components must be finite")
         norm = float(np.linalg.norm(emb))
         if abs(norm - 1.0) > 1e-6:
             raise ConfigError(f"item {self.id}: embedding norm {norm:.8f} not unit")
@@ -44,6 +47,8 @@ class Item:
             raise ConfigError(f"item {self.id}: prior_ctr outside [0,1]")
         if not 0.0 <= self.prior_cvr <= 1.0:
             raise ConfigError(f"item {self.id}: prior_cvr outside [0,1]")
+        if not math.isfinite(self.price):
+            raise ConfigError(f"item {self.id}: price must be finite")
         if self.price < 0:
             raise ConfigError(f"item {self.id}: negative price")
 
@@ -58,6 +63,8 @@ class UserContext:
         feats = np.asarray(self.user_features, dtype=np.float64)
         object.__setattr__(self, "user_features", feats)
         feats.flags.writeable = False
+        if not np.isfinite(feats).all():
+            raise ConfigError("user features must be finite")
 
 
 @dataclass(frozen=True)

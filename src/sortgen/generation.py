@@ -2,10 +2,11 @@
 
 The generator runs l_o greedy selection steps. At each step it expands the
 current prefix by the head of every non-empty queue, scores all expansions
-through the value model in one batched forward, applies the MMR criterion
+in one incremental model step that computes only the new position over the
+prefix's cached attention keys and values, applies the MMR criterion
 (value traded against maximum cosine similarity within a sliding window of
 already-selected items), and consumes the winning head. A naive reference
-that issues one model call per candidate per step and an exhaustive
+that issues one full forward per candidate per step and an exhaustive
 permutation oracle back the correctness tests and the latency benchmark.
 """
 
@@ -164,6 +165,12 @@ class GenerationTrace:
     wall_ns: int
     simulated_overhead_ns: int = 0
 
+    @property
+    def final_value(self) -> float:
+        """Combined value of the whole slate, as scored at the last step."""
+        last = self.steps[-1]
+        return next(v for qi, _, v, _ in last.candidates if qi == last.chosen_queue)
+
     def to_record(self) -> str:
         doc = {
             "item_ids": [it.id for it in self.result.items],
@@ -182,7 +189,7 @@ class GenerationTrace:
 
 
 class ValueModel:
-    """Bundles parameters + config and counts batched forward invocations."""
+    """Bundles parameters + config and counts batched model invocations."""
 
     def __init__(self, config: EngineConfig, params: dict,
                  overhead_us: float = 0.0):
@@ -193,25 +200,37 @@ class ValueModel:
 
     def combined_values(self, sequences: list[list[Item]], user: UserContext,
                         weights: ObjectiveWeights) -> np.ndarray:
-        """One batched forward over same-length sequences -> combined values."""
+        """One batched full forward over same-length sequences -> combined values."""
         self.invocations += 1
         emb = np.stack([np.stack([it.embedding for it in seq]) for seq in sequences])
         score = np.array([[[it.prior_ctr, it.prior_cvr] for it in seq] for seq in sequences])
         prices = np.array([[it.price for it in seq] for seq in sequences])
         u = np.stack([user.user_features] * len(sequences))
-        out = sortmodel.forward(self.config, self.params, emb, u, score)
-        return listvalue.combined_values_batch(out.click.value, out.pay.value, prices, weights)
+        click, pay = sortmodel.infer(self.config, self.params, emb, u, score)
+        return listvalue.combined_values_batch(click, pay, prices, weights)
+
+    def extension_values(self, cache: sortmodel.Prefix, prefix: list[Item],
+                         candidates: list[Item], weights: ObjectiveWeights
+                         ) -> tuple[np.ndarray, sortmodel.Extension]:
+        """Combined values of `prefix` + each candidate, from one incremental
+        step over the prefix's cache; the extension holds the new cache rows."""
+        self.invocations += 1
+        emb, score = sortmodel.item_features(candidates)
+        ext = sortmodel.extend(self.config, self.params, cache, emb, score)
+        prices = np.array([[it.price for it in prefix] + [c.price] for c in candidates])
+        return listvalue.combined_values_batch(ext.click, ext.pay, prices, weights), ext
 
 
 def _run_greedy(pool: list[Item], user: UserContext, queues: CandidateQueues,
                 vm: ValueModel, weights: ObjectiveWeights, lam: float,
-                window_w: int, l_o: int, batched: bool) -> GenerationTrace:
+                window_w: int, l_o: int, cached: bool) -> GenerationTrace:
     queues.reset(len(pool))
     start_invocations = vm.invocations
     start = time.perf_counter_ns()
     prefix: list[Item] = []
     sources: list[int] = []
     steps: list[StepRecord] = []
+    cache = sortmodel.Prefix.empty(vm.config, user.user_features) if cached else None
 
     for _ in range(l_o):
         heads = []
@@ -222,29 +241,30 @@ def _run_greedy(pool: list[Item], user: UserContext, queues: CandidateQueues,
         if not heads:
             raise InfeasibleConfig("all queues exhausted before l_o selections")
 
-        sequences = [prefix + [pool[idx]] for _, idx in heads]
-        if batched:
-            vals = vm.combined_values(sequences, user, weights)
+        candidates = [pool[idx] for _, idx in heads]
+        if cached:
+            vals, ext = vm.extension_values(cache, prefix, candidates, weights)
         else:
-            vals = np.array([vm.combined_values([seq], user, weights)[0]
-                             for seq in sequences])
+            vals = np.array([vm.combined_values([prefix + [cand]], user, weights)[0]
+                             for cand in candidates])
 
         records = []
         best = None
-        for (qi, idx), value in zip(heads, vals):
-            cand = pool[idx]
+        for k, ((qi, idx), cand, value) in enumerate(zip(heads, candidates, vals)):
             score = mmr_score(cand, prefix, window_w, lam, float(value))
             records.append((qi, cand.id, float(value), score))
             # Queues are disjoint, so per-step candidates are distinct items;
             # strict > keeps the lowest queue index on score ties, and within
             # a queue the head is already the lowest-id top scorer.
             if best is None or score > best[0]:
-                best = (score, qi, idx, cand)
-        _, qi, idx, cand = best
+                best = (score, k, qi, idx, cand)
+        _, k, qi, idx, cand = best
         queues.consume(qi, idx)
         prefix.append(cand)
         sources.append(qi)
         steps.append(StepRecord(records, qi))
+        if cached:
+            cache = ext.choose(cache, k)
 
     wall = time.perf_counter_ns() - start
     invocations = vm.invocations - start_invocations
@@ -256,22 +276,23 @@ def _run_greedy(pool: list[Item], user: UserContext, queues: CandidateQueues,
 def generate(pool: list[Item], user: UserContext, queues: CandidateQueues,
              vm: ValueModel, weights: ObjectiveWeights, lam: float | None = None,
              window_w: int | None = None) -> GenerationTrace:
-    """Greedy slate construction, one batched forward per step (<= l_o total)."""
+    """Greedy slate construction: one incremental step per position (<= l_o
+    model calls), each scoring every queue head over the cached prefix."""
     cfg = vm.config
     lam = cfg.lambda_mmr if lam is None else lam
     window_w = cfg.window_w if window_w is None else window_w
-    return _run_greedy(pool, user, queues, vm, weights, lam, window_w, cfg.l_o, batched=True)
+    return _run_greedy(pool, user, queues, vm, weights, lam, window_w, cfg.l_o, cached=True)
 
 
 def generate_iterative_reference(pool: list[Item], user: UserContext,
                                  queues: CandidateQueues, vm: ValueModel,
                                  weights: ObjectiveWeights, lam: float | None = None,
                                  window_w: int | None = None) -> GenerationTrace:
-    """Same selection semantics, but one model call per candidate per step."""
+    """Same selection semantics, but one full forward per candidate per step."""
     cfg = vm.config
     lam = cfg.lambda_mmr if lam is None else lam
     window_w = cfg.window_w if window_w is None else window_w
-    return _run_greedy(pool, user, queues, vm, weights, lam, window_w, cfg.l_o, batched=False)
+    return _run_greedy(pool, user, queues, vm, weights, lam, window_w, cfg.l_o, cached=False)
 
 
 def template_generate(pool: list[Item], queues: CandidateQueues,

@@ -122,27 +122,31 @@ def expected_param_count(config: EngineConfig) -> int:
 # ------------------------------- forward -----------------------------------
 
 
+def _check_input(config: EngineConfig, end: int, e_item: np.ndarray, user: np.ndarray) -> None:
+    """Shape checks shared by both forwards; `end` is the last position + 1."""
+    if e_item.shape[1] == 0:
+        raise ConfigError("empty sub-list")
+    if end > config.l_o:
+        raise ConfigError(f"sequence length {end} exceeds position table size {config.l_o}")
+    if e_item.shape[2] != config.d_emb or user.shape[-1] != config.d_user:
+        raise ConfigError("feature width mismatch")
+
+
 def assemble_input(config: EngineConfig, params: dict, e_item: np.ndarray,
                    user: np.ndarray, e_score: np.ndarray) -> Var:
     """Concatenate item, position, user, and prior-score blocks to [n, l, d].
 
-    e_item: [n, l, d_emb]; user: [n, d_user]; e_score: [n, l, 2].
+    e_item: [n, l, d_emb]; user: [n, d_user]; e_score: [n, l, 2]. The data
+    blocks are constants; only the position table can require grad.
     """
     n, l = e_item.shape[0], e_item.shape[1]
-    if l == 0:
-        raise ConfigError("empty sub-list")
-    if l > config.l_o:
-        raise ConfigError(f"sequence length {l} exceeds position table size {config.l_o}")
-    if e_item.shape[2] != config.d_emb or user.shape[1] != config.d_user:
-        raise ConfigError("feature width mismatch")
+    _check_input(config, l, e_item, user)
     pos = nn.tile_to(
         nn.reshape(nn.slice_axis0(params["pos.table"], 0, l), (1, l, config.d_position)),
         (n, l, config.d_position),
     )
-    user_block = nn.tile_to(
-        nn.reshape(Var(user), (n, 1, config.d_user)), (n, l, config.d_user)
-    )
-    return nn.concat([Var(e_item), pos, user_block, Var(e_score)], axis=-1)
+    user_block = np.broadcast_to(user[:, None, :], (n, l, config.d_user))
+    return nn.concat([e_item, pos, user_block, e_score], axis=-1)
 
 
 def _mhsa(x: Var, params: dict, prefix: str, n_heads: int) -> Var:
@@ -183,7 +187,7 @@ def _head_logits(x: Var, params: dict, head: str, config: EngineConfig) -> Var:
     else:
         steps = first
     lower = np.tril(np.ones((config.max_count, config.max_count)))
-    cutpoints = nn.matmul(Var(lower), nn.reshape(steps, (config.max_count, 1)))
+    cutpoints = nn.matmul(lower, nn.reshape(steps, (config.max_count, 1)))
     return nn.add(out, nn.neg(nn.reshape(cutpoints, (config.max_count,))))
 
 
@@ -230,6 +234,157 @@ def forward_items(config: EngineConfig, params: dict, items, user: UserContext) 
     return forward(config, params, emb[None], user.user_features[None], score[None])
 
 
+# --------------------------- tape-free inference -----------------------------
+#
+# The same network as `forward`, over the same parameter dict, in plain NumPy.
+# It computes positions start..start+m-1 of each row and attends over the
+# keys and values of positions 0..start-1, which a `Prefix` caches. The model
+# is causal and everything but attention is per position, so with an empty
+# prefix this is the full forward, and after a chosen prefix it is one
+# incremental greedy step (KV caching).
+
+
+@dataclass
+class Prefix:
+    """A chosen prefix for one user, cached so that the next position can be
+    scored without recomputing it."""
+
+    user: np.ndarray        # [d_user]
+    keys: list[np.ndarray]  # per layer [n_heads, t, d_head]
+    vals: list[np.ndarray]  # per layer [n_heads, t, d_head]
+    click: np.ndarray       # [t, max_count] survival rows of the prefix
+    pay: np.ndarray
+
+    @classmethod
+    def empty(cls, config: EngineConfig, user: np.ndarray) -> "Prefix":
+        dh = config.d_model // config.n_heads
+        kv = np.zeros((config.n_heads, 0, dh))
+        rows = np.zeros((0, config.max_count))
+        return cls(np.asarray(user, dtype=np.float64), [kv] * config.n_layers,
+                   [kv] * config.n_layers, rows, rows)
+
+    def __len__(self) -> int:
+        return self.click.shape[0]
+
+
+@dataclass
+class Extension:
+    """A prefix extended by each of n candidates."""
+
+    click: np.ndarray       # [n, t+1, max_count]: prefix rows, then the new row
+    pay: np.ndarray
+    keys: list[np.ndarray]  # per layer [n, n_heads, 1, d_head] of the new position
+    vals: list[np.ndarray]
+
+    def choose(self, prefix: Prefix, k: int) -> Prefix:
+        """The prefix extended by candidate k."""
+        return Prefix(
+            prefix.user,
+            [np.concatenate([old, new[k]], axis=1) for old, new in zip(prefix.keys, self.keys)],
+            [np.concatenate([old, new[k]], axis=1) for old, new in zip(prefix.vals, self.vals)],
+            self.click[k], self.pay[k])
+
+
+def _dense(x: np.ndarray, params: dict, w: str, b: str) -> np.ndarray:
+    """x @ W + b over the last axis, as one 2-D GEMM."""
+    wv = params[w].value
+    y = x.reshape(-1, wv.shape[0]) @ wv + params[b].value
+    return y.reshape(x.shape[:-1] + (wv.shape[1],))
+
+
+def _norm(x: np.ndarray, params: dict, prefix: str) -> np.ndarray:
+    return params[f"{prefix}.g"].value * nn.normalize_rows(x)[0] + params[f"{prefix}.b"].value
+
+
+def _attend(x: np.ndarray, params: dict, prefix: str, n_heads: int,
+            past_k: np.ndarray | None, past_v: np.ndarray | None):
+    """Causal attention of x's m positions over past + own keys.
+
+    Returns the attention output and x's keys and values, [n, heads, m, dh].
+    """
+    n, m, dm = x.shape
+    dh = dm // n_heads
+
+    def split(name: str) -> np.ndarray:
+        y = _dense(x, params, f"{prefix}.W{name}", f"{prefix}.b{name}")
+        return y.reshape(n, m, n_heads, dh).transpose(0, 2, 1, 3)
+
+    q, k, v = split("q"), split("k"), split("v")
+    keys, vals, t = k, v, 0
+    if past_k is not None:
+        t = past_k.shape[1]
+        keys = np.concatenate([past_k[None].repeat(n, axis=0), k], axis=2)
+        vals = np.concatenate([past_v[None].repeat(n, axis=0), v], axis=2)
+    scores = (q @ keys.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
+    causal = np.arange(t + m)[None, :] <= t + np.arange(m)[:, None]
+    out = (nn.softmax_rows(scores, causal) @ vals).transpose(0, 2, 1, 3).reshape(n, m, dm)
+    return _dense(out, params, f"{prefix}.Wo", f"{prefix}.bo"), k, v
+
+
+def _head_probs(x: np.ndarray, params: dict, head: str, config: EngineConfig,
+                mask: np.ndarray) -> np.ndarray:
+    h = np.maximum(_dense(x, params, f"{head}.W1", f"{head}.b1"), 0.0)
+    z = _dense(h, params, f"{head}.W2", f"{head}.b2")
+    if config.head_mode == "monotone":
+        t = params[f"{head}.thresholds"].value
+        z = z - np.cumsum(np.concatenate([t[:1], np.log(1.0 + np.exp(t[1:]))]))
+    return 1.0 / (1.0 + np.exp(-z)) * mask
+
+
+def _infer(config: EngineConfig, params: dict, e_item: np.ndarray, user: np.ndarray,
+           e_score: np.ndarray, past: Prefix | None):
+    """Survival rows and per-layer keys/values of the positions in e_item.
+
+    e_item: [n, m, d_emb]; user: [n, d_user]; e_score: [n, m, 2]. The m
+    positions follow `past` (shared by every row), or start at 0.
+    """
+    n, m = e_item.shape[0], e_item.shape[1]
+    start = 0 if past is None else len(past)
+    _check_input(config, start + m, e_item, user)
+    pos = params["pos.table"].value[None, start:start + m].repeat(n, axis=0)
+    x = np.concatenate([e_item, pos, user[:, None].repeat(m, axis=1), e_score], axis=-1)
+    x = _dense(x, params, "proj.W", "proj.b")
+    keys, vals = [], []
+    for i in range(config.n_layers):
+        pre = f"layer{i}"
+        a, k, v = _attend(_norm(x, params, f"{pre}.ln1"), params, f"{pre}.attn", config.n_heads,
+                          None if past is None else past.keys[i],
+                          None if past is None else past.vals[i])
+        x = x + a
+        h = np.maximum(_dense(_norm(x, params, f"{pre}.ln2"), params,
+                              f"{pre}.ffn.W1", f"{pre}.ffn.b1"), 0.0)
+        x = x + _dense(h, params, f"{pre}.ffn.W2", f"{pre}.ffn.b2")
+        keys.append(k)
+        vals.append(v)
+    x = _norm(x, params, "final_ln")
+    mask = valid_mask(start + m, config.max_count)[start:].astype(np.float64)
+    click = _head_probs(x, params, "head_click", config, mask)
+    pay = _head_probs(x, params, "head_pay", config, mask)
+    if not (np.isfinite(click).all() and np.isfinite(pay).all()):
+        raise FloatingPointError("non-finite activations in forward pass")
+    return click, pay, keys, vals
+
+
+def infer(config: EngineConfig, params: dict, e_item: np.ndarray, user: np.ndarray,
+          e_score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tape-free full forward: the click and pay survival probabilities that
+    `forward` computes, as plain [n, l, max_count] arrays."""
+    click, pay, _, _ = _infer(config, params, e_item, user, e_score, None)
+    return click, pay
+
+
+def extend(config: EngineConfig, params: dict, prefix: Prefix, e_item: np.ndarray,
+           e_score: np.ndarray) -> Extension:
+    """Score the prefix extended by each of n candidates, computing only the
+    new position. e_item: [n, d_emb]; e_score: [n, 2]."""
+    n = e_item.shape[0]
+    click, pay, keys, vals = _infer(config, params, e_item[:, None],
+                                    prefix.user[None].repeat(n, axis=0), e_score[:, None], prefix)
+    return Extension(np.concatenate([prefix.click[None].repeat(n, axis=0), click], axis=1),
+                     np.concatenate([prefix.pay[None].repeat(n, axis=0), pay], axis=1),
+                     keys, vals)
+
+
 # ------------------------------ checkpoints --------------------------------
 
 
@@ -247,6 +402,11 @@ def save_checkpoint(path: str | Path, params: dict, config: EngineConfig) -> Non
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Var], EngineConfig]:
+    """Parameters and config from a checkpoint file.
+
+    The parameters come back frozen (requires_grad=False), so a forward over
+    them records no tape; set requires_grad=True on each to fine-tune them.
+    """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("format_version") != CKPT_FORMAT:
         raise ConfigError(f"unsupported checkpoint format {doc.get('format_version')!r}")
@@ -256,5 +416,5 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Var], EngineConfig]:
     params = {}
     for name, entry in doc["params"].items():
         arr = np.array([float(v) for v in entry["data"]], dtype=np.float64)
-        params[name] = Var(arr.reshape(entry["shape"]))
+        params[name] = Var(arr.reshape(entry["shape"]), requires_grad=False)
     return params, config

@@ -38,6 +38,7 @@ def parse_rerank_request(doc: dict, config: EngineConfig
     if len(doc["candidates"]) < config.l_o:
         raise RequestError("candidates: insufficient candidates")
     items = []
+    first_index: dict[int, int] = {}
     for i, cand in enumerate(doc["candidates"]):
         try:
             items.append(Item(
@@ -52,6 +53,9 @@ def parse_rerank_request(doc: dict, config: EngineConfig
             raise RequestError(f"candidates[{i}]: {exc}") from exc
         if items[-1].embedding.shape[0] != config.d_emb:
             raise RequestError(f"candidates[{i}].emb: expected {config.d_emb} components")
+        j = first_index.setdefault(items[-1].id, i)
+        if j != i:
+            raise RequestError(f"candidates[{i}].id: duplicate of candidates[{j}].id")
     weights = None
     if "weights" in doc:
         w = doc["weights"]
@@ -61,7 +65,10 @@ def parse_rerank_request(doc: dict, config: EngineConfig
             raise RequestError(f"weights: {exc}") from exc
     lam = None
     if "lambda" in doc:
-        lam = float(doc["lambda"])
+        try:
+            lam = float(doc["lambda"])
+        except (TypeError, ValueError) as exc:
+            raise RequestError(f"lambda: {exc}") from exc
         if not 0.0 <= lam <= 1.0:
             raise RequestError("lambda: outside [0,1]")
     return user, items, weights, lam
@@ -75,12 +82,11 @@ def rerank(config: EngineConfig, params: dict, user: UserContext, items: list[It
                                      config.partition_strategy, config.l_o)
     trace = generation.generate(items, user, queues, vm, weights, lam=lam)
     chosen = trace.result
-    final_value = float(vm.combined_values([list(chosen.items)], user, weights)[0])
     latency = time.perf_counter_ns() - start
     return {
         "item_ids": [it.id for it in chosen.items],
         "source_queues": list(chosen.source_queues),
-        "combined_value": final_value,
+        "combined_value": trace.final_value,
         "latency_ns": latency,
     }
 

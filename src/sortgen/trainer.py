@@ -46,7 +46,8 @@ class TrainReport:
     train_losses: list[float] = field(default_factory=list)
     eval_losses: list[float] = field(default_factory=list)
     calib_gaps: list[float] = field(default_factory=list)
-    seconds: float = 0.0
+    epoch_seconds: list[float] = field(default_factory=list)  # wall time of each epoch
+    seconds: float = 0.0  # total wall time
 
 
 @dataclass
@@ -90,8 +91,7 @@ def _session_hash_split(samples: list[ImpressionSample], eval_fraction: float
     return train_idx, eval_idx
 
 
-def _batch_loss(config: EngineConfig, params: dict, batch: _Arrays) -> nn.Var:
-    out = sortmodel.forward(config, params, batch.emb, batch.user, batch.score)
+def _output_loss(config: EngineConfig, out: sortmodel.ModelOutput, batch: _Arrays) -> nn.Var:
     if config.loss_mode == "pointwise":
         return values.pointwise_loss(
             nn.index_last(out.click_logits, 0), nn.index_last(out.pay_logits, 0),
@@ -99,22 +99,30 @@ def _batch_loss(config: EngineConfig, params: dict, batch: _Arrays) -> nn.Var:
     return values.ordered_regression_loss(out, batch.cum_clicks, batch.cum_pays)
 
 
+def _batch_loss(config: EngineConfig, params: dict, batch: _Arrays) -> nn.Var:
+    out = sortmodel.forward(config, params, batch.emb, batch.user, batch.score)
+    return _output_loss(config, out, batch)
+
+
 def evaluate_model(config: EngineConfig, params: dict, arrays: _Arrays,
                    batch_size: int = 256) -> dict:
-    """Eval loss plus per-position calibration of expected vs empirical counts."""
+    """Eval loss plus per-position calibration of expected vs empirical counts.
+
+    One forward per batch over constant views of the parameters, so
+    evaluation records no tape.
+    """
     if len(arrays) == 0:
         raise ConfigError("empty evaluation split")
+    frozen = {name: nn.Var(p.value, requires_grad=False) for name, p in params.items()}
     total, n = 0.0, 0
     pred_click = np.zeros(arrays.emb.shape[1])
     pred_pay = np.zeros(arrays.emb.shape[1])
     for start in range(0, len(arrays), batch_size):
         batch = arrays.take(slice(start, start + batch_size))
-        total += float(_batch_loss(config, params, batch).value) * len(batch)
-        out = sortmodel.forward(config, params, batch.emb, batch.user, batch.score)
-        e_click = values.expected_counts_batch(out.click.value)
-        e_pay = values.expected_counts_batch(out.pay.value)
-        pred_click += e_click.sum(axis=0)
-        pred_pay += e_pay.sum(axis=0)
+        out = sortmodel.forward(config, frozen, batch.emb, batch.user, batch.score)
+        total += float(_output_loss(config, out, batch).value) * len(batch)
+        pred_click += values.expected_counts_batch(out.click.value).sum(axis=0)
+        pred_pay += values.expected_counts_batch(out.pay.value).sum(axis=0)
         n += len(batch)
     emp_click = arrays.cum_clicks.mean(axis=0)
     emp_pay = arrays.cum_pays.mean(axis=0)
@@ -130,9 +138,14 @@ def evaluate_model(config: EngineConfig, params: dict, arrays: _Arrays,
 
 def train(dataset: Dataset, params: dict, engine: EngineConfig, tconf: TrainConfig,
           ckpt_path: str | Path | None = None) -> TrainReport:
-    """Adam over the configured loss; checkpoints at the best eval loss."""
+    """Adam over the configured loss; checkpoints at the best eval loss.
+
+    Every parameter in `params` is trained, so each is marked requires_grad.
+    """
     if not dataset.samples:
         raise ConfigError("empty dataset")
+    for p in params.values():
+        p.requires_grad = True
     train_idx, eval_idx = _session_hash_split(dataset.samples, tconf.eval_fraction)
     train_arr = _to_arrays([dataset.samples[i] for i in train_idx])
     eval_arr = _to_arrays([dataset.samples[i] for i in eval_idx])
@@ -144,6 +157,7 @@ def train(dataset: Dataset, params: dict, engine: EngineConfig, tconf: TrainConf
     start = time.perf_counter()
 
     for epoch in range(tconf.epochs):
+        epoch_start = time.perf_counter()
         order = rng.permutation(len(train_arr))
         epoch_loss, seen = 0.0, 0
         for bstart in range(0, len(order), tconf.batch_size):
@@ -166,6 +180,7 @@ def train(dataset: Dataset, params: dict, engine: EngineConfig, tconf: TrainConf
         if ckpt_path is not None and metrics["eval_loss"] < best_eval:
             best_eval = metrics["eval_loss"]
             sortmodel.save_checkpoint(ckpt_path, params, engine)
+        report.epoch_seconds.append(time.perf_counter() - epoch_start)
 
     report.seconds = time.perf_counter() - start
     return report
@@ -173,7 +188,8 @@ def train(dataset: Dataset, params: dict, engine: EngineConfig, tconf: TrainConf
 
 def write_metrics(report: TrainReport, path: str | Path) -> None:
     lines = ["epoch\ttrain_loss\teval_loss\tcalib_gap\tseconds"]
-    for i, (tl, el, cg) in enumerate(zip(report.train_losses, report.eval_losses,
-                                         report.calib_gaps)):
-        lines.append(f"{i}\t{tl:.6f}\t{el:.6f}\t{cg:.6f}\t{report.seconds:.2f}")
+    rows = zip(report.train_losses, report.eval_losses, report.calib_gaps,
+               report.epoch_seconds)
+    for i, (tl, el, cg, secs) in enumerate(rows):
+        lines.append(f"{i}\t{tl:.6f}\t{el:.6f}\t{cg:.6f}\t{secs:.2f}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

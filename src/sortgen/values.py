@@ -109,7 +109,8 @@ def combined_values_batch(click: np.ndarray, pay: np.ndarray, prices: np.ndarray
     """
     e_click = expected_counts_batch(click)
     e_pay = expected_counts_batch(pay)
-    pay_incr = np.diff(e_pay, axis=1, prepend=0.0)
+    pay_incr = e_pay.copy()
+    pay_incr[:, 1:] -= e_pay[:, :-1]
     v_gmv = (prices * pay_incr).sum(axis=1)
     return weights.alpha * e_click[:, -1] + weights.beta * e_pay[:, -1] + weights.gamma * v_gmv
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sortgen import cli, model as sortmodel, server as srv, simulator
+from sortgen import cli, model as sortmodel, server as srv, simulator, values
 from sortgen.core import EngineConfig, ObjectiveWeights, load_config_file
 
 SMALL_CONFIG_TEXT = """\
@@ -217,6 +217,58 @@ def test_rerank_endpoint_bad_user_width(live_server, workdir):
         _post(live_server, doc)
     assert exc.value.code == 400
     assert "user: expected" in json.loads(exc.value.read())["error"]
+
+
+def test_rerank_value_equals_fresh_forward_of_slate(workdir):
+    doc, _, _ = _request_doc(workdir, seed=27)
+    params, engine = sortmodel.load_checkpoint(workdir["ckpt"])
+    user, items, _, _ = srv.parse_rerank_request(doc, engine)
+    weights = ObjectiveWeights()
+    reply = srv.rerank(engine, params, user, items, weights)
+    by_id = {it.id: it for it in items}
+    slate = [by_id[i] for i in reply["item_ids"]]
+    emb, score = sortmodel.item_features(slate)
+    out = sortmodel.forward(engine, params, emb[None], user.user_features[None], score[None])
+    prices = np.array([[it.price for it in slate]])
+    fresh = float(values.combined_values_batch(out.click.value, out.pay.value, prices,
+                                               weights)[0])
+    assert abs(reply["combined_value"] - fresh) <= 1e-12 * abs(fresh)
+
+
+def _malformed(doc, kind):
+    if kind == "duplicate_id":
+        doc["candidates"][4]["id"] = doc["candidates"][1]["id"]
+    elif kind == "lambda_not_number":
+        doc["lambda"] = "x"
+    elif kind == "emb_nan":
+        doc["candidates"][2]["emb"][0] = float("nan")
+    elif kind == "price_nan":
+        doc["candidates"][5]["price"] = float("nan")
+    elif kind == "price_inf":
+        doc["candidates"][5]["price"] = float("inf")
+    elif kind == "user_nan":
+        doc["user"][3] = float("nan")
+    elif kind == "user_inf":
+        doc["user"][0] = float("-inf")
+    return doc
+
+
+@pytest.mark.parametrize("kind, fragments", [
+    ("duplicate_id", ("candidates[4].id", "duplicate", "candidates[1]")),
+    ("lambda_not_number", ("lambda",)),
+    ("emb_nan", ("candidates[2]", "embedding", "finite")),
+    ("price_nan", ("candidates[5]", "price", "finite")),
+    ("price_inf", ("candidates[5]", "price", "finite")),
+    ("user_nan", ("user", "finite")),
+    ("user_inf", ("user", "finite")),
+])
+def test_rerank_endpoint_rejects_malformed_field(live_server, workdir, kind, fragments):
+    doc, _, _ = _request_doc(workdir, seed=29)
+    with pytest.raises(urllib.error.HTTPError) as exc:
+        _post(live_server, _malformed(doc, kind))
+    assert exc.value.code == 400
+    error = json.loads(exc.value.read())["error"]
+    assert all(f in error for f in fragments), error
 
 
 def test_rerank_endpoint_invalid_json_body(live_server):

@@ -12,6 +12,7 @@ from sortgen.core import (
     ObjectiveWeights,
     QueueSpec,
     SubList,
+    UserContext,
     engine_config_from_raw,
     load_config_file,
     parse_config_text,
@@ -69,6 +70,25 @@ def test_item_rejects_bad_priors():
         Item(id=0, embedding=emb, price=1.0, prior_ctr=1.5, prior_cvr=0.5, category=0)
     with pytest.raises(ConfigError):
         Item(id=0, embedding=emb, price=-1.0, prior_ctr=0.5, prior_cvr=0.5, category=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("embedding", [float("nan")] + [0.0] * 7),
+    ("embedding", [float("inf")] + [0.0] * 7),
+    ("price", float("nan")),
+    ("price", float("inf")),
+])
+def test_item_rejects_non_finite(field, value):
+    kwargs = dict(id=1, embedding=[1.0] + [0.0] * 7, price=1.0, prior_ctr=0.1,
+                  prior_cvr=0.1, category=0)
+    kwargs[field] = value
+    with pytest.raises(ConfigError, match=f"{field}.*finite"):
+        Item(**kwargs)
+
+
+def test_user_context_rejects_non_finite():
+    with pytest.raises(ConfigError, match="finite"):
+        UserContext(np.array([0.0, float("nan"), 1.0]))
 
 
 def test_weights_must_not_all_be_zero():

@@ -166,6 +166,13 @@ def test_generate_matches_iterative_reference(small_config, small_params,
                                                       lam=lam)
         assert [i.id for i in fast.result.items] == [i.id for i in ref.result.items]
         assert fast.result.source_queues == ref.result.source_queues
+        # The cached steps score every candidate as full recomputation does.
+        for got, want in zip(fast.steps, ref.steps):
+            assert [c[:2] for c in got.candidates] == [c[:2] for c in want.candidates]
+            for (_, _, v_got, _), (_, _, v_want, _) in zip(got.candidates, want.candidates):
+                assert abs(v_got - v_want) <= 1e-12
+        full = float(vm.combined_values([list(fast.result.items)], user, weights)[0])
+        assert abs(fast.final_value - full) <= 1e-12 * abs(full)
 
 
 def test_invocation_budget(small_config, small_params, small_catalog, weights):

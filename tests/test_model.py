@@ -240,3 +240,71 @@ def test_checkpoint_hash_verified(tmp_path, small_config, small_params):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="hash"):
         sortmodel.load_checkpoint(path)
+
+
+def test_loaded_checkpoint_is_frozen(tmp_path, small_config, small_params):
+    path = tmp_path / "model.ckpt"
+    sortmodel.save_checkpoint(path, small_params, small_config)
+    loaded, cfg = sortmodel.load_checkpoint(path)
+    assert not any(p.requires_grad for p in loaded.values())
+    emb, user, score = _random_inputs(cfg, 2, cfg.l_o, seed=17)
+    out = sortmodel.forward(cfg, loaded, emb, user, score)
+    for v in (out.click, out.pay, out.click_logits, out.pay_logits):
+        assert not v.requires_grad and v._parents == () and v._bw is None
+    loss = nn.sum_(out.click)
+    with pytest.raises(ValueError, match="does not require grad"):
+        nn.backward(loss)
+
+
+# -------------------------- tape-free inference ------------------------------
+
+
+@pytest.mark.parametrize("head_mode", ["monotone", "literal"])
+def test_infer_matches_tape_forward(small_config, head_mode):
+    cfg = dataclasses.replace(small_config, head_mode=head_mode)
+    params = sortmodel.init_params(cfg, seed=18)
+    for l in range(1, cfg.l_o + 1):
+        emb, user, score = _random_inputs(cfg, 4, l, seed=100 + l)
+        out = sortmodel.forward(cfg, params, emb, user, score)
+        click, pay = sortmodel.infer(cfg, params, emb, user, score)
+        assert np.abs(click - out.click.value).max() <= 1e-12
+        assert np.abs(pay - out.pay.value).max() <= 1e-12
+
+
+@pytest.mark.parametrize("head_mode", ["monotone", "literal"])
+def test_extend_matches_full_recomputation(small_config, head_mode):
+    cfg = dataclasses.replace(small_config, head_mode=head_mode)
+    params = sortmodel.init_params(cfg, seed=19)
+    rng = np.random.default_rng(20)
+    user = rng.normal(size=cfg.d_user)
+    prefix = sortmodel.Prefix.empty(cfg, user)
+    emb = np.zeros((0, cfg.d_emb))
+    score = np.zeros((0, 2))
+    for t in range(cfg.l_o):
+        n = 3
+        cand_emb = rng.normal(size=(n, cfg.d_emb))
+        cand_score = rng.uniform(size=(n, 2))
+        ext = sortmodel.extend(cfg, params, prefix, cand_emb, cand_score)
+        full_emb = np.concatenate([np.repeat(emb[None], n, axis=0), cand_emb[:, None]], axis=1)
+        full_score = np.concatenate([np.repeat(score[None], n, axis=0), cand_score[:, None]],
+                                    axis=1)
+        click, pay = sortmodel.infer(cfg, params, full_emb, np.tile(user, (n, 1)), full_score)
+        assert ext.click.shape == (n, t + 1, cfg.max_count)
+        assert np.abs(ext.click - click).max() <= 1e-12
+        assert np.abs(ext.pay - pay).max() <= 1e-12
+        k = t % n
+        prefix = ext.choose(prefix, k)
+        emb = np.concatenate([emb, cand_emb[k:k + 1]])
+        score = np.concatenate([score, cand_score[k:k + 1]])
+        assert len(prefix) == t + 1
+
+
+def test_extend_rejects_overlong_prefix(small_config, small_params):
+    prefix = sortmodel.Prefix.empty(small_config, np.zeros(small_config.d_user))
+    for _ in range(small_config.l_o):
+        ext = sortmodel.extend(small_config, small_params, prefix,
+                               np.ones((1, small_config.d_emb)), np.ones((1, 2)))
+        prefix = ext.choose(prefix, 0)
+    with pytest.raises(ConfigError, match="exceeds"):
+        sortmodel.extend(small_config, small_params, prefix,
+                         np.ones((1, small_config.d_emb)), np.ones((1, 2)))

@@ -151,3 +151,47 @@ def test_adam_first_step_bias_corrected():
 def test_adam_uninitialized_state_rejected():
     with pytest.raises(ValueError):
         nn.adam_step({"w": Var(np.ones(1))}, nn.AdamState())
+
+
+@pytest.mark.parametrize("x_shape", [(5, 6), (3, 4, 6)])
+def test_finite_diff_fused_linear(x_shape):
+    rng = np.random.default_rng(5)
+    params = {"x": Var(rng.normal(size=x_shape)), "W": Var(rng.normal(size=(6, 7)) * 0.3),
+              "b": Var(rng.normal(size=7) * 0.1)}
+    target = rng.normal(size=x_shape[:-1] + (7,))
+
+    def loss_fn():
+        y = nn.linear(params["x"], params["W"], params["b"])
+        return nn.sum_(nn.mul(nn.sigmoid(y), target))
+
+    assert nn.finite_diff_check(params, loss_fn, step=1e-5, n_coords=80, seed=1) < 1e-6
+
+
+def test_linear_gradient_matches_unfused_ops():
+    rng = np.random.default_rng(6)
+    x, w, b = rng.normal(size=(3, 4, 6)), rng.normal(size=(6, 5)), rng.normal(size=5)
+    grads = []
+    for fused in (True, False):
+        xs, ws, bs = Var(x), Var(w), Var(b)
+        y = nn.linear(xs, ws, bs) if fused else nn.add(nn.matmul(xs, ws), bs)
+        nn.backward(nn.sum_(nn.mul(y, y)))
+        grads.append((y.value, xs.grad, ws.grad, bs.grad))
+    for fused, plain in zip(*grads):
+        np.testing.assert_allclose(fused, plain, rtol=1e-12, atol=1e-12)
+
+
+def test_constants_record_no_tape():
+    c = nn.as_var(np.ones(3))
+    assert not c.requires_grad
+    y = nn.mul(nn.add(c, 1.0), c)
+    assert not y.requires_grad and y._parents == () and y._bw is None
+    with pytest.raises(ValueError, match="does not require grad"):
+        nn.backward(nn.sum_(y))
+
+
+def test_frozen_leaf_gets_no_grad():
+    w = Var(np.ones(3))
+    frozen = Var(np.full(3, 2.0), requires_grad=False)
+    nn.backward(nn.sum_(nn.mul(w, frozen)))
+    np.testing.assert_array_equal(w.grad, np.full(3, 2.0))
+    assert frozen.grad is None

@@ -133,3 +133,43 @@ def test_metrics_file_format(dataset, tmp_path):
     assert lines[0].split("\t") == ["epoch", "train_loss", "eval_loss",
                                     "calib_gap", "seconds"]
     assert len(lines) == 3
+
+
+def test_metrics_file_has_each_epochs_own_seconds(dataset, tmp_path):
+    params = sortmodel.init_params(ENGINE, seed=9)
+    report = trainer.train(dataset, params, ENGINE, trainer.TrainConfig(epochs=3))
+    assert len(report.epoch_seconds) == 3
+    assert all(s > 0.0 for s in report.epoch_seconds)
+    assert sum(report.epoch_seconds) <= report.seconds
+    path = tmp_path / "metrics.tsv"
+    trainer.write_metrics(report, path)
+    rows = [line.split("\t") for line in path.read_text().splitlines()[1:]]
+    assert [float(r[4]) for r in rows] == [round(s, 2) for s in report.epoch_seconds]
+
+
+def test_train_on_loaded_checkpoint_still_learns(dataset, tmp_path):
+    ckpt = tmp_path / "start.ckpt"
+    sortmodel.save_checkpoint(ckpt, sortmodel.init_params(ENGINE, seed=10), ENGINE)
+    params, engine = sortmodel.load_checkpoint(ckpt)
+    assert not any(p.requires_grad for p in params.values())
+    report = trainer.train(dataset, params, engine, trainer.TrainConfig(epochs=3))
+    assert all(p.requires_grad for p in params.values())
+    assert report.train_losses[-1] < report.train_losses[0]
+    assert report.eval_losses[-1] < report.eval_losses[0]
+
+
+def test_evaluate_model_records_no_tape(dataset, monkeypatch):
+    params = sortmodel.init_params(ENGINE, seed=11)
+    arrays = trainer._to_arrays(dataset.samples[:40])
+    outputs = []
+    forward = sortmodel.forward
+
+    def spy(*args):
+        outputs.append(forward(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(trainer.sortmodel, "forward", spy)
+    trainer.evaluate_model(ENGINE, params, arrays, batch_size=16)
+    assert len(outputs) == 3  # one forward per eval batch
+    assert not any(out.click.requires_grad for out in outputs)
+    assert all(p.requires_grad for p in params.values())
