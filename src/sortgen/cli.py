@@ -15,7 +15,9 @@ from sortgen.core import (
     ConfigError,
     EngineConfig,
     ObjectiveWeights,
+    config_from_raw,
     load_config_file,
+    raw_value,
     validate_config,
 )
 from sortgen.simulator import SimConfig
@@ -41,7 +43,7 @@ def default_template_pattern(engine: EngineConfig) -> tuple[int, ...]:
 
 def cmd_simulate(args) -> int:
     engine, _, raw = _load(args)
-    sim = SimConfig.from_raw(raw)
+    sim = config_from_raw(SimConfig, raw, "sim.")
     if args.seed is not None:
         sim = dataclasses.replace(sim, seed=args.seed)
     dataset = simulator.build_dataset(engine, sim)
@@ -56,7 +58,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     engine, _, raw = _load(args)
-    tconf = trainer.TrainConfig.from_raw(raw)
+    tconf = config_from_raw(trainer.TrainConfig, raw, "train.")
     data_path = Path(args.data or "dataset.jsonl")
     if not data_path.exists():
         print(f"error: data file not found: {data_path}", file=sys.stderr)
@@ -77,7 +79,7 @@ def cmd_train(args) -> int:
 
 def cmd_rerank(args) -> int:
     params, engine = sortmodel.load_checkpoint(args.ckpt)
-    _, weights, _ = _load(args) if args.config else (None, ObjectiveWeights(), None)
+    _, weights, _ = _load(args)
     try:
         doc = json.loads(Path(args.data).read_text(encoding="utf-8"))
         user, items, req_weights, lam = srv.parse_rerank_request(doc, engine)
@@ -105,9 +107,10 @@ def _method_slates(engine, weights, params, pool, user):
 
 def _cumulative_curves(engine, params, items, user) -> dict[str, np.ndarray]:
     """Per-position cumulative click/pay/gmv from clamped model increments."""
-    out = sortmodel.forward_items(engine, params, items, user)
-    e_click = values.expected_counts_batch(out.click.value[None])[0]
-    e_pay = values.expected_counts_batch(out.pay.value[None])[0]
+    emb, score = sortmodel.item_features(items)
+    click, pay = sortmodel.infer(engine, params, emb[None], user.user_features[None], score[None])
+    e_click = values.expected_counts_batch(click)[0]
+    e_pay = values.expected_counts_batch(pay)[0]
     click_incr = np.clip(np.diff(e_click, prepend=0.0), 0.0, None)
     pay_incr = np.clip(np.diff(e_pay, prepend=0.0), 0.0, None)
     prices = np.array([it.price for it in items])
@@ -152,9 +155,9 @@ def cmd_evaluate(args) -> int:
         print(f"error: checkpoint not found: {args.ckpt}", file=sys.stderr)
         return 1
     params, engine = sortmodel.load_checkpoint(args.ckpt)
-    _, weights, raw = _load(args) if args.config else (None, ObjectiveWeights(), {})
+    _, weights, raw = _load(args)
     dataset = simulator.read_dataset(args.data)
-    n_pools = int(raw.get("eval.pools", args.pools))
+    n_pools = raw_value(raw, "eval.pools", args.pools)
     curves = evaluate_curves(engine, weights, params, dataset.catalog, n_pools,
                              seed=engine.seed + 99)
     table = format_curves(curves, engine.l_o)
@@ -199,9 +202,9 @@ def run_bench(engine: EngineConfig, weights: ObjectiveWeights, params: dict,
 
 def cmd_bench(args) -> int:
     params, engine = sortmodel.load_checkpoint(args.ckpt)
-    _, weights, raw = _load(args) if args.config else (None, ObjectiveWeights(), {})
-    slates = int(raw.get("bench.slates", args.slates))
-    overhead_us = float(raw.get("bench.overhead_us", args.overhead_us))
+    _, weights, raw = _load(args)
+    slates = raw_value(raw, "bench.slates", args.slates)
+    overhead_us = raw_value(raw, "bench.overhead_us", args.overhead_us)
     catalog = simulator.sample_catalog(max(engine.l_s * 4, 50), engine.d_emb, 8,
                                        engine.seed)
     report = run_bench(engine, weights, params, catalog, slates, overhead_us,
@@ -248,7 +251,7 @@ def run_oracle_study(engine: EngineConfig, weights: ObjectiveWeights, params: di
 
 def cmd_oracle(args) -> int:
     params, engine = sortmodel.load_checkpoint(args.ckpt)
-    _, weights, raw = _load(args) if args.config else (None, ObjectiveWeights(), {})
+    _, weights, _ = _load(args)
     study = run_oracle_study(engine, weights, params, pools=args.pools,
                              l_s=args.small_ls, l_o=args.small_lo, seed=engine.seed)
     if study["max_greedy"] > 1.0 + 1e-9:
@@ -262,7 +265,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    _, weights, _ = _load(args) if args.config else (None, ObjectiveWeights(), None)
+    _, weights, _ = _load(args)
     server = srv.make_server(args.ckpt, args.port, weights)
     print(f"serving /rerank and /healthz on port {server.server_address[1]}")
     try:

@@ -6,10 +6,11 @@ across threads.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -132,31 +133,6 @@ class EngineConfig:
     def d_input(self) -> int:
         return self.d_emb + self.d_position + self.d_user + self.d_score
 
-    def to_dict(self) -> dict:
-        return {
-            "l_s": self.l_s,
-            "l_o": self.l_o,
-            "d_emb": self.d_emb,
-            "d_user": self.d_user,
-            "d_position": self.d_position,
-            "d_score": self.d_score,
-            "d_model": self.d_model,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "max_count": self.max_count,
-            "lambda_mmr": self.lambda_mmr,
-            "window_w": self.window_w,
-            "queue_specs": [
-                {"name": q.name, "coeffs": dict(sorted(q.coeffs.items())), "priority": q.priority}
-                for q in self.queue_specs
-            ],
-            "partition_strategy": self.partition_strategy,
-            "loss_mode": self.loss_mode,
-            "head_mode": self.head_mode,
-            "template_pattern": list(self.template_pattern),
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "EngineConfig":
         d = dict(d)
@@ -167,8 +143,22 @@ class EngineConfig:
         return cls(**d)
 
 
+def to_dict(config) -> dict:
+    """A config dataclass as plain JSON values, field by field: nested
+    dataclasses become dicts, tuples become lists, dict keys are sorted."""
+    def plain(v):
+        if dataclasses.is_dataclass(v):
+            return {f.name: plain(getattr(v, f.name)) for f in dataclasses.fields(v)}
+        if isinstance(v, (tuple, list)):
+            return [plain(x) for x in v]
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in sorted(v.items())}
+        return v
+    return plain(config)
+
+
 def config_hash(config: EngineConfig) -> str:
-    blob = json.dumps(config.to_dict(), sort_keys=True)
+    blob = json.dumps(to_dict(config), sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -196,8 +186,6 @@ def validate_config(config: EngineConfig) -> None:
     if len(set(priorities)) != len(priorities):
         raise ConfigError("duplicate queue priorities")
     q = len(config.queue_specs)
-    if q * config.l_o < config.l_o:
-        raise ConfigError("queues cannot cover l_o picks")
     if config.partition_strategy not in ("dfs", "bfs"):
         raise ConfigError(f"unknown partition_strategy {config.partition_strategy!r}")
     if config.loss_mode not in ("ordered_regression", "pointwise"):
@@ -236,12 +224,13 @@ class SubList:
 #   queue.click = ctr:1.0
 #   sim.sessions = 20000
 #   train.lr = 0.001
+#
+# Every value is cast by the type of its field's default, so a field added to
+# a config dataclass is a config key with no further code.
 # ---------------------------------------------------------------------------
 
-_INT_KEYS = {"l_s", "l_o", "d_emb", "d_user", "d_position", "d_score", "d_model",
-             "n_layers", "n_heads", "max_count", "window_w", "seed"}
-_FLOAT_KEYS = {"lambda_mmr"}
-_STR_KEYS = {"partition_strategy", "loss_mode", "head_mode"}
+# Keys that are command options rather than config fields.
+_OPTION_KEYS = ("bench.slates", "bench.overhead_us", "eval.pools")
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -257,51 +246,66 @@ def parse_config_text(text: str) -> dict[str, str]:
     return raw
 
 
+def _cast(key: str, value: str, default):
+    """`value` read as the type of `default`: strings are lower-cased, tuples
+    are comma-separated ints. A value that does not read is a ConfigError."""
+    try:
+        if isinstance(default, tuple):
+            return tuple(int(t) for t in value.split(",")) if value else ()
+        if isinstance(default, str):
+            return value.lower()
+        return type(default)(value)
+    except ValueError:
+        raise ConfigError(f"{key}: cannot read {value!r} as {type(default).__name__}") from None
+
+
+def raw_value(raw: dict[str, str], key: str, default):
+    """raw[key] cast to the type of `default`, or `default` when it is absent."""
+    return _cast(key, raw[key], default) if key in raw else default
+
+
+def config_from_raw(cls, raw: dict[str, str], prefix: str = ""):
+    """An instance of the config dataclass `cls` from the keys `prefix + field`.
+
+    A key under a non-empty prefix that names no field is an error. Top-level
+    keys are shared by EngineConfig and ObjectiveWeights and are checked by
+    engine_config_from_raw.
+    """
+    fields = dataclasses.fields(cls)
+    if prefix:
+        names = {prefix + f.name for f in fields}
+        for key in raw:
+            if key.startswith(prefix) and key not in names:
+                raise ConfigError(f"unknown config key {key!r}")
+    return cls(**{f.name: raw_value(raw, prefix + f.name, f.default) for f in fields})
+
+
 def _parse_queue_value(name: str, value: str, priority: int) -> QueueSpec:
     coeffs: dict[str, float] = {}
     for part in value.split(","):
         term, _, coef = part.strip().partition(":")
         if not coef:
             raise ConfigError(f"queue.{name}: expected 'term:coefficient' pairs")
-        coeffs[term.strip()] = float(coef)
+        coeffs[term.strip()] = _cast(f"queue.{name}", coef, 0.0)
     return QueueSpec(name, coeffs, priority)
 
 
 def engine_config_from_raw(raw: dict[str, str]) -> EngineConfig:
-    kwargs: dict = {}
-    queue_specs = []
-    for key, value in raw.items():
-        if (key.startswith(("sim.", "train.", "bench.", "eval."))
-                or key in ("alpha", "beta", "gamma")):
-            continue
-        if key.startswith("queue."):
-            queue_specs.append(_parse_queue_value(key[6:], value, len(queue_specs)))
-        elif key in _INT_KEYS:
-            kwargs[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(value)
-        elif key in _STR_KEYS:
-            kwargs[key] = value.lower()
-        elif key == "template_pattern":
-            kwargs["template_pattern"] = tuple(int(t) for t in value.split(",")) if value else ()
-        else:
+    fields = dataclasses.fields(EngineConfig) + dataclasses.fields(ObjectiveWeights)
+    top = {f.name for f in fields} - {"queue_specs"}  # queues come from queue.* keys
+    for key in raw:
+        if not (key in top or key in _OPTION_KEYS or key.startswith(("queue.", "sim.", "train."))):
             raise ConfigError(f"unknown config key {key!r}")
-    if queue_specs:
-        kwargs["queue_specs"] = tuple(queue_specs)
-    config = EngineConfig(**kwargs)
+    config = config_from_raw(EngineConfig, raw)
+    queues = [(key[6:], value) for key, value in raw.items() if key.startswith("queue.")]
+    if queues:
+        config = dataclasses.replace(config, queue_specs=tuple(
+            _parse_queue_value(name, value, i) for i, (name, value) in enumerate(queues)))
     validate_config(config)
     return config
-
-
-def weights_from_raw(raw: dict[str, str]) -> ObjectiveWeights:
-    return ObjectiveWeights(
-        alpha=float(raw.get("alpha", 5.0)),
-        beta=float(raw.get("beta", 1.0)),
-        gamma=float(raw.get("gamma", 1.0)),
-    )
 
 
 def load_config_file(path: str | Path) -> tuple[EngineConfig, ObjectiveWeights, dict[str, str]]:
     """Parse a key/value config file; returns (engine config, weights, raw map)."""
     raw = parse_config_text(Path(path).read_text(encoding="utf-8"))
-    return engine_config_from_raw(raw), weights_from_raw(raw), raw
+    return engine_config_from_raw(raw), config_from_raw(ObjectiveWeights, raw), raw

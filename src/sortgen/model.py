@@ -18,23 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from sortgen import nn
-from sortgen.core import ConfigError, EngineConfig, Item, UserContext, config_hash
+from sortgen.core import ConfigError, EngineConfig, config_hash, to_dict
 from sortgen.nn import Var
 
 HEAD_HIDDEN = 32
 
 CKPT_FORMAT = "sortgen-ckpt-v1"
-
-
-@dataclass(frozen=True)
-class SurvivalMatrix:
-    """values[j-1, i-1] = P(cumulative count in the length-j prefix >= i)."""
-
-    values: np.ndarray  # [l, max_count]
-    objective: str  # "click" | "pay"
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
 
 
 @dataclass
@@ -47,12 +36,6 @@ class ModelOutput:
     pay_logits: Var
     valid: np.ndarray  # [l, max_count] bool, True where i <= j
 
-    def survival(self, k: int) -> tuple[SurvivalMatrix, SurvivalMatrix]:
-        return (
-            SurvivalMatrix(self.click.value[k], "click"),
-            SurvivalMatrix(self.pay.value[k], "pay"),
-        )
-
 
 # ------------------------------ parameters ---------------------------------
 
@@ -62,41 +45,41 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_params(config: EngineConfig, seed: int | None = None) -> dict[str, Var]:
-    """Fresh parameters: 1/sqrt(fan_in) uniform weights, zero biases."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+def param_shapes(config: EngineConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter, in the order init_params draws them."""
     d, dm, lmax = config.d_input, config.d_model, config.max_count
-    p: dict[str, np.ndarray] = {}
-
-    p["pos.table"] = rng.normal(0.0, 0.02, size=(config.l_o, config.d_position))
-    p["proj.W"] = _uniform(rng, (d, dm), d)
-    p["proj.b"] = np.zeros(dm)
+    shapes = {"pos.table": (config.l_o, config.d_position), "proj.W": (d, dm), "proj.b": (dm,)}
     for i in range(config.n_layers):
         pre = f"layer{i}"
-        p[f"{pre}.ln1.g"] = np.ones(dm)
-        p[f"{pre}.ln1.b"] = np.zeros(dm)
-        for name in ("Wq", "Wk", "Wv", "Wo"):
-            p[f"{pre}.attn.{name}"] = _uniform(rng, (dm, dm), dm)
-        for name in ("bq", "bk", "bv", "bo"):
-            p[f"{pre}.attn.{name}"] = np.zeros(dm)
-        p[f"{pre}.ln2.g"] = np.ones(dm)
-        p[f"{pre}.ln2.b"] = np.zeros(dm)
-        p[f"{pre}.ffn.W1"] = _uniform(rng, (dm, 4 * dm), dm)
-        p[f"{pre}.ffn.b1"] = np.zeros(4 * dm)
-        p[f"{pre}.ffn.W2"] = _uniform(rng, (4 * dm, dm), 4 * dm)
-        p[f"{pre}.ffn.b2"] = np.zeros(dm)
-    p["final_ln.g"] = np.ones(dm)
-    p["final_ln.b"] = np.zeros(dm)
-
+        shapes.update({f"{pre}.ln1.g": (dm,), f"{pre}.ln1.b": (dm,)})
+        shapes.update({f"{pre}.attn.{name}": (dm, dm) for name in ("Wq", "Wk", "Wv", "Wo")})
+        shapes.update({f"{pre}.attn.{name}": (dm,) for name in ("bq", "bk", "bv", "bo")})
+        shapes.update({f"{pre}.ln2.g": (dm,), f"{pre}.ln2.b": (dm,),
+                       f"{pre}.ffn.W1": (dm, 4 * dm), f"{pre}.ffn.b1": (4 * dm,),
+                       f"{pre}.ffn.W2": (4 * dm, dm), f"{pre}.ffn.b2": (dm,)})
+    shapes.update({"final_ln.g": (dm,), "final_ln.b": (dm,)})
     out_width = 1 if config.head_mode == "monotone" else lmax
     for head in ("head_click", "head_pay"):
-        p[f"{head}.W1"] = _uniform(rng, (dm, HEAD_HIDDEN), dm)
-        p[f"{head}.b1"] = np.zeros(HEAD_HIDDEN)
-        p[f"{head}.W2"] = _uniform(rng, (HEAD_HIDDEN, out_width), HEAD_HIDDEN)
-        p[f"{head}.b2"] = np.zeros(out_width)
+        shapes.update({f"{head}.W1": (dm, HEAD_HIDDEN), f"{head}.b1": (HEAD_HIDDEN,),
+                       f"{head}.W2": (HEAD_HIDDEN, out_width), f"{head}.b2": (out_width,)})
         if config.head_mode == "monotone":
-            p[f"{head}.thresholds"] = np.zeros(lmax)
+            shapes[f"{head}.thresholds"] = (lmax,)
+    return shapes
 
+
+def init_params(config: EngineConfig, seed: int | None = None) -> dict[str, Var]:
+    """Fresh parameters: 1/sqrt(fan_in) uniform weights (W*), unit layer-norm
+    gains (g), a N(0, 0.02) position table, and zeros elsewhere."""
+    rng = np.random.default_rng(config.seed if seed is None else seed)
+    p: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(config).items():
+        leaf = name.rsplit(".", 1)[1]
+        if name == "pos.table":
+            p[name] = rng.normal(0.0, 0.02, size=shape)
+        elif leaf.startswith("W"):
+            p[name] = _uniform(rng, shape, shape[0])
+        else:
+            p[name] = np.ones(shape) if leaf == "g" else np.zeros(shape)
     return {name: Var(arr) for name, arr in p.items()}
 
 
@@ -226,12 +209,6 @@ def item_features(items) -> tuple[np.ndarray, np.ndarray]:
     emb = np.stack([it.embedding for it in items])
     score = np.array([[it.prior_ctr, it.prior_cvr] for it in items])
     return emb, score
-
-
-def forward_items(config: EngineConfig, params: dict, items, user: UserContext) -> ModelOutput:
-    """Convenience single-sequence forward (batch of one)."""
-    emb, score = item_features(items)
-    return forward(config, params, emb[None], user.user_features[None], score[None])
 
 
 # --------------------------- tape-free inference -----------------------------
@@ -392,7 +369,7 @@ def save_checkpoint(path: str | Path, params: dict, config: EngineConfig) -> Non
     doc = {
         "format_version": CKPT_FORMAT,
         "config_hash": config_hash(config),
-        "config": config.to_dict(),
+        "config": to_dict(config),
         "params": {
             name: {"shape": list(p.value.shape), "data": [repr(float(v)) for v in p.value.ravel()]}
             for name, p in params.items()
@@ -406,6 +383,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Var], EngineConfig]:
 
     The parameters come back frozen (requires_grad=False), so a forward over
     them records no tape; set requires_grad=True on each to fine-tune them.
+    Every parameter's name and shape is checked against `param_shapes(config)`,
+    so a damaged checkpoint raises ConfigError here, not on its first use.
     """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("format_version") != CKPT_FORMAT:
@@ -413,8 +392,17 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Var], EngineConfig]:
     config = EngineConfig.from_dict(doc["config"])
     if config_hash(config) != doc["config_hash"]:
         raise ConfigError("checkpoint config hash mismatch")
+    shapes = param_shapes(config)
+    stored = doc["params"]
+    missing, extra = sorted(shapes.keys() - stored.keys()), sorted(stored.keys() - shapes.keys())
+    if missing or extra:
+        raise ConfigError(f"checkpoint parameters do not match its config: "
+                          f"missing {missing}, unexpected {extra}")
     params = {}
-    for name, entry in doc["params"].items():
+    for name, entry in stored.items():
         arr = np.array([float(v) for v in entry["data"]], dtype=np.float64)
-        params[name] = Var(arr.reshape(entry["shape"]), requires_grad=False)
+        if tuple(entry["shape"]) != shapes[name] or arr.size != math.prod(shapes[name]):
+            raise ConfigError(f"checkpoint parameter {name!r} has shape {entry['shape']} and "
+                              f"{arr.size} values, expected shape {list(shapes[name])}")
+        params[name] = Var(arr.reshape(shapes[name]), requires_grad=False)
     return params, config

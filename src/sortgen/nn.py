@@ -172,12 +172,6 @@ def sum_(a, axis=None, keepdims: bool = False) -> Var:
     return Var(a.value.sum(axis=axis, keepdims=keepdims), (a,), bw)
 
 
-def mean_(a, axis=None, keepdims: bool = False) -> Var:
-    a = as_var(a)
-    n = a.value.size if axis is None else a.value.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 def tile_to(a, shape) -> Var:
     a = as_var(a)
     return Var(np.broadcast_to(a.value, shape).copy(), (a,),

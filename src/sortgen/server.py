@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import time
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -124,25 +125,37 @@ class RerankHandler(BaseHTTPRequestHandler):
         self._reply(200, {"status": "ok", "checkpoint_hash": self.state.ckpt_hash})
 
     def do_POST(self):
-        if self.path != "/rerank":
-            self._reply(404, {"error": "unknown route"})
-            return
-        if not self.state.ready:
-            self._reply(503, {"error": "checkpoint not loaded"})
-            return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            doc = json.loads(self.rfile.read(length))
+            code, doc = self._post()
+        except Exception as exc:  # an internal fault gets a reply, not a dropped socket
+            traceback.print_exc()
+            code, doc = 500, {"error": f"internal error: {type(exc).__name__}: {exc}"}
+        self._reply(code, doc)
+
+    def _post(self) -> tuple[int, dict]:
+        if self.path != "/rerank":
+            return 404, {"error": "unknown route"}
+        if not self.state.ready:
+            return 503, {"error": "checkpoint not loaded"}
+        try:
+            doc = json.loads(self.rfile.read(self._content_length()))
             user, items, weights, lam = parse_rerank_request(doc, self.state.config)
         except RequestError as exc:
-            self._reply(400, {"error": str(exc)})
-            return
-        except json.JSONDecodeError as exc:
-            self._reply(400, {"error": f"body: invalid document: {exc}"})
-            return
+            return 400, {"error": str(exc)}
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            return 400, {"error": f"body: invalid document: {exc}"}
         weights = weights or self.state.weights
-        self._reply(200, rerank(self.state.config, self.state.params, user, items,
-                                weights, lam))
+        return 200, rerank(self.state.config, self.state.params, user, items, weights, lam)
+
+    def _content_length(self) -> int:
+        value = self.headers.get("Content-Length", "0")
+        try:
+            length = int(value)
+        except ValueError:
+            raise RequestError(f"Content-Length: not a number: {value!r}") from None
+        if length < 0:
+            raise RequestError(f"Content-Length: negative: {length}")
+        return length
 
 
 def make_server(ckpt_path: str, port: int,
@@ -151,10 +164,10 @@ def make_server(ckpt_path: str, port: int,
     import hashlib
     from pathlib import Path
 
+    params, config = load_checkpoint(ckpt_path)
     state = _State()
     handler = type("BoundHandler", (RerankHandler,), {"state": state})
     server = ThreadingHTTPServer(("127.0.0.1", port), handler)
-    params, config = load_checkpoint(ckpt_path)
     state.config = config
     state.params = params
     state.ckpt_hash = hashlib.sha256(Path(ckpt_path).read_bytes()).hexdigest()

@@ -10,12 +10,12 @@ a click. Everything is deterministic per seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from sortgen.core import ConfigError, EngineConfig, Item, UserContext
+from sortgen.core import ConfigError, EngineConfig, Item, UserContext, to_dict
 from sortgen.values import LabelVector
 
 DATA_FORMAT = "sortgen-data-v1"
@@ -32,25 +32,6 @@ class SimConfig:
     exposure_noise: float = 0.1
     gt_window: int = 5
     seed: int = 0
-
-    @classmethod
-    def from_raw(cls, raw: dict[str, str]) -> "SimConfig":
-        kwargs = {}
-        casts = {"n_items": int, "n_categories": int, "sessions": int, "seed": int,
-                 "rho": float, "kappa": float, "base_pay": float,
-                 "exposure_noise": float, "gt_window": int}
-        for key, cast in casts.items():
-            if f"sim.{key}" in raw:
-                kwargs[key] = cast(raw[f"sim.{key}"])
-        return cls(**kwargs)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_items": self.n_items, "n_categories": self.n_categories,
-            "sessions": self.sessions, "rho": self.rho, "kappa": self.kappa,
-            "base_pay": self.base_pay, "exposure_noise": self.exposure_noise,
-            "gt_window": self.gt_window, "seed": self.seed,
-        }
 
 
 @dataclass
@@ -188,7 +169,7 @@ def build_dataset(engine: EngineConfig, sim: SimConfig) -> Dataset:
         exposed = exposure_list(pool, engine.l_o, rng, sim.exposure_noise)
         labels = simulate_session(user, exposed, gt, rng)
         samples.append(ImpressionSample(user, tuple(exposed), labels))
-    return Dataset(samples, catalog, engine.to_dict(), sim.to_dict())
+    return Dataset(samples, catalog, to_dict(engine), to_dict(sim))
 
 
 def _item_doc(it: Item) -> dict:
@@ -283,8 +264,8 @@ def read_catalog(path: str | Path) -> list[Item]:
 # ------------------------- ground-truth list values -------------------------
 
 
-def ground_truth_list_value(gt: GroundTruthModel, user: UserContext, items,
-                            alpha: float, beta: float, gamma: float) -> float:
+def ground_truth_slate_value(gt: GroundTruthModel, user: UserContext, items,
+                             alpha: float, beta: float, gamma: float) -> float:
     """Deterministic expected combined value of a slate under the simulator."""
     v_click = v_pay = v_gmv = 0.0
     items = list(items)

@@ -29,16 +29,6 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
 
-    @classmethod
-    def from_raw(cls, raw: dict[str, str]) -> "TrainConfig":
-        kwargs = {}
-        casts = {"batch_size": int, "epochs": int, "lr": float,
-                 "eval_fraction": float, "seed": int}
-        for key, cast in casts.items():
-            if f"train.{key}" in raw:
-                kwargs[key] = cast(raw[f"train.{key}"])
-        return cls(**kwargs)
-
 
 @dataclass
 class TrainReport:

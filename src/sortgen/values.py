@@ -4,7 +4,8 @@ Expected action counts come from the ordinal-threshold identity
 E[Y] = sum_i P(Y >= i); per-step incremental value is the difference of
 expected counts at consecutive prefix lengths, GMV value is the
 price-weighted sum of pay increments, and the combined list value is the
-weighted sum over objectives.
+weighted sum over objectives. All of it works on batches of survival
+matrices, [B, l, max_count].
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from sortgen import nn
-from sortgen.core import ObjectiveWeights, SubList
-from sortgen.model import ModelOutput, SurvivalMatrix
+from sortgen.core import ObjectiveWeights
+from sortgen.model import ModelOutput
 from sortgen.nn import Var
 
 PROB_CLAMP = 1e-7
@@ -45,60 +46,13 @@ class LabelVector:
         return np.cumsum(self.pays)
 
 
-@dataclass(frozen=True)
-class ListValue:
-    v_click: float
-    v_pay: float
-    v_gmv: float
-    combined: float
-
-
-def _monotone_columns(values: np.ndarray) -> np.ndarray:
-    """Clamp each row to a non-increasing sequence over the threshold axis."""
-    return np.minimum.accumulate(values, axis=-1)
-
-
-def expected_count(survival: SurvivalMatrix, j: int) -> float:
-    """E[count in length-j prefix] = sum_i P(count >= i)."""
-    l = survival.values.shape[0]
-    if not 1 <= j <= l:
-        raise ValueError(f"prefix length {j} out of range 1..{l}")
-    return float(_monotone_columns(survival.values[j - 1]).sum())
-
-
-def incremental_value(survival: SurvivalMatrix, t: int) -> float:
-    """Value added by the item at position t; position 0 contributes 0."""
-    l = survival.values.shape[0]
-    if not 1 <= t <= l:
-        raise ValueError(f"position {t} out of range 1..{l}")
-    prev = expected_count(survival, t - 1) if t > 1 else 0.0
-    return expected_count(survival, t) - prev
-
-
-def exact_count_mass(survival: SurvivalMatrix, j: int) -> np.ndarray:
-    """Diagnostic: P(count == i) = p[i,j] - p[i+1,j] for i = 1..max_count."""
-    col = _monotone_columns(survival.values[j - 1])
-    return np.diff(np.concatenate([col, [0.0]])) * -1.0
-
-
-def list_value(click: SurvivalMatrix, pay: SurvivalMatrix, items: SubList,
-               weights: ObjectiveWeights) -> ListValue:
-    l = len(items)
-    if click.values.shape[0] < l or pay.values.shape[0] < l:
-        raise ValueError("survival matrices shorter than the item list")
-    v_click = expected_count(click, l)
-    v_pay = expected_count(pay, l)
-    v_gmv = sum(items.items[t - 1].price * incremental_value(pay, t) for t in range(1, l + 1))
-    combined = weights.alpha * v_click + weights.beta * v_pay + weights.gamma * v_gmv
-    return ListValue(v_click, v_pay, v_gmv, combined)
-
-
-# Batched numpy versions used by the generator (no graph, no per-call clamps).
-
-
 def expected_counts_batch(values: np.ndarray) -> np.ndarray:
-    """[B, l, max_count] survival probs -> [B, l] expected counts per prefix."""
-    return _monotone_columns(values).sum(axis=-1)
+    """[B, l, max_count] survival probs -> [B, l] expected counts per prefix.
+
+    Each row is first clamped to a non-increasing sequence over the threshold
+    axis, since literal heads may emit survival values that increase with i.
+    """
+    return np.minimum.accumulate(values, axis=-1).sum(axis=-1)
 
 
 def combined_values_batch(click: np.ndarray, pay: np.ndarray, prices: np.ndarray,

@@ -1,3 +1,12 @@
+import os
+
+# One BLAS thread for the whole suite. The tests multiply small matrices, where
+# a second thread costs more than it gains, and a timing is only comparable
+# with others taken at the same thread count. This must run before NumPy is
+# first imported, which pytest does not do before it loads this file.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

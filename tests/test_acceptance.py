@@ -288,7 +288,7 @@ def test_criterion_07_training_efficacy(trained):
                                                        engine.l_o).items,
         }
         for name, items in slates.items():
-            vals[name].append(simulator.ground_truth_list_value(
+            vals[name].append(simulator.ground_truth_slate_value(
                 gt, user, items, WEIGHTS.alpha, WEIGHTS.beta, WEIGHTS.gamma))
     means = {m: float(np.mean(v)) for m, v in vals.items()}
     margins = {m: means["ordered"] - means[m]

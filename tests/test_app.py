@@ -1,6 +1,7 @@
 """End-to-end checks for the command-line pipeline and the HTTP service."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from sortgen import cli, model as sortmodel, server as srv, simulator, values
-from sortgen.core import EngineConfig, ObjectiveWeights, load_config_file
+from sortgen.core import ConfigError, EngineConfig, ObjectiveWeights, load_config_file
 
 SMALL_CONFIG_TEXT = """\
 # tiny end-to-end configuration
@@ -145,6 +146,14 @@ def test_unknown_config_key_returns_config_error_code(tmp_path, capsys):
     rc = cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "d.jsonl")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_uncastable_config_value_returns_config_error_code(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("l_s = abc\n", encoding="utf-8")
+    rc = cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "d.jsonl")])
+    assert rc == 2
+    assert "config error: l_s" in capsys.readouterr().err
 
 
 def test_eval_pools_config_key_accepted(tmp_path):
@@ -302,3 +311,69 @@ def test_concurrent_identical_requests_identical(live_server, workdir):
         assert other["source_queues"] == first["source_queues"]
         assert other["combined_value"] == pytest.approx(first["combined_value"],
                                                         rel=1e-12)
+
+
+def _bad_checkpoint(tmp_path, damage):
+    config = EngineConfig(l_s=10, l_o=4, max_count=4, d_model=16, n_layers=1, n_heads=2)
+    path = tmp_path / "model.ckpt"
+    sortmodel.save_checkpoint(path, sortmodel.init_params(config), config)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    damage(doc["params"])
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("damage, name", [
+    (lambda params: params.pop("layer0.ffn.W2"), "layer0.ffn.W2"),
+    (lambda params: params.update({"layer9.ffn.W2": params["layer0.ffn.W2"]}), "layer9.ffn.W2"),
+    (lambda params: params["layer0.ffn.W2"].update(shape=[16, 64]), "layer0.ffn.W2"),
+], ids=["missing", "extra", "misshaped"])
+def test_make_server_rejects_bad_checkpoint(tmp_path, damage, name):
+    # A damaged checkpoint fails the server at start, not on its first request.
+    with pytest.raises(ConfigError, match=name):
+        srv.make_server(str(_bad_checkpoint(tmp_path, damage)), 0)
+
+
+def _raw_post(url, head: bytes, body: bytes = b"") -> tuple[int, dict]:
+    """POST /rerank over a plain socket; returns the status and the reply body."""
+    host, port = url.rpartition("//")[2].split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as conn:
+        conn.sendall(b"POST /rerank HTTP/1.1\r\nHost: localhost\r\n" + head
+                     + b"\r\n\r\n" + body)
+        reply = b""
+        while chunk := conn.recv(65536):
+            reply += chunk
+    status_line, _, rest = reply.partition(b"\r\n")
+    return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
+
+
+@pytest.mark.parametrize("length", [b"abc", b"-1"])
+def test_bad_content_length_gets_400(live_server, length):
+    # A negative length must not reach rfile.read, which would then wait for EOF
+    # and leave the client with no reply.
+    status, doc = _raw_post(live_server, b"Content-Length: " + length)
+    assert status == 400
+    assert "Content-Length" in doc["error"]
+
+
+def test_body_not_utf8_gets_400(live_server):
+    body = b'{"user": "\xff"}'
+    status, doc = _raw_post(live_server, b"Content-Length: %d" % len(body), body)
+    assert status == 400
+    assert doc["error"].startswith("body: invalid document")
+
+
+def test_internal_fault_gets_json_500(workdir):
+    server = srv.make_server(str(workdir["ckpt"]), 0)
+    server.RequestHandlerClass.state.params = {}  # every forward now fails with KeyError
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        body = json.dumps(_request_doc(workdir)[0]).encode("utf-8")
+        status, doc = _raw_post(f"http://127.0.0.1:{server.server_address[1]}",
+                                b"Content-Length: " + str(len(body)).encode(), body)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert status == 500
+    assert doc["error"].startswith("internal error: KeyError")

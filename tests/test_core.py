@@ -13,11 +13,16 @@ from sortgen.core import (
     QueueSpec,
     SubList,
     UserContext,
+    config_from_raw,
+    config_hash,
     engine_config_from_raw,
     load_config_file,
     parse_config_text,
+    to_dict,
     validate_config,
 )
+from sortgen.simulator import SimConfig
+from sortgen.trainer import TrainConfig
 
 
 def test_default_config_valid():
@@ -134,9 +139,61 @@ def test_config_file_unknown_key():
         engine_config_from_raw(parse_config_text("bogus = 1"))
 
 
+def _parse_all(text):
+    """Every parser a command applies to a config file."""
+    raw = parse_config_text(text)
+    return (engine_config_from_raw(raw), config_from_raw(ObjectiveWeights, raw),
+            config_from_raw(SimConfig, raw, "sim."), config_from_raw(TrainConfig, raw, "train."))
+
+
+@pytest.mark.parametrize("key", ["sim.session", "train.epoch", "bench.slatez", "eval.pool"])
+def test_config_file_unknown_section_key(key):
+    # A misspelt key would otherwise leave the field at its default without a word.
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        _parse_all(f"{key} = 3")
+
+
+@pytest.mark.parametrize("text", [
+    "l_s = abc", "lambda_mmr = high", "template_pattern = 0,x", "alpha = lots",
+    "queue.click = ctr:many", "sim.rho = fast", "train.epochs = 2.5",
+])
+def test_config_value_that_does_not_cast(text):
+    key = text.partition(" = ")[0]
+    with pytest.raises(ConfigError, match=f"^{key}: cannot read"):
+        _parse_all(text)
+
+
+def test_option_keys_accepted():
+    text = "bench.slates = 5\nbench.overhead_us = 2.5\neval.pools = 7"
+    assert _parse_all(text) == (EngineConfig(), ObjectiveWeights(), SimConfig(), TrainConfig())
+
+
+def test_sim_and_train_configs_round_trip_through_config_text():
+    sim = SimConfig(n_items=50, n_categories=3, sessions=77, rho=0.85, kappa=0.25,
+                    base_pay=0.4, exposure_noise=0.05, gt_window=3, seed=9)
+    tconf = TrainConfig(batch_size=16, epochs=3, lr=2.5e-4, eval_fraction=0.2, seed=4)
+    text = "\n".join([f"sim.{k} = {v}" for k, v in to_dict(sim).items()]
+                     + [f"train.{k} = {v}" for k, v in to_dict(tconf).items()])
+    assert _parse_all(text) == (EngineConfig(), ObjectiveWeights(), sim, tconf)
+
+
+def test_config_hash_pinned():
+    # Checkpoints and datasets store this hash; a change to to_dict orphans them.
+    assert config_hash(EngineConfig()) == (
+        "edb28037afde6644f68e2b3d016a9a0c89b6cf521e4347fd109669d191d88c86")
+    cfg = EngineConfig(
+        l_s=15, l_o=6, max_count=6, partition_strategy="bfs",
+        template_pattern=(0, 1, 2, 0, 1, 2),
+        queue_specs=(QueueSpec("b", {"ctr_cvr": 1.0, "ctr": 2.0}, 1),
+                     QueueSpec("a", {"price": 0.5}, 0),
+                     QueueSpec("c", {"cvr": 1.0}, 2)))
+    assert config_hash(cfg) == (
+        "d120b3ba2a52b515f5f418120a4dbebbb49df100cebc426a2c68934bdfb51f60")
+
+
 def test_config_dict_round_trip():
     cfg = EngineConfig(l_s=15, l_o=6, max_count=6, partition_strategy="bfs")
-    assert EngineConfig.from_dict(cfg.to_dict()) == cfg
+    assert EngineConfig.from_dict(to_dict(cfg)) == cfg
 
 
 @settings(max_examples=30, deadline=None)
@@ -155,4 +212,4 @@ def test_random_valid_configs_are_consumable(l_o, extra, n_heads, strategy):
     validate_config(cfg)
     params = sortmodel.init_params(cfg, seed=0)
     assert "pos.table" in params
-    assert EngineConfig.from_dict(cfg.to_dict()) == cfg
+    assert EngineConfig.from_dict(to_dict(cfg)) == cfg

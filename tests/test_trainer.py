@@ -5,7 +5,7 @@ import pytest
 
 from sortgen import model as sortmodel
 from sortgen import nn, simulator, trainer
-from sortgen.core import ConfigError, EngineConfig
+from sortgen.core import ConfigError, EngineConfig, to_dict
 from sortgen.simulator import SimConfig
 
 ENGINE = EngineConfig(l_s=10, l_o=5, max_count=5, d_model=16, n_heads=2, n_layers=1)
@@ -84,7 +84,7 @@ def test_eval_split_stable(dataset):
 
 
 def test_empty_dataset_rejected():
-    empty = simulator.Dataset([], [], ENGINE.to_dict(), SIM.to_dict())
+    empty = simulator.Dataset([], [], to_dict(ENGINE), to_dict(SIM))
     with pytest.raises(ConfigError):
         trainer.train(empty, sortmodel.init_params(ENGINE, seed=0), ENGINE,
                       trainer.TrainConfig(epochs=1))

@@ -6,138 +6,121 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sortgen import nn, values
-from sortgen.core import ObjectiveWeights, SubList
-from sortgen.model import ModelOutput, SurvivalMatrix, valid_mask
+from sortgen.core import ObjectiveWeights
+from sortgen.model import ModelOutput, valid_mask
 from sortgen.nn import Var
-from tests.conftest import make_item
 
 
-def _surv(rows, objective="click"):
-    return SurvivalMatrix(np.array(rows, dtype=np.float64), objective)
+def _counts(rows):
+    """Expected counts per prefix length of one [l, max_count] survival matrix."""
+    return values.expected_counts_batch(np.array(rows, dtype=np.float64)[None])[0]
+
+
+def _increments(rows):
+    """Per-position pay increments of one survival matrix, read off the GMV
+    term of combined_values_batch: row t of the batch prices position t alone."""
+    pay = np.array(rows, dtype=np.float64)
+    l = pay.shape[0]
+    batch = np.repeat(pay[None], l, axis=0)
+    return values.combined_values_batch(np.zeros_like(batch), batch, np.eye(l),
+                                        ObjectiveWeights(0.0, 0.0, 1.0))
 
 
 # --------------------------- expected counts ---------------------------------
 
 
 def test_expected_count_sum_of_survival():
-    surv = _surv([[0.9, 0.0, 0.0], [0.9, 0.4, 0.0], [0.9, 0.4, 0.1]])
-    assert math.isclose(values.expected_count(surv, 3), 1.4)
+    counts = _counts([[0.9, 0.0, 0.0], [0.9, 0.4, 0.0], [0.9, 0.4, 0.1]])
+    assert math.isclose(counts[2], 1.4)
 
 
 def test_expected_count_zero_column():
-    surv = _surv([[0.0, 0.0], [0.0, 0.0]])
-    assert values.expected_count(surv, 2) == 0.0
+    assert _counts([[0.0, 0.0], [0.0, 0.0]])[1] == 0.0
 
 
 def test_expected_count_degenerate_two():
-    surv = _surv([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
-    assert values.expected_count(surv, 2) == 2.0
-
-
-def test_expected_count_out_of_range():
-    surv = _surv([[0.5]])
-    with pytest.raises(ValueError):
-        values.expected_count(surv, 2)
+    assert _counts([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])[1] == 2.0
 
 
 def test_expected_count_clamps_nonmonotone_columns():
     # Literal heads may emit increasing survival values; the running minimum
     # restores a valid distribution before summation.
-    surv = _surv([[0.2, 0.0], [0.2, 0.8]])
-    assert math.isclose(values.expected_count(surv, 2), 0.4)
+    assert math.isclose(_counts([[0.2, 0.0], [0.2, 0.8]])[1], 0.4)
 
 
 # --------------------------- incremental values ------------------------------
 
 
 def test_incremental_differencing():
-    surv = _surv([[0.5, 0.0, 0.0], [0.5, 0.4, 0.0], [0.5, 0.4, 0.2]])
-    incr = [values.incremental_value(surv, t) for t in (1, 2, 3)]
+    incr = _increments([[0.5, 0.0, 0.0], [0.5, 0.4, 0.0], [0.5, 0.4, 0.2]])
     np.testing.assert_allclose(incr, [0.5, 0.4, 0.2])
 
 
 def test_incremental_constant_counts_zero_after_first():
-    surv = _surv([[0.7, 0.0], [0.7, 0.0]])
-    assert values.incremental_value(surv, 1) == 0.7
-    assert values.incremental_value(surv, 2) == 0.0
+    incr = _increments([[0.7, 0.0], [0.7, 0.0]])
+    assert incr[0] == 0.7
+    assert incr[1] == 0.0
 
 
 def test_incremental_telescopes_exactly():
     rng = np.random.default_rng(8)
     raw = np.minimum.accumulate(rng.uniform(0, 1, size=(6, 6)), axis=-1)
     raw *= valid_mask(6, 6)
-    surv = _surv(raw)
-    total = sum(values.incremental_value(surv, t) for t in range(1, 7))
-    assert abs(total - values.expected_count(surv, 6)) < 1e-12
+    total = _increments(raw).sum()
+    assert abs(total - _counts(raw)[5]) < 1e-12
 
 
 # ------------------------------ list value -----------------------------------
 
 
 def _two_position_lists():
-    click = _surv([[0.9, 0.0], [0.9, 0.5]])
-    pay = _surv([[0.1, 0.0], [0.15, 0.05]], "pay")
-    items = SubList(
-        (make_item(0, [1, 0, 0, 0, 0, 0, 0, 0], price=40.0),
-         make_item(1, [0, 1, 0, 0, 0, 0, 0, 0], price=60.0)),
-        (0, 0),
-    )
-    return click, pay, items
+    """Click and pay survival matrices [1, 2, 2] and prices [1, 2] of one list."""
+    click = np.array([[[0.9, 0.0], [0.9, 0.5]]])
+    pay = np.array([[[0.1, 0.0], [0.15, 0.05]]])
+    prices = np.array([[40.0, 60.0]])
+    return click, pay, prices
+
+
+def _value(click, pay, prices, alpha, beta, gamma):
+    return float(values.combined_values_batch(click, pay, prices,
+                                              ObjectiveWeights(alpha, beta, gamma))[0])
 
 
 def test_list_value_weighted_combination():
     # alpha,beta,gamma = 5,1,1 with v_click=1.4, v_pay=0.2, v_gmv=10 -> 17.2
-    click, pay, items = _two_position_lists()
-    lv = values.list_value(click, pay, items, ObjectiveWeights(5.0, 1.0, 1.0))
-    assert math.isclose(lv.v_click, 1.4)
-    assert math.isclose(lv.v_pay, 0.2)
-    assert math.isclose(lv.v_gmv, 40.0 * 0.1 + 60.0 * 0.1)
-    assert math.isclose(lv.combined, 17.2)
+    lists = _two_position_lists()
+    assert math.isclose(_value(*lists, 1.0, 0.0, 0.0), 1.4)   # v_click
+    assert math.isclose(_value(*lists, 0.0, 1.0, 0.0), 0.2)   # v_pay
+    assert math.isclose(_value(*lists, 0.0, 0.0, 1.0), 40.0 * 0.1 + 60.0 * 0.1)  # v_gmv
+    assert math.isclose(_value(*lists, 5.0, 1.0, 1.0), 17.2)
 
 
 def test_list_value_all_zero_survival():
-    zero = _surv(np.zeros((2, 2)))
-    _, _, items = _two_position_lists()
-    lv = values.list_value(zero, _surv(np.zeros((2, 2)), "pay"), items,
-                           ObjectiveWeights(5.0, 1.0, 1.0))
-    assert lv.combined == 0.0
+    _, _, prices = _two_position_lists()
+    zero = np.zeros((1, 2, 2))
+    assert _value(zero, zero, prices, 5.0, 1.0, 1.0) == 0.0
 
 
 def test_list_value_gamma_zero_ignores_prices():
-    click, pay, items = _two_position_lists()
-    w = ObjectiveWeights(5.0, 1.0, 0.0)
-    lv1 = values.list_value(click, pay, items, w)
-    pricey = SubList(
-        (make_item(0, [1, 0, 0, 0, 0, 0, 0, 0], price=4000.0),
-         make_item(1, [0, 1, 0, 0, 0, 0, 0, 0], price=6000.0)),
-        (0, 0),
-    )
-    lv2 = values.list_value(click, pay, pricey, w)
-    assert lv1.combined == lv2.combined
+    click, pay, prices = _two_position_lists()
+    pricey = np.array([[4000.0, 6000.0]])
+    assert _value(click, pay, prices, 5.0, 1.0, 0.0) == _value(click, pay, pricey, 5.0, 1.0, 0.0)
 
 
 def test_list_value_linear_in_weights():
-    click, pay, items = _two_position_lists()
-    w1 = ObjectiveWeights(5.0, 1.0, 1.0)
-    w2 = ObjectiveWeights(10.0, 2.0, 2.0)
-    lv1 = values.list_value(click, pay, items, w1)
-    lv2 = values.list_value(click, pay, items, w2)
-    assert math.isclose(lv2.combined, 2.0 * lv1.combined)
+    lists = _two_position_lists()
+    assert math.isclose(_value(*lists, 10.0, 2.0, 2.0), 2.0 * _value(*lists, 5.0, 1.0, 1.0))
 
 
 def test_argmax_invariant_under_positive_scaling():
     rng = np.random.default_rng(9)
-    lists = []
-    for k in range(8):
-        raw = np.minimum.accumulate(rng.uniform(0, 1, size=(2, 2)), axis=-1)
-        raw *= valid_mask(2, 2)
-        click = _surv(raw)
-        pay = _surv(raw * 0.3, "pay")
-        _, _, items = _two_position_lists()
-        lists.append((click, pay, items))
+    raw = np.minimum.accumulate(rng.uniform(0, 1, size=(8, 2, 2)), axis=-1)
+    raw *= valid_mask(2, 2)
+    _, _, prices = _two_position_lists()
+    prices = np.repeat(prices, 8, axis=0)
     for c in (0.5, 1.0, 7.0):
         w = ObjectiveWeights(5.0 * c, 1.0 * c, 1.0 * c)
-        vals = [values.list_value(cl, pa, it, w).combined for cl, pa, it in lists]
+        vals = values.combined_values_batch(raw, raw * 0.3, prices, w)
         if c == 0.5:
             ref = int(np.argmax(vals))
         else:
