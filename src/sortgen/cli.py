@@ -34,6 +34,26 @@ def _load(args) -> tuple[EngineConfig, ObjectiveWeights, dict[str, str]]:
     return engine, weights, raw
 
 
+def _load_with_checkpoint(args) -> tuple[dict, EngineConfig, ObjectiveWeights, dict[str, str]]:
+    """The checkpoint's parameters and engine, and the --config weights and keys.
+
+    The engine comes from the checkpoint, so an engine key of --config (a
+    field of EngineConfig, or a queue.* key) whose value differs from the
+    checkpoint's is a ConfigError naming the key, not silently dropped.
+    """
+    params, engine = sortmodel.load_checkpoint(args.ckpt)
+    config, weights, raw = _load(args)
+    for f in dataclasses.fields(EngineConfig):
+        if f.name in raw and getattr(config, f.name) != getattr(engine, f.name):
+            raise ConfigError(f"{f.name}: --config sets {getattr(config, f.name)!r}, but the "
+                              f"checkpoint's engine has {getattr(engine, f.name)!r}")
+    queue_keys = [key for key in raw if key.startswith("queue.")]
+    if queue_keys and config.queue_specs != engine.queue_specs:
+        raise ConfigError(f"{', '.join(queue_keys)}: --config queues differ from the "
+                          f"checkpoint's engine queues")
+    return params, engine, weights, raw
+
+
 def default_template_pattern(engine: EngineConfig) -> tuple[int, ...]:
     if engine.template_pattern:
         return engine.template_pattern
@@ -78,8 +98,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_rerank(args) -> int:
-    params, engine = sortmodel.load_checkpoint(args.ckpt)
-    _, weights, _ = _load(args)
+    params, engine, weights, _ = _load_with_checkpoint(args)
     try:
         doc = json.loads(Path(args.data).read_text(encoding="utf-8"))
         user, items, req_weights, lam = srv.parse_rerank_request(doc, engine)
@@ -154,8 +173,7 @@ def cmd_evaluate(args) -> int:
     if not Path(args.ckpt).exists():
         print(f"error: checkpoint not found: {args.ckpt}", file=sys.stderr)
         return 1
-    params, engine = sortmodel.load_checkpoint(args.ckpt)
-    _, weights, raw = _load(args)
+    params, engine, weights, raw = _load_with_checkpoint(args)
     dataset = simulator.read_dataset(args.data)
     n_pools = raw_value(raw, "eval.pools", args.pools)
     curves = evaluate_curves(engine, weights, params, dataset.catalog, n_pools,
@@ -201,8 +219,7 @@ def run_bench(engine: EngineConfig, weights: ObjectiveWeights, params: dict,
 
 
 def cmd_bench(args) -> int:
-    params, engine = sortmodel.load_checkpoint(args.ckpt)
-    _, weights, raw = _load(args)
+    params, engine, weights, raw = _load_with_checkpoint(args)
     slates = raw_value(raw, "bench.slates", args.slates)
     overhead_us = raw_value(raw, "bench.overhead_us", args.overhead_us)
     catalog = simulator.sample_catalog(max(engine.l_s * 4, 50), engine.d_emb, 8,
@@ -250,8 +267,7 @@ def run_oracle_study(engine: EngineConfig, weights: ObjectiveWeights, params: di
 
 
 def cmd_oracle(args) -> int:
-    params, engine = sortmodel.load_checkpoint(args.ckpt)
-    _, weights, _ = _load(args)
+    params, engine, weights, _ = _load_with_checkpoint(args)
     study = run_oracle_study(engine, weights, params, pools=args.pools,
                              l_s=args.small_ls, l_o=args.small_lo, seed=engine.seed)
     if study["max_greedy"] > 1.0 + 1e-9:
@@ -265,7 +281,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    _, weights, _ = _load(args)
+    # Checks --config against the checkpoint's engine; make_server loads it again.
+    _, _, weights, _ = _load_with_checkpoint(args)
     server = srv.make_server(args.ckpt, args.port, weights)
     print(f"serving /rerank and /healthz on port {server.server_address[1]}")
     try:

@@ -132,32 +132,17 @@ def assemble_input(config: EngineConfig, params: dict, e_item: np.ndarray,
     return nn.concat([e_item, pos, user_block, e_score], axis=-1)
 
 
-def _mhsa(x: Var, params: dict, prefix: str, n_heads: int) -> Var:
-    n, l, dm = x.shape
-    dh = dm // n_heads
-
-    def split(v: Var) -> Var:
-        return nn.transpose(nn.reshape(v, (n, l, n_heads, dh)), (0, 2, 1, 3))
-
-    q = split(nn.linear(x, params[f"{prefix}.Wq"], params[f"{prefix}.bq"]))
-    k = split(nn.linear(x, params[f"{prefix}.Wk"], params[f"{prefix}.bk"]))
-    v = split(nn.linear(x, params[f"{prefix}.Wv"], params[f"{prefix}.bv"]))
-    scores = nn.mul(nn.matmul(q, nn.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    causal = np.tril(np.ones((l, l), dtype=bool))[None, None, :, :]
-    att = nn.masked_softmax(scores, causal)
-    out = nn.transpose(nn.matmul(att, v), (0, 2, 1, 3))
-    out = nn.reshape(out, (n, l, dm))
-    return nn.linear(out, params[f"{prefix}.Wo"], params[f"{prefix}.bo"])
+def _attention(x: Var, params: dict, prefix: str, n_heads: int) -> Var:
+    return nn.attention(x, *(params[f"{prefix}.{name}"] for name in
+                             ("Wq", "Wk", "Wv", "Wo", "bq", "bk", "bv", "bo")), n_heads)
 
 
 def _ffn(x: Var, params: dict, prefix: str) -> Var:
-    h = nn.relu(nn.linear(x, params[f"{prefix}.W1"], params[f"{prefix}.b1"]))
-    return nn.linear(h, params[f"{prefix}.W2"], params[f"{prefix}.b2"])
+    return nn.ffn(x, *(params[f"{prefix}.{name}"] for name in ("W1", "b1", "W2", "b2")))
 
 
 def _head_logits(x: Var, params: dict, head: str, config: EngineConfig) -> Var:
-    h = nn.relu(nn.linear(x, params[f"{head}.W1"], params[f"{head}.b1"]))
-    out = nn.linear(h, params[f"{head}.W2"], params[f"{head}.b2"])
+    out = _ffn(x, params, head)
     if config.head_mode == "literal":
         return out  # [n, l, max_count], independent logits per threshold
     # Monotone ordinal link: shared score minus strictly increasing cutpoints.
@@ -186,10 +171,10 @@ def forward(config: EngineConfig, params: dict, e_item: np.ndarray,
     x = nn.linear(x, params["proj.W"], params["proj.b"])
     for i in range(config.n_layers):
         pre = f"layer{i}"
-        x = nn.add(x, _mhsa(nn.layer_norm(x, params[f"{pre}.ln1.g"], params[f"{pre}.ln1.b"]),
-                            params, f"{pre}.attn", config.n_heads))
-        x = nn.add(x, _ffn(nn.layer_norm(x, params[f"{pre}.ln2.g"], params[f"{pre}.ln2.b"]),
-                           params, f"{pre}.ffn"))
+        h = nn.layer_norm(x, params[f"{pre}.ln1.g"], params[f"{pre}.ln1.b"])
+        x = nn.add(x, _attention(h, params, f"{pre}.attn", config.n_heads))
+        h = nn.layer_norm(x, params[f"{pre}.ln2.g"], params[f"{pre}.ln2.b"])
+        x = nn.add(x, _ffn(h, params, f"{pre}.ffn"))
     x = nn.layer_norm(x, params["final_ln.g"], params["final_ln.b"])
 
     l = e_item.shape[1]

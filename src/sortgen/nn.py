@@ -1,8 +1,9 @@
 """Minimal dense-tensor kernel: reverse-mode autodiff over float64 numpy arrays.
 
 Covers exactly the forward operations the value model needs (linear, layer
-norm, masked multi-head attention building blocks, feed-forward pieces) plus
-Adam and a finite-difference gradient checker. No GPU, no mixed precision.
+norm, causal multi-head attention and the feed-forward block, each of the
+last two as one tape node, and the primitives they are built from) plus Adam
+and a finite-difference gradient checker. No GPU, no mixed precision.
 """
 
 from __future__ import annotations
@@ -37,11 +38,13 @@ class Var:
         return self.value.shape
 
     def _accum(self, g: np.ndarray) -> None:
+        """Add g to .grad. The first gradient is stored as is, with no copy;
+        it may be shared with another node (add hands one array to both
+        parents, reshape and transpose hand views), so a later one is added
+        into a new array, never in place."""
         if not self.requires_grad:
             return
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+        self.grad = g if self.grad is None else self.grad + g
 
     def __repr__(self):
         return f"Var(shape={self.value.shape})"
@@ -246,9 +249,10 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Var:
         gain._accum((g * xhat).sum(axis=sum_axes))
         bias._accum(g.sum(axis=sum_axes))
         if x.requires_grad:
+            d = g.shape[-1]
             gx = g * gain.value
-            gx_mean = gx.mean(axis=-1, keepdims=True)
-            gx_xhat_mean = (gx * xhat).mean(axis=-1, keepdims=True)
+            gx_mean = np.add.reduce(gx, axis=-1, keepdims=True) / d
+            gx_xhat_mean = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d
             x._accum(inv * (gx - gx_mean - xhat * gx_xhat_mean))
 
     return Var(gain.value * xhat + bias.value, (x, gain, bias), bw)
@@ -277,6 +281,72 @@ def linear(x, W, b) -> Var:
 
     y = x2 @ w + b.value
     return Var(y.reshape(x.shape[:-1] + (d_out,)), (x, W, b), bw)
+
+
+def attention(x, wq, wk, wv, wo, bq, bk, bv, bo, n_heads: int) -> Var:
+    """Causal multi-head self-attention over x [n, l, d], as one tape node.
+
+    Equal to the composition of linear, reshape, transpose, matmul and
+    masked_softmax, with one QKV GEMM on [Wq|Wk|Wv] (concatenated per call,
+    so the parameters stay separate) and a hand-derived backward that splits
+    the weight gradient back into Wq, Wk and Wv.
+    """
+    x, wq, wk, wv, wo, bq, bk, bv, bo = (as_var(v) for v in (x, wq, wk, wv, wo, bq, bk, bv, bo))
+    n, l, d = x.value.shape
+    dh = d // n_heads
+    scale = 1.0 / math.sqrt(dh)
+    x2 = x.value.reshape(-1, d)
+    w_qkv = np.concatenate([wq.value, wk.value, wv.value], axis=1)
+    qkv = x2 @ w_qkv + np.concatenate([bq.value, bk.value, bv.value])
+    # [n*l, 3d] -> [3, n, heads, l, dh]
+    q, k, v = qkv.reshape(n, l, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    att = softmax_rows((q @ k.transpose(0, 1, 3, 2)) * scale, np.tri(l, dtype=bool))
+    ctx = (att @ v).transpose(0, 2, 1, 3).reshape(-1, d)
+    w_o = wo.value
+
+    def bw(g):
+        g2 = g.reshape(-1, d)
+        wo._accum(ctx.T @ g2)
+        bo._accum(g2.sum(axis=0))
+        g_ctx = (g2 @ w_o.T).reshape(n, l, n_heads, dh).transpose(0, 2, 1, 3)
+        g_att = g_ctx @ v.transpose(0, 1, 3, 2)
+        g_scores = att * (g_att - (g_att * att).sum(axis=-1, keepdims=True)) * scale
+        g_qkv = np.stack([g_scores @ k, g_scores.transpose(0, 1, 3, 2) @ q,
+                          att.transpose(0, 1, 3, 2) @ g_ctx])
+        g_qkv = g_qkv.transpose(1, 3, 0, 2, 4).reshape(-1, 3 * d)
+        g_w = x2.T @ g_qkv
+        g_b = g_qkv.sum(axis=0)
+        for i, (w, b) in enumerate(((wq, bq), (wk, bk), (wv, bv))):
+            w._accum(g_w[:, i * d:(i + 1) * d])
+            b._accum(g_b[i * d:(i + 1) * d])
+        if x.requires_grad:
+            x._accum((g_qkv @ w_qkv.T).reshape(x.shape))
+
+    y = ctx @ w_o + bo.value
+    return Var(y.reshape(n, l, d), (x, wq, wk, wv, wo, bq, bk, bv, bo), bw)
+
+
+def ffn(x, w1, b1, w2, b2) -> Var:
+    """relu(x W1 + b1) W2 + b2 over the last axis of x, as one tape node."""
+    x, w1, b1, w2, b2 = (as_var(v) for v in (x, w1, b1, w2, b2))
+    x2 = x.value.reshape(-1, w1.value.shape[0])
+    h = x2 @ w1.value + b1.value
+    np.maximum(h, 0.0, out=h)
+    w_1, w_2 = w1.value, w2.value
+
+    def bw(g):
+        g2 = g.reshape(-1, w_2.shape[1])
+        w2._accum(h.T @ g2)
+        b2._accum(g2.sum(axis=0))
+        g_h = g2 @ w_2.T
+        g_h *= h > 0.0
+        w1._accum(x2.T @ g_h)
+        b1._accum(g_h.sum(axis=0))
+        if x.requires_grad:
+            x._accum((g_h @ w_1.T).reshape(x.shape))
+
+    y = h @ w_2 + b2.value
+    return Var(y.reshape(x.shape[:-1] + (w_2.shape[1],)), (x, w1, b1, w2, b2), bw)
 
 
 def backward(loss: Var) -> None:

@@ -39,10 +39,3 @@ def weights():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
-
-
-def make_item(i, emb, price=10.0, ctr=0.2, cvr=0.1, cat=0):
-    from sortgen.core import Item
-    emb = np.asarray(emb, dtype=np.float64)
-    return Item(id=i, embedding=emb / np.linalg.norm(emb), price=price,
-                prior_ctr=ctr, prior_cvr=cvr, category=cat)

@@ -101,6 +101,44 @@ def test_rerank_command_rejects_short_pool(workdir, capsys):
     assert "insufficient candidates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["rerank", "evaluate", "bench", "oracle", "serve"])
+def test_config_engine_key_differing_from_checkpoint_is_config_error(workdir, capsys, command,
+                                                                      monkeypatch):
+    # The checkpoint has l_o = 4; the engine comes from it, so l_o = 3 cannot apply.
+    def no_server(*args, **kwargs):
+        raise AssertionError("serve started despite the config error")
+
+    monkeypatch.setattr(srv, "make_server", no_server)
+    cfg = workdir["root"] / "l_o3.cfg"
+    cfg.write_text("l_o = 3\nmax_count = 3\nlambda_mmr = 0.0\n", encoding="utf-8")
+    rc = cli.main([command, "--ckpt", str(workdir["ckpt"]), "--config", str(cfg),
+                   "--data", str(workdir["data"])])
+    assert rc == 2
+    assert "config error: l_o" in capsys.readouterr().err
+
+
+def test_config_queue_key_differing_from_checkpoint_is_config_error(workdir, capsys):
+    cfg = workdir["root"] / "queue.cfg"
+    cfg.write_text("queue.pay = ctr_cvr:2.0\n", encoding="utf-8")
+    rc = cli.main(["bench", "--ckpt", str(workdir["ckpt"]), "--config", str(cfg)])
+    assert rc == 2
+    assert "config error: queue.pay" in capsys.readouterr().err
+
+
+def test_config_matching_checkpoint_engine_is_accepted(workdir, capsys):
+    # Equal engine values, sim./train. keys, and the option keys all pass.
+    doc, engine, _ = _request_doc(workdir)
+    req = workdir["root"] / "request.json"
+    req.write_text(json.dumps(doc), encoding="utf-8")
+    cfg = workdir["root"] / "same.cfg"
+    cfg.write_text(SMALL_CONFIG_TEXT + "bench.slates = 2\neval.pools = 3\nalpha = 2.0\n",
+                   encoding="utf-8")
+    rc = cli.main(["rerank", "--ckpt", str(workdir["ckpt"]), "--config", str(cfg),
+                   "--data", str(req)])
+    assert rc == 0
+    assert len(json.loads(capsys.readouterr().out)["item_ids"]) == engine.l_o
+
+
 def test_evaluate_command_table_shape(workdir, capsys):
     out_path = workdir["root"] / "curves.tsv"
     rc = cli.main(["evaluate", "--ckpt", str(workdir["ckpt"]),

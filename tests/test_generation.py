@@ -9,7 +9,7 @@ from sortgen import generation, model as sortmodel, simulator
 from sortgen.core import ConfigError, EngineConfig, ObjectiveWeights, QueueSpec
 from sortgen.generation import ValueModel
 from sortgen.simulator import sample_pool, sample_user
-from tests.conftest import make_item
+from tests.helpers import make_item
 
 
 # ---------------------------- composite scores -------------------------------

@@ -7,6 +7,11 @@ from sortgen import model as sortmodel
 from sortgen import nn, simulator
 from sortgen.core import ConfigError, EngineConfig, UserContext
 from sortgen.nn import Var
+from tests.helpers import ffn_reference, mhsa_reference
+
+# Each block as one tape node, and its primitive-op reference.
+MHSA_IMPLS = [sortmodel._attention, mhsa_reference]
+FFN_IMPLS = [sortmodel._ffn, ffn_reference]
 
 
 def _random_inputs(config, n, l, seed=0):
@@ -38,63 +43,145 @@ def _attn_params(dm, seed=0, zero_qk=False, identity_vo=False):
 
 
 def test_mhsa_single_position():
-    dm = 8
-    p = _attn_params(dm, identity_vo=True, zero_qk=True)
-    x = np.random.default_rng(1).normal(size=(1, 1, dm))
-    out = sortmodel._mhsa(Var(x), p, "a", n_heads=2)
-    np.testing.assert_allclose(out.value, x, atol=1e-12)
+    for mhsa in MHSA_IMPLS:
+        dm = 8
+        p = _attn_params(dm, identity_vo=True, zero_qk=True)
+        x = np.random.default_rng(1).normal(size=(1, 1, dm))
+        out = mhsa(Var(x), p, "a", n_heads=2)
+        np.testing.assert_allclose(out.value, x, atol=1e-12)
 
 
 def test_mhsa_causal_bit_for_bit():
-    dm, T = 8, 6
-    p = _attn_params(dm)
-    x = np.random.default_rng(2).normal(size=(1, T, dm))
-    base = sortmodel._mhsa(Var(x), p, "a", n_heads=2).value
-    x2 = x.copy()
-    x2[0, T - 1] += 1.0
-    pert = sortmodel._mhsa(Var(x2), p, "a", n_heads=2).value
-    assert (base[0, : T - 1] == pert[0, : T - 1]).all()
+    for mhsa in MHSA_IMPLS:
+        dm, T = 8, 6
+        p = _attn_params(dm)
+        x = np.random.default_rng(2).normal(size=(1, T, dm))
+        base = mhsa(Var(x), p, "a", n_heads=2).value
+        x2 = x.copy()
+        x2[0, T - 1] += 1.0
+        pert = mhsa(Var(x2), p, "a", n_heads=2).value
+        assert (base[0, : T - 1] == pert[0, : T - 1]).all()
 
 
 def test_mhsa_uniform_logits_average_values():
     # Zero query/key projections give equal logits; attention at position t is
     # then the running mean of value vectors at positions <= t.
-    dm, T = 4, 5
-    p = _attn_params(dm, zero_qk=True, identity_vo=True)
-    x = np.random.default_rng(3).normal(size=(1, T, dm))
-    out = sortmodel._mhsa(Var(x), p, "a", n_heads=2).value
-    for t in range(T):
-        np.testing.assert_allclose(out[0, t], x[0, : t + 1].mean(axis=0), atol=1e-12)
+    for mhsa in MHSA_IMPLS:
+        dm, T = 4, 5
+        p = _attn_params(dm, zero_qk=True, identity_vo=True)
+        x = np.random.default_rng(3).normal(size=(1, T, dm))
+        out = mhsa(Var(x), p, "a", n_heads=2).value
+        for t in range(T):
+            np.testing.assert_allclose(out[0, t], x[0, : t + 1].mean(axis=0), atol=1e-12)
 
 
 def test_ffn_zero_weights_zero_output():
-    dm = 4
-    p = {"f.W1": Var(np.zeros((dm, 4 * dm))), "f.b1": Var(np.zeros(4 * dm)),
-         "f.W2": Var(np.zeros((4 * dm, dm))), "f.b2": Var(np.zeros(dm))}
-    x = np.random.default_rng(4).normal(size=(1, 3, dm))
-    out = sortmodel._ffn(Var(x), p, "f")
-    np.testing.assert_array_equal(out.value, 0.0)
+    for ffn in FFN_IMPLS:
+        dm = 4
+        p = {"f.W1": Var(np.zeros((dm, 4 * dm))), "f.b1": Var(np.zeros(4 * dm)),
+             "f.W2": Var(np.zeros((4 * dm, dm))), "f.b2": Var(np.zeros(dm))}
+        x = np.random.default_rng(4).normal(size=(1, 3, dm))
+        out = ffn(Var(x), p, "f")
+        np.testing.assert_array_equal(out.value, 0.0)
 
 
 def test_ffn_identity_construction_on_nonnegative_input():
-    dm = 3
-    w1 = np.zeros((dm, 4 * dm))
-    w1[:, :dm] = np.eye(dm)
-    w2 = np.zeros((4 * dm, dm))
-    w2[:dm, :] = np.eye(dm)
-    p = {"f.W1": Var(w1), "f.b1": Var(np.zeros(4 * dm)),
-         "f.W2": Var(w2), "f.b2": Var(np.zeros(dm))}
-    x = np.abs(np.random.default_rng(5).normal(size=(1, 2, dm)))
-    out = sortmodel._ffn(Var(x), p, "f")
-    np.testing.assert_allclose(out.value, x, atol=1e-12)
+    for ffn in FFN_IMPLS:
+        dm = 3
+        w1 = np.zeros((dm, 4 * dm))
+        w1[:, :dm] = np.eye(dm)
+        w2 = np.zeros((4 * dm, dm))
+        w2[:dm, :] = np.eye(dm)
+        p = {"f.W1": Var(w1), "f.b1": Var(np.zeros(4 * dm)),
+             "f.W2": Var(w2), "f.b2": Var(np.zeros(dm))}
+        x = np.abs(np.random.default_rng(5).normal(size=(1, 2, dm)))
+        out = ffn(Var(x), p, "f")
+        np.testing.assert_allclose(out.value, x, atol=1e-12)
 
 
 def test_ffn_relu_clamps_negative_preactivation():
-    dm = 2
-    p = {"f.W1": Var(np.eye(dm, 4 * dm)), "f.b1": Var(np.zeros(4 * dm)),
-         "f.W2": Var(np.ones((4 * dm, dm))), "f.b2": Var(np.zeros(dm))}
-    out = sortmodel._ffn(Var(-np.ones((1, 1, dm))), p, "f")
-    np.testing.assert_array_equal(out.value, 0.0)
+    for ffn in FFN_IMPLS:
+        dm = 2
+        p = {"f.W1": Var(np.eye(dm, 4 * dm)), "f.b1": Var(np.zeros(4 * dm)),
+             "f.W2": Var(np.ones((4 * dm, dm))), "f.b2": Var(np.zeros(dm))}
+        out = ffn(Var(-np.ones((1, 1, dm))), p, "f")
+        np.testing.assert_array_equal(out.value, 0.0)
+
+
+def _block_grads(block, x, params):
+    """Output of block(x) and the gradients of a fixed random projection of it."""
+    for p in params.values():
+        p.grad = None
+    xv = Var(x)
+    out = block(xv, params)
+    proj = np.random.default_rng(99).normal(size=out.shape)
+    nn.backward(nn.sum_(nn.mul(out, proj)))
+    return out.value, {"x": xv.grad, **{k: p.grad for k, p in params.items()}}
+
+
+def _assert_grads_close(new, ref, zero=()):
+    """Each gradient within 1e-10 of that gradient's largest entry. A gradient
+    in `zero` is analytically zero (a key bias shifts every score of a query
+    row alike, which softmax ignores), so both sides need only be rounding
+    noise: below 1e-10 of the largest gradient of all."""
+    scale = max(np.abs(g).max() for g in ref.values())
+    for name, g in ref.items():
+        if name in zero:
+            assert np.abs(new[name]).max() <= 1e-10 * scale
+            assert np.abs(g).max() <= 1e-10 * scale
+        else:
+            assert np.abs(new[name] - g).max() <= 1e-10 * np.abs(g).max(), name
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_attention_node_matches_primitive_ops(seed):
+    rng = np.random.default_rng(seed)
+    dm, heads = 8, 2
+    params = {f"a.{name}": Var(rng.normal(size=(dm, dm)) * 0.4)
+              for name in ("Wq", "Wk", "Wv", "Wo")}
+    params.update({f"a.{name}": Var(rng.normal(size=dm) * 0.1)
+                   for name in ("bq", "bk", "bv", "bo")})
+    x = rng.normal(size=(3, 5, dm))
+    results = [_block_grads(lambda v, p: mhsa(v, p, "a", heads), x, params)
+               for mhsa in MHSA_IMPLS]
+    (out, grads), (ref_out, ref_grads) = results
+    assert np.abs(out - ref_out).max() <= 1e-12
+    _assert_grads_close(grads, ref_grads, zero=("a.bk",))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ffn_node_matches_primitive_ops(seed):
+    rng = np.random.default_rng(seed)
+    dm = 6
+    params = {"f.W1": Var(rng.normal(size=(dm, 4 * dm)) * 0.4),
+              "f.b1": Var(rng.normal(size=4 * dm) * 0.1),
+              "f.W2": Var(rng.normal(size=(4 * dm, 3)) * 0.4), "f.b2": Var(rng.normal(size=3))}
+    x = rng.normal(size=(4, 3, dm))
+    results = [_block_grads(lambda v, p: ffn(v, p, "f"), x, params) for ffn in FFN_IMPLS]
+    (out, grads), (ref_out, ref_grads) = results
+    assert np.abs(out - ref_out).max() <= 1e-12
+    _assert_grads_close(grads, ref_grads)
+
+
+@pytest.mark.parametrize("head_mode", ["monotone", "literal"])
+def test_forward_matches_primitive_op_reference(small_config, head_mode, monkeypatch):
+    cfg = dataclasses.replace(small_config, head_mode=head_mode)
+    emb, user, score = _random_inputs(cfg, 6, cfg.l_o, seed=21)
+    target = np.random.default_rng(22).uniform(size=(6, cfg.l_o, cfg.max_count))
+    results = []
+    for reference in (False, True):
+        if reference:
+            monkeypatch.setattr(sortmodel, "_attention", MHSA_IMPLS[1])
+            monkeypatch.setattr(sortmodel, "_ffn", FFN_IMPLS[1])
+        params = sortmodel.init_params(cfg, seed=23)
+        out = sortmodel.forward(cfg, params, emb, user, score)
+        nn.backward(nn.sum_(nn.mul(nn.add(out.click, out.pay), target)))
+        results.append((out, {name: p.grad for name, p in params.items()}))
+    (out, grads), (ref_out, ref_grads) = results
+    assert np.abs(out.click.value - ref_out.click.value).max() <= 1e-12
+    assert np.abs(out.pay.value - ref_out.pay.value).max() <= 1e-12
+    _assert_grads_close(grads, ref_grads,
+                        zero=tuple(f"layer{i}.attn.bk" for i in range(cfg.n_layers)))
 
 
 # ---------------------------- input assembly --------------------------------

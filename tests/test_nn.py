@@ -195,3 +195,54 @@ def test_frozen_leaf_gets_no_grad():
     nn.backward(nn.sum_(nn.mul(w, frozen)))
     np.testing.assert_array_equal(w.grad, np.full(3, 2.0))
     assert frozen.grad is None
+
+
+def test_gradient_shared_by_add_is_not_written_through():
+    # add hands one gradient array to both parents, and each stores it as is.
+    a, b = Var(np.ones(3)), Var(np.full(3, 2.0))
+    nn.backward(nn.sum_(nn.add(a, b)))
+    assert np.shares_memory(a.grad, b.grad)
+    # A second backward through a alone must leave b's stored gradient alone.
+    nn.backward(nn.sum_(nn.mul(a, np.array([3.0, 4.0, 5.0]))))
+    np.testing.assert_array_equal(a.grad, [4.0, 5.0, 6.0])
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
+
+
+def test_view_gradients_accumulate_into_new_arrays():
+    # reshape and transpose hand their parent a view of their own gradient.
+    x = Var(np.arange(6.0).reshape(2, 3))
+    c1 = np.arange(1.0, 7.0).reshape(3, 2)
+    c2 = np.arange(10.0, 16.0).reshape(3, 2)
+    y = nn.reshape(x, (3, 2))
+    nn.backward(nn.sum_(nn.mul(y, c1)))
+    assert np.shares_memory(x.grad, y.grad)
+    z = nn.transpose(x, (1, 0))
+    nn.backward(nn.sum_(nn.mul(z, c2)))
+    np.testing.assert_array_equal(x.grad, c1.reshape(2, 3) + c2.T)
+    np.testing.assert_array_equal(y.grad, c1)
+    # Twice more, through a new transpose: x sums three gradients, and neither
+    # earlier node's gradient changes.
+    nn.backward(nn.sum_(nn.mul(nn.transpose(x, (1, 0)), c2)))
+    np.testing.assert_array_equal(x.grad, c1.reshape(2, 3) + 2.0 * c2.T)
+    np.testing.assert_array_equal(y.grad, c1)
+    np.testing.assert_array_equal(z.grad, c2)
+
+
+def test_finite_diff_attention_and_ffn_nodes():
+    rng = np.random.default_rng(7)
+    dm = 6
+    params = {name: Var(rng.normal(size=(dm, dm)) * 0.4) for name in ("Wq", "Wk", "Wv", "Wo")}
+    params.update({name: Var(rng.normal(size=dm) * 0.1) for name in ("bq", "bk", "bv", "bo")})
+    params.update({"W1": Var(rng.normal(size=(dm, 12)) * 0.4), "b1": Var(rng.normal(size=12)),
+                   "W2": Var(rng.normal(size=(12, 2)) * 0.4), "b2": Var(rng.normal(size=2)),
+                   "x": Var(rng.normal(size=(2, 4, dm)))})
+    target = rng.normal(size=(2, 4, 2))
+
+    def loss_fn():
+        p = params
+        h = nn.attention(p["x"], p["Wq"], p["Wk"], p["Wv"], p["Wo"],
+                         p["bq"], p["bk"], p["bv"], p["bo"], n_heads=2)
+        y = nn.ffn(h, p["W1"], p["b1"], p["W2"], p["b2"])
+        return nn.sum_(nn.mul(nn.sigmoid(y), target))
+
+    assert nn.finite_diff_check(params, loss_fn, step=1e-5, n_coords=120, seed=2) < 1e-6
