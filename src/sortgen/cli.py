@@ -23,6 +23,10 @@ from sortgen.core import (
 from sortgen.simulator import SimConfig
 
 
+class CommandError(Exception):
+    """A failure that the CLI reports as `error: MESSAGE` with exit code 1."""
+
+
 def _load(args) -> tuple[EngineConfig, ObjectiveWeights, dict[str, str]]:
     if args.config:
         engine, weights, raw = load_config_file(args.config)
@@ -40,8 +44,12 @@ def _load_with_checkpoint(args) -> tuple[dict, EngineConfig, ObjectiveWeights, d
     The engine comes from the checkpoint, so an engine key of --config (a
     field of EngineConfig, or a queue.* key) whose value differs from the
     checkpoint's is a ConfigError naming the key, not silently dropped.
+    --seed replaces the engine's seed, which seeds the commands' samples.
     """
+    if not args.ckpt or not Path(args.ckpt).is_file():
+        raise CommandError(f"checkpoint not found: {args.ckpt}")
     params, engine = sortmodel.load_checkpoint(args.ckpt)
+    engine = dataclasses.replace(engine, seed=engine.seed if args.seed is None else args.seed)
     config, weights, raw = _load(args)
     for f in dataclasses.fields(EngineConfig):
         if f.name in raw and getattr(config, f.name) != getattr(engine, f.name):
@@ -81,8 +89,7 @@ def cmd_train(args) -> int:
     tconf = config_from_raw(trainer.TrainConfig, raw, "train.")
     data_path = Path(args.data or "dataset.jsonl")
     if not data_path.exists():
-        print(f"error: data file not found: {data_path}", file=sys.stderr)
-        return 1
+        raise CommandError(f"data file not found: {data_path}")
     dataset = simulator.read_dataset(data_path)
     params = sortmodel.init_params(engine)
     ckpt = Path(args.ckpt or "model.ckpt")
@@ -99,12 +106,8 @@ def cmd_train(args) -> int:
 
 def cmd_rerank(args) -> int:
     params, engine, weights, _ = _load_with_checkpoint(args)
-    try:
-        doc = json.loads(Path(args.data).read_text(encoding="utf-8"))
-        user, items, req_weights, lam = srv.parse_rerank_request(doc, engine)
-    except srv.RequestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    doc = json.loads(Path(args.data).read_text(encoding="utf-8"))
+    user, items, req_weights, lam = srv.parse_rerank_request(doc, engine)
     response = srv.rerank(engine, params, user, items, req_weights or weights, lam)
     print(json.dumps(response, sort_keys=True))
     return 0
@@ -126,15 +129,15 @@ def _method_slates(engine, weights, params, pool, user):
 
 def _cumulative_curves(engine, params, items, user) -> dict[str, np.ndarray]:
     """Per-position cumulative click/pay/gmv from clamped model increments."""
-    emb, score = sortmodel.item_features(items)
-    click, pay = sortmodel.infer(engine, params, emb[None], user.user_features[None], score[None])
+    f = sortmodel.item_features(items)
+    click, pay = sortmodel.infer(engine, params, f.emb[None], user.user_features[None],
+                                 f.score[None])
     e_click = values.expected_counts_batch(click)[0]
     e_pay = values.expected_counts_batch(pay)[0]
     click_incr = np.clip(np.diff(e_click, prepend=0.0), 0.0, None)
     pay_incr = np.clip(np.diff(e_pay, prepend=0.0), 0.0, None)
-    prices = np.array([it.price for it in items])
     return {"click": np.cumsum(click_incr), "pay": np.cumsum(pay_incr),
-            "gmv": np.cumsum(prices * pay_incr)}
+            "gmv": np.cumsum(f.price * pay_incr)}
 
 
 def evaluate_curves(engine: EngineConfig, weights: ObjectiveWeights, params: dict,
@@ -170,9 +173,6 @@ def format_curves(curves: dict, l_o: int) -> str:
 
 
 def cmd_evaluate(args) -> int:
-    if not Path(args.ckpt).exists():
-        print(f"error: checkpoint not found: {args.ckpt}", file=sys.stderr)
-        return 1
     params, engine, weights, raw = _load_with_checkpoint(args)
     dataset = simulator.read_dataset(args.data)
     n_pools = raw_value(raw, "eval.pools", args.pools)
@@ -271,8 +271,7 @@ def cmd_oracle(args) -> int:
     study = run_oracle_study(engine, weights, params, pools=args.pools,
                              l_s=args.small_ls, l_o=args.small_lo, seed=engine.seed)
     if study["max_greedy"] > 1.0 + 1e-9:
-        print("error: greedy exceeded the exhaustive optimum", file=sys.stderr)
-        return 1
+        raise CommandError("greedy exceeded the exhaustive optimum")
     print(f"pools={args.pools} l_s={args.small_ls} l_o={args.small_lo}")
     print(f"mean greedy/optimal ratio:  {study['mean_greedy']:.4f}")
     print(f"mean random/optimal ratio:  {study['mean_random']:.4f}")
@@ -334,6 +333,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (CommandError, srv.RequestError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -36,43 +36,37 @@ class InfeasibleConfig(ConfigError):
     """All queues exhausted before the slate reached l_o items."""
 
 
-def composite_score(item: Item, spec: QueueSpec) -> float:
+def composite_score(features: sortmodel.ItemFeatures, spec: QueueSpec) -> np.ndarray:
+    """The queue's score of every packed item, [n]."""
+    ctr, cvr, price = features.score[:, 0], features.score[:, 1], features.price
     terms = {
-        "ctr": item.prior_ctr,
-        "cvr": item.prior_cvr,
-        "ctr_cvr": item.prior_ctr * item.prior_cvr,
-        "price": item.price,
-        "ctr_cvr_price": item.prior_ctr * item.prior_cvr * item.price,
+        "ctr": ctr,
+        "cvr": cvr,
+        "ctr_cvr": ctr * cvr,
+        "price": price,
+        "ctr_cvr_price": ctr * cvr * price,
     }
     return sum(c * terms[k] for k, c in spec.coeffs.items())
 
 
 @dataclass
 class CandidateQueues:
-    """Disjoint objective-ordered queues over the pool, plus consumption state."""
+    """Disjoint objective-ordered queues over the packed pool, and a read cursor
+    per queue: an item is only ever taken as the head of its own queue."""
 
     queues: list[list[int]]  # pool indices, per queue, score-descending
+    features: sortmodel.ItemFeatures  # the packed pool
     cursors: list[int] = field(default_factory=list)
-    selected: np.ndarray | None = None  # bool over the pool
 
-    def __post_init__(self):
-        if not self.cursors:
-            self.cursors = [0] * len(self.queues)
-
-    def reset(self, pool_size: int) -> None:
+    def reset(self) -> None:
         self.cursors = [0] * len(self.queues)
-        self.selected = np.zeros(pool_size, dtype=bool)
 
     def head(self, qi: int) -> int | None:
-        """Next unconsumed, unselected pool index of queue qi, or None."""
+        """Next unconsumed pool index of queue qi, or None."""
         queue, cur = self.queues[qi], self.cursors[qi]
-        while cur < len(queue) and self.selected[queue[cur]]:
-            cur += 1
-        self.cursors[qi] = cur
         return queue[cur] if cur < len(queue) else None
 
-    def consume(self, qi: int, pool_index: int) -> None:
-        self.selected[pool_index] = True
+    def consume(self, qi: int) -> None:
         self.cursors[qi] += 1
 
 
@@ -89,11 +83,9 @@ def build_queues(pool: list[Item], specs, strategy: str, l_o: int) -> CandidateQ
         raise ConfigError("duplicate queue priorities")
 
     # Per queue: pool indices sorted by that queue's score desc, id asc.
-    rankings = [
-        sorted(range(len(pool)),
-               key=lambda idx, s=s: (-composite_score(pool[idx], s), pool[idx].id))
-        for s in specs
-    ]
+    features = sortmodel.item_features(pool)
+    rankings = [np.lexsort((features.ids, -composite_score(features, s))).tolist()
+                for s in specs]
     assigned = np.zeros(len(pool), dtype=bool)
     queues: list[list[int]] = [[] for _ in specs]
 
@@ -122,8 +114,8 @@ def build_queues(pool: list[Item], specs, strategy: str, l_o: int) -> CandidateQ
     else:
         raise ConfigError(f"unknown partition strategy {strategy!r}")
 
-    cq = CandidateQueues(queues)
-    cq.reset(len(pool))
+    cq = CandidateQueues(queues, features)
+    cq.reset()
     return cq
 
 
@@ -202,37 +194,42 @@ class ValueModel:
                         weights: ObjectiveWeights) -> np.ndarray:
         """One batched full forward over same-length sequences -> combined values."""
         self.invocations += 1
-        emb = np.stack([np.stack([it.embedding for it in seq]) for seq in sequences])
-        score = np.array([[[it.prior_ctr, it.prior_cvr] for it in seq] for seq in sequences])
-        prices = np.array([[it.price for it in seq] for seq in sequences])
-        u = np.stack([user.user_features] * len(sequences))
-        click, pay = sortmodel.infer(self.config, self.params, emb, u, score)
-        return listvalue.combined_values_batch(click, pay, prices, weights)
+        n, l = len(sequences), len(sequences[0])
+        if any(len(seq) != l for seq in sequences):
+            raise ConfigError("sequences of different lengths in one batch")
+        f = sortmodel.item_features([it for seq in sequences for it in seq])
+        u = np.stack([user.user_features] * n)
+        click, pay = sortmodel.infer(self.config, self.params, f.emb.reshape(n, l, -1), u,
+                                     f.score.reshape(n, l, 2))
+        return listvalue.combined_values_batch(click, pay, f.price.reshape(n, l), weights)
 
-    def extension_values(self, cache: sortmodel.Prefix, prefix: list[Item],
-                         candidates: list[Item], weights: ObjectiveWeights
+    def extension_values(self, cache: sortmodel.Prefix, features: sortmodel.ItemFeatures,
+                         chosen: list[int], rows: list[int], weights: ObjectiveWeights
                          ) -> tuple[np.ndarray, sortmodel.Extension]:
-        """Combined values of `prefix` + each candidate, from one incremental
-        step over the prefix's cache; the extension holds the new cache rows."""
+        """Combined values of the chosen rows + each candidate row of the packed
+        pool, from one incremental step over the prefix's cache."""
         self.invocations += 1
-        emb, score = sortmodel.item_features(candidates)
-        ext = sortmodel.extend(self.config, self.params, cache, emb, score)
-        prices = np.array([[it.price for it in prefix] + [c.price] for c in candidates])
+        ext = sortmodel.extend(self.config, self.params, cache,
+                               features.emb[rows], features.score[rows])
+        prices = features.price[np.array([chosen + [r] for r in rows])]
         return listvalue.combined_values_batch(ext.click, ext.pay, prices, weights), ext
 
 
 def _run_greedy(pool: list[Item], user: UserContext, queues: CandidateQueues,
-                vm: ValueModel, weights: ObjectiveWeights, lam: float,
-                window_w: int, l_o: int, cached: bool) -> GenerationTrace:
-    queues.reset(len(pool))
+                vm: ValueModel, weights: ObjectiveWeights, lam: float | None,
+                window_w: int | None, cached: bool) -> GenerationTrace:
+    cfg = vm.config
+    lam = cfg.lambda_mmr if lam is None else lam
+    window_w = cfg.window_w if window_w is None else window_w
+    queues.reset()
     start_invocations = vm.invocations
     start = time.perf_counter_ns()
-    prefix: list[Item] = []
+    chosen: list[int] = []  # pool indices
     sources: list[int] = []
     steps: list[StepRecord] = []
-    cache = sortmodel.Prefix.empty(vm.config, user.user_features) if cached else None
+    cache = sortmodel.Prefix.empty(cfg, user.user_features) if cached else None
 
-    for _ in range(l_o):
+    for _ in range(cfg.l_o):
         heads = []
         for qi in range(len(queues.queues)):
             idx = queues.head(qi)
@@ -241,26 +238,27 @@ def _run_greedy(pool: list[Item], user: UserContext, queues: CandidateQueues,
         if not heads:
             raise InfeasibleConfig("all queues exhausted before l_o selections")
 
-        candidates = [pool[idx] for _, idx in heads]
+        prefix = [pool[i] for i in chosen]
+        rows = [idx for _, idx in heads]
         if cached:
-            vals, ext = vm.extension_values(cache, prefix, candidates, weights)
+            vals, ext = vm.extension_values(cache, queues.features, chosen, rows, weights)
         else:
-            vals = np.array([vm.combined_values([prefix + [cand]], user, weights)[0]
-                             for cand in candidates])
+            vals = np.array([vm.combined_values([prefix + [pool[r]]], user, weights)[0]
+                             for r in rows])
 
         records = []
         best = None
-        for k, ((qi, idx), cand, value) in enumerate(zip(heads, candidates, vals)):
-            score = mmr_score(cand, prefix, window_w, lam, float(value))
-            records.append((qi, cand.id, float(value), score))
+        for k, ((qi, idx), value) in enumerate(zip(heads, vals)):
+            score = mmr_score(pool[idx], prefix, window_w, lam, float(value))
+            records.append((qi, pool[idx].id, float(value), score))
             # Queues are disjoint, so per-step candidates are distinct items;
             # strict > keeps the lowest queue index on score ties, and within
             # a queue the head is already the lowest-id top scorer.
             if best is None or score > best[0]:
-                best = (score, k, qi, idx, cand)
-        _, k, qi, idx, cand = best
-        queues.consume(qi, idx)
-        prefix.append(cand)
+                best = (score, k, qi, idx)
+        _, k, qi, idx = best
+        queues.consume(qi)
+        chosen.append(idx)
         sources.append(qi)
         steps.append(StepRecord(records, qi))
         if cached:
@@ -269,7 +267,7 @@ def _run_greedy(pool: list[Item], user: UserContext, queues: CandidateQueues,
     wall = time.perf_counter_ns() - start
     invocations = vm.invocations - start_invocations
     overhead = int(invocations * vm.overhead_us * 1000)
-    return GenerationTrace(SubList(tuple(prefix), tuple(sources)), steps,
+    return GenerationTrace(SubList(tuple(pool[i] for i in chosen), tuple(sources)), steps,
                            invocations, wall, overhead)
 
 
@@ -278,10 +276,7 @@ def generate(pool: list[Item], user: UserContext, queues: CandidateQueues,
              window_w: int | None = None) -> GenerationTrace:
     """Greedy slate construction: one incremental step per position (<= l_o
     model calls), each scoring every queue head over the cached prefix."""
-    cfg = vm.config
-    lam = cfg.lambda_mmr if lam is None else lam
-    window_w = cfg.window_w if window_w is None else window_w
-    return _run_greedy(pool, user, queues, vm, weights, lam, window_w, cfg.l_o, cached=True)
+    return _run_greedy(pool, user, queues, vm, weights, lam, window_w, cached=True)
 
 
 def generate_iterative_reference(pool: list[Item], user: UserContext,
@@ -289,10 +284,7 @@ def generate_iterative_reference(pool: list[Item], user: UserContext,
                                  weights: ObjectiveWeights, lam: float | None = None,
                                  window_w: int | None = None) -> GenerationTrace:
     """Same selection semantics, but one full forward per candidate per step."""
-    cfg = vm.config
-    lam = cfg.lambda_mmr if lam is None else lam
-    window_w = cfg.window_w if window_w is None else window_w
-    return _run_greedy(pool, user, queues, vm, weights, lam, window_w, cfg.l_o, cached=False)
+    return _run_greedy(pool, user, queues, vm, weights, lam, window_w, cached=False)
 
 
 def template_generate(pool: list[Item], queues: CandidateQueues,
@@ -301,7 +293,7 @@ def template_generate(pool: list[Item], queues: CandidateQueues,
 
     Falls back to the first non-empty queue when the patterned one is dry.
     """
-    queues.reset(len(pool))
+    queues.reset()
     prefix: list[Item] = []
     sources: list[int] = []
     for qi in pattern:
@@ -314,7 +306,7 @@ def template_generate(pool: list[Item], queues: CandidateQueues,
                     break
         if idx is None:
             raise InfeasibleConfig("all queues exhausted during template generation")
-        queues.consume(qi, idx)
+        queues.consume(qi)
         prefix.append(pool[idx])
         sources.append(qi)
     return SubList(tuple(prefix), tuple(sources))

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,11 +190,21 @@ def forward(config: EngineConfig, params: dict, e_item: np.ndarray,
     return ModelOutput(click, pay, click_logits, pay_logits, mask)
 
 
-def item_features(items) -> tuple[np.ndarray, np.ndarray]:
-    """Stack embeddings and (prior_ctr, prior_cvr) for a sequence of items."""
-    emb = np.stack([it.embedding for it in items])
-    score = np.array([[it.prior_ctr, it.prior_cvr] for it in items])
-    return emb, score
+class ItemFeatures(NamedTuple):
+    """A sequence of items packed into arrays, one row per item."""
+
+    ids: np.ndarray    # [n] int64
+    emb: np.ndarray    # [n, d_emb]
+    score: np.ndarray  # [n, 2]: (prior_ctr, prior_cvr)
+    price: np.ndarray  # [n]
+
+
+def item_features(items) -> ItemFeatures:
+    """Pack a sequence of items; the only place that reads Item fields into arrays."""
+    return ItemFeatures(np.array([it.id for it in items], dtype=np.int64),
+                        np.stack([it.embedding for it in items]),
+                        np.array([[it.prior_ctr, it.prior_cvr] for it in items], dtype=np.float64),
+                        np.array([it.price for it in items], dtype=np.float64))
 
 
 # --------------------------- tape-free inference -----------------------------

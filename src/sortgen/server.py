@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import time
 import traceback
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -54,6 +55,8 @@ def parse_rerank_request(doc: dict, config: EngineConfig
             raise RequestError(f"candidates[{i}]: {exc}") from exc
         if items[-1].embedding.shape[0] != config.d_emb:
             raise RequestError(f"candidates[{i}].emb: expected {config.d_emb} components")
+        if not -2**63 <= items[-1].id < 2**63:
+            raise RequestError(f"candidates[{i}].id: {items[-1].id} is outside int64")
         j = first_index.setdefault(items[-1].id, i)
         if j != i:
             raise RequestError(f"candidates[{i}].id: duplicate of candidates[{j}].id")
@@ -92,13 +95,12 @@ def rerank(config: EngineConfig, params: dict, user: UserContext, items: list[It
     }
 
 
+@dataclass
 class _State:
-    def __init__(self):
-        self.ready = False
-        self.config: EngineConfig | None = None
-        self.params: dict | None = None
-        self.ckpt_hash = ""
-        self.weights = ObjectiveWeights()
+    config: EngineConfig
+    params: dict
+    ckpt_hash: str
+    weights: ObjectiveWeights
 
 
 class RerankHandler(BaseHTTPRequestHandler):
@@ -119,9 +121,6 @@ class RerankHandler(BaseHTTPRequestHandler):
         if self.path != "/healthz":
             self._reply(404, {"error": "unknown route"})
             return
-        if not self.state.ready:
-            self._reply(503, {"status": "loading"})
-            return
         self._reply(200, {"status": "ok", "checkpoint_hash": self.state.ckpt_hash})
 
     def do_POST(self):
@@ -135,8 +134,6 @@ class RerankHandler(BaseHTTPRequestHandler):
     def _post(self) -> tuple[int, dict]:
         if self.path != "/rerank":
             return 404, {"error": "unknown route"}
-        if not self.state.ready:
-            return 503, {"error": "checkpoint not loaded"}
         try:
             doc = json.loads(self.rfile.read(self._content_length()))
             user, items, weights, lam = parse_rerank_request(doc, self.state.config)
@@ -165,13 +162,7 @@ def make_server(ckpt_path: str, port: int,
     from pathlib import Path
 
     params, config = load_checkpoint(ckpt_path)
-    state = _State()
+    state = _State(config, params, hashlib.sha256(Path(ckpt_path).read_bytes()).hexdigest(),
+                   weights or ObjectiveWeights())
     handler = type("BoundHandler", (RerankHandler,), {"state": state})
-    server = ThreadingHTTPServer(("127.0.0.1", port), handler)
-    state.config = config
-    state.params = params
-    state.ckpt_hash = hashlib.sha256(Path(ckpt_path).read_bytes()).hexdigest()
-    if weights is not None:
-        state.weights = weights
-    state.ready = True
-    return server
+    return ThreadingHTTPServer(("127.0.0.1", port), handler)

@@ -60,12 +60,14 @@ class _Arrays:
 
 
 def _to_arrays(samples: list[ImpressionSample]) -> _Arrays:
-    emb = np.stack([np.stack([it.embedding for it in s.items]) for s in samples])
-    score = np.array([[[it.prior_ctr, it.prior_cvr] for it in s.items] for s in samples])
     user = np.stack([s.user.user_features for s in samples])
     clicks = np.stack([s.labels.clicks for s in samples])
     pays = np.stack([s.labels.pays for s in samples])
-    return _Arrays(emb, score, user, clicks, pays,
+    n, l = clicks.shape
+    if any(len(s.items) != l for s in samples):
+        raise ConfigError("a session's items and labels differ in length")
+    f = sortmodel.item_features([it for s in samples for it in s.items])
+    return _Arrays(f.emb.reshape(n, l, -1), f.score.reshape(n, l, 2), user, clicks, pays,
                    np.cumsum(clicks, axis=1), np.cumsum(pays, axis=1))
 
 

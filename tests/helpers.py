@@ -19,6 +19,26 @@ def make_item(i, emb, price=10.0, ctr=0.2, cvr=0.1, cat=0):
                 prior_ctr=ctr, prior_cvr=cvr, category=cat)
 
 
+def queue_ranking_reference(pool: list[Item], spec) -> list[int]:
+    """Pool indices in one queue's order, scored one item at a time: highest
+    score first, then ascending id. The reference for build_queues' ranking."""
+
+    def score(item: Item) -> float:
+        terms = {
+            "ctr": item.prior_ctr,
+            "cvr": item.prior_cvr,
+            "ctr_cvr": item.prior_ctr * item.prior_cvr,
+            "price": item.price,
+            "ctr_cvr_price": item.prior_ctr * item.prior_cvr * item.price,
+        }
+        total = 0.0
+        for key, coeff in spec.coeffs.items():  # left to right, as the columns are added
+            total += coeff * terms[key]
+        return total
+
+    return sorted(range(len(pool)), key=lambda i: (-score(pool[i]), pool[i].id))
+
+
 # Primitive-op references for the one-node blocks nn.attention and nn.ffn,
 # with the signatures of model._attention and model._ffn.
 

@@ -178,6 +178,25 @@ def test_oracle_command(workdir, capsys):
     assert "never exceeds 1" in out
 
 
+def test_seed_option_sets_the_sample_seed(workdir, capsys):
+    # The checkpoint's engine seed is 3; --seed replaces it as the sample seed.
+    def oracle(*seed):
+        assert cli.main(["oracle", "--ckpt", str(workdir["ckpt"]), "--pools", "5",
+                         "--small-ls", "6", "--small-lo", "3", *seed]) == 0
+        return capsys.readouterr().out
+
+    assert oracle("--seed", "1") != oracle("--seed", "2")
+    assert oracle() == oracle("--seed", "3")
+
+
+@pytest.mark.parametrize("command", ["rerank", "evaluate", "bench", "oracle", "serve"])
+def test_missing_checkpoint_is_an_error(workdir, capsys, command):
+    missing = workdir["root"] / "missing.ckpt"
+    rc = cli.main([command, "--ckpt", str(missing), "--data", str(workdir["data"])])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: checkpoint not found: {missing}\n"
+
+
 def test_unknown_config_key_returns_config_error_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense_key = 1\n", encoding="utf-8")
@@ -274,12 +293,25 @@ def test_rerank_value_equals_fresh_forward_of_slate(workdir):
     reply = srv.rerank(engine, params, user, items, weights)
     by_id = {it.id: it for it in items}
     slate = [by_id[i] for i in reply["item_ids"]]
-    emb, score = sortmodel.item_features(slate)
-    out = sortmodel.forward(engine, params, emb[None], user.user_features[None], score[None])
-    prices = np.array([[it.price for it in slate]])
-    fresh = float(values.combined_values_batch(out.click.value, out.pay.value, prices,
+    f = sortmodel.item_features(slate)
+    out = sortmodel.forward(engine, params, f.emb[None], user.user_features[None], f.score[None])
+    fresh = float(values.combined_values_batch(out.click.value, out.pay.value, f.price[None],
                                                weights)[0])
     assert abs(reply["combined_value"] - fresh) <= 1e-12 * abs(fresh)
+
+
+def test_rerank_packs_the_pool_once(workdir, monkeypatch):
+    doc, engine, params = _request_doc(workdir, seed=27)
+    user, items, _, _ = srv.parse_rerank_request(doc, engine)
+    pack, calls = sortmodel.item_features, []
+
+    def counting(seq):
+        calls.append(len(seq))
+        return pack(seq)
+
+    monkeypatch.setattr(sortmodel, "item_features", counting)
+    srv.rerank(engine, params, user, items, ObjectiveWeights())
+    assert calls == [len(items)]
 
 
 def _malformed(doc, kind):
@@ -297,6 +329,8 @@ def _malformed(doc, kind):
         doc["user"][3] = float("nan")
     elif kind == "user_inf":
         doc["user"][0] = float("-inf")
+    elif kind == "id_outside_int64":
+        doc["candidates"][3]["id"] = 2**70
     return doc
 
 
@@ -308,6 +342,7 @@ def _malformed(doc, kind):
     ("price_inf", ("candidates[5]", "price", "finite")),
     ("user_nan", ("user", "finite")),
     ("user_inf", ("user", "finite")),
+    ("id_outside_int64", ("candidates[3].id", "int64")),
 ])
 def test_rerank_endpoint_rejects_malformed_field(live_server, workdir, kind, fragments):
     doc, _, _ = _request_doc(workdir, seed=29)

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sortgen import generation, model as sortmodel, simulator
-from sortgen.core import ConfigError, EngineConfig, ObjectiveWeights, QueueSpec
+from sortgen.core import SCORE_TERMS, ConfigError, EngineConfig, ObjectiveWeights, QueueSpec
 from sortgen.generation import ValueModel
 from sortgen.simulator import sample_pool, sample_user
-from tests.helpers import make_item
+from tests.helpers import make_item, queue_ranking_reference
 
 
 # ---------------------------- composite scores -------------------------------
@@ -19,13 +21,15 @@ def test_composite_score_paper_expression():
     # 0.5*CTR + 0.5*CTR*CVR at ctr=0.2, cvr=0.1 -> 0.11
     item = make_item(0, [1, 0, 0, 0, 0, 0, 0, 0], ctr=0.2, cvr=0.1)
     spec = QueueSpec("mixed", {"ctr": 0.5, "ctr_cvr": 0.5}, 0)
-    assert math.isclose(generation.composite_score(item, spec), 0.11)
+    features = sortmodel.item_features([item])
+    assert math.isclose(generation.composite_score(features, spec)[0], 0.11)
 
 
 def test_composite_score_single_terms():
     item = make_item(0, [1, 0, 0, 0, 0, 0, 0, 0], price=12.5, ctr=0.3, cvr=0.2)
-    assert generation.composite_score(item, QueueSpec("c", {"ctr": 1.0}, 0)) == 0.3
-    assert generation.composite_score(item, QueueSpec("p", {"price": 1.0}, 0)) == 12.5
+    features = sortmodel.item_features([item])
+    assert generation.composite_score(features, QueueSpec("c", {"ctr": 1.0}, 0))[0] == 0.3
+    assert generation.composite_score(features, QueueSpec("p", {"price": 1.0}, 0))[0] == 12.5
 
 
 # ------------------------------ build_queues ---------------------------------
@@ -91,13 +95,73 @@ def test_build_queues_sorted_within_queue(small_catalog):
     pool = sample_pool(small_catalog, 12, rng)
     spec = QueueSpec("click", {"ctr": 1.0}, 0)
     q = generation.build_queues(pool, [spec], "dfs", l_o=8)
-    scores = [generation.composite_score(pool[i], spec) for i in q.queues[0]]
+    scores = generation.composite_score(q.features, spec)[q.queues[0]]
     assert all(a >= b for a, b in zip(scores, scores[1:]))
 
 
 def test_build_queues_empty_pool():
     with pytest.raises(ConfigError):
         generation.build_queues([], [QueueSpec("c", {"ctr": 1.0}, 0)], "dfs", 2)
+
+
+def _fill_reference(rankings: list[list[int]], strategy: str, l_o: int) -> list[list[int]]:
+    """DFS: each queue in turn takes its best l_o unassigned items. BFS: each
+    round, every queue not yet full takes its best unassigned item."""
+    assigned: set[int] = set()
+    queues: list[list[int]] = [[] for _ in rankings]
+    if strategy == "dfs":
+        for queue, ranking in zip(queues, rankings):
+            queue += [i for i in ranking if i not in assigned][:l_o]
+            assigned.update(queue)
+        return queues
+    progressed = True
+    while progressed:
+        progressed = False
+        for queue, ranking in zip(queues, rankings):
+            free = [i for i in ranking if i not in assigned]
+            if len(queue) < l_o and free:
+                queue.append(free[0])
+                assigned.add(free[0])
+                progressed = True
+    return queues
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_build_queues_matches_per_item_reference(data):
+    # Scores come from a few levels, so exact ties (broken by id) are common.
+    n = data.draw(st.integers(1, 12), label="n")
+    ids = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n,
+                             unique=True), label="ids")
+    level = st.sampled_from([0.0, 0.1, 0.5, 1.0])
+    es = np.eye(8)
+    pool = [make_item(ids[i], es[i % 8], price=data.draw(st.sampled_from([0.0, 2.0, 10.0])),
+                      ctr=data.draw(level), cvr=data.draw(level)) for i in range(n)]
+    priorities = data.draw(st.permutations(range(data.draw(st.integers(1, 5)))),
+                           label="priorities")
+    coeff = st.sampled_from([-1.0, 0.5, 1.0, 2.0])
+    specs = []
+    for p in priorities:
+        terms = data.draw(st.lists(st.sampled_from(SCORE_TERMS), min_size=1, max_size=3,
+                                   unique=True), label="terms")
+        specs.append(QueueSpec(f"q{p}", {term: data.draw(coeff) for term in terms}, p))
+    strategy = data.draw(st.sampled_from(["dfs", "bfs"]), label="strategy")
+    l_o = data.draw(st.integers(1, n), label="l_o")
+
+    queues = generation.build_queues(pool, specs, strategy, l_o).queues
+    rankings = [queue_ranking_reference(pool, s) for s in sorted(specs, key=lambda s: s.priority)]
+    assert queues == _fill_reference(rankings, strategy, l_o)
+
+
+def test_combined_values_rejects_sequences_of_different_lengths(small_config, small_params,
+                                                                 weights):
+    # Lengths 2, 1, 3: six items, as many as three sequences of length 2.
+    es = np.eye(8)
+    a, b, c = (make_item(i, es[i]) for i in range(3))
+    vm = ValueModel(small_config, small_params)
+    user = sample_user(np.random.default_rng(0), small_config.d_user)
+    with pytest.raises(ConfigError, match="different lengths"):
+        vm.combined_values([[a, b], [c], [a, b, c]], user, weights)
 
 
 # ------------------------------- similarity ----------------------------------
@@ -249,7 +313,7 @@ def test_top_queue_generate_is_pointwise_order(small_catalog, weights):
     pool = sample_pool(small_catalog, 12, rng)
     result = generation.top_queue_generate(pool, weights, 5)
     spec = generation.top_queue_spec(weights)
-    scores = [generation.composite_score(it, spec) for it in result.items]
+    scores = generation.composite_score(sortmodel.item_features(result.items), spec)
     assert all(a >= b for a, b in zip(scores, scores[1:]))
 
 

@@ -90,6 +90,16 @@ def test_empty_dataset_rejected():
                       trainer.TrainConfig(epochs=1))
 
 
+def test_sessions_whose_items_and_labels_differ_in_length_rejected(dataset):
+    # 6 + 4 items over two 5-position label rows: the item count matches the
+    # label count, so only a per-session check can tell.
+    a, b = dataset.samples[:2]
+    ragged = [dataclasses.replace(a, items=a.items + b.items[:1]),
+              dataclasses.replace(b, items=b.items[1:])]
+    with pytest.raises(ConfigError, match="differ in length"):
+        trainer._to_arrays(ragged)
+
+
 def test_evaluate_model_perfect_oracle_zero_gap(monkeypatch):
     # Inject survival predictions that exactly match empirical cumulative
     # counts; the calibration gap must then be zero.
