@@ -62,6 +62,14 @@ def _load_with_checkpoint(args) -> tuple[dict, EngineConfig, ObjectiveWeights, d
     return params, engine, weights, raw
 
 
+def _data_file(args, default: str | None = None) -> Path:
+    """The --data file (or `default`); a missing file is a CommandError."""
+    path = args.data or default
+    if not path or not Path(path).is_file():
+        raise CommandError(f"data file not found: {path}")
+    return Path(path)
+
+
 def default_template_pattern(engine: EngineConfig) -> tuple[int, ...]:
     if engine.template_pattern:
         return engine.template_pattern
@@ -87,10 +95,7 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     engine, _, raw = _load(args)
     tconf = config_from_raw(trainer.TrainConfig, raw, "train.")
-    data_path = Path(args.data or "dataset.jsonl")
-    if not data_path.exists():
-        raise CommandError(f"data file not found: {data_path}")
-    dataset = simulator.read_dataset(data_path)
+    dataset = simulator.read_dataset(_data_file(args, "dataset.jsonl"))
     params = sortmodel.init_params(engine)
     ckpt = Path(args.ckpt or "model.ckpt")
     report = trainer.train(dataset, params, engine, tconf, ckpt_path=ckpt)
@@ -106,9 +111,9 @@ def cmd_train(args) -> int:
 
 def cmd_rerank(args) -> int:
     params, engine, weights, _ = _load_with_checkpoint(args)
-    doc = json.loads(Path(args.data).read_text(encoding="utf-8"))
-    user, items, req_weights, lam = srv.parse_rerank_request(doc, engine)
-    response = srv.rerank(engine, params, user, items, req_weights or weights, lam)
+    doc = json.loads(_data_file(args).read_text(encoding="utf-8"))
+    user, pool, req_weights, lam = srv.parse_rerank_request(doc, engine)
+    response = srv.rerank(engine, params, user, pool, req_weights or weights, lam)
     print(json.dumps(response, sort_keys=True))
     return 0
 
@@ -174,7 +179,7 @@ def format_curves(curves: dict, l_o: int) -> str:
 
 def cmd_evaluate(args) -> int:
     params, engine, weights, raw = _load_with_checkpoint(args)
-    dataset = simulator.read_dataset(args.data)
+    dataset = simulator.read_dataset(_data_file(args))
     n_pools = raw_value(raw, "eval.pools", args.pools)
     curves = evaluate_curves(engine, weights, params, dataset.catalog, n_pools,
                              seed=engine.seed + 99)

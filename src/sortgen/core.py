@@ -9,7 +9,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +21,35 @@ SCORE_TERMS = ("ctr", "cvr", "ctr_cvr", "price", "ctr_cvr_price")
 
 class ConfigError(ValueError):
     """A configuration or domain-type invariant was violated."""
+
+
+def item_fault(emb: np.ndarray, score: np.ndarray,
+               price: np.ndarray) -> tuple[int, str, str] | None:
+    """The first row of a packed block of items that breaks an item rule, as
+    (row, field, reason), or None when every row holds.
+
+    `emb` is [n, d], `score` is [n, 2] (prior_ctr, prior_cvr) and `price` is
+    [n]. The rules, in the order one row is checked: finite embedding
+    components, an embedding norm within 1e-6 of 1, prior_ctr and prior_cvr
+    in [0, 1], and a finite, non-negative price. Fields are named as in a
+    rerank request: emb, ctr, cvr, price.
+    """
+    norm = np.sqrt(np.einsum("ij,ij->i", emb, emb))
+    prior = ~((score >= 0.0) & (score <= 1.0))
+    rules = (
+        (~np.isfinite(emb).all(axis=1), "emb", "embedding components must be finite"),
+        (~(np.abs(norm - 1.0) <= 1e-6), "emb", "embedding norm {norm:.8f} not unit"),
+        (prior[:, 0], "ctr", "prior_ctr outside [0,1]"),
+        (prior[:, 1], "cvr", "prior_cvr outside [0,1]"),
+        (~np.isfinite(price), "price", "price must be finite"),
+        (price < 0.0, "price", "negative price"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _, _ in rules])
+    i = int(np.argmax(bad))
+    if not bad[i]:
+        return None
+    field, reason = next((field, reason) for mask, field, reason in rules if mask[i])
+    return i, field, reason.format(norm=norm[i])
 
 
 @dataclass(frozen=True)
@@ -39,19 +67,11 @@ class Item:
         emb = np.asarray(self.embedding, dtype=np.float64)
         object.__setattr__(self, "embedding", emb)
         emb.flags.writeable = False
-        if not np.isfinite(emb).all():
-            raise ConfigError(f"item {self.id}: embedding components must be finite")
-        norm = float(np.linalg.norm(emb))
-        if abs(norm - 1.0) > 1e-6:
-            raise ConfigError(f"item {self.id}: embedding norm {norm:.8f} not unit")
-        if not 0.0 <= self.prior_ctr <= 1.0:
-            raise ConfigError(f"item {self.id}: prior_ctr outside [0,1]")
-        if not 0.0 <= self.prior_cvr <= 1.0:
-            raise ConfigError(f"item {self.id}: prior_cvr outside [0,1]")
-        if not math.isfinite(self.price):
-            raise ConfigError(f"item {self.id}: price must be finite")
-        if self.price < 0:
-            raise ConfigError(f"item {self.id}: negative price")
+        fault = item_fault(emb.reshape(1, -1),
+                           np.array([[self.prior_ctr, self.prior_cvr]], dtype=np.float64),
+                           np.array([self.price], dtype=np.float64))
+        if fault is not None:
+            raise ConfigError(f"item {self.id}: {fault[2]}")
 
 
 @dataclass(frozen=True)

@@ -70,23 +70,31 @@ class CandidateQueues:
         self.cursors[qi] += 1
 
 
-def build_queues(pool: list[Item], specs, strategy: str, l_o: int) -> CandidateQueues:
+Pool = list[Item] | sortmodel.ItemFeatures
+
+
+def build_queues(pool: Pool, specs, strategy: str, l_o: int) -> CandidateQueues:
     """Partition the pool into disjoint per-objective queues of size <= l_o.
 
-    DFS fills whole queues in priority order; BFS deals one item per queue
-    per round, again in priority order. Ties break by ascending item id.
+    A list of items is packed once (model.item_features); a packed pool is
+    used as it is. DFS fills whole queues in priority order; BFS deals one
+    item per queue per round, again in priority order. Ties break by
+    ascending item id.
     """
-    if not pool:
+    if isinstance(pool, sortmodel.ItemFeatures):
+        features = pool
+    elif pool:
+        features = sortmodel.item_features(pool)
+    else:
         raise ConfigError("empty candidate pool")
     specs = sorted(specs, key=lambda s: s.priority)
     if len({s.priority for s in specs}) != len(specs):
         raise ConfigError("duplicate queue priorities")
 
     # Per queue: pool indices sorted by that queue's score desc, id asc.
-    features = sortmodel.item_features(pool)
     rankings = [np.lexsort((features.ids, -composite_score(features, s))).tolist()
                 for s in specs]
-    assigned = np.zeros(len(pool), dtype=bool)
+    assigned = np.zeros(len(features.ids), dtype=bool)
     queues: list[list[int]] = [[] for _ in specs]
 
     if strategy == "dfs":
@@ -121,23 +129,28 @@ def build_queues(pool: list[Item], specs, strategy: str, l_o: int) -> CandidateQ
 
 def similarity(a: Item, b: Item) -> float:
     """Cosine similarity; a plain dot product under the unit-norm invariant."""
-    return float(np.dot(a.embedding, b.embedding))
+    return _max_similarity(a.embedding, [b.embedding])
+
+
+def _max_similarity(embedding: np.ndarray, recent: list[np.ndarray]) -> float:
+    """Max dot product of one embedding with each of `recent`; 0 when empty."""
+    return max((float(np.dot(embedding, e)) for e in recent), default=0.0)
 
 
 def window_max_similarity(candidate: Item, prefix: list[Item], window_w: int) -> float:
     """Max similarity against the last min(window_w, len(prefix)) chosen items."""
-    if not prefix:
-        return 0.0
-    recent = prefix[-window_w:]
-    return max(similarity(candidate, b) for b in recent)
+    return _max_similarity(candidate.embedding, [b.embedding for b in prefix[-window_w:]])
+
+
+def _mmr(lam: float, value: float, max_similarity: float) -> float:
+    return lam * value - (1.0 - lam) * max_similarity
 
 
 def mmr_score(candidate: Item, prefix: list[Item], window_w: int, lam: float,
               value_with_candidate: float) -> float:
     if not 0.0 <= lam <= 1.0:
         raise ConfigError("lambda outside [0,1]")
-    return lam * value_with_candidate - (1.0 - lam) * window_max_similarity(
-        candidate, prefix, window_w)
+    return _mmr(lam, value_with_candidate, window_max_similarity(candidate, prefix, window_w))
 
 
 # ------------------------------- traces -------------------------------------
@@ -151,11 +164,29 @@ class StepRecord:
 
 @dataclass
 class GenerationTrace:
-    result: SubList
+    pool: Pool
+    rows: tuple[int, ...]     # the slate, as pool indices
+    sources: tuple[int, ...]  # the queue each slate item was taken from
     steps: list[StepRecord]
     invocations: int
     wall_ns: int
     simulated_overhead_ns: int = 0
+
+    @property
+    def result(self) -> SubList:
+        """The slate as items: the pool's own, or row views of a packed pool."""
+        pool = self.pool
+        take = pool.item if isinstance(pool, sortmodel.ItemFeatures) else pool.__getitem__
+        return SubList(tuple(take(i) for i in self.rows), self.sources)
+
+    @property
+    def ids(self) -> list[int]:
+        """The slate's item ids, read from the pool rows without building items.
+        A list pool's own id objects are reused, so a kept reply holds no
+        copies of them."""
+        if isinstance(self.pool, sortmodel.ItemFeatures):
+            return self.pool.ids[list(self.rows)].tolist()
+        return [self.pool[i].id for i in self.rows]
 
     @property
     def final_value(self) -> float:
@@ -165,8 +196,8 @@ class GenerationTrace:
 
     def to_record(self) -> str:
         doc = {
-            "item_ids": [it.id for it in self.result.items],
-            "source_queues": list(self.result.source_queues),
+            "item_ids": self.ids,
+            "source_queues": list(self.sources),
             "step_values": [
                 [[qi, iid, v, m] for qi, iid, v, m in s.candidates] for s in self.steps
             ],
@@ -193,15 +224,22 @@ class ValueModel:
     def combined_values(self, sequences: list[list[Item]], user: UserContext,
                         weights: ObjectiveWeights) -> np.ndarray:
         """One batched full forward over same-length sequences -> combined values."""
-        self.invocations += 1
         n, l = len(sequences), len(sequences[0])
         if any(len(seq) != l for seq in sequences):
             raise ConfigError("sequences of different lengths in one batch")
         f = sortmodel.item_features([it for seq in sequences for it in seq])
+        return self.pool_values(f, np.arange(n * l).reshape(n, l), user, weights)
+
+    def pool_values(self, features: sortmodel.ItemFeatures, rows: np.ndarray,
+                    user: UserContext, weights: ObjectiveWeights) -> np.ndarray:
+        """Combined values of sequences of packed pool rows ([n, l] indices),
+        from one batched full forward."""
+        self.invocations += 1
+        n = rows.shape[0]
         u = np.stack([user.user_features] * n)
-        click, pay = sortmodel.infer(self.config, self.params, f.emb.reshape(n, l, -1), u,
-                                     f.score.reshape(n, l, 2))
-        return listvalue.combined_values_batch(click, pay, f.price.reshape(n, l), weights)
+        click, pay = sortmodel.infer(self.config, self.params, features.emb[rows], u,
+                                     features.score[rows])
+        return listvalue.combined_values_batch(click, pay, features.price[rows], weights)
 
     def extension_values(self, cache: sortmodel.Prefix, features: sortmodel.ItemFeatures,
                          chosen: list[int], rows: list[int], weights: ObjectiveWeights
@@ -215,12 +253,17 @@ class ValueModel:
         return listvalue.combined_values_batch(ext.click, ext.pay, prices, weights), ext
 
 
-def _run_greedy(pool: list[Item], user: UserContext, queues: CandidateQueues,
+def _run_greedy(pool: Pool, user: UserContext, queues: CandidateQueues,
                 vm: ValueModel, weights: ObjectiveWeights, lam: float | None,
                 window_w: int | None, cached: bool) -> GenerationTrace:
+    """The greedy loop over the packed pool: it reads rows of queues.features
+    only, and keeps `pool` just to hand the slate back as items."""
     cfg = vm.config
     lam = cfg.lambda_mmr if lam is None else lam
+    if not 0.0 <= lam <= 1.0:
+        raise ConfigError("lambda outside [0,1]")
     window_w = cfg.window_w if window_w is None else window_w
+    features = queues.features
     queues.reset()
     start_invocations = vm.invocations
     start = time.perf_counter_ns()
@@ -238,19 +281,19 @@ def _run_greedy(pool: list[Item], user: UserContext, queues: CandidateQueues,
         if not heads:
             raise InfeasibleConfig("all queues exhausted before l_o selections")
 
-        prefix = [pool[i] for i in chosen]
         rows = [idx for _, idx in heads]
         if cached:
-            vals, ext = vm.extension_values(cache, queues.features, chosen, rows, weights)
+            vals, ext = vm.extension_values(cache, features, chosen, rows, weights)
         else:
-            vals = np.array([vm.combined_values([prefix + [pool[r]]], user, weights)[0]
+            vals = np.array([vm.pool_values(features, np.array([chosen + [r]]), user, weights)[0]
                              for r in rows])
 
+        recent = [features.emb[i] for i in chosen[-window_w:]]
         records = []
         best = None
         for k, ((qi, idx), value) in enumerate(zip(heads, vals)):
-            score = mmr_score(pool[idx], prefix, window_w, lam, float(value))
-            records.append((qi, pool[idx].id, float(value), score))
+            score = _mmr(lam, float(value), _max_similarity(features.emb[idx], recent))
+            records.append((qi, int(features.ids[idx]), float(value), score))
             # Queues are disjoint, so per-step candidates are distinct items;
             # strict > keeps the lowest queue index on score ties, and within
             # a queue the head is already the lowest-id top scorer.
@@ -267,11 +310,11 @@ def _run_greedy(pool: list[Item], user: UserContext, queues: CandidateQueues,
     wall = time.perf_counter_ns() - start
     invocations = vm.invocations - start_invocations
     overhead = int(invocations * vm.overhead_us * 1000)
-    return GenerationTrace(SubList(tuple(pool[i] for i in chosen), tuple(sources)), steps,
-                           invocations, wall, overhead)
+    return GenerationTrace(pool, tuple(chosen), tuple(sources), steps, invocations, wall,
+                           overhead)
 
 
-def generate(pool: list[Item], user: UserContext, queues: CandidateQueues,
+def generate(pool: Pool, user: UserContext, queues: CandidateQueues,
              vm: ValueModel, weights: ObjectiveWeights, lam: float | None = None,
              window_w: int | None = None) -> GenerationTrace:
     """Greedy slate construction: one incremental step per position (<= l_o
@@ -279,7 +322,7 @@ def generate(pool: list[Item], user: UserContext, queues: CandidateQueues,
     return _run_greedy(pool, user, queues, vm, weights, lam, window_w, cached=True)
 
 
-def generate_iterative_reference(pool: list[Item], user: UserContext,
+def generate_iterative_reference(pool: Pool, user: UserContext,
                                  queues: CandidateQueues, vm: ValueModel,
                                  weights: ObjectiveWeights, lam: float | None = None,
                                  window_w: int | None = None) -> GenerationTrace:
@@ -351,14 +394,14 @@ def exhaustive_oracle(pool: list[Item], user: UserContext, vm: ValueModel,
 
     # Lexicographic id order makes the first maximum the tie-break winner.
     order = sorted(range(n), key=lambda i: pool[i].id)
+    features = sortmodel.item_features(pool)
     best_val, best_perm = -np.inf, None
     perms = itertools.permutations(order, l_o)
     while True:
         chunk = list(itertools.islice(perms, batch_size))
         if not chunk:
             break
-        sequences = [[pool[i] for i in perm] for perm in chunk]
-        vals = vm.combined_values(sequences, user, weights)
+        vals = vm.pool_values(features, np.array(chunk), user, weights)
         k = int(np.argmax(vals))
         if vals[k] > best_val:
             best_val, best_perm = float(vals[k]), chunk[k]

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from sortgen import nn
-from sortgen.core import ConfigError, EngineConfig, config_hash, to_dict
+from sortgen.core import ConfigError, EngineConfig, Item, config_hash, to_dict
 from sortgen.nn import Var
 
 HEAD_HIDDEN = 32
@@ -197,6 +197,12 @@ class ItemFeatures(NamedTuple):
     emb: np.ndarray    # [n, d_emb]
     score: np.ndarray  # [n, 2]: (prior_ctr, prior_cvr)
     price: np.ndarray  # [n]
+    cat: np.ndarray    # [n] int64
+
+    def item(self, i: int) -> Item:
+        """Row i as an Item."""
+        return Item(int(self.ids[i]), self.emb[i], float(self.price[i]), float(self.score[i, 0]),
+                    float(self.score[i, 1]), int(self.cat[i]))
 
 
 def item_features(items) -> ItemFeatures:
@@ -204,7 +210,8 @@ def item_features(items) -> ItemFeatures:
     return ItemFeatures(np.array([it.id for it in items], dtype=np.int64),
                         np.stack([it.embedding for it in items]),
                         np.array([[it.prior_ctr, it.prior_cvr] for it in items], dtype=np.float64),
-                        np.array([it.price for it in items], dtype=np.float64))
+                        np.array([it.price for it in items], dtype=np.float64),
+                        np.array([it.category for it in items], dtype=np.int64))
 
 
 # --------------------------- tape-free inference -----------------------------

@@ -15,16 +15,30 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from sortgen import generation
-from sortgen.core import ConfigError, EngineConfig, Item, ObjectiveWeights, UserContext
-from sortgen.model import load_checkpoint
+from sortgen.core import (
+    ConfigError,
+    EngineConfig,
+    Item,
+    ObjectiveWeights,
+    UserContext,
+    item_fault,
+)
+from sortgen.model import ItemFeatures, load_checkpoint
+
+
+# Caps on one request, far above a 300-candidate pool (~75 KB of JSON).
+MAX_BODY_BYTES = 8 * 2**20
+MAX_CANDIDATES = 10_000
 
 
 class RequestError(ValueError):
     """Malformed rerank request; message carries the offending field path."""
 
 
-def parse_rerank_request(doc: dict, config: EngineConfig
-                         ) -> tuple[UserContext, list[Item], ObjectiveWeights | None, float | None]:
+def parse_rerank_request(doc: dict, config: EngineConfig) -> tuple[
+        UserContext, ItemFeatures, ObjectiveWeights | None, float | None]:
+    """The request's user, its candidate pool packed and validated (no Item per
+    candidate), and its optional weights and lambda."""
     if not isinstance(doc, dict):
         raise RequestError("request: expected a key/value document")
     if "user" not in doc:
@@ -37,29 +51,12 @@ def parse_rerank_request(doc: dict, config: EngineConfig
         raise RequestError(f"user: expected {config.d_user} features")
     if "candidates" not in doc or not isinstance(doc["candidates"], list):
         raise RequestError("candidates: missing or not a list")
+    if len(doc["candidates"]) > MAX_CANDIDATES:
+        raise RequestError(f"candidates: {len(doc['candidates'])} exceed the limit of "
+                           f"{MAX_CANDIDATES}")
     if len(doc["candidates"]) < config.l_o:
         raise RequestError("candidates: insufficient candidates")
-    items = []
-    first_index: dict[int, int] = {}
-    for i, cand in enumerate(doc["candidates"]):
-        try:
-            items.append(Item(
-                id=int(cand["id"]),
-                embedding=np.array([float(v) for v in cand["emb"]]),
-                price=float(cand["price"]),
-                prior_ctr=float(cand["ctr"]),
-                prior_cvr=float(cand["cvr"]),
-                category=int(cand.get("cat", 0)),
-            ))
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
-            raise RequestError(f"candidates[{i}]: {exc}") from exc
-        if items[-1].embedding.shape[0] != config.d_emb:
-            raise RequestError(f"candidates[{i}].emb: expected {config.d_emb} components")
-        if not -2**63 <= items[-1].id < 2**63:
-            raise RequestError(f"candidates[{i}].id: {items[-1].id} is outside int64")
-        j = first_index.setdefault(items[-1].id, i)
-        if j != i:
-            raise RequestError(f"candidates[{i}].id: duplicate of candidates[{j}].id")
+    pool = _parse_candidates(doc["candidates"], config.d_emb)
     weights = None
     if "weights" in doc:
         w = doc["weights"]
@@ -75,21 +72,148 @@ def parse_rerank_request(doc: dict, config: EngineConfig
             raise RequestError(f"lambda: {exc}") from exc
         if not 0.0 <= lam <= 1.0:
             raise RequestError("lambda: outside [0,1]")
-    return user, items, weights, lam
+    return user, pool, weights, lam
 
 
-def rerank(config: EngineConfig, params: dict, user: UserContext, items: list[Item],
-           weights: ObjectiveWeights, lam: float | None = None) -> dict:
+# A candidate pool is packed column by column and validated in one vectorised
+# pass: the item rules (core.item_fault) and duplicate ids over the packed
+# rows. A fault is reported for the lowest-index faulty candidate, and within
+# one candidate in the order id, emb, price, ctr, cvr, cat, then the item
+# rules, then a duplicate id. Only a pool whose columns do not pack into
+# numbers of the right shape is scanned row by row, to find the first
+# malformed candidate.
+
+
+def _parse_candidates(cands: list, d_emb: int) -> ItemFeatures:
+    pool, malformed = _pack_columns(cands, d_emb), None
+    if pool is None:
+        pool, malformed = _pack_rows(cands, d_emb)
+    fault = _pool_fault(pool) or malformed
+    if fault is not None:
+        i, field, reason = fault
+        raise RequestError(f"candidates[{i}]{'.' + field if field else ''}: {reason}")
+    return pool
+
+
+def _pack_columns(cands: list, d_emb: int) -> ItemFeatures | None:
+    """The pool packed column by column, or None when a column does not pack
+    into plain numbers of its shape: a missing key, a string or other
+    non-number, a ragged emb, or an id or cat that is not an int64 integer."""
+    try:
+        ids = np.array([c["id"] for c in cands])
+        emb = np.array([c["emb"] for c in cands])
+        score = np.array([[c["ctr"], c["cvr"]] for c in cands])
+        price = np.array([c["price"] for c in cands])
+        cat = np.array([c.get("cat", 0) for c in cands])
+    except (KeyError, TypeError, ValueError):
+        return None
+    n = len(cands)
+    if (ids.dtype != np.int64 or cat.dtype != np.int64 or ids.shape != (n,) or cat.shape != (n,)
+            or emb.shape != (n, d_emb) or score.shape != (n, 2) or price.shape != (n,)
+            or any(a.dtype.kind not in "if" for a in (emb, score, price))):
+        return None
+    return ItemFeatures(ids, np.asarray(emb, dtype=np.float64),
+                        np.asarray(score, dtype=np.float64),
+                        np.asarray(price, dtype=np.float64), cat)
+
+
+class _Malformed(Exception):
+    """A candidate field that does not read: (field, reason)."""
+
+
+def _pack_rows(cands: list, d_emb: int) -> tuple[ItemFeatures, tuple[int, str, str] | None]:
+    """Read the pool one candidate at a time: the rows before the first
+    malformed candidate, packed, and that candidate's (index, field, reason)."""
+    rows, malformed = [], None
+    for i, cand in enumerate(cands):
+        try:
+            rows.append(_read_row(cand, d_emb))
+        except _Malformed as exc:
+            malformed = (i, *exc.args)
+            break
+    ids, emb, score, price, cat = zip(*rows) if rows else ((),) * 5
+    return ItemFeatures(np.array(ids, dtype=np.int64),
+                        np.array(emb, dtype=np.float64).reshape(-1, d_emb),
+                        np.array(score, dtype=np.float64).reshape(-1, 2),
+                        np.array(price, dtype=np.float64),
+                        np.array(cat, dtype=np.int64)), malformed
+
+
+def _read_row(cand, d_emb: int) -> tuple:
+    if not isinstance(cand, dict):
+        raise _Malformed("", "expected a key/value document")
+
+    def field(key):
+        if key not in cand:
+            raise _Malformed(key, "missing")
+        return cand[key]
+
+    item_id = _integer(field("id"), "id")
+    emb = field("emb")
+    if not isinstance(emb, list):
+        raise _Malformed("emb", f"expected a list of numbers, got {emb!r}")
+    emb = [_number(v, "emb") for v in emb]
+    if len(emb) != d_emb:
+        raise _Malformed("emb", f"expected {d_emb} components")
+    price = _number(field("price"), "price")
+    score = (_number(field("ctr"), "ctr"), _number(field("cvr"), "cvr"))
+    return item_id, emb, score, price, _integer(cand.get("cat", 0), "cat")
+
+
+def _number(value, field: str) -> float:
+    """A number, or a string that float() reads (bool is an int, as in a
+    packed column)."""
+    if isinstance(value, (int, float, str)):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise _Malformed(field, f"{value!r} does not read as a number")
+
+
+def _integer(value, field: str) -> int:
+    """An int, a float with an integral value, or a string that int() reads,
+    inside int64."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    elif isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    if not isinstance(value, int):
+        raise _Malformed(field, f"{value!r} is not an integer")
+    if not -2**63 <= value < 2**63:
+        raise _Malformed(field, f"{value} is outside int64")
+    return int(value)
+
+
+def _pool_fault(pool: ItemFeatures) -> tuple[int, str, str] | None:
+    """The first packed row that breaks an item rule or repeats an earlier id."""
+    if not len(pool.ids):
+        return None
+    fault = item_fault(pool.emb, pool.score, pool.price)
+    _, first, inverse = np.unique(pool.ids, return_index=True, return_inverse=True)
+    repeat = first[inverse] != np.arange(len(pool.ids))
+    i = int(np.argmax(repeat))
+    if repeat[i] and (fault is None or i < fault[0]):
+        return i, "id", f"duplicate of candidates[{first[inverse[i]]}].id"
+    return fault
+
+
+def rerank(config: EngineConfig, params: dict, user: UserContext,
+           items: list[Item] | ItemFeatures, weights: ObjectiveWeights,
+           lam: float | None = None) -> dict:
+    """Rerank one pool, given as items or already packed."""
     start = time.perf_counter_ns()
     vm = generation.ValueModel(config, params)
     queues = generation.build_queues(items, config.queue_specs,
                                      config.partition_strategy, config.l_o)
     trace = generation.generate(items, user, queues, vm, weights, lam=lam)
-    chosen = trace.result
     latency = time.perf_counter_ns() - start
     return {
-        "item_ids": [it.id for it in chosen.items],
-        "source_queues": list(chosen.source_queues),
+        "item_ids": trace.ids,
+        "source_queues": list(trace.sources),
         "combined_value": trace.final_value,
         "latency_ns": latency,
     }
@@ -136,13 +260,13 @@ class RerankHandler(BaseHTTPRequestHandler):
             return 404, {"error": "unknown route"}
         try:
             doc = json.loads(self.rfile.read(self._content_length()))
-            user, items, weights, lam = parse_rerank_request(doc, self.state.config)
+            user, pool, weights, lam = parse_rerank_request(doc, self.state.config)
         except RequestError as exc:
             return 400, {"error": str(exc)}
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             return 400, {"error": f"body: invalid document: {exc}"}
         weights = weights or self.state.weights
-        return 200, rerank(self.state.config, self.state.params, user, items, weights, lam)
+        return 200, rerank(self.state.config, self.state.params, user, pool, weights, lam)
 
     def _content_length(self) -> int:
         value = self.headers.get("Content-Length", "0")
@@ -152,6 +276,9 @@ class RerankHandler(BaseHTTPRequestHandler):
             raise RequestError(f"Content-Length: not a number: {value!r}") from None
         if length < 0:
             raise RequestError(f"Content-Length: negative: {length}")
+        if length > MAX_BODY_BYTES:
+            raise RequestError(f"Content-Length: {length} exceeds the limit of "
+                               f"{MAX_BODY_BYTES} bytes")
         return length
 
 

@@ -9,8 +9,9 @@ import math
 import numpy as np
 
 from sortgen import nn
-from sortgen.core import Item
+from sortgen.core import ConfigError, Item, ObjectiveWeights, UserContext
 from sortgen.nn import Var
+from sortgen.server import MAX_CANDIDATES, RequestError
 
 
 def make_item(i, emb, price=10.0, ctr=0.2, cvr=0.1, cat=0):
@@ -37,6 +38,100 @@ def queue_ranking_reference(pool: list[Item], spec) -> list[int]:
         return total
 
     return sorted(range(len(pool)), key=lambda i: (-score(pool[i]), pool[i].id))
+
+
+def parse_request_reference(doc, config):
+    """server.parse_rerank_request one candidate at a time, with one validated
+    Item per candidate: the reference for the packed parser.
+
+    Each candidate's fields are read in the order id, emb, price, ctr, cvr,
+    cat; then its Item is built, which applies the item rules; then its id is
+    checked against the earlier ones. The first failure is a RequestError
+    naming candidates[i] and the field. Returns (user, items, weights, lam).
+    """
+    if not isinstance(doc, dict):
+        raise RequestError("request: expected a key/value document")
+    if "user" not in doc:
+        raise RequestError("user: missing")
+    try:
+        user = UserContext(np.array([float(v) for v in doc["user"]]))
+    except (TypeError, ValueError) as exc:
+        raise RequestError(f"user: {exc}") from exc
+    if user.user_features.shape[0] != config.d_user:
+        raise RequestError(f"user: expected {config.d_user} features")
+    if "candidates" not in doc or not isinstance(doc["candidates"], list):
+        raise RequestError("candidates: missing or not a list")
+    if len(doc["candidates"]) > MAX_CANDIDATES:
+        raise RequestError("candidates: too many")
+    if len(doc["candidates"]) < config.l_o:
+        raise RequestError("candidates: insufficient candidates")
+
+    def number(v):
+        if not isinstance(v, (int, float, str)):
+            raise TypeError(f"{v!r} is not a number")
+        return float(v)
+
+    def integer(v):
+        if isinstance(v, str):
+            v = int(v)
+        elif isinstance(v, float) and math.isfinite(v) and v == math.floor(v):
+            v = int(v)
+        if not isinstance(v, int):
+            raise ValueError(f"{v!r} is not an integer")
+        if not -2**63 <= v <= 2**63 - 1:
+            raise ValueError(f"{v} is outside int64")
+        return int(v)
+
+    def embedding(v):
+        if not isinstance(v, list):
+            raise TypeError("not a list")
+        v = [number(x) for x in v]
+        if len(v) != config.d_emb:
+            raise ValueError(f"expected {config.d_emb} components")
+        return np.array(v)
+
+    items = []
+    first_index: dict[int, int] = {}
+    for i, cand in enumerate(doc["candidates"]):
+        where = f"candidates[{i}]"
+        if not isinstance(cand, dict):
+            raise RequestError(f"{where}: not a key/value document")
+        fields = {}
+        for key, read in (("id", integer), ("emb", embedding), ("price", number),
+                          ("ctr", number), ("cvr", number), ("cat", integer)):
+            if key not in cand and key != "cat":
+                raise RequestError(f"{where}.{key}: missing")
+            try:
+                fields[key] = read(cand.get(key, 0))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise RequestError(f"{where}.{key}: {exc}") from exc
+        try:
+            items.append(Item(fields["id"], fields["emb"], fields["price"], fields["ctr"],
+                              fields["cvr"], fields["cat"]))
+        except ConfigError as exc:
+            field = next(f for word, f in (("embedding", "emb"), ("prior_ctr", "ctr"),
+                                           ("prior_cvr", "cvr"), ("price", "price"))
+                         if word in str(exc))
+            raise RequestError(f"{where}.{field}: {exc}") from exc
+        j = first_index.setdefault(items[-1].id, i)
+        if j != i:
+            raise RequestError(f"{where}.id: duplicate of candidates[{j}].id")
+    weights = None
+    if "weights" in doc:
+        w = doc["weights"]
+        try:
+            weights = ObjectiveWeights(float(w["alpha"]), float(w["beta"]), float(w["gamma"]))
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            raise RequestError(f"weights: {exc}") from exc
+    lam = None
+    if "lambda" in doc:
+        try:
+            lam = float(doc["lambda"])
+        except (TypeError, ValueError) as exc:
+            raise RequestError(f"lambda: {exc}") from exc
+        if not 0.0 <= lam <= 1.0:
+            raise RequestError("lambda: outside [0,1]")
+    return user, items, weights, lam
 
 
 # Primitive-op references for the one-node blocks nn.attention and nn.ffn,

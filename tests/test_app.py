@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sortgen import cli, model as sortmodel, server as srv, simulator, values
+from sortgen import cli, core, model as sortmodel, server as srv, simulator, values
 from sortgen.core import ConfigError, EngineConfig, ObjectiveWeights, load_config_file
+from tests.helpers import parse_request_reference
 
 SMALL_CONFIG_TEXT = """\
 # tiny end-to-end configuration
@@ -197,6 +198,14 @@ def test_missing_checkpoint_is_an_error(workdir, capsys, command):
     assert capsys.readouterr().err == f"error: checkpoint not found: {missing}\n"
 
 
+@pytest.mark.parametrize("command", ["rerank", "evaluate"])
+def test_missing_data_file_is_an_error(workdir, capsys, command):
+    missing = workdir["root"] / "missing.json"
+    rc = cli.main([command, "--ckpt", str(workdir["ckpt"]), "--data", str(missing)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: data file not found: {missing}\n"
+
+
 def test_unknown_config_key_returns_config_error_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense_key = 1\n", encoding="utf-8")
@@ -288,21 +297,21 @@ def test_rerank_endpoint_bad_user_width(live_server, workdir):
 def test_rerank_value_equals_fresh_forward_of_slate(workdir):
     doc, _, _ = _request_doc(workdir, seed=27)
     params, engine = sortmodel.load_checkpoint(workdir["ckpt"])
-    user, items, _, _ = srv.parse_rerank_request(doc, engine)
+    user, pool, _, _ = srv.parse_rerank_request(doc, engine)
     weights = ObjectiveWeights()
-    reply = srv.rerank(engine, params, user, items, weights)
-    by_id = {it.id: it for it in items}
-    slate = [by_id[i] for i in reply["item_ids"]]
-    f = sortmodel.item_features(slate)
-    out = sortmodel.forward(engine, params, f.emb[None], user.user_features[None], f.score[None])
-    fresh = float(values.combined_values_batch(out.click.value, out.pay.value, f.price[None],
-                                               weights)[0])
+    reply = srv.rerank(engine, params, user, pool, weights)
+    row = {int(item_id): k for k, item_id in enumerate(pool.ids)}
+    slate = [row[i] for i in reply["item_ids"]]
+    out = sortmodel.forward(engine, params, pool.emb[slate][None], user.user_features[None],
+                            pool.score[slate][None])
+    fresh = float(values.combined_values_batch(out.click.value, out.pay.value,
+                                               pool.price[slate][None], weights)[0])
     assert abs(reply["combined_value"] - fresh) <= 1e-12 * abs(fresh)
 
 
 def test_rerank_packs_the_pool_once(workdir, monkeypatch):
     doc, engine, params = _request_doc(workdir, seed=27)
-    user, items, _, _ = srv.parse_rerank_request(doc, engine)
+    user, items, _, _ = parse_request_reference(doc, engine)
     pack, calls = sortmodel.item_features, []
 
     def counting(seq):
@@ -312,6 +321,40 @@ def test_rerank_packs_the_pool_once(workdir, monkeypatch):
     monkeypatch.setattr(sortmodel, "item_features", counting)
     srv.rerank(engine, params, user, items, ObjectiveWeights())
     assert calls == [len(items)]
+
+
+def _wide_request_doc(n, seed=41):
+    """A request for the live server's engine with n candidates, more than its
+    catalogue holds."""
+    rng = np.random.default_rng(seed)
+    emb = rng.normal(size=(n, 8))
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    return {"user": [float(v) for v in rng.normal(size=8)],
+            "candidates": [{"id": 1000 + i, "emb": [float(v) for v in emb[i]],
+                            "price": float(rng.lognormal(3.0, 0.6)),
+                            "ctr": float(rng.beta(2, 8)), "cvr": float(rng.beta(2, 10)),
+                            "cat": i % 4} for i in range(n)]}
+
+
+def test_post_rerank_builds_no_item_per_candidate(live_server, workdir, monkeypatch):
+    # The handler validates and packs the pool as columns: no Item per
+    # candidate, and no item_features call to pack Items.
+    made, packed = [], []
+    post_init, pack = core.Item.__post_init__, sortmodel.item_features
+
+    def counting_post_init(item):
+        made.append(item.id)
+        post_init(item)
+
+    def counting_pack(items):
+        packed.append(len(items))
+        return pack(items)
+
+    monkeypatch.setattr(core.Item, "__post_init__", counting_post_init)
+    monkeypatch.setattr(sortmodel, "item_features", counting_pack)
+    status, body = _post(live_server, _wide_request_doc(300))
+    assert status == 200 and len(body["item_ids"]) == 4
+    assert len(made) <= 4 and packed == []
 
 
 def _malformed(doc, kind):
@@ -331,6 +374,8 @@ def _malformed(doc, kind):
         doc["user"][0] = float("-inf")
     elif kind == "id_outside_int64":
         doc["candidates"][3]["id"] = 2**70
+    elif kind == "id_fractional":
+        doc["candidates"][6]["id"] = doc["candidates"][6]["id"] + 0.5
     return doc
 
 
@@ -343,6 +388,7 @@ def _malformed(doc, kind):
     ("user_nan", ("user", "finite")),
     ("user_inf", ("user", "finite")),
     ("id_outside_int64", ("candidates[3].id", "int64")),
+    ("id_fractional", ("candidates[6].id", "not an integer")),
 ])
 def test_rerank_endpoint_rejects_malformed_field(live_server, workdir, kind, fragments):
     doc, _, _ = _request_doc(workdir, seed=29)
@@ -418,6 +464,13 @@ def _raw_post(url, head: bytes, body: bytes = b"") -> tuple[int, dict]:
             reply += chunk
     status_line, _, rest = reply.partition(b"\r\n")
     return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
+
+
+def test_content_length_above_the_cap_gets_400(live_server):
+    # Rejected from the header alone: no body is sent, and none is waited for.
+    status, doc = _raw_post(live_server, b"Content-Length: %d" % (srv.MAX_BODY_BYTES + 1))
+    assert status == 400
+    assert doc["error"].startswith("Content-Length:") and "limit" in doc["error"]
 
 
 @pytest.mark.parametrize("length", [b"abc", b"-1"])

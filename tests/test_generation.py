@@ -239,6 +239,34 @@ def test_generate_matches_iterative_reference(small_config, small_params,
         assert abs(fast.final_value - full) <= 1e-12 * abs(full)
 
 
+def test_generate_on_packed_pool_equals_item_pool(small_config, small_params,
+                                                  small_catalog, weights):
+    # The greedy loop reads only the packed pool: a list of Items and the same
+    # pool packed give equal traces, and each step's MMR score equals
+    # mmr_score over the Items, whose similarity is the Item-level dot product.
+    rng = np.random.default_rng(12)
+    vm = ValueModel(small_config, small_params)
+    for lam in (1.0, 0.8, 0.5):
+        pool = sample_pool(small_catalog, small_config.l_s, rng)
+        user = sample_user(rng, small_config.d_user)
+        packed = sortmodel.item_features(pool)
+        traces = [generation.generate(p, user, generation.build_queues(
+            p, small_config.queue_specs, "dfs", small_config.l_o), vm, weights, lam=lam)
+            for p in (pool, packed)]
+        listed, rows = traces
+        assert listed.rows == rows.rows and listed.sources == rows.sources
+        assert [s.candidates for s in listed.steps] == [s.candidates for s in rows.steps]
+        by_id = {it.id: it for it in pool}
+        for t, step in enumerate(listed.steps):
+            prefix = [pool[i] for i in listed.rows[:t]]
+            for _, item_id, value, score in step.candidates:
+                assert score == generation.mmr_score(by_id[item_id], prefix,
+                                                     small_config.window_w, lam, value)
+        for got, want in zip(rows.result.items, listed.result.items):
+            assert (got.id, got.category, got.price) == (want.id, want.category, want.price)
+            assert np.array_equal(got.embedding, want.embedding)
+
+
 def test_invocation_budget(small_config, small_params, small_catalog, weights):
     # Pool large enough that every queue holds l_o items, so the reference
     # evaluates exactly one candidate per queue at every step.
