@@ -24,25 +24,24 @@ catalog = simulator.sample_catalog(60, engine.d_emb, 8, seed=2)
 pool = simulator.sample_pool(catalog, engine.l_s, rng)
 user = simulator.sample_user(rng, engine.d_user)
 
-queues = generation.build_queues(pool, engine.queue_specs,
+queues = generation.build_queues(sortmodel.item_features(pool), engine.queue_specs,
                                  engine.partition_strategy, engine.l_o)
 for spec, queue in zip(engine.queue_specs, queues.queues):
     ids = [pool[i].id for i in queue]
     print(f"queue {spec.name!r} ({spec.coeffs}): items {ids}")
 
 vm = generation.ValueModel(engine, params)
-trace = generation.generate(pool, user, queues, vm, weights)
-print(f"\nsingle-pass slate: {[it.id for it in trace.result.items]}")
-print(f"source queues:     {list(trace.result.source_queues)}")
+trace = generation.generate(user, queues, vm, weights)
+print(f"\nsingle-pass slate: {trace.ids}")
+print(f"source queues:     {list(trace.sources)}")
 print(f"model invocations: {trace.invocations} (at most l_o={engine.l_o})")
 
 vm_ref = generation.ValueModel(engine, params)
-ref = generation.generate_iterative_reference(pool, user, queues, vm_ref, weights)
-print(f"\nreference slate:   {[it.id for it in ref.result.items]}")
+ref = generation.generate_iterative_reference(user, queues, vm_ref, weights)
+print(f"\nreference slate:   {ref.ids}")
 print(f"reference calls:   {ref.invocations} (one per candidate per step)")
 
-assert [it.id for it in trace.result.items] == [it.id for it in ref.result.items]
-assert trace.result.source_queues == ref.result.source_queues
+assert trace.ids == ref.ids and trace.sources == ref.sources
 print("\nboth strategies selected the identical slate")
 
 # Each step of the trace records every candidate considered.

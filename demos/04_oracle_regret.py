@@ -24,27 +24,24 @@ rng = np.random.default_rng(44)
 greedy_ratios, random_ratios = [], []
 for trial in range(25):
     user = simulator.sample_user(rng, engine.d_user)
-    pool = simulator.sample_pool(catalog, L_S, rng)
+    features = sortmodel.item_features(simulator.sample_pool(catalog, L_S, rng))
     vm = generation.ValueModel(engine, params)
 
-    best_value, best_list = generation.exhaustive_oracle(pool, user, vm, weights, L_O)
+    best_value, best = generation.exhaustive_oracle(features, user, vm, weights, L_O)
 
-    queues = generation.build_queues(pool, engine.queue_specs,
+    queues = generation.build_queues(features, engine.queue_specs,
                                      engine.partition_strategy, L_O)
-    trace = generation.generate(pool, user, queues, vm, weights, lam=1.0)
-    greedy_value = float(vm.combined_values([list(trace.result.items)],
-                                            user, weights)[0])
+    trace = generation.generate(user, queues, vm, weights, lam=1.0)
+    greedy_value = float(vm.pool_values(features, np.array([trace.rows]), user, weights)[0])
 
     perm = rng.permutation(L_S)[:L_O]
-    random_value = float(vm.combined_values([[pool[i] for i in perm]],
-                                            user, weights)[0])
+    random_value = float(vm.pool_values(features, perm[None], user, weights)[0])
 
     assert greedy_value <= best_value + 1e-9
     greedy_ratios.append(greedy_value / best_value)
     random_ratios.append(random_value / best_value)
     if trial < 5:
-        print(f"pool {trial}: oracle={[it.id for it in best_list.items]} "
-              f"greedy={[it.id for it in trace.result.items]} "
+        print(f"pool {trial}: oracle={best.ids} greedy={trace.ids} "
               f"ratio={greedy_ratios[-1]:.4f}")
 
 print(f"\nmean greedy/optimal ratio over 25 pools: {np.mean(greedy_ratios):.4f}")

@@ -118,31 +118,30 @@ def cmd_rerank(args) -> int:
     return 0
 
 
-def _method_slates(engine, weights, params, pool, user):
-    """Slate per method: sortgen, prior-score baseline, template, top queue."""
+def _method_slates(engine, weights, params, features, user) -> dict:
+    """Pool rows per method: sortgen, prior-score baseline, template, top queue."""
     vm = generation.ValueModel(engine, params)
-    queues = generation.build_queues(pool, engine.queue_specs,
+    queues = generation.build_queues(features, engine.queue_specs,
                                      engine.partition_strategy, engine.l_o)
-    sortgen_list = generation.generate(pool, user, queues, vm, weights).result.items
-    baseline = tuple(sorted(pool, key=lambda it: (-it.prior_ctr, it.id))[:engine.l_o])
-    template = generation.template_generate(
-        pool, queues, default_template_pattern(engine)).items
-    top_queue = generation.top_queue_generate(pool, weights, engine.l_o).items
-    return {"sortgen": sortgen_list, "baseline": baseline,
-            "template": template, "top_queue": top_queue}
+    return {
+        "sortgen": generation.generate(user, queues, vm, weights).rows,
+        "baseline": np.lexsort((features.ids, -features.score[:, 0]))[:engine.l_o],
+        "template": generation.template_generate(queues, default_template_pattern(engine)).rows,
+        "top_queue": generation.top_queue_generate(features, weights, engine.l_o).rows,
+    }
 
 
-def _cumulative_curves(engine, params, items, user) -> dict[str, np.ndarray]:
+def _cumulative_curves(engine, params, features, rows, user) -> dict[str, np.ndarray]:
     """Per-position cumulative click/pay/gmv from clamped model increments."""
-    f = sortmodel.item_features(items)
-    click, pay = sortmodel.infer(engine, params, f.emb[None], user.user_features[None],
-                                 f.score[None])
+    rows = np.asarray(rows)
+    click, pay = sortmodel.infer(engine, params, features.emb[rows][None],
+                                 user.user_features[None], features.score[rows][None])
     e_click = values.expected_counts_batch(click)[0]
     e_pay = values.expected_counts_batch(pay)[0]
     click_incr = np.clip(np.diff(e_click, prepend=0.0), 0.0, None)
     pay_incr = np.clip(np.diff(e_pay, prepend=0.0), 0.0, None)
     return {"click": np.cumsum(click_incr), "pay": np.cumsum(pay_incr),
-            "gmv": np.cumsum(f.price * pay_incr)}
+            "gmv": np.cumsum(features.price[rows] * pay_incr)}
 
 
 def evaluate_curves(engine: EngineConfig, weights: ObjectiveWeights, params: dict,
@@ -153,10 +152,10 @@ def evaluate_curves(engine: EngineConfig, weights: ObjectiveWeights, params: dic
     sums = {m: {k: np.zeros(engine.l_o) for k in ("click", "pay", "gmv")} for m in methods}
     for _ in range(n_pools):
         user = simulator.sample_user(rng, engine.d_user)
-        pool = simulator.sample_pool(catalog, engine.l_s, rng)
-        slates = _method_slates(engine, weights, params, pool, user)
-        for m, items in slates.items():
-            curves = _cumulative_curves(engine, params, items, user)
+        features = sortmodel.item_features(simulator.sample_pool(catalog, engine.l_s, rng))
+        slates = _method_slates(engine, weights, params, features, user)
+        for m, rows in slates.items():
+            curves = _cumulative_curves(engine, params, features, rows, user)
             for k in sums[m]:
                 sums[m][k] += curves[k]
     for m in methods:
@@ -199,13 +198,13 @@ def run_bench(engine: EngineConfig, weights: ObjectiveWeights, params: dict,
     invocations = {"generate": [], "reference": []}
     for _ in range(slates):
         user = simulator.sample_user(rng, engine.d_user)
-        pool = simulator.sample_pool(catalog, engine.l_s, rng)
-        queues = generation.build_queues(pool, engine.queue_specs,
+        features = sortmodel.item_features(simulator.sample_pool(catalog, engine.l_s, rng))
+        queues = generation.build_queues(features, engine.queue_specs,
                                          engine.partition_strategy, engine.l_o)
         for name, fn in (("generate", generation.generate),
                          ("reference", generation.generate_iterative_reference)):
             vm = generation.ValueModel(engine, params, overhead_us=overhead_us)
-            trace = fn(pool, user, queues, vm, weights)
+            trace = fn(user, queues, vm, weights)
             rows[name].append(trace.wall_ns + trace.simulated_overhead_ns)
             invocations[name].append(trace.invocations)
     report = {}
@@ -251,15 +250,15 @@ def run_oracle_study(engine: EngineConfig, weights: ObjectiveWeights, params: di
     greedy_ratios, random_ratios = [], []
     for _ in range(pools):
         user = simulator.sample_user(rng, engine.d_user)
-        pool = simulator.sample_pool(catalog, l_s, rng)
+        features = sortmodel.item_features(simulator.sample_pool(catalog, l_s, rng))
         vm = generation.ValueModel(small, params)
-        best_val, _ = generation.exhaustive_oracle(pool, user, vm, weights, l_o)
-        queues = generation.build_queues(pool, small.queue_specs,
+        best_val, _ = generation.exhaustive_oracle(features, user, vm, weights, l_o)
+        queues = generation.build_queues(features, small.queue_specs,
                                          small.partition_strategy, l_o)
-        trace = generation.generate(pool, user, queues, vm, weights, lam=1.0)
-        greedy_val = float(vm.combined_values([list(trace.result.items)], user, weights)[0])
+        trace = generation.generate(user, queues, vm, weights, lam=1.0)
+        greedy_val = float(vm.pool_values(features, np.array([trace.rows]), user, weights)[0])
         perm = rng.permutation(l_s)[:l_o]
-        rand_val = float(vm.combined_values([[pool[i] for i in perm]], user, weights)[0])
+        rand_val = float(vm.pool_values(features, perm[None], user, weights)[0])
         greedy_ratios.append(greedy_val / best_val)
         random_ratios.append(rand_val / best_val)
     return {

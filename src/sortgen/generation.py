@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -70,22 +71,14 @@ class CandidateQueues:
         self.cursors[qi] += 1
 
 
-Pool = list[Item] | sortmodel.ItemFeatures
+def build_queues(features: sortmodel.ItemFeatures, specs, strategy: str,
+                 l_o: int) -> CandidateQueues:
+    """Partition the packed pool into disjoint per-objective queues of size <= l_o.
 
-
-def build_queues(pool: Pool, specs, strategy: str, l_o: int) -> CandidateQueues:
-    """Partition the pool into disjoint per-objective queues of size <= l_o.
-
-    A list of items is packed once (model.item_features); a packed pool is
-    used as it is. DFS fills whole queues in priority order; BFS deals one
-    item per queue per round, again in priority order. Ties break by
-    ascending item id.
+    DFS fills whole queues in priority order; BFS deals one item per queue
+    per round, again in priority order. Ties break by ascending item id.
     """
-    if isinstance(pool, sortmodel.ItemFeatures):
-        features = pool
-    elif pool:
-        features = sortmodel.item_features(pool)
-    else:
+    if not len(features.ids):
         raise ConfigError("empty candidate pool")
     specs = sorted(specs, key=lambda s: s.priority)
     if len({s.priority for s in specs}) != len(specs):
@@ -122,9 +115,7 @@ def build_queues(pool: Pool, specs, strategy: str, l_o: int) -> CandidateQueues:
     else:
         raise ConfigError(f"unknown partition strategy {strategy!r}")
 
-    cq = CandidateQueues(queues, features)
-    cq.reset()
-    return cq
+    return CandidateQueues(queues, features, [0] * len(queues))
 
 
 def similarity(a: Item, b: Item) -> float:
@@ -163,30 +154,30 @@ class StepRecord:
 
 
 @dataclass
-class GenerationTrace:
-    pool: Pool
+class Slate:
+    """A slate as rows of the packed pool it was chosen from."""
+
+    features: sortmodel.ItemFeatures
     rows: tuple[int, ...]     # the slate, as pool indices
     sources: tuple[int, ...]  # the queue each slate item was taken from
+
+    @property
+    def result(self) -> SubList:
+        """The slate as items, built from its pool rows."""
+        return SubList(tuple(self.features.item(i) for i in self.rows), self.sources)
+
+    @property
+    def ids(self) -> list[int]:
+        """The slate's item ids, read from its pool rows without building items."""
+        return self.features.ids[list(self.rows)].tolist()
+
+
+@dataclass
+class GenerationTrace(Slate):
     steps: list[StepRecord]
     invocations: int
     wall_ns: int
     simulated_overhead_ns: int = 0
-
-    @property
-    def result(self) -> SubList:
-        """The slate as items: the pool's own, or row views of a packed pool."""
-        pool = self.pool
-        take = pool.item if isinstance(pool, sortmodel.ItemFeatures) else pool.__getitem__
-        return SubList(tuple(take(i) for i in self.rows), self.sources)
-
-    @property
-    def ids(self) -> list[int]:
-        """The slate's item ids, read from the pool rows without building items.
-        A list pool's own id objects are reused, so a kept reply holds no
-        copies of them."""
-        if isinstance(self.pool, sortmodel.ItemFeatures):
-            return self.pool.ids[list(self.rows)].tolist()
-        return [self.pool[i].id for i in self.rows]
 
     @property
     def final_value(self) -> float:
@@ -253,11 +244,10 @@ class ValueModel:
         return listvalue.combined_values_batch(ext.click, ext.pay, prices, weights), ext
 
 
-def _run_greedy(pool: Pool, user: UserContext, queues: CandidateQueues,
-                vm: ValueModel, weights: ObjectiveWeights, lam: float | None,
-                window_w: int | None, cached: bool) -> GenerationTrace:
-    """The greedy loop over the packed pool: it reads rows of queues.features
-    only, and keeps `pool` just to hand the slate back as items."""
+def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
+                weights: ObjectiveWeights, lam: float | None, window_w: int | None,
+                cached: bool) -> GenerationTrace:
+    """The greedy loop over the queues' packed pool, queues.features."""
     cfg = vm.config
     lam = cfg.lambda_mmr if lam is None else lam
     if not 0.0 <= lam <= 1.0:
@@ -310,34 +300,33 @@ def _run_greedy(pool: Pool, user: UserContext, queues: CandidateQueues,
     wall = time.perf_counter_ns() - start
     invocations = vm.invocations - start_invocations
     overhead = int(invocations * vm.overhead_us * 1000)
-    return GenerationTrace(pool, tuple(chosen), tuple(sources), steps, invocations, wall,
+    return GenerationTrace(features, tuple(chosen), tuple(sources), steps, invocations, wall,
                            overhead)
 
 
-def generate(pool: Pool, user: UserContext, queues: CandidateQueues,
-             vm: ValueModel, weights: ObjectiveWeights, lam: float | None = None,
+def generate(user: UserContext, queues: CandidateQueues, vm: ValueModel,
+             weights: ObjectiveWeights, lam: float | None = None,
              window_w: int | None = None) -> GenerationTrace:
     """Greedy slate construction: one incremental step per position (<= l_o
     model calls), each scoring every queue head over the cached prefix."""
-    return _run_greedy(pool, user, queues, vm, weights, lam, window_w, cached=True)
+    return _run_greedy(user, queues, vm, weights, lam, window_w, cached=True)
 
 
-def generate_iterative_reference(pool: Pool, user: UserContext,
-                                 queues: CandidateQueues, vm: ValueModel,
-                                 weights: ObjectiveWeights, lam: float | None = None,
+def generate_iterative_reference(user: UserContext, queues: CandidateQueues,
+                                 vm: ValueModel, weights: ObjectiveWeights,
+                                 lam: float | None = None,
                                  window_w: int | None = None) -> GenerationTrace:
     """Same selection semantics, but one full forward per candidate per step."""
-    return _run_greedy(pool, user, queues, vm, weights, lam, window_w, cached=False)
+    return _run_greedy(user, queues, vm, weights, lam, window_w, cached=False)
 
 
-def template_generate(pool: list[Item], queues: CandidateQueues,
-                      pattern: tuple[int, ...]) -> SubList:
+def template_generate(queues: CandidateQueues, pattern: tuple[int, ...]) -> Slate:
     """Ablation: fixed source-queue pattern, no model evaluation.
 
     Falls back to the first non-empty queue when the patterned one is dry.
     """
     queues.reset()
-    prefix: list[Item] = []
+    rows: list[int] = []
     sources: list[int] = []
     for qi in pattern:
         idx = queues.head(qi)
@@ -350,9 +339,9 @@ def template_generate(pool: list[Item], queues: CandidateQueues,
         if idx is None:
             raise InfeasibleConfig("all queues exhausted during template generation")
         queues.consume(qi)
-        prefix.append(pool[idx])
+        rows.append(idx)
         sources.append(qi)
-    return SubList(tuple(prefix), tuple(sources))
+    return Slate(queues.features, tuple(rows), tuple(sources))
 
 
 def top_queue_spec(weights: ObjectiveWeights) -> QueueSpec:
@@ -364,37 +353,34 @@ def top_queue_spec(weights: ObjectiveWeights) -> QueueSpec:
     }, priority=0)
 
 
-def top_queue_generate(pool: list[Item], weights: ObjectiveWeights, l_o: int) -> SubList:
-    spec = top_queue_spec(weights)
-    queues = build_queues(pool, [spec], "dfs", l_o)
+def top_queue_generate(features: sortmodel.ItemFeatures, weights: ObjectiveWeights,
+                       l_o: int) -> Slate:
+    queues = build_queues(features, [top_queue_spec(weights)], "dfs", l_o)
     if len(queues.queues[0]) < l_o:
         raise InfeasibleConfig("pool smaller than l_o")
-    items = tuple(pool[idx] for idx in queues.queues[0][:l_o])
-    return SubList(items, (0,) * l_o)
+    return Slate(features, tuple(queues.queues[0][:l_o]), (0,) * l_o)
 
 
 ORACLE_GUARD = 10**6
 
 
-def exhaustive_oracle(pool: list[Item], user: UserContext, vm: ValueModel,
+def exhaustive_oracle(features: sortmodel.ItemFeatures, user: UserContext, vm: ValueModel,
                       weights: ObjectiveWeights, l_o: int,
-                      batch_size: int = 4096) -> tuple[float, SubList]:
+                      batch_size: int = 4096) -> tuple[float, Slate]:
     """Evaluate every ordered selection of l_o items; return the best.
 
     Feasible only at desk scale: the arrangement count P(l_s, l_o) is
     guarded at 1e6. Ties resolve to the lexicographically smallest id
     sequence.
     """
-    n = len(pool)
-    count = 1
-    for k in range(l_o):
-        count *= n - k
+    count = math.perm(len(features.ids), l_o)
+    if count == 0:
+        raise InfeasibleConfig("pool smaller than l_o")
     if count > ORACLE_GUARD:
         raise ConfigError(f"arrangement count {count} exceeds oracle guard {ORACLE_GUARD}")
 
     # Lexicographic id order makes the first maximum the tie-break winner.
-    order = sorted(range(n), key=lambda i: pool[i].id)
-    features = sortmodel.item_features(pool)
+    order = np.argsort(features.ids, kind="stable").tolist()
     best_val, best_perm = -np.inf, None
     perms = itertools.permutations(order, l_o)
     while True:
@@ -405,8 +391,7 @@ def exhaustive_oracle(pool: list[Item], user: UserContext, vm: ValueModel,
         k = int(np.argmax(vals))
         if vals[k] > best_val:
             best_val, best_perm = float(vals[k]), chunk[k]
-    items = tuple(pool[i] for i in best_perm)
-    return best_val, SubList(items, (0,) * l_o)
+    return best_val, Slate(features, best_perm, (0,) * l_o)
 
 
 def intra_window_similarity(items, window_w: int) -> float:

@@ -207,6 +207,8 @@ class ItemFeatures(NamedTuple):
 
 def item_features(items) -> ItemFeatures:
     """Pack a sequence of items; the only place that reads Item fields into arrays."""
+    if not len(items):
+        raise ConfigError("empty candidate pool")
     return ItemFeatures(np.array([it.id for it in items], dtype=np.int64),
                         np.stack([it.embedding for it in items]),
                         np.array([[it.prior_ctr, it.prior_cvr] for it in items], dtype=np.float64),

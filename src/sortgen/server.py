@@ -14,7 +14,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from sortgen import generation
+from sortgen import generation, model as sortmodel
 from sortgen.core import (
     ConfigError,
     EngineConfig,
@@ -43,6 +43,9 @@ def parse_rerank_request(doc: dict, config: EngineConfig) -> tuple[
         raise RequestError("request: expected a key/value document")
     if "user" not in doc:
         raise RequestError("user: missing")
+    if not isinstance(doc["user"], list):
+        raise RequestError(f"user: expected a list of numbers, got "
+                           f"{type(doc['user']).__name__}")
     try:
         user = UserContext(np.array([float(v) for v in doc["user"]]))
     except (TypeError, ValueError) as exc:
@@ -204,15 +207,18 @@ def _pool_fault(pool: ItemFeatures) -> tuple[int, str, str] | None:
 def rerank(config: EngineConfig, params: dict, user: UserContext,
            items: list[Item] | ItemFeatures, weights: ObjectiveWeights,
            lam: float | None = None) -> dict:
-    """Rerank one pool, given as items or already packed."""
+    """Rerank one pool, given as items (packed once; the reply reuses their id
+    objects, so a kept reply holds no copies) or already packed."""
     start = time.perf_counter_ns()
+    packed = isinstance(items, ItemFeatures)
+    features = items if packed else sortmodel.item_features(items)
     vm = generation.ValueModel(config, params)
-    queues = generation.build_queues(items, config.queue_specs,
+    queues = generation.build_queues(features, config.queue_specs,
                                      config.partition_strategy, config.l_o)
-    trace = generation.generate(items, user, queues, vm, weights, lam=lam)
+    trace = generation.generate(user, queues, vm, weights, lam=lam)
     latency = time.perf_counter_ns() - start
     return {
-        "item_ids": trace.ids,
+        "item_ids": trace.ids if packed else [items[i].id for i in trace.rows],
         "source_queues": list(trace.sources),
         "combined_value": trace.final_value,
         "latency_ns": latency,

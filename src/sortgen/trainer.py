@@ -139,6 +139,10 @@ def train(dataset: Dataset, params: dict, engine: EngineConfig, tconf: TrainConf
     for p in params.values():
         p.requires_grad = True
     train_idx, eval_idx = _session_hash_split(dataset.samples, tconf.eval_fraction)
+    for name, idx in (("training", train_idx), ("evaluation", eval_idx)):
+        if not idx:
+            raise ConfigError(f"empty {name} split: {len(dataset.samples)} sessions at "
+                              f"eval_fraction {tconf.eval_fraction}")
     train_arr = _to_arrays([dataset.samples[i] for i in train_idx])
     eval_arr = _to_arrays([dataset.samples[i] for i in eval_idx])
 

@@ -53,6 +53,8 @@ def parse_request_reference(doc, config):
         raise RequestError("request: expected a key/value document")
     if "user" not in doc:
         raise RequestError("user: missing")
+    if not isinstance(doc["user"], list):
+        raise RequestError("user: not a list")
     try:
         user = UserContext(np.array([float(v) for v in doc["user"]]))
     except (TypeError, ValueError) as exc:

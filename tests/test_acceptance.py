@@ -163,11 +163,11 @@ def test_criterion_03_single_pass_equivalence(small_params):
         for _ in range(per_cell):
             pool = simulator.sample_pool(catalog, SMALL.l_s, rng)
             user = simulator.sample_user(rng, SMALL.d_user)
-            queues = generation.build_queues(pool, _specs(q), strategy, SMALL.l_o)
+            queues = generation.build_queues(sortmodel.item_features(pool), _specs(q),
+                                             strategy, SMALL.l_o)
             vm = generation.ValueModel(SMALL, small_params)
-            fast = generation.generate(pool, user, queues, vm, WEIGHTS, lam=lam)
-            ref = generation.generate_iterative_reference(
-                pool, user, queues, vm, WEIGHTS, lam=lam)
+            fast = generation.generate(user, queues, vm, WEIGHTS, lam=lam)
+            ref = generation.generate_iterative_reference(user, queues, vm, WEIGHTS, lam=lam)
             same = ([i.id for i in fast.result.items]
                     == [i.id for i in ref.result.items]
                     and fast.result.source_queues == ref.result.source_queues)
@@ -188,10 +188,11 @@ def test_criterion_04_invocation_budget(small_params):
     rng = np.random.default_rng(41)
     pool = simulator.sample_pool(catalog, q * SMALL.l_o, rng)
     user = simulator.sample_user(rng, SMALL.d_user)
-    queues = generation.build_queues(pool, SMALL.queue_specs, "dfs", SMALL.l_o)
+    queues = generation.build_queues(sortmodel.item_features(pool), SMALL.queue_specs, "dfs",
+                                     SMALL.l_o)
     vm = generation.ValueModel(SMALL, small_params)
-    fast = generation.generate(pool, user, queues, vm, WEIGHTS)
-    ref = generation.generate_iterative_reference(pool, user, queues, vm, WEIGHTS)
+    fast = generation.generate(user, queues, vm, WEIGHTS)
+    ref = generation.generate_iterative_reference(user, queues, vm, WEIGHTS)
 
     bench_engine = dataclasses.replace(SMALL, l_s=q * SMALL.l_o)
     report = cli.run_bench(bench_engine, WEIGHTS, small_params, catalog,
@@ -272,20 +273,20 @@ def test_criterion_07_training_efficacy(trained):
     vals = {m: [] for m in ("ordered", "pointwise", "template", "top_queue")}
     for _ in range(200):
         user = simulator.sample_user(rng, engine.d_user)
-        pool = simulator.sample_pool(trained["dataset"].catalog, engine.l_s, rng)
-        queues = generation.build_queues(pool, engine.queue_specs,
+        features = sortmodel.item_features(
+            simulator.sample_pool(trained["dataset"].catalog, engine.l_s, rng))
+        queues = generation.build_queues(features, engine.queue_specs,
                                          engine.partition_strategy, engine.l_o)
         vm = generation.ValueModel(engine, trained["params_or"])
         slates = {
-            "ordered": generation.generate(pool, user, queues, vm,
-                                           WEIGHTS).result.items,
+            "ordered": generation.generate(user, queues, vm, WEIGHTS).result.items,
             "pointwise": generation.generate(
-                pool, user, queues,
+                user, queues,
                 generation.ValueModel(trained["engine_pw"], trained["params_pw"]),
                 WEIGHTS).result.items,
-            "template": generation.template_generate(pool, queues, pattern).items,
-            "top_queue": generation.top_queue_generate(pool, WEIGHTS,
-                                                       engine.l_o).items,
+            "template": generation.template_generate(queues, pattern).result.items,
+            "top_queue": generation.top_queue_generate(features, WEIGHTS,
+                                                       engine.l_o).result.items,
         }
         for name, items in slates.items():
             vals[name].append(simulator.ground_truth_slate_value(
@@ -314,12 +315,11 @@ def test_criterion_08_diversity(trained):
     for _ in range(500):
         user = simulator.sample_user(rng, engine.d_user)
         pool = simulator.sample_pool(trained["dataset"].catalog, engine.l_s, rng)
-        queues = generation.build_queues(pool, engine.queue_specs,
+        queues = generation.build_queues(sortmodel.item_features(pool), engine.queue_specs,
                                          engine.partition_strategy, engine.l_o)
         for lam in lambdas:
             vm = generation.ValueModel(engine, trained["params_or"])
-            items = generation.generate(pool, user, queues, vm, WEIGHTS,
-                                        lam=lam).result.items
+            items = generation.generate(user, queues, vm, WEIGHTS, lam=lam).result.items
             sims[lam].append(generation.intra_window_similarity(
                 items, engine.window_w))
             cats[lam].append(len({it.category for it in items}))

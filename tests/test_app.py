@@ -1,5 +1,6 @@
 """End-to-end checks for the command-line pipeline and the HTTP service."""
 
+import dataclasses
 import json
 import socket
 import threading
@@ -321,6 +322,18 @@ def test_rerank_packs_the_pool_once(workdir, monkeypatch):
     monkeypatch.setattr(sortmodel, "item_features", counting)
     srv.rerank(engine, params, user, items, ObjectiveWeights())
     assert calls == [len(items)]
+
+
+def test_rerank_reply_reuses_the_item_ids(workdir):
+    # A reply to a list of Items holds the Items' own id objects, not copies,
+    # so replies kept by a caller cost no memory per id.
+    doc, engine, params = _request_doc(workdir, seed=28)
+    user, items, _, _ = parse_request_reference(doc, engine)
+    items = [dataclasses.replace(it, id=10**12 + it.id) for it in items]
+    by_id = {it.id: it for it in items}
+    reply = srv.rerank(engine, params, user, items, ObjectiveWeights())
+    assert len(reply["item_ids"]) == engine.l_o
+    assert all(item_id is by_id[item_id].id for item_id in reply["item_ids"])
 
 
 def _wide_request_doc(n, seed=41):

@@ -45,7 +45,7 @@ def _abcd_pool():
 def test_build_queues_dfs_hand_example():
     pool = _abcd_pool()
     specs = [QueueSpec("click", {"ctr": 1.0}, 0), QueueSpec("pay", {"cvr": 1.0}, 1)]
-    q = generation.build_queues(pool, specs, "dfs", l_o=2)
+    q = generation.build_queues(sortmodel.item_features(pool), specs, "dfs", l_o=2)
     assert q.queues[0] == [0, 1]  # A, B by click score
     assert q.queues[1] == [2, 3]  # C, D remain for the pay queue
 
@@ -53,7 +53,7 @@ def test_build_queues_dfs_hand_example():
 def test_build_queues_bfs_hand_example():
     pool = _abcd_pool()
     specs = [QueueSpec("click", {"ctr": 1.0}, 0), QueueSpec("pay", {"cvr": 1.0}, 1)]
-    q = generation.build_queues(pool, specs, "bfs", l_o=2)
+    q = generation.build_queues(sortmodel.item_features(pool), specs, "bfs", l_o=2)
     assert q.queues[0] == [0, 2]  # A then best remaining click item C
     assert q.queues[1] == [1, 3]  # B then D
 
@@ -62,7 +62,7 @@ def test_build_queues_single_queue_strategy_independent():
     pool = _abcd_pool()
     spec = [QueueSpec("click", {"ctr": 1.0}, 0)]
     for strategy in ("dfs", "bfs"):
-        q = generation.build_queues(pool, spec, strategy, l_o=3)
+        q = generation.build_queues(sortmodel.item_features(pool), spec, strategy, l_o=3)
         assert q.queues[0] == [0, 1, 2]
 
 
@@ -75,8 +75,8 @@ def test_build_queues_equivalent_when_rankings_disjointly_separated():
             make_item(2, es[2], ctr=0.04, cvr=0.9),
             make_item(3, es[3], ctr=0.03, cvr=0.7)]
     specs = [QueueSpec("a", {"ctr": 1.0}, 0), QueueSpec("b", {"cvr": 1.0}, 1)]
-    dfs = generation.build_queues(pool, specs, "dfs", l_o=2).queues
-    bfs = generation.build_queues(pool, specs, "bfs", l_o=2).queues
+    dfs = generation.build_queues(sortmodel.item_features(pool), specs, "dfs", l_o=2).queues
+    bfs = generation.build_queues(sortmodel.item_features(pool), specs, "bfs", l_o=2).queues
     assert dfs == bfs == [[0, 1], [2, 3]]
 
 
@@ -84,7 +84,7 @@ def test_build_queues_partition_disjoint(small_catalog):
     rng = np.random.default_rng(1)
     pool = sample_pool(small_catalog, 12, rng)
     cfg = EngineConfig()
-    q = generation.build_queues(pool, cfg.queue_specs, "bfs", l_o=5)
+    q = generation.build_queues(sortmodel.item_features(pool), cfg.queue_specs, "bfs", l_o=5)
     seen = list(itertools.chain.from_iterable(q.queues))
     assert len(seen) == len(set(seen))
     assert all(len(queue) <= 5 for queue in q.queues)
@@ -94,14 +94,18 @@ def test_build_queues_sorted_within_queue(small_catalog):
     rng = np.random.default_rng(2)
     pool = sample_pool(small_catalog, 12, rng)
     spec = QueueSpec("click", {"ctr": 1.0}, 0)
-    q = generation.build_queues(pool, [spec], "dfs", l_o=8)
+    q = generation.build_queues(sortmodel.item_features(pool), [spec], "dfs", l_o=8)
     scores = generation.composite_score(q.features, spec)[q.queues[0]]
     assert all(a >= b for a, b in zip(scores, scores[1:]))
 
 
 def test_build_queues_empty_pool():
-    with pytest.raises(ConfigError):
-        generation.build_queues([], [QueueSpec("c", {"ctr": 1.0}, 0)], "dfs", 2)
+    with pytest.raises(ConfigError, match="empty candidate pool"):
+        sortmodel.item_features([])
+    packed = sortmodel.item_features(_abcd_pool())
+    empty = sortmodel.ItemFeatures(*(column[:0] for column in packed))
+    with pytest.raises(ConfigError, match="empty candidate pool"):
+        generation.build_queues(empty, [QueueSpec("c", {"ctr": 1.0}, 0)], "dfs", 2)
 
 
 def _fill_reference(rankings: list[list[int]], strategy: str, l_o: int) -> list[list[int]]:
@@ -148,7 +152,7 @@ def test_build_queues_matches_per_item_reference(data):
     strategy = data.draw(st.sampled_from(["dfs", "bfs"]), label="strategy")
     l_o = data.draw(st.integers(1, n), label="l_o")
 
-    queues = generation.build_queues(pool, specs, strategy, l_o).queues
+    queues = generation.build_queues(sortmodel.item_features(pool), specs, strategy, l_o).queues
     rankings = [queue_ranking_reference(pool, s) for s in sorted(specs, key=lambda s: s.priority)]
     assert queues == _fill_reference(rankings, strategy, l_o)
 
@@ -206,9 +210,9 @@ def test_generate_single_queue_is_queue_order(small_config, small_params,
     pool = sample_pool(small_catalog, small_config.l_s, rng)
     user = sample_user(rng, small_config.d_user)
     spec = [QueueSpec("click", {"ctr": 1.0}, 0)]
-    q = generation.build_queues(pool, spec, "dfs", small_config.l_o)
+    q = generation.build_queues(sortmodel.item_features(pool), spec, "dfs", small_config.l_o)
     vm = ValueModel(small_config, small_params)
-    trace = generation.generate(pool, user, q, vm, weights, lam=1.0)
+    trace = generation.generate(user, q, vm, weights, lam=1.0)
     expected = [pool[i].id for i in q.queues[0][: small_config.l_o]]
     assert [it.id for it in trace.result.items] == expected
     assert set(trace.result.source_queues) == {0}
@@ -222,11 +226,11 @@ def test_generate_matches_iterative_reference(small_config, small_params,
         user = sample_user(rng, small_config.d_user)
         lam = [1.0, 0.8, 0.5][trial % 3]
         strategy = ["dfs", "bfs"][trial % 2]
-        q = generation.build_queues(pool, small_config.queue_specs, strategy,
-                                    small_config.l_o)
+        q = generation.build_queues(sortmodel.item_features(pool), small_config.queue_specs,
+                                    strategy, small_config.l_o)
         vm = ValueModel(small_config, small_params)
-        fast = generation.generate(pool, user, q, vm, weights, lam=lam)
-        ref = generation.generate_iterative_reference(pool, user, q, vm, weights,
+        fast = generation.generate(user, q, vm, weights, lam=lam)
+        ref = generation.generate_iterative_reference(user, q, vm, weights,
                                                       lam=lam)
         assert [i.id for i in fast.result.items] == [i.id for i in ref.result.items]
         assert fast.result.source_queues == ref.result.source_queues
@@ -241,30 +245,45 @@ def test_generate_matches_iterative_reference(small_config, small_params,
 
 def test_generate_on_packed_pool_equals_item_pool(small_config, small_params,
                                                   small_catalog, weights):
-    # The greedy loop reads only the packed pool: a list of Items and the same
-    # pool packed give equal traces, and each step's MMR score equals
-    # mmr_score over the Items, whose similarity is the Item-level dot product.
+    # The greedy loop reads only the packed pool: each step's MMR score equals
+    # mmr_score over the pool's Items, whose similarity is the Item-level dot
+    # product, and the slate's items are the pool's.
     rng = np.random.default_rng(12)
     vm = ValueModel(small_config, small_params)
     for lam in (1.0, 0.8, 0.5):
         pool = sample_pool(small_catalog, small_config.l_s, rng)
         user = sample_user(rng, small_config.d_user)
-        packed = sortmodel.item_features(pool)
-        traces = [generation.generate(p, user, generation.build_queues(
-            p, small_config.queue_specs, "dfs", small_config.l_o), vm, weights, lam=lam)
-            for p in (pool, packed)]
-        listed, rows = traces
-        assert listed.rows == rows.rows and listed.sources == rows.sources
-        assert [s.candidates for s in listed.steps] == [s.candidates for s in rows.steps]
+        queues = generation.build_queues(sortmodel.item_features(pool), small_config.queue_specs,
+                                         "dfs", small_config.l_o)
+        trace = generation.generate(user, queues, vm, weights, lam=lam)
         by_id = {it.id: it for it in pool}
-        for t, step in enumerate(listed.steps):
-            prefix = [pool[i] for i in listed.rows[:t]]
+        for t, step in enumerate(trace.steps):
+            prefix = [pool[i] for i in trace.rows[:t]]
             for _, item_id, value, score in step.candidates:
                 assert score == generation.mmr_score(by_id[item_id], prefix,
                                                      small_config.window_w, lam, value)
-        for got, want in zip(rows.result.items, listed.result.items):
+        for got, want in zip(trace.result.items, (pool[i] for i in trace.rows)):
             assert (got.id, got.category, got.price) == (want.id, want.category, want.price)
             assert np.array_equal(got.embedding, want.embedding)
+
+
+@pytest.mark.parametrize("strategy", ["dfs", "bfs"])
+@pytest.mark.parametrize("fn", [generation.generate, generation.generate_iterative_reference])
+def test_trace_ids_are_the_chosen_candidates(small_config, small_params, small_catalog,
+                                             weights, strategy, fn):
+    # Position t of the slate is the candidate that step t chose.
+    rng = np.random.default_rng(15)
+    vm = ValueModel(small_config, small_params)
+    for lam in (1.0, 0.5):
+        pool = sample_pool(small_catalog, small_config.l_s, rng)
+        user = sample_user(rng, small_config.d_user)
+        queues = generation.build_queues(sortmodel.item_features(pool), small_config.queue_specs,
+                                         strategy, small_config.l_o)
+        trace = fn(user, queues, vm, weights, lam=lam)
+        chosen = [next(iid for qi, iid, _, _ in step.candidates if qi == step.chosen_queue)
+                  for step in trace.steps]
+        assert trace.ids == chosen
+        assert [it.id for it in trace.result.items] == chosen
 
 
 def test_invocation_budget(small_config, small_params, small_catalog, weights):
@@ -274,11 +293,11 @@ def test_invocation_budget(small_config, small_params, small_catalog, weights):
     n_queues = len(small_config.queue_specs)
     pool = sample_pool(small_catalog, n_queues * small_config.l_o, rng)
     user = sample_user(rng, small_config.d_user)
-    q = generation.build_queues(pool, small_config.queue_specs, "dfs",
+    q = generation.build_queues(sortmodel.item_features(pool), small_config.queue_specs, "dfs",
                                 small_config.l_o)
     vm = ValueModel(small_config, small_params)
-    fast = generation.generate(pool, user, q, vm, weights)
-    ref = generation.generate_iterative_reference(pool, user, q, vm, weights)
+    fast = generation.generate(user, q, vm, weights)
+    ref = generation.generate_iterative_reference(user, q, vm, weights)
     assert fast.invocations <= small_config.l_o
     assert ref.invocations == len(small_config.queue_specs) * small_config.l_o
 
@@ -288,21 +307,21 @@ def test_generate_no_duplicate_ids(small_config, small_params, small_catalog, we
     for _ in range(25):
         pool = sample_pool(small_catalog, small_config.l_s, rng)
         user = sample_user(rng, small_config.d_user)
-        q = generation.build_queues(pool, small_config.queue_specs, "bfs",
+        q = generation.build_queues(sortmodel.item_features(pool), small_config.queue_specs, "bfs",
                                     small_config.l_o)
         vm = ValueModel(small_config, small_params)
-        ids = [i.id for i in generation.generate(pool, user, q, vm, weights).result.items]
+        ids = [i.id for i in generation.generate(user, q, vm, weights).result.items]
         assert len(ids) == len(set(ids)) == small_config.l_o
 
 
 def test_generate_infeasible_when_queues_too_small(small_config, small_params, weights):
     pool = _abcd_pool()
     spec = [QueueSpec("click", {"ctr": 1.0}, 0)]
-    q = generation.build_queues(pool, spec, "dfs", l_o=2)
+    q = generation.build_queues(sortmodel.item_features(pool), spec, "dfs", l_o=2)
     vm = ValueModel(dataclasses.replace(small_config, l_s=4), small_params)
     user = sample_user(np.random.default_rng(7), small_config.d_user)
     with pytest.raises(generation.InfeasibleConfig):
-        generation.generate(pool, user, q, vm, weights)
+        generation.generate(user, q, vm, weights)
 
 
 def test_trace_serializes(small_config, small_params, small_catalog, weights):
@@ -311,10 +330,10 @@ def test_trace_serializes(small_config, small_params, small_catalog, weights):
     rng = np.random.default_rng(8)
     pool = sample_pool(small_catalog, small_config.l_s, rng)
     user = sample_user(rng, small_config.d_user)
-    q = generation.build_queues(pool, small_config.queue_specs, "dfs",
+    q = generation.build_queues(sortmodel.item_features(pool), small_config.queue_specs, "dfs",
                                 small_config.l_o)
     vm = ValueModel(small_config, small_params)
-    trace = generation.generate(pool, user, q, vm, weights)
+    trace = generation.generate(user, q, vm, weights)
     doc = json.loads(trace.to_record())
     assert len(doc["item_ids"]) == small_config.l_o
     assert len(doc["source_queues"]) == small_config.l_o
@@ -328,20 +347,19 @@ def test_template_generate_follows_pattern(small_catalog):
     rng = np.random.default_rng(9)
     pool = sample_pool(small_catalog, 12, rng)
     cfg = EngineConfig()
-    q = generation.build_queues(pool, cfg.queue_specs, "dfs", 5)
+    q = generation.build_queues(sortmodel.item_features(pool), cfg.queue_specs, "dfs", 5)
     pattern = (0, 1, 0, 2, 0)
-    result = generation.template_generate(pool, q, pattern)
-    assert result.source_queues == pattern
-    ids = [i.id for i in result.items]
-    assert len(set(ids)) == 5
+    slate = generation.template_generate(q, pattern)
+    assert slate.sources == pattern
+    assert len(set(slate.ids)) == 5
 
 
 def test_top_queue_generate_is_pointwise_order(small_catalog, weights):
     rng = np.random.default_rng(10)
     pool = sample_pool(small_catalog, 12, rng)
-    result = generation.top_queue_generate(pool, weights, 5)
+    slate = generation.top_queue_generate(sortmodel.item_features(pool), weights, 5)
     spec = generation.top_queue_spec(weights)
-    scores = generation.composite_score(sortmodel.item_features(result.items), spec)
+    scores = generation.composite_score(slate.features, spec)[list(slate.rows)]
     assert all(a >= b for a, b in zip(scores, scores[1:]))
 
 
@@ -354,7 +372,8 @@ def test_oracle_three_choose_two(small_config, small_params, weights):
     user = sample_user(np.random.default_rng(11), small_config.d_user)
     cfg = dataclasses.replace(small_config, l_s=3, l_o=2)
     vm = ValueModel(cfg, small_params)
-    best_val, best = generation.exhaustive_oracle(pool, user, vm, weights, 2)
+    best_val, best = generation.exhaustive_oracle(sortmodel.item_features(pool), user, vm,
+                                                  weights, 2)
     # brute force over the 6 arrangements with the same value model
     vals = {}
     for perm in itertools.permutations(range(3), 2):
@@ -370,10 +389,11 @@ def test_oracle_single_item(small_config, small_params, weights):
     user = sample_user(np.random.default_rng(12), small_config.d_user)
     cfg = dataclasses.replace(small_config, l_s=1, l_o=1)
     vm = ValueModel(cfg, small_params)
-    best_val, best = generation.exhaustive_oracle(pool, user, vm, weights, 1)
+    best_val, best = generation.exhaustive_oracle(sortmodel.item_features(pool), user, vm,
+                                                  weights, 1)
     own = float(vm.combined_values([[pool[0]]], user, weights)[0])
     assert math.isclose(best_val, own, rel_tol=1e-12)
-    assert best.items[0].id == 0
+    assert best.ids == [0]
 
 
 def test_oracle_guard(small_config, small_params, weights):
@@ -383,7 +403,16 @@ def test_oracle_guard(small_config, small_params, weights):
     user = sample_user(np.random.default_rng(13), small_config.d_user)
     vm = ValueModel(small_config, small_params)
     with pytest.raises(ConfigError, match="guard"):
-        generation.exhaustive_oracle(pool, user, vm, weights, 8)
+        generation.exhaustive_oracle(sortmodel.item_features(pool), user, vm, weights, 8)
+
+
+def test_oracle_pool_smaller_than_l_o(small_config, small_params, weights):
+    es = np.eye(8)
+    features = sortmodel.item_features([make_item(i, es[i]) for i in range(3)])
+    user = sample_user(np.random.default_rng(16), small_config.d_user)
+    vm = ValueModel(small_config, small_params)
+    with pytest.raises(generation.InfeasibleConfig, match="pool smaller than l_o"):
+        generation.exhaustive_oracle(features, user, vm, weights, 4)
 
 
 def test_oracle_dominates_greedy(small_config, small_params, small_catalog, weights):
@@ -393,8 +422,9 @@ def test_oracle_dominates_greedy(small_config, small_params, small_catalog, weig
         pool = sample_pool(small_catalog, 6, rng)
         user = sample_user(rng, cfg.d_user)
         vm = ValueModel(cfg, small_params)
-        best_val, _ = generation.exhaustive_oracle(pool, user, vm, weights, 3)
-        q = generation.build_queues(pool, cfg.queue_specs, "dfs", 3)
-        trace = generation.generate(pool, user, q, vm, weights, lam=1.0)
+        features = sortmodel.item_features(pool)
+        best_val, _ = generation.exhaustive_oracle(features, user, vm, weights, 3)
+        q = generation.build_queues(features, cfg.queue_specs, "dfs", 3)
+        trace = generation.generate(user, q, vm, weights, lam=1.0)
         greedy = float(vm.combined_values([list(trace.result.items)], user, weights)[0])
         assert greedy <= best_val + 1e-9

@@ -161,6 +161,20 @@ def test_id_reads_as_an_integer(small_config, value, error):
         assert got_error == f"candidates[3].id: {error}"
 
 
+@pytest.mark.parametrize("kind", ["digit_string", "number", "object", "null"])
+def test_user_must_be_a_list(small_config, kind):
+    # A string of d_user digits and an object of d_user numeric keys would
+    # each iterate to d_user numbers; both are refused as the rest are.
+    d = small_config.d_user
+    user = {"digit_string": "1" * d, "number": 12345678,
+            "object": {str(i): 0.0 for i in range(d)}, "null": None}[kind]
+    doc = parse_doc(small_config)
+    doc["user"] = user
+    for parse in (srv.parse_rerank_request, parse_request_reference):
+        with pytest.raises(srv.RequestError, match=r"^user: "):
+            parse(doc, small_config)
+
+
 @pytest.mark.parametrize("first, second", itertools.combinations(
     ("id", "emb", "price", "ctr", "cvr", "cat"), 2))
 def test_first_malformed_field_of_a_candidate_is_named(small_config, first, second):

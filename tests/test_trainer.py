@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sortgen import model as sortmodel
-from sortgen import nn, simulator, trainer
+from sortgen import cli, nn, simulator, trainer
 from sortgen.core import ConfigError, EngineConfig, to_dict
 from sortgen.simulator import SimConfig
 
@@ -88,6 +88,30 @@ def test_empty_dataset_rejected():
     with pytest.raises(ConfigError):
         trainer.train(empty, sortmodel.init_params(ENGINE, seed=0), ENGINE,
                       trainer.TrainConfig(epochs=1))
+
+
+def _one_split_only(dataset, split):
+    """Two sessions that the hash split at eval_fraction 0.1 both sends away
+    from `split`, so that split is empty."""
+    train_idx, eval_idx = trainer._session_hash_split(dataset.samples, 0.1)
+    keep = (eval_idx if split == "training" else train_idx)[:2]
+    return dataclasses.replace(dataset, samples=[dataset.samples[i] for i in keep])
+
+
+@pytest.mark.parametrize("split", ["training", "evaluation"])
+def test_empty_split_rejected(dataset, split):
+    with pytest.raises(ConfigError, match=f"empty {split} split: 2 sessions"):
+        trainer.train(_one_split_only(dataset, split), sortmodel.init_params(ENGINE, seed=0),
+                      ENGINE, trainer.TrainConfig(epochs=1))
+
+
+def test_train_command_on_an_empty_split_is_a_config_error(dataset, tmp_path, capsys):
+    data = tmp_path / "two.jsonl"
+    simulator.write_dataset(_one_split_only(dataset, "evaluation"), data)
+    rc = cli.main(["train", "--data", str(data), "--ckpt", str(tmp_path / "m.ckpt")])
+    assert rc == 2
+    assert "config error: empty evaluation split" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_sessions_whose_items_and_labels_differ_in_length_rejected(dataset):
