@@ -27,11 +27,11 @@ for lam in (1.0, 0.8, 0.5):
     sims, cats = [], []
     for _ in range(N_POOLS):
         user = simulator.sample_user(rng, engine.d_user)
-        pool = simulator.sample_pool(catalog, engine.l_s, rng)
-        queues = generation.build_queues(sortmodel.item_features(pool), engine.queue_specs,
+        features = sortmodel.item_features(simulator.sample_pool(catalog, engine.l_s, rng))
+        queues = generation.build_queues(features, engine.queue_specs,
                                          engine.partition_strategy, engine.l_o)
         vm = generation.ValueModel(engine, params)
-        items = generation.generate(user, queues, vm, weights, lam=lam).result.items
-        sims.append(generation.intra_window_similarity(items, engine.window_w))
-        cats.append(len({it.category for it in items}))
+        rows = list(generation.generate(user, queues, vm, weights, lam=lam).rows)
+        sims.append(generation.intra_window_similarity(features.emb[rows], engine.window_w))
+        cats.append(len(set(features.cat[rows].tolist())))
     print(f"{lam:>7.1f} {np.mean(sims):>23.4f} {np.mean(cats):>25.3f}")

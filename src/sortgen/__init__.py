@@ -12,7 +12,6 @@ from sortgen.core import (
     Item,
     ObjectiveWeights,
     QueueSpec,
-    SubList,
     UserContext,
     validate_config,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "Item",
     "ObjectiveWeights",
     "QueueSpec",
-    "SubList",
     "UserContext",
     "validate_config",
 ]

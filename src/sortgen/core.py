@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,16 +91,26 @@ class UserContext:
 
 @dataclass(frozen=True)
 class ObjectiveWeights:
-    """Trade-off weights for click / conversion / GMV list values."""
+    """Trade-off weights for click / conversion / GMV list values. A fault in
+    one weight, or a sum that overflows at it, is a ConfigError whose message
+    starts with the weight's name."""
 
     alpha: float = 5.0
     beta: float = 1.0
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
-            raise ConfigError("objective weights must be non-negative")
-        if self.alpha + self.beta + self.gamma <= 0:
+        total = 0.0
+        for name in ("alpha", "beta", "gamma"):
+            w = getattr(self, name)
+            if not math.isfinite(w):
+                raise ConfigError(f"{name}: objective weight {w!r} is not finite")
+            if w < 0:
+                raise ConfigError(f"{name}: objective weights must be non-negative")
+            total += w
+            if not math.isfinite(total):
+                raise ConfigError(f"{name}: objective weights sum to {total!r}")
+        if total <= 0:
             raise ConfigError("objective weights sum to zero")
 
 
@@ -217,24 +228,6 @@ def validate_config(config: EngineConfig) -> None:
             raise ConfigError("template_pattern length must equal l_o")
         if any(not 0 <= t < q for t in config.template_pattern):
             raise ConfigError("template_pattern indexes a missing queue")
-
-
-@dataclass(frozen=True)
-class SubList:
-    """An ordered prefix of chosen items with their source-queue indices."""
-
-    items: tuple[Item, ...]
-    source_queues: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.items) != len(self.source_queues):
-            raise ConfigError("items and source_queues lengths differ")
-        ids = [it.id for it in self.items]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("duplicate item ids in sub-list")
-
-    def __len__(self) -> int:
-        return len(self.items)
 
 
 # ---------------------------------------------------------------------------

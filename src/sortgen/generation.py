@@ -28,7 +28,6 @@ from sortgen.core import (
     Item,
     ObjectiveWeights,
     QueueSpec,
-    SubList,
     UserContext,
 )
 
@@ -118,30 +117,19 @@ def build_queues(features: sortmodel.ItemFeatures, specs, strategy: str,
     return CandidateQueues(queues, features, [0] * len(queues))
 
 
-def similarity(a: Item, b: Item) -> float:
-    """Cosine similarity; a plain dot product under the unit-norm invariant."""
-    return _max_similarity(a.embedding, [b.embedding])
+# Similarity is cosine similarity, a dot product of unit-norm embeddings.
+# tests/helpers.py holds the per-Item similarity, window_max_similarity and
+# mmr_score that the greedy loop's MMR arithmetic is tested against.
 
 
-def _max_similarity(embedding: np.ndarray, recent: list[np.ndarray]) -> float:
-    """Max dot product of one embedding with each of `recent`; 0 when empty."""
-    return max((float(np.dot(embedding, e)) for e in recent), default=0.0)
-
-
-def window_max_similarity(candidate: Item, prefix: list[Item], window_w: int) -> float:
-    """Max similarity against the last min(window_w, len(prefix)) chosen items."""
-    return _max_similarity(candidate.embedding, [b.embedding for b in prefix[-window_w:]])
-
-
-def _mmr(lam: float, value: float, max_similarity: float) -> float:
-    return lam * value - (1.0 - lam) * max_similarity
-
-
-def mmr_score(candidate: Item, prefix: list[Item], window_w: int, lam: float,
-              value_with_candidate: float) -> float:
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigError("lambda outside [0,1]")
-    return _mmr(lam, value_with_candidate, window_max_similarity(candidate, prefix, window_w))
+def window_similarities(emb: np.ndarray, window: int) -> np.ndarray:
+    """Each row's max similarity to the `window` rows before it, [l], from
+    the rows' [l, l] Gram block; 0 for a row with none before it."""
+    t = np.arange(len(emb))
+    lag = t[:, None] - t[None, :]
+    mask = (lag >= 1) & (lag <= window)
+    best = np.where(mask, emb @ emb.T, -np.inf).max(axis=1, initial=-np.inf)
+    return np.where(mask.any(axis=1), best, 0.0)
 
 
 # ------------------------------- traces -------------------------------------
@@ -160,11 +148,6 @@ class Slate:
     features: sortmodel.ItemFeatures
     rows: tuple[int, ...]     # the slate, as pool indices
     sources: tuple[int, ...]  # the queue each slate item was taken from
-
-    @property
-    def result(self) -> SubList:
-        """The slate as items, built from its pool rows."""
-        return SubList(tuple(self.features.item(i) for i in self.rows), self.sources)
 
     @property
     def ids(self) -> list[int]:
@@ -282,7 +265,8 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
         records = []
         best = None
         for k, ((qi, idx), value) in enumerate(zip(heads, vals)):
-            score = _mmr(lam, float(value), _max_similarity(features.emb[idx], recent))
+            max_sim = max((float(np.dot(features.emb[idx], e)) for e in recent), default=0.0)
+            score = lam * float(value) - (1.0 - lam) * max_sim
             records.append((qi, int(features.ids[idx]), float(value), score))
             # Queues are disjoint, so per-step candidates are distinct items;
             # strict > keeps the lowest queue index on score ties, and within
@@ -394,8 +378,8 @@ def exhaustive_oracle(features: sortmodel.ItemFeatures, user: UserContext, vm: V
     return best_val, Slate(features, best_perm, (0,) * l_o)
 
 
-def intra_window_similarity(items, window_w: int) -> float:
-    """Mean over positions t >= 2 of max similarity to the previous window."""
-    sims = [window_max_similarity(items[t], list(items[:t]), window_w)
-            for t in range(1, len(items))]
-    return float(np.mean(sims)) if sims else 0.0
+def intra_window_similarity(emb: np.ndarray, window_w: int) -> float:
+    """Mean over positions t >= 2 of a slate, given as its embedding rows
+    [l, d_emb], of the max similarity to the window_w rows before t."""
+    sims = window_similarities(emb, window_w)[1:]
+    return float(np.mean(sims)) if len(sims) else 0.0

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from sortgen import nn
-from sortgen.core import ConfigError, EngineConfig, Item, config_hash, to_dict
+from sortgen.core import ConfigError, EngineConfig, config_hash, to_dict
 from sortgen.nn import Var
 
 HEAD_HIDDEN = 32
@@ -198,11 +198,6 @@ class ItemFeatures(NamedTuple):
     score: np.ndarray  # [n, 2]: (prior_ctr, prior_cvr)
     price: np.ndarray  # [n]
     cat: np.ndarray    # [n] int64
-
-    def item(self, i: int) -> Item:
-        """Row i as an Item."""
-        return Item(int(self.ids[i]), self.emb[i], float(self.price[i]), float(self.score[i, 0]),
-                    float(self.score[i, 1]), int(self.cat[i]))
 
 
 def item_features(items) -> ItemFeatures:
@@ -389,7 +384,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Var], EngineConfig]:
     The parameters come back frozen (requires_grad=False), so a forward over
     them records no tape; set requires_grad=True on each to fine-tune them.
     Every parameter's name and shape is checked against `param_shapes(config)`,
-    so a damaged checkpoint raises ConfigError here, not on its first use.
+    and its values must be finite, so a damaged checkpoint raises ConfigError
+    here, not on its first use.
     """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("format_version") != CKPT_FORMAT:
@@ -409,5 +405,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Var], EngineConfig]:
         if tuple(entry["shape"]) != shapes[name] or arr.size != math.prod(shapes[name]):
             raise ConfigError(f"checkpoint parameter {name!r} has shape {entry['shape']} and "
                               f"{arr.size} values, expected shape {list(shapes[name])}")
+        if not np.isfinite(arr).all():
+            raise ConfigError(f"checkpoint parameter {name!r} has a non-finite value")
         params[name] = Var(arr.reshape(shapes[name]), requires_grad=False)
     return params, config

@@ -2,8 +2,10 @@
 
 Covers exactly the forward operations the value model needs (linear, layer
 norm, causal multi-head attention and the feed-forward block, each of the
-last two as one tape node, and the primitives they are built from) plus Adam
-and a finite-difference gradient checker. No GPU, no mixed precision.
+last two as one tape node, and the primitives they are built from) plus Adam.
+No GPU, no mixed precision. tests/helpers.py holds the test-only ops: the
+primitive-op references for the two blocks (with masked_softmax and relu),
+a finite-difference gradient check and a parameter count.
 """
 
 from __future__ import annotations
@@ -109,11 +111,6 @@ def matmul(a, b) -> Var:
     return Var(np.matmul(a.value, b.value), (a, b), bw)
 
 
-def relu(a) -> Var:
-    a = as_var(a)
-    return Var(np.maximum(a.value, 0.0), (a,), lambda g: a._accum(g * (a.value > 0.0)))
-
-
 def sigmoid(a) -> Var:
     a = as_var(a)
     s = 1.0 / (1.0 + np.exp(-a.value))
@@ -211,21 +208,6 @@ def softmax_rows(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def masked_softmax(a, mask: np.ndarray) -> Var:
-    """Softmax over the last axis; positions where mask is False get weight 0.
-
-    Computed with max-subtraction; masked logits are set to -inf first.
-    """
-    a = as_var(a)
-    y = softmax_rows(a.value, mask)
-
-    def bw(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        a._accum(y * (g - dot))
-
-    return Var(y, (a,), bw)
-
-
 def normalize_rows(x: np.ndarray, eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
     """Zero-mean, unit-variance rows of a raw array, and the inverse std.
 
@@ -286,10 +268,11 @@ def linear(x, W, b) -> Var:
 def attention(x, wq, wk, wv, wo, bq, bk, bv, bo, n_heads: int) -> Var:
     """Causal multi-head self-attention over x [n, l, d], as one tape node.
 
-    Equal to the composition of linear, reshape, transpose, matmul and
-    masked_softmax, with one QKV GEMM on [Wq|Wk|Wv] (concatenated per call,
-    so the parameters stay separate) and a hand-derived backward that splits
-    the weight gradient back into Wq, Wk and Wv.
+    Equal to the composition of linear, reshape, transpose, matmul and a
+    masked softmax (tests/helpers.py), with one QKV GEMM on [Wq|Wk|Wv]
+    (concatenated per call, so the parameters stay separate) and a
+    hand-derived backward that splits the weight gradient back into Wq, Wk
+    and Wv.
     """
     x, wq, wk, wv, wo, bq, bk, bv, bo = (as_var(v) for v in (x, wq, wk, wv, wo, bq, bk, bv, bo))
     n, l, d = x.value.shape
@@ -388,10 +371,6 @@ def zero_grads(params: ParamStore) -> None:
         p.grad = None
 
 
-def param_count(params: ParamStore) -> int:
-    return sum(p.value.size for p in params.values())
-
-
 @dataclass
 class AdamState:
     lr: float = 1e-3
@@ -426,48 +405,3 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
         vhat = state.v[name] / (1 - state.beta2 ** t)
         p.value = p.value - state.lr * mhat / (np.sqrt(vhat) + state.eps)
     zero_grads(params)
-
-
-# ------------------------- gradient verification ---------------------------
-
-
-def finite_diff_check(params: ParamStore, loss_fn, step: float = 1e-4,
-                      n_coords: int = 60, seed: int = 0) -> float:
-    """Max relative error between analytic gradients and central differences.
-
-    loss_fn() must rebuild the graph from the current parameter values and
-    return a scalar Var. Samples n_coords coordinates uniformly across all
-    parameters.
-    """
-    if step == 0:
-        raise ValueError("finite_diff_check: step must be nonzero")
-    zero_grads(params)
-    loss = loss_fn()
-    if not np.isfinite(loss.value).all():
-        raise FloatingPointError("non-finite loss in finite_diff_check")
-    backward(loss)
-    analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.value))
-                for name, p in params.items()}
-
-    flat: list[tuple[str, int]] = []
-    for name, p in params.items():
-        flat.extend((name, i) for i in range(p.value.size))
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(len(flat), size=min(n_coords, len(flat)), replace=False)
-
-    worst = 0.0
-    for k in picks:
-        name, i = flat[k]
-        p = params[name]
-        orig = p.value.flat[i]
-        p.value.flat[i] = orig + step
-        up = float(loss_fn().value)
-        p.value.flat[i] = orig - step
-        down = float(loss_fn().value)
-        p.value.flat[i] = orig
-        numeric = (up - down) / (2.0 * step)
-        a = float(analytic[name].flat[i])
-        err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-        worst = max(worst, err)
-    zero_grads(params)
-    return worst

@@ -7,6 +7,7 @@ read-only across the threaded handler pool.
 from __future__ import annotations
 
 import json
+import math
 import time
 import traceback
 from dataclasses import dataclass
@@ -48,7 +49,7 @@ def parse_rerank_request(doc: dict, config: EngineConfig) -> tuple[
                            f"{type(doc['user']).__name__}")
     try:
         user = UserContext(np.array([float(v) for v in doc["user"]]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise RequestError(f"user: {exc}") from exc
     if user.user_features.shape[0] != config.d_user:
         raise RequestError(f"user: expected {config.d_user} features")
@@ -60,22 +61,35 @@ def parse_rerank_request(doc: dict, config: EngineConfig) -> tuple[
     if len(doc["candidates"]) < config.l_o:
         raise RequestError("candidates: insufficient candidates")
     pool = _parse_candidates(doc["candidates"], config.d_emb)
-    weights = None
-    if "weights" in doc:
-        w = doc["weights"]
-        try:
-            weights = ObjectiveWeights(float(w["alpha"]), float(w["beta"]), float(w["gamma"]))
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
-            raise RequestError(f"weights: {exc}") from exc
+    weights = _parse_weights(doc["weights"]) if "weights" in doc else None
     lam = None
     if "lambda" in doc:
         try:
             lam = float(doc["lambda"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise RequestError(f"lambda: {exc}") from exc
         if not 0.0 <= lam <= 1.0:
             raise RequestError("lambda: outside [0,1]")
     return user, pool, weights, lam
+
+
+def _parse_weights(w) -> ObjectiveWeights:
+    """The request's objective weights; a fault in one names weights.<name>."""
+    if not isinstance(w, dict):
+        raise RequestError("weights: expected a key/value document")
+    values = {}
+    for name in ("alpha", "beta", "gamma"):
+        try:
+            values[name] = float(w[name])
+        except KeyError:
+            raise RequestError(f"weights.{name}: missing") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise RequestError(f"weights.{name}: {exc}") from exc
+    try:
+        return ObjectiveWeights(**values)
+    except ConfigError as exc:  # a named weight's message starts with its name
+        named = str(exc).split(": ", 1)[0] in values
+        raise RequestError(f"weights{'.' if named else ': '}{exc}") from exc
 
 
 # A candidate pool is packed column by column and validated in one vectorised
@@ -240,7 +254,13 @@ class RerankHandler(BaseHTTPRequestHandler):
         pass
 
     def _reply(self, code: int, doc: dict) -> None:
-        body = json.dumps(doc, sort_keys=True).encode("utf-8")
+        try:
+            body = json.dumps(doc, sort_keys=True, allow_nan=False).encode("utf-8")
+        except ValueError:  # NaN and Infinity are not JSON
+            field = next((k for k, v in sorted(doc.items())
+                          if isinstance(v, float) and not math.isfinite(v)), "reply")
+            code, doc = 500, {"error": f"internal error: {field} is not finite"}
+            body = json.dumps(doc, sort_keys=True).encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

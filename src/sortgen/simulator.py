@@ -4,7 +4,8 @@ The behavior model combines a user-item affinity (driven by the item's
 prior CTR and a learned-free random projection of user features onto the
 embedding space), a geometric position decay, and a contrast term that
 penalizes items similar to recently shown ones. Pay events only occur given
-a click. Everything is deterministic per seed.
+a click. Everything is deterministic per seed. The ground truth works on
+packed catalog rows; tests/helpers.py holds its scalar per-Item reference.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from sortgen.core import ConfigError, EngineConfig, Item, UserContext, to_dict
+from sortgen.core import ConfigError, EngineConfig, Item, ObjectiveWeights, UserContext, to_dict
+from sortgen.generation import window_similarities
+from sortgen.model import ItemFeatures, item_features
 from sortgen.values import LabelVector
 
 DATA_FORMAT = "sortgen-data-v1"
@@ -45,31 +48,20 @@ class GroundTruthModel:
     base_pay: float
     window: int
 
-    def affinity(self, user: UserContext, item: Item) -> float:
-        z = float(user.user_features @ self.click_proj @ item.embedding
-                  + self.click_appeal @ item.embedding)
-        return float(np.clip(0.45 * item.prior_ctr ** 0.15 * (0.1 + 2.4 * _sigmoid(z)), 0.0, 1.0))
-
-    def pay_affinity(self, user: UserContext, item: Item) -> float:
-        z = float(user.user_features @ self.pay_proj @ item.embedding
-                  + self.pay_appeal @ item.embedding)
-        return float(np.clip(0.9 * item.prior_cvr ** 0.15 * (0.1 + 2.4 * _sigmoid(z)), 0.0, 1.0))
-
-    def click_prob(self, user: UserContext, items, t: int) -> float:
-        """Click probability at 1-based position t of an exposed list."""
-        item = items[t - 1]
-        prev = items[max(0, t - 1 - self.window):t - 1]
-        max_sim = max((float(np.dot(item.embedding, b.embedding)) for b in prev), default=0.0)
-        contrast = 1.0 + self.kappa * (0.5 - max_sim)
-        p = self.affinity(user, item) * self.rho ** (t - 1) * contrast
-        return float(np.clip(p, 0.0, 1.0))
-
-    def pay_prob_given_click(self, user: UserContext, item: Item) -> float:
-        return float(np.clip(self.base_pay * self.pay_affinity(user, item), 0.0, 1.0))
-
-
-def _sigmoid(z: float) -> float:
-    return 1.0 / (1.0 + np.exp(-z))
+    def list_probs(self, user: UserContext, emb: np.ndarray,
+                   score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Click and pay-given-click probabilities, [l] each, at every position
+        of one exposed list given as its rows emb [l, d_emb] and score [l, 2]
+        (prior_ctr, prior_cvr), in one vectorised pass."""
+        u = user.user_features
+        z = emb @ np.stack([u @ self.click_proj, self.click_appeal,
+                            u @ self.pay_proj, self.pay_appeal], axis=1)
+        sig = 1.0 / (1.0 + np.exp(-(z[:, 0::2] + z[:, 1::2])))  # [l, 2]: click, pay
+        affinity = np.clip(np.array([0.45, 0.9]) * score ** 0.15 * (0.1 + 2.4 * sig), 0.0, 1.0)
+        contrast = 1.0 + self.kappa * (0.5 - window_similarities(emb, self.window))
+        decay = self.rho ** np.arange(len(emb))
+        click = np.clip(affinity[:, 0] * decay * contrast, 0.0, 1.0)
+        return click, np.clip(self.base_pay * affinity[:, 1], 0.0, 1.0)
 
 
 def make_ground_truth(engine: EngineConfig, sim: SimConfig) -> GroundTruthModel:
@@ -117,24 +109,28 @@ def sample_pool(catalog: list[Item], l_s: int, rng: np.random.Generator) -> list
     return [catalog[i] for i in idx]
 
 
-def exposure_list(pool: list[Item], l_o: int, rng: np.random.Generator,
-                  noise: float) -> list[Item]:
-    """Noisy prior-score ordering, standing in for an upstream ranking stage."""
-    scores = np.array([it.prior_ctr for it in pool]) + noise * rng.normal(size=len(pool))
-    order = np.argsort(-scores, kind="stable")
-    return [pool[i] for i in order[:l_o]]
+def exposure_list(features: ItemFeatures, pool: np.ndarray, l_o: int,
+                  rng: np.random.Generator, noise: float) -> np.ndarray:
+    """The first l_o of the rows `pool` of `features` in noisy prior-CTR order,
+    standing in for an upstream ranking stage."""
+    scores = features.score[pool, 0] + noise * rng.normal(size=len(pool))
+    return pool[np.argsort(-scores, kind="stable")[:l_o]]
 
 
-def simulate_session(user: UserContext, exposed: list[Item], gt: GroundTruthModel,
-                     rng: np.random.Generator) -> LabelVector:
-    if not exposed:
+def simulate_session(user: UserContext, features: ItemFeatures, rows,
+                     gt: GroundTruthModel, rng: np.random.Generator) -> LabelVector:
+    """Click and pay labels of the list exposed as the rows `rows` of
+    `features`: per position one click draw, then a pay draw only after a
+    click."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if not len(rows):
         raise ConfigError("empty exposed list")
+    click, pay = gt.list_probs(user, features.emb[rows], features.score[rows])
     clicks, pays = [], []
-    for t in range(1, len(exposed) + 1):
-        clicked = rng.random() < gt.click_prob(user, exposed, t)
-        paid = clicked and rng.random() < gt.pay_prob_given_click(user, exposed[t - 1])
+    for pc, pp in zip(click.tolist(), pay.tolist()):
+        clicked = rng.random() < pc
         clicks.append(int(clicked))
-        pays.append(int(paid))
+        pays.append(int(clicked and rng.random() < pp))
     return LabelVector(np.array(clicks), np.array(pays))
 
 
@@ -161,14 +157,15 @@ def build_dataset(engine: EngineConfig, sim: SimConfig) -> Dataset:
     if sim.n_items < engine.l_s:
         raise ConfigError("n_items smaller than l_s")
     gt = make_ground_truth(engine, sim)
+    features = item_features(catalog)
     rng = np.random.default_rng(sim.seed + 1)
     samples = []
     for _ in range(sim.sessions):
         user = sample_user(rng, engine.d_user)
-        pool = sample_pool(catalog, engine.l_s, rng)
-        exposed = exposure_list(pool, engine.l_o, rng, sim.exposure_noise)
-        labels = simulate_session(user, exposed, gt, rng)
-        samples.append(ImpressionSample(user, tuple(exposed), labels))
+        pool = rng.choice(len(catalog), size=engine.l_s, replace=False)
+        exposed = exposure_list(features, pool, engine.l_o, rng, sim.exposure_noise)
+        labels = simulate_session(user, features, exposed, gt, rng)
+        samples.append(ImpressionSample(user, tuple(catalog[i] for i in exposed), labels))
     return Dataset(samples, catalog, to_dict(engine), to_dict(sim))
 
 
@@ -264,15 +261,13 @@ def read_catalog(path: str | Path) -> list[Item]:
 # ------------------------- ground-truth list values -------------------------
 
 
-def ground_truth_slate_value(gt: GroundTruthModel, user: UserContext, items,
-                             alpha: float, beta: float, gamma: float) -> float:
-    """Deterministic expected combined value of a slate under the simulator."""
-    v_click = v_pay = v_gmv = 0.0
-    items = list(items)
-    for t in range(1, len(items) + 1):
-        pc = gt.click_prob(user, items, t)
-        pp = pc * gt.pay_prob_given_click(user, items[t - 1])
-        v_click += pc
-        v_pay += pp
-        v_gmv += items[t - 1].price * pp
-    return alpha * v_click + beta * v_pay + gamma * v_gmv
+def ground_truth_slate_value(gt: GroundTruthModel, user: UserContext,
+                             features: ItemFeatures, rows,
+                             weights: ObjectiveWeights) -> float:
+    """Deterministic expected combined value under the simulator of the slate
+    made of the rows `rows` of `features`."""
+    rows = np.asarray(rows, dtype=np.int64)
+    click, pay_given_click = gt.list_probs(user, features.emb[rows], features.score[rows])
+    pay = click * pay_given_click
+    return float(weights.alpha * click.sum() + weights.beta * pay.sum()
+                 + weights.gamma * (features.price[rows] * pay).sum())

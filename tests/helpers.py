@@ -1,4 +1,5 @@
-"""Plain helpers shared by test modules.
+"""Plain helpers shared by test modules, and the per-item and primitive-op
+references that the vectorised code in src/ is tested against.
 
 Kept apart from conftest.py, which pytest imports itself: a test module that
 imported conftest would load it a second time under another name.
@@ -57,7 +58,7 @@ def parse_request_reference(doc, config):
         raise RequestError("user: not a list")
     try:
         user = UserContext(np.array([float(v) for v in doc["user"]]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise RequestError(f"user: {exc}") from exc
     if user.user_features.shape[0] != config.d_user:
         raise RequestError(f"user: expected {config.d_user} features")
@@ -121,19 +122,160 @@ def parse_request_reference(doc, config):
     weights = None
     if "weights" in doc:
         w = doc["weights"]
+        if not isinstance(w, dict):
+            raise RequestError("weights: expected a key/value document")
+        values = []
+        for name in ("alpha", "beta", "gamma"):
+            if name not in w:
+                raise RequestError(f"weights.{name}: missing")
+            try:
+                values.append(float(w[name]))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise RequestError(f"weights.{name}: {exc}") from exc
         try:
-            weights = ObjectiveWeights(float(w["alpha"]), float(w["beta"]), float(w["gamma"]))
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
-            raise RequestError(f"weights: {exc}") from exc
+            weights = ObjectiveWeights(*values)
+        except ConfigError as exc:  # a fault in one weight starts with its name
+            raise RequestError(f"weights.{exc}" if ":" in str(exc) else f"weights: {exc}") \
+                from exc
     lam = None
     if "lambda" in doc:
         try:
             lam = float(doc["lambda"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise RequestError(f"lambda: {exc}") from exc
         if not 0.0 <= lam <= 1.0:
             raise RequestError("lambda: outside [0,1]")
     return user, items, weights, lam
+
+
+# Per-Item references for the similarity and MMR arithmetic of the greedy loop
+# (generation._run_greedy) and for the simulator's vectorised ground truth.
+
+
+def similarity(a: Item, b: Item) -> float:
+    """Cosine similarity; a plain dot product under the unit-norm invariant."""
+    return _max_similarity(a.embedding, [b.embedding])
+
+
+def _max_similarity(embedding: np.ndarray, recent: list[np.ndarray]) -> float:
+    """Max dot product of one embedding with each of `recent`; 0 when empty."""
+    return max((float(np.dot(embedding, e)) for e in recent), default=0.0)
+
+
+def window_max_similarity(candidate: Item, prefix: list[Item], window_w: int) -> float:
+    """Max similarity against the last min(window_w, len(prefix)) chosen items."""
+    return _max_similarity(candidate.embedding, [b.embedding for b in prefix[-window_w:]])
+
+
+def _mmr(lam: float, value: float, max_similarity: float) -> float:
+    return lam * value - (1.0 - lam) * max_similarity
+
+
+def mmr_score(candidate: Item, prefix: list[Item], window_w: int, lam: float,
+              value_with_candidate: float) -> float:
+    if not 0.0 <= lam <= 1.0:
+        raise ConfigError("lambda outside [0,1]")
+    return _mmr(lam, value_with_candidate, window_max_similarity(candidate, prefix, window_w))
+
+
+def _sigmoid(z: float) -> float:
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _affinity(gt, user: UserContext, item: Item) -> float:
+    z = float(user.user_features @ gt.click_proj @ item.embedding
+              + gt.click_appeal @ item.embedding)
+    return float(np.clip(0.45 * item.prior_ctr ** 0.15 * (0.1 + 2.4 * _sigmoid(z)), 0.0, 1.0))
+
+
+def _pay_affinity(gt, user: UserContext, item: Item) -> float:
+    z = float(user.user_features @ gt.pay_proj @ item.embedding
+              + gt.pay_appeal @ item.embedding)
+    return float(np.clip(0.9 * item.prior_cvr ** 0.15 * (0.1 + 2.4 * _sigmoid(z)), 0.0, 1.0))
+
+
+def click_prob(gt, user: UserContext, items, t: int) -> float:
+    """Click probability at 1-based position t of an exposed list, under the
+    simulator.GroundTruthModel `gt`: the reference for gt.list_probs."""
+    item = items[t - 1]
+    prev = items[max(0, t - 1 - gt.window):t - 1]
+    max_sim = max((float(np.dot(item.embedding, b.embedding)) for b in prev), default=0.0)
+    contrast = 1.0 + gt.kappa * (0.5 - max_sim)
+    p = _affinity(gt, user, item) * gt.rho ** (t - 1) * contrast
+    return float(np.clip(p, 0.0, 1.0))
+
+
+def pay_prob_given_click(gt, user: UserContext, item: Item) -> float:
+    return float(np.clip(gt.base_pay * _pay_affinity(gt, user, item), 0.0, 1.0))
+
+
+# Tape ops and checks that only the tests use.
+
+
+def relu(a) -> Var:
+    a = nn.as_var(a)
+    return Var(np.maximum(a.value, 0.0), (a,), lambda g: a._accum(g * (a.value > 0.0)))
+
+
+def masked_softmax(a, mask: np.ndarray) -> Var:
+    """Softmax over the last axis; positions where mask is False get weight 0.
+
+    Computed with max-subtraction; masked logits are set to -inf first.
+    """
+    a = nn.as_var(a)
+    y = nn.softmax_rows(a.value, mask)
+
+    def bw(g):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        a._accum(y * (g - dot))
+
+    return Var(y, (a,), bw)
+
+
+def param_count(params) -> int:
+    return sum(p.value.size for p in params.values())
+
+
+def finite_diff_check(params, loss_fn, step: float = 1e-4,
+                      n_coords: int = 60, seed: int = 0) -> float:
+    """Max relative error between analytic gradients and central differences.
+
+    loss_fn() must rebuild the graph from the current parameter values and
+    return a scalar Var. Samples n_coords coordinates uniformly across all
+    parameters.
+    """
+    if step == 0:
+        raise ValueError("finite_diff_check: step must be nonzero")
+    nn.zero_grads(params)
+    loss = loss_fn()
+    if not np.isfinite(loss.value).all():
+        raise FloatingPointError("non-finite loss in finite_diff_check")
+    nn.backward(loss)
+    analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.value))
+                for name, p in params.items()}
+
+    flat: list[tuple[str, int]] = []
+    for name, p in params.items():
+        flat.extend((name, i) for i in range(p.value.size))
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(len(flat), size=min(n_coords, len(flat)), replace=False)
+
+    worst = 0.0
+    for k in picks:
+        name, i = flat[k]
+        p = params[name]
+        orig = p.value.flat[i]
+        p.value.flat[i] = orig + step
+        up = float(loss_fn().value)
+        p.value.flat[i] = orig - step
+        down = float(loss_fn().value)
+        p.value.flat[i] = orig
+        numeric = (up - down) / (2.0 * step)
+        a = float(analytic[name].flat[i])
+        err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
+        worst = max(worst, err)
+    nn.zero_grads(params)
+    return worst
 
 
 # Primitive-op references for the one-node blocks nn.attention and nn.ffn,
@@ -152,12 +294,12 @@ def mhsa_reference(x: Var, params: dict, prefix: str, n_heads: int) -> Var:
     v = split(nn.linear(x, params[f"{prefix}.Wv"], params[f"{prefix}.bv"]))
     scores = nn.mul(nn.matmul(q, nn.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
     causal = np.tril(np.ones((l, l), dtype=bool))[None, None, :, :]
-    att = nn.masked_softmax(scores, causal)
+    att = masked_softmax(scores, causal)
     out = nn.transpose(nn.matmul(att, v), (0, 2, 1, 3))
     out = nn.reshape(out, (n, l, dm))
     return nn.linear(out, params[f"{prefix}.Wo"], params[f"{prefix}.bo"])
 
 
 def ffn_reference(x: Var, params: dict, prefix: str) -> Var:
-    h = nn.relu(nn.linear(x, params[f"{prefix}.W1"], params[f"{prefix}.b1"]))
+    h = relu(nn.linear(x, params[f"{prefix}.W1"], params[f"{prefix}.b1"]))
     return nn.linear(h, params[f"{prefix}.W2"], params[f"{prefix}.b2"])

@@ -1,13 +1,16 @@
 """Acceptance gate: one test (and one printed pass/fail line) per criterion.
 
 Run with `pytest -v tests/test_acceptance.py`. The suite trains two models
-on the default 20k-session simulated dataset, so the full run takes a few
-minutes; every other criterion completes in seconds.
+on the default 20k-session simulated dataset, in two worker processes, so
+the full run takes over a minute; every other criterion completes in
+seconds.
 """
 
+import concurrent.futures
 import dataclasses
 import itertools
 import json
+import multiprocessing
 import sys
 import threading
 import urllib.request
@@ -28,6 +31,7 @@ from sortgen import (
 from sortgen.core import EngineConfig, ObjectiveWeights, QueueSpec
 from sortgen.simulator import SimConfig
 from sortgen.trainer import TrainConfig
+from tests.helpers import finite_diff_check
 
 WEIGHTS = ObjectiveWeights(alpha=5.0, beta=1.0, gamma=1.0)
 
@@ -55,24 +59,35 @@ def small_params():
     return sortmodel.init_params(SMALL)
 
 
+def train_checkpoint(dataset, engine, ckpt_path):
+    """Train a fresh model at TrainConfig() and write its best checkpoint."""
+    return trainer.train(dataset, sortmodel.init_params(engine), engine, TrainConfig(),
+                         ckpt_path=ckpt_path)
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
-    """Default-scale dataset plus ordered-regression and pointwise models."""
+    """Default-scale dataset plus ordered-regression and pointwise models.
+
+    The two trainings do not depend on each other, so they run at once in two
+    spawned worker processes. The workers inherit the suite's one-BLAS-thread
+    environment (conftest.py), and each writes the same checkpoint bytes as a
+    training in this process would.
+    """
     root = tmp_path_factory.mktemp("acceptance")
     engine = EngineConfig()
     sim = SimConfig()
     dataset = simulator.build_dataset(engine, sim)
-
-    ckpt_or = root / "ordered.ckpt"
-    params = sortmodel.init_params(engine)
-    report_or = trainer.train(dataset, params, engine, TrainConfig(),
-                              ckpt_path=ckpt_or)
-    params_or, _ = sortmodel.load_checkpoint(ckpt_or)
-
     engine_pw = dataclasses.replace(engine, loss_mode="pointwise")
-    ckpt_pw = root / "pointwise.ckpt"
-    params = sortmodel.init_params(engine_pw)
-    trainer.train(dataset, params, engine_pw, TrainConfig(), ckpt_path=ckpt_pw)
+    ckpt_or, ckpt_pw = root / "ordered.ckpt", root / "pointwise.ckpt"
+
+    spawn = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(2, mp_context=spawn) as workers:
+        ordered = workers.submit(train_checkpoint, dataset, engine, ckpt_or)
+        pointwise = workers.submit(train_checkpoint, dataset, engine_pw, ckpt_pw)
+        report_or = ordered.result()
+        pointwise.result()
+    params_or, _ = sortmodel.load_checkpoint(ckpt_or)
     params_pw, _ = sortmodel.load_checkpoint(ckpt_pw)
 
     return {
@@ -102,7 +117,7 @@ def test_criterion_01_gradient_correctness():
         out = sortmodel.forward(SMALL, params, emb, user, score)
         return values.ordered_regression_loss(out, cum, cum_pays)
 
-    err_or = nn.finite_diff_check(params, ordered_loss, n_coords=60, seed=3)
+    err_or = finite_diff_check(params, ordered_loss, n_coords=60, seed=3)
 
     literal = dataclasses.replace(SMALL, head_mode="literal",
                                   loss_mode="pointwise")
@@ -114,7 +129,7 @@ def test_criterion_01_gradient_correctness():
                                      nn.index_last(out.pay_logits, 0),
                                      clicks, pays)
 
-    err_pw = nn.finite_diff_check(params_pw, pointwise_loss, n_coords=60, seed=4)
+    err_pw = finite_diff_check(params_pw, pointwise_loss, n_coords=60, seed=4)
     _report("1 gradient correctness", err_or < 1e-4 and err_pw < 1e-4,
             f"max rel err ordered={err_or:.2e} pointwise={err_pw:.2e} < 1e-4")
 
@@ -168,9 +183,7 @@ def test_criterion_03_single_pass_equivalence(small_params):
             vm = generation.ValueModel(SMALL, small_params)
             fast = generation.generate(user, queues, vm, WEIGHTS, lam=lam)
             ref = generation.generate_iterative_reference(user, queues, vm, WEIGHTS, lam=lam)
-            same = ([i.id for i in fast.result.items]
-                    == [i.id for i in ref.result.items]
-                    and fast.result.source_queues == ref.result.source_queues)
+            same = fast.ids == ref.ids and fast.sources == ref.sources
             mismatches += not same
             checked += 1
     _report("3 single-pass equivalence", mismatches == 0,
@@ -279,18 +292,17 @@ def test_criterion_07_training_efficacy(trained):
                                          engine.partition_strategy, engine.l_o)
         vm = generation.ValueModel(engine, trained["params_or"])
         slates = {
-            "ordered": generation.generate(user, queues, vm, WEIGHTS).result.items,
+            "ordered": generation.generate(user, queues, vm, WEIGHTS),
             "pointwise": generation.generate(
                 user, queues,
                 generation.ValueModel(trained["engine_pw"], trained["params_pw"]),
-                WEIGHTS).result.items,
-            "template": generation.template_generate(queues, pattern).result.items,
-            "top_queue": generation.top_queue_generate(features, WEIGHTS,
-                                                       engine.l_o).result.items,
+                WEIGHTS),
+            "template": generation.template_generate(queues, pattern),
+            "top_queue": generation.top_queue_generate(features, WEIGHTS, engine.l_o),
         }
-        for name, items in slates.items():
+        for name, slate in slates.items():
             vals[name].append(simulator.ground_truth_slate_value(
-                gt, user, items, WEIGHTS.alpha, WEIGHTS.beta, WEIGHTS.gamma))
+                gt, user, features, slate.rows, WEIGHTS))
     means = {m: float(np.mean(v)) for m, v in vals.items()}
     margins = {m: means["ordered"] - means[m]
                for m in ("pointwise", "template", "top_queue")}
@@ -314,15 +326,16 @@ def test_criterion_08_diversity(trained):
     rng = np.random.default_rng(80)
     for _ in range(500):
         user = simulator.sample_user(rng, engine.d_user)
-        pool = simulator.sample_pool(trained["dataset"].catalog, engine.l_s, rng)
-        queues = generation.build_queues(sortmodel.item_features(pool), engine.queue_specs,
+        features = sortmodel.item_features(
+            simulator.sample_pool(trained["dataset"].catalog, engine.l_s, rng))
+        queues = generation.build_queues(features, engine.queue_specs,
                                          engine.partition_strategy, engine.l_o)
         for lam in lambdas:
             vm = generation.ValueModel(engine, trained["params_or"])
-            items = generation.generate(user, queues, vm, WEIGHTS, lam=lam).result.items
+            rows = list(generation.generate(user, queues, vm, WEIGHTS, lam=lam).rows)
             sims[lam].append(generation.intra_window_similarity(
-                items, engine.window_w))
-            cats[lam].append(len({it.category for it in items}))
+                features.emb[rows], engine.window_w))
+            cats[lam].append(len(set(features.cat[rows].tolist())))
     mean_sims = [float(np.mean(sims[lam])) for lam in lambdas]
     mean_cats = {lam: float(np.mean(cats[lam])) for lam in lambdas}
     ok = (all(b <= a + 1e-12 for a, b in zip(mean_sims, mean_sims[1:]))

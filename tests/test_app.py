@@ -223,6 +223,14 @@ def test_uncastable_config_value_returns_config_error_code(tmp_path, capsys):
     assert "config error: l_s" in capsys.readouterr().err
 
 
+def test_non_finite_config_weight_returns_config_error_code(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("alpha = nan\n", encoding="utf-8")
+    rc = cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "d.jsonl")])
+    assert rc == 2
+    assert "config error: alpha: objective weight nan is not finite" in capsys.readouterr().err
+
+
 def test_eval_pools_config_key_accepted(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("eval.pools = 7\n", encoding="utf-8")
@@ -412,6 +420,39 @@ def test_rerank_endpoint_rejects_malformed_field(live_server, workdir, kind, fra
     assert all(f in error for f in fragments), error
 
 
+@pytest.mark.parametrize("weights, where", [
+    ({"alpha": float("nan"), "beta": 1.0, "gamma": 1.0}, "weights.alpha: "),
+    ({"alpha": 1.0, "beta": float("inf"), "gamma": 1.0}, "weights.beta: "),
+    ({"alpha": 1e308, "beta": 1e308, "gamma": 1e308}, "weights.beta: "),
+    ({"alpha": 1.0, "beta": 1.0, "gamma": -1.0}, "weights.gamma: "),
+    ({"alpha": 1.0, "beta": 1.0, "gamma": "x"}, "weights.gamma: "),
+    ({"alpha": 1.0, "beta": 1.0}, "weights.gamma: missing"),
+    ({"alpha": 10**400, "beta": 1.0, "gamma": 1.0}, "weights.alpha: "),
+    ({"alpha": 0.0, "beta": 0.0, "gamma": 0.0}, "weights: "),
+    ([1.0, 1.0, 1.0], "weights: "),
+])
+def test_rerank_endpoint_names_the_faulty_weight(live_server, workdir, weights, where):
+    # json.loads reads the NaN and Infinity tokens, so they reach the weights.
+    doc, _, _ = _request_doc(workdir, seed=31)
+    doc["weights"] = weights
+    with pytest.raises(urllib.error.HTTPError) as exc:
+        _post(live_server, doc)
+    assert exc.value.code == 400
+    assert json.loads(exc.value.read())["error"].startswith(where)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_reply_value_gets_json_500(live_server, workdir):
+    # Finite weights whose combined value overflows: the reply would carry a
+    # bare Infinity token, which is not JSON.
+    doc, _, _ = _request_doc(workdir, seed=32)
+    doc["weights"] = {"alpha": 0.0, "beta": 0.0, "gamma": 1.5e308}
+    body = json.dumps(doc).encode("utf-8")
+    status, reply = _raw_post(live_server, b"Content-Length: %d" % len(body), body)
+    assert status == 500
+    assert reply == {"error": "internal error: combined_value is not finite"}
+
+
 def test_rerank_endpoint_invalid_json_body(live_server):
     req = urllib.request.Request(live_server + "/rerank", data=b"{not json",
                                  headers={"Content-Type": "application/json"})
@@ -459,7 +500,8 @@ def _bad_checkpoint(tmp_path, damage):
     (lambda params: params.pop("layer0.ffn.W2"), "layer0.ffn.W2"),
     (lambda params: params.update({"layer9.ffn.W2": params["layer0.ffn.W2"]}), "layer9.ffn.W2"),
     (lambda params: params["layer0.ffn.W2"].update(shape=[16, 64]), "layer0.ffn.W2"),
-], ids=["missing", "extra", "misshaped"])
+    (lambda params: params["proj.W"]["data"].__setitem__(5, "nan"), "proj.W.*non-finite"),
+], ids=["missing", "extra", "misshaped", "non_finite"])
 def test_make_server_rejects_bad_checkpoint(tmp_path, damage, name):
     # A damaged checkpoint fails the server at start, not on its first request.
     with pytest.raises(ConfigError, match=name):

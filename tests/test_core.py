@@ -11,7 +11,6 @@ from sortgen.core import (
     Item,
     ObjectiveWeights,
     QueueSpec,
-    SubList,
     UserContext,
     config_from_raw,
     config_hash,
@@ -101,12 +100,18 @@ def test_weights_must_not_all_be_zero():
         ObjectiveWeights(0.0, 0.0, 0.0)
 
 
-def test_sublist_rejects_duplicates():
-    emb = np.zeros(8)
-    emb[0] = 1.0
-    it = Item(id=1, embedding=emb, price=1.0, prior_ctr=0.1, prior_cvr=0.1, category=0)
-    with pytest.raises(ConfigError, match="duplicate"):
-        SubList((it, it), (0, 0))
+@pytest.mark.parametrize("weights, message", [
+    ((float("nan"), 1.0, 1.0), "alpha: objective weight nan is not finite"),
+    ((1.0, float("inf"), 1.0), "beta: objective weight inf is not finite"),
+    ((1.0, 1.0, float("-inf")), "gamma: objective weight -inf is not finite"),
+    ((1e308, 1e308, 1e308), "beta: objective weights sum to inf"),
+    ((1.0, 1e308, 1.7e308), "gamma: objective weights sum to inf"),
+])
+def test_weights_must_be_finite_and_sum_finite(weights, message):
+    # NaN passes a sign check; a sum that overflows makes every value infinite.
+    with pytest.raises(ConfigError) as exc:
+        ObjectiveWeights(*weights)
+    assert str(exc.value) == message
 
 
 def test_config_file_round_trip(tmp_path):

@@ -11,7 +11,12 @@ from sortgen import generation, model as sortmodel, simulator
 from sortgen.core import SCORE_TERMS, ConfigError, EngineConfig, ObjectiveWeights, QueueSpec
 from sortgen.generation import ValueModel
 from sortgen.simulator import sample_pool, sample_user
-from tests.helpers import make_item, queue_ranking_reference
+from tests.helpers import (
+    make_item,
+    mmr_score,
+    queue_ranking_reference,
+    similarity,
+)
 
 
 # ---------------------------- composite scores -------------------------------
@@ -175,29 +180,29 @@ def test_similarity_identical_orthogonal_and_half():
     a = make_item(0, [1, 0])
     b = make_item(1, [0, 1])
     c = make_item(2, [math.sqrt(0.5), math.sqrt(0.5)])
-    assert math.isclose(generation.similarity(a, a), 1.0)
-    assert math.isclose(generation.similarity(a, b), 0.0)
-    assert math.isclose(generation.similarity(a, c), 0.7071, abs_tol=1e-4)
+    assert math.isclose(similarity(a, a), 1.0)
+    assert math.isclose(similarity(a, b), 0.0)
+    assert math.isclose(similarity(a, c), 0.7071, abs_tol=1e-4)
 
 
 def test_mmr_lambda_extremes_and_hand_value():
     a = make_item(0, [1, 0])
     prev = [make_item(1, [math.sqrt(0.75), 0.5])]
-    assert generation.mmr_score(a, [], 5, 1.0, 2.5) == 2.5
-    lam0 = generation.mmr_score(a, prev, 5, 0.0, 99.0)
+    assert mmr_score(a, [], 5, 1.0, 2.5) == 2.5
+    lam0 = mmr_score(a, prev, 5, 0.0, 99.0)
     assert math.isclose(lam0, -math.sqrt(0.75))
     # lambda=0.8, value 2.0, max windowed sim 0.5 -> 1.5
     prev_half = [make_item(2, [0.5, math.sqrt(0.75)])]
-    assert math.isclose(generation.mmr_score(a, prev_half, 5, 0.8, 2.0), 1.5)
+    assert math.isclose(mmr_score(a, prev_half, 5, 0.8, 2.0), 1.5)
 
 
 def test_mmr_window_limits_lookback():
     far = make_item(1, [1, 0])  # identical to candidate but outside window
     near = make_item(2, [0, 1])
     cand = make_item(0, [1, 0])
-    score_windowed = generation.mmr_score(cand, [far, near], 1, 0.0, 0.0)
+    score_windowed = mmr_score(cand, [far, near], 1, 0.0, 0.0)
     assert math.isclose(score_windowed, 0.0)  # only `near` is visible
-    score_full = generation.mmr_score(cand, [far, near], 2, 0.0, 0.0)
+    score_full = mmr_score(cand, [far, near], 2, 0.0, 0.0)
     assert math.isclose(score_full, -1.0)
 
 
@@ -214,8 +219,8 @@ def test_generate_single_queue_is_queue_order(small_config, small_params,
     vm = ValueModel(small_config, small_params)
     trace = generation.generate(user, q, vm, weights, lam=1.0)
     expected = [pool[i].id for i in q.queues[0][: small_config.l_o]]
-    assert [it.id for it in trace.result.items] == expected
-    assert set(trace.result.source_queues) == {0}
+    assert trace.ids == expected
+    assert set(trace.sources) == {0}
 
 
 def test_generate_matches_iterative_reference(small_config, small_params,
@@ -232,14 +237,14 @@ def test_generate_matches_iterative_reference(small_config, small_params,
         fast = generation.generate(user, q, vm, weights, lam=lam)
         ref = generation.generate_iterative_reference(user, q, vm, weights,
                                                       lam=lam)
-        assert [i.id for i in fast.result.items] == [i.id for i in ref.result.items]
-        assert fast.result.source_queues == ref.result.source_queues
+        assert fast.ids == ref.ids
+        assert fast.sources == ref.sources
         # The cached steps score every candidate as full recomputation does.
         for got, want in zip(fast.steps, ref.steps):
             assert [c[:2] for c in got.candidates] == [c[:2] for c in want.candidates]
             for (_, _, v_got, _), (_, _, v_want, _) in zip(got.candidates, want.candidates):
                 assert abs(v_got - v_want) <= 1e-12
-        full = float(vm.combined_values([list(fast.result.items)], user, weights)[0])
+        full = float(vm.combined_values([[pool[i] for i in fast.rows]], user, weights)[0])
         assert abs(fast.final_value - full) <= 1e-12 * abs(full)
 
 
@@ -260,11 +265,13 @@ def test_generate_on_packed_pool_equals_item_pool(small_config, small_params,
         for t, step in enumerate(trace.steps):
             prefix = [pool[i] for i in trace.rows[:t]]
             for _, item_id, value, score in step.candidates:
-                assert score == generation.mmr_score(by_id[item_id], prefix,
-                                                     small_config.window_w, lam, value)
-        for got, want in zip(trace.result.items, (pool[i] for i in trace.rows)):
-            assert (got.id, got.category, got.price) == (want.id, want.category, want.price)
-            assert np.array_equal(got.embedding, want.embedding)
+                assert score == mmr_score(by_id[item_id], prefix,
+                                          small_config.window_w, lam, value)
+        rows = list(trace.rows)
+        assert trace.ids == [pool[i].id for i in rows]
+        assert trace.features.cat[rows].tolist() == [pool[i].category for i in rows]
+        assert trace.features.price[rows].tolist() == [pool[i].price for i in rows]
+        assert np.array_equal(trace.features.emb[rows], [pool[i].embedding for i in rows])
 
 
 @pytest.mark.parametrize("strategy", ["dfs", "bfs"])
@@ -283,7 +290,7 @@ def test_trace_ids_are_the_chosen_candidates(small_config, small_params, small_c
         chosen = [next(iid for qi, iid, _, _ in step.candidates if qi == step.chosen_queue)
                   for step in trace.steps]
         assert trace.ids == chosen
-        assert [it.id for it in trace.result.items] == chosen
+        assert [pool[i].id for i in trace.rows] == chosen
 
 
 def test_invocation_budget(small_config, small_params, small_catalog, weights):
@@ -310,7 +317,7 @@ def test_generate_no_duplicate_ids(small_config, small_params, small_catalog, we
         q = generation.build_queues(sortmodel.item_features(pool), small_config.queue_specs, "bfs",
                                     small_config.l_o)
         vm = ValueModel(small_config, small_params)
-        ids = [i.id for i in generation.generate(user, q, vm, weights).result.items]
+        ids = generation.generate(user, q, vm, weights).ids
         assert len(ids) == len(set(ids)) == small_config.l_o
 
 
@@ -426,5 +433,5 @@ def test_oracle_dominates_greedy(small_config, small_params, small_catalog, weig
         best_val, _ = generation.exhaustive_oracle(features, user, vm, weights, 3)
         q = generation.build_queues(features, cfg.queue_specs, "dfs", 3)
         trace = generation.generate(user, q, vm, weights, lam=1.0)
-        greedy = float(vm.combined_values([list(trace.result.items)], user, weights)[0])
+        greedy = float(vm.combined_values([[pool[i] for i in trace.rows]], user, weights)[0])
         assert greedy <= best_val + 1e-9

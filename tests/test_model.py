@@ -7,7 +7,7 @@ from sortgen import model as sortmodel
 from sortgen import nn, simulator
 from sortgen.core import ConfigError, EngineConfig, UserContext
 from sortgen.nn import Var
-from tests.helpers import ffn_reference, mhsa_reference
+from tests.helpers import ffn_reference, mhsa_reference, param_count
 
 # Each block as one tape node, and its primitive-op reference.
 MHSA_IMPLS = [sortmodel._attention, mhsa_reference]
@@ -287,10 +287,10 @@ def test_init_deterministic(small_config):
 
 
 def test_param_count_matches_closed_form(small_config, small_params):
-    assert nn.param_count(small_params) == sortmodel.expected_param_count(small_config)
+    assert param_count(small_params) == sortmodel.expected_param_count(small_config)
     literal = dataclasses.replace(small_config, head_mode="literal")
     p = sortmodel.init_params(literal, seed=0)
-    assert nn.param_count(p) == sortmodel.expected_param_count(literal)
+    assert param_count(p) == sortmodel.expected_param_count(literal)
 
 
 def test_init_logits_unsaturated(small_config):

@@ -3,6 +3,7 @@ import pytest
 
 from sortgen import nn
 from sortgen.nn import Var
+from tests.helpers import finite_diff_check, masked_softmax, relu
 
 
 def test_linear_identity():
@@ -49,7 +50,7 @@ def test_layer_norm_rejects_scalar_axis():
 def test_masked_softmax_rows_sum_to_one_over_prefix():
     T = 4
     mask = np.tril(np.ones((T, T), dtype=bool))
-    y = nn.masked_softmax(Var(np.random.default_rng(0).normal(size=(T, T))), mask)
+    y = masked_softmax(Var(np.random.default_rng(0).normal(size=(T, T))), mask)
     np.testing.assert_allclose(y.value.sum(axis=-1), 1.0, atol=1e-12)
     assert (y.value[~mask] == 0.0).all()
 
@@ -97,12 +98,12 @@ def test_finite_diff_small_net():
     x = np.random.default_rng(3).normal(size=(4, 6))
 
     def loss_fn():
-        h = nn.relu(nn.linear(Var(x), params["W1"], params["b1"]))
+        h = relu(nn.linear(Var(x), params["W1"], params["b1"]))
         h = nn.layer_norm(h, params["g"], params["b"])
         out = nn.sigmoid(nn.linear(h, params["W2"], params["b2"]))
         return nn.sum_(nn.mul(out, out))
 
-    err = nn.finite_diff_check(params, loss_fn, step=1e-4, n_coords=60, seed=0)
+    err = finite_diff_check(params, loss_fn, step=1e-4, n_coords=60, seed=0)
     assert err < 1e-4
 
 
@@ -112,13 +113,13 @@ def test_finite_diff_quadratic_exact():
     def loss_fn():
         return nn.mul(nn.sum_(nn.mul(w["W"], w["W"])), 0.5)
 
-    assert nn.finite_diff_check(w, loss_fn, step=1e-4, n_coords=25) < 1e-9
+    assert finite_diff_check(w, loss_fn, step=1e-4, n_coords=25) < 1e-9
 
 
 def test_finite_diff_zero_step_rejected():
     w = {"W": Var(np.ones(2))}
     with pytest.raises(ValueError):
-        nn.finite_diff_check(w, lambda: nn.sum_(w["W"]), step=0.0)
+        finite_diff_check(w, lambda: nn.sum_(w["W"]), step=0.0)
 
 
 def test_adam_zero_gradients_leave_params():
@@ -164,7 +165,7 @@ def test_finite_diff_fused_linear(x_shape):
         y = nn.linear(params["x"], params["W"], params["b"])
         return nn.sum_(nn.mul(nn.sigmoid(y), target))
 
-    assert nn.finite_diff_check(params, loss_fn, step=1e-5, n_coords=80, seed=1) < 1e-6
+    assert finite_diff_check(params, loss_fn, step=1e-5, n_coords=80, seed=1) < 1e-6
 
 
 def test_linear_gradient_matches_unfused_ops():
@@ -245,4 +246,4 @@ def test_finite_diff_attention_and_ffn_nodes():
         y = nn.ffn(h, p["W1"], p["b1"], p["W2"], p["b2"])
         return nn.sum_(nn.mul(nn.sigmoid(y), target))
 
-    assert nn.finite_diff_check(params, loss_fn, step=1e-5, n_coords=120, seed=2) < 1e-6
+    assert finite_diff_check(params, loss_fn, step=1e-5, n_coords=120, seed=2) < 1e-6

@@ -175,6 +175,22 @@ def test_user_must_be_a_list(small_config, kind):
             parse(doc, small_config)
 
 
+@pytest.mark.parametrize("key", ["user", "lambda", "weights.beta"])
+def test_number_beyond_float_range_is_named(small_config, key):
+    # An integer too large for a float makes float() raise OverflowError.
+    doc = parse_doc(small_config)
+    big = 10**400
+    if key == "user":
+        doc["user"] = [big] * small_config.d_user
+    elif key == "lambda":
+        doc["lambda"] = big
+    else:
+        doc["weights"] = {"alpha": 1.0, "beta": big, "gamma": 1.0}
+    for parse in (srv.parse_rerank_request, parse_request_reference):
+        with pytest.raises(srv.RequestError, match=rf"^{key}: "):
+            parse(doc, small_config)
+
+
 @pytest.mark.parametrize("first, second", itertools.combinations(
     ("id", "emb", "price", "ctr", "cvr", "cat"), 2))
 def test_first_malformed_field_of_a_candidate_is_named(small_config, first, second):

@@ -1,16 +1,25 @@
 import dataclasses
-import itertools
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sortgen import simulator
-from sortgen.core import ConfigError, EngineConfig
+from sortgen.core import ConfigError, EngineConfig, ObjectiveWeights
+from sortgen.model import item_features
 from sortgen.simulator import SimConfig
+from tests.helpers import click_prob, pay_prob_given_click
 
 
 ENGINE = EngineConfig(l_s=10, l_o=5, max_count=5)
 SIM = SimConfig(n_items=40, sessions=50, seed=11)
+
+
+def _click_prob(gt, user, features, rows, t):
+    """Click probability at 1-based position t of the list of catalog rows."""
+    return gt.list_probs(user, features.emb[rows], features.score[rows])[0][t - 1]
 
 
 def test_catalog_deterministic():
@@ -38,40 +47,40 @@ def test_catalog_category_clustering():
 
 def test_session_position_decay_off():
     gt = simulator.make_ground_truth(ENGINE, dataclasses.replace(SIM, rho=1.0, kappa=0.0))
-    catalog = simulator.sample_catalog(40, 8, 4, seed=4)
+    features = item_features(simulator.sample_catalog(40, 8, 4, seed=4))
     rng = np.random.default_rng(1)
     user = simulator.sample_user(rng, ENGINE.d_user)
     # With rho=1 and kappa=0 the click probability of an item is the same
     # at position 1 and position 3.
-    p1 = gt.click_prob(user, [catalog[0], catalog[1], catalog[2]], 1)
-    p3 = gt.click_prob(user, [catalog[1], catalog[2], catalog[0]], 3)
+    p1 = _click_prob(gt, user, features, [0, 1, 2], 1)
+    p3 = _click_prob(gt, user, features, [1, 2, 0], 3)
     assert abs(p1 - p3) < 1e-12
 
 
 def test_contrast_penalizes_duplicates():
     gt = simulator.make_ground_truth(ENGINE, dataclasses.replace(SIM, kappa=0.8))
-    catalog = simulator.sample_catalog(40, 8, 4, seed=5)
+    features = item_features(simulator.sample_catalog(40, 8, 4, seed=5))
     rng = np.random.default_rng(2)
     user = simulator.sample_user(rng, ENGINE.d_user)
-    target = catalog[0]
+    target = 0
     dup = [target, target]
     # construct a near-orthogonal companion
-    other = min(catalog[1:], key=lambda it: abs(float(it.embedding @ target.embedding)))
+    other = 1 + int(np.argmin(np.abs(features.emb[1:] @ features.emb[target])))
     ortho = [other, target]
-    p_dup = gt.click_prob(user, dup, 2)
-    p_ortho = gt.click_prob(user, ortho, 2)
+    p_dup = _click_prob(gt, user, features, dup, 2)
+    p_ortho = _click_prob(gt, user, features, ortho, 2)
     assert p_dup < p_ortho
 
 
 def test_session_counts_properties():
     gt = simulator.make_ground_truth(ENGINE, SIM)
-    catalog = simulator.sample_catalog(40, 8, 4, seed=6)
+    features = item_features(simulator.sample_catalog(40, 8, 4, seed=6))
     rng = np.random.default_rng(3)
     for _ in range(500):
         user = simulator.sample_user(rng, ENGINE.d_user)
-        pool = simulator.sample_pool(catalog, ENGINE.l_s, rng)
-        exposed = simulator.exposure_list(pool, ENGINE.l_o, rng, 0.1)
-        labels = simulator.simulate_session(user, exposed, gt, rng)
+        pool = rng.choice(len(features.ids), size=ENGINE.l_s, replace=False)
+        exposed = simulator.exposure_list(features, pool, ENGINE.l_o, rng, 0.1)
+        labels = simulator.simulate_session(user, features, exposed, gt, rng)
         cum_c, cum_p = labels.cum_clicks, labels.cum_pays
         assert (np.diff(cum_c) >= 0).all()
         assert (cum_c <= np.arange(1, ENGINE.l_o + 1)).all()
@@ -81,15 +90,15 @@ def test_session_counts_properties():
 def test_position_bias_visible():
     sim = dataclasses.replace(SIM, rho=0.8, sessions=0)
     gt = simulator.make_ground_truth(ENGINE, sim)
-    catalog = simulator.sample_catalog(40, 8, 4, seed=7)
+    features = item_features(simulator.sample_catalog(40, 8, 4, seed=7))
     rng = np.random.default_rng(4)
     first, last = 0, 0
     n = 10000
     for _ in range(n):
         user = simulator.sample_user(rng, ENGINE.d_user)
-        pool = simulator.sample_pool(catalog, ENGINE.l_s, rng)
-        exposed = simulator.exposure_list(pool, ENGINE.l_o, rng, 0.5)
-        labels = simulator.simulate_session(user, exposed, gt, rng)
+        pool = rng.choice(len(features.ids), size=ENGINE.l_s, replace=False)
+        exposed = simulator.exposure_list(features, pool, ENGINE.l_o, rng, 0.5)
+        labels = simulator.simulate_session(user, features, exposed, gt, rng)
         first += labels.clicks[0]
         last += labels.clicks[-1]
     assert first > last
@@ -97,9 +106,65 @@ def test_position_bias_visible():
 
 def test_empty_exposed_list_rejected():
     gt = simulator.make_ground_truth(ENGINE, SIM)
+    features = item_features(simulator.sample_catalog(40, 8, 4, seed=8))
     user = simulator.sample_user(np.random.default_rng(5), ENGINE.d_user)
     with pytest.raises(ConfigError):
-        simulator.simulate_session(user, [], gt, np.random.default_rng(6))
+        simulator.simulate_session(user, features, [], gt, np.random.default_rng(6))
+
+
+# ------------------------- vectorised ground truth ---------------------------
+
+GT_ENGINE = EngineConfig()
+GT_CATALOG = simulator.sample_catalog(40, GT_ENGINE.d_emb, 4, seed=9)
+GT_FEATURES = item_features(GT_CATALOG)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_list_probs_match_scalar_reference(data):
+    # One vectorised pass equals the per-position scalar form to float
+    # rounding: GEMM and array-power orderings differ from np.dot and scalar
+    # ** by ulps, so equality is to 1e-15, not bitwise.
+    l_o = GT_ENGINE.l_o
+    length = data.draw(st.integers(1, l_o), label="length")
+    sim = SimConfig(seed=data.draw(st.integers(0, 2**16), label="seed"),
+                    gt_window=data.draw(st.integers(0, l_o + 2), label="gt_window"),
+                    rho=data.draw(st.sampled_from([0.5, 0.9, 1.0]), label="rho"),
+                    kappa=data.draw(st.sampled_from([0.0, 0.5, 0.8, 2.0]), label="kappa"))
+    gt = simulator.make_ground_truth(GT_ENGINE, sim)
+    user = simulator.sample_user(np.random.default_rng(sim.seed), GT_ENGINE.d_user)
+    # Drawing from the first 3 rows makes lists of repeated embeddings.
+    top = data.draw(st.sampled_from([2, len(GT_CATALOG) - 1]), label="top row")
+    rows = data.draw(st.lists(st.integers(0, top), min_size=length, max_size=length),
+                     label="rows")
+    items = [GT_CATALOG[i] for i in rows]
+
+    click, pay = gt.list_probs(user, GT_FEATURES.emb[rows], GT_FEATURES.score[rows])
+    want_click = [click_prob(gt, user, items, t) for t in range(1, length + 1)]
+    want_pay = [pay_prob_given_click(gt, user, it) for it in items]
+    assert np.abs(click - want_click).max() <= 1e-15
+    assert np.abs(pay - want_pay).max() <= 1e-15
+
+    w = ObjectiveWeights()
+    paid = [c * p for c, p in zip(want_click, want_pay)]
+    want_value = (w.alpha * sum(want_click) + w.beta * sum(paid)
+                  + w.gamma * sum(it.price * p for it, p in zip(items, paid)))
+    value = simulator.ground_truth_slate_value(gt, user, GT_FEATURES, rows, w)
+    assert abs(value - want_value) <= 1e-12 * abs(want_value)
+
+
+# The files' bytes under the installed NumPy, as the per-Item simulator wrote
+# them: the vectorised ground truth draws the same labels.
+@pytest.mark.parametrize("sim, digest", [
+    (SimConfig(sessions=300),
+     "a19e1077daba9fd6244f3df99644e725d86174e0e974451ead03adeceb05ed2d"),
+    (SimConfig(sessions=300, seed=5, kappa=0.8, rho=1.0, gt_window=2),
+     "b50565c101801664aa3deccff8cef8cf94fb538e25ad2ab7dd013c3440cfb4f4"),
+])
+def test_write_dataset_bytes_pinned(tmp_path, sim, digest):
+    path = tmp_path / "data.jsonl"
+    simulator.write_dataset(simulator.build_dataset(EngineConfig(), sim), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_dataset_deterministic():
