@@ -186,12 +186,17 @@ class GenerationTrace(Slate):
 
 
 class ValueModel:
-    """Bundles parameters + config and counts batched model invocations."""
+    """Bundles parameters + config and counts batched model invocations.
+
+    The greedy step runs on `weights`, the parameters packed when the model
+    is made; full forwards run on the parameter dict itself.
+    """
 
     def __init__(self, config: EngineConfig, params: dict,
                  overhead_us: float = 0.0):
         self.config = config
         self.params = params
+        self.weights = sortmodel.InferenceWeights.from_params(config, params)
         self.overhead_us = overhead_us
         self.invocations = 0
 
@@ -215,15 +220,13 @@ class ValueModel:
                                      features.score[rows])
         return listvalue.combined_values_batch(click, pay, features.price[rows], weights)
 
-    def extension_values(self, cache: sortmodel.Prefix, features: sortmodel.ItemFeatures,
-                         chosen: list[int], rows: list[int], weights: ObjectiveWeights
-                         ) -> tuple[np.ndarray, sortmodel.Extension]:
-        """Combined values of the chosen rows + each candidate row of the packed
-        pool, from one incremental step over the prefix's cache."""
+    def extension_values(self, cache: sortmodel.Prefix, x: np.ndarray, prices: np.ndarray,
+                         weights: ObjectiveWeights) -> tuple[np.ndarray, sortmodel.Extension]:
+        """Combined values of the cached prefix extended by each candidate,
+        from one incremental step. x: [n, d_model], the candidates' projected
+        rows; prices: [n, t+1], each extended sequence's prices."""
         self.invocations += 1
-        ext = sortmodel.extend(self.config, self.params, cache,
-                               features.emb[rows], features.score[rows])
-        prices = features.price[np.array([chosen + [r] for r in rows])]
+        ext = sortmodel.extend(self.weights, cache, x)
         return listvalue.combined_values_batch(ext.click, ext.pay, prices, weights), ext
 
 
@@ -236,6 +239,8 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
     if not 0.0 <= lam <= 1.0:
         raise ConfigError("lambda outside [0,1]")
     window_w = cfg.window_w if window_w is None else window_w
+    if window_w < 1:
+        raise ConfigError(f"window_w must be >= 1, got {window_w}")
     features = queues.features
     queues.reset()
     start_invocations = vm.invocations
@@ -243,7 +248,12 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
     chosen: list[int] = []  # pool indices
     sources: list[int] = []
     steps: list[StepRecord] = []
-    cache = sortmodel.Prefix.empty(cfg, user.user_features) if cached else None
+    if cached:
+        # Every row a step can score is in a queue: project those rows once.
+        held = [idx for queue in queues.queues for idx in queue]
+        inputs = np.zeros((len(features.ids), cfg.d_model))
+        inputs[held] = vm.weights.project(features.emb[held], features.score[held])
+        cache = sortmodel.Prefix.empty(vm.weights, user.user_features)
 
     for _ in range(cfg.l_o):
         heads = []
@@ -256,7 +266,8 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
 
         rows = [idx for _, idx in heads]
         if cached:
-            vals, ext = vm.extension_values(cache, features, chosen, rows, weights)
+            prices = features.price[np.array([chosen + [r] for r in rows])]
+            vals, ext = vm.extension_values(cache, inputs[rows], prices, weights)
         else:
             vals = np.array([vm.pool_values(features, np.array([chosen + [r]]), user, weights)[0]
                              for r in rows])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -213,12 +213,188 @@ def item_features(items) -> ItemFeatures:
 
 # --------------------------- tape-free inference -----------------------------
 #
-# The same network as `forward`, over the same parameter dict, in plain NumPy.
-# It computes positions start..start+m-1 of each row and attends over the
-# keys and values of positions 0..start-1, which a `Prefix` caches. The model
-# is causal and everything but attention is per position, so with an empty
-# prefix this is the full forward, and after a chosen prefix it is one
-# incremental greedy step (KV caching).
+# The same network as `forward`, in plain NumPy. `infer` is the full forward
+# over the parameter dict, and the reference for the greedy step below.
+#
+# The greedy step runs on `InferenceWeights`, the parameters packed once per
+# value model. `extend` computes only the new position of each candidate and
+# attends over the keys and values of the chosen prefix, which a `Prefix`
+# caches (KV caching). The model is causal and everything but attention is
+# per position, so this equals the full forward over prefix + candidate.
+
+
+def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b over the last axis, as one 2-D GEMM."""
+    y = x.reshape(-1, w.shape[0]) @ w + b
+    return y.reshape(x.shape[:-1] + (w.shape[1],))
+
+
+def _norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return g * nn.normalize_rows(x)[0] + b
+
+
+def _cutpoints(thresholds: np.ndarray) -> np.ndarray:
+    """A monotone head's strictly increasing cutpoints, [max_count]."""
+    return np.cumsum(np.concatenate([thresholds[:1], np.log(1.0 + np.exp(thresholds[1:]))]))
+
+
+def _attend(x: np.ndarray, params: dict, prefix: str, n_heads: int) -> np.ndarray:
+    """Causal self-attention over x's positions, [n, m, d_model]."""
+    n, m, dm = x.shape
+    dh = dm // n_heads
+
+    def split(name: str) -> np.ndarray:
+        y = _dense(x, params[f"{prefix}.W{name}"].value, params[f"{prefix}.b{name}"].value)
+        return y.reshape(n, m, n_heads, dh).transpose(0, 2, 1, 3)
+
+    q, k, v = split("q"), split("k"), split("v")
+    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
+    causal = np.arange(m)[None, :] <= np.arange(m)[:, None]
+    out = (nn.softmax_rows(scores, causal) @ v).transpose(0, 2, 1, 3).reshape(n, m, dm)
+    return _dense(out, params[f"{prefix}.Wo"].value, params[f"{prefix}.bo"].value)
+
+
+def _head_probs(x: np.ndarray, params: dict, head: str, config: EngineConfig,
+                mask: np.ndarray) -> np.ndarray:
+    h = np.maximum(_dense(x, params[f"{head}.W1"].value, params[f"{head}.b1"].value), 0.0)
+    z = _dense(h, params[f"{head}.W2"].value, params[f"{head}.b2"].value)
+    if config.head_mode == "monotone":
+        z = z - _cutpoints(params[f"{head}.thresholds"].value)
+    return 1.0 / (1.0 + np.exp(-z)) * mask
+
+
+def infer(config: EngineConfig, params: dict, e_item: np.ndarray, user: np.ndarray,
+          e_score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tape-free full forward: the click and pay survival probabilities that
+    `forward` computes, as plain [n, l, max_count] arrays.
+
+    e_item: [n, l, d_emb]; user: [n, d_user]; e_score: [n, l, 2].
+    """
+    n, l = e_item.shape[0], e_item.shape[1]
+    _check_input(config, l, e_item, user)
+
+    def w(name: str) -> np.ndarray:
+        return params[name].value
+
+    pos = w("pos.table")[None, :l].repeat(n, axis=0)
+    x = np.concatenate([e_item, pos, user[:, None].repeat(l, axis=1), e_score], axis=-1)
+    x = _dense(x, w("proj.W"), w("proj.b"))
+    for i in range(config.n_layers):
+        pre = f"layer{i}"
+        x = x + _attend(_norm(x, w(f"{pre}.ln1.g"), w(f"{pre}.ln1.b")), params, f"{pre}.attn",
+                        config.n_heads)
+        h = np.maximum(_dense(_norm(x, w(f"{pre}.ln2.g"), w(f"{pre}.ln2.b")),
+                              w(f"{pre}.ffn.W1"), w(f"{pre}.ffn.b1")), 0.0)
+        x = x + _dense(h, w(f"{pre}.ffn.W2"), w(f"{pre}.ffn.b2"))
+    x = _norm(x, w("final_ln.g"), w("final_ln.b"))
+    mask = valid_mask(l, config.max_count).astype(np.float64)
+    click = _head_probs(x, params, "head_click", config, mask)
+    pay = _head_probs(x, params, "head_pay", config, mask)
+    if not (np.isfinite(click).all() and np.isfinite(pay).all()):
+        raise FloatingPointError("non-finite activations in forward pass")
+    return click, pay
+
+
+class Block(NamedTuple):
+    """One transformer block's weights, with Q, K and V in one GEMM."""
+
+    ln1_g: np.ndarray
+    ln1_b: np.ndarray
+    qkv_w: np.ndarray  # [d_model, 3 * d_model]: Wq | Wk | Wv
+    qkv_b: np.ndarray  # [3 * d_model]
+    out_w: np.ndarray
+    out_b: np.ndarray
+    ln2_g: np.ndarray
+    ln2_b: np.ndarray
+    ffn_w1: np.ndarray
+    ffn_b1: np.ndarray
+    ffn_w2: np.ndarray
+    ffn_b2: np.ndarray
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view."""
+    a = a.view()
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
+class InferenceWeights:
+    """The parameters packed for the greedy step, as read-only arrays.
+
+    The input projection is split by feature block, so that an input row is a
+    sum of projected rows; Q, K and V are one GEMM per block; the click and
+    pay heads are one MLP whose second layer is block-diagonal; and the
+    monotone cutpoints are computed in advance. The packed arrays are new;
+    the rest are views of the parameter arrays, which training replaces and
+    never writes (`nn.adam_step`). So the weights do not follow training:
+    derive them again from the trained parameters.
+    """
+
+    config: EngineConfig
+    item: np.ndarray    # [d_emb, d_model]: proj.W's item rows
+    score: np.ndarray   # [2, d_model]: its prior-score rows
+    user: np.ndarray    # [d_user, d_model]: its user rows
+    pos: np.ndarray     # [l_o, d_model]: pos.table through its position rows, plus proj.b
+    blocks: tuple[Block, ...]
+    final_g: np.ndarray
+    final_b: np.ndarray
+    head_w1: np.ndarray    # [d_model, 2 * HEAD_HIDDEN]: click units, then pay units
+    head_b1: np.ndarray
+    head_w2: np.ndarray    # [2 * HEAD_HIDDEN, 2 * out_width], block-diagonal
+    head_b2: np.ndarray
+    cutpoints: np.ndarray  # [2, max_count]: click, pay; 0 for literal heads
+    valid: np.ndarray      # [l_o, max_count]: valid_mask
+
+    def __post_init__(self):
+        for f in fields(self):
+            if isinstance(getattr(self, f.name), np.ndarray):
+                object.__setattr__(self, f.name, _frozen(getattr(self, f.name)))
+        object.__setattr__(self, "blocks",
+                           tuple(Block(*map(_frozen, block)) for block in self.blocks))
+
+    @classmethod
+    def from_params(cls, config: EngineConfig, params: dict) -> "InferenceWeights":
+        def w(name: str) -> np.ndarray:
+            return params[name].value
+
+        def joined(names: list[str]) -> np.ndarray:
+            return np.concatenate([w(name) for name in names], axis=-1)
+
+        item, pos, user, score = np.split(
+            w("proj.W"), np.cumsum([config.d_emb, config.d_position, config.d_user]))
+        blocks = []
+        for i in range(config.n_layers):
+            a, f = f"layer{i}.attn", f"layer{i}.ffn"
+            blocks.append(Block(
+                w(f"layer{i}.ln1.g"), w(f"layer{i}.ln1.b"),
+                joined([f"{a}.Wq", f"{a}.Wk", f"{a}.Wv"]),
+                joined([f"{a}.bq", f"{a}.bk", f"{a}.bv"]), w(f"{a}.Wo"), w(f"{a}.bo"),
+                w(f"layer{i}.ln2.g"), w(f"layer{i}.ln2.b"),
+                w(f"{f}.W1"), w(f"{f}.b1"), w(f"{f}.W2"), w(f"{f}.b2")))
+        heads = ("head_click", "head_pay")
+        (hc, oc), (hp, op) = (w(f"{h}.W2").shape for h in heads)
+        head_w2 = np.zeros((hc + hp, oc + op))
+        head_w2[:hc, :oc], head_w2[hc:, oc:] = w("head_click.W2"), w("head_pay.W2")
+        if config.head_mode == "monotone":
+            cutpoints = np.stack([_cutpoints(w(f"{h}.thresholds")) for h in heads])
+        else:  # literal heads emit each threshold's logit directly
+            cutpoints = np.zeros((2, config.max_count))
+        return cls(config=config, item=item, score=score, user=user,
+                   pos=w("pos.table") @ pos + w("proj.b"), blocks=tuple(blocks),
+                   final_g=w("final_ln.g"), final_b=w("final_ln.b"),
+                   head_w1=joined([f"{h}.W1" for h in heads]),
+                   head_b1=joined([f"{h}.b1" for h in heads]), head_w2=head_w2,
+                   head_b2=joined([f"{h}.b2" for h in heads]), cutpoints=cutpoints,
+                   valid=valid_mask(config.l_o, config.max_count))
+
+    def project(self, emb: np.ndarray, score: np.ndarray) -> np.ndarray:
+        """Item rows' share of the input projection: their embedding and
+        prior-score blocks, [n, d_model]. emb: [n, d_emb]; score: [n, 2]."""
+        if emb.shape[-1] != self.config.d_emb or score.shape[-1] != self.config.d_score:
+            raise ConfigError("feature width mismatch")
+        return emb @ self.item + score @ self.score
 
 
 @dataclass
@@ -226,19 +402,22 @@ class Prefix:
     """A chosen prefix for one user, cached so that the next position can be
     scored without recomputing it."""
 
-    user: np.ndarray        # [d_user]
+    user: np.ndarray        # [d_model]: the user's share of the input projection
     keys: list[np.ndarray]  # per layer [n_heads, t, d_head]
     vals: list[np.ndarray]  # per layer [n_heads, t, d_head]
     click: np.ndarray       # [t, max_count] survival rows of the prefix
     pay: np.ndarray
 
     @classmethod
-    def empty(cls, config: EngineConfig, user: np.ndarray) -> "Prefix":
-        dh = config.d_model // config.n_heads
-        kv = np.zeros((config.n_heads, 0, dh))
+    def empty(cls, weights: InferenceWeights, user: np.ndarray) -> "Prefix":
+        config = weights.config
+        user = np.asarray(user, dtype=np.float64)
+        if user.shape != (config.d_user,):
+            raise ConfigError("feature width mismatch")
+        kv = np.zeros((config.n_heads, 0, config.d_model // config.n_heads))
         rows = np.zeros((0, config.max_count))
-        return cls(np.asarray(user, dtype=np.float64), [kv] * config.n_layers,
-                   [kv] * config.n_layers, rows, rows)
+        return cls(user @ weights.user, [kv] * config.n_layers, [kv] * config.n_layers,
+                   rows, rows)
 
     def __len__(self) -> int:
         return self.click.shape[0]
@@ -262,104 +441,42 @@ class Extension:
             self.click[k], self.pay[k])
 
 
-def _dense(x: np.ndarray, params: dict, w: str, b: str) -> np.ndarray:
-    """x @ W + b over the last axis, as one 2-D GEMM."""
-    wv = params[w].value
-    y = x.reshape(-1, wv.shape[0]) @ wv + params[b].value
-    return y.reshape(x.shape[:-1] + (wv.shape[1],))
-
-
-def _norm(x: np.ndarray, params: dict, prefix: str) -> np.ndarray:
-    return params[f"{prefix}.g"].value * nn.normalize_rows(x)[0] + params[f"{prefix}.b"].value
-
-
-def _attend(x: np.ndarray, params: dict, prefix: str, n_heads: int,
-            past_k: np.ndarray | None, past_v: np.ndarray | None):
-    """Causal attention of x's m positions over past + own keys.
-
-    Returns the attention output and x's keys and values, [n, heads, m, dh].
-    """
-    n, m, dm = x.shape
-    dh = dm // n_heads
-
-    def split(name: str) -> np.ndarray:
-        y = _dense(x, params, f"{prefix}.W{name}", f"{prefix}.b{name}")
-        return y.reshape(n, m, n_heads, dh).transpose(0, 2, 1, 3)
-
-    q, k, v = split("q"), split("k"), split("v")
-    keys, vals, t = k, v, 0
-    if past_k is not None:
-        t = past_k.shape[1]
-        keys = np.concatenate([past_k[None].repeat(n, axis=0), k], axis=2)
-        vals = np.concatenate([past_v[None].repeat(n, axis=0), v], axis=2)
-    scores = (q @ keys.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
-    causal = np.arange(t + m)[None, :] <= t + np.arange(m)[:, None]
-    out = (nn.softmax_rows(scores, causal) @ vals).transpose(0, 2, 1, 3).reshape(n, m, dm)
-    return _dense(out, params, f"{prefix}.Wo", f"{prefix}.bo"), k, v
-
-
-def _head_probs(x: np.ndarray, params: dict, head: str, config: EngineConfig,
-                mask: np.ndarray) -> np.ndarray:
-    h = np.maximum(_dense(x, params, f"{head}.W1", f"{head}.b1"), 0.0)
-    z = _dense(h, params, f"{head}.W2", f"{head}.b2")
-    if config.head_mode == "monotone":
-        t = params[f"{head}.thresholds"].value
-        z = z - np.cumsum(np.concatenate([t[:1], np.log(1.0 + np.exp(t[1:]))]))
-    return 1.0 / (1.0 + np.exp(-z)) * mask
-
-
-def _infer(config: EngineConfig, params: dict, e_item: np.ndarray, user: np.ndarray,
-           e_score: np.ndarray, past: Prefix | None):
-    """Survival rows and per-layer keys/values of the positions in e_item.
-
-    e_item: [n, m, d_emb]; user: [n, d_user]; e_score: [n, m, 2]. The m
-    positions follow `past` (shared by every row), or start at 0.
-    """
-    n, m = e_item.shape[0], e_item.shape[1]
-    start = 0 if past is None else len(past)
-    _check_input(config, start + m, e_item, user)
-    pos = params["pos.table"].value[None, start:start + m].repeat(n, axis=0)
-    x = np.concatenate([e_item, pos, user[:, None].repeat(m, axis=1), e_score], axis=-1)
-    x = _dense(x, params, "proj.W", "proj.b")
+def extend(weights: InferenceWeights, prefix: Prefix, x: np.ndarray) -> Extension:
+    """Score the prefix extended by each of n candidates, computing only the
+    new position. x: [n, d_model], the candidates' `InferenceWeights.project`
+    rows."""
+    config = weights.config
+    n, t = x.shape[0], len(prefix)
+    if t + 1 > config.l_o:
+        raise ConfigError(f"sequence length {t + 1} exceeds position table size {config.l_o}")
+    if x.shape != (n, config.d_model):
+        raise ConfigError("feature width mismatch")
+    heads, dh = config.n_heads, config.d_model // config.n_heads
+    x = x + (weights.pos[t] + prefix.user)
     keys, vals = [], []
-    for i in range(config.n_layers):
-        pre = f"layer{i}"
-        a, k, v = _attend(_norm(x, params, f"{pre}.ln1"), params, f"{pre}.attn", config.n_heads,
-                          None if past is None else past.keys[i],
-                          None if past is None else past.vals[i])
-        x = x + a
-        h = np.maximum(_dense(_norm(x, params, f"{pre}.ln2"), params,
-                              f"{pre}.ffn.W1", f"{pre}.ffn.b1"), 0.0)
-        x = x + _dense(h, params, f"{pre}.ffn.W2", f"{pre}.ffn.b2")
+    for b, past_k, past_v in zip(weights.blocks, prefix.keys, prefix.vals):
+        qkv = (_norm(x, b.ln1_g, b.ln1_b) @ b.qkv_w + b.qkv_b).reshape(n, 3, heads, 1, dh)
+        q, k, v = qkv[:, 0], qkv[:, 1], qkv[:, 2]  # [n, heads, 1, dh]
+        all_k = np.concatenate([past_k[None].repeat(n, axis=0), k], axis=2)
+        all_v = np.concatenate([past_v[None].repeat(n, axis=0), v], axis=2)
+        scores = (q @ all_k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
+        # The new position sees every key, so no entry is masked.
+        out = (nn.softmax_rows(scores, True) @ all_v).reshape(n, config.d_model)
+        x = x + (out @ b.out_w + b.out_b)
+        h = np.maximum(_norm(x, b.ln2_g, b.ln2_b) @ b.ffn_w1 + b.ffn_b1, 0.0)
+        x = x + (h @ b.ffn_w2 + b.ffn_b2)
         keys.append(k)
         vals.append(v)
-    x = _norm(x, params, "final_ln")
-    mask = valid_mask(start + m, config.max_count)[start:].astype(np.float64)
-    click = _head_probs(x, params, "head_click", config, mask)
-    pay = _head_probs(x, params, "head_pay", config, mask)
-    if not (np.isfinite(click).all() and np.isfinite(pay).all()):
+    h = np.maximum(_norm(x, weights.final_g, weights.final_b) @ weights.head_w1
+                   + weights.head_b1, 0.0)
+    z = (h @ weights.head_w2 + weights.head_b2).reshape(n, 2, -1) - weights.cutpoints
+    probs = 1.0 / (1.0 + np.exp(-z)) * weights.valid[t]  # [n, 2 (click, pay), max_count]
+    if not np.isfinite(probs).all():
         raise FloatingPointError("non-finite activations in forward pass")
-    return click, pay, keys, vals
-
-
-def infer(config: EngineConfig, params: dict, e_item: np.ndarray, user: np.ndarray,
-          e_score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tape-free full forward: the click and pay survival probabilities that
-    `forward` computes, as plain [n, l, max_count] arrays."""
-    click, pay, _, _ = _infer(config, params, e_item, user, e_score, None)
-    return click, pay
-
-
-def extend(config: EngineConfig, params: dict, prefix: Prefix, e_item: np.ndarray,
-           e_score: np.ndarray) -> Extension:
-    """Score the prefix extended by each of n candidates, computing only the
-    new position. e_item: [n, d_emb]; e_score: [n, 2]."""
-    n = e_item.shape[0]
-    click, pay, keys, vals = _infer(config, params, e_item[:, None],
-                                    prefix.user[None].repeat(n, axis=0), e_score[:, None], prefix)
-    return Extension(np.concatenate([prefix.click[None].repeat(n, axis=0), click], axis=1),
-                     np.concatenate([prefix.pay[None].repeat(n, axis=0), pay], axis=1),
-                     keys, vals)
+    return Extension(
+        np.concatenate([prefix.click[None].repeat(n, axis=0), probs[:, None, 0]], axis=1),
+        np.concatenate([prefix.pay[None].repeat(n, axis=0), probs[:, None, 1]], axis=1),
+        keys, vals)
 
 
 # ------------------------------ checkpoints --------------------------------

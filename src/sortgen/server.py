@@ -48,8 +48,8 @@ def parse_rerank_request(doc: dict, config: EngineConfig) -> tuple[
         raise RequestError(f"user: expected a list of numbers, got "
                            f"{type(doc['user']).__name__}")
     try:
-        user = UserContext(np.array([float(v) for v in doc["user"]]))
-    except (TypeError, ValueError, OverflowError) as exc:
+        user = UserContext(np.array([_scalar(v, "user") for v in doc["user"]]))
+    except ConfigError as exc:
         raise RequestError(f"user: {exc}") from exc
     if user.user_features.shape[0] != config.d_user:
         raise RequestError(f"user: expected {config.d_user} features")
@@ -64,13 +64,21 @@ def parse_rerank_request(doc: dict, config: EngineConfig) -> tuple[
     weights = _parse_weights(doc["weights"]) if "weights" in doc else None
     lam = None
     if "lambda" in doc:
-        try:
-            lam = float(doc["lambda"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise RequestError(f"lambda: {exc}") from exc
+        lam = _scalar(doc["lambda"], "lambda")
         if not 0.0 <= lam <= 1.0:
             raise RequestError("lambda: outside [0,1]")
     return user, pool, weights, lam
+
+
+def _scalar(value, field: str) -> float:
+    """float(value) for the request's user entries, lambda and weights; JSON
+    true and false are not numbers here."""
+    if isinstance(value, bool):
+        raise RequestError(f"{field}: expected a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise RequestError(f"{field}: {exc}") from exc
 
 
 def _parse_weights(w) -> ObjectiveWeights:
@@ -79,12 +87,9 @@ def _parse_weights(w) -> ObjectiveWeights:
         raise RequestError("weights: expected a key/value document")
     values = {}
     for name in ("alpha", "beta", "gamma"):
-        try:
-            values[name] = float(w[name])
-        except KeyError:
-            raise RequestError(f"weights.{name}: missing") from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise RequestError(f"weights.{name}: {exc}") from exc
+        if name not in w:
+            raise RequestError(f"weights.{name}: missing")
+        values[name] = _scalar(w[name], f"weights.{name}")
     try:
         return ObjectiveWeights(**values)
     except ConfigError as exc:  # a named weight's message starts with its name

@@ -56,8 +56,14 @@ def parse_request_reference(doc, config):
         raise RequestError("user: missing")
     if not isinstance(doc["user"], list):
         raise RequestError("user: not a list")
+
+    def scalar(v):
+        if isinstance(v, bool):
+            raise TypeError(f"{v!r} is a boolean, not a number")
+        return float(v)
+
     try:
-        user = UserContext(np.array([float(v) for v in doc["user"]]))
+        user = UserContext(np.array([scalar(v) for v in doc["user"]]))
     except (TypeError, ValueError, OverflowError) as exc:
         raise RequestError(f"user: {exc}") from exc
     if user.user_features.shape[0] != config.d_user:
@@ -129,7 +135,7 @@ def parse_request_reference(doc, config):
             if name not in w:
                 raise RequestError(f"weights.{name}: missing")
             try:
-                values.append(float(w[name]))
+                values.append(scalar(w[name]))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise RequestError(f"weights.{name}: {exc}") from exc
         try:
@@ -140,7 +146,7 @@ def parse_request_reference(doc, config):
     lam = None
     if "lambda" in doc:
         try:
-            lam = float(doc["lambda"])
+            lam = scalar(doc["lambda"])
         except (TypeError, ValueError, OverflowError) as exc:
             raise RequestError(f"lambda: {exc}") from exc
         if not 0.0 <= lam <= 1.0:

@@ -383,6 +383,8 @@ def _malformed(doc, kind):
         doc["candidates"][4]["id"] = doc["candidates"][1]["id"]
     elif kind == "lambda_not_number":
         doc["lambda"] = "x"
+    elif kind == "weights_bool":
+        doc["weights"] = {"alpha": True, "beta": False, "gamma": False}
     elif kind == "emb_nan":
         doc["candidates"][2]["emb"][0] = float("nan")
     elif kind == "price_nan":
@@ -410,6 +412,7 @@ def _malformed(doc, kind):
     ("user_inf", ("user", "finite")),
     ("id_outside_int64", ("candidates[3].id", "int64")),
     ("id_fractional", ("candidates[6].id", "not an integer")),
+    ("weights_bool", ("weights.alpha", "true")),
 ])
 def test_rerank_endpoint_rejects_malformed_field(live_server, workdir, kind, fragments):
     doc, _, _ = _request_doc(workdir, seed=29)

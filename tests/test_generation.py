@@ -274,6 +274,38 @@ def test_generate_on_packed_pool_equals_item_pool(small_config, small_params,
         assert np.array_equal(trace.features.emb[rows], [pool[i].embedding for i in rows])
 
 
+@pytest.mark.parametrize("window_w", [0, -1])
+@pytest.mark.parametrize("fn", [generation.generate, generation.generate_iterative_reference])
+def test_window_below_one_is_rejected(small_config, small_params, small_catalog, weights,
+                                      window_w, fn):
+    # The window slice chosen[-0:] would be the whole prefix, not an empty one.
+    rng = np.random.default_rng(13)
+    pool = sample_pool(small_catalog, small_config.l_s, rng)
+    queues = generation.build_queues(sortmodel.item_features(pool), small_config.queue_specs,
+                                     "dfs", small_config.l_o)
+    vm = ValueModel(small_config, small_params)
+    with pytest.raises(ConfigError, match="window_w"):
+        fn(sample_user(rng, small_config.d_user), queues, vm, weights, lam=0.0,
+           window_w=window_w)
+
+
+def test_window_of_one_sees_only_the_last_item(small_config, small_params, small_catalog,
+                                               weights):
+    rng = np.random.default_rng(14)
+    vm = ValueModel(small_config, small_params)
+    for lam in (0.0, 0.5):
+        pool = sample_pool(small_catalog, small_config.l_s, rng)
+        queues = generation.build_queues(sortmodel.item_features(pool), small_config.queue_specs,
+                                         "dfs", small_config.l_o)
+        trace = generation.generate(sample_user(rng, small_config.d_user), queues, vm, weights,
+                                    lam=lam, window_w=1)
+        by_id = {it.id: it for it in pool}
+        for t, step in enumerate(trace.steps):
+            prefix = [pool[i] for i in trace.rows[:t]]
+            for _, item_id, value, score in step.candidates:
+                assert score == mmr_score(by_id[item_id], prefix, 1, lam, value)
+
+
 @pytest.mark.parametrize("strategy", ["dfs", "bfs"])
 @pytest.mark.parametrize("fn", [generation.generate, generation.generate_iterative_reference])
 def test_trace_ids_are_the_chosen_candidates(small_config, small_params, small_catalog,

@@ -1,0 +1,143 @@
+"""Fuzz of the live HTTP service: every request gets a whole JSON reply.
+
+The server runs on a thread, and each example is one request on its own
+connection, written byte by byte: Hypothesis request bodies (valid, faulty,
+truncated, retyped, with NaN, Infinity or 1e400 tokens), bad Content-Length
+values and unknown routes. The reply must be a JSON 200 whose numbers are
+finite, a JSON 4xx, or a JSON 500, and it must arrive before the server
+closes the connection.
+"""
+
+import json
+import math
+import re
+import socket
+import string
+import threading
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from sortgen import model as sortmodel, server as srv
+from sortgen.core import EngineConfig
+from tests.test_request import documents, faulty_documents
+
+CONFIG = EngineConfig(l_s=10, l_o=4, d_model=16, n_layers=1, n_heads=2, max_count=4, seed=3)
+FUZZ = settings(max_examples=120, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+TOKENS = ("NaN", "Infinity", "-Infinity", "1e400", "-1e400", "true", "null", '"x"', "[]", "{}")
+NUMBER = re.compile(r"-?\d+(\.\d+)?([eE][-+]?\d+)?")
+
+
+@pytest.fixture(scope="module")
+def address(tmp_path_factory):
+    ckpt = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    sortmodel.save_checkpoint(ckpt, sortmodel.init_params(CONFIG), CONFIG)
+    server = srv.make_server(str(ckpt), 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server.server_address
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def _exchange(address, method: str, path: str, headers: bytes, body: bytes = b"") -> tuple:
+    """One request on a fresh connection; the reply's status and body, read to EOF."""
+    with socket.create_connection(address, timeout=10) as conn:
+        conn.sendall(f"{method} {path} HTTP/1.1\r\nHost: localhost\r\n".encode() + headers
+                     + b"\r\n" + body)
+        reply = b""
+        while chunk := conn.recv(65536):
+            reply += chunk
+    head, sep, payload = reply.partition(b"\r\n\r\n")
+    assert sep, f"no complete reply: {reply[:200]!r}"
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    fields = dict(line.split(": ", 1) for line in header_lines)
+    assert fields.get("Content-Type") == "application/json", fields
+    assert int(fields["Content-Length"]) == len(payload)
+
+    def no_constant(token):
+        raise AssertionError(f"reply holds the non-JSON token {token}")
+
+    return int(status_line.split()[1]), json.loads(payload, parse_constant=no_constant)
+
+
+def _check_reply(status: int, doc) -> None:
+    assert status == 200 or 400 <= status < 500 or status == 500, status
+    if status != 200:
+        assert isinstance(doc, dict) and isinstance(doc.get("error"), str), doc
+        return
+    assert isinstance(doc["item_ids"], list) and len(doc["item_ids"]) == CONFIG.l_o
+    assert all(isinstance(v, int) for v in doc["item_ids"] + doc["source_queues"])
+    assert isinstance(doc["combined_value"], float) and math.isfinite(doc["combined_value"])
+
+
+@st.composite
+def bodies(draw) -> bytes:
+    doc = draw(documents() | faulty_documents())
+    if draw(st.booleans()):
+        doc["weights"] = {name: draw(st.floats() | st.booleans() | JSON_VALUES)
+                          for name in ("alpha", "beta", "gamma")}
+    if draw(st.booleans()):
+        doc["lambda"] = draw(st.floats() | st.booleans() | JSON_VALUES)
+    change = draw(st.sampled_from(["none", "token", "truncate", "retype", "replace"]))
+    if change == "retype":
+        doc[draw(st.sampled_from(["user", "candidates", "weights", "lambda"]))] = \
+            draw(JSON_VALUES)
+    elif change == "replace":
+        doc = draw(JSON_VALUES)
+    text = json.dumps(doc)  # a NaN or infinite float is written as its bare token
+    if change == "token" and (numbers := list(NUMBER.finditer(text))):
+        m = draw(st.sampled_from(numbers))
+        text = text[:m.start()] + draw(st.sampled_from(TOKENS)) + text[m.end():]
+    elif change == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text.encode("utf-8")
+
+
+@FUZZ
+@given(body=bodies())
+def test_any_rerank_body_gets_a_json_reply(address, body):
+    status, doc = _exchange(address, "POST", "/rerank", b"Content-Length: %d\r\n" % len(body),
+                            body)
+    _check_reply(status, doc)
+
+
+def _not_a_body_length(value: str) -> bool:
+    """A value that does not read as a length the server would wait for."""
+    try:
+        n = int(value)
+    except ValueError:
+        return True
+    return n < 0 or n > srv.MAX_BODY_BYTES
+
+
+@FUZZ
+@given(length=st.integers(max_value=-1).map(str)
+       | st.integers(min_value=srv.MAX_BODY_BYTES + 1).map(str)
+       | st.text(string.ascii_letters + string.digits + "+-._ ", max_size=12)
+       .filter(_not_a_body_length))
+def test_bad_content_length_gets_a_json_400(address, length):
+    # No body is sent: the header alone must be refused.
+    status, doc = _exchange(address, "POST", "/rerank",
+                            b"Content-Length: " + length.encode() + b"\r\n")
+    assert status == 400 and "Content-Length" in doc["error"], (status, doc)
+
+
+@FUZZ
+@given(method=st.sampled_from(["GET", "POST"]),
+       path=st.text(string.ascii_letters + string.digits + "/-_.?=&%", max_size=20)
+       .map(lambda p: "/" + p).filter(lambda p: p not in ("/rerank", "/healthz")))
+def test_unknown_route_gets_a_json_404(address, method, path):
+    body = b"{}" if method == "POST" else b""
+    status, doc = _exchange(address, method, path, b"Content-Length: %d\r\n" % len(body), body)
+    assert status == 404 and doc == {"error": "unknown route"}, (status, doc)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sortgen import model as sortmodel
-from sortgen import nn, simulator
-from sortgen.core import ConfigError, EngineConfig, UserContext
+from sortgen import nn, simulator, values
+from sortgen.core import ConfigError, EngineConfig, ObjectiveWeights, UserContext
 from sortgen.nn import Var
 from tests.helpers import ffn_reference, mhsa_reference, param_count
 
@@ -362,16 +362,17 @@ def test_infer_matches_tape_forward(small_config, head_mode):
 def test_extend_matches_full_recomputation(small_config, head_mode):
     cfg = dataclasses.replace(small_config, head_mode=head_mode)
     params = sortmodel.init_params(cfg, seed=19)
+    packed = sortmodel.InferenceWeights.from_params(cfg, params)
     rng = np.random.default_rng(20)
     user = rng.normal(size=cfg.d_user)
-    prefix = sortmodel.Prefix.empty(cfg, user)
+    prefix = sortmodel.Prefix.empty(packed, user)
     emb = np.zeros((0, cfg.d_emb))
     score = np.zeros((0, 2))
     for t in range(cfg.l_o):
         n = 3
         cand_emb = rng.normal(size=(n, cfg.d_emb))
         cand_score = rng.uniform(size=(n, 2))
-        ext = sortmodel.extend(cfg, params, prefix, cand_emb, cand_score)
+        ext = sortmodel.extend(packed, prefix, packed.project(cand_emb, cand_score))
         full_emb = np.concatenate([np.repeat(emb[None], n, axis=0), cand_emb[:, None]], axis=1)
         full_score = np.concatenate([np.repeat(score[None], n, axis=0), cand_score[:, None]],
                                     axis=1)
@@ -387,11 +388,101 @@ def test_extend_matches_full_recomputation(small_config, head_mode):
 
 
 def test_extend_rejects_overlong_prefix(small_config, small_params):
-    prefix = sortmodel.Prefix.empty(small_config, np.zeros(small_config.d_user))
+    packed = sortmodel.InferenceWeights.from_params(small_config, small_params)
+    prefix = sortmodel.Prefix.empty(packed, np.zeros(small_config.d_user))
+    row = packed.project(np.ones((1, small_config.d_emb)), np.ones((1, 2)))
     for _ in range(small_config.l_o):
-        ext = sortmodel.extend(small_config, small_params, prefix,
-                               np.ones((1, small_config.d_emb)), np.ones((1, 2)))
-        prefix = ext.choose(prefix, 0)
+        prefix = sortmodel.extend(packed, prefix, row).choose(prefix, 0)
     with pytest.raises(ConfigError, match="exceeds"):
-        sortmodel.extend(small_config, small_params, prefix,
-                         np.ones((1, small_config.d_emb)), np.ones((1, 2)))
+        sortmodel.extend(packed, prefix, row)
+
+
+def test_packed_step_rejects_a_wrong_feature_width(small_config, small_params):
+    packed = sortmodel.InferenceWeights.from_params(small_config, small_params)
+    d_emb, d_user = small_config.d_emb, small_config.d_user
+    prefix = sortmodel.Prefix.empty(packed, np.zeros(d_user))
+    row = packed.project(np.ones((2, d_emb)), np.ones((2, 2)))
+    for call in (lambda: packed.project(np.ones((2, d_emb + 1)), np.ones((2, 2))),
+                 lambda: packed.project(np.ones((2, d_emb)), np.ones((2, 3))),
+                 lambda: sortmodel.Prefix.empty(packed, np.zeros(d_user + 1)),
+                 lambda: sortmodel.extend(packed, prefix, row[:, :-1])):
+        with pytest.raises(ConfigError, match="feature width"):
+            call()
+
+
+def _perturbed_params(config, seed):
+    """init_params with every entry moved, so that a bias, gain, position
+    row or threshold that the packing drops or misplaces changes the output."""
+    rng = np.random.default_rng(seed)
+    return {name: Var(p.value + rng.normal(0.0, 0.1, size=p.value.shape))
+            for name, p in sortmodel.init_params(config, seed=seed).items()}
+
+
+@pytest.mark.parametrize("head_mode", ["monotone", "literal"])
+def test_packed_step_matches_full_forward(small_config, head_mode):
+    # At every prefix length, each candidate's survival rows and combined
+    # value from the packed step equal those of the full forward over the
+    # parameter dict, to 1e-12 relative.
+    cfg = dataclasses.replace(small_config, head_mode=head_mode)
+    params = _perturbed_params(cfg, seed=21)
+    packed = sortmodel.InferenceWeights.from_params(cfg, params)
+    weights = ObjectiveWeights()
+    n = 4
+    emb, users, score = _random_inputs(cfg, n, cfg.l_o, seed=22)  # candidates at step t: [:, t]
+    price = np.random.default_rng(23).lognormal(3.0, 0.6, size=(n, cfg.l_o))
+    user = users[0]
+    prefix = sortmodel.Prefix.empty(packed, user)
+    path: list[int] = []  # the candidate chosen at each earlier step
+    for t in range(cfg.l_o):
+        ext = sortmodel.extend(packed, prefix, packed.project(emb[:, t], score[:, t]))
+
+        def full(a):
+            """Each candidate's whole sequence: the chosen rows, then its own."""
+            return np.concatenate([np.repeat(a[path, np.arange(t)][None], n, axis=0),
+                                   a[:, t, None]], axis=1)
+
+        click, pay = sortmodel.infer(cfg, params, full(emb), np.tile(user, (n, 1)), full(score))
+        np.testing.assert_allclose(ext.click, click, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(ext.pay, pay, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            values.combined_values_batch(ext.click, ext.pay, full(price), weights),
+            values.combined_values_batch(click, pay, full(price), weights), rtol=1e-12, atol=0.0)
+        path.append((3 * t + 1) % n)
+        prefix = ext.choose(prefix, path[-1])
+
+
+@pytest.mark.parametrize("head_mode", ["monotone", "literal"])
+def test_inference_weights_match_their_parameters(small_config, head_mode):
+    cfg = dataclasses.replace(small_config, head_mode=head_mode)
+    params = _perturbed_params(cfg, seed=24)
+    packed = sortmodel.InferenceWeights.from_params(cfg, params)
+    dm = cfg.d_model
+    for i, block in enumerate(packed.blocks):
+        for j, c in enumerate("qkv"):
+            assert np.array_equal(block.qkv_w[:, j * dm:(j + 1) * dm],
+                                  params[f"layer{i}.attn.W{c}"].value)
+            assert np.array_equal(block.qkv_b[j * dm:(j + 1) * dm],
+                                  params[f"layer{i}.attn.b{c}"].value)
+    # The heads' second layer is block-diagonal, with exact zeros off it.
+    hidden, out = params["head_click.W2"].value.shape
+    assert np.array_equal(packed.head_w2[:hidden, :out], params["head_click.W2"].value)
+    assert np.array_equal(packed.head_w2[hidden:, out:], params["head_pay.W2"].value)
+    assert (packed.head_w2[:hidden, out:] == 0.0).all()
+    assert (packed.head_w2[hidden:, :out] == 0.0).all()
+    # With the heads' outputs zeroed, the tape forward's logits are minus its
+    # cutpoints (all 0 for literal heads).
+    zeroed = dict(params)
+    for head in ("head_click", "head_pay"):
+        for name in ("W2", "b2"):
+            zeroed[f"{head}.{name}"] = Var(np.zeros_like(params[f"{head}.{name}"].value))
+    tape = sortmodel.forward(cfg, zeroed, *_random_inputs(cfg, 1, 1, seed=25))
+    np.testing.assert_allclose(
+        packed.cutpoints,
+        -np.stack([tape.click_logits.value[0, 0], tape.pay_logits.value[0, 0]]),
+        rtol=1e-14, atol=0.0)
+    arrays = [getattr(packed, f.name) for f in dataclasses.fields(packed)
+              if isinstance(getattr(packed, f.name), np.ndarray)]
+    arrays += [a for block in packed.blocks for a in block]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0

@@ -1,7 +1,9 @@
 """The packed request parser against the per-Item reference parser."""
 
 import itertools
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -215,3 +217,32 @@ def test_fault_in_an_earlier_row_beats_a_malformed_later_row(small_config):
     del doc["candidates"][4]["ctr"]
     with pytest.raises(srv.RequestError, match=r"^candidates\[1\]\.price: negative price"):
         srv.parse_rerank_request(doc, small_config)
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("key", ["user", "lambda", "weights.alpha", "weights.beta",
+                                 "weights.gamma"])
+def test_boolean_is_not_a_number(small_config, key, value):
+    # JSON true and false load as Python bools, which float() reads as 1.0 and 0.0.
+    doc = parse_doc(small_config)
+    if key == "user":
+        doc["user"][2] = value
+    elif key == "lambda":
+        doc["lambda"] = value
+    else:
+        doc["weights"] = {"alpha": 1.0, "beta": 1.0, "gamma": 1.0, key[8:]: value}
+    doc = json.loads(json.dumps(doc))
+    for parse in (srv.parse_rerank_request, parse_request_reference):
+        with pytest.raises(srv.RequestError, match=rf"^{re.escape(key)}: "):
+            parse(doc, small_config)
+
+
+def test_boolean_in_a_candidate_reads_as_an_integer(small_config):
+    # A packed column reads a bool as its integer, and so does the row reader.
+    doc = parse_doc(small_config)
+    doc["candidates"][1]["price"] = True
+    doc["candidates"][3]["cat"] = False
+    for parse in (srv.parse_rerank_request, parse_request_reference):
+        _, pool, _, _ = parse(json.loads(json.dumps(doc)), small_config)
+        pool = pool if isinstance(pool, sortmodel.ItemFeatures) else sortmodel.item_features(pool)
+        assert pool.price[1] == 1.0 and pool.cat[3] == 0
