@@ -221,13 +221,16 @@ class ValueModel:
         return listvalue.combined_values_batch(click, pay, features.price[rows], weights)
 
     def extension_values(self, cache: sortmodel.Prefix, x: np.ndarray, prices: np.ndarray,
-                         weights: ObjectiveWeights) -> tuple[np.ndarray, sortmodel.Extension]:
+                         pay_count: float, gmv: float, weights: ObjectiveWeights
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, sortmodel.Extension]:
         """Combined values of the cached prefix extended by each candidate,
-        from one incremental step. x: [n, d_model], the candidates' projected
-        rows; prices: [n, t+1], each extended sequence's prices."""
+        from one incremental step, and each extended list's expected pay
+        count and GMV (`values.step_values`). x: [n, d_model], the
+        candidates' projected rows; prices: [n], their prices; pay_count and
+        gmv: the prefix's."""
         self.invocations += 1
         ext = sortmodel.extend(self.weights, cache, x)
-        return listvalue.combined_values_batch(ext.click, ext.pay, prices, weights), ext
+        return (*listvalue.step_values(ext.click, ext.pay, prices, pay_count, gmv, weights), ext)
 
 
 def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
@@ -248,12 +251,23 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
     chosen: list[int] = []  # pool indices
     sources: list[int] = []
     steps: list[StepRecord] = []
+    # A queue head stays in place until it is chosen, so each (candidate,
+    # chosen item) similarity is computed once and reused while the chosen
+    # item is in the window.
+    sims: dict[tuple[int, int], float] = {}
+
+    def similarity(a: int, b: int) -> float:
+        if (a, b) not in sims:
+            sims[a, b] = float(np.dot(features.emb[a], features.emb[b]))
+        return sims[a, b]
+
     if cached:
         # Every row a step can score is in a queue: project those rows once.
         held = [idx for queue in queues.queues for idx in queue]
         inputs = np.zeros((len(features.ids), cfg.d_model))
         inputs[held] = vm.weights.project(features.emb[held], features.score[held])
-        cache = sortmodel.Prefix.empty(vm.weights, user.user_features)
+        cache = sortmodel.Prefix.empty(vm.weights, user.user_features, len(queues.queues))
+        pay_count, gmv = 0.0, 0.0  # the chosen prefix's expected pay count and GMV
 
     for _ in range(cfg.l_o):
         heads = []
@@ -266,17 +280,17 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
 
         rows = [idx for _, idx in heads]
         if cached:
-            prices = features.price[np.array([chosen + [r] for r in rows])]
-            vals, ext = vm.extension_values(cache, inputs[rows], prices, weights)
+            vals, pay_counts, gmvs, ext = vm.extension_values(
+                cache, inputs[rows], features.price[rows], pay_count, gmv, weights)
         else:
             vals = np.array([vm.pool_values(features, np.array([chosen + [r]]), user, weights)[0]
                              for r in rows])
 
-        recent = [features.emb[i] for i in chosen[-window_w:]]
+        recent = chosen[-window_w:]
         records = []
         best = None
         for k, ((qi, idx), value) in enumerate(zip(heads, vals)):
-            max_sim = max((float(np.dot(features.emb[idx], e)) for e in recent), default=0.0)
+            max_sim = max((similarity(idx, j) for j in recent), default=0.0)
             score = lam * float(value) - (1.0 - lam) * max_sim
             records.append((qi, int(features.ids[idx]), float(value), score))
             # Queues are disjoint, so per-step candidates are distinct items;
@@ -291,6 +305,7 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
         steps.append(StepRecord(records, qi))
         if cached:
             cache = ext.choose(cache, k)
+            pay_count, gmv = pay_counts[k], gmvs[k]
 
     wall = time.perf_counter_ns() - start
     invocations = vm.invocations - start_invocations

@@ -219,8 +219,9 @@ def item_features(items) -> ItemFeatures:
 # The greedy step runs on `InferenceWeights`, the parameters packed once per
 # value model. `extend` computes only the new position of each candidate and
 # attends over the keys and values of the chosen prefix, which a `Prefix`
-# caches (KV caching). The model is causal and everything but attention is
-# per position, so this equals the full forward over prefix + candidate.
+# caches in buffers filled in place (KV caching), so no step copies the
+# cache. The model is causal and everything but attention is per position,
+# so this equals the full forward over prefix + candidate.
 
 
 def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -400,83 +401,88 @@ class InferenceWeights:
 @dataclass
 class Prefix:
     """A chosen prefix for one user, cached so that the next position can be
-    scored without recomputing it."""
+    scored without recomputing it.
+
+    The keys and values are buffers of l_o slots, allocated once per request,
+    with one row per candidate that a step can score: slots [:t] of every row
+    hold the prefix's keys and values, and `extend` writes candidate k's into
+    slot t of row k.
+    """
 
     user: np.ndarray        # [d_model]: the user's share of the input projection
-    keys: list[np.ndarray]  # per layer [n_heads, t, d_head]
-    vals: list[np.ndarray]  # per layer [n_heads, t, d_head]
-    click: np.ndarray       # [t, max_count] survival rows of the prefix
-    pay: np.ndarray
+    keys: list[np.ndarray]  # per layer [width, n_heads, l_o, d_head]
+    vals: list[np.ndarray]  # per layer [width, n_heads, l_o, d_head]
+    length: int = 0
 
     @classmethod
-    def empty(cls, weights: InferenceWeights, user: np.ndarray) -> "Prefix":
+    def empty(cls, weights: InferenceWeights, user: np.ndarray, width: int) -> "Prefix":
+        """An empty prefix whose steps score at most `width` candidates each."""
         config = weights.config
         user = np.asarray(user, dtype=np.float64)
         if user.shape != (config.d_user,):
             raise ConfigError("feature width mismatch")
-        kv = np.zeros((config.n_heads, 0, config.d_model // config.n_heads))
-        rows = np.zeros((0, config.max_count))
-        return cls(user @ weights.user, [kv] * config.n_layers, [kv] * config.n_layers,
-                   rows, rows)
+        shape = (width, config.n_heads, config.l_o, config.d_model // config.n_heads)
+        return cls(user @ weights.user, [np.empty(shape) for _ in range(config.n_layers)],
+                   [np.empty(shape) for _ in range(config.n_layers)])
 
     def __len__(self) -> int:
-        return self.click.shape[0]
+        return self.length
 
 
 @dataclass
 class Extension:
-    """A prefix extended by each of n candidates."""
+    """A prefix extended by each of n candidates: the survival row of each
+    candidate's new position. Its keys and values are in the prefix's slot t."""
 
-    click: np.ndarray       # [n, t+1, max_count]: prefix rows, then the new row
+    click: np.ndarray  # [n, max_count]
     pay: np.ndarray
-    keys: list[np.ndarray]  # per layer [n, n_heads, 1, d_head] of the new position
-    vals: list[np.ndarray]
 
     def choose(self, prefix: Prefix, k: int) -> Prefix:
-        """The prefix extended by candidate k."""
-        return Prefix(
-            prefix.user,
-            [np.concatenate([old, new[k]], axis=1) for old, new in zip(prefix.keys, self.keys)],
-            [np.concatenate([old, new[k]], axis=1) for old, new in zip(prefix.vals, self.vals)],
-            self.click[k], self.pay[k])
+        """The prefix extended by candidate k, in place: row k's slot t is
+        copied into every row. This consumes `prefix`, and the prefix that
+        comes back is the same object; call it once, on the prefix that
+        produced this extension, before the next `extend`."""
+        t = prefix.length
+        for cache in (*prefix.keys, *prefix.vals):
+            cache[:, :, t] = cache[k, :, t]
+        prefix.length = t + 1
+        return prefix
 
 
 def extend(weights: InferenceWeights, prefix: Prefix, x: np.ndarray) -> Extension:
     """Score the prefix extended by each of n candidates, computing only the
     new position. x: [n, d_model], the candidates' `InferenceWeights.project`
-    rows."""
+    rows. Writes each candidate's key and value into slot t of its row of the
+    prefix's cache, and leaves slots [:t] as they are."""
     config = weights.config
     n, t = x.shape[0], len(prefix)
     if t + 1 > config.l_o:
         raise ConfigError(f"sequence length {t + 1} exceeds position table size {config.l_o}")
     if x.shape != (n, config.d_model):
         raise ConfigError("feature width mismatch")
+    width = prefix.keys[0].shape[0]
+    if n > width:
+        raise ConfigError(f"{n} candidates exceed the prefix's width of {width}")
     heads, dh = config.n_heads, config.d_model // config.n_heads
     x = x + (weights.pos[t] + prefix.user)
-    keys, vals = [], []
-    for b, past_k, past_v in zip(weights.blocks, prefix.keys, prefix.vals):
+    for b, cache_k, cache_v in zip(weights.blocks, prefix.keys, prefix.vals):
         qkv = (_norm(x, b.ln1_g, b.ln1_b) @ b.qkv_w + b.qkv_b).reshape(n, 3, heads, 1, dh)
-        q, k, v = qkv[:, 0], qkv[:, 1], qkv[:, 2]  # [n, heads, 1, dh]
-        all_k = np.concatenate([past_k[None].repeat(n, axis=0), k], axis=2)
-        all_v = np.concatenate([past_v[None].repeat(n, axis=0), v], axis=2)
-        scores = (q @ all_k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
+        cache_k[:n, :, t] = qkv[:, 1, :, 0]
+        cache_v[:n, :, t] = qkv[:, 2, :, 0]
+        all_k, all_v = cache_k[:n, :, :t + 1], cache_v[:n, :, :t + 1]  # [n, heads, t+1, dh]
+        scores = (qkv[:, 0] @ all_k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
         # The new position sees every key, so no entry is masked.
         out = (nn.softmax_rows(scores, True) @ all_v).reshape(n, config.d_model)
         x = x + (out @ b.out_w + b.out_b)
         h = np.maximum(_norm(x, b.ln2_g, b.ln2_b) @ b.ffn_w1 + b.ffn_b1, 0.0)
         x = x + (h @ b.ffn_w2 + b.ffn_b2)
-        keys.append(k)
-        vals.append(v)
     h = np.maximum(_norm(x, weights.final_g, weights.final_b) @ weights.head_w1
                    + weights.head_b1, 0.0)
     z = (h @ weights.head_w2 + weights.head_b2).reshape(n, 2, -1) - weights.cutpoints
     probs = 1.0 / (1.0 + np.exp(-z)) * weights.valid[t]  # [n, 2 (click, pay), max_count]
     if not np.isfinite(probs).all():
         raise FloatingPointError("non-finite activations in forward pass")
-    return Extension(
-        np.concatenate([prefix.click[None].repeat(n, axis=0), probs[:, None, 0]], axis=1),
-        np.concatenate([prefix.pay[None].repeat(n, axis=0), probs[:, None, 1]], axis=1),
-        keys, vals)
+    return Extension(probs[:, 0], probs[:, 1])
 
 
 # ------------------------------ checkpoints --------------------------------

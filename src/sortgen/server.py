@@ -22,6 +22,7 @@ from sortgen.core import (
     Item,
     ObjectiveWeights,
     UserContext,
+    config_hash,
     item_fault,
 )
 from sortgen.model import ItemFeatures, load_checkpoint
@@ -270,13 +271,28 @@ class RerankHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":  # a reply to HEAD has headers only
+            self.wfile.write(body)
+
+    def send_error(self, code, message=None, explain=None):
+        """The refusals that the stdlib handler makes before a do_* method
+        runs (a method other than GET and POST, a malformed or overlong
+        request line, oversized headers), as JSON errors with the same
+        status. A request line too malformed to name an HTTP version still
+        gets a status line and headers."""
+        if self.request_version == self.default_request_version:
+            self.request_version = self.protocol_version
+        self.close_connection = True
+        self._reply(code, {"error": message or self.responses.get(code, ("error",))[0]})
 
     def do_GET(self):
         if self.path != "/healthz":
             self._reply(404, {"error": "unknown route"})
             return
-        self._reply(200, {"status": "ok", "checkpoint_hash": self.state.ckpt_hash})
+        state = self.state
+        self._reply(200, {"status": "ok", "checkpoint_hash": state.ckpt_hash,
+                          "config_hash": config_hash(state.config),
+                          "param_count": sum(p.value.size for p in state.params.values())})
 
     def do_POST(self):
         try:

@@ -5,7 +5,8 @@ E[Y] = sum_i P(Y >= i); per-step incremental value is the difference of
 expected counts at consecutive prefix lengths, GMV value is the
 price-weighted sum of pay increments, and the combined list value is the
 weighted sum over objectives. All of it works on batches of survival
-matrices, [B, l, max_count].
+matrices, [B, l, max_count]; `step_values` extends a list by one position
+from running sums, for the greedy step.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ class LabelVector:
 
 
 def expected_counts_batch(values: np.ndarray) -> np.ndarray:
-    """[B, l, max_count] survival probs -> [B, l] expected counts per prefix.
+    """[..., max_count] survival probs -> [...] expected counts, e.g.
+    [B, l, max_count] -> [B, l], one per prefix.
 
     Each row is first clamped to a non-increasing sequence over the threshold
     axis, since literal heads may emit survival values that increase with i.
@@ -67,6 +69,24 @@ def combined_values_batch(click: np.ndarray, pay: np.ndarray, prices: np.ndarray
     pay_incr[:, 1:] -= e_pay[:, :-1]
     v_gmv = (prices * pay_incr).sum(axis=1)
     return weights.alpha * e_click[:, -1] + weights.beta * e_pay[:, -1] + weights.gamma * v_gmv
+
+
+def step_values(click: np.ndarray, pay: np.ndarray, prices: np.ndarray, pay_count: float,
+                gmv: float, weights: ObjectiveWeights) -> tuple[np.ndarray, np.ndarray,
+                                                               np.ndarray]:
+    """Combined values of one list extended by each of B candidates, in
+    O(B * max_count): `combined_values_batch` over the whole extended lists,
+    up to the order of the GMV sum.
+
+    click/pay: [B, max_count], the survival rows of the new position;
+    prices: [B], the candidates' prices; pay_count and gmv: the list's
+    expected pay count and GMV (0 for the empty list). Returns the values and
+    each extended list's expected pay count and GMV, all [B].
+    """
+    e_click = expected_counts_batch(click)
+    e_pay = expected_counts_batch(pay)
+    gmv = gmv + prices * (e_pay - pay_count)
+    return weights.alpha * e_click + weights.beta * e_pay + weights.gamma * gmv, e_pay, gmv
 
 
 # ------------------------------- losses ------------------------------------

@@ -262,6 +262,9 @@ def test_healthz(live_server, workdir):
         doc = json.loads(resp.read())
     assert doc["status"] == "ok"
     assert len(doc["checkpoint_hash"]) == 64
+    _, engine = sortmodel.load_checkpoint(workdir["ckpt"])
+    assert doc["config_hash"] == core.config_hash(engine)
+    assert doc["param_count"] == sortmodel.expected_param_count(engine)
 
 
 def test_rerank_endpoint_matches_cli(live_server, workdir, capsys):

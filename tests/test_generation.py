@@ -306,6 +306,39 @@ def test_window_of_one_sees_only_the_last_item(small_config, small_params, small
                 assert score == mmr_score(by_id[item_id], prefix, 1, lam, value)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), lam=st.sampled_from([0.0, 0.5, 0.8, 1.0]),
+       strategy=st.sampled_from(["dfs", "bfs"]),
+       head_mode=st.sampled_from(["monotone", "literal"]))
+def test_generate_matches_iterative_reference_at_any_window(small_config, small_catalog,
+                                                            weights, data, seed, lam, strategy,
+                                                            head_mode):
+    # The cached step, its running list values and its reused similarities
+    # against one full forward per candidate and the per-Item MMR reference.
+    cfg = dataclasses.replace(small_config, head_mode=head_mode)
+    window_w = data.draw(st.integers(1, cfg.l_o + 1), label="window_w")
+    rng = np.random.default_rng(seed)
+    vm = ValueModel(cfg, sortmodel.init_params(cfg, seed=int(rng.integers(1000))))
+    pool = sample_pool(small_catalog, cfg.l_s, rng)
+    user = sample_user(rng, cfg.d_user)
+    queues = generation.build_queues(sortmodel.item_features(pool), cfg.queue_specs, strategy,
+                                     cfg.l_o)
+    fast = generation.generate(user, queues, vm, weights, lam=lam, window_w=window_w)
+    ref = generation.generate_iterative_reference(user, queues, vm, weights, lam=lam,
+                                                  window_w=window_w)
+    assert fast.ids == ref.ids
+    assert fast.sources == ref.sources
+    by_id = {it.id: it for it in pool}
+    for t, (got, want) in enumerate(zip(fast.steps, ref.steps)):
+        assert [c[:2] for c in got.candidates] == [c[:2] for c in want.candidates]
+        prefix = [pool[i] for i in fast.rows[:t]]
+        for (_, item_id, v_got, s_got), (_, _, v_want, s_want) in zip(got.candidates,
+                                                                       want.candidates):
+            assert abs(v_got - v_want) <= 1e-12 * abs(v_want)
+            assert s_got == mmr_score(by_id[item_id], prefix, window_w, lam, v_got)
+            assert s_want == mmr_score(by_id[item_id], prefix, window_w, lam, v_want)
+
+
 @pytest.mark.parametrize("strategy", ["dfs", "bfs"])
 @pytest.mark.parametrize("fn", [generation.generate, generation.generate_iterative_reference])
 def test_trace_ids_are_the_chosen_candidates(small_config, small_params, small_catalog,

@@ -3,9 +3,11 @@
 The server runs on a thread, and each example is one request on its own
 connection, written byte by byte: Hypothesis request bodies (valid, faulty,
 truncated, retyped, with NaN, Infinity or 1e400 tokens), bad Content-Length
-values and unknown routes. The reply must be a JSON 200 whose numbers are
-finite, a JSON 4xx, or a JSON 500, and it must arrive before the server
-closes the connection.
+values, unknown routes, methods other than GET and POST, and malformed or
+overlong request lines. The reply must be a JSON 200 whose numbers are
+finite, a JSON 4xx, or a JSON 500 (any JSON 5xx for a request the HTTP layer
+refuses), and it must arrive before the server closes the connection. A
+reply to HEAD has the headers of a JSON reply and no body.
 """
 
 import json
@@ -34,6 +36,9 @@ JSON_VALUES = st.recursive(
     max_leaves=8)
 TOKENS = ("NaN", "Infinity", "-Infinity", "1e400", "-1e400", "true", "null", '"x"', "[]", "{}")
 NUMBER = re.compile(r"-?\d+(\.\d+)?([eE][-+]?\d+)?")
+PATH = st.text(string.ascii_letters + string.digits + "/-_.?=&%", max_size=20).map(
+    lambda p: "/" + p)
+WORD = st.text(string.ascii_letters + string.digits + "/-_.?=&%", min_size=1, max_size=12)
 
 
 @pytest.fixture(scope="module")
@@ -50,25 +55,37 @@ def address(tmp_path_factory):
     assert not thread.is_alive()
 
 
-def _exchange(address, method: str, path: str, headers: bytes, body: bytes = b"") -> tuple:
-    """One request on a fresh connection; the reply's status and body, read to EOF."""
+def _send(address, request: bytes) -> tuple[int, dict, bytes]:
+    """Write one raw request on a fresh connection; the reply's status,
+    headers and body, read to EOF. The server closes the connection after
+    the reply, and may reset it when it left part of the request unread."""
     with socket.create_connection(address, timeout=10) as conn:
-        conn.sendall(f"{method} {path} HTTP/1.1\r\nHost: localhost\r\n".encode() + headers
-                     + b"\r\n" + body)
+        conn.sendall(request)
         reply = b""
-        while chunk := conn.recv(65536):
-            reply += chunk
+        try:
+            while chunk := conn.recv(65536):
+                reply += chunk
+        except ConnectionResetError:
+            pass
     head, sep, payload = reply.partition(b"\r\n\r\n")
     assert sep, f"no complete reply: {reply[:200]!r}"
     status_line, *header_lines = head.decode("latin-1").split("\r\n")
     fields = dict(line.split(": ", 1) for line in header_lines)
     assert fields.get("Content-Type") == "application/json", fields
+    return int(status_line.split()[1]), fields, payload
+
+
+def _exchange(address, method: str, path: str, headers: bytes, body: bytes = b"") -> tuple:
+    """One request; the reply's status and its JSON document."""
+    status, fields, payload = _send(
+        address, f"{method} {path} HTTP/1.1\r\nHost: localhost\r\n".encode() + headers
+        + b"\r\n" + body)
     assert int(fields["Content-Length"]) == len(payload)
 
     def no_constant(token):
         raise AssertionError(f"reply holds the non-JSON token {token}")
 
-    return int(status_line.split()[1]), json.loads(payload, parse_constant=no_constant)
+    return status, json.loads(payload, parse_constant=no_constant)
 
 
 def _check_reply(status: int, doc) -> None:
@@ -135,9 +152,58 @@ def test_bad_content_length_gets_a_json_400(address, length):
 
 @FUZZ
 @given(method=st.sampled_from(["GET", "POST"]),
-       path=st.text(string.ascii_letters + string.digits + "/-_.?=&%", max_size=20)
-       .map(lambda p: "/" + p).filter(lambda p: p not in ("/rerank", "/healthz")))
+       # The stdlib handler reads a path that starts with "//" from its
+       # last leading "/", so "//rerank" is the route /rerank.
+       path=PATH.filter(lambda p: "/" + p.lstrip("/") not in ("/rerank", "/healthz")))
 def test_unknown_route_gets_a_json_404(address, method, path):
     body = b"{}" if method == "POST" else b""
     status, doc = _exchange(address, method, path, b"Content-Length: %d\r\n" % len(body), body)
     assert status == 404 and doc == {"error": "unknown route"}, (status, doc)
+
+
+@FUZZ
+@given(method=st.sampled_from(["PUT", "DELETE", "PATCH", "OPTIONS"]),
+       path=st.sampled_from(["/rerank", "/healthz"]) | PATH, body=st.binary(max_size=64))
+def test_other_methods_get_a_json_error(address, method, path, body):
+    status, doc = _exchange(address, method, path, b"Content-Length: %d\r\n" % len(body), body)
+    assert status == 501 and method in doc["error"], (status, doc)
+
+
+@FUZZ
+@given(path=st.sampled_from(["/rerank", "/healthz"]) | PATH)
+def test_head_gets_json_headers_and_no_body(address, path):
+    status, fields, payload = _send(address,
+                                    f"HEAD {path} HTTP/1.1\r\nHost: localhost\r\n\r\n".encode())
+    assert status == 501 and payload == b"" and int(fields["Content-Length"]) > 0
+
+
+def _names_a_version(word: str) -> bool:
+    return re.fullmatch(r"HTTP/\d+\.\d+", word) is not None
+
+
+@st.composite
+def malformed_request_lines(draw) -> bytes:
+    """A request line that the HTTP layer refuses before any route runs."""
+    kind = draw(st.sampled_from(["words", "version", "http09", "overlong"]))
+    method = draw(st.sampled_from(["GET", "POST", "PUT"]) | WORD)
+    if kind == "words":  # not "method path" or "method path version"
+        words = draw(st.lists(WORD, min_size=4, max_size=6) | st.lists(WORD, min_size=1,
+                                                                       max_size=1))
+        words[-1] = draw(st.sampled_from([words[-1], "HTTP/1.1", "HTTP/1.0"]))
+    elif kind == "version":
+        version = draw(WORD.filter(lambda w: not _names_a_version(w))
+                       | st.integers(2, 99).map(lambda major: f"HTTP/{major}.0"))
+        words = [method, draw(PATH), version]
+    elif kind == "http09":  # an HTTP/0.9 request line may only be a GET
+        words = [draw(WORD.filter(lambda w: w != "GET")), draw(PATH)]
+    else:  # the stdlib reads at most 65536 bytes of a request line
+        words = [method, "/" + "a" * draw(st.integers(65536, 70000)), "HTTP/1.1"]
+    return " ".join(words).encode()
+
+
+@FUZZ
+@given(line=malformed_request_lines())
+def test_malformed_request_line_gets_a_json_error(address, line):
+    status, fields, payload = _send(address, line + b"\r\nHost: localhost\r\n\r\n")
+    assert 400 <= status < 600 and int(fields["Content-Length"]) == len(payload), status
+    assert isinstance(json.loads(payload)["error"], str)

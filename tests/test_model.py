@@ -365,11 +365,11 @@ def test_extend_matches_full_recomputation(small_config, head_mode):
     packed = sortmodel.InferenceWeights.from_params(cfg, params)
     rng = np.random.default_rng(20)
     user = rng.normal(size=cfg.d_user)
-    prefix = sortmodel.Prefix.empty(packed, user)
+    n = 3
+    prefix = sortmodel.Prefix.empty(packed, user, n)
     emb = np.zeros((0, cfg.d_emb))
     score = np.zeros((0, 2))
     for t in range(cfg.l_o):
-        n = 3
         cand_emb = rng.normal(size=(n, cfg.d_emb))
         cand_score = rng.uniform(size=(n, 2))
         ext = sortmodel.extend(packed, prefix, packed.project(cand_emb, cand_score))
@@ -377,11 +377,12 @@ def test_extend_matches_full_recomputation(small_config, head_mode):
         full_score = np.concatenate([np.repeat(score[None], n, axis=0), cand_score[:, None]],
                                     axis=1)
         click, pay = sortmodel.infer(cfg, params, full_emb, np.tile(user, (n, 1)), full_score)
-        assert ext.click.shape == (n, t + 1, cfg.max_count)
-        assert np.abs(ext.click - click).max() <= 1e-12
-        assert np.abs(ext.pay - pay).max() <= 1e-12
+        # The step returns the new position's rows: the full forward's last.
+        assert ext.click.shape == (n, cfg.max_count)
+        assert np.abs(ext.click - click[:, -1]).max() <= 1e-12
+        assert np.abs(ext.pay - pay[:, -1]).max() <= 1e-12
         k = t % n
-        prefix = ext.choose(prefix, k)
+        assert ext.choose(prefix, k) is prefix  # choose consumes the prefix
         emb = np.concatenate([emb, cand_emb[k:k + 1]])
         score = np.concatenate([score, cand_score[k:k + 1]])
         assert len(prefix) == t + 1
@@ -389,7 +390,7 @@ def test_extend_matches_full_recomputation(small_config, head_mode):
 
 def test_extend_rejects_overlong_prefix(small_config, small_params):
     packed = sortmodel.InferenceWeights.from_params(small_config, small_params)
-    prefix = sortmodel.Prefix.empty(packed, np.zeros(small_config.d_user))
+    prefix = sortmodel.Prefix.empty(packed, np.zeros(small_config.d_user), 1)
     row = packed.project(np.ones((1, small_config.d_emb)), np.ones((1, 2)))
     for _ in range(small_config.l_o):
         prefix = sortmodel.extend(packed, prefix, row).choose(prefix, 0)
@@ -397,14 +398,23 @@ def test_extend_rejects_overlong_prefix(small_config, small_params):
         sortmodel.extend(packed, prefix, row)
 
 
+def test_extend_rejects_more_candidates_than_the_width(small_config, small_params):
+    packed = sortmodel.InferenceWeights.from_params(small_config, small_params)
+    prefix = sortmodel.Prefix.empty(packed, np.zeros(small_config.d_user), 2)
+    rows = packed.project(np.ones((3, small_config.d_emb)), np.ones((3, 2)))
+    with pytest.raises(ConfigError, match="width of 2"):
+        sortmodel.extend(packed, prefix, rows)
+    assert sortmodel.extend(packed, prefix, rows[:2]).click.shape == (2, small_config.max_count)
+
+
 def test_packed_step_rejects_a_wrong_feature_width(small_config, small_params):
     packed = sortmodel.InferenceWeights.from_params(small_config, small_params)
     d_emb, d_user = small_config.d_emb, small_config.d_user
-    prefix = sortmodel.Prefix.empty(packed, np.zeros(d_user))
+    prefix = sortmodel.Prefix.empty(packed, np.zeros(d_user), 2)
     row = packed.project(np.ones((2, d_emb)), np.ones((2, 2)))
     for call in (lambda: packed.project(np.ones((2, d_emb + 1)), np.ones((2, 2))),
                  lambda: packed.project(np.ones((2, d_emb)), np.ones((2, 3))),
-                 lambda: sortmodel.Prefix.empty(packed, np.zeros(d_user + 1)),
+                 lambda: sortmodel.Prefix.empty(packed, np.zeros(d_user + 1), 2),
                  lambda: sortmodel.extend(packed, prefix, row[:, :-1])):
         with pytest.raises(ConfigError, match="feature width"):
             call()
@@ -420,21 +430,26 @@ def _perturbed_params(config, seed):
 
 @pytest.mark.parametrize("head_mode", ["monotone", "literal"])
 def test_packed_step_matches_full_forward(small_config, head_mode):
-    # At every prefix length, each candidate's survival rows and combined
-    # value from the packed step equal those of the full forward over the
-    # parameter dict, to 1e-12 relative.
+    # At every prefix length, each candidate's new survival row from the
+    # packed step equals the full forward's last row over the parameter dict,
+    # and the value of each extended list from that row and the prefix's
+    # running expected pay count and GMV equals combined_values_batch over
+    # the full forward, all to 1e-12 relative.
     cfg = dataclasses.replace(small_config, head_mode=head_mode)
     params = _perturbed_params(cfg, seed=21)
     packed = sortmodel.InferenceWeights.from_params(cfg, params)
-    weights = ObjectiveWeights()
+    weights = ObjectiveWeights(alpha=2.0, beta=3.0, gamma=1.5)
     n = 4
     emb, users, score = _random_inputs(cfg, n, cfg.l_o, seed=22)  # candidates at step t: [:, t]
     price = np.random.default_rng(23).lognormal(3.0, 0.6, size=(n, cfg.l_o))
     user = users[0]
-    prefix = sortmodel.Prefix.empty(packed, user)
+    prefix = sortmodel.Prefix.empty(packed, user, n)
+    pay_count, gmv = 0.0, 0.0
     path: list[int] = []  # the candidate chosen at each earlier step
     for t in range(cfg.l_o):
         ext = sortmodel.extend(packed, prefix, packed.project(emb[:, t], score[:, t]))
+        got, pay_counts, gmvs = values.step_values(ext.click, ext.pay, price[:, t], pay_count,
+                                                   gmv, weights)
 
         def full(a):
             """Each candidate's whole sequence: the chosen rows, then its own."""
@@ -442,13 +457,39 @@ def test_packed_step_matches_full_forward(small_config, head_mode):
                                    a[:, t, None]], axis=1)
 
         click, pay = sortmodel.infer(cfg, params, full(emb), np.tile(user, (n, 1)), full(score))
-        np.testing.assert_allclose(ext.click, click, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(ext.pay, pay, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(ext.click, click[:, -1], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(ext.pay, pay[:, -1], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(
-            values.combined_values_batch(ext.click, ext.pay, full(price), weights),
-            values.combined_values_batch(click, pay, full(price), weights), rtol=1e-12, atol=0.0)
+            got, values.combined_values_batch(click, pay, full(price), weights),
+            rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(pay_counts, values.expected_counts_batch(pay)[:, -1],
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            gmvs, values.combined_values_batch(click, pay, full(price),
+                                               ObjectiveWeights(0.0, 0.0, 1.0)),
+            rtol=1e-12, atol=0.0)
         path.append((3 * t + 1) % n)
         prefix = ext.choose(prefix, path[-1])
+        pay_count, gmv = pay_counts[path[-1]], gmvs[path[-1]]
+
+
+@pytest.mark.parametrize("head_mode", ["monotone", "literal"])
+def test_extend_twice_on_one_prefix_gives_identical_rows(small_config, head_mode):
+    # extend writes only slot t of the rows it scores, so a second call on the
+    # same prefix, even after one with other candidates, scores as the first.
+    cfg = dataclasses.replace(small_config, head_mode=head_mode)
+    packed = sortmodel.InferenceWeights.from_params(cfg, _perturbed_params(cfg, seed=29))
+    rng = np.random.default_rng(30)
+    prefix = sortmodel.Prefix.empty(packed, rng.normal(size=cfg.d_user), 3)
+    for t in range(cfg.l_o):
+        rows = packed.project(rng.normal(size=(3, cfg.d_emb)), rng.uniform(size=(3, 2)))
+        first = sortmodel.extend(packed, prefix, rows)
+        sortmodel.extend(packed, prefix, packed.project(rng.normal(size=(3, cfg.d_emb)),
+                                                        rng.uniform(size=(3, 2))))
+        second = sortmodel.extend(packed, prefix, rows)
+        assert np.array_equal(first.click, second.click)
+        assert np.array_equal(first.pay, second.pay)
+        second.choose(prefix, t % 3)
 
 
 @pytest.mark.parametrize("head_mode", ["monotone", "literal"])
