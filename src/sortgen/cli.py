@@ -118,9 +118,8 @@ def cmd_rerank(args) -> int:
     return 0
 
 
-def _method_slates(engine, weights, params, features, user) -> dict:
+def _method_slates(engine, weights, vm, features, user) -> dict:
     """Pool rows per method: sortgen, prior-score baseline, template, top queue."""
-    vm = generation.ValueModel(engine, params)
     queues = generation.build_queues(features, engine.queue_specs,
                                      engine.partition_strategy, engine.l_o)
     return {
@@ -131,10 +130,11 @@ def _method_slates(engine, weights, params, features, user) -> dict:
     }
 
 
-def _cumulative_curves(engine, params, features, rows, user) -> dict[str, np.ndarray]:
-    """Per-position cumulative click/pay/gmv from clamped model increments."""
+def _cumulative_curves(packed, features, rows, user) -> dict[str, np.ndarray]:
+    """Per-position cumulative click/pay/gmv from clamped model increments,
+    on a value model's packed weights."""
     rows = np.asarray(rows)
-    click, pay = sortmodel.infer(engine, params, features.emb[rows][None],
+    click, pay = sortmodel.infer(packed, features.emb[rows][None],
                                  user.user_features[None], features.score[rows][None])
     e_click = values.expected_counts_batch(click)[0]
     e_pay = values.expected_counts_batch(pay)[0]
@@ -150,12 +150,13 @@ def evaluate_curves(engine: EngineConfig, weights: ObjectiveWeights, params: dic
     rng = np.random.default_rng(seed)
     methods = ("sortgen", "baseline", "template", "top_queue")
     sums = {m: {k: np.zeros(engine.l_o) for k in ("click", "pay", "gmv")} for m in methods}
+    vm = generation.ValueModel(engine, params)
     for _ in range(n_pools):
         user = simulator.sample_user(rng, engine.d_user)
         features = sortmodel.item_features(simulator.sample_pool(catalog, engine.l_s, rng))
-        slates = _method_slates(engine, weights, params, features, user)
+        slates = _method_slates(engine, weights, vm, features, user)
         for m, rows in slates.items():
-            curves = _cumulative_curves(engine, params, features, rows, user)
+            curves = _cumulative_curves(vm.weights, features, rows, user)
             for k in sums[m]:
                 sums[m][k] += curves[k]
     for m in methods:
@@ -196,6 +197,7 @@ def run_bench(engine: EngineConfig, weights: ObjectiveWeights, params: dict,
     rng = np.random.default_rng(seed)
     rows = {"generate": [], "reference": []}
     invocations = {"generate": [], "reference": []}
+    vm = generation.ValueModel(engine, params, overhead_us=overhead_us)
     for _ in range(slates):
         user = simulator.sample_user(rng, engine.d_user)
         features = sortmodel.item_features(simulator.sample_pool(catalog, engine.l_s, rng))
@@ -203,7 +205,6 @@ def run_bench(engine: EngineConfig, weights: ObjectiveWeights, params: dict,
                                          engine.partition_strategy, engine.l_o)
         for name, fn in (("generate", generation.generate),
                          ("reference", generation.generate_iterative_reference)):
-            vm = generation.ValueModel(engine, params, overhead_us=overhead_us)
             trace = fn(user, queues, vm, weights)
             rows[name].append(trace.wall_ns + trace.simulated_overhead_ns)
             invocations[name].append(trace.invocations)
@@ -248,10 +249,10 @@ def run_oracle_study(engine: EngineConfig, weights: ObjectiveWeights, params: di
     catalog = simulator.sample_catalog(max(l_s * 4, 50), engine.d_emb, 8, seed)
     rng = np.random.default_rng(seed + 1)
     greedy_ratios, random_ratios = [], []
+    vm = generation.ValueModel(small, params)
     for _ in range(pools):
         user = simulator.sample_user(rng, engine.d_user)
         features = sortmodel.item_features(simulator.sample_pool(catalog, l_s, rng))
-        vm = generation.ValueModel(small, params)
         best_val, _ = generation.exhaustive_oracle(features, user, vm, weights, l_o)
         queues = generation.build_queues(features, small.queue_specs,
                                          small.partition_strategy, l_o)

@@ -186,16 +186,14 @@ class GenerationTrace(Slate):
 
 
 class ValueModel:
-    """Bundles parameters + config and counts batched model invocations.
-
-    The greedy step runs on `weights`, the parameters packed when the model
-    is made; full forwards run on the parameter dict itself.
+    """The value network on `weights`, its parameters packed when the model
+    is made, with a count of batched model invocations: full forwards
+    (`pool_values`) and greedy steps (`extension_values`) both run on them.
     """
 
     def __init__(self, config: EngineConfig, params: dict,
                  overhead_us: float = 0.0):
         self.config = config
-        self.params = params
         self.weights = sortmodel.InferenceWeights.from_params(config, params)
         self.overhead_us = overhead_us
         self.invocations = 0
@@ -216,8 +214,7 @@ class ValueModel:
         self.invocations += 1
         n = rows.shape[0]
         u = np.stack([user.user_features] * n)
-        click, pay = sortmodel.infer(self.config, self.params, features.emb[rows], u,
-                                     features.score[rows])
+        click, pay = sortmodel.infer(self.weights, features.emb[rows], u, features.score[rows])
         return listvalue.combined_values_batch(click, pay, features.price[rows], weights)
 
     def extension_values(self, cache: sortmodel.Prefix, x: np.ndarray, prices: np.ndarray,

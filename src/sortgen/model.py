@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from sortgen import nn
-from sortgen.core import ConfigError, EngineConfig, config_hash, to_dict
+from sortgen.core import ConfigError, EngineConfig, config_hash, to_dict, validate_config
 from sortgen.nn import Var
 
 HEAD_HIDDEN = 32
@@ -213,21 +213,15 @@ def item_features(items) -> ItemFeatures:
 
 # --------------------------- tape-free inference -----------------------------
 #
-# The same network as `forward`, in plain NumPy. `infer` is the full forward
-# over the parameter dict, and the reference for the greedy step below.
-#
-# The greedy step runs on `InferenceWeights`, the parameters packed once per
-# value model. `extend` computes only the new position of each candidate and
-# attends over the keys and values of the chosen prefix, which a `Prefix`
-# caches in buffers filled in place (KV caching), so no step copies the
-# cache. The model is causal and everything but attention is per position,
-# so this equals the full forward over prefix + candidate.
-
-
-def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ w + b over the last axis, as one 2-D GEMM."""
-    y = x.reshape(-1, w.shape[0]) @ w + b
-    return y.reshape(x.shape[:-1] + (w.shape[1],))
+# The same network as `forward`, in plain NumPy on `InferenceWeights`, the
+# parameters packed once per value model. `infer` is the full causal forward
+# over whole sequences. `extend` is the greedy step: it computes only the new
+# position of each candidate and attends over the keys and values of the
+# chosen prefix, which a `Prefix` caches in buffers filled in place (KV
+# caching), so no step copies the cache. The two share the block and head
+# code and differ only in where attention's keys and values come from; the
+# model is causal and everything but attention is per position, so `extend`
+# equals `infer` over prefix + candidate.
 
 
 def _norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -237,63 +231,6 @@ def _norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _cutpoints(thresholds: np.ndarray) -> np.ndarray:
     """A monotone head's strictly increasing cutpoints, [max_count]."""
     return np.cumsum(np.concatenate([thresholds[:1], np.log(1.0 + np.exp(thresholds[1:]))]))
-
-
-def _attend(x: np.ndarray, params: dict, prefix: str, n_heads: int) -> np.ndarray:
-    """Causal self-attention over x's positions, [n, m, d_model]."""
-    n, m, dm = x.shape
-    dh = dm // n_heads
-
-    def split(name: str) -> np.ndarray:
-        y = _dense(x, params[f"{prefix}.W{name}"].value, params[f"{prefix}.b{name}"].value)
-        return y.reshape(n, m, n_heads, dh).transpose(0, 2, 1, 3)
-
-    q, k, v = split("q"), split("k"), split("v")
-    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
-    causal = np.arange(m)[None, :] <= np.arange(m)[:, None]
-    out = (nn.softmax_rows(scores, causal) @ v).transpose(0, 2, 1, 3).reshape(n, m, dm)
-    return _dense(out, params[f"{prefix}.Wo"].value, params[f"{prefix}.bo"].value)
-
-
-def _head_probs(x: np.ndarray, params: dict, head: str, config: EngineConfig,
-                mask: np.ndarray) -> np.ndarray:
-    h = np.maximum(_dense(x, params[f"{head}.W1"].value, params[f"{head}.b1"].value), 0.0)
-    z = _dense(h, params[f"{head}.W2"].value, params[f"{head}.b2"].value)
-    if config.head_mode == "monotone":
-        z = z - _cutpoints(params[f"{head}.thresholds"].value)
-    return 1.0 / (1.0 + np.exp(-z)) * mask
-
-
-def infer(config: EngineConfig, params: dict, e_item: np.ndarray, user: np.ndarray,
-          e_score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tape-free full forward: the click and pay survival probabilities that
-    `forward` computes, as plain [n, l, max_count] arrays.
-
-    e_item: [n, l, d_emb]; user: [n, d_user]; e_score: [n, l, 2].
-    """
-    n, l = e_item.shape[0], e_item.shape[1]
-    _check_input(config, l, e_item, user)
-
-    def w(name: str) -> np.ndarray:
-        return params[name].value
-
-    pos = w("pos.table")[None, :l].repeat(n, axis=0)
-    x = np.concatenate([e_item, pos, user[:, None].repeat(l, axis=1), e_score], axis=-1)
-    x = _dense(x, w("proj.W"), w("proj.b"))
-    for i in range(config.n_layers):
-        pre = f"layer{i}"
-        x = x + _attend(_norm(x, w(f"{pre}.ln1.g"), w(f"{pre}.ln1.b")), params, f"{pre}.attn",
-                        config.n_heads)
-        h = np.maximum(_dense(_norm(x, w(f"{pre}.ln2.g"), w(f"{pre}.ln2.b")),
-                              w(f"{pre}.ffn.W1"), w(f"{pre}.ffn.b1")), 0.0)
-        x = x + _dense(h, w(f"{pre}.ffn.W2"), w(f"{pre}.ffn.b2"))
-    x = _norm(x, w("final_ln.g"), w("final_ln.b"))
-    mask = valid_mask(l, config.max_count).astype(np.float64)
-    click = _head_probs(x, params, "head_click", config, mask)
-    pay = _head_probs(x, params, "head_pay", config, mask)
-    if not (np.isfinite(click).all() and np.isfinite(pay).all()):
-        raise FloatingPointError("non-finite activations in forward pass")
-    return click, pay
 
 
 class Block(NamedTuple):
@@ -322,7 +259,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InferenceWeights:
-    """The parameters packed for the greedy step, as read-only arrays.
+    """The parameters packed for `infer` and `extend`, as read-only arrays.
 
     The input projection is split by feature block, so that an input row is a
     sum of projected rows; Q, K and V are one GEMM per block; the click and
@@ -398,6 +335,54 @@ class InferenceWeights:
         return emb @ self.item + score @ self.score
 
 
+def _finish_block(b: Block, x: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                  mask: np.ndarray | bool) -> np.ndarray:
+    """Block b on rows x [m, d_model], given their queries q and the keys k
+    and values v they attend over, each [n, n_heads, positions, d_head], with
+    keys outside `mask` ignored: attention, the output projection and its
+    residual, then the FFN half."""
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+    attended = (nn.softmax_rows(scores, mask) @ v).swapaxes(1, 2).reshape(x.shape)
+    x = x + (attended @ b.out_w + b.out_b)
+    h = np.maximum(_norm(x, b.ln2_g, b.ln2_b) @ b.ffn_w1 + b.ffn_b1, 0.0)
+    return x + (h @ b.ffn_w2 + b.ffn_b2)
+
+
+def _survival(weights: InferenceWeights, x: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """The fused heads on the last block's rows x [m, d_model]: final norm,
+    head MLP, minus the cutpoints, sigmoid, zeroed where `valid` (which
+    broadcasts to the result) is False. Returns [m, 2 (click, pay), max_count]."""
+    h = np.maximum(_norm(x, weights.final_g, weights.final_b) @ weights.head_w1
+                   + weights.head_b1, 0.0)
+    z = (h @ weights.head_w2 + weights.head_b2).reshape(len(x), 2, -1) - weights.cutpoints
+    probs = 1.0 / (1.0 + np.exp(-z)) * valid
+    if not np.isfinite(probs).all():
+        raise FloatingPointError("non-finite activations in forward pass")
+    return probs
+
+
+def infer(weights: InferenceWeights, e_item: np.ndarray, user: np.ndarray,
+          e_score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tape-free full forward: the click and pay survival probabilities that
+    `forward` computes, as plain [n, l, max_count] arrays.
+
+    e_item: [n, l, d_emb]; user: [n, d_user]; e_score: [n, l, 2].
+    """
+    config = weights.config
+    n, l = e_item.shape[0], e_item.shape[1]
+    _check_input(config, l, e_item, user)
+    dm, heads = config.d_model, config.n_heads
+    x = weights.project(e_item.reshape(n * l, -1), e_score.reshape(n * l, -1)).reshape(n, l, dm)
+    x = (x + (weights.pos[:l] + (user @ weights.user)[:, None])).reshape(n * l, dm)
+    causal = np.arange(l)[None, :] <= np.arange(l)[:, None]
+    for b in weights.blocks:
+        qkv = (_norm(x, b.ln1_g, b.ln1_b) @ b.qkv_w + b.qkv_b).reshape(n, l, 3, heads, -1)
+        x = _finish_block(b, x, *qkv.transpose(2, 0, 3, 1, 4), causal)
+    probs = _survival(weights, x, np.tile(weights.valid[:l], (n, 1))[:, None])
+    probs = probs.reshape(n, l, 2, -1)
+    return probs[:, :, 0], probs[:, :, 1]
+
+
 @dataclass
 class Prefix:
     """A chosen prefix for one user, cached so that the next position can be
@@ -469,19 +454,9 @@ def extend(weights: InferenceWeights, prefix: Prefix, x: np.ndarray) -> Extensio
         qkv = (_norm(x, b.ln1_g, b.ln1_b) @ b.qkv_w + b.qkv_b).reshape(n, 3, heads, 1, dh)
         cache_k[:n, :, t] = qkv[:, 1, :, 0]
         cache_v[:n, :, t] = qkv[:, 2, :, 0]
-        all_k, all_v = cache_k[:n, :, :t + 1], cache_v[:n, :, :t + 1]  # [n, heads, t+1, dh]
-        scores = (qkv[:, 0] @ all_k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
         # The new position sees every key, so no entry is masked.
-        out = (nn.softmax_rows(scores, True) @ all_v).reshape(n, config.d_model)
-        x = x + (out @ b.out_w + b.out_b)
-        h = np.maximum(_norm(x, b.ln2_g, b.ln2_b) @ b.ffn_w1 + b.ffn_b1, 0.0)
-        x = x + (h @ b.ffn_w2 + b.ffn_b2)
-    h = np.maximum(_norm(x, weights.final_g, weights.final_b) @ weights.head_w1
-                   + weights.head_b1, 0.0)
-    z = (h @ weights.head_w2 + weights.head_b2).reshape(n, 2, -1) - weights.cutpoints
-    probs = 1.0 / (1.0 + np.exp(-z)) * weights.valid[t]  # [n, 2 (click, pay), max_count]
-    if not np.isfinite(probs).all():
-        raise FloatingPointError("non-finite activations in forward pass")
+        x = _finish_block(b, x, qkv[:, 0], cache_k[:n, :, :t + 1], cache_v[:n, :, :t + 1], True)
+    probs = _survival(weights, x, weights.valid[t])
     return Extension(probs[:, 0], probs[:, 1])
 
 
@@ -506,27 +481,42 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Var], EngineConfig]:
 
     The parameters come back frozen (requires_grad=False), so a forward over
     them records no tape; set requires_grad=True on each to fine-tune them.
-    Every parameter's name and shape is checked against `param_shapes(config)`,
-    and its values must be finite, so a damaged checkpoint raises ConfigError
-    here, not on its first use.
+    The config must pass `validate_config`, every parameter's name and shape
+    is checked against `param_shapes(config)`, and its values must be finite
+    numbers, so a malformed or damaged checkpoint raises ConfigError here,
+    not on its first use.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format_version") != CKPT_FORMAT:
-        raise ConfigError(f"unsupported checkpoint format {doc.get('format_version')!r}")
-    config = EngineConfig.from_dict(doc["config"])
-    if config_hash(config) != doc["config_hash"]:
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigError(f"checkpoint is not a JSON document: {exc}") from None
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != CKPT_FORMAT:
+        raise ConfigError(f"unsupported checkpoint format {version!r}")
+    try:
+        config = EngineConfig.from_dict(doc["config"])
+        stored_hash, stored = doc["config_hash"], dict(doc["params"])
+        validate_config(config)
+    except KeyError as exc:
+        raise ConfigError(f"checkpoint lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:  # an unknown config key, or an invalid config
+        raise ConfigError(f"checkpoint: {exc}") from None
+    if config_hash(config) != stored_hash:
         raise ConfigError("checkpoint config hash mismatch")
     shapes = param_shapes(config)
-    stored = doc["params"]
     missing, extra = sorted(shapes.keys() - stored.keys()), sorted(stored.keys() - shapes.keys())
     if missing or extra:
         raise ConfigError(f"checkpoint parameters do not match its config: "
                           f"missing {missing}, unexpected {extra}")
     params = {}
     for name, entry in stored.items():
-        arr = np.array([float(v) for v in entry["data"]], dtype=np.float64)
-        if tuple(entry["shape"]) != shapes[name] or arr.size != math.prod(shapes[name]):
-            raise ConfigError(f"checkpoint parameter {name!r} has shape {entry['shape']} and "
+        try:
+            arr = np.array([float(v) for v in entry["data"]], dtype=np.float64)
+            shape = tuple(entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"checkpoint parameter {name!r}: {exc}") from None
+        if shape != shapes[name] or arr.size != math.prod(shapes[name]):
+            raise ConfigError(f"checkpoint parameter {name!r} has shape {list(shape)} and "
                               f"{arr.size} values, expected shape {list(shapes[name])}")
         if not np.isfinite(arr).all():
             raise ConfigError(f"checkpoint parameter {name!r} has a non-finite value")

@@ -285,6 +285,15 @@ class RerankHandler(BaseHTTPRequestHandler):
         self.close_connection = True
         self._reply(code, {"error": message or self.responses.get(code, ("error",))[0]})
 
+    def parse_request(self):
+        """The stdlib's parse, except that an empty or blank request line,
+        which it refuses without a reply, gets a 400 like any malformed one."""
+        if super().parse_request():
+            return True
+        if not self.requestline.split():
+            self.send_error(400, "Bad request syntax: empty request line")
+        return False
+
     def do_GET(self):
         if self.path != "/healthz":
             self._reply(404, {"error": "unknown route"})

@@ -191,6 +191,21 @@ def test_seed_option_sets_the_sample_seed(workdir, capsys):
     assert oracle() == oracle("--seed", "3")
 
 
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--pools", "3"],
+    ["bench", "--slates", "3"],
+    ["oracle", "--pools", "3", "--small-ls", "6", "--small-lo", "3"],
+], ids=["evaluate", "bench", "oracle"])
+def test_commands_pack_the_weights_once(workdir, capsys, monkeypatch, argv):
+    packs = []
+    pack = sortmodel.InferenceWeights.from_params
+    monkeypatch.setattr(sortmodel.InferenceWeights, "from_params",
+                        classmethod(lambda cls, *args: packs.append(args) or pack(*args)))
+    assert cli.main([*argv, "--ckpt", str(workdir["ckpt"]), "--data", str(workdir["data"]),
+                     "--out", str(workdir["root"] / "curves.tsv")]) == 0
+    assert len(packs) == 1
+
+
 @pytest.mark.parametrize("command", ["rerank", "evaluate", "bench", "oracle", "serve"])
 def test_missing_checkpoint_is_an_error(workdir, capsys, command):
     missing = workdir["root"] / "missing.ckpt"
@@ -512,6 +527,49 @@ def test_make_server_rejects_bad_checkpoint(tmp_path, damage, name):
     # A damaged checkpoint fails the server at start, not on its first request.
     with pytest.raises(ConfigError, match=name):
         srv.make_server(str(_bad_checkpoint(tmp_path, damage)), 0)
+
+
+def _malformed_checkpoint(tmp_path, kind):
+    config = EngineConfig(l_s=10, l_o=4, max_count=4, d_model=16, n_layers=1, n_heads=2)
+    if kind == "invalid_config":  # saved whole, with a matching hash
+        config = dataclasses.replace(config, d_model=8, n_heads=3)
+    path = tmp_path / "model.ckpt"
+    sortmodel.save_checkpoint(path, sortmodel.init_params(config), config)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    if kind == "no_config_hash":
+        del doc["config_hash"]
+    elif kind == "no_queue_specs":
+        del doc["config"]["queue_specs"]
+    elif kind == "unknown_config_key":
+        doc["config"]["d_modle"] = 16
+    elif kind == "non_numeric_value":
+        doc["params"]["proj.W"]["data"][3] = "abc"
+    path.write_text("not a checkpoint" if kind == "not_json" else json.dumps(doc),
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("not_json", "not a JSON document"),
+    ("no_config_hash", "config_hash"),
+    ("no_queue_specs", "queue_specs"),
+    ("unknown_config_key", "d_modle"),
+    ("non_numeric_value", "proj.W.*abc"),
+    ("invalid_config", "d_model not divisible by n_heads"),
+])
+def test_malformed_checkpoint_is_a_config_error(tmp_path, capsys, kind, name):
+    path = _malformed_checkpoint(tmp_path, kind)
+    with pytest.raises(ConfigError, match=name):
+        sortmodel.load_checkpoint(path)
+    assert cli.main(["oracle", "--ckpt", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_make_server_rejects_an_invalid_checkpoint_config(tmp_path):
+    # d_model=8 with n_heads=3 used to load and serve, and fail on each request.
+    with pytest.raises(ConfigError, match="n_heads"):
+        srv.make_server(str(_malformed_checkpoint(tmp_path, "invalid_config")), 0)
 
 
 def _raw_post(url, head: bytes, body: bytes = b"") -> tuple[int, dict]:

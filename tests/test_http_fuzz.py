@@ -3,11 +3,11 @@
 The server runs on a thread, and each example is one request on its own
 connection, written byte by byte: Hypothesis request bodies (valid, faulty,
 truncated, retyped, with NaN, Infinity or 1e400 tokens), bad Content-Length
-values, unknown routes, methods other than GET and POST, and malformed or
-overlong request lines. The reply must be a JSON 200 whose numbers are
-finite, a JSON 4xx, or a JSON 500 (any JSON 5xx for a request the HTTP layer
-refuses), and it must arrive before the server closes the connection. A
-reply to HEAD has the headers of a JSON reply and no body.
+values, unknown routes, methods other than GET and POST, and malformed,
+blank or overlong request lines. The reply must be a JSON 200 whose numbers
+are finite, a JSON 4xx, or a JSON 500 (any JSON 5xx for a request the HTTP
+layer refuses), and it must arrive before the server closes the connection.
+A reply to HEAD has the headers of a JSON reply and no body.
 """
 
 import json
@@ -184,7 +184,9 @@ def _names_a_version(word: str) -> bool:
 @st.composite
 def malformed_request_lines(draw) -> bytes:
     """A request line that the HTTP layer refuses before any route runs."""
-    kind = draw(st.sampled_from(["words", "version", "http09", "overlong"]))
+    kind = draw(st.sampled_from(["words", "version", "http09", "overlong", "blank"]))
+    if kind == "blank":  # empty, or only whitespace
+        return draw(st.text(" \t\x0b\x0c", max_size=8)).encode()
     method = draw(st.sampled_from(["GET", "POST", "PUT"]) | WORD)
     if kind == "words":  # not "method path" or "method path version"
         words = draw(st.lists(WORD, min_size=4, max_size=6) | st.lists(WORD, min_size=1,
@@ -207,3 +209,11 @@ def test_malformed_request_line_gets_a_json_error(address, line):
     status, fields, payload = _send(address, line + b"\r\nHost: localhost\r\n\r\n")
     assert 400 <= status < 600 and int(fields["Content-Length"]) == len(payload), status
     assert isinstance(json.loads(payload)["error"], str)
+
+
+@pytest.mark.parametrize("request_bytes", [b"\r\n", b" \t\r\nHost: localhost\r\n\r\n"],
+                         ids=["crlf", "blank_then_headers"])
+def test_empty_request_line_gets_a_json_400(address, request_bytes):
+    status, fields, payload = _send(address, request_bytes)
+    assert status == 400 and int(fields["Content-Length"]) == len(payload)
+    assert "empty request line" in json.loads(payload)["error"]

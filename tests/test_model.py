@@ -348,12 +348,16 @@ def test_loaded_checkpoint_is_frozen(tmp_path, small_config, small_params):
 
 @pytest.mark.parametrize("head_mode", ["monotone", "literal"])
 def test_infer_matches_tape_forward(small_config, head_mode):
+    # The test that ties the packed weights to the parameters: every bias,
+    # gain, position row and threshold is moved off its initial value, so
+    # one that the packing drops or misplaces changes the output.
     cfg = dataclasses.replace(small_config, head_mode=head_mode)
-    params = sortmodel.init_params(cfg, seed=18)
+    params = _perturbed_params(cfg, seed=18)
+    packed = sortmodel.InferenceWeights.from_params(cfg, params)
     for l in range(1, cfg.l_o + 1):
         emb, user, score = _random_inputs(cfg, 4, l, seed=100 + l)
         out = sortmodel.forward(cfg, params, emb, user, score)
-        click, pay = sortmodel.infer(cfg, params, emb, user, score)
+        click, pay = sortmodel.infer(packed, emb, user, score)
         assert np.abs(click - out.click.value).max() <= 1e-12
         assert np.abs(pay - out.pay.value).max() <= 1e-12
 
@@ -376,7 +380,7 @@ def test_extend_matches_full_recomputation(small_config, head_mode):
         full_emb = np.concatenate([np.repeat(emb[None], n, axis=0), cand_emb[:, None]], axis=1)
         full_score = np.concatenate([np.repeat(score[None], n, axis=0), cand_score[:, None]],
                                     axis=1)
-        click, pay = sortmodel.infer(cfg, params, full_emb, np.tile(user, (n, 1)), full_score)
+        click, pay = sortmodel.infer(packed, full_emb, np.tile(user, (n, 1)), full_score)
         # The step returns the new position's rows: the full forward's last.
         assert ext.click.shape == (n, cfg.max_count)
         assert np.abs(ext.click - click[:, -1]).max() <= 1e-12
@@ -431,10 +435,10 @@ def _perturbed_params(config, seed):
 @pytest.mark.parametrize("head_mode", ["monotone", "literal"])
 def test_packed_step_matches_full_forward(small_config, head_mode):
     # At every prefix length, each candidate's new survival row from the
-    # packed step equals the full forward's last row over the parameter dict,
-    # and the value of each extended list from that row and the prefix's
-    # running expected pay count and GMV equals combined_values_batch over
-    # the full forward, all to 1e-12 relative.
+    # cached step equals the last row of the no-cache forward `infer` on the
+    # same packed weights, and the value of each extended list from that row
+    # and the prefix's running expected pay count and GMV equals
+    # combined_values_batch over the full forward, all to 1e-12 relative.
     cfg = dataclasses.replace(small_config, head_mode=head_mode)
     params = _perturbed_params(cfg, seed=21)
     packed = sortmodel.InferenceWeights.from_params(cfg, params)
@@ -456,7 +460,7 @@ def test_packed_step_matches_full_forward(small_config, head_mode):
             return np.concatenate([np.repeat(a[path, np.arange(t)][None], n, axis=0),
                                    a[:, t, None]], axis=1)
 
-        click, pay = sortmodel.infer(cfg, params, full(emb), np.tile(user, (n, 1)), full(score))
+        click, pay = sortmodel.infer(packed, full(emb), np.tile(user, (n, 1)), full(score))
         np.testing.assert_allclose(ext.click, click[:, -1], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(ext.pay, pay[:, -1], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(
