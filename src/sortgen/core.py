@@ -65,7 +65,7 @@ class Item:
     category: int
 
     def __post_init__(self):
-        emb = np.asarray(self.embedding, dtype=np.float64)
+        emb = np.array(self.embedding, dtype=np.float64)  # a copy: the caller's stays writable
         object.__setattr__(self, "embedding", emb)
         emb.flags.writeable = False
         fault = item_fault(emb.reshape(1, -1),
@@ -82,7 +82,7 @@ class UserContext:
     user_features: np.ndarray
 
     def __post_init__(self):
-        feats = np.asarray(self.user_features, dtype=np.float64)
+        feats = np.array(self.user_features, dtype=np.float64)  # a copy, as in Item
         object.__setattr__(self, "user_features", feats)
         feats.flags.writeable = False
         if not np.isfinite(feats).all():

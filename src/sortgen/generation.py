@@ -187,14 +187,16 @@ class GenerationTrace(Slate):
 
 class ValueModel:
     """The value network on `weights`, its parameters packed when the model
-    is made, with a count of batched model invocations: full forwards
-    (`pool_values`) and greedy steps (`extension_values`) both run on them.
+    is made (`model.packed_weights`: once per loaded checkpoint), with a count
+    of batched model invocations: full forwards (`pool_values`) and greedy
+    steps (`extension_values`) both run on the weights. Make one per request:
+    the count is the model's own, and only the read-only weights are shared.
     """
 
     def __init__(self, config: EngineConfig, params: dict,
                  overhead_us: float = 0.0):
         self.config = config
-        self.weights = sortmodel.InferenceWeights.from_params(config, params)
+        self.weights = sortmodel.packed_weights(config, params)
         self.overhead_us = overhead_us
         self.invocations = 0
 
@@ -259,10 +261,11 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
         return sims[a, b]
 
     if cached:
-        # Every row a step can score is in a queue: project those rows once.
+        # Every row a step can score is in a queue: project those rows once,
+        # queue after queue, so queue qi's head is row offsets[qi] + its cursor.
         held = [idx for queue in queues.queues for idx in queue]
-        inputs = np.zeros((len(features.ids), cfg.d_model))
-        inputs[held] = vm.weights.project(features.emb[held], features.score[held])
+        offsets = list(itertools.accumulate((len(q) for q in queues.queues), initial=0))
+        inputs = vm.weights.project(features.emb[held], features.score[held])
         cache = sortmodel.Prefix.empty(vm.weights, user.user_features, len(queues.queues))
         pay_count, gmv = 0.0, 0.0  # the chosen prefix's expected pay count and GMV
 
@@ -277,8 +280,9 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
 
         rows = [idx for _, idx in heads]
         if cached:
+            slots = [offsets[qi] + queues.cursors[qi] for qi, _ in heads]
             vals, pay_counts, gmvs, ext = vm.extension_values(
-                cache, inputs[rows], features.price[rows], pay_count, gmv, weights)
+                cache, inputs[slots], features.price[rows], pay_count, gmv, weights)
         else:
             vals = np.array([vm.pool_values(features, np.array([chosen + [r]]), user, weights)[0]
                              for r in rows])

@@ -214,18 +214,19 @@ def item_features(items) -> ItemFeatures:
 # --------------------------- tape-free inference -----------------------------
 #
 # The same network as `forward`, in plain NumPy on `InferenceWeights`, the
-# parameters packed once per value model. `infer` is the full causal forward
-# over whole sequences. `extend` is the greedy step: it computes only the new
-# position of each candidate and attends over the keys and values of the
-# chosen prefix, which a `Prefix` caches in buffers filled in place (KV
+# parameters packed once per checkpoint (`packed_weights`). The packing folds
+# in every affine map that does not depend on the input: each layer norm's
+# gain and bias go into the GEMM after it, attention's 1/sqrt(d_head) into
+# the Q columns, and the heads' cutpoints and the sigmoid's sign into their
+# output layer. So a block's halves start from `nn.normalize_rows`, and the
+# heads end in valid / (1 + exp(h @ W2 + b2)). `infer` is the full causal
+# forward over whole sequences. `extend` is the greedy step: it computes only
+# the new position of each candidate and attends over the keys and values of
+# the chosen prefix, which a `Prefix` caches in buffers filled in place (KV
 # caching), so no step copies the cache. The two share the block and head
 # code and differ only in where attention's keys and values come from; the
 # model is causal and everything but attention is per position, so `extend`
 # equals `infer` over prefix + candidate.
-
-
-def _norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return g * nn.normalize_rows(x)[0] + b
 
 
 def _cutpoints(thresholds: np.ndarray) -> np.ndarray:
@@ -233,18 +234,22 @@ def _cutpoints(thresholds: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate([thresholds[:1], np.log(1.0 + np.exp(thresholds[1:]))]))
 
 
-class Block(NamedTuple):
-    """One transformer block's weights, with Q, K and V in one GEMM."""
+def _fold_norm(g: np.ndarray, b: np.ndarray, w: np.ndarray,
+               c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The GEMM (g * xhat + b) @ w + c after a layer norm as xhat @ w' + c':
+    (g[:, None] * w, b @ w + c)."""
+    return g[:, None] * w, b @ w + c
 
-    ln1_g: np.ndarray
-    ln1_b: np.ndarray
-    qkv_w: np.ndarray  # [d_model, 3 * d_model]: Wq | Wk | Wv
+
+class Block(NamedTuple):
+    """One transformer block's weights, with Q, K and V in one GEMM and each
+    layer norm folded into the GEMM after it."""
+
+    qkv_w: np.ndarray  # [d_model, 3 * d_model]: ln1 folded into Wq / sqrt(d_head) | Wk | Wv
     qkv_b: np.ndarray  # [3 * d_model]
     out_w: np.ndarray
     out_b: np.ndarray
-    ln2_g: np.ndarray
-    ln2_b: np.ndarray
-    ffn_w1: np.ndarray
+    ffn_w1: np.ndarray  # ln2 folded into ffn.W1
     ffn_b1: np.ndarray
     ffn_w2: np.ndarray
     ffn_b2: np.ndarray
@@ -262,12 +267,14 @@ class InferenceWeights:
     """The parameters packed for `infer` and `extend`, as read-only arrays.
 
     The input projection is split by feature block, so that an input row is a
-    sum of projected rows; Q, K and V are one GEMM per block; the click and
-    pay heads are one MLP whose second layer is block-diagonal; and the
-    monotone cutpoints are computed in advance. The packed arrays are new;
-    the rest are views of the parameter arrays, which training replaces and
-    never writes (`nn.adam_step`). So the weights do not follow training:
-    derive them again from the trained parameters.
+    sum of projected rows; each layer norm is folded into the GEMM after it;
+    Q, K and V are one GEMM per block, with 1/sqrt(d_head) folded into the Q
+    columns; and the click and pay heads are one MLP whose second layer is
+    block-diagonal and emits minus each threshold's logit: -W2 (a monotone
+    head's single column repeated max_count times) with bias cutpoints - b2.
+    The folded arrays are new; the rest are views of the parameter arrays,
+    which training replaces and never writes (`nn.adam_step`). So the weights
+    do not follow training: derive them again from the trained parameters.
     """
 
     config: EngineConfig
@@ -276,14 +283,11 @@ class InferenceWeights:
     user: np.ndarray    # [d_user, d_model]: its user rows
     pos: np.ndarray     # [l_o, d_model]: pos.table through its position rows, plus proj.b
     blocks: tuple[Block, ...]
-    final_g: np.ndarray
-    final_b: np.ndarray
-    head_w1: np.ndarray    # [d_model, 2 * HEAD_HIDDEN]: click units, then pay units
+    head_w1: np.ndarray  # [d_model, 2 * HEAD_HIDDEN]: final_ln folded into click | pay W1
     head_b1: np.ndarray
-    head_w2: np.ndarray    # [2 * HEAD_HIDDEN, 2 * out_width], block-diagonal
-    head_b2: np.ndarray
-    cutpoints: np.ndarray  # [2, max_count]: click, pay; 0 for literal heads
-    valid: np.ndarray      # [l_o, max_count]: valid_mask
+    head_w2: np.ndarray  # [2 * HEAD_HIDDEN, 2 * max_count], block-diagonal
+    head_b2: np.ndarray  # [2 * max_count]: click, then pay
+    valid: np.ndarray    # [l_o, 2 * max_count]: valid_mask for both heads, as 1.0 and 0.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -302,30 +306,35 @@ class InferenceWeights:
 
         item, pos, user, score = np.split(
             w("proj.W"), np.cumsum([config.d_emb, config.d_position, config.d_user]))
+        scale = 1.0 / math.sqrt(config.d_model // config.n_heads)
         blocks = []
         for i in range(config.n_layers):
             a, f = f"layer{i}.attn", f"layer{i}.ffn"
+            qkv_w = np.concatenate([w(f"{a}.Wq") * scale, w(f"{a}.Wk"), w(f"{a}.Wv")], axis=1)
+            qkv_b = np.concatenate([w(f"{a}.bq") * scale, w(f"{a}.bk"), w(f"{a}.bv")])
             blocks.append(Block(
-                w(f"layer{i}.ln1.g"), w(f"layer{i}.ln1.b"),
-                joined([f"{a}.Wq", f"{a}.Wk", f"{a}.Wv"]),
-                joined([f"{a}.bq", f"{a}.bk", f"{a}.bv"]), w(f"{a}.Wo"), w(f"{a}.bo"),
-                w(f"layer{i}.ln2.g"), w(f"layer{i}.ln2.b"),
-                w(f"{f}.W1"), w(f"{f}.b1"), w(f"{f}.W2"), w(f"{f}.b2")))
-        heads = ("head_click", "head_pay")
-        (hc, oc), (hp, op) = (w(f"{h}.W2").shape for h in heads)
-        head_w2 = np.zeros((hc + hp, oc + op))
-        head_w2[:hc, :oc], head_w2[hc:, oc:] = w("head_click.W2"), w("head_pay.W2")
-        if config.head_mode == "monotone":
-            cutpoints = np.stack([_cutpoints(w(f"{h}.thresholds")) for h in heads])
-        else:  # literal heads emit each threshold's logit directly
-            cutpoints = np.zeros((2, config.max_count))
+                *_fold_norm(w(f"layer{i}.ln1.g"), w(f"layer{i}.ln1.b"), qkv_w, qkv_b),
+                w(f"{a}.Wo"), w(f"{a}.bo"),
+                *_fold_norm(w(f"layer{i}.ln2.g"), w(f"layer{i}.ln2.b"), w(f"{f}.W1"),
+                            w(f"{f}.b1")),
+                w(f"{f}.W2"), w(f"{f}.b2")))
+        heads, lmax = ("head_click", "head_pay"), config.max_count
+        head_w1, head_b1 = _fold_norm(w("final_ln.g"), w("final_ln.b"),
+                                      joined([f"{h}.W1" for h in heads]),
+                                      joined([f"{h}.b1" for h in heads]))
+        head_w2, head_b2 = np.zeros((2 * HEAD_HIDDEN, 2 * lmax)), np.zeros(2 * lmax)
+        for k, h in enumerate(heads):
+            rows = slice(k * HEAD_HIDDEN, (k + 1) * HEAD_HIDDEN)
+            cols = slice(k * lmax, (k + 1) * lmax)
+            head_w2[rows, cols] = -np.broadcast_to(w(f"{h}.W2"), (HEAD_HIDDEN, lmax))
+            # Literal heads emit each threshold's logit directly: no cutpoints.
+            cut = (_cutpoints(w(f"{h}.thresholds")) if config.head_mode == "monotone"
+                   else np.zeros(lmax))
+            head_b2[cols] = cut - w(f"{h}.b2")
         return cls(config=config, item=item, score=score, user=user,
                    pos=w("pos.table") @ pos + w("proj.b"), blocks=tuple(blocks),
-                   final_g=w("final_ln.g"), final_b=w("final_ln.b"),
-                   head_w1=joined([f"{h}.W1" for h in heads]),
-                   head_b1=joined([f"{h}.b1" for h in heads]), head_w2=head_w2,
-                   head_b2=joined([f"{h}.b2" for h in heads]), cutpoints=cutpoints,
-                   valid=valid_mask(config.l_o, config.max_count))
+                   head_w1=head_w1, head_b1=head_b1, head_w2=head_w2, head_b2=head_b2,
+                   valid=np.tile(valid_mask(config.l_o, lmax), 2).astype(np.float64))
 
     def project(self, emb: np.ndarray, score: np.ndarray) -> np.ndarray:
         """Item rows' share of the input projection: their embedding and
@@ -335,27 +344,53 @@ class InferenceWeights:
         return emb @ self.item + score @ self.score
 
 
+# The last packing of read-only parameters: (config, {name: array}, weights).
+# It lives here because callers such as `server.rerank` pass only the
+# parameter dict. The entry is replaced whole, so a thread reads a consistent
+# one; two threads that miss at once both pack, and either packing is right.
+_last_packed: tuple[EngineConfig, dict, InferenceWeights] | None = None
+
+
+def packed_weights(config: EngineConfig, params: dict) -> InferenceWeights:
+    """`InferenceWeights.from_params(config, params)`, packed once per loaded
+    checkpoint: the last packing is reused while the config is equal and every
+    parameter array is the same object as then and still read-only, as
+    `load_checkpoint`'s are. Writable parameters (`init_params`, training) may
+    be written in place, so they are packed afresh on every call. An array
+    made writable, written and then frozen again between two calls is not
+    noticed: replace a parameter's array to change it."""
+    global _last_packed
+    arrays = {name: p.value for name, p in params.items()}
+    last = _last_packed
+    if (last is not None and last[0] == config and last[1].keys() == arrays.keys()
+            and all(a is last[1][name] and not a.flags.writeable for name, a in arrays.items())):
+        return last[2]
+    weights = InferenceWeights.from_params(config, params)
+    if not any(a.flags.writeable for a in arrays.values()):
+        _last_packed = (config, arrays, weights)
+    return weights
+
+
 def _finish_block(b: Block, x: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                  mask: np.ndarray | bool) -> np.ndarray:
-    """Block b on rows x [m, d_model], given their queries q and the keys k
-    and values v they attend over, each [n, n_heads, positions, d_head], with
-    keys outside `mask` ignored: attention, the output projection and its
-    residual, then the FFN half."""
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
-    attended = (nn.softmax_rows(scores, mask) @ v).swapaxes(1, 2).reshape(x.shape)
+                  mask: np.ndarray | None) -> np.ndarray:
+    """Block b on rows x [m, d_model], given their queries q (scaled by
+    1/sqrt(d_head)) and the keys k and values v they attend over, each
+    [n, n_heads, positions, d_head], with keys outside `mask` (None: none)
+    ignored: attention, the output projection and its residual, then the
+    FFN half."""
+    attended = (nn.softmax_rows(q @ k.swapaxes(-1, -2), mask) @ v).swapaxes(1, 2).reshape(x.shape)
     x = x + (attended @ b.out_w + b.out_b)
-    h = np.maximum(_norm(x, b.ln2_g, b.ln2_b) @ b.ffn_w1 + b.ffn_b1, 0.0)
+    h = np.maximum(nn.normalize_rows(x)[0] @ b.ffn_w1 + b.ffn_b1, 0.0)
     return x + (h @ b.ffn_w2 + b.ffn_b2)
 
 
 def _survival(weights: InferenceWeights, x: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """The fused heads on the last block's rows x [m, d_model]: final norm,
-    head MLP, minus the cutpoints, sigmoid, zeroed where `valid` (which
-    broadcasts to the result) is False. Returns [m, 2 (click, pay), max_count]."""
-    h = np.maximum(_norm(x, weights.final_g, weights.final_b) @ weights.head_w1
-                   + weights.head_b1, 0.0)
-    z = (h @ weights.head_w2 + weights.head_b2).reshape(len(x), 2, -1) - weights.cutpoints
-    probs = 1.0 / (1.0 + np.exp(-z)) * valid
+    head MLP, then the sigmoid of the thresholds' logits, which the packed
+    output layer emits negated, times `valid` (which broadcasts to the
+    result). Returns [m, 2 * max_count]: click, then pay."""
+    h = np.maximum(nn.normalize_rows(x)[0] @ weights.head_w1 + weights.head_b1, 0.0)
+    probs = valid / (1.0 + np.exp(h @ weights.head_w2 + weights.head_b2))
     if not np.isfinite(probs).all():
         raise FloatingPointError("non-finite activations in forward pass")
     return probs
@@ -376,10 +411,9 @@ def infer(weights: InferenceWeights, e_item: np.ndarray, user: np.ndarray,
     x = (x + (weights.pos[:l] + (user @ weights.user)[:, None])).reshape(n * l, dm)
     causal = np.arange(l)[None, :] <= np.arange(l)[:, None]
     for b in weights.blocks:
-        qkv = (_norm(x, b.ln1_g, b.ln1_b) @ b.qkv_w + b.qkv_b).reshape(n, l, 3, heads, -1)
+        qkv = (nn.normalize_rows(x)[0] @ b.qkv_w + b.qkv_b).reshape(n, l, 3, heads, -1)
         x = _finish_block(b, x, *qkv.transpose(2, 0, 3, 1, 4), causal)
-    probs = _survival(weights, x, np.tile(weights.valid[:l], (n, 1))[:, None])
-    probs = probs.reshape(n, l, 2, -1)
+    probs = _survival(weights, x, np.tile(weights.valid[:l], (n, 1))).reshape(n, l, 2, -1)
     return probs[:, :, 0], probs[:, :, 1]
 
 
@@ -394,7 +428,7 @@ class Prefix:
     slot t of row k.
     """
 
-    user: np.ndarray        # [d_model]: the user's share of the input projection
+    inputs: np.ndarray      # [l_o, d_model]: each position's row plus the user's row
     keys: list[np.ndarray]  # per layer [width, n_heads, l_o, d_head]
     vals: list[np.ndarray]  # per layer [width, n_heads, l_o, d_head]
     length: int = 0
@@ -407,7 +441,8 @@ class Prefix:
         if user.shape != (config.d_user,):
             raise ConfigError("feature width mismatch")
         shape = (width, config.n_heads, config.l_o, config.d_model // config.n_heads)
-        return cls(user @ weights.user, [np.empty(shape) for _ in range(config.n_layers)],
+        return cls(weights.pos + user @ weights.user,
+                   [np.empty(shape) for _ in range(config.n_layers)],
                    [np.empty(shape) for _ in range(config.n_layers)])
 
     def __len__(self) -> int:
@@ -449,15 +484,15 @@ def extend(weights: InferenceWeights, prefix: Prefix, x: np.ndarray) -> Extensio
     if n > width:
         raise ConfigError(f"{n} candidates exceed the prefix's width of {width}")
     heads, dh = config.n_heads, config.d_model // config.n_heads
-    x = x + (weights.pos[t] + prefix.user)
+    x = x + prefix.inputs[t]
     for b, cache_k, cache_v in zip(weights.blocks, prefix.keys, prefix.vals):
-        qkv = (_norm(x, b.ln1_g, b.ln1_b) @ b.qkv_w + b.qkv_b).reshape(n, 3, heads, 1, dh)
+        qkv = (nn.normalize_rows(x)[0] @ b.qkv_w + b.qkv_b).reshape(n, 3, heads, 1, dh)
         cache_k[:n, :, t] = qkv[:, 1, :, 0]
         cache_v[:n, :, t] = qkv[:, 2, :, 0]
         # The new position sees every key, so no entry is masked.
-        x = _finish_block(b, x, qkv[:, 0], cache_k[:n, :, :t + 1], cache_v[:n, :, :t + 1], True)
+        x = _finish_block(b, x, qkv[:, 0], cache_k[:n, :, :t + 1], cache_v[:n, :, :t + 1], None)
     probs = _survival(weights, x, weights.valid[t])
-    return Extension(probs[:, 0], probs[:, 1])
+    return Extension(probs[:, :config.max_count], probs[:, config.max_count:])
 
 
 # ------------------------------ checkpoints --------------------------------
@@ -480,7 +515,9 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Var], EngineConfig]:
     """Parameters and config from a checkpoint file.
 
     The parameters come back frozen (requires_grad=False), so a forward over
-    them records no tape; set requires_grad=True on each to fine-tune them.
+    them records no tape; set requires_grad=True on each to fine-tune them
+    (`nn.adam_step` replaces their arrays). Their arrays are read-only, which
+    lets `packed_weights` pack them once, however many requests they serve.
     The config must pass `validate_config`, every parameter's name and shape
     is checked against `param_shapes(config)`, and its values must be finite
     numbers, so a malformed or damaged checkpoint raises ConfigError here,
@@ -520,5 +557,5 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Var], EngineConfig]:
                               f"{arr.size} values, expected shape {list(shapes[name])}")
         if not np.isfinite(arr).all():
             raise ConfigError(f"checkpoint parameter {name!r} has a non-finite value")
-        params[name] = Var(arr.reshape(shapes[name]), requires_grad=False)
+        params[name] = Var(_frozen(arr.reshape(shapes[name])), requires_grad=False)
     return params, config

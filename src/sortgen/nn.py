@@ -201,9 +201,11 @@ def index_last(a, i: int) -> Var:
     return Var(a.value[..., i], (a,), bw)
 
 
-def softmax_rows(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of a raw array; masked-out entries get 0."""
-    logits = np.where(mask, logits, -np.inf)
+def softmax_rows(logits: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """Softmax over the last axis of a raw array; entries outside `mask`
+    (None: no entry) get 0."""
+    if mask is not None:
+        logits = np.where(mask, logits, -np.inf)
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 

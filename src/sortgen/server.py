@@ -1,7 +1,10 @@
 """Minimal HTTP rerank service: POST /rerank, GET /healthz.
 
-Stateless per request; model parameters are loaded once and shared
-read-only across the threaded handler pool.
+Stateless per request; model parameters are loaded once, as read-only
+arrays, and shared across the threaded handler pool. The first request packs
+them into `model.InferenceWeights` (`model.packed_weights`), and later
+requests reuse that packing; each request makes its own `ValueModel`, so its
+invocation count is its own.
 """
 
 from __future__ import annotations

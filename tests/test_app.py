@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import socket
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -191,16 +192,22 @@ def test_seed_option_sets_the_sample_seed(workdir, capsys):
     assert oracle() == oracle("--seed", "3")
 
 
+def _counting_packs(monkeypatch) -> list:
+    """The argument tuples of every `InferenceWeights.from_params` call from now on."""
+    packs = []
+    pack = sortmodel.InferenceWeights.from_params
+    monkeypatch.setattr(sortmodel.InferenceWeights, "from_params",
+                        classmethod(lambda cls, *args: packs.append(args) or pack(*args)))
+    return packs
+
+
 @pytest.mark.parametrize("argv", [
     ["evaluate", "--pools", "3"],
     ["bench", "--slates", "3"],
     ["oracle", "--pools", "3", "--small-ls", "6", "--small-lo", "3"],
 ], ids=["evaluate", "bench", "oracle"])
 def test_commands_pack_the_weights_once(workdir, capsys, monkeypatch, argv):
-    packs = []
-    pack = sortmodel.InferenceWeights.from_params
-    monkeypatch.setattr(sortmodel.InferenceWeights, "from_params",
-                        classmethod(lambda cls, *args: packs.append(args) or pack(*args)))
+    packs = _counting_packs(monkeypatch)
     assert cli.main([*argv, "--ckpt", str(workdir["ckpt"]), "--data", str(workdir["data"]),
                      "--out", str(workdir["root"] / "curves.tsv")]) == 0
     assert len(packs) == 1
@@ -360,6 +367,135 @@ def test_rerank_reply_reuses_the_item_ids(workdir):
     reply = srv.rerank(engine, params, user, items, ObjectiveWeights())
     assert len(reply["item_ids"]) == engine.l_o
     assert all(item_id is by_id[item_id].id for item_id in reply["item_ids"])
+
+
+# A loaded checkpoint is packed once (`model.packed_weights`): the packing is
+# reused while the config and every parameter array are the same read-only
+# objects as when it was made.
+
+
+def _body(reply) -> str:
+    """A reply without its latency, as the bytes that are compared."""
+    return json.dumps([reply["item_ids"], reply["source_queues"], repr(reply["combined_value"])])
+
+
+def _parsed(workdir, engine, seed):
+    doc, _, _ = _request_doc(workdir, seed=seed)
+    return srv.parse_rerank_request(doc, engine)[:2]
+
+
+def test_rerank_packs_a_loaded_checkpoint_once(workdir, monkeypatch):
+    params, engine = sortmodel.load_checkpoint(workdir["ckpt"])
+    user, pool = _parsed(workdir, engine, seed=27)
+    packs = _counting_packs(monkeypatch)
+    first = srv.rerank(engine, params, user, pool, ObjectiveWeights())
+    second = srv.rerank(engine, params, user, pool, ObjectiveWeights())
+    assert len(packs) == 1
+    assert _body(first) == _body(second)
+
+
+def test_replacing_a_parameter_array_repacks(workdir, monkeypatch):
+    params, engine = sortmodel.load_checkpoint(workdir["ckpt"])
+    user, pool = _parsed(workdir, engine, seed=27)
+    packs = _counting_packs(monkeypatch)
+    before = srv.rerank(engine, params, user, pool, ObjectiveWeights())
+    p = params["head_pay.b2"]
+    p.value = p.value + 1
+    after = srv.rerank(engine, params, user, pool, ObjectiveWeights())
+    assert len(packs) == 2
+    assert after["combined_value"] != before["combined_value"]
+    # A read-only replacement is a new object too; it is packed, then reused.
+    replaced = p.value + 1
+    replaced.flags.writeable = False
+    p.value = replaced
+    srv.rerank(engine, params, user, pool, ObjectiveWeights())
+    srv.rerank(engine, params, user, pool, ObjectiveWeights())
+    assert len(packs) == 3
+
+
+def test_writable_parameters_are_packed_on_every_call(workdir, monkeypatch):
+    _, engine = sortmodel.load_checkpoint(workdir["ckpt"])
+    params = sortmodel.init_params(engine, seed=5)
+    user, pool = _parsed(workdir, engine, seed=27)
+    packs = _counting_packs(monkeypatch)
+    before = srv.rerank(engine, params, user, pool, ObjectiveWeights())
+    srv.rerank(engine, params, user, pool, ObjectiveWeights())
+    assert len(packs) == 2
+    params["head_pay.b2"].value[...] += 1.0  # written in place, as a caller may
+    after = srv.rerank(engine, params, user, pool, ObjectiveWeights())
+    assert len(packs) == 3
+    assert after["combined_value"] != before["combined_value"]
+    copies = {name: sortmodel.Var(p.value.copy()) for name, p in params.items()}
+    assert _body(after) == _body(srv.rerank(engine, copies, user, pool, ObjectiveWeights()))
+
+
+def test_an_array_made_writable_again_is_not_reused(workdir, monkeypatch):
+    params, engine = sortmodel.load_checkpoint(workdir["ckpt"])
+    user, pool = _parsed(workdir, engine, seed=27)
+    packs = _counting_packs(monkeypatch)
+    before = srv.rerank(engine, params, user, pool, ObjectiveWeights())
+    b2 = params["head_pay.b2"].value
+    b2.flags.writeable = True
+    b2 += 1.0
+    after = srv.rerank(engine, params, user, pool, ObjectiveWeights())
+    assert len(packs) == 2
+    assert after["combined_value"] != before["combined_value"]
+
+
+def test_replies_from_the_reused_packing_equal_fresh_ones(workdir):
+    params, engine = sortmodel.load_checkpoint(workdir["ckpt"])
+    copies = {name: sortmodel.Var(p.value.copy()) for name, p in params.items()}
+    for seed in range(40, 48):
+        user, pool = _parsed(workdir, engine, seed)
+        reused = srv.rerank(engine, params, user, pool, ObjectiveWeights())
+        fresh = srv.rerank(engine, copies, user, pool, ObjectiveWeights())
+        assert _body(reused) == _body(fresh)
+
+
+def test_concurrent_reranks_share_only_the_packing(workdir, monkeypatch):
+    # Threads rerank on one loaded checkpoint: one packing serves them all,
+    # each reply equals the serial one, and each request's trace counts its
+    # own l_o model invocations.
+    params, engine = sortmodel.load_checkpoint(workdir["ckpt"])
+    requests = [_parsed(workdir, engine, seed) for seed in range(50, 56)]
+    serial = [_body(srv.rerank(engine, params, user, pool, ObjectiveWeights()))
+              for user, pool in requests]
+    packs, invocations = _counting_packs(monkeypatch), []
+    generate = srv.generation.generate
+
+    def counting_generate(*args, **kwargs):
+        trace = generate(*args, **kwargs)
+        invocations.append(trace.invocations)
+        return trace
+
+    monkeypatch.setattr(srv.generation, "generate", counting_generate)
+    results, errors = {}, []
+
+    def worker(t):
+        try:
+            for k in range(len(requests)):
+                k = (k + t) % len(requests)
+                user, pool = requests[k]
+                results[t, k] = _body(srv.rerank(engine, params, user, pool, ObjectiveWeights()))
+        except Exception as exc:  # surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the NumPy calls' Python code
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(results) == 4 * len(requests)
+    assert all(body == serial[k] for (_, k), body in results.items())
+    assert invocations == [engine.l_o] * len(results)
+    assert packs == []
 
 
 def _wide_request_doc(n, seed=41):

@@ -67,6 +67,23 @@ def test_item_requires_unit_norm():
              prior_cvr=0.5, category=0)
 
 
+def test_user_and_item_copy_the_callers_array():
+    # The types freeze their own copy: the caller's array stays writable, and
+    # a later write to it does not reach the user or the item.
+    feats = np.zeros(8)
+    user = UserContext(feats)
+    feats[0] = 1.0
+    assert user.user_features[0] == 0.0
+    emb = np.zeros(8)
+    emb[0] = 1.0
+    item = Item(id=0, embedding=emb, price=1.0, prior_ctr=0.5, prior_cvr=0.5, category=0)
+    emb[1] = 0.5
+    assert item.embedding[1] == 0.0
+    for frozen in (user.user_features, item.embedding):
+        with pytest.raises(ValueError, match="read-only"):
+            frozen[0] = 2.0
+
+
 def test_item_rejects_bad_priors():
     emb = np.zeros(8)
     emb[0] = 1.0

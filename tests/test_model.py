@@ -334,6 +334,7 @@ def test_loaded_checkpoint_is_frozen(tmp_path, small_config, small_params):
     sortmodel.save_checkpoint(path, small_params, small_config)
     loaded, cfg = sortmodel.load_checkpoint(path)
     assert not any(p.requires_grad for p in loaded.values())
+    assert not any(p.value.flags.writeable for p in loaded.values())
     emb, user, score = _random_inputs(cfg, 2, cfg.l_o, seed=17)
     out = sortmodel.forward(cfg, loaded, emb, user, score)
     for v in (out.click, out.pay, out.click_logits, out.pay_logits):
@@ -477,6 +478,24 @@ def test_packed_step_matches_full_forward(small_config, head_mode):
         pay_count, gmv = pay_counts[path[-1]], gmvs[path[-1]]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("head_mode", ["monotone", "literal"])
+def test_packed_forwards_raise_on_non_finite_activations(small_config, head_mode, bad):
+    # One non-finite input entry makes its row's activations non-finite; both
+    # forwards refuse to return such survival rows.
+    cfg = dataclasses.replace(small_config, head_mode=head_mode)
+    packed = sortmodel.InferenceWeights.from_params(cfg, _perturbed_params(cfg, seed=31))
+    emb, users, score = _random_inputs(cfg, 2, 3, seed=32)
+    emb[1, 2, 0] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+        sortmodel.infer(packed, emb, users, score)
+    prefix = sortmodel.Prefix.empty(packed, users[0], 2)
+    rows = packed.project(emb[:, 2], score[:, 2])
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+        sortmodel.extend(packed, prefix, rows)
+    assert np.isfinite(sortmodel.extend(packed, prefix, rows[:1]).click).all()
+
+
 @pytest.mark.parametrize("head_mode", ["monotone", "literal"])
 def test_extend_twice_on_one_prefix_gives_identical_rows(small_config, head_mode):
     # extend writes only slot t of the rows it scores, so a second call on the
@@ -498,33 +517,64 @@ def test_extend_twice_on_one_prefix_gives_identical_rows(small_config, head_mode
 
 @pytest.mark.parametrize("head_mode", ["monotone", "literal"])
 def test_inference_weights_match_their_parameters(small_config, head_mode):
+    # Each folded array equals its formula over the parameters exactly.
     cfg = dataclasses.replace(small_config, head_mode=head_mode)
     params = _perturbed_params(cfg, seed=24)
     packed = sortmodel.InferenceWeights.from_params(cfg, params)
-    dm = cfg.d_model
+
+    def w(name):
+        return params[name].value
+
+    d_emb, d_pos, d_user = cfg.d_emb, cfg.d_position, cfg.d_user
+    proj = w("proj.W")
+    assert np.array_equal(packed.item, proj[:d_emb])
+    assert np.array_equal(packed.pos, w("pos.table") @ proj[d_emb:d_emb + d_pos] + w("proj.b"))
+    assert np.array_equal(packed.user, proj[d_emb + d_pos:d_emb + d_pos + d_user])
+    assert np.array_equal(packed.score, proj[d_emb + d_pos + d_user:])
+    scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
     for i, block in enumerate(packed.blocks):
-        for j, c in enumerate("qkv"):
-            assert np.array_equal(block.qkv_w[:, j * dm:(j + 1) * dm],
-                                  params[f"layer{i}.attn.W{c}"].value)
-            assert np.array_equal(block.qkv_b[j * dm:(j + 1) * dm],
-                                  params[f"layer{i}.attn.b{c}"].value)
-    # The heads' second layer is block-diagonal, with exact zeros off it.
-    hidden, out = params["head_click.W2"].value.shape
-    assert np.array_equal(packed.head_w2[:hidden, :out], params["head_click.W2"].value)
-    assert np.array_equal(packed.head_w2[hidden:, out:], params["head_pay.W2"].value)
-    assert (packed.head_w2[:hidden, out:] == 0.0).all()
-    assert (packed.head_w2[hidden:, :out] == 0.0).all()
-    # With the heads' outputs zeroed, the tape forward's logits are minus its
-    # cutpoints (all 0 for literal heads).
+        a, g1, b1 = f"layer{i}.attn", w(f"layer{i}.ln1.g"), w(f"layer{i}.ln1.b")
+        qkv_w = np.concatenate([w(f"{a}.Wq") * scale, w(f"{a}.Wk"), w(f"{a}.Wv")], axis=1)
+        qkv_b = np.concatenate([w(f"{a}.bq") * scale, w(f"{a}.bk"), w(f"{a}.bv")])
+        assert np.array_equal(block.qkv_w, g1[:, None] * qkv_w)
+        assert np.array_equal(block.qkv_b, b1 @ qkv_w + qkv_b)
+        assert np.array_equal(block.out_w, w(f"{a}.Wo"))
+        assert np.array_equal(block.out_b, w(f"{a}.bo"))
+        f, g2, b2 = f"layer{i}.ffn", w(f"layer{i}.ln2.g"), w(f"layer{i}.ln2.b")
+        assert np.array_equal(block.ffn_w1, g2[:, None] * w(f"{f}.W1"))
+        assert np.array_equal(block.ffn_b1, b2 @ w(f"{f}.W1") + w(f"{f}.b1"))
+        assert np.array_equal(block.ffn_w2, w(f"{f}.W2"))
+        assert np.array_equal(block.ffn_b2, w(f"{f}.b2"))
+    heads = ("head_click", "head_pay")
+    head_w1 = np.concatenate([w(f"{h}.W1") for h in heads], axis=1)
+    assert np.array_equal(packed.head_w1, w("final_ln.g")[:, None] * head_w1)
+    assert np.array_equal(packed.head_b1, w("final_ln.b") @ head_w1
+                          + np.concatenate([w(f"{h}.b1") for h in heads]))
+    # The heads' second layer is -W2, widened to max_count columns a head (a
+    # monotone head's one column repeated), block-diagonal with exact zeros
+    # off it; its bias is the cutpoints minus b2.
+    hidden, lmax = sortmodel.HEAD_HIDDEN, cfg.max_count
+    assert packed.head_w2.shape == (2 * hidden, 2 * lmax)
+    for k, h in enumerate(heads):
+        block_w2 = packed.head_w2[k * hidden:(k + 1) * hidden, k * lmax:(k + 1) * lmax]
+        assert np.array_equal(block_w2, -np.broadcast_to(w(f"{h}.W2"), (hidden, lmax)))
+    assert (packed.head_w2[:hidden, lmax:] == 0.0).all()
+    assert (packed.head_w2[hidden:, :lmax] == 0.0).all()
+    # With the heads' outputs zeroed, the packed bias is the cutpoints alone,
+    # and the tape forward's logits are minus its cutpoints (all 0 for literal
+    # heads).
     zeroed = dict(params)
-    for head in ("head_click", "head_pay"):
+    for head in heads:
         for name in ("W2", "b2"):
             zeroed[f"{head}.{name}"] = Var(np.zeros_like(params[f"{head}.{name}"].value))
+    cutpoints = sortmodel.InferenceWeights.from_params(cfg, zeroed).head_b2
     tape = sortmodel.forward(cfg, zeroed, *_random_inputs(cfg, 1, 1, seed=25))
     np.testing.assert_allclose(
-        packed.cutpoints,
-        -np.stack([tape.click_logits.value[0, 0], tape.pay_logits.value[0, 0]]),
+        cutpoints, -np.concatenate([tape.click_logits.value[0, 0], tape.pay_logits.value[0, 0]]),
         rtol=1e-14, atol=0.0)
+    assert np.array_equal(packed.head_b2, cutpoints - np.concatenate(
+        [np.broadcast_to(w(f"{h}.b2"), lmax) for h in heads]))
+    assert np.array_equal(packed.valid, np.tile(sortmodel.valid_mask(cfg.l_o, lmax), 2))
     arrays = [getattr(packed, f.name) for f in dataclasses.fields(packed)
               if isinstance(getattr(packed, f.name), np.ndarray)]
     arrays += [a for block in packed.blocks for a in block]
