@@ -218,11 +218,17 @@ def item_features(items) -> ItemFeatures:
 # in every affine map that does not depend on the input: each layer norm's
 # gain and bias go into the GEMM after it, attention's 1/sqrt(d_head) into
 # the Q columns, and the heads' cutpoints and the sigmoid's sign into their
-# output layer. So a block's halves start from `nn.normalize_rows`, and the
-# heads end in valid / (1 + exp(h @ W2 + b2)). `infer` is the full causal
-# forward over whole sequences. `extend` is the greedy step: it computes only
-# the new position of each candidate and attends over the keys and values of
-# the chosen prefix, which a `Prefix` caches in buffers filled in place (KV
+# output layer. It also centres every array that writes the residual stream
+# (each row minus its mean: the input projection's blocks, `pos`, and each
+# block's output and second FFN layer), so every row of the stream has zero
+# mean. A layer norm reads the stream only through x - mean(x), so the norms
+# drop their centring: each is `_norm_rows`, x / sqrt(sum(x^2) + d * eps),
+# which is 1/sqrt(d) times the layer norm's rows, and that sqrt(d) is folded
+# into its gain. So a block's halves start from `_norm_rows`, and the heads
+# end in valid / (1 + exp(h @ W2 + b2)). `infer` is the full causal forward
+# over whole sequences. `extend` is the greedy step: it computes only the new
+# position of each candidate and attends over the keys and values of the
+# chosen prefix, which a `Prefix` caches in buffers filled in place (KV
 # caching), so no step copies the cache. The two share the block and head
 # code and differ only in where attention's keys and values come from; the
 # model is causal and everything but attention is per position, so `extend`
@@ -234,25 +240,40 @@ def _cutpoints(thresholds: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate([thresholds[:1], np.log(1.0 + np.exp(thresholds[1:]))]))
 
 
+def _centred(a: np.ndarray) -> np.ndarray:
+    """a with each row's mean taken out: a @ (I - 11^T / d) for a residual
+    writer a [..., d_model], so that what it writes has zero mean."""
+    return a - a.mean(axis=-1, keepdims=True)
+
+
+def _norm_rows(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """Zero-mean rows x [m, d] scaled to x / sqrt(sum(x^2) + d * eps): the
+    layer norm's `nn.normalize_rows(x)[0]` divided by sqrt(d), without its
+    centring."""
+    return x / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) + x.shape[-1] * eps)
+
+
 def _fold_norm(g: np.ndarray, b: np.ndarray, w: np.ndarray,
                c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The GEMM (g * xhat + b) @ w + c after a layer norm as xhat @ w' + c':
-    (g[:, None] * w, b @ w + c)."""
+    (g[:, None] * w, b @ w + c). Pass g * sqrt(d_model) to read xhat from
+    `_norm_rows`."""
     return g[:, None] * w, b @ w + c
 
 
 class Block(NamedTuple):
-    """One transformer block's weights, with Q, K and V in one GEMM and each
-    layer norm folded into the GEMM after it."""
+    """One transformer block's weights, with Q, K and V in one GEMM, each
+    layer norm folded into the GEMM after it, and the residual writers
+    centred."""
 
     qkv_w: np.ndarray  # [d_model, 3 * d_model]: ln1 folded into Wq / sqrt(d_head) | Wk | Wv
     qkv_b: np.ndarray  # [3 * d_model]
-    out_w: np.ndarray
-    out_b: np.ndarray
+    out_w: np.ndarray   # attn.Wo, centred
+    out_b: np.ndarray   # attn.bo, centred
     ffn_w1: np.ndarray  # ln2 folded into ffn.W1
     ffn_b1: np.ndarray
-    ffn_w2: np.ndarray
-    ffn_b2: np.ndarray
+    ffn_w2: np.ndarray  # ffn.W2, centred
+    ffn_b2: np.ndarray  # ffn.b2, centred
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -267,21 +288,24 @@ class InferenceWeights:
     """The parameters packed for `infer` and `extend`, as read-only arrays.
 
     The input projection is split by feature block, so that an input row is a
-    sum of projected rows; each layer norm is folded into the GEMM after it;
-    Q, K and V are one GEMM per block, with 1/sqrt(d_head) folded into the Q
-    columns; and the click and pay heads are one MLP whose second layer is
-    block-diagonal and emits minus each threshold's logit: -W2 (a monotone
-    head's single column repeated max_count times) with bias cutpoints - b2.
-    The folded arrays are new; the rest are views of the parameter arrays,
-    which training replaces and never writes (`nn.adam_step`). So the weights
-    do not follow training: derive them again from the trained parameters.
+    sum of projected rows. Every array that writes the residual stream (the
+    projection's blocks, `pos`, and each block's `out_*` and `ffn_w2`/`ffn_b2`)
+    is centred, each row minus its mean, so every stream row has zero mean
+    and the norms need no centring (`_norm_rows`). Each layer norm is folded
+    into the GEMM after it, its gain times sqrt(d_model); Q, K and V are one
+    GEMM per block, with 1/sqrt(d_head) folded into the Q columns; and the
+    click and pay heads are one MLP whose second layer is block-diagonal and
+    emits minus each threshold's logit: -W2 (a monotone head's single column
+    repeated max_count times) with bias cutpoints - b2. Every array is new,
+    none a view of a parameter, so the weights do not follow training:
+    derive them again from the trained parameters.
     """
 
     config: EngineConfig
-    item: np.ndarray    # [d_emb, d_model]: proj.W's item rows
-    score: np.ndarray   # [2, d_model]: its prior-score rows
-    user: np.ndarray    # [d_user, d_model]: its user rows
-    pos: np.ndarray     # [l_o, d_model]: pos.table through its position rows, plus proj.b
+    item: np.ndarray    # [d_emb, d_model]: proj.W's item rows, centred
+    score: np.ndarray   # [2, d_model]: its prior-score rows, centred
+    user: np.ndarray    # [d_user, d_model]: its user rows, centred
+    pos: np.ndarray     # [l_o, d_model]: pos.table through its position rows, plus proj.b, centred
     blocks: tuple[Block, ...]
     head_w1: np.ndarray  # [d_model, 2 * HEAD_HIDDEN]: final_ln folded into click | pay W1
     head_b1: np.ndarray
@@ -307,19 +331,20 @@ class InferenceWeights:
         item, pos, user, score = np.split(
             w("proj.W"), np.cumsum([config.d_emb, config.d_position, config.d_user]))
         scale = 1.0 / math.sqrt(config.d_model // config.n_heads)
+        root_d = math.sqrt(config.d_model)
         blocks = []
         for i in range(config.n_layers):
             a, f = f"layer{i}.attn", f"layer{i}.ffn"
             qkv_w = np.concatenate([w(f"{a}.Wq") * scale, w(f"{a}.Wk"), w(f"{a}.Wv")], axis=1)
             qkv_b = np.concatenate([w(f"{a}.bq") * scale, w(f"{a}.bk"), w(f"{a}.bv")])
             blocks.append(Block(
-                *_fold_norm(w(f"layer{i}.ln1.g"), w(f"layer{i}.ln1.b"), qkv_w, qkv_b),
-                w(f"{a}.Wo"), w(f"{a}.bo"),
-                *_fold_norm(w(f"layer{i}.ln2.g"), w(f"layer{i}.ln2.b"), w(f"{f}.W1"),
+                *_fold_norm(w(f"layer{i}.ln1.g") * root_d, w(f"layer{i}.ln1.b"), qkv_w, qkv_b),
+                _centred(w(f"{a}.Wo")), _centred(w(f"{a}.bo")),
+                *_fold_norm(w(f"layer{i}.ln2.g") * root_d, w(f"layer{i}.ln2.b"), w(f"{f}.W1"),
                             w(f"{f}.b1")),
-                w(f"{f}.W2"), w(f"{f}.b2")))
+                _centred(w(f"{f}.W2")), _centred(w(f"{f}.b2"))))
         heads, lmax = ("head_click", "head_pay"), config.max_count
-        head_w1, head_b1 = _fold_norm(w("final_ln.g"), w("final_ln.b"),
+        head_w1, head_b1 = _fold_norm(w("final_ln.g") * root_d, w("final_ln.b"),
                                       joined([f"{h}.W1" for h in heads]),
                                       joined([f"{h}.b1" for h in heads]))
         head_w2, head_b2 = np.zeros((2 * HEAD_HIDDEN, 2 * lmax)), np.zeros(2 * lmax)
@@ -331,9 +356,10 @@ class InferenceWeights:
             cut = (_cutpoints(w(f"{h}.thresholds")) if config.head_mode == "monotone"
                    else np.zeros(lmax))
             head_b2[cols] = cut - w(f"{h}.b2")
-        return cls(config=config, item=item, score=score, user=user,
-                   pos=w("pos.table") @ pos + w("proj.b"), blocks=tuple(blocks),
-                   head_w1=head_w1, head_b1=head_b1, head_w2=head_w2, head_b2=head_b2,
+        return cls(config=config, item=_centred(item), score=_centred(score),
+                   user=_centred(user), pos=_centred(w("pos.table") @ pos + w("proj.b")),
+                   blocks=tuple(blocks), head_w1=head_w1, head_b1=head_b1,
+                   head_w2=head_w2, head_b2=head_b2,
                    valid=np.tile(valid_mask(config.l_o, lmax), 2).astype(np.float64))
 
     def project(self, emb: np.ndarray, score: np.ndarray) -> np.ndarray:
@@ -380,7 +406,7 @@ def _finish_block(b: Block, x: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.n
     FFN half."""
     attended = (nn.softmax_rows(q @ k.swapaxes(-1, -2), mask) @ v).swapaxes(1, 2).reshape(x.shape)
     x = x + (attended @ b.out_w + b.out_b)
-    h = np.maximum(nn.normalize_rows(x)[0] @ b.ffn_w1 + b.ffn_b1, 0.0)
+    h = np.maximum(_norm_rows(x) @ b.ffn_w1 + b.ffn_b1, 0.0)
     return x + (h @ b.ffn_w2 + b.ffn_b2)
 
 
@@ -389,7 +415,7 @@ def _survival(weights: InferenceWeights, x: np.ndarray, valid: np.ndarray) -> np
     head MLP, then the sigmoid of the thresholds' logits, which the packed
     output layer emits negated, times `valid` (which broadcasts to the
     result). Returns [m, 2 * max_count]: click, then pay."""
-    h = np.maximum(nn.normalize_rows(x)[0] @ weights.head_w1 + weights.head_b1, 0.0)
+    h = np.maximum(_norm_rows(x) @ weights.head_w1 + weights.head_b1, 0.0)
     probs = valid / (1.0 + np.exp(h @ weights.head_w2 + weights.head_b2))
     if not np.isfinite(probs).all():
         raise FloatingPointError("non-finite activations in forward pass")
@@ -411,7 +437,7 @@ def infer(weights: InferenceWeights, e_item: np.ndarray, user: np.ndarray,
     x = (x + (weights.pos[:l] + (user @ weights.user)[:, None])).reshape(n * l, dm)
     causal = np.arange(l)[None, :] <= np.arange(l)[:, None]
     for b in weights.blocks:
-        qkv = (nn.normalize_rows(x)[0] @ b.qkv_w + b.qkv_b).reshape(n, l, 3, heads, -1)
+        qkv = (_norm_rows(x) @ b.qkv_w + b.qkv_b).reshape(n, l, 3, heads, -1)
         x = _finish_block(b, x, *qkv.transpose(2, 0, 3, 1, 4), causal)
     probs = _survival(weights, x, np.tile(weights.valid[:l], (n, 1))).reshape(n, l, 2, -1)
     return probs[:, :, 0], probs[:, :, 1]
@@ -486,7 +512,7 @@ def extend(weights: InferenceWeights, prefix: Prefix, x: np.ndarray) -> Extensio
     heads, dh = config.n_heads, config.d_model // config.n_heads
     x = x + prefix.inputs[t]
     for b, cache_k, cache_v in zip(weights.blocks, prefix.keys, prefix.vals):
-        qkv = (nn.normalize_rows(x)[0] @ b.qkv_w + b.qkv_b).reshape(n, 3, heads, 1, dh)
+        qkv = (_norm_rows(x) @ b.qkv_w + b.qkv_b).reshape(n, 3, heads, 1, dh)
         cache_k[:n, :, t] = qkv[:, 1, :, 0]
         cache_v[:n, :, t] = qkv[:, 2, :, 0]
         # The new position sees every key, so no entry is masked.

@@ -34,6 +34,9 @@ from sortgen.model import ItemFeatures, load_checkpoint
 # Caps on one request, far above a 300-candidate pool (~75 KB of JSON).
 MAX_BODY_BYTES = 8 * 2**20
 MAX_CANDIDATES = 10_000
+# Seconds a connection may send nothing before the server gives up on it: a
+# request body that stalls gets a 408, and an idle connection is closed.
+SOCKET_TIMEOUT_S = 10.0
 
 
 class RequestError(ValueError):
@@ -231,7 +234,10 @@ def rerank(config: EngineConfig, params: dict, user: UserContext,
            items: list[Item] | ItemFeatures, weights: ObjectiveWeights,
            lam: float | None = None) -> dict:
     """Rerank one pool, given as items (packed once; the reply reuses their id
-    objects, so a kept reply holds no copies) or already packed."""
+    objects, so a kept reply holds no copies) or already packed. The reply's
+    lists are built at their exact length: a list built by appending keeps
+    room to grow (16 slots for 10 ids), which callers that keep many replies
+    would hold too."""
     start = time.perf_counter_ns()
     packed = isinstance(items, ItemFeatures)
     features = items if packed else sortmodel.item_features(items)
@@ -241,7 +247,7 @@ def rerank(config: EngineConfig, params: dict, user: UserContext,
     trace = generation.generate(user, queues, vm, weights, lam=lam)
     latency = time.perf_counter_ns() - start
     return {
-        "item_ids": trace.ids if packed else [items[i].id for i in trace.rows],
+        "item_ids": trace.ids if packed else list(tuple(items[i].id for i in trace.rows)),
         "source_queues": list(trace.sources),
         "combined_value": trace.final_value,
         "latency_ns": latency,
@@ -324,6 +330,10 @@ class RerankHandler(BaseHTTPRequestHandler):
             return 400, {"error": str(exc)}
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             return 400, {"error": f"body: invalid document: {exc}"}
+        except TimeoutError:  # the body stopped short of its Content-Length
+            self.close_connection = True
+            return 408, {"error": f"body: nothing received for {self.timeout} s, short of "
+                                  f"Content-Length; connection closed"}
         weights = weights or self.state.weights
         return 200, rerank(self.state.config, self.state.params, user, pool, weights, lam)
 
@@ -350,5 +360,6 @@ def make_server(ckpt_path: str, port: int,
     params, config = load_checkpoint(ckpt_path)
     state = _State(config, params, hashlib.sha256(Path(ckpt_path).read_bytes()).hexdigest(),
                    weights or ObjectiveWeights())
-    handler = type("BoundHandler", (RerankHandler,), {"state": state})
+    handler = type("BoundHandler", (RerankHandler,),
+                   {"state": state, "timeout": SOCKET_TIMEOUT_S})
     return ThreadingHTTPServer(("127.0.0.1", port), handler)

@@ -159,11 +159,15 @@ def train(dataset: Dataset, params: dict, engine: EngineConfig, tconf: TrainConf
         for bstart in range(0, len(order), tconf.batch_size):
             batch = train_arr.take(order[bstart:bstart + tconf.batch_size])
             nn.zero_grads(params)
-            loss = _batch_loss(engine, params, batch)
-            if not np.isfinite(loss.value):
+            try:
+                loss = _batch_loss(engine, params, batch)
+                fault = None if np.isfinite(loss.value) else "non-finite loss"
+            except FloatingPointError as exc:  # the forward's non-finite activations
+                fault = str(exc)
+            if fault:
                 norms = sum(float(np.linalg.norm(p.value)) for p in params.values())
                 raise FloatingPointError(
-                    f"non-finite loss at epoch {epoch}, batch {bstart // tconf.batch_size}; "
+                    f"{fault} at epoch {epoch}, batch {bstart // tconf.batch_size}; "
                     f"total parameter norm {norms:.3e}")
             nn.backward(loss)
             nn.adam_step(params, state)

@@ -5,6 +5,7 @@ import json
 import socket
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -367,6 +368,19 @@ def test_rerank_reply_reuses_the_item_ids(workdir):
     reply = srv.rerank(engine, params, user, items, ObjectiveWeights())
     assert len(reply["item_ids"]) == engine.l_o
     assert all(item_id is by_id[item_id].id for item_id in reply["item_ids"])
+
+
+def test_rerank_reply_lists_have_no_spare_slots(workdir):
+    # Nor any for room to grow: at l_o = 10, a list built by appending holds
+    # 16 slots.
+    _, engine = sortmodel.load_checkpoint(workdir["ckpt"])
+    engine = dataclasses.replace(engine, l_o=10)
+    doc, _, _ = _request_doc(workdir, seed=28)
+    user, items, _, _ = parse_request_reference(doc, engine)
+    reply = srv.rerank(engine, sortmodel.init_params(engine, seed=0), user, items,
+                       ObjectiveWeights())
+    exact = sys.getsizeof([0] * engine.l_o)
+    assert sys.getsizeof(reply["item_ids"]) == sys.getsizeof(reply["source_queues"]) == exact
 
 
 # A loaded checkpoint is packed once (`model.packed_weights`): the packing is
@@ -742,6 +756,36 @@ def test_body_not_utf8_gets_400(live_server):
     status, doc = _raw_post(live_server, b"Content-Length: %d" % len(body), body)
     assert status == 400
     assert doc["error"].startswith("body: invalid document")
+
+
+def test_a_stalled_body_gets_a_json_408_while_others_are_served(workdir, monkeypatch):
+    # A body that stops short of its Content-Length gets a 408 once the socket
+    # timeout passes, not a held thread, and a second connection is served
+    # while the first one stalls.
+    monkeypatch.setattr(srv, "SOCKET_TIMEOUT_S", 0.5)
+    server = srv.make_server(str(workdir["ckpt"]), 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with socket.create_connection(server.server_address, timeout=10) as stalled:
+            start = time.monotonic()
+            stalled.sendall(b"POST /rerank HTTP/1.1\r\nHost: localhost\r\n"
+                            b"Content-Length: 100\r\n\r\n" + b'{"user": ')
+            other_status, other = _post(f"http://127.0.0.1:{server.server_address[1]}",
+                                        _request_doc(workdir)[0])
+            reply = b""
+            while chunk := stalled.recv(65536):
+                reply += chunk
+            elapsed = time.monotonic() - start
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert other_status == 200 and len(other["item_ids"]) == 4
+    status_line, _, rest = reply.partition(b"\r\n")
+    doc = json.loads(rest.partition(b"\r\n\r\n")[2])
+    assert int(status_line.split()[1]) == 408
+    assert doc["error"].startswith("body:") and "connection closed" in doc["error"]
+    assert 0.5 <= elapsed < 0.5 + 5.0, elapsed
 
 
 def test_internal_fault_gets_json_500(workdir):

@@ -7,7 +7,9 @@ values, unknown routes, methods other than GET and POST, and malformed,
 blank or overlong request lines. The reply must be a JSON 200 whose numbers
 are finite, a JSON 4xx, or a JSON 500 (any JSON 5xx for a request the HTTP
 layer refuses), and it must arrive before the server closes the connection.
-A reply to HEAD has the headers of a JSON reply and no body.
+A reply to HEAD has the headers of a JSON reply and no body. A body that
+stops short of its Content-Length and then goes silent gets a JSON 408 once
+the server's socket timeout passes.
 """
 
 import json
@@ -16,9 +18,10 @@ import re
 import socket
 import string
 import threading
+import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from sortgen import model as sortmodel, server as srv
@@ -41,8 +44,7 @@ PATH = st.text(string.ascii_letters + string.digits + "/-_.?=&%", max_size=20).m
 WORD = st.text(string.ascii_letters + string.digits + "/-_.?=&%", min_size=1, max_size=12)
 
 
-@pytest.fixture(scope="module")
-def address(tmp_path_factory):
+def _serve(tmp_path_factory):
     ckpt = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
     sortmodel.save_checkpoint(ckpt, sortmodel.init_params(CONFIG), CONFIG)
     server = srv.make_server(str(ckpt), 0)
@@ -53,6 +55,22 @@ def address(tmp_path_factory):
     server.server_close()
     thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+@pytest.fixture(scope="module")
+def address(tmp_path_factory):
+    yield from _serve(tmp_path_factory)
+
+
+STALL_TIMEOUT_S = 0.5
+
+
+@pytest.fixture(scope="module")
+def stalling_address(tmp_path_factory):
+    """A server whose socket timeout is STALL_TIMEOUT_S."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(srv, "SOCKET_TIMEOUT_S", STALL_TIMEOUT_S)
+        yield from _serve(tmp_path_factory)
 
 
 def _send(address, request: bytes) -> tuple[int, dict, bytes]:
@@ -127,6 +145,19 @@ def test_any_rerank_body_gets_a_json_reply(address, body):
     status, doc = _exchange(address, "POST", "/rerank", b"Content-Length: %d\r\n" % len(body),
                             body)
     _check_reply(status, doc)
+
+
+# Each example waits out the timeout, so only a handful run, and a failing
+# one is reported as found rather than shrunk one timeout at a time.
+@settings(FUZZ, max_examples=4, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(body=bodies(), missing=st.integers(1, 200))
+def test_truncated_then_silent_body_gets_a_json_408(stalling_address, body, missing):
+    start = time.monotonic()
+    status, doc = _exchange(stalling_address, "POST", "/rerank",
+                            b"Content-Length: %d\r\n" % (len(body) + missing), body)
+    elapsed = time.monotonic() - start
+    assert status == 408 and doc["error"].startswith("body:"), (status, doc)
+    assert STALL_TIMEOUT_S <= elapsed < STALL_TIMEOUT_S + 5.0, elapsed
 
 
 def _not_a_body_length(value: str) -> bool:

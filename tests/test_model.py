@@ -515,9 +515,15 @@ def test_extend_twice_on_one_prefix_gives_identical_rows(small_config, head_mode
         second.choose(prefix, t % 3)
 
 
+def _centred(a):
+    return a - a.mean(axis=-1, keepdims=True)
+
+
 @pytest.mark.parametrize("head_mode", ["monotone", "literal"])
 def test_inference_weights_match_their_parameters(small_config, head_mode):
-    # Each folded array equals its formula over the parameters exactly.
+    # Each packed array equals its formula over the parameters exactly: the
+    # residual writers centred (each row minus its mean), and each layer
+    # norm's gain times sqrt(d_model) folded into the GEMM after it.
     cfg = dataclasses.replace(small_config, head_mode=head_mode)
     params = _perturbed_params(cfg, seed=24)
     packed = sortmodel.InferenceWeights.from_params(cfg, params)
@@ -526,28 +532,29 @@ def test_inference_weights_match_their_parameters(small_config, head_mode):
         return params[name].value
 
     d_emb, d_pos, d_user = cfg.d_emb, cfg.d_position, cfg.d_user
-    proj = w("proj.W")
-    assert np.array_equal(packed.item, proj[:d_emb])
-    assert np.array_equal(packed.pos, w("pos.table") @ proj[d_emb:d_emb + d_pos] + w("proj.b"))
-    assert np.array_equal(packed.user, proj[d_emb + d_pos:d_emb + d_pos + d_user])
-    assert np.array_equal(packed.score, proj[d_emb + d_pos + d_user:])
+    proj, root_d = w("proj.W"), np.sqrt(cfg.d_model)
+    assert np.array_equal(packed.item, _centred(proj[:d_emb]))
+    assert np.array_equal(packed.pos, _centred(w("pos.table") @ proj[d_emb:d_emb + d_pos]
+                                               + w("proj.b")))
+    assert np.array_equal(packed.user, _centred(proj[d_emb + d_pos:d_emb + d_pos + d_user]))
+    assert np.array_equal(packed.score, _centred(proj[d_emb + d_pos + d_user:]))
     scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
     for i, block in enumerate(packed.blocks):
-        a, g1, b1 = f"layer{i}.attn", w(f"layer{i}.ln1.g"), w(f"layer{i}.ln1.b")
+        a, g1, b1 = f"layer{i}.attn", w(f"layer{i}.ln1.g") * root_d, w(f"layer{i}.ln1.b")
         qkv_w = np.concatenate([w(f"{a}.Wq") * scale, w(f"{a}.Wk"), w(f"{a}.Wv")], axis=1)
         qkv_b = np.concatenate([w(f"{a}.bq") * scale, w(f"{a}.bk"), w(f"{a}.bv")])
         assert np.array_equal(block.qkv_w, g1[:, None] * qkv_w)
         assert np.array_equal(block.qkv_b, b1 @ qkv_w + qkv_b)
-        assert np.array_equal(block.out_w, w(f"{a}.Wo"))
-        assert np.array_equal(block.out_b, w(f"{a}.bo"))
-        f, g2, b2 = f"layer{i}.ffn", w(f"layer{i}.ln2.g"), w(f"layer{i}.ln2.b")
+        assert np.array_equal(block.out_w, _centred(w(f"{a}.Wo")))
+        assert np.array_equal(block.out_b, _centred(w(f"{a}.bo")))
+        f, g2, b2 = f"layer{i}.ffn", w(f"layer{i}.ln2.g") * root_d, w(f"layer{i}.ln2.b")
         assert np.array_equal(block.ffn_w1, g2[:, None] * w(f"{f}.W1"))
         assert np.array_equal(block.ffn_b1, b2 @ w(f"{f}.W1") + w(f"{f}.b1"))
-        assert np.array_equal(block.ffn_w2, w(f"{f}.W2"))
-        assert np.array_equal(block.ffn_b2, w(f"{f}.b2"))
+        assert np.array_equal(block.ffn_w2, _centred(w(f"{f}.W2")))
+        assert np.array_equal(block.ffn_b2, _centred(w(f"{f}.b2")))
     heads = ("head_click", "head_pay")
     head_w1 = np.concatenate([w(f"{h}.W1") for h in heads], axis=1)
-    assert np.array_equal(packed.head_w1, w("final_ln.g")[:, None] * head_w1)
+    assert np.array_equal(packed.head_w1, (w("final_ln.g") * root_d)[:, None] * head_w1)
     assert np.array_equal(packed.head_b1, w("final_ln.b") @ head_w1
                           + np.concatenate([w(f"{h}.b1") for h in heads]))
     # The heads' second layer is -W2, widened to max_count columns a head (a
@@ -581,3 +588,40 @@ def test_inference_weights_match_their_parameters(small_config, head_mode):
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0
+
+
+@pytest.mark.parametrize("head_mode", ["monotone", "literal"])
+def test_the_residual_stream_is_centred(small_config, head_mode):
+    # Every packed array that writes the residual stream has rows of zero
+    # mean, so every stream row has zero mean, and there the norm without
+    # centring, times sqrt(d_model), is the layer norm's.
+    cfg = dataclasses.replace(small_config, head_mode=head_mode)
+    packed = sortmodel.InferenceWeights.from_params(cfg, _perturbed_params(cfg, seed=33))
+    writers = {"item": packed.item, "score": packed.score, "user": packed.user,
+               "pos": packed.pos}
+    for i, block in enumerate(packed.blocks):
+        writers.update({f"layer{i}.{name}": getattr(block, name)
+                        for name in ("out_w", "out_b", "ffn_w2", "ffn_b2")})
+    for name, a in writers.items():
+        assert a.shape[-1] == cfg.d_model, name
+        assert np.abs(a.mean(axis=-1)).max() <= 1e-15 * np.abs(a).max(), name
+    rng = np.random.default_rng(34)
+    x = _centred(rng.normal(0.0, 3.0, size=(64, cfg.d_model)))
+    np.testing.assert_allclose(sortmodel._norm_rows(x) * np.sqrt(cfg.d_model),
+                               nn.normalize_rows(x)[0], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("head_mode", ["monotone", "literal"])
+def test_inference_weights_share_no_memory_with_the_parameters(small_config, head_mode):
+    # Every packed array is new, so writing a parameter in place cannot
+    # change a packing made before.
+    cfg = dataclasses.replace(small_config, head_mode=head_mode)
+    params = _perturbed_params(cfg, seed=35)
+    packed = sortmodel.InferenceWeights.from_params(cfg, params)
+    arrays = {f.name: getattr(packed, f.name) for f in dataclasses.fields(packed)
+              if isinstance(getattr(packed, f.name), np.ndarray)}
+    for i, block in enumerate(packed.blocks):
+        arrays.update({f"layer{i}.{name}": a for name, a in zip(block._fields, block)})
+    for name, a in arrays.items():
+        for param, p in params.items():
+            assert not np.shares_memory(a, p.value), (name, param)

@@ -154,7 +154,10 @@ def test_evaluate_model_perfect_oracle_zero_gap(monkeypatch):
 def test_nonfinite_loss_aborts_with_diagnostics(dataset):
     params = sortmodel.init_params(ENGINE, seed=7)
     params["proj.W"].value[...] = np.inf
-    with pytest.raises(FloatingPointError):
+    # The inf weights make NaNs in the first batch's forward, which raises
+    # with the batch and the parameter norm named.
+    with (pytest.warns(RuntimeWarning),
+          pytest.raises(FloatingPointError, match=r"epoch 0, batch 0; total parameter norm")):
         trainer.train(dataset, params, ENGINE, trainer.TrainConfig(epochs=1))
 
 
