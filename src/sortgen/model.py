@@ -133,9 +133,31 @@ def assemble_input(config: EngineConfig, params: dict, e_item: np.ndarray,
     return nn.concat([e_item, pos, user_block, e_score], axis=-1)
 
 
-def _attention(x: Var, params: dict, prefix: str, n_heads: int) -> Var:
-    return nn.attention(x, *(params[f"{prefix}.{name}"] for name in
-                             ("Wq", "Wk", "Wv", "Wo", "bq", "bk", "bv", "bo")), n_heads)
+def _monotone_logits(score: Var, thresholds: Var) -> Var:
+    """The monotone ordinal link as one tape node: the shared score [n, l, 1]
+    minus strictly increasing cutpoints [max_count], the running sum of the
+    first threshold and the softplus of the others.
+
+    Equal bit for bit, forward and backward, to the chain of slices, exp,
+    log, concat, a lower-triangular matmul and add that it replaces
+    (tests/helpers.py): the cutpoints are that matmul, not `_cutpoints`'
+    cumsum, which rounds differently.
+    """
+    t = thresholds.value
+    k = t.shape[0]
+    lower = np.tri(k)
+    e = np.exp(t[1:])
+    softplus_in = 1.0 + e
+    steps = np.concatenate([t[:1], np.log(softplus_in)])
+    cut = np.matmul(lower, steps.reshape(k, 1)).reshape(k)
+
+    def bw(g):
+        score._accum(nn._unbroadcast(g, score.shape))
+        g_cut = -nn._unbroadcast(g, (k,))
+        g_steps = np.matmul(lower.T, g_cut.reshape(k, 1)).reshape(k)
+        thresholds._accum(np.concatenate([g_steps[:1], g_steps[1:] / softplus_in * e]))
+
+    return Var(score.value + -cut, (score, thresholds), bw)
 
 
 def _ffn(x: Var, params: dict, prefix: str) -> Var:
@@ -146,18 +168,7 @@ def _head_logits(x: Var, params: dict, head: str, config: EngineConfig) -> Var:
     out = _ffn(x, params, head)
     if config.head_mode == "literal":
         return out  # [n, l, max_count], independent logits per threshold
-    # Monotone ordinal link: shared score minus strictly increasing cutpoints.
-    t = params[f"{head}.thresholds"]  # [max_count]
-    first = nn.slice_axis0(t, 0, 1)
-    rest = t if config.max_count == 1 else nn.slice_axis0(t, 1, config.max_count)
-    if config.max_count > 1:
-        softplus = nn.log(nn.add(1.0, nn.exp(rest)))
-        steps = nn.concat([first, softplus], axis=0)
-    else:
-        steps = first
-    lower = np.tril(np.ones((config.max_count, config.max_count)))
-    cutpoints = nn.matmul(lower, nn.reshape(steps, (config.max_count, 1)))
-    return nn.add(out, nn.neg(nn.reshape(cutpoints, (config.max_count,))))
+    return _monotone_logits(out, params[f"{head}.thresholds"])
 
 
 def valid_mask(l: int, max_count: int) -> np.ndarray:
@@ -172,18 +183,19 @@ def forward(config: EngineConfig, params: dict, e_item: np.ndarray,
     x = nn.linear(x, params["proj.W"], params["proj.b"])
     for i in range(config.n_layers):
         pre = f"layer{i}"
-        h = nn.layer_norm(x, params[f"{pre}.ln1.g"], params[f"{pre}.ln1.b"])
-        x = nn.add(x, _attention(h, params, f"{pre}.attn", config.n_heads))
-        h = nn.layer_norm(x, params[f"{pre}.ln2.g"], params[f"{pre}.ln2.b"])
-        x = nn.add(x, _ffn(h, params, f"{pre}.ffn"))
+        x = nn.attention_block(x, *(params[f"{pre}.{name}"] for name in (
+            "ln1.g", "ln1.b", "attn.Wq", "attn.Wk", "attn.Wv", "attn.Wo",
+            "attn.bq", "attn.bk", "attn.bv", "attn.bo")), config.n_heads)
+        x = nn.ffn_block(x, *(params[f"{pre}.{name}"] for name in (
+            "ln2.g", "ln2.b", "ffn.W1", "ffn.b1", "ffn.W2", "ffn.b2")))
     x = nn.layer_norm(x, params["final_ln.g"], params["final_ln.b"])
 
     l = e_item.shape[1]
     mask = valid_mask(l, config.max_count)
     click_logits = _head_logits(x, params, "head_click", config)
     pay_logits = _head_logits(x, params, "head_pay", config)
-    click = nn.mul(nn.sigmoid(click_logits), mask.astype(np.float64))
-    pay = nn.mul(nn.sigmoid(pay_logits), mask.astype(np.float64))
+    click = nn.sigmoid_masked(click_logits, mask.astype(np.float64))
+    pay = nn.sigmoid_masked(pay_logits, mask.astype(np.float64))
     for out in (click, pay):
         if not np.isfinite(out.value).all():
             raise FloatingPointError("non-finite activations in forward pass")
@@ -542,8 +554,9 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Var], EngineConfig]:
 
     The parameters come back frozen (requires_grad=False), so a forward over
     them records no tape; set requires_grad=True on each to fine-tune them
-    (`nn.adam_step` replaces their arrays). Their arrays are read-only, which
-    lets `packed_weights` pack them once, however many requests they serve.
+    (`nn.adam_init` copies them into its writable flat buffer and rebinds
+    each to its view of it). Their arrays are read-only, which lets
+    `packed_weights` pack them once, however many requests they serve.
     The config must pass `validate_config`, every parameter's name and shape
     is checked against `param_shapes(config)`, and its values must be finite
     numbers, so a malformed or damaged checkpoint raises ConfigError here,

@@ -1,11 +1,17 @@
 """Minimal dense-tensor kernel: reverse-mode autodiff over float64 numpy arrays.
 
-Covers exactly the forward operations the value model needs (linear, layer
-norm, causal multi-head attention and the feed-forward block, each of the
-last two as one tape node, and the primitives they are built from) plus Adam.
-No GPU, no mixed precision. tests/helpers.py holds the test-only ops: the
-primitive-op references for the two blocks (with masked_softmax and relu),
-a finite-difference gradient check and a parameter count.
+Covers exactly the forward operations the value model needs, plus Adam:
+linear, layer norm, the feed-forward block, and each half of a pre-norm
+transformer block (layer norm, then causal multi-head attention or the
+feed-forward block, then the residual) as one tape node, with the
+primitives the rest of the model is built from. Each fused node equals the
+unfused tape it replaced bit for bit, forward and backward. Adam keeps every
+parameter in one flat buffer, whose views the parameters' arrays become,
+and updates it in place. No GPU, no mixed precision. tests/helpers.py holds
+the test-only ops: the references for the fused nodes (the one-node
+attention, and the primitive compositions with matmul, exp, masked_softmax
+and relu), the per-array Adam, a finite-difference gradient check and a
+parameter count.
 """
 
 from __future__ import annotations
@@ -99,28 +105,18 @@ def mul(a, b) -> Var:
     return Var(a.value * b.value, (a, b), bw)
 
 
-def matmul(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(np.matmul(g, np.swapaxes(b.value, -1, -2)), a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(np.matmul(np.swapaxes(a.value, -1, -2), g), b.shape))
-
-    return Var(np.matmul(a.value, b.value), (a, b), bw)
-
-
 def sigmoid(a) -> Var:
     a = as_var(a)
     s = 1.0 / (1.0 + np.exp(-a.value))
     return Var(s, (a,), lambda g: a._accum(g * s * (1.0 - s)))
 
 
-def exp(a) -> Var:
+def sigmoid_masked(a, mask: np.ndarray) -> Var:
+    """sigmoid(a) * mask for a constant mask that broadcasts to a, as one
+    tape node: equal bit for bit to mul(sigmoid(a), mask)."""
     a = as_var(a)
-    e = np.exp(a.value)
-    return Var(e, (a,), lambda g: a._accum(g * e))
+    s = 1.0 / (1.0 + np.exp(-a.value))
+    return Var(s * mask, (a,), lambda g: a._accum(g * mask * s * (1.0 - s)))
 
 
 def log(a) -> Var:
@@ -203,10 +199,16 @@ def index_last(a, i: int) -> Var:
 
 def softmax_rows(logits: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     """Softmax over the last axis of a raw array; entries outside `mask`
-    (None: no entry) get 0."""
-    if mask is not None:
-        logits = np.where(mask, logits, -np.inf)
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    (None: no entry) get 0.
+
+    Masked entries are exponentiated as exp(0) and then zeroed, not as
+    exp(-inf), which is several times slower; the bits are the same.
+    """
+    if mask is None:
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    else:
+        z = logits - np.where(mask, logits, -np.inf).max(axis=-1, keepdims=True)
+        e = np.exp(np.where(mask, z, 0.0)) * mask
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -221,25 +223,42 @@ def normalize_rows(x: np.ndarray, eps: float = 1e-5) -> tuple[np.ndarray, np.nda
     return centred * inv, inv
 
 
+def _layer_norm_forward(x: np.ndarray, gain: Var, bias: Var, eps: float = 1e-5):
+    """gain * xhat + bias over the last axis of x, with xhat and the inverse
+    std that `_layer_norm_grads` needs."""
+    if x.shape[-1] < 2:
+        raise ValueError("layer_norm needs a feature axis of at least 2")
+    xhat, inv = normalize_rows(x, eps)
+    return gain.value * xhat + bias.value, xhat, inv
+
+
+def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: Var,
+                      bias: Var, need_x: bool) -> np.ndarray | None:
+    """The layer norm's backward: adds the gain and bias gradients, and
+    returns the input's (None unless need_x)."""
+    sum_axes = tuple(range(g.ndim - 1))
+    gain._accum((g * xhat).sum(axis=sum_axes))
+    bias._accum(g.sum(axis=sum_axes))
+    if not need_x:
+        return None
+    d = g.shape[-1]
+    gx = g * gain.value
+    gx_mean = np.add.reduce(gx, axis=-1, keepdims=True) / d
+    gx_xhat_mean = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d
+    return inv * (gx - gx_mean - xhat * gx_xhat_mean)
+
+
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Var:
     """Normalize the last axis to zero mean / unit variance, then scale + shift."""
     x, gain, bias = as_var(x), as_var(gain), as_var(bias)
-    if x.value.shape[-1] < 2:
-        raise ValueError("layer_norm needs a feature axis of at least 2")
-    xhat, inv = normalize_rows(x.value, eps)
+    y, xhat, inv = _layer_norm_forward(x.value, gain, bias, eps)
 
     def bw(g):
-        sum_axes = tuple(range(g.ndim - 1))
-        gain._accum((g * xhat).sum(axis=sum_axes))
-        bias._accum(g.sum(axis=sum_axes))
-        if x.requires_grad:
-            d = g.shape[-1]
-            gx = g * gain.value
-            gx_mean = np.add.reduce(gx, axis=-1, keepdims=True) / d
-            gx_xhat_mean = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d
-            x._accum(inv * (gx - gx_mean - xhat * gx_xhat_mean))
+        g_x = _layer_norm_grads(g, xhat, inv, gain, bias, x.requires_grad)
+        if g_x is not None:
+            x._accum(g_x)
 
-    return Var(gain.value * xhat + bias.value, (x, gain, bias), bw)
+    return Var(y, (x, gain, bias), bw)
 
 
 def linear(x, W, b) -> Var:
@@ -267,22 +286,27 @@ def linear(x, W, b) -> Var:
     return Var(y.reshape(x.shape[:-1] + (d_out,)), (x, W, b), bw)
 
 
-def attention(x, wq, wk, wv, wo, bq, bk, bv, bo, n_heads: int) -> Var:
-    """Causal multi-head self-attention over x [n, l, d], as one tape node.
+def attention_block(x, gain, bias, wq, wk, wv, wo, bq, bk, bv, bo, n_heads: int) -> Var:
+    """x + attention(layer_norm(x)): a pre-norm block's first half, causal
+    multi-head self-attention over x [n, l, d] with its layer norm and
+    residual, as one tape node.
 
-    Equal to the composition of linear, reshape, transpose, matmul and a
-    masked softmax (tests/helpers.py), with one QKV GEMM on [Wq|Wk|Wv]
-    (concatenated per call, so the parameters stay separate) and a
-    hand-derived backward that splits the weight gradient back into Wq, Wk
-    and Wv.
+    Equal bit for bit, forward and backward, to add(x, attention(layer_norm(
+    x))) over the one-node attention in tests/helpers.py, which in turn
+    matches the composition of linear, reshape, transpose, matmul and a
+    masked softmax up to rounding. One QKV GEMM on [Wq|Wk|Wv] (concatenated
+    per call, so the parameters stay separate), and a hand-derived backward
+    that splits the weight gradient back into Wq, Wk and Wv.
     """
-    x, wq, wk, wv, wo, bq, bk, bv, bo = (as_var(v) for v in (x, wq, wk, wv, wo, bq, bk, bv, bo))
+    x, gain, bias, wq, wk, wv, wo, bq, bk, bv, bo = (
+        as_var(v) for v in (x, gain, bias, wq, wk, wv, wo, bq, bk, bv, bo))
     n, l, d = x.value.shape
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
-    x2 = x.value.reshape(-1, d)
+    h, xhat, inv = _layer_norm_forward(x.value, gain, bias)
+    h2 = h.reshape(-1, d)
     w_qkv = np.concatenate([wq.value, wk.value, wv.value], axis=1)
-    qkv = x2 @ w_qkv + np.concatenate([bq.value, bk.value, bv.value])
+    qkv = h2 @ w_qkv + np.concatenate([bq.value, bk.value, bv.value])
     # [n*l, 3d] -> [3, n, heads, l, dh]
     q, k, v = qkv.reshape(n, l, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
     att = softmax_rows((q @ k.transpose(0, 1, 3, 2)) * scale, np.tri(l, dtype=bool))
@@ -299,39 +323,68 @@ def attention(x, wq, wk, wv, wo, bq, bk, bv, bo, n_heads: int) -> Var:
         g_qkv = np.stack([g_scores @ k, g_scores.transpose(0, 1, 3, 2) @ q,
                           att.transpose(0, 1, 3, 2) @ g_ctx])
         g_qkv = g_qkv.transpose(1, 3, 0, 2, 4).reshape(-1, 3 * d)
-        g_w = x2.T @ g_qkv
+        g_w = h2.T @ g_qkv
         g_b = g_qkv.sum(axis=0)
         for i, (w, b) in enumerate(((wq, bq), (wk, bk), (wv, bv))):
             w._accum(g_w[:, i * d:(i + 1) * d])
             b._accum(g_b[i * d:(i + 1) * d])
-        if x.requires_grad:
-            x._accum((g_qkv @ w_qkv.T).reshape(x.shape))
+        g_h = (g_qkv @ w_qkv.T).reshape(x.shape)
+        g_x = _layer_norm_grads(g_h, xhat, inv, gain, bias, x.requires_grad)
+        x._accum(g if g_x is None else g + g_x)  # the residual, plus the norm's path
 
     y = ctx @ w_o + bo.value
-    return Var(y.reshape(n, l, d), (x, wq, wk, wv, wo, bq, bk, bv, bo), bw)
+    return Var(x.value + y.reshape(n, l, d), (x, gain, bias, wq, wk, wv, wo, bq, bk, bv, bo), bw)
 
 
-def ffn(x, w1, b1, w2, b2) -> Var:
-    """relu(x W1 + b1) W2 + b2 over the last axis of x, as one tape node."""
-    x, w1, b1, w2, b2 = (as_var(v) for v in (x, w1, b1, w2, b2))
-    x2 = x.value.reshape(-1, w1.value.shape[0])
+def _ffn_forward(x2: np.ndarray, w1: Var, b1: Var, w2: Var, b2: Var):
+    """relu(x2 W1 + b1) W2 + b2 on rows x2 [m, d_in], and its backward: a
+    function of the output's gradient [m, d_out] that adds the weight
+    gradients and returns x2's (None unless asked for)."""
     h = x2 @ w1.value + b1.value
     np.maximum(h, 0.0, out=h)
     w_1, w_2 = w1.value, w2.value
 
-    def bw(g):
-        g2 = g.reshape(-1, w_2.shape[1])
+    def grads(g2: np.ndarray, need_x: bool) -> np.ndarray | None:
         w2._accum(h.T @ g2)
         b2._accum(g2.sum(axis=0))
         g_h = g2 @ w_2.T
         g_h *= h > 0.0
         w1._accum(x2.T @ g_h)
         b1._accum(g_h.sum(axis=0))
-        if x.requires_grad:
-            x._accum((g_h @ w_1.T).reshape(x.shape))
+        return g_h @ w_1.T if need_x else None
 
-    y = h @ w_2 + b2.value
-    return Var(y.reshape(x.shape[:-1] + (w_2.shape[1],)), (x, w1, b1, w2, b2), bw)
+    return h @ w_2 + b2.value, grads
+
+
+def ffn(x, w1, b1, w2, b2) -> Var:
+    """relu(x W1 + b1) W2 + b2 over the last axis of x, as one tape node."""
+    x, w1, b1, w2, b2 = (as_var(v) for v in (x, w1, b1, w2, b2))
+    y, grads = _ffn_forward(x.value.reshape(-1, w1.value.shape[0]), w1, b1, w2, b2)
+    d_out = y.shape[1]
+
+    def bw(g):
+        g_x = grads(g.reshape(-1, d_out), x.requires_grad)
+        if g_x is not None:
+            x._accum(g_x.reshape(x.shape))
+
+    return Var(y.reshape(x.shape[:-1] + (d_out,)), (x, w1, b1, w2, b2), bw)
+
+
+def ffn_block(x, gain, bias, w1, b1, w2, b2) -> Var:
+    """x + ffn(layer_norm(x)): a pre-norm block's second half, as one tape
+    node; equal bit for bit, forward and backward, to add(x, ffn(layer_norm(
+    x)))."""
+    x, gain, bias, w1, b1, w2, b2 = (as_var(v) for v in (x, gain, bias, w1, b1, w2, b2))
+    d = x.value.shape[-1]
+    h, xhat, inv = _layer_norm_forward(x.value, gain, bias)
+    y, grads = _ffn_forward(h.reshape(-1, d), w1, b1, w2, b2)
+
+    def bw(g):
+        g_h = grads(g.reshape(-1, d), True).reshape(x.shape)
+        g_x = _layer_norm_grads(g_h, xhat, inv, gain, bias, x.requires_grad)
+        x._accum(g if g_x is None else g + g_x)  # the residual, plus the norm's path
+
+    return Var(x.value + y.reshape(x.shape), (x, gain, bias, w1, b1, w2, b2), bw)
 
 
 def backward(loss: Var) -> None:
@@ -375,35 +428,77 @@ def zero_grads(params: ParamStore) -> None:
 
 @dataclass
 class AdamState:
+    """Adam's hyper-parameters, step count and moments, over one flat buffer.
+
+    `adam_init` copies every parameter into `values` and rebinds each
+    `Var.value` to its view of it, so an update is a few vector operations
+    on whole buffers, in place. `grads` holds the last step's gradients.
+    """
+
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    values: np.ndarray | None = None  # every parameter, flat
+    grads: np.ndarray | None = None   # their gradients at the last step, flat
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    views: dict = field(default_factory=dict)  # name -> (its value view, its grads view)
 
 
 def adam_init(params: ParamStore, lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    for name, p in params.items():
-        state.m[name] = np.zeros_like(p.value)
-        state.v[name] = np.zeros_like(p.value)
+    """Adam state over `params`, whose arrays become views of its flat buffer:
+    write a parameter in place from now on, never replace its array."""
+    sizes = [p.value.size for p in params.values()]
+    total = sum(sizes)
+    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, values=np.empty(total),
+                      grads=np.zeros(total), m=np.zeros(total), v=np.zeros(total))
+    offset = 0
+    for (name, p), size in zip(params.items(), sizes):
+        part = slice(offset, offset + size)
+        value = state.values[part].reshape(p.value.shape)
+        value[...] = p.value
+        p.value = value
+        state.views[name] = (value, state.grads[part].reshape(value.shape))
+        offset += size
     return state
 
 
 def adam_step(params: ParamStore, state: AdamState) -> None:
-    """One bias-corrected Adam update; gradients are zeroed afterwards."""
-    if not state.m:
+    """One bias-corrected Adam update, in place; gradients are zeroed
+    afterwards. A parameter without a gradient counts as a zero gradient.
+
+    Each value is computed as p - (lr * mhat) / (sqrt(vhat) + eps) with
+    m = beta1 * m + (1 - beta1) * g and v = beta2 * v + ((1 - beta2) * g) * g,
+    operation for operation, so the update is the same as on separate arrays.
+    """
+    if state.m is None:
         raise ValueError("adam_step on uninitialized state")
+    if params.keys() != state.views.keys():
+        raise ValueError("adam_step: the parameters differ from those adam_init was given")
+    for name, p in params.items():
+        value, grad = state.views[name]
+        if p.value is not value:
+            raise ValueError(f"adam_step: parameter {name!r} was replaced after adam_init")
+        if p.grad is None:
+            grad.fill(0.0)
+        else:
+            grad[...] = p.grad
     state.step += 1
     t = state.step
-    for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.value)
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        mhat = state.m[name] / (1 - state.beta1 ** t)
-        vhat = state.v[name] / (1 - state.beta2 ** t)
-        p.value = p.value - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+    g, m, v = state.grads, state.m, state.v
+    m *= state.beta1
+    m += (1 - state.beta1) * g
+    v *= state.beta2
+    gg = (1 - state.beta2) * g
+    gg *= g
+    v += gg
+    update = m / (1 - state.beta1 ** t)
+    update *= state.lr
+    denom = np.sqrt(v / (1 - state.beta2 ** t))
+    denom += state.eps
+    update /= denom
+    state.values -= update
     zero_grads(params)

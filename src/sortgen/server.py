@@ -35,7 +35,8 @@ from sortgen.model import ItemFeatures, load_checkpoint
 MAX_BODY_BYTES = 8 * 2**20
 MAX_CANDIDATES = 10_000
 # Seconds a connection may send nothing before the server gives up on it: a
-# request body that stalls gets a 408, and an idle connection is closed.
+# request that stalls in its request line, headers or body gets a 408, and an
+# idle connection is closed.
 SOCKET_TIMEOUT_S = 10.0
 
 
@@ -294,14 +295,40 @@ class RerankHandler(BaseHTTPRequestHandler):
         self.close_connection = True
         self._reply(code, {"error": message or self.responses.get(code, ("error",))[0]})
 
+    def handle_one_request(self):
+        """The stdlib's, except that a request that stops inside its request
+        line gets a JSON 408 once the socket times out (`parse_request` does
+        the same for the headers, and `_post` for the body). A connection
+        that sends no byte of a next request is still closed without one."""
+        try:
+            self.rfile.peek(1)  # a request's first byte, or the end of the stream
+        except TimeoutError:  # idle
+            self.close_connection = True
+            return
+        self.raw_requestline = None
+        super().handle_one_request()
+        if self.raw_requestline is None:  # the stdlib caught a timeout in readline
+            self.requestline, self.command = "", None
+            self.request_version = self.default_request_version
+            self._timed_out("request line")
+
     def parse_request(self):
         """The stdlib's parse, except that an empty or blank request line,
-        which it refuses without a reply, gets a 400 like any malformed one."""
-        if super().parse_request():
-            return True
+        which it refuses without a reply, gets a 400 like any malformed one,
+        and headers that stop short get a JSON 408 once the socket times out."""
+        try:
+            if super().parse_request():
+                return True
+        except TimeoutError:
+            self._timed_out("headers")
+            return False
         if not self.requestline.split():
             self.send_error(400, "Bad request syntax: empty request line")
         return False
+
+    def _timed_out(self, part: str) -> None:
+        self.send_error(408, f"{part}: nothing received for {self.timeout} s before its end; "
+                             f"connection closed")
 
     def do_GET(self):
         if self.path != "/healthz":

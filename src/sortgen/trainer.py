@@ -36,6 +36,10 @@ class TrainReport:
     train_losses: list[float] = field(default_factory=list)
     eval_losses: list[float] = field(default_factory=list)
     calib_gaps: list[float] = field(default_factory=list)
+    # Per epoch: |expected - empirical| cumulative counts at each prefix length, [l] each.
+    calib_click: list[np.ndarray] = field(default_factory=list)
+    calib_pay: list[np.ndarray] = field(default_factory=list)
+    grad_norms: list[float] = field(default_factory=list)  # mean global gradient L2 norm
     epoch_seconds: list[float] = field(default_factory=list)  # wall time of each epoch
     seconds: float = 0.0  # total wall time
 
@@ -132,7 +136,9 @@ def train(dataset: Dataset, params: dict, engine: EngineConfig, tconf: TrainConf
           ckpt_path: str | Path | None = None) -> TrainReport:
     """Adam over the configured loss; checkpoints at the best eval loss.
 
-    Every parameter in `params` is trained, so each is marked requires_grad.
+    Every parameter in `params` is trained, so each is marked requires_grad,
+    and its array becomes a view of the optimiser's flat buffer
+    (`nn.adam_init`), updated in place.
     """
     if not dataset.samples:
         raise ConfigError("empty dataset")
@@ -155,7 +161,7 @@ def train(dataset: Dataset, params: dict, engine: EngineConfig, tconf: TrainConf
     for epoch in range(tconf.epochs):
         epoch_start = time.perf_counter()
         order = rng.permutation(len(train_arr))
-        epoch_loss, seen = 0.0, 0
+        epoch_loss, seen, grad_norms = 0.0, 0, []
         for bstart in range(0, len(order), tconf.batch_size):
             batch = train_arr.take(order[bstart:bstart + tconf.batch_size])
             nn.zero_grads(params)
@@ -165,18 +171,21 @@ def train(dataset: Dataset, params: dict, engine: EngineConfig, tconf: TrainConf
             except FloatingPointError as exc:  # the forward's non-finite activations
                 fault = str(exc)
             if fault:
-                norms = sum(float(np.linalg.norm(p.value)) for p in params.values())
                 raise FloatingPointError(
                     f"{fault} at epoch {epoch}, batch {bstart // tconf.batch_size}; "
-                    f"total parameter norm {norms:.3e}")
+                    f"total parameter norm {np.linalg.norm(state.values):.3e}")
             nn.backward(loss)
             nn.adam_step(params, state)
+            grad_norms.append(np.linalg.norm(state.grads))  # after the step, outside its time
             epoch_loss += float(loss.value) * len(batch)
             seen += len(batch)
         metrics = evaluate_model(engine, params, eval_arr)
         report.train_losses.append(epoch_loss / seen)
         report.eval_losses.append(metrics["eval_loss"])
         report.calib_gaps.append(metrics["calib_gap"])
+        report.calib_click.append(metrics["calib_click"])
+        report.calib_pay.append(metrics["calib_pay"])
+        report.grad_norms.append(float(np.mean(grad_norms)))
         if ckpt_path is not None and metrics["eval_loss"] < best_eval:
             best_eval = metrics["eval_loss"]
             sortmodel.save_checkpoint(ckpt_path, params, engine)

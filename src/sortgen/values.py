@@ -97,27 +97,38 @@ def _threshold_targets(cum_counts: np.ndarray, max_count: int) -> np.ndarray:
     return (cum_counts[:, :, None] >= np.arange(1, max_count + 1)[None, None, :]).astype(np.float64)
 
 
-def _masked_bce(probs, targets: np.ndarray, mask: np.ndarray) -> Var:
-    p = nn.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    pos = nn.mul(targets * mask, nn.log(p))
-    negt = nn.mul((1.0 - targets) * mask, nn.log(nn.sub(1.0, p)))
-    return nn.neg(nn.add(pos, negt))
-
-
 def ordered_regression_loss(output: ModelOutput, cum_clicks: np.ndarray,
                             cum_pays: np.ndarray) -> Var:
-    """Sum of effective (i <= j) threshold cross-entropies, averaged over the batch.
+    """Sum of effective (i <= j) threshold cross-entropies, averaged over the batch,
+    as one tape node.
 
     cum_clicks/cum_pays: [n, l] cumulative action counts per prefix length.
+    Equal bit for bit, forward and backward, to the chain of clip, log, mul,
+    add, neg, sum_ and mul that it replaces (tests/helpers.py): each
+    objective's term is -sum(t * log(p) + (1 - t) * log(1 - p)) over the
+    valid entries, with p clipped to [PROB_CLAMP, 1 - PROB_CLAMP].
     """
     n, l, max_count = output.click.shape
     mask = output.valid.astype(np.float64)
+    scale = 1.0 / n
+    terms = []  # per objective: its probs Var, clipped p, 1 - p, and the two weights
     total = None
     for probs, cum in ((output.click, cum_clicks), (output.pay, cum_pays)):
         targets = _threshold_targets(np.asarray(cum), max_count)
-        term = nn.sum_(_masked_bce(probs, targets, mask))
-        total = term if total is None else nn.add(total, term)
-    return nn.mul(total, 1.0 / n)
+        p = np.clip(probs.value, PROB_CLAMP, 1.0 - PROB_CLAMP)
+        pos, negt = targets * mask, (1.0 - targets) * mask
+        q = 1.0 - p
+        term = (-(pos * np.log(p) + negt * np.log(q))).sum()
+        total = term if total is None else total + term
+        terms.append((probs, p, q, pos, negt))
+
+    def bw(g):
+        g_bce = -np.broadcast_to(g * scale, output.click.shape)
+        for probs, p, q, pos, negt in terms:
+            inside = (probs.value > PROB_CLAMP) & (probs.value < 1.0 - PROB_CLAMP)
+            probs._accum((g_bce * pos / p - g_bce * negt / q) * inside)
+
+    return Var(total * scale, (output.click, output.pay), bw)
 
 
 def pointwise_loss(click_logits, pay_logits, clicks: np.ndarray, pays: np.ndarray) -> Var:

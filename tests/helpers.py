@@ -6,10 +6,12 @@ imported conftest would load it a second time under another name.
 """
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from sortgen import nn
+from sortgen import model as sortmodel
+from sortgen import nn, values
 from sortgen.core import ConfigError, Item, ObjectiveWeights, UserContext
 from sortgen.nn import Var
 from sortgen.server import MAX_CANDIDATES, RequestError
@@ -218,6 +220,24 @@ def pay_prob_given_click(gt, user: UserContext, item: Item) -> float:
 # Tape ops and checks that only the tests use.
 
 
+def matmul(a, b) -> Var:
+    a, b = nn.as_var(a), nn.as_var(b)
+
+    def bw(g):
+        if a.requires_grad:
+            a._accum(nn._unbroadcast(np.matmul(g, np.swapaxes(b.value, -1, -2)), a.shape))
+        if b.requires_grad:
+            b._accum(nn._unbroadcast(np.matmul(np.swapaxes(a.value, -1, -2), g), b.shape))
+
+    return Var(np.matmul(a.value, b.value), (a, b), bw)
+
+
+def exp(a) -> Var:
+    a = nn.as_var(a)
+    e = np.exp(a.value)
+    return Var(e, (a,), lambda g: a._accum(g * e))
+
+
 def relu(a) -> Var:
     a = nn.as_var(a)
     return Var(np.maximum(a.value, 0.0), (a,), lambda g: a._accum(g * (a.value > 0.0)))
@@ -240,6 +260,13 @@ def masked_softmax(a, mask: np.ndarray) -> Var:
 
 def param_count(params) -> int:
     return sum(p.value.size for p in params.values())
+
+
+def same_bits(a, b) -> bool:
+    """a and b hold the same float64 bits: np.array_equal, and each zero with
+    the same sign, which the sum of a later step would not show."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def finite_diff_check(params, loss_fn, step: float = 1e-4,
@@ -284,8 +311,8 @@ def finite_diff_check(params, loss_fn, step: float = 1e-4,
     return worst
 
 
-# Primitive-op references for the one-node blocks nn.attention and nn.ffn,
-# with the signatures of model._attention and model._ffn.
+# Primitive-op references for the one-node attention below and nn.ffn, with
+# the signature of model._ffn.
 
 
 def mhsa_reference(x: Var, params: dict, prefix: str, n_heads: int) -> Var:
@@ -298,10 +325,10 @@ def mhsa_reference(x: Var, params: dict, prefix: str, n_heads: int) -> Var:
     q = split(nn.linear(x, params[f"{prefix}.Wq"], params[f"{prefix}.bq"]))
     k = split(nn.linear(x, params[f"{prefix}.Wk"], params[f"{prefix}.bk"]))
     v = split(nn.linear(x, params[f"{prefix}.Wv"], params[f"{prefix}.bv"]))
-    scores = nn.mul(nn.matmul(q, nn.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+    scores = nn.mul(matmul(q, nn.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
     causal = np.tril(np.ones((l, l), dtype=bool))[None, None, :, :]
     att = masked_softmax(scores, causal)
-    out = nn.transpose(nn.matmul(att, v), (0, 2, 1, 3))
+    out = nn.transpose(matmul(att, v), (0, 2, 1, 3))
     out = nn.reshape(out, (n, l, dm))
     return nn.linear(out, params[f"{prefix}.Wo"], params[f"{prefix}.bo"])
 
@@ -309,3 +336,154 @@ def mhsa_reference(x: Var, params: dict, prefix: str, n_heads: int) -> Var:
 def ffn_reference(x: Var, params: dict, prefix: str) -> Var:
     h = relu(nn.linear(x, params[f"{prefix}.W1"], params[f"{prefix}.b1"]))
     return nn.linear(h, params[f"{prefix}.W2"], params[f"{prefix}.b2"])
+
+
+# The unfused tape that model.forward and values.ordered_regression_loss
+# were before their layer norms, residuals, cutpoints and loss became single
+# nodes (nn.attention_block, nn.ffn_block, model._monotone_logits,
+# nn.sigmoid_masked and the loss node): each fused node must equal its part
+# of it bit for bit, forward and backward.
+
+
+def attention(x, wq, wk, wv, wo, bq, bk, bv, bo, n_heads: int) -> Var:
+    """Causal multi-head self-attention over x [n, l, d], as one tape node:
+    nn.attention_block without its layer norm and residual.
+
+    Equal to mhsa_reference up to rounding, with one QKV GEMM on [Wq|Wk|Wv]
+    and a hand-derived backward that splits the weight gradient back into
+    Wq, Wk and Wv.
+    """
+    x, wq, wk, wv, wo, bq, bk, bv, bo = (nn.as_var(v) for v in (x, wq, wk, wv, wo, bq, bk, bv, bo))
+    n, l, d = x.value.shape
+    dh = d // n_heads
+    scale = 1.0 / math.sqrt(dh)
+    x2 = x.value.reshape(-1, d)
+    w_qkv = np.concatenate([wq.value, wk.value, wv.value], axis=1)
+    qkv = x2 @ w_qkv + np.concatenate([bq.value, bk.value, bv.value])
+    # [n*l, 3d] -> [3, n, heads, l, dh]
+    q, k, v = qkv.reshape(n, l, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    att = nn.softmax_rows((q @ k.transpose(0, 1, 3, 2)) * scale, np.tri(l, dtype=bool))
+    ctx = (att @ v).transpose(0, 2, 1, 3).reshape(-1, d)
+    w_o = wo.value
+
+    def bw(g):
+        g2 = g.reshape(-1, d)
+        wo._accum(ctx.T @ g2)
+        bo._accum(g2.sum(axis=0))
+        g_ctx = (g2 @ w_o.T).reshape(n, l, n_heads, dh).transpose(0, 2, 1, 3)
+        g_att = g_ctx @ v.transpose(0, 1, 3, 2)
+        g_scores = att * (g_att - (g_att * att).sum(axis=-1, keepdims=True)) * scale
+        g_qkv = np.stack([g_scores @ k, g_scores.transpose(0, 1, 3, 2) @ q,
+                          att.transpose(0, 1, 3, 2) @ g_ctx])
+        g_qkv = g_qkv.transpose(1, 3, 0, 2, 4).reshape(-1, 3 * d)
+        g_w = x2.T @ g_qkv
+        g_b = g_qkv.sum(axis=0)
+        for i, (w, b) in enumerate(((wq, bq), (wk, bk), (wv, bv))):
+            w._accum(g_w[:, i * d:(i + 1) * d])
+            b._accum(g_b[i * d:(i + 1) * d])
+        if x.requires_grad:
+            x._accum((g_qkv @ w_qkv.T).reshape(x.shape))
+
+    y = ctx @ w_o + bo.value
+    return Var(y.reshape(n, l, d), (x, wq, wk, wv, wo, bq, bk, bv, bo), bw)
+
+
+def mhsa_node(x: Var, params: dict, prefix: str, n_heads: int) -> Var:
+    """`attention` with the signature of mhsa_reference."""
+    return attention(x, *(params[f"{prefix}.{name}"] for name in
+                          ("Wq", "Wk", "Wv", "Wo", "bq", "bk", "bv", "bo")), n_heads)
+
+
+def monotone_logits_reference(out, thresholds, max_count: int) -> Var:
+    """out minus the monotone head's cutpoints, as the primitive chain."""
+    t = thresholds
+    first = nn.slice_axis0(t, 0, 1)
+    rest = t if max_count == 1 else nn.slice_axis0(t, 1, max_count)
+    if max_count > 1:
+        softplus = nn.log(nn.add(1.0, exp(rest)))
+        steps = nn.concat([first, softplus], axis=0)
+    else:
+        steps = first
+    lower = np.tril(np.ones((max_count, max_count)))
+    cutpoints = matmul(lower, nn.reshape(steps, (max_count, 1)))
+    return nn.add(out, nn.neg(nn.reshape(cutpoints, (max_count,))))
+
+
+def forward_reference(config, params: dict, e_item, user, e_score,
+                      primitive: bool = False) -> sortmodel.ModelOutput:
+    """model.forward as the unfused tape: per block half, layer_norm, then the
+    one-node attention or nn.ffn, then add; the cutpoint chain; sigmoid, then
+    mul by the mask. With primitive=True, attention and the FFNs are
+    mhsa_reference and ffn_reference instead, which round differently."""
+    mhsa, ffn = (mhsa_reference, ffn_reference) if primitive else (mhsa_node, sortmodel._ffn)
+    x = sortmodel.assemble_input(config, params, e_item, user, e_score)
+    x = nn.linear(x, params["proj.W"], params["proj.b"])
+    for i in range(config.n_layers):
+        pre = f"layer{i}"
+        h = nn.layer_norm(x, params[f"{pre}.ln1.g"], params[f"{pre}.ln1.b"])
+        x = nn.add(x, mhsa(h, params, f"{pre}.attn", config.n_heads))
+        h = nn.layer_norm(x, params[f"{pre}.ln2.g"], params[f"{pre}.ln2.b"])
+        x = nn.add(x, ffn(h, params, f"{pre}.ffn"))
+    x = nn.layer_norm(x, params["final_ln.g"], params["final_ln.b"])
+    mask = sortmodel.valid_mask(e_item.shape[1], config.max_count)
+    logits = []
+    for head in ("head_click", "head_pay"):
+        out = ffn(x, params, head)
+        if config.head_mode == "monotone":
+            out = monotone_logits_reference(out, params[f"{head}.thresholds"], config.max_count)
+        logits.append(out)
+    click, pay = (nn.mul(nn.sigmoid(z), mask.astype(np.float64)) for z in logits)
+    return sortmodel.ModelOutput(click, pay, logits[0], logits[1], mask)
+
+
+def _masked_bce_reference(probs, targets: np.ndarray, mask: np.ndarray) -> Var:
+    p = nn.clip(probs, values.PROB_CLAMP, 1.0 - values.PROB_CLAMP)
+    pos = nn.mul(targets * mask, nn.log(p))
+    negt = nn.mul((1.0 - targets) * mask, nn.log(nn.sub(1.0, p)))
+    return nn.neg(nn.add(pos, negt))
+
+
+def ordered_regression_loss_reference(output, cum_clicks, cum_pays) -> Var:
+    """values.ordered_regression_loss as the tape's BCE chain."""
+    n, l, max_count = output.click.shape
+    mask = output.valid.astype(np.float64)
+    total = None
+    for probs, cum in ((output.click, cum_clicks), (output.pay, cum_pays)):
+        targets = values._threshold_targets(np.asarray(cum), max_count)
+        term = nn.sum_(_masked_bce_reference(probs, targets, mask))
+        total = term if total is None else nn.add(total, term)
+    return nn.mul(total, 1.0 / n)
+
+
+@dataclass
+class AdamReferenceState:
+    lr: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    step: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+
+def adam_init_reference(params, lr: float = 1e-3) -> AdamReferenceState:
+    state = AdamReferenceState(lr=lr)
+    for name, p in params.items():
+        state.m[name] = np.zeros_like(p.value)
+        state.v[name] = np.zeros_like(p.value)
+    return state
+
+
+def adam_step_reference(params, state: AdamReferenceState) -> None:
+    """nn.adam_step one array at a time, replacing each parameter's array:
+    the reference for the flat, in-place update."""
+    state.step += 1
+    t = state.step
+    for name, p in params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.value)
+        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
+        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
+        mhat = state.m[name] / (1 - state.beta1 ** t)
+        vhat = state.v[name] / (1 - state.beta2 ** t)
+        p.value = p.value - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+    nn.zero_grads(params)

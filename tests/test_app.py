@@ -788,6 +788,49 @@ def test_a_stalled_body_gets_a_json_408_while_others_are_served(workdir, monkeyp
     assert 0.5 <= elapsed < 0.5 + 5.0, elapsed
 
 
+@pytest.fixture
+def stalling_server(workdir, monkeypatch):
+    """A live server whose socket timeout is 0.5 s; yields its address."""
+    monkeypatch.setattr(srv, "SOCKET_TIMEOUT_S", 0.5)
+    server = srv.make_server(str(workdir["ckpt"]), 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def _sent_then_silent(address, sent: bytes) -> tuple[bytes, float]:
+    """Everything the server sends back to `sent`, until it closes the
+    connection, and the seconds that took."""
+    with socket.create_connection(address, timeout=10) as conn:
+        start = time.monotonic()
+        conn.sendall(sent)
+        reply = b""
+        while chunk := conn.recv(65536):
+            reply += chunk
+        return reply, time.monotonic() - start
+
+
+@pytest.mark.parametrize("sent, part", [(b"POST /rer", "request line"),
+                                        (b"POST /rerank HTTP/1.1\r\nHost: x\r\n", "headers")])
+def test_a_stall_in_the_request_line_or_headers_gets_a_json_408(stalling_server, sent, part):
+    reply, elapsed = _sent_then_silent(stalling_server, sent)
+    status_line, _, rest = reply.partition(b"\r\n")
+    doc = json.loads(rest.partition(b"\r\n\r\n")[2])
+    assert int(status_line.split()[1]) == 408
+    assert doc["error"].startswith(f"{part}:") and "connection closed" in doc["error"]
+    assert 0.5 <= elapsed < 0.5 + 5.0, elapsed
+
+
+def test_a_connection_that_sends_nothing_is_closed_without_a_reply(stalling_server):
+    reply, elapsed = _sent_then_silent(stalling_server, b"")
+    assert reply == b""
+    assert 0.5 <= elapsed < 0.5 + 5.0, elapsed
+
+
 def test_internal_fault_gets_json_500(workdir):
     server = srv.make_server(str(workdir["ckpt"]), 0)
     server.RequestHandlerClass.state.params = {}  # every forward now fails with KeyError

@@ -7,10 +7,20 @@ from sortgen import model as sortmodel
 from sortgen import nn, simulator, values
 from sortgen.core import ConfigError, EngineConfig, ObjectiveWeights, UserContext
 from sortgen.nn import Var
-from tests.helpers import ffn_reference, mhsa_reference, param_count
+from tests.helpers import (
+    ffn_reference,
+    finite_diff_check,
+    forward_reference,
+    mhsa_node,
+    mhsa_reference,
+    monotone_logits_reference,
+    ordered_regression_loss_reference,
+    param_count,
+    same_bits,
+)
 
 # Each block as one tape node, and its primitive-op reference.
-MHSA_IMPLS = [sortmodel._attention, mhsa_reference]
+MHSA_IMPLS = [mhsa_node, mhsa_reference]
 FFN_IMPLS = [sortmodel._ffn, ffn_reference]
 
 
@@ -164,17 +174,14 @@ def test_ffn_node_matches_primitive_ops(seed):
 
 
 @pytest.mark.parametrize("head_mode", ["monotone", "literal"])
-def test_forward_matches_primitive_op_reference(small_config, head_mode, monkeypatch):
+def test_forward_matches_primitive_op_reference(small_config, head_mode):
     cfg = dataclasses.replace(small_config, head_mode=head_mode)
     emb, user, score = _random_inputs(cfg, 6, cfg.l_o, seed=21)
     target = np.random.default_rng(22).uniform(size=(6, cfg.l_o, cfg.max_count))
     results = []
-    for reference in (False, True):
-        if reference:
-            monkeypatch.setattr(sortmodel, "_attention", MHSA_IMPLS[1])
-            monkeypatch.setattr(sortmodel, "_ffn", FFN_IMPLS[1])
+    for forward in (sortmodel.forward, lambda *args: forward_reference(*args, primitive=True)):
         params = sortmodel.init_params(cfg, seed=23)
-        out = sortmodel.forward(cfg, params, emb, user, score)
+        out = forward(cfg, params, emb, user, score)
         nn.backward(nn.sum_(nn.mul(nn.add(out.click, out.pay), target)))
         results.append((out, {name: p.grad for name, p in params.items()}))
     (out, grads), (ref_out, ref_grads) = results
@@ -182,6 +189,64 @@ def test_forward_matches_primitive_op_reference(small_config, head_mode, monkeyp
     assert np.abs(out.pay.value - ref_out.pay.value).max() <= 1e-12
     _assert_grads_close(grads, ref_grads,
                         zero=tuple(f"layer{i}.attn.bk" for i in range(cfg.n_layers)))
+
+
+@pytest.mark.parametrize("max_count", [5, 1])
+@pytest.mark.parametrize("loss_mode", ["ordered", "pointwise"])
+@pytest.mark.parametrize("head_mode", ["monotone", "literal"])
+def test_fused_forward_and_loss_equal_the_unfused_tape_bit_for_bit(small_config, head_mode,
+                                                                  loss_mode, max_count):
+    # The block halves, cutpoints, masked sigmoid and loss as single nodes
+    # change no bit of any output, loss or gradient.
+    cfg = dataclasses.replace(small_config, head_mode=head_mode, loss_mode=loss_mode,
+                              max_count=max_count)
+    emb, user, score = _random_inputs(cfg, 7, cfg.l_o, seed=26)
+    rng = np.random.default_rng(28)
+    clicks = rng.integers(0, 2, size=(7, cfg.l_o))
+    pays = clicks * rng.integers(0, 2, size=clicks.shape)
+    results = []
+    for fused in (True, False):
+        params = _perturbed_params(cfg, seed=27)
+        out = (sortmodel.forward if fused else forward_reference)(cfg, params, emb, user, score)
+        if loss_mode == "pointwise":
+            loss = values.pointwise_loss(nn.index_last(out.click_logits, 0),
+                                         nn.index_last(out.pay_logits, 0), clicks, pays)
+        else:
+            ordered = values.ordered_regression_loss if fused else ordered_regression_loss_reference
+            loss = ordered(out, np.cumsum(clicks, axis=1), np.cumsum(pays, axis=1))
+        nn.backward(loss)
+        results.append((loss.value, [getattr(out, f).value for f in
+                                     ("click", "pay", "click_logits", "pay_logits")],
+                        {name: p.grad for name, p in params.items()}))
+    (loss, outs, grads), (ref_loss, ref_outs, ref_grads) = results
+    assert same_bits(loss, ref_loss)
+    for a, b in zip(outs, ref_outs):
+        assert same_bits(a, b)
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert same_bits(grads[name], ref_grads[name]), name
+
+
+@pytest.mark.parametrize("max_count", [5, 1])
+def test_monotone_logits_node_equals_the_cutpoint_chain_bit_for_bit(max_count):
+    rng = np.random.default_rng(29)
+    params = {"score": Var(rng.normal(size=(3, 4, 1))), "t": Var(rng.normal(size=max_count))}
+    target = rng.normal(size=(3, 4, max_count))
+    results = []
+    for fused in (True, False):
+        nn.zero_grads(params)
+        out = (sortmodel._monotone_logits(params["score"], params["t"]) if fused else
+               monotone_logits_reference(params["score"], params["t"], max_count))
+        nn.backward(nn.sum_(nn.mul(out, target)))
+        results.append((out.value, params["score"].grad, params["t"].grad))
+    for fused, ref in zip(*results):
+        assert same_bits(fused, ref)
+
+    def loss_fn():
+        return nn.sum_(nn.mul(nn.sigmoid(sortmodel._monotone_logits(params["score"], params["t"])),
+                              target))
+
+    assert finite_diff_check(params, loss_fn, step=1e-5, n_coords=17) < 1e-6
 
 
 # ---------------------------- input assembly --------------------------------

@@ -3,7 +3,16 @@ import pytest
 
 from sortgen import nn
 from sortgen.nn import Var
-from tests.helpers import finite_diff_check, masked_softmax, relu
+from tests.helpers import (
+    adam_init_reference,
+    adam_step_reference,
+    attention,
+    finite_diff_check,
+    masked_softmax,
+    matmul,
+    relu,
+    same_bits,
+)
 
 
 def test_linear_identity():
@@ -174,7 +183,7 @@ def test_linear_gradient_matches_unfused_ops():
     grads = []
     for fused in (True, False):
         xs, ws, bs = Var(x), Var(w), Var(b)
-        y = nn.linear(xs, ws, bs) if fused else nn.add(nn.matmul(xs, ws), bs)
+        y = nn.linear(xs, ws, bs) if fused else nn.add(matmul(xs, ws), bs)
         nn.backward(nn.sum_(nn.mul(y, y)))
         grads.append((y.value, xs.grad, ws.grad, bs.grad))
     for fused, plain in zip(*grads):
@@ -241,9 +250,168 @@ def test_finite_diff_attention_and_ffn_nodes():
 
     def loss_fn():
         p = params
-        h = nn.attention(p["x"], p["Wq"], p["Wk"], p["Wv"], p["Wo"],
-                         p["bq"], p["bk"], p["bv"], p["bo"], n_heads=2)
+        h = attention(p["x"], p["Wq"], p["Wk"], p["Wv"], p["Wo"],
+                      p["bq"], p["bk"], p["bv"], p["bo"], n_heads=2)
         y = nn.ffn(h, p["W1"], p["b1"], p["W2"], p["b2"])
         return nn.sum_(nn.mul(nn.sigmoid(y), target))
 
     assert finite_diff_check(params, loss_fn, step=1e-5, n_coords=120, seed=2) < 1e-6
+
+
+# ------------------------- fused block nodes --------------------------------
+
+ATTN = ("Wq", "Wk", "Wv", "Wo", "bq", "bk", "bv", "bo")
+FFN = ("W1", "b1", "W2", "b2")
+
+
+def _block_params(kind, dm=8, seed=0):
+    """x, the layer norm's gain and bias, and the block's weights, all moved
+    off their usual init so that every gradient is generic."""
+    rng = np.random.default_rng(seed)
+    p = {"x": Var(rng.normal(size=(3, 5, dm))), "g": Var(1.0 + 0.2 * rng.normal(size=dm)),
+         "b": Var(0.1 * rng.normal(size=dm))}
+    if kind == "attention":
+        p.update({name: Var(rng.normal(size=(dm, dm)) * 0.4) for name in ATTN[:4]})
+        p.update({name: Var(rng.normal(size=dm) * 0.1) for name in ATTN[4:]})
+    else:
+        p.update({"W1": Var(rng.normal(size=(dm, 4 * dm)) * 0.4),
+                  "b1": Var(rng.normal(size=4 * dm) * 0.1),
+                  "W2": Var(rng.normal(size=(4 * dm, dm)) * 0.4), "b2": Var(rng.normal(size=dm))})
+    return p
+
+
+def _block(kind, p, fused):
+    if kind == "attention":
+        weights = [p[name] for name in ATTN]
+        if fused:
+            return nn.attention_block(p["x"], p["g"], p["b"], *weights, n_heads=2)
+        return nn.add(p["x"], attention(nn.layer_norm(p["x"], p["g"], p["b"]), *weights, 2))
+    weights = [p[name] for name in FFN]
+    if fused:
+        return nn.ffn_block(p["x"], p["g"], p["b"], *weights)
+    return nn.add(p["x"], nn.ffn(nn.layer_norm(p["x"], p["g"], p["b"]), *weights))
+
+
+def _value_and_grads(build, params, seed=11):
+    """build()'s value, and every parameter's gradient of sum(out * proj) +
+    sum(out * out) for a fixed random proj: out gets its gradient from two
+    consumers, as a residual stream does."""
+    nn.zero_grads(params)
+    out = build()
+    proj = np.random.default_rng(seed).normal(size=out.shape)
+    nn.backward(nn.add(nn.sum_(nn.mul(out, proj)), nn.sum_(nn.mul(out, out))))
+    return out.value, {name: p.grad for name, p in params.items()}
+
+
+@pytest.mark.parametrize("kind", ["attention", "ffn"])
+def test_block_node_equals_layer_norm_block_and_add_bit_for_bit(kind):
+    params = _block_params(kind)
+    fused, fused_grads = _value_and_grads(lambda: _block(kind, params, True), params)
+    ref, ref_grads = _value_and_grads(lambda: _block(kind, params, False), params)
+    assert same_bits(fused, ref)
+    for name, g in ref_grads.items():
+        assert same_bits(fused_grads[name], g), name
+
+
+@pytest.mark.parametrize("kind", ["attention", "ffn"])
+def test_finite_diff_block_nodes(kind):
+    params = _block_params(kind, dm=6, seed=3)
+    target = np.random.default_rng(4).normal(size=params["x"].shape)
+
+    def loss_fn():
+        return nn.sum_(nn.mul(nn.sigmoid(_block(kind, params, True)), target))
+
+    assert finite_diff_check(params, loss_fn, step=1e-5, n_coords=120, seed=5) < 1e-6
+
+
+def test_block_node_without_input_gradient_still_trains_its_weights():
+    # A constant input (no tape behind it) gets no gradient; the norm and the
+    # weights still do, equal to the unfused tape's.
+    for kind in ("attention", "ffn"):
+        params = _block_params(kind, seed=6)
+        params["x"] = Var(params["x"].value, requires_grad=False)
+        fused, fused_grads = _value_and_grads(lambda: _block(kind, params, True), params)
+        ref, ref_grads = _value_and_grads(lambda: _block(kind, params, False), params)
+        assert fused_grads["x"] is None and ref_grads["x"] is None
+        for name in params.keys() - {"x"}:
+            assert same_bits(fused_grads[name], ref_grads[name]), name
+
+
+def test_sigmoid_masked_equals_sigmoid_then_mul_bit_for_bit():
+    rng = np.random.default_rng(8)
+    params = {"a": Var(rng.normal(size=(4, 5, 3)) * 3.0)}
+    mask = np.tril(np.ones((5, 3)))
+    fused, fused_grads = _value_and_grads(lambda: nn.sigmoid_masked(params["a"], mask), params)
+    ref, ref_grads = _value_and_grads(lambda: nn.mul(nn.sigmoid(params["a"]), mask), params)
+    assert same_bits(fused, ref)
+    assert same_bits(fused_grads["a"], ref_grads["a"])
+    target = rng.normal(size=(4, 5, 3))
+    assert finite_diff_check(params, lambda: nn.sum_(nn.mul(
+        nn.sigmoid_masked(params["a"], mask), target)), step=1e-5, n_coords=60) < 1e-6
+
+
+def test_masked_softmax_rows_equal_the_minus_infinity_form_bit_for_bit():
+    rng = np.random.default_rng(9)
+    logits = rng.normal(size=(2, 3, 6, 6)) * 4.0
+    mask = np.tri(6, dtype=bool)
+    masked = np.where(mask, logits, -np.inf)
+    e = np.exp(masked - masked.max(axis=-1, keepdims=True))
+    assert same_bits(nn.softmax_rows(logits, mask), e / e.sum(axis=-1, keepdims=True))
+
+
+# ------------------------------- Adam ---------------------------------------
+
+
+def _adam_params(seed):
+    rng = np.random.default_rng(seed)
+    return {"w": Var(rng.normal(size=(3, 4))), "b": Var(rng.normal(size=4)),
+            "s": Var(rng.normal(size=())), "t": Var(rng.normal(size=(2, 1, 3)))}
+
+
+def test_flat_adam_equals_the_per_array_update_bit_for_bit():
+    # 20 steps of random gradients, some missing: every value and moment
+    # matches the per-array update exactly.
+    flat, ref = _adam_params(0), _adam_params(0)
+    state = nn.adam_init(flat, lr=0.05)
+    ref_state = adam_init_reference(ref, lr=0.05)
+    rng = np.random.default_rng(1)
+    for step in range(20):
+        for name in flat:
+            if rng.uniform() < 0.25:
+                flat[name].grad = ref[name].grad = None
+            else:
+                g = rng.normal(size=flat[name].shape) * rng.choice([1e-6, 1.0, 1e3])
+                flat[name].grad, ref[name].grad = g, g.copy()
+        nn.adam_step(flat, state)
+        adam_step_reference(ref, ref_state)
+        for name in flat:
+            assert same_bits(flat[name].value, ref[name].value), (step, name)
+            assert flat[name].grad is None
+            assert np.shares_memory(flat[name].value, state.values)
+    offset = 0
+    for name, p in flat.items():
+        part = slice(offset, offset + p.value.size)
+        assert same_bits(state.m[part], ref_state.m[name].ravel())
+        assert same_bits(state.v[part], ref_state.v[name].ravel())
+        offset += p.value.size
+
+
+def test_adam_rejects_a_parameter_replaced_after_init():
+    params = _adam_params(2)
+    state = nn.adam_init(params)
+    params["b"].value = params["b"].value.copy()  # a new array: adam_step would not see it
+    with pytest.raises(ValueError, match="parameter 'b' was replaced"):
+        nn.adam_step(params, state)
+    with pytest.raises(ValueError, match="differ"):
+        nn.adam_step({"w": params["w"]}, state)
+
+
+def test_adam_init_copies_read_only_arrays_into_its_writable_buffer():
+    frozen = np.arange(4.0)
+    frozen.flags.writeable = False
+    params = {"w": Var(frozen)}
+    state = nn.adam_init(params, lr=0.1)
+    params["w"].grad = np.ones(4)
+    nn.adam_step(params, state)
+    np.testing.assert_array_equal(frozen, np.arange(4.0))
+    np.testing.assert_allclose(params["w"].value, np.arange(4.0) - 0.1)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,36 @@ def test_nonfinite_loss_aborts_with_diagnostics(dataset):
     with (pytest.warns(RuntimeWarning),
           pytest.raises(FloatingPointError, match=r"epoch 0, batch 0; total parameter norm")):
         trainer.train(dataset, params, ENGINE, trainer.TrainConfig(epochs=1))
+
+
+def test_nonfinite_loss_reports_the_global_parameter_norm(dataset, monkeypatch):
+    # A non-finite loss with finite parameters: the message carries the L2
+    # norm of all parameters together, not a sum of per-array norms.
+    params = sortmodel.init_params(ENGINE, seed=7)
+    expected = np.linalg.norm(np.concatenate([p.value.ravel() for p in params.values()]))
+    monkeypatch.setattr(trainer, "_batch_loss",
+                        lambda config, params, batch: nn.Var(np.array(np.nan)))
+    message = f"non-finite loss at epoch 0, batch 0; total parameter norm {expected:.3e}"
+    with pytest.raises(FloatingPointError, match=re.escape(message) + "$"):
+        trainer.train(dataset, params, ENGINE, trainer.TrainConfig(epochs=1))
+
+
+def test_report_keeps_calibration_vectors_and_gradient_norms(dataset):
+    # One step an epoch (the batch holds the whole training split), so each
+    # epoch's mean gradient norm is the global norm of that step's gradient.
+    tconf = trainer.TrainConfig(batch_size=10_000, epochs=2, lr=0.0)
+    report = trainer.train(dataset, sortmodel.init_params(ENGINE, seed=12), ENGINE, tconf)
+    assert len(report.calib_click) == len(report.calib_pay) == 2
+    for click, pay, gap in zip(report.calib_click, report.calib_pay, report.calib_gaps):
+        assert click.shape == pay.shape == (ENGINE.l_o,)
+        assert gap == float((click.mean() + pay.mean()) / 2.0)
+    train_idx, _ = trainer._session_hash_split(dataset.samples, tconf.eval_fraction)
+    params = sortmodel.init_params(ENGINE, seed=12)
+    nn.backward(trainer._batch_loss(ENGINE, params,
+                                    trainer._to_arrays([dataset.samples[i] for i in train_idx])))
+    norm = np.linalg.norm(np.concatenate([p.grad.ravel() for p in params.values()]))
+    assert len(report.grad_norms) == 2
+    np.testing.assert_allclose(report.grad_norms, [norm, norm], rtol=1e-9)
 
 
 def test_metrics_file_format(dataset, tmp_path):

@@ -9,6 +9,7 @@ from sortgen import nn, values
 from sortgen.core import ObjectiveWeights
 from sortgen.model import ModelOutput, valid_mask
 from sortgen.nn import Var
+from tests.helpers import finite_diff_check, ordered_regression_loss_reference, same_bits
 
 
 def _counts(rows):
@@ -162,6 +163,42 @@ def test_ordered_regression_no_actions_zero_probs():
     loss = values.ordered_regression_loss(out, np.zeros((1, 2), dtype=int),
                                           np.zeros((1, 2), dtype=int))
     assert float(loss.value) < 1e-5
+
+
+def _loss_inputs(seed, n=5, l=4, max_count=3):
+    """Probabilities spread over [0, 1], with some past each clip bound and
+    exact zeros where the mask is off, and random cumulative labels."""
+    rng = np.random.default_rng(seed)
+    valid = valid_mask(l, max_count)
+    probs = [rng.uniform(size=(n, l, max_count)) * valid for _ in range(2)]
+    probs[0][0, -1] = [1.0, 1e-9, 1.0 - 1e-9][:max_count]
+    cum = [np.cumsum(rng.integers(0, 2, size=(n, l)), axis=1) for _ in range(2)]
+    return probs, cum
+
+
+def test_ordered_loss_node_equals_the_bce_chain_bit_for_bit():
+    probs, (cum_clicks, cum_pays) = _loss_inputs(3)
+    results = []
+    for loss_fn in (values.ordered_regression_loss, ordered_regression_loss_reference):
+        out = _fake_output(*probs, 4, 3)
+        # Scaled by 3 inside a larger tape, so the node's incoming gradient is not 1.
+        loss = nn.mul(loss_fn(out, cum_clicks, cum_pays), 3.0)
+        nn.backward(loss)
+        results.append((loss.value, out.click.grad, out.pay.grad))
+    for fused, ref in zip(*results):
+        assert same_bits(fused, ref)
+
+
+def test_finite_diff_ordered_loss_node():
+    probs, (cum_clicks, cum_pays) = _loss_inputs(4)
+    params = {"click": Var(0.05 + 0.9 * probs[0]), "pay": Var(0.05 + 0.9 * probs[1])}
+
+    def loss_fn():
+        out = ModelOutput(params["click"], params["pay"], params["click"], params["pay"],
+                          valid_mask(4, 3))
+        return values.ordered_regression_loss(out, cum_clicks, cum_pays)
+
+    assert finite_diff_check(params, loss_fn, step=1e-6, n_coords=60) < 1e-6
 
 
 def test_ordered_regression_gradient_direction():
