@@ -12,6 +12,7 @@ permutation oracle back the correctness tests and the latency benchmark.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -122,14 +123,24 @@ def build_queues(features: sortmodel.ItemFeatures, specs, strategy: str,
 # mmr_score that the greedy loop's MMR arithmetic is tested against.
 
 
+@functools.lru_cache(maxsize=256)
+def window_mask(length: int, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """The [length, length] mask of the pairs (t, s) with 1 <= t - s <= window,
+    and the [length] mask of the rows with any; memoised, so both are read-only."""
+    t = np.arange(length)
+    lag = t[:, None] - t[None, :]
+    mask = (lag >= 1) & (lag <= window)
+    has_prev = mask.any(axis=1)
+    mask.flags.writeable = has_prev.flags.writeable = False
+    return mask, has_prev
+
+
 def window_similarities(emb: np.ndarray, window: int) -> np.ndarray:
     """Each row's max similarity to the `window` rows before it, [l], from
     the rows' [l, l] Gram block; 0 for a row with none before it."""
-    t = np.arange(len(emb))
-    lag = t[:, None] - t[None, :]
-    mask = (lag >= 1) & (lag <= window)
-    best = np.where(mask, emb @ emb.T, -np.inf).max(axis=1, initial=-np.inf)
-    return np.where(mask.any(axis=1), best, 0.0)
+    mask, has_prev = window_mask(len(emb), int(window))
+    best = (emb @ emb.T).max(axis=1, where=mask, initial=-np.inf)
+    return np.where(has_prev, best, 0.0)
 
 
 # ------------------------------- traces -------------------------------------

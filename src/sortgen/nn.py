@@ -48,7 +48,7 @@ class Var:
     def _accum(self, g: np.ndarray) -> None:
         """Add g to .grad. The first gradient is stored as is, with no copy;
         it may be shared with another node (add hands one array to both
-        parents, reshape and transpose hand views), so a later one is added
+        parents, reshape hands a view), so a later one is added
         into a new array, never in place."""
         if not self.requires_grad:
             return
@@ -149,12 +149,6 @@ def concat(parts, axis: int = -1) -> Var:
 def reshape(a, shape) -> Var:
     a = as_var(a)
     return Var(a.value.reshape(shape), (a,), lambda g: a._accum(g.reshape(a.shape)))
-
-
-def transpose(a, axes) -> Var:
-    a = as_var(a)
-    inv = np.argsort(axes)
-    return Var(np.transpose(a.value, axes), (a,), lambda g: a._accum(np.transpose(g, inv)))
 
 
 def sum_(a, axis=None, keepdims: bool = False) -> Var:

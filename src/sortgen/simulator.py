@@ -4,12 +4,18 @@ The behavior model combines a user-item affinity (driven by the item's
 prior CTR and a learned-free random projection of user features onto the
 embedding space), a geometric position decay, and a contrast term that
 penalizes items similar to recently shown ones. Pay events only occur given
-a click. Everything is deterministic per seed. The ground truth works on
-packed catalog rows; tests/helpers.py holds its scalar per-Item reference.
+a click. Everything is deterministic per seed.
+
+The ground truth works on packed catalog rows. `GroundTruthModel.bind`
+computes its per-item terms over one packed catalog or pool once, and the
+resulting `BoundTruth` gives the click and pay probabilities of any list of
+its rows; `simulate_session` and `ground_truth_slate_value` take the bound
+form. tests/helpers.py holds the scalar per-Item reference.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +42,11 @@ class SimConfig:
     gt_window: int = 5
     seed: int = 0
 
+    def __post_init__(self):
+        for name, least in (("n_items", 1), ("n_categories", 1), ("sessions", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"sim.{name} must be >= {least}")
+
 
 @dataclass
 class GroundTruthModel:
@@ -48,20 +59,44 @@ class GroundTruthModel:
     base_pay: float
     window: int
 
-    def list_probs(self, user: UserContext, emb: np.ndarray,
-                   score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def bind(self, features: ItemFeatures) -> BoundTruth:
+        """This model's per-item terms over the rows of `features`, O(n) each."""
+        return BoundTruth(
+            self, features,
+            appeal=features.emb @ np.stack([self.click_appeal, self.pay_appeal], axis=1),
+            prior=np.array([0.45, 0.9]) * features.score ** 0.15,
+            proj=np.concatenate([self.click_proj, self.pay_proj], axis=1),
+        )
+
+
+@dataclass(frozen=True)
+class BoundTruth:
+    """A GroundTruthModel bound to one packed catalog or pool."""
+
+    model: GroundTruthModel
+    features: ItemFeatures
+    appeal: np.ndarray  # [n, 2]: emb @ (click_appeal, pay_appeal)
+    prior: np.ndarray   # [n, 2]: (0.45, 0.9) * score ** 0.15
+    proj: np.ndarray    # [d_user, 2 * d_emb]: click_proj | pay_proj
+
+    def list_probs(self, user: UserContext, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Click and pay-given-click probabilities, [l] each, at every position
-        of one exposed list given as its rows emb [l, d_emb] and score [l, 2]
-        (prior_ctr, prior_cvr), in one vectorised pass."""
-        u = user.user_features
-        z = emb @ np.stack([u @ self.click_proj, self.click_appeal,
-                            u @ self.pay_proj, self.pay_appeal], axis=1)
-        sig = 1.0 / (1.0 + np.exp(-(z[:, 0::2] + z[:, 1::2])))  # [l, 2]: click, pay
-        affinity = np.clip(np.array([0.45, 0.9]) * score ** 0.15 * (0.1 + 2.4 * sig), 0.0, 1.0)
-        contrast = 1.0 + self.kappa * (0.5 - window_similarities(emb, self.window))
-        decay = self.rho ** np.arange(len(emb))
-        click = np.clip(affinity[:, 0] * decay * contrast, 0.0, 1.0)
-        return click, np.clip(self.base_pay * affinity[:, 1], 0.0, 1.0)
+        of the list exposed as the rows `rows` (int64), in one vectorised pass."""
+        gt, emb = self.model, self.features.emb[rows]
+        z = emb @ (user.user_features @ self.proj).reshape(2, -1).T + self.appeal[rows]
+        sig = 1.0 / (1.0 + np.exp(-z))  # [l, 2]: click, pay
+        affinity = (self.prior[rows] * (0.1 + 2.4 * sig)).clip(0.0, 1.0)
+        contrast = 1.0 + gt.kappa * (0.5 - window_similarities(emb, gt.window))
+        click = (affinity[:, 0] * _decay(gt.rho, len(rows)) * contrast).clip(0.0, 1.0)
+        return click, (gt.base_pay * affinity[:, 1]).clip(0.0, 1.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _decay(rho: float, length: int) -> np.ndarray:
+    """rho ** [0, 1, ..., length - 1], memoised, so read-only."""
+    decay = rho ** np.arange(length)
+    decay.flags.writeable = False
+    return decay
 
 
 def make_ground_truth(engine: EngineConfig, sim: SimConfig) -> GroundTruthModel:
@@ -117,15 +152,15 @@ def exposure_list(features: ItemFeatures, pool: np.ndarray, l_o: int,
     return pool[np.argsort(-scores, kind="stable")[:l_o]]
 
 
-def simulate_session(user: UserContext, features: ItemFeatures, rows,
-                     gt: GroundTruthModel, rng: np.random.Generator) -> LabelVector:
-    """Click and pay labels of the list exposed as the rows `rows` of
-    `features`: per position one click draw, then a pay draw only after a
+def simulate_session(user: UserContext, truth: BoundTruth, rows,
+                     rng: np.random.Generator) -> LabelVector:
+    """Click and pay labels of the list exposed as the rows `rows` of the
+    bound catalog: per position one click draw, then a pay draw only after a
     click."""
     rows = np.asarray(rows, dtype=np.int64)
     if not len(rows):
         raise ConfigError("empty exposed list")
-    click, pay = gt.list_probs(user, features.emb[rows], features.score[rows])
+    click, pay = truth.list_probs(user, rows)
     clicks, pays = [], []
     for pc, pp in zip(click.tolist(), pay.tolist()):
         clicked = rng.random() < pc
@@ -156,16 +191,16 @@ def build_dataset(engine: EngineConfig, sim: SimConfig) -> Dataset:
     catalog = sample_catalog(sim.n_items, engine.d_emb, sim.n_categories, sim.seed)
     if sim.n_items < engine.l_s:
         raise ConfigError("n_items smaller than l_s")
-    gt = make_ground_truth(engine, sim)
-    features = item_features(catalog)
+    truth = make_ground_truth(engine, sim).bind(item_features(catalog))
     rng = np.random.default_rng(sim.seed + 1)
     samples = []
     for _ in range(sim.sessions):
         user = sample_user(rng, engine.d_user)
         pool = rng.choice(len(catalog), size=engine.l_s, replace=False)
-        exposed = exposure_list(features, pool, engine.l_o, rng, sim.exposure_noise)
-        labels = simulate_session(user, features, exposed, gt, rng)
-        samples.append(ImpressionSample(user, tuple(catalog[i] for i in exposed), labels))
+        exposed = exposure_list(truth.features, pool, engine.l_o, rng, sim.exposure_noise)
+        labels = simulate_session(user, truth, exposed, rng)
+        samples.append(ImpressionSample(user, tuple([catalog[i] for i in exposed.tolist()]),
+                                        labels))
     return Dataset(samples, catalog, to_dict(engine), to_dict(sim))
 
 
@@ -261,13 +296,12 @@ def read_catalog(path: str | Path) -> list[Item]:
 # ------------------------- ground-truth list values -------------------------
 
 
-def ground_truth_slate_value(gt: GroundTruthModel, user: UserContext,
-                             features: ItemFeatures, rows,
+def ground_truth_slate_value(truth: BoundTruth, user: UserContext, rows,
                              weights: ObjectiveWeights) -> float:
     """Deterministic expected combined value under the simulator of the slate
-    made of the rows `rows` of `features`."""
+    made of the rows `rows` of the bound pool."""
     rows = np.asarray(rows, dtype=np.int64)
-    click, pay_given_click = gt.list_probs(user, features.emb[rows], features.score[rows])
+    click, pay_given_click = truth.list_probs(user, rows)
     pay = click * pay_given_click
     return float(weights.alpha * click.sum() + weights.beta * pay.sum()
-                 + weights.gamma * (features.price[rows] * pay).sum())
+                 + weights.gamma * (truth.features.price[rows] * pay).sum())

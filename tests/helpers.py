@@ -204,7 +204,8 @@ def _pay_affinity(gt, user: UserContext, item: Item) -> float:
 
 def click_prob(gt, user: UserContext, items, t: int) -> float:
     """Click probability at 1-based position t of an exposed list, under the
-    simulator.GroundTruthModel `gt`: the reference for gt.list_probs."""
+    simulator.GroundTruthModel `gt`: the reference for the list_probs of
+    gt.bind(...)."""
     item = items[t - 1]
     prev = items[max(0, t - 1 - gt.window):t - 1]
     max_sim = max((float(np.dot(item.embedding, b.embedding)) for b in prev), default=0.0)
@@ -236,6 +237,12 @@ def exp(a) -> Var:
     a = nn.as_var(a)
     e = np.exp(a.value)
     return Var(e, (a,), lambda g: a._accum(g * e))
+
+
+def transpose(a, axes) -> Var:
+    a = nn.as_var(a)
+    inv = np.argsort(axes)
+    return Var(np.transpose(a.value, axes), (a,), lambda g: a._accum(np.transpose(g, inv)))
 
 
 def relu(a) -> Var:
@@ -320,15 +327,15 @@ def mhsa_reference(x: Var, params: dict, prefix: str, n_heads: int) -> Var:
     dh = dm // n_heads
 
     def split(v: Var) -> Var:
-        return nn.transpose(nn.reshape(v, (n, l, n_heads, dh)), (0, 2, 1, 3))
+        return transpose(nn.reshape(v, (n, l, n_heads, dh)), (0, 2, 1, 3))
 
     q = split(nn.linear(x, params[f"{prefix}.Wq"], params[f"{prefix}.bq"]))
     k = split(nn.linear(x, params[f"{prefix}.Wk"], params[f"{prefix}.bk"]))
     v = split(nn.linear(x, params[f"{prefix}.Wv"], params[f"{prefix}.bv"]))
-    scores = nn.mul(matmul(q, nn.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+    scores = nn.mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
     causal = np.tril(np.ones((l, l), dtype=bool))[None, None, :, :]
     att = masked_softmax(scores, causal)
-    out = nn.transpose(matmul(att, v), (0, 2, 1, 3))
+    out = transpose(matmul(att, v), (0, 2, 1, 3))
     out = nn.reshape(out, (n, l, dm))
     return nn.linear(out, params[f"{prefix}.Wo"], params[f"{prefix}.bo"])
 

@@ -302,7 +302,7 @@ def test_criterion_07_training_efficacy(trained):
         }
         for name, slate in slates.items():
             vals[name].append(simulator.ground_truth_slate_value(
-                gt, user, features, slate.rows, WEIGHTS))
+                gt.bind(features), user, slate.rows, WEIGHTS))
     means = {m: float(np.mean(v)) for m, v in vals.items()}
     margins = {m: means["ordered"] - means[m]
                for m in ("pointwise", "template", "top_queue")}

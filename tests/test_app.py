@@ -254,6 +254,19 @@ def test_non_finite_config_weight_returns_config_error_code(tmp_path, capsys):
     assert "config error: alpha: objective weight nan is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["sim.n_items = 0", "sim.n_categories = 0",
+                                  "sim.sessions = -4"])
+def test_out_of_range_sim_value_returns_config_error_code(tmp_path, capsys, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "d.jsonl"
+    rc = cli.main(["simulate", "--config", str(bad), "--out", str(out)])
+    assert rc == 2
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be >= ")
+    assert not out.exists()
+
+
 def test_eval_pools_config_key_accepted(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("eval.pools = 7\n", encoding="utf-8")

@@ -15,6 +15,7 @@ from tests.helpers import (
     make_item,
     mmr_score,
     queue_ranking_reference,
+    same_bits,
     similarity,
 )
 
@@ -500,3 +501,29 @@ def test_oracle_dominates_greedy(small_config, small_params, small_catalog, weig
         trace = generation.generate(user, q, vm, weights, lam=1.0)
         greedy = float(vm.combined_values([[pool[i] for i in trace.rows]], user, weights)[0])
         assert greedy <= best_val + 1e-9
+
+
+def test_memoised_window_mask_is_read_only():
+    mask, has_prev = generation.window_mask(6, 2)
+    assert generation.window_mask(6, 2)[0] is mask
+    with pytest.raises(ValueError):
+        mask[3, 0] = True
+    with pytest.raises(ValueError):
+        has_prev[0] = True
+
+
+def test_window_similarities_equal_the_unmemoised_formula():
+    l_o = EngineConfig().l_o
+    rng = np.random.default_rng(8)
+    generation.window_mask.cache_clear()
+    for length in range(1, l_o + 3):
+        emb = rng.normal(size=(length, 8))
+        emb[-1] = emb[0]  # a repeated row
+        for window in range(0, l_o + 3):
+            t = np.arange(length)
+            lag = t[:, None] - t[None, :]
+            mask = (lag >= 1) & (lag <= window)
+            best = np.where(mask, emb @ emb.T, -np.inf).max(axis=1, initial=-np.inf)
+            want = np.where(mask.any(axis=1), best, 0.0)
+            for _ in range(2):  # the mask made, then the memoised one
+                assert same_bits(generation.window_similarities(emb, window), want)

@@ -12,6 +12,7 @@ from tests.helpers import (
     matmul,
     relu,
     same_bits,
+    transpose,
 )
 
 
@@ -226,13 +227,13 @@ def test_view_gradients_accumulate_into_new_arrays():
     y = nn.reshape(x, (3, 2))
     nn.backward(nn.sum_(nn.mul(y, c1)))
     assert np.shares_memory(x.grad, y.grad)
-    z = nn.transpose(x, (1, 0))
+    z = transpose(x, (1, 0))
     nn.backward(nn.sum_(nn.mul(z, c2)))
     np.testing.assert_array_equal(x.grad, c1.reshape(2, 3) + c2.T)
     np.testing.assert_array_equal(y.grad, c1)
     # Twice more, through a new transpose: x sums three gradients, and neither
     # earlier node's gradient changes.
-    nn.backward(nn.sum_(nn.mul(nn.transpose(x, (1, 0)), c2)))
+    nn.backward(nn.sum_(nn.mul(transpose(x, (1, 0)), c2)))
     np.testing.assert_array_equal(x.grad, c1.reshape(2, 3) + 2.0 * c2.T)
     np.testing.assert_array_equal(y.grad, c1)
     np.testing.assert_array_equal(z.grad, c2)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from sortgen import simulator
 from sortgen.core import ConfigError, EngineConfig, ObjectiveWeights
-from sortgen.model import item_features
+from sortgen.model import ItemFeatures, item_features
 from sortgen.simulator import SimConfig
 from tests.helpers import click_prob, pay_prob_given_click
 
@@ -19,7 +20,7 @@ SIM = SimConfig(n_items=40, sessions=50, seed=11)
 
 def _click_prob(gt, user, features, rows, t):
     """Click probability at 1-based position t of the list of catalog rows."""
-    return gt.list_probs(user, features.emb[rows], features.score[rows])[0][t - 1]
+    return gt.bind(features).list_probs(user, rows)[0][t - 1]
 
 
 def test_catalog_deterministic():
@@ -75,12 +76,13 @@ def test_contrast_penalizes_duplicates():
 def test_session_counts_properties():
     gt = simulator.make_ground_truth(ENGINE, SIM)
     features = item_features(simulator.sample_catalog(40, 8, 4, seed=6))
+    truth = gt.bind(features)
     rng = np.random.default_rng(3)
     for _ in range(500):
         user = simulator.sample_user(rng, ENGINE.d_user)
         pool = rng.choice(len(features.ids), size=ENGINE.l_s, replace=False)
         exposed = simulator.exposure_list(features, pool, ENGINE.l_o, rng, 0.1)
-        labels = simulator.simulate_session(user, features, exposed, gt, rng)
+        labels = simulator.simulate_session(user, truth, exposed, rng)
         cum_c, cum_p = labels.cum_clicks, labels.cum_pays
         assert (np.diff(cum_c) >= 0).all()
         assert (cum_c <= np.arange(1, ENGINE.l_o + 1)).all()
@@ -91,6 +93,7 @@ def test_position_bias_visible():
     sim = dataclasses.replace(SIM, rho=0.8, sessions=0)
     gt = simulator.make_ground_truth(ENGINE, sim)
     features = item_features(simulator.sample_catalog(40, 8, 4, seed=7))
+    truth = gt.bind(features)
     rng = np.random.default_rng(4)
     first, last = 0, 0
     n = 10000
@@ -98,7 +101,7 @@ def test_position_bias_visible():
         user = simulator.sample_user(rng, ENGINE.d_user)
         pool = rng.choice(len(features.ids), size=ENGINE.l_s, replace=False)
         exposed = simulator.exposure_list(features, pool, ENGINE.l_o, rng, 0.5)
-        labels = simulator.simulate_session(user, features, exposed, gt, rng)
+        labels = simulator.simulate_session(user, truth, exposed, rng)
         first += labels.clicks[0]
         last += labels.clicks[-1]
     assert first > last
@@ -109,7 +112,7 @@ def test_empty_exposed_list_rejected():
     features = item_features(simulator.sample_catalog(40, 8, 4, seed=8))
     user = simulator.sample_user(np.random.default_rng(5), ENGINE.d_user)
     with pytest.raises(ConfigError):
-        simulator.simulate_session(user, features, [], gt, np.random.default_rng(6))
+        simulator.simulate_session(user, gt.bind(features), [], np.random.default_rng(6))
 
 
 # ------------------------- vectorised ground truth ---------------------------
@@ -139,7 +142,7 @@ def test_list_probs_match_scalar_reference(data):
                      label="rows")
     items = [GT_CATALOG[i] for i in rows]
 
-    click, pay = gt.list_probs(user, GT_FEATURES.emb[rows], GT_FEATURES.score[rows])
+    click, pay = gt.bind(GT_FEATURES).list_probs(user, rows)
     want_click = [click_prob(gt, user, items, t) for t in range(1, length + 1)]
     want_pay = [pay_prob_given_click(gt, user, it) for it in items]
     assert np.abs(click - want_click).max() <= 1e-15
@@ -149,7 +152,7 @@ def test_list_probs_match_scalar_reference(data):
     paid = [c * p for c, p in zip(want_click, want_pay)]
     want_value = (w.alpha * sum(want_click) + w.beta * sum(paid)
                   + w.gamma * sum(it.price * p for it, p in zip(items, paid)))
-    value = simulator.ground_truth_slate_value(gt, user, GT_FEATURES, rows, w)
+    value = simulator.ground_truth_slate_value(gt.bind(GT_FEATURES), user, rows, w)
     assert abs(value - want_value) <= 1e-12 * abs(want_value)
 
 
@@ -160,11 +163,44 @@ def test_list_probs_match_scalar_reference(data):
      "a19e1077daba9fd6244f3df99644e725d86174e0e974451ead03adeceb05ed2d"),
     (SimConfig(sessions=300, seed=5, kappa=0.8, rho=1.0, gt_window=2),
      "b50565c101801664aa3deccff8cef8cf94fb538e25ad2ab7dd013c3440cfb4f4"),
+    # The benchmark's train world.
+    (SimConfig(sessions=2000),
+     "d9119ba1e68a7ad7beab10cfd9539c8baf0bf2f1f08550906bdfafa0e9f81a11"),
 ])
 def test_write_dataset_bytes_pinned(tmp_path, sim, digest):
     path = tmp_path / "data.jsonl"
     simulator.write_dataset(simulator.build_dataset(EngineConfig(), sim), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_bind_allocates_per_item_terms_only():
+    # A 20k-row catalog: an [n, n] float array would be 3.2 GB; the bound
+    # terms are [n, 2] each, 320 kB.
+    n = 20_000
+    rng = np.random.default_rng(12)
+    emb = rng.normal(size=(n, GT_ENGINE.d_emb))
+    features = ItemFeatures(np.arange(n), emb / np.linalg.norm(emb, axis=1, keepdims=True),
+                            rng.uniform(0.01, 0.5, size=(n, 2)), rng.lognormal(size=n),
+                            np.zeros(n, dtype=np.int64))
+    gt = simulator.make_ground_truth(GT_ENGINE, SimConfig())
+    tracemalloc.start()
+    try:
+        truth = gt.bind(features)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert truth.appeal.shape == truth.prior.shape == (n, 2)
+    user = simulator.sample_user(rng, GT_ENGINE.d_user)
+    click, pay = truth.list_probs(user, np.array([0, n - 1, 7]))
+    assert np.isfinite(click).all() and np.isfinite(pay).all()
+
+
+@pytest.mark.parametrize("field, value", [("n_items", 0), ("n_categories", 0),
+                                          ("sessions", -4)])
+def test_sim_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ConfigError, match=f"^sim.{field} must be >= "):
+        SimConfig(**{field: value})
 
 
 def test_dataset_deterministic():
