@@ -36,8 +36,8 @@ print(f"\nsingle-pass slate: {trace.ids}")
 print(f"source queues:     {list(trace.sources)}")
 print(f"model invocations: {trace.invocations} (at most l_o={engine.l_o})")
 
-vm_ref = generation.ValueModel(engine, params)
-ref = generation.generate_iterative_reference(user, queues, vm_ref, weights)
+# The queues and the value model are only read, so both generators share them.
+ref = generation.generate_iterative_reference(user, queues, vm, weights)
 print(f"\nreference slate:   {ref.ids}")
 print(f"reference calls:   {ref.invocations} (one per candidate per step)")
 

@@ -70,6 +70,16 @@ def _data_file(args, default: str | None = None) -> Path:
     return Path(path)
 
 
+def _count(args, raw: dict[str, str], flag: str, key: str | None = None) -> int:
+    """The count that the config key `key`, when set, or else the flag --`flag`
+    gives; one below 1 is a ConfigError naming where it came from."""
+    source = key if key in raw else f"--{flag}"
+    n = raw_value(raw, key, 0) if key in raw else getattr(args, flag)
+    if n < 1:
+        raise ConfigError(f"{source} must be >= 1, got {n}")
+    return n
+
+
 def default_template_pattern(engine: EngineConfig) -> tuple[int, ...]:
     if engine.template_pattern:
         return engine.template_pattern
@@ -180,7 +190,7 @@ def format_curves(curves: dict, l_o: int) -> str:
 def cmd_evaluate(args) -> int:
     params, engine, weights, raw = _load_with_checkpoint(args)
     dataset = simulator.read_dataset(_data_file(args))
-    n_pools = raw_value(raw, "eval.pools", args.pools)
+    n_pools = _count(args, raw, "pools", "eval.pools")
     curves = evaluate_curves(engine, weights, params, dataset.catalog, n_pools,
                              seed=engine.seed + 99)
     table = format_curves(curves, engine.l_o)
@@ -197,7 +207,7 @@ def run_bench(engine: EngineConfig, weights: ObjectiveWeights, params: dict,
     rng = np.random.default_rng(seed)
     rows = {"generate": [], "reference": []}
     invocations = {"generate": [], "reference": []}
-    vm = generation.ValueModel(engine, params, overhead_us=overhead_us)
+    vm = generation.ValueModel(engine, params)
     for _ in range(slates):
         user = simulator.sample_user(rng, engine.d_user)
         features = sortmodel.item_features(simulator.sample_pool(catalog, engine.l_s, rng))
@@ -206,7 +216,7 @@ def run_bench(engine: EngineConfig, weights: ObjectiveWeights, params: dict,
         for name, fn in (("generate", generation.generate),
                          ("reference", generation.generate_iterative_reference)):
             trace = fn(user, queues, vm, weights)
-            rows[name].append(trace.wall_ns + trace.simulated_overhead_ns)
+            rows[name].append(trace.wall_ns + int(trace.invocations * overhead_us * 1000))
             invocations[name].append(trace.invocations)
     report = {}
     for name in rows:
@@ -225,7 +235,7 @@ def run_bench(engine: EngineConfig, weights: ObjectiveWeights, params: dict,
 
 def cmd_bench(args) -> int:
     params, engine, weights, raw = _load_with_checkpoint(args)
-    slates = raw_value(raw, "bench.slates", args.slates)
+    slates = _count(args, raw, "slates", "bench.slates")
     overhead_us = raw_value(raw, "bench.overhead_us", args.overhead_us)
     catalog = simulator.sample_catalog(max(engine.l_s * 4, 50), engine.d_emb, 8,
                                        engine.seed)
@@ -272,12 +282,13 @@ def run_oracle_study(engine: EngineConfig, weights: ObjectiveWeights, params: di
 
 
 def cmd_oracle(args) -> int:
-    params, engine, weights, _ = _load_with_checkpoint(args)
-    study = run_oracle_study(engine, weights, params, pools=args.pools,
+    params, engine, weights, raw = _load_with_checkpoint(args)
+    pools = _count(args, raw, "pools")
+    study = run_oracle_study(engine, weights, params, pools=pools,
                              l_s=args.small_ls, l_o=args.small_lo, seed=engine.seed)
     if study["max_greedy"] > 1.0 + 1e-9:
         raise CommandError("greedy exceeded the exhaustive optimum")
-    print(f"pools={args.pools} l_s={args.small_ls} l_o={args.small_lo}")
+    print(f"pools={pools} l_s={args.small_ls} l_o={args.small_lo}")
     print(f"mean greedy/optimal ratio:  {study['mean_greedy']:.4f}")
     print(f"mean random/optimal ratio:  {study['mean_random']:.4f}")
     print(f"greedy ratio max: {study['max_greedy']:.6f} (never exceeds 1)")

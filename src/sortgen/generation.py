@@ -17,7 +17,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,25 +50,15 @@ def composite_score(features: sortmodel.ItemFeatures, spec: QueueSpec) -> np.nda
     return sum(c * terms[k] for k, c in spec.coeffs.items())
 
 
-@dataclass
+@dataclass(frozen=True)
 class CandidateQueues:
-    """Disjoint objective-ordered queues over the packed pool, and a read cursor
-    per queue: an item is only ever taken as the head of its own queue."""
+    """Disjoint objective-ordered queues over the packed pool. A generator
+    reads them through cursors of its own, so an item is only ever taken as
+    the head of its own queue, and one queues object serves any number of
+    generations."""
 
     queues: list[list[int]]  # pool indices, per queue, score-descending
     features: sortmodel.ItemFeatures  # the packed pool
-    cursors: list[int] = field(default_factory=list)
-
-    def reset(self) -> None:
-        self.cursors = [0] * len(self.queues)
-
-    def head(self, qi: int) -> int | None:
-        """Next unconsumed pool index of queue qi, or None."""
-        queue, cur = self.queues[qi], self.cursors[qi]
-        return queue[cur] if cur < len(queue) else None
-
-    def consume(self, qi: int) -> None:
-        self.cursors[qi] += 1
 
 
 def build_queues(features: sortmodel.ItemFeatures, specs, strategy: str,
@@ -115,7 +105,7 @@ def build_queues(features: sortmodel.ItemFeatures, specs, strategy: str,
     else:
         raise ConfigError(f"unknown partition strategy {strategy!r}")
 
-    return CandidateQueues(queues, features, [0] * len(queues))
+    return CandidateQueues(queues, features)
 
 
 # Similarity is cosine similarity, a dot product of unit-norm embeddings.
@@ -171,7 +161,6 @@ class GenerationTrace(Slate):
     steps: list[StepRecord]
     invocations: int
     wall_ns: int
-    simulated_overhead_ns: int = 0
 
     @property
     def final_value(self) -> float:
@@ -188,7 +177,6 @@ class GenerationTrace(Slate):
             ],
             "invocations": self.invocations,
             "wall_ns": self.wall_ns,
-            "simulated_overhead_ns": self.simulated_overhead_ns,
         }
         return json.dumps(doc, sort_keys=True)
 
@@ -198,18 +186,13 @@ class GenerationTrace(Slate):
 
 class ValueModel:
     """The value network on `weights`, its parameters packed when the model
-    is made (`model.packed_weights`: once per loaded checkpoint), with a count
-    of batched model invocations: full forwards (`pool_values`) and greedy
-    steps (`extension_values`) both run on the weights. Make one per request:
-    the count is the model's own, and only the read-only weights are shared.
+    is made (`model.packed_weights`: once per loaded checkpoint). It holds
+    only the read-only weights, so one model serves any number of requests
+    and threads; a generation counts its own model invocations in its trace.
     """
 
-    def __init__(self, config: EngineConfig, params: dict,
-                 overhead_us: float = 0.0):
-        self.config = config
+    def __init__(self, config: EngineConfig, params: dict):
         self.weights = sortmodel.packed_weights(config, params)
-        self.overhead_us = overhead_us
-        self.invocations = 0
 
     def combined_values(self, sequences: list[list[Item]], user: UserContext,
                         weights: ObjectiveWeights) -> np.ndarray:
@@ -224,30 +207,19 @@ class ValueModel:
                     user: UserContext, weights: ObjectiveWeights) -> np.ndarray:
         """Combined values of sequences of packed pool rows ([n, l] indices),
         from one batched full forward."""
-        self.invocations += 1
         n = rows.shape[0]
         u = np.stack([user.user_features] * n)
         click, pay = sortmodel.infer(self.weights, features.emb[rows], u, features.score[rows])
         return listvalue.combined_values_batch(click, pay, features.price[rows], weights)
 
-    def extension_values(self, cache: sortmodel.Prefix, x: np.ndarray, prices: np.ndarray,
-                         pay_count: float, gmv: float, weights: ObjectiveWeights
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, sortmodel.Extension]:
-        """Combined values of the cached prefix extended by each candidate,
-        from one incremental step, and each extended list's expected pay
-        count and GMV (`values.step_values`). x: [n, d_model], the
-        candidates' projected rows; prices: [n], their prices; pay_count and
-        gmv: the prefix's."""
-        self.invocations += 1
-        ext = sortmodel.extend(self.weights, cache, x)
-        return (*listvalue.step_values(ext.click, ext.pay, prices, pay_count, gmv, weights), ext)
-
 
 def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
                 weights: ObjectiveWeights, lam: float | None, window_w: int | None,
                 cached: bool) -> GenerationTrace:
-    """The greedy loop over the queues' packed pool, queues.features."""
-    cfg = vm.config
+    """The greedy loop over the queues' packed pool, queues.features. Its
+    cursors, similarities, KV cache and invocation count are its own: the
+    queues and the value model are only read."""
+    cfg = vm.weights.config
     lam = cfg.lambda_mmr if lam is None else lam
     if not 0.0 <= lam <= 1.0:
         raise ConfigError("lambda outside [0,1]")
@@ -255,8 +227,8 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
     if window_w < 1:
         raise ConfigError(f"window_w must be >= 1, got {window_w}")
     features = queues.features
-    queues.reset()
-    start_invocations = vm.invocations
+    cursors = [0] * len(queues.queues)
+    invocations = 0
     start = time.perf_counter_ns()
     chosen: list[int] = []  # pool indices
     sources: list[int] = []
@@ -281,22 +253,22 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
         pay_count, gmv = 0.0, 0.0  # the chosen prefix's expected pay count and GMV
 
     for _ in range(cfg.l_o):
-        heads = []
-        for qi in range(len(queues.queues)):
-            idx = queues.head(qi)
-            if idx is not None:
-                heads.append((qi, idx))
+        heads = [(qi, queue[cur]) for qi, (queue, cur) in enumerate(zip(queues.queues, cursors))
+                 if cur < len(queue)]
         if not heads:
             raise InfeasibleConfig("all queues exhausted before l_o selections")
 
         rows = [idx for _, idx in heads]
         if cached:
-            slots = [offsets[qi] + queues.cursors[qi] for qi, _ in heads]
-            vals, pay_counts, gmvs, ext = vm.extension_values(
-                cache, inputs[slots], features.price[rows], pay_count, gmv, weights)
+            slots = [offsets[qi] + cursors[qi] for qi, _ in heads]
+            click, pay = sortmodel.extend(vm.weights, cache, inputs[slots])
+            vals, pay_counts, gmvs = listvalue.step_values(click, pay, features.price[rows],
+                                                           pay_count, gmv, weights)
+            invocations += 1
         else:
             vals = np.array([vm.pool_values(features, np.array([chosen + [r]]), user, weights)[0]
                              for r in rows])
+            invocations += len(rows)
 
         recent = chosen[-window_w:]
         records = []
@@ -311,19 +283,16 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
             if best is None or score > best[0]:
                 best = (score, k, qi, idx)
         _, k, qi, idx = best
-        queues.consume(qi)
+        cursors[qi] += 1
         chosen.append(idx)
         sources.append(qi)
         steps.append(StepRecord(records, qi))
         if cached:
-            cache = ext.choose(cache, k)
+            cache.choose(k)
             pay_count, gmv = pay_counts[k], gmvs[k]
 
     wall = time.perf_counter_ns() - start
-    invocations = vm.invocations - start_invocations
-    overhead = int(invocations * vm.overhead_us * 1000)
-    return GenerationTrace(features, tuple(chosen), tuple(sources), steps, invocations, wall,
-                           overhead)
+    return GenerationTrace(features, tuple(chosen), tuple(sources), steps, invocations, wall)
 
 
 def generate(user: UserContext, queues: CandidateQueues, vm: ValueModel,
@@ -347,21 +316,17 @@ def template_generate(queues: CandidateQueues, pattern: tuple[int, ...]) -> Slat
 
     Falls back to the first non-empty queue when the patterned one is dry.
     """
-    queues.reset()
+    cursors = [0] * len(queues.queues)
     rows: list[int] = []
     sources: list[int] = []
     for qi in pattern:
-        idx = queues.head(qi)
-        if idx is None:
-            for alt in range(len(queues.queues)):
-                idx = queues.head(alt)
-                if idx is not None:
-                    qi = alt
-                    break
-        if idx is None:
-            raise InfeasibleConfig("all queues exhausted during template generation")
-        queues.consume(qi)
-        rows.append(idx)
+        if cursors[qi] == len(queues.queues[qi]):
+            qi = next((alt for alt, queue in enumerate(queues.queues)
+                       if cursors[alt] < len(queue)), None)
+            if qi is None:
+                raise InfeasibleConfig("all queues exhausted during template generation")
+        rows.append(queues.queues[qi][cursors[qi]])
+        cursors[qi] += 1
         sources.append(qi)
     return Slate(queues.features, tuple(rows), tuple(sources))
 

@@ -486,30 +486,21 @@ class Prefix:
     def __len__(self) -> int:
         return self.length
 
-
-@dataclass
-class Extension:
-    """A prefix extended by each of n candidates: the survival row of each
-    candidate's new position. Its keys and values are in the prefix's slot t."""
-
-    click: np.ndarray  # [n, max_count]
-    pay: np.ndarray
-
-    def choose(self, prefix: Prefix, k: int) -> Prefix:
-        """The prefix extended by candidate k, in place: row k's slot t is
-        copied into every row. This consumes `prefix`, and the prefix that
-        comes back is the same object; call it once, on the prefix that
-        produced this extension, before the next `extend`."""
-        t = prefix.length
-        for cache in (*prefix.keys, *prefix.vals):
+    def choose(self, k: int) -> None:
+        """Extend the prefix by candidate k of the last `extend`, in place: row
+        k's slot t is copied into every row. Call it once per `extend`,
+        before the next one."""
+        t = self.length
+        for cache in (*self.keys, *self.vals):
             cache[:, :, t] = cache[k, :, t]
-        prefix.length = t + 1
-        return prefix
+        self.length = t + 1
 
 
-def extend(weights: InferenceWeights, prefix: Prefix, x: np.ndarray) -> Extension:
+def extend(weights: InferenceWeights, prefix: Prefix,
+           x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Score the prefix extended by each of n candidates, computing only the
-    new position. x: [n, d_model], the candidates' `InferenceWeights.project`
+    new position: each candidate's new click and pay survival rows, each
+    [n, max_count]. x: [n, d_model], the candidates' `InferenceWeights.project`
     rows. Writes each candidate's key and value into slot t of its row of the
     prefix's cache, and leaves slots [:t] as they are."""
     config = weights.config
@@ -530,7 +521,7 @@ def extend(weights: InferenceWeights, prefix: Prefix, x: np.ndarray) -> Extensio
         # The new position sees every key, so no entry is masked.
         x = _finish_block(b, x, qkv[:, 0], cache_k[:n, :, :t + 1], cache_v[:n, :, :t + 1], None)
     probs = _survival(weights, x, weights.valid[t])
-    return Extension(probs[:, :config.max_count], probs[:, config.max_count:])
+    return probs[:, :config.max_count], probs[:, config.max_count:]
 
 
 # ------------------------------ checkpoints --------------------------------

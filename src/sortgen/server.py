@@ -3,8 +3,9 @@
 Stateless per request; model parameters are loaded once, as read-only
 arrays, and shared across the threaded handler pool. The first request packs
 them into `model.InferenceWeights` (`model.packed_weights`), and later
-requests reuse that packing; each request makes its own `ValueModel`, so its
-invocation count is its own.
+requests reuse that packing. A request's generation keeps its queue cursors,
+KV cache and invocation count to itself, so the handler threads share only
+read-only state.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,6 +47,9 @@ class SimConfig:
         for name, least in (("n_items", 1), ("n_categories", 1), ("sessions", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"sim.{name} must be >= {least}")
+        for name in ("rho", "kappa", "base_pay", "exposure_noise"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"sim.{name} must be finite, got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -5,8 +5,11 @@ Kept apart from conftest.py, which pytest imports itself: a test module that
 imported conftest would load it a second time under another name.
 """
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -15,6 +18,25 @@ from sortgen import nn, values
 from sortgen.core import ConfigError, Item, ObjectiveWeights, UserContext
 from sortgen.nn import Var
 from sortgen.server import MAX_CANDIDATES, RequestError
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench_workloads(monkeypatch):
+    """bench/workloads.py, loaded by path with the bench directory on
+    sys.path for its own imports (common, reference, spans), which are taken
+    out of sys.modules again if they were not there before."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    own = [name for name in ("common", "reference", "spans") if name not in sys.modules]
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        for name in own:
+            sys.modules.pop(name, None)
+    return module
 
 
 def make_item(i, emb, price=10.0, ctr=0.2, cvr=0.1, cat=0):

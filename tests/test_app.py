@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import socket
 import sys
 import threading
@@ -182,6 +183,36 @@ def test_oracle_command(workdir, capsys):
     assert "never exceeds 1" in out
 
 
+def _count_of_zero(workdir, tmp_path, capsys, command, option) -> tuple[int, str]:
+    """cli.main's exit code and stderr for `command` with a count of 0 given by
+    `option`: a flag (--pools) or a config key (eval.pools)."""
+    argv = [command, "--ckpt", str(workdir["ckpt"]), "--data", str(workdir["data"])]
+    if option.startswith("--"):
+        argv += [option, "0"]
+    else:
+        cfg = tmp_path / "count.cfg"
+        cfg.write_text(f"{option} = 0\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    return cli.main(argv), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--pools", "eval.pools"])
+def test_evaluate_with_no_pools_is_a_config_error(workdir, tmp_path, capsys, option):
+    assert _count_of_zero(workdir, tmp_path, capsys, "evaluate", option) == (
+        2, f"config error: {option} must be >= 1, got 0\n")
+
+
+@pytest.mark.parametrize("option", ["--slates", "bench.slates"])
+def test_bench_with_no_slates_is_a_config_error(workdir, tmp_path, capsys, option):
+    assert _count_of_zero(workdir, tmp_path, capsys, "bench", option) == (
+        2, f"config error: {option} must be >= 1, got 0\n")
+
+
+def test_oracle_with_no_pools_is_a_config_error(workdir, tmp_path, capsys):
+    assert _count_of_zero(workdir, tmp_path, capsys, "oracle", "--pools") == (
+        2, "config error: --pools must be >= 1, got 0\n")
+
+
 def test_seed_option_sets_the_sample_seed(workdir, capsys):
     # The checkpoint's engine seed is 3; --seed replaces it as the sample seed.
     def oracle(*seed):
@@ -255,15 +286,16 @@ def test_non_finite_config_weight_returns_config_error_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["sim.n_items = 0", "sim.n_categories = 0",
-                                  "sim.sessions = -4"])
+                                  "sim.sessions = -4", "sim.rho = nan", "sim.kappa = inf"])
 def test_out_of_range_sim_value_returns_config_error_code(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(line + "\n", encoding="utf-8")
     out = tmp_path / "d.jsonl"
     rc = cli.main(["simulate", "--config", str(bad), "--out", str(out)])
     assert rc == 2
-    key = line.split(" = ")[0]
-    assert capsys.readouterr().err.startswith(f"config error: {key} must be >= ")
+    key, value = line.split(" = ")
+    rule = "must be >= " if math.isfinite(float(value)) else "must be finite"
+    assert capsys.readouterr().err.startswith(f"config error: {key} {rule}")
     assert not out.exists()
 
 

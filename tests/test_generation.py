@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
 import math
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -373,6 +376,84 @@ def test_invocation_budget(small_config, small_params, small_catalog, weights):
     ref = generation.generate_iterative_reference(user, q, vm, weights)
     assert fast.invocations <= small_config.l_o
     assert ref.invocations == len(small_config.queue_specs) * small_config.l_o
+
+
+def test_generate_leaves_its_queues_unchanged(small_config, small_params, small_catalog,
+                                              weights):
+    rng = np.random.default_rng(17)
+    pool = sample_pool(small_catalog, small_config.l_s, rng)
+    user = sample_user(rng, small_config.d_user)
+    queues = generation.build_queues(sortmodel.item_features(pool), small_config.queue_specs,
+                                     "bfs", small_config.l_o)
+    before = pickle.dumps(queues)  # every field, the pool's arrays included
+    vm = ValueModel(small_config, small_params)
+    for fn in (generation.generate, generation.generate_iterative_reference):
+        fn(user, queues, vm, weights, lam=0.5)
+        assert pickle.dumps(queues) == before
+    generation.template_generate(queues, (0,) * small_config.l_o)
+    assert pickle.dumps(queues) == before
+
+
+def test_generators_share_one_queues_object(small_config, small_params, small_catalog, weights):
+    # generate, template_generate, then generate again on one queues object:
+    # each starts from the queue heads, so the last slate is the first.
+    rng = np.random.default_rng(18)
+    pool = sample_pool(small_catalog, small_config.l_s, rng)
+    user = sample_user(rng, small_config.d_user)
+    queues = generation.build_queues(sortmodel.item_features(pool), small_config.queue_specs,
+                                     "dfs", small_config.l_o)
+    vm = ValueModel(small_config, small_params)
+    first = generation.generate(user, queues, vm, weights, lam=0.8)
+    template = generation.template_generate(queues, (1, 0, 1))
+    assert template.rows[:2] == (queues.queues[1][0], queues.queues[0][0])
+    again = generation.generate(user, queues, vm, weights, lam=0.8)
+    assert (again.rows, again.sources) == (first.rows, first.sources)
+    assert [s.candidates for s in again.steps] == [s.candidates for s in first.steps]
+
+
+def test_one_value_model_serves_concurrent_generations(small_config, small_params,
+                                                       small_catalog, weights):
+    # Four threads share one ValueModel and generate over the same requests:
+    # each slate equals the serial one, and each trace counts its own l_o
+    # model invocations.
+    rng = np.random.default_rng(19)
+    n_queues = len(small_config.queue_specs)
+    requests = []
+    for _ in range(6):
+        pool = sample_pool(small_catalog, n_queues * small_config.l_o, rng)
+        requests.append((sample_user(rng, small_config.d_user),
+                         generation.build_queues(sortmodel.item_features(pool),
+                                                 small_config.queue_specs, "dfs",
+                                                 small_config.l_o)))
+    vm = ValueModel(small_config, small_params)
+    serial = [generation.generate(user, queues, vm, weights, lam=0.8) for user, queues in requests]
+    results, errors = {}, []
+
+    def worker(t):
+        try:
+            for k in range(len(requests)):
+                k = (k + t) % len(requests)
+                results[t, k] = generation.generate(*requests[k], vm, weights, lam=0.8)
+        except Exception as exc:  # surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the loop's Python code
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(results) == 4 * len(requests)
+    for (_, k), trace in results.items():
+        assert (trace.rows, trace.sources) == (serial[k].rows, serial[k].sources)
+        assert trace.final_value == serial[k].final_value
+        assert trace.invocations == small_config.l_o
 
 
 def test_generate_no_duplicate_ids(small_config, small_params, small_catalog, weights):

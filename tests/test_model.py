@@ -442,17 +442,17 @@ def test_extend_matches_full_recomputation(small_config, head_mode):
     for t in range(cfg.l_o):
         cand_emb = rng.normal(size=(n, cfg.d_emb))
         cand_score = rng.uniform(size=(n, 2))
-        ext = sortmodel.extend(packed, prefix, packed.project(cand_emb, cand_score))
+        ext_click, ext_pay = sortmodel.extend(packed, prefix, packed.project(cand_emb, cand_score))
         full_emb = np.concatenate([np.repeat(emb[None], n, axis=0), cand_emb[:, None]], axis=1)
         full_score = np.concatenate([np.repeat(score[None], n, axis=0), cand_score[:, None]],
                                     axis=1)
         click, pay = sortmodel.infer(packed, full_emb, np.tile(user, (n, 1)), full_score)
         # The step returns the new position's rows: the full forward's last.
-        assert ext.click.shape == (n, cfg.max_count)
-        assert np.abs(ext.click - click[:, -1]).max() <= 1e-12
-        assert np.abs(ext.pay - pay[:, -1]).max() <= 1e-12
+        assert ext_click.shape == (n, cfg.max_count)
+        assert np.abs(ext_click - click[:, -1]).max() <= 1e-12
+        assert np.abs(ext_pay - pay[:, -1]).max() <= 1e-12
         k = t % n
-        assert ext.choose(prefix, k) is prefix  # choose consumes the prefix
+        prefix.choose(k)
         emb = np.concatenate([emb, cand_emb[k:k + 1]])
         score = np.concatenate([score, cand_score[k:k + 1]])
         assert len(prefix) == t + 1
@@ -463,7 +463,8 @@ def test_extend_rejects_overlong_prefix(small_config, small_params):
     prefix = sortmodel.Prefix.empty(packed, np.zeros(small_config.d_user), 1)
     row = packed.project(np.ones((1, small_config.d_emb)), np.ones((1, 2)))
     for _ in range(small_config.l_o):
-        prefix = sortmodel.extend(packed, prefix, row).choose(prefix, 0)
+        sortmodel.extend(packed, prefix, row)
+        prefix.choose(0)
     with pytest.raises(ConfigError, match="exceeds"):
         sortmodel.extend(packed, prefix, row)
 
@@ -474,7 +475,7 @@ def test_extend_rejects_more_candidates_than_the_width(small_config, small_param
     rows = packed.project(np.ones((3, small_config.d_emb)), np.ones((3, 2)))
     with pytest.raises(ConfigError, match="width of 2"):
         sortmodel.extend(packed, prefix, rows)
-    assert sortmodel.extend(packed, prefix, rows[:2]).click.shape == (2, small_config.max_count)
+    assert sortmodel.extend(packed, prefix, rows[:2])[0].shape == (2, small_config.max_count)
 
 
 def test_packed_step_rejects_a_wrong_feature_width(small_config, small_params):
@@ -517,8 +518,9 @@ def test_packed_step_matches_full_forward(small_config, head_mode):
     pay_count, gmv = 0.0, 0.0
     path: list[int] = []  # the candidate chosen at each earlier step
     for t in range(cfg.l_o):
-        ext = sortmodel.extend(packed, prefix, packed.project(emb[:, t], score[:, t]))
-        got, pay_counts, gmvs = values.step_values(ext.click, ext.pay, price[:, t], pay_count,
+        rows = packed.project(emb[:, t], score[:, t])
+        ext_click, ext_pay = sortmodel.extend(packed, prefix, rows)
+        got, pay_counts, gmvs = values.step_values(ext_click, ext_pay, price[:, t], pay_count,
                                                    gmv, weights)
 
         def full(a):
@@ -527,8 +529,8 @@ def test_packed_step_matches_full_forward(small_config, head_mode):
                                    a[:, t, None]], axis=1)
 
         click, pay = sortmodel.infer(packed, full(emb), np.tile(user, (n, 1)), full(score))
-        np.testing.assert_allclose(ext.click, click[:, -1], rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(ext.pay, pay[:, -1], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(ext_click, click[:, -1], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(ext_pay, pay[:, -1], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(
             got, values.combined_values_batch(click, pay, full(price), weights),
             rtol=1e-12, atol=0.0)
@@ -539,7 +541,7 @@ def test_packed_step_matches_full_forward(small_config, head_mode):
                                                ObjectiveWeights(0.0, 0.0, 1.0)),
             rtol=1e-12, atol=0.0)
         path.append((3 * t + 1) % n)
-        prefix = ext.choose(prefix, path[-1])
+        prefix.choose(path[-1])
         pay_count, gmv = pay_counts[path[-1]], gmvs[path[-1]]
 
 
@@ -558,7 +560,7 @@ def test_packed_forwards_raise_on_non_finite_activations(small_config, head_mode
     rows = packed.project(emb[:, 2], score[:, 2])
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
         sortmodel.extend(packed, prefix, rows)
-    assert np.isfinite(sortmodel.extend(packed, prefix, rows[:1]).click).all()
+    assert np.isfinite(sortmodel.extend(packed, prefix, rows[:1])[0]).all()
 
 
 @pytest.mark.parametrize("head_mode", ["monotone", "literal"])
@@ -575,9 +577,9 @@ def test_extend_twice_on_one_prefix_gives_identical_rows(small_config, head_mode
         sortmodel.extend(packed, prefix, packed.project(rng.normal(size=(3, cfg.d_emb)),
                                                         rng.uniform(size=(3, 2))))
         second = sortmodel.extend(packed, prefix, rows)
-        assert np.array_equal(first.click, second.click)
-        assert np.array_equal(first.pay, second.pay)
-        second.choose(prefix, t % 3)
+        assert np.array_equal(first[0], second[0])
+        assert np.array_equal(first[1], second[1])
+        prefix.choose(t % 3)
 
 
 def _centred(a):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -197,9 +198,12 @@ def test_bind_allocates_per_item_terms_only():
 
 
 @pytest.mark.parametrize("field, value", [("n_items", 0), ("n_categories", 0),
-                                          ("sessions", -4)])
+                                          ("sessions", -4), ("rho", float("nan")),
+                                          ("kappa", float("inf")), ("base_pay", float("-inf")),
+                                          ("exposure_noise", float("nan"))])
 def test_sim_config_rejects_out_of_range_values(field, value):
-    with pytest.raises(ConfigError, match=f"^sim.{field} must be >= "):
+    rule = "must be >= " if math.isfinite(value) else "must be finite"
+    with pytest.raises(ConfigError, match=f"^sim.{field} {rule}"):
         SimConfig(**{field: value})
 
 
