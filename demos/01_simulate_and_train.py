@@ -22,7 +22,7 @@ engine = EngineConfig(l_s=12, l_o=5, d_model=16, n_layers=1, max_count=5, seed=1
 sim = SimConfig(n_items=60, sessions=600, seed=1)
 
 dataset = simulator.build_dataset(engine, sim)
-print(f"simulated {len(dataset.samples)} sessions over {len(dataset.catalog)} items")
+print(f"simulated {len(dataset)} sessions over {len(dataset.catalog)} items")
 
 sample = dataset.samples[0]
 print(f"first session: clicks={sample.labels.clicks.tolist()} "

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -70,14 +71,31 @@ def _data_file(args, default: str | None = None) -> Path:
     return Path(path)
 
 
+def _setting(args, raw: dict[str, str], flag: str, key: str | None, default):
+    """(where it came from, value) of the config key `key`, when set, read as
+    the type of `default`, or else of the flag whose attribute is `flag`."""
+    if key in raw:
+        return key, raw_value(raw, key, default)
+    return "--" + flag.replace("_", "-"), getattr(args, flag)
+
+
 def _count(args, raw: dict[str, str], flag: str, key: str | None = None) -> int:
-    """The count that the config key `key`, when set, or else the flag --`flag`
-    gives; one below 1 is a ConfigError naming where it came from."""
-    source = key if key in raw else f"--{flag}"
-    n = raw_value(raw, key, 0) if key in raw else getattr(args, flag)
+    """The count that the config key `key`, when set, or else the flag gives;
+    one below 1 is a ConfigError naming where it came from."""
+    source, n = _setting(args, raw, flag, key, 0)
     if n < 1:
         raise ConfigError(f"{source} must be >= 1, got {n}")
     return n
+
+
+def _amount(args, raw: dict[str, str], flag: str, key: str) -> float:
+    """The number that the config key `key`, when set, or else the flag gives;
+    one that is negative or not finite is a ConfigError naming where it came
+    from."""
+    source, x = _setting(args, raw, flag, key, 0.0)
+    if not (math.isfinite(x) and x >= 0.0):
+        raise ConfigError(f"{source} must be finite and >= 0, got {x}")
+    return x
 
 
 def default_template_pattern(engine: EngineConfig) -> tuple[int, ...]:
@@ -97,7 +115,7 @@ def cmd_simulate(args) -> int:
     simulator.write_dataset(dataset, out)
     catalog_path = out.with_suffix(".catalog.jsonl")
     simulator.write_catalog(dataset.catalog, catalog_path)
-    print(f"wrote {len(dataset.samples)} sessions to {out}")
+    print(f"wrote {len(dataset)} sessions to {out}")
     print(f"wrote {len(dataset.catalog)} catalog items to {catalog_path}")
     return 0
 
@@ -236,7 +254,7 @@ def run_bench(engine: EngineConfig, weights: ObjectiveWeights, params: dict,
 def cmd_bench(args) -> int:
     params, engine, weights, raw = _load_with_checkpoint(args)
     slates = _count(args, raw, "slates", "bench.slates")
-    overhead_us = raw_value(raw, "bench.overhead_us", args.overhead_us)
+    overhead_us = _amount(args, raw, "overhead_us", "bench.overhead_us")
     catalog = simulator.sample_catalog(max(engine.l_s * 4, 50), engine.d_emb, 8,
                                        engine.seed)
     report = run_bench(engine, weights, params, catalog, slates, overhead_us,
@@ -284,11 +302,12 @@ def run_oracle_study(engine: EngineConfig, weights: ObjectiveWeights, params: di
 def cmd_oracle(args) -> int:
     params, engine, weights, raw = _load_with_checkpoint(args)
     pools = _count(args, raw, "pools")
+    small_ls, small_lo = _count(args, raw, "small_ls"), _count(args, raw, "small_lo")
     study = run_oracle_study(engine, weights, params, pools=pools,
-                             l_s=args.small_ls, l_o=args.small_lo, seed=engine.seed)
+                             l_s=small_ls, l_o=small_lo, seed=engine.seed)
     if study["max_greedy"] > 1.0 + 1e-9:
         raise CommandError("greedy exceeded the exhaustive optimum")
-    print(f"pools={pools} l_s={args.small_ls} l_o={args.small_lo}")
+    print(f"pools={pools} l_s={small_ls} l_o={small_lo}")
     print(f"mean greedy/optimal ratio:  {study['mean_greedy']:.4f}")
     print(f"mean random/optimal ratio:  {study['mean_random']:.4f}")
     print(f"greedy ratio max: {study['max_greedy']:.6f} (never exceeds 1)")

@@ -129,7 +129,7 @@ def window_similarities(emb: np.ndarray, window: int) -> np.ndarray:
     """Each row's max similarity to the `window` rows before it, [l], from
     the rows' [l, l] Gram block; 0 for a row with none before it."""
     mask, has_prev = window_mask(len(emb), int(window))
-    best = (emb @ emb.T).max(axis=1, where=mask, initial=-np.inf)
+    best = np.maximum.reduce(emb @ emb.T, axis=1, where=mask, initial=-np.inf)
     return np.where(has_prev, best, 0.0)
 
 

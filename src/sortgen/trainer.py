@@ -12,7 +12,7 @@ import numpy as np
 from sortgen import model as sortmodel
 from sortgen import nn, values
 from sortgen.core import ConfigError, EngineConfig
-from sortgen.simulator import Dataset, ImpressionSample
+from sortgen.simulator import Dataset
 
 
 @dataclass(frozen=True)
@@ -63,25 +63,21 @@ class _Arrays:
         return self.emb.shape[0]
 
 
-def _to_arrays(samples: list[ImpressionSample]) -> _Arrays:
-    user = np.stack([s.user.user_features for s in samples])
-    clicks = np.stack([s.labels.clicks for s in samples])
-    pays = np.stack([s.labels.pays for s in samples])
-    n, l = clicks.shape
-    if any(len(s.items) != l for s in samples):
-        raise ConfigError("a session's items and labels differ in length")
-    f = sortmodel.item_features([it for s in samples for it in s.items])
-    return _Arrays(f.emb.reshape(n, l, -1), f.score.reshape(n, l, 2), user, clicks, pays,
+def _to_arrays(dataset: Dataset, idx) -> _Arrays:
+    """The sessions `idx` of `dataset`, gathered from its arrays."""
+    rows, clicks, pays = dataset.rows[idx], dataset.clicks[idx], dataset.pays[idx]
+    return _Arrays(dataset.features.emb[rows], dataset.features.score[rows],
+                   dataset.users[idx], clicks, pays,
                    np.cumsum(clicks, axis=1), np.cumsum(pays, axis=1))
 
 
-def _session_hash_split(samples: list[ImpressionSample], eval_fraction: float
+def _session_hash_split(users: np.ndarray, eval_fraction: float
                         ) -> tuple[list[int], list[int]]:
-    """Stable per-session split keyed on the user feature bytes."""
+    """Stable per-session split keyed on the bytes of each user feature row."""
     train_idx, eval_idx = [], []
     cut = int(eval_fraction * 1000)
-    for i, s in enumerate(samples):
-        digest = hashlib.sha256(s.user.user_features.tobytes()).digest()
+    for i, user in enumerate(users):
+        digest = hashlib.sha256(user.tobytes()).digest()
         bucket = int.from_bytes(digest[:4], "big") % 1000
         (eval_idx if bucket < cut else train_idx).append(i)
     return train_idx, eval_idx
@@ -140,17 +136,17 @@ def train(dataset: Dataset, params: dict, engine: EngineConfig, tconf: TrainConf
     and its array becomes a view of the optimiser's flat buffer
     (`nn.adam_init`), updated in place.
     """
-    if not dataset.samples:
+    if not len(dataset):
         raise ConfigError("empty dataset")
     for p in params.values():
         p.requires_grad = True
-    train_idx, eval_idx = _session_hash_split(dataset.samples, tconf.eval_fraction)
+    train_idx, eval_idx = _session_hash_split(dataset.users, tconf.eval_fraction)
     for name, idx in (("training", train_idx), ("evaluation", eval_idx)):
         if not idx:
-            raise ConfigError(f"empty {name} split: {len(dataset.samples)} sessions at "
+            raise ConfigError(f"empty {name} split: {len(dataset)} sessions at "
                               f"eval_fraction {tconf.eval_fraction}")
-    train_arr = _to_arrays([dataset.samples[i] for i in train_idx])
-    eval_arr = _to_arrays([dataset.samples[i] for i in eval_idx])
+    train_arr = _to_arrays(dataset, train_idx)
+    eval_arr = _to_arrays(dataset, eval_idx)
 
     state = nn.adam_init(params, lr=tconf.lr)
     rng = np.random.default_rng(tconf.seed)

@@ -5,6 +5,7 @@ Kept apart from conftest.py, which pytest imports itself: a test module that
 imported conftest would load it a second time under another name.
 """
 
+import hashlib
 import importlib.util
 import math
 import sys
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from sortgen import model as sortmodel
-from sortgen import nn, values
+from sortgen import nn, simulator, trainer, values
 from sortgen.core import ConfigError, Item, ObjectiveWeights, UserContext
 from sortgen.nn import Var
 from sortgen.server import MAX_CANDIDATES, RequestError
@@ -238,6 +239,51 @@ def click_prob(gt, user: UserContext, items, t: int) -> float:
 
 def pay_prob_given_click(gt, user: UserContext, item: Item) -> float:
     return float(np.clip(gt.base_pay * _pay_affinity(gt, user, item), 0.0, 1.0))
+
+
+# Per-session references for the columnar simulator.Dataset: the sessions as
+# objects, as build_dataset made them before it wrote arrays, and the trainer's
+# split and arrays computed from those objects, item by item.
+
+
+def samples_reference(engine, sim) -> list:
+    """build_dataset's sessions as ImpressionSamples over the catalog's Items,
+    drawn with the same RNG calls in the same order."""
+    catalog = simulator.sample_catalog(sim.n_items, engine.d_emb, sim.n_categories, sim.seed)
+    truth = simulator.make_ground_truth(engine, sim).bind(sortmodel.item_features(catalog))
+    rng = np.random.default_rng(sim.seed + 1)
+    samples = []
+    for _ in range(sim.sessions):
+        user = simulator.sample_user(rng, engine.d_user)
+        pool = rng.choice(len(catalog), size=engine.l_s, replace=False)
+        exposed = simulator.exposure_list(truth.features, pool, engine.l_o, rng,
+                                          sim.exposure_noise)
+        clicks, pays = simulator.simulate_session(user.user_features, truth, exposed, rng)
+        samples.append(simulator.ImpressionSample(
+            user, tuple(catalog[i] for i in exposed.tolist()), values.LabelVector(clicks, pays)))
+    return samples
+
+
+def session_hash_split_reference(samples, eval_fraction: float) -> tuple[list[int], list[int]]:
+    """trainer._session_hash_split over ImpressionSamples."""
+    train_idx, eval_idx = [], []
+    cut = int(eval_fraction * 1000)
+    for i, s in enumerate(samples):
+        digest = hashlib.sha256(s.user.user_features.tobytes()).digest()
+        bucket = int.from_bytes(digest[:4], "big") % 1000
+        (eval_idx if bucket < cut else train_idx).append(i)
+    return train_idx, eval_idx
+
+
+def to_arrays_reference(samples):
+    """trainer._to_arrays of the ImpressionSamples `samples`, packed item by item."""
+    user = np.stack([s.user.user_features for s in samples])
+    clicks = np.stack([s.labels.clicks for s in samples])
+    pays = np.stack([s.labels.pays for s in samples])
+    n, l = clicks.shape
+    f = sortmodel.item_features([it for s in samples for it in s.items])
+    return trainer._Arrays(f.emb.reshape(n, l, -1), f.score.reshape(n, l, 2), user, clicks,
+                           pays, np.cumsum(clicks, axis=1), np.cumsum(pays, axis=1))
 
 
 # Tape ops and checks that only the tests use.

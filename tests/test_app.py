@@ -183,15 +183,17 @@ def test_oracle_command(workdir, capsys):
     assert "never exceeds 1" in out
 
 
-def _count_of_zero(workdir, tmp_path, capsys, command, option) -> tuple[int, str]:
-    """cli.main's exit code and stderr for `command` with a count of 0 given by
-    `option`: a flag (--pools) or a config key (eval.pools)."""
+def _count_of_zero(workdir, tmp_path, capsys, command, option,
+                   value: str = "0") -> tuple[int, str]:
+    """cli.main's exit code and stderr for `command` with `value` (a count of
+    0 by default) given by `option`: a flag (--pools) or a config key
+    (eval.pools)."""
     argv = [command, "--ckpt", str(workdir["ckpt"]), "--data", str(workdir["data"])]
     if option.startswith("--"):
-        argv += [option, "0"]
+        argv += [option, value]
     else:
         cfg = tmp_path / "count.cfg"
-        cfg.write_text(f"{option} = 0\n", encoding="utf-8")
+        cfg.write_text(f"{option} = {value}\n", encoding="utf-8")
         argv += ["--config", str(cfg)]
     return cli.main(argv), capsys.readouterr().err
 
@@ -211,6 +213,21 @@ def test_bench_with_no_slates_is_a_config_error(workdir, tmp_path, capsys, optio
 def test_oracle_with_no_pools_is_a_config_error(workdir, tmp_path, capsys):
     assert _count_of_zero(workdir, tmp_path, capsys, "oracle", "--pools") == (
         2, "config error: --pools must be >= 1, got 0\n")
+
+
+@pytest.mark.parametrize("option", ["--small-ls", "--small-lo"])
+def test_oracle_with_an_empty_small_pool_or_slate_is_a_config_error(workdir, tmp_path, capsys,
+                                                                   option):
+    assert _count_of_zero(workdir, tmp_path, capsys, "oracle", option) == (
+        2, f"config error: {option} must be >= 1, got 0\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-5"])
+@pytest.mark.parametrize("option", ["--overhead-us", "bench.overhead_us"])
+def test_bench_with_a_negative_or_nonfinite_overhead_is_a_config_error(workdir, tmp_path,
+                                                                      capsys, option, value):
+    assert _count_of_zero(workdir, tmp_path, capsys, "bench", option, value) == (
+        2, f"config error: {option} must be finite and >= 0, got {float(value)}\n")
 
 
 def test_seed_option_sets_the_sample_seed(workdir, capsys):

@@ -7,38 +7,18 @@ a trainer that stopped calling one of them through its module would make the
 `train` workload fail, or time nothing, without this test.
 """
 
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 
 from sortgen import model, nn, simulator, trainer
 from sortgen.core import EngineConfig
 from sortgen.simulator import SimConfig
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def _load_workloads(monkeypatch):
-    """bench/workloads.py, loaded by path with the bench directory on
-    sys.path for its own imports (common, reference, spans), which are taken
-    out of sys.modules again if they were not there before."""
-    monkeypatch.syspath_prepend(str(BENCH))
-    own = [name for name in ("common", "reference", "spans") if name not in sys.modules]
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        for name in own:
-            sys.modules.pop(name, None)
-    return module
+from tests.helpers import load_bench_workloads
 
 
 def test_step_clock_times_each_training_step_and_captures_an_eval_batch(monkeypatch):
-    workloads = _load_workloads(monkeypatch)
+    workloads = load_bench_workloads(monkeypatch)
     engine = EngineConfig(l_s=10, l_o=5, max_count=5, d_model=16, n_heads=2, n_layers=1)
     dataset = simulator.build_dataset(engine, SimConfig(n_items=40, sessions=150, seed=21))
     tconf = trainer.TrainConfig(batch_size=16, epochs=1)
@@ -53,7 +33,7 @@ def test_step_clock_times_each_training_step_and_captures_an_eval_batch(monkeypa
         workloads.spans.uninstall(undo)
     assert (model.forward, nn.adam_step, trainer.evaluate_model) == originals
 
-    n_train = len(trainer._session_hash_split(dataset.samples, tconf.eval_fraction)[0])
+    n_train = len(trainer._session_hash_split(dataset.users, tconf.eval_fraction)[0])
     assert len(clock.steps_ns) == math.ceil(n_train / tconf.batch_size)
     assert all(ns > 0 for ns in clock.steps_ns)
     assert clock.samples == n_train

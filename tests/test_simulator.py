@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -12,7 +13,7 @@ from sortgen import simulator
 from sortgen.core import ConfigError, EngineConfig, ObjectiveWeights
 from sortgen.model import ItemFeatures, item_features
 from sortgen.simulator import SimConfig
-from tests.helpers import click_prob, pay_prob_given_click
+from tests.helpers import click_prob, pay_prob_given_click, same_bits, samples_reference
 
 
 ENGINE = EngineConfig(l_s=10, l_o=5, max_count=5)
@@ -21,7 +22,7 @@ SIM = SimConfig(n_items=40, sessions=50, seed=11)
 
 def _click_prob(gt, user, features, rows, t):
     """Click probability at 1-based position t of the list of catalog rows."""
-    return gt.bind(features).list_probs(user, rows)[0][t - 1]
+    return gt.bind(features).list_probs(user.user_features, rows)[0][t - 1]
 
 
 def test_catalog_deterministic():
@@ -83,8 +84,8 @@ def test_session_counts_properties():
         user = simulator.sample_user(rng, ENGINE.d_user)
         pool = rng.choice(len(features.ids), size=ENGINE.l_s, replace=False)
         exposed = simulator.exposure_list(features, pool, ENGINE.l_o, rng, 0.1)
-        labels = simulator.simulate_session(user, truth, exposed, rng)
-        cum_c, cum_p = labels.cum_clicks, labels.cum_pays
+        clicks, pays = simulator.simulate_session(user.user_features, truth, exposed, rng)
+        cum_c, cum_p = np.cumsum(clicks), np.cumsum(pays)
         assert (np.diff(cum_c) >= 0).all()
         assert (cum_c <= np.arange(1, ENGINE.l_o + 1)).all()
         assert (cum_p <= cum_c).all()  # pay requires click
@@ -102,9 +103,9 @@ def test_position_bias_visible():
         user = simulator.sample_user(rng, ENGINE.d_user)
         pool = rng.choice(len(features.ids), size=ENGINE.l_s, replace=False)
         exposed = simulator.exposure_list(features, pool, ENGINE.l_o, rng, 0.5)
-        labels = simulator.simulate_session(user, truth, exposed, rng)
-        first += labels.clicks[0]
-        last += labels.clicks[-1]
+        clicks, _ = simulator.simulate_session(user.user_features, truth, exposed, rng)
+        first += clicks[0]
+        last += clicks[-1]
     assert first > last
 
 
@@ -113,7 +114,8 @@ def test_empty_exposed_list_rejected():
     features = item_features(simulator.sample_catalog(40, 8, 4, seed=8))
     user = simulator.sample_user(np.random.default_rng(5), ENGINE.d_user)
     with pytest.raises(ConfigError):
-        simulator.simulate_session(user, gt.bind(features), [], np.random.default_rng(6))
+        simulator.simulate_session(user.user_features, gt.bind(features), [],
+                                   np.random.default_rng(6))
 
 
 # ------------------------- vectorised ground truth ---------------------------
@@ -143,7 +145,7 @@ def test_list_probs_match_scalar_reference(data):
                      label="rows")
     items = [GT_CATALOG[i] for i in rows]
 
-    click, pay = gt.bind(GT_FEATURES).list_probs(user, rows)
+    click, pay = gt.bind(GT_FEATURES).list_probs(user.user_features, rows)
     want_click = [click_prob(gt, user, items, t) for t in range(1, length + 1)]
     want_pay = [pay_prob_given_click(gt, user, it) for it in items]
     assert np.abs(click - want_click).max() <= 1e-15
@@ -193,7 +195,7 @@ def test_bind_allocates_per_item_terms_only():
     assert peak < 4 * 2**20
     assert truth.appeal.shape == truth.prior.shape == (n, 2)
     user = simulator.sample_user(rng, GT_ENGINE.d_user)
-    click, pay = truth.list_probs(user, np.array([0, n - 1, 7]))
+    click, pay = truth.list_probs(user.user_features, np.array([0, n - 1, 7]))
     assert np.isfinite(click).all() and np.isfinite(pay).all()
 
 
@@ -229,6 +231,87 @@ def test_dataset_round_trip(tmp_path):
     assert (sa.labels.pays == sb.labels.pays).all()
     assert all(x.id == y.id and (x.embedding == y.embedding).all()
                for x, y in zip(sa.items, sb.items))
+
+
+@pytest.mark.parametrize("read_back", [False, True])
+def test_samples_view_equals_the_per_session_objects(tmp_path, read_back):
+    ds = simulator.build_dataset(ENGINE, SIM)
+    if read_back:
+        simulator.write_dataset(ds, tmp_path / "data.jsonl")
+        ds = simulator.read_dataset(tmp_path / "data.jsonl")
+    want = samples_reference(ENGINE, SIM)
+    got = ds.samples
+    assert len(got) == len(want) == len(ds) == SIM.sessions
+    for g, w in zip(got, want):
+        assert [it.id for it in g.items] == [it.id for it in w.items]
+        assert all(it is ds.catalog[it.id] for it in g.items)
+        assert g.user.user_features.tobytes() == w.user.user_features.tobytes()
+        for a, b in ((g.labels.clicks, w.labels.clicks), (g.labels.pays, w.labels.pays)):
+            assert a.dtype == b.dtype == np.int64 and same_bits(a, b)
+    # Rebuilt on every access, and sharing no label memory with the arrays.
+    assert ds.samples is not got
+    got[0].labels.clicks[:] = 7
+    assert (ds.clicks[0] <= 1).all()
+
+
+def test_build_write_and_read_make_no_session_objects(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-session object was built")
+
+    for name in ("UserContext", "LabelVector", "ImpressionSample"):
+        monkeypatch.setattr(simulator, name, refuse)
+    ds = simulator.build_dataset(ENGINE, SIM)
+    simulator.write_dataset(ds, tmp_path / "data.jsonl")
+    assert len(simulator.read_dataset(tmp_path / "data.jsonl")) == len(ds) == SIM.sessions
+
+
+def _edited_session(ds, path, edit, session=0):
+    """Write `ds` to `path` with `edit` applied to the record of session
+    `session`; the record's 1-based line number."""
+    simulator.write_dataset(ds, path)
+    lines = path.read_text().splitlines()
+    index = 1 + len(ds.catalog) + session
+    doc = json.loads(lines[index])
+    edit(doc)
+    lines[index] = json.dumps(doc, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    return index + 1
+
+
+def test_read_dataset_maps_only_matching_items_onto_catalog_rows(tmp_path):
+    ds = simulator.build_dataset(ENGINE, dataclasses.replace(SIM, sessions=20))
+    path = tmp_path / "data.jsonl"
+    _edited_session(ds, path, lambda doc: doc["items"][2].update(price=repr(123.5)), session=3)
+    again = simulator.read_dataset(path)
+    # Every item that matches its catalog record is that row; the edited one
+    # gets a row of its own after the catalog.
+    assert len(again.items) == len(again.features.ids) == SIM.n_items + 1
+    assert (again.rows[3, 2] == SIM.n_items) and again.items[-1].price == 123.5
+    expected = ds.rows.copy()
+    expected[3, 2] = SIM.n_items
+    assert (again.rows == expected).all()
+    assert again.samples[3].items[2].price == 123.5
+    path2 = tmp_path / "data2.jsonl"
+    simulator.write_dataset(again, path2)
+    assert path2.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["pays"].pop(), "clicks and pays lengths differ"),
+    (lambda doc: doc["items"].pop(), "a session's items and labels differ in length: "
+                                     "4 items, 5 labels"),
+    (lambda doc: [doc[key].pop() for key in ("items", "clicks", "pays")],
+     "8 user features and 4 items, where the first session has 8 and 5"),
+    (lambda doc: doc["user"].append("0.5"),
+     "9 user features and 5 items, where the first session has 8 and 5"),
+    (lambda doc: doc["user"].__setitem__(0, "nan"), "user features must be finite"),
+])
+def test_read_dataset_rejects_a_session_that_does_not_fit_the_arrays(tmp_path, edit, message):
+    ds = simulator.build_dataset(ENGINE, dataclasses.replace(SIM, sessions=5))
+    path = tmp_path / "data.jsonl"
+    lineno = _edited_session(ds, path, edit, session=1)
+    with pytest.raises(ConfigError, match=f"at line {lineno}: {message}$"):
+        simulator.read_dataset(path)
 
 
 def test_dataset_truncated_line_reports_lineno(tmp_path):

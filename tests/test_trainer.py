@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ from sortgen import model as sortmodel
 from sortgen import cli, nn, simulator, trainer
 from sortgen.core import ConfigError, EngineConfig, to_dict
 from sortgen.simulator import SimConfig
+from tests import helpers
 
 ENGINE = EngineConfig(l_s=10, l_o=5, max_count=5, d_model=16, n_heads=2, n_layers=1)
 SIM = SimConfig(n_items=40, sessions=300, seed=21)
@@ -45,7 +47,7 @@ def test_training_reduces_loss(dataset):
 
 def test_gradient_flow(dataset):
     params = sortmodel.init_params(ENGINE, seed=4)
-    arrays = trainer._to_arrays(dataset.samples[:32])
+    arrays = trainer._to_arrays(dataset, np.arange(32))
     nn.zero_grads(params)
     loss = trainer._batch_loss(ENGINE, params, arrays)
     nn.backward(loss)
@@ -56,7 +58,7 @@ def test_gradient_flow(dataset):
 
 def test_loss_mode_switch_changes_only_loss(dataset):
     params = sortmodel.init_params(ENGINE, seed=5)
-    arrays = trainer._to_arrays(dataset.samples[:8])
+    arrays = trainer._to_arrays(dataset, np.arange(8))
     ordered = trainer._batch_loss(ENGINE, params, arrays)
     pw_engine = dataclasses.replace(ENGINE, loss_mode="pointwise")
     pointwise = trainer._batch_loss(pw_engine, params, arrays)
@@ -78,14 +80,16 @@ def test_checkpoint_written_at_best_eval(dataset, tmp_path):
 
 
 def test_eval_split_stable(dataset):
-    a = trainer._session_hash_split(dataset.samples, 0.1)
-    b = trainer._session_hash_split(dataset.samples, 0.1)
+    a = trainer._session_hash_split(dataset.users, 0.1)
+    b = trainer._session_hash_split(dataset.users, 0.1)
     assert a == b
     assert 0 < len(a[1]) < len(dataset.samples)
 
 
-def test_empty_dataset_rejected():
-    empty = simulator.Dataset([], [], to_dict(ENGINE), to_dict(SIM))
+def test_empty_dataset_rejected(dataset):
+    no_rows = np.zeros((0, ENGINE.l_o), dtype=np.int64)
+    empty = simulator.Dataset(dataset.features, dataset.items, np.zeros((0, ENGINE.d_user)),
+                              no_rows, no_rows, no_rows, [], to_dict(ENGINE), to_dict(SIM))
     with pytest.raises(ConfigError):
         trainer.train(empty, sortmodel.init_params(ENGINE, seed=0), ENGINE,
                       trainer.TrainConfig(epochs=1))
@@ -94,9 +98,10 @@ def test_empty_dataset_rejected():
 def _one_split_only(dataset, split):
     """Two sessions that the hash split at eval_fraction 0.1 both sends away
     from `split`, so that split is empty."""
-    train_idx, eval_idx = trainer._session_hash_split(dataset.samples, 0.1)
+    train_idx, eval_idx = trainer._session_hash_split(dataset.users, 0.1)
     keep = (eval_idx if split == "training" else train_idx)[:2]
-    return dataclasses.replace(dataset, samples=[dataset.samples[i] for i in keep])
+    return dataclasses.replace(dataset, users=dataset.users[keep], rows=dataset.rows[keep],
+                               clicks=dataset.clicks[keep], pays=dataset.pays[keep])
 
 
 @pytest.mark.parametrize("split", ["training", "evaluation"])
@@ -115,21 +120,56 @@ def test_train_command_on_an_empty_split_is_a_config_error(dataset, tmp_path, ca
     assert not (tmp_path / "m.ckpt").exists()
 
 
-def test_sessions_whose_items_and_labels_differ_in_length_rejected(dataset):
+def test_sessions_whose_items_and_labels_differ_in_length_rejected(dataset, tmp_path):
     # 6 + 4 items over two 5-position label rows: the item count matches the
-    # label count, so only a per-session check can tell.
-    a, b = dataset.samples[:2]
-    ragged = [dataclasses.replace(a, items=a.items + b.items[:1]),
-              dataclasses.replace(b, items=b.items[1:])]
-    with pytest.raises(ConfigError, match="differ in length"):
-        trainer._to_arrays(ragged)
+    # label count, so only a per-session check can tell. read_dataset makes
+    # it, naming the line, so such a file never reaches the trainer.
+    path = tmp_path / "ragged.jsonl"
+    simulator.write_dataset(dataset, path)
+    lines = path.read_text().splitlines()
+    first = 1 + SIM.n_items  # index of the first session: after the header and the catalog
+    a, b = json.loads(lines[first]), json.loads(lines[first + 1])
+    a["items"].append(b["items"].pop(0))
+    lines[first:first + 2] = [json.dumps(a), json.dumps(b)]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=f"line {first + 1}: a session's items and labels "
+                                          f"differ in length: 6 items, 5 labels"):
+        simulator.read_dataset(path)
+
+
+@pytest.mark.parametrize("source", ["built", "read back"])
+def test_gathered_arrays_and_split_equal_the_per_sample_reference(dataset, tmp_path, source):
+    # The row gather over the columnar dataset, or over its written and read
+    # copy, gives the arrays that packing the built sessions item by item gives.
+    samples = dataset.samples
+    if source == "read back":
+        simulator.write_dataset(dataset, tmp_path / "data.jsonl")
+        dataset = simulator.read_dataset(tmp_path / "data.jsonl")
+    split = trainer._session_hash_split(dataset.users, 0.1)
+    assert split == helpers.session_hash_split_reference(samples, 0.1)
+    for idx in split:
+        got = trainer._to_arrays(dataset, idx)
+        want = helpers.to_arrays_reference([samples[i] for i in idx])
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert a.dtype == b.dtype and helpers.same_bits(a, b), field.name
+
+
+def test_train_reads_no_samples(dataset, monkeypatch):
+    def refuse(self):
+        raise AssertionError("trainer.train read Dataset.samples")
+
+    monkeypatch.setattr(simulator.Dataset, "samples", property(refuse))
+    report = trainer.train(dataset, sortmodel.init_params(ENGINE, seed=13), ENGINE,
+                           trainer.TrainConfig(epochs=1))
+    assert len(report.eval_losses) == 1 and np.isfinite(report.eval_losses[0])
 
 
 def test_evaluate_model_perfect_oracle_zero_gap(monkeypatch):
     # Inject survival predictions that exactly match empirical cumulative
     # counts; the calibration gap must then be zero.
-    samples = simulator.build_dataset(ENGINE, dataclasses.replace(SIM, sessions=64)).samples
-    arrays = trainer._to_arrays(samples)
+    small = simulator.build_dataset(ENGINE, dataclasses.replace(SIM, sessions=64))
+    arrays = trainer._to_arrays(small, np.arange(len(small)))
     from sortgen.model import ModelOutput, valid_mask
     from sortgen.nn import Var
 
@@ -183,10 +223,9 @@ def test_report_keeps_calibration_vectors_and_gradient_norms(dataset):
     for click, pay, gap in zip(report.calib_click, report.calib_pay, report.calib_gaps):
         assert click.shape == pay.shape == (ENGINE.l_o,)
         assert gap == float((click.mean() + pay.mean()) / 2.0)
-    train_idx, _ = trainer._session_hash_split(dataset.samples, tconf.eval_fraction)
+    train_idx, _ = trainer._session_hash_split(dataset.users, tconf.eval_fraction)
     params = sortmodel.init_params(ENGINE, seed=12)
-    nn.backward(trainer._batch_loss(ENGINE, params,
-                                    trainer._to_arrays([dataset.samples[i] for i in train_idx])))
+    nn.backward(trainer._batch_loss(ENGINE, params, trainer._to_arrays(dataset, train_idx)))
     norm = np.linalg.norm(np.concatenate([p.grad.ravel() for p in params.values()]))
     assert len(report.grad_norms) == 2
     np.testing.assert_allclose(report.grad_norms, [norm, norm], rtol=1e-9)
@@ -228,7 +267,7 @@ def test_train_on_loaded_checkpoint_still_learns(dataset, tmp_path):
 
 def test_evaluate_model_records_no_tape(dataset, monkeypatch):
     params = sortmodel.init_params(ENGINE, seed=11)
-    arrays = trainer._to_arrays(dataset.samples[:40])
+    arrays = trainer._to_arrays(dataset, np.arange(40))
     outputs = []
     forward = sortmodel.forward
 
