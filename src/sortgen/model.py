@@ -117,30 +117,63 @@ def _check_input(config: EngineConfig, end: int, e_item: np.ndarray, user: np.nd
 
 
 def assemble_input(config: EngineConfig, params: dict, e_item: np.ndarray,
-                   user: np.ndarray, e_score: np.ndarray) -> Var:
-    """Concatenate item, position, user, and prior-score blocks to [n, l, d].
+                   user: np.ndarray, e_score: np.ndarray) -> np.ndarray:
+    """The input rows [item | position | user | prior score], [n, l, d_input].
 
-    e_item: [n, l, d_emb]; user: [n, d_user]; e_score: [n, l, 2]. The data
-    blocks are constants; only the position table can require grad.
+    e_item: [n, l, d_emb]; user: [n, d_user]; e_score: [n, l, 2]. The
+    position block is pos.table's first l rows, the same for every row.
     """
     n, l = e_item.shape[0], e_item.shape[1]
     _check_input(config, l, e_item, user)
-    pos = nn.tile_to(
-        nn.reshape(nn.slice_axis0(params["pos.table"], 0, l), (1, l, config.d_position)),
-        (n, l, config.d_position),
-    )
+    pos = np.broadcast_to(params["pos.table"].value[:l], (n, l, config.d_position))
     user_block = np.broadcast_to(user[:, None, :], (n, l, config.d_user))
-    return nn.concat([e_item, pos, user_block, e_score], axis=-1)
+    return np.concatenate([e_item, pos, user_block, e_score], axis=-1)
 
 
-def _monotone_logits(score: Var, thresholds: Var) -> Var:
-    """The monotone ordinal link as one tape node: the shared score [n, l, 1]
+def _input_node(config: EngineConfig, params: dict, e_item: np.ndarray,
+                user: np.ndarray, e_score: np.ndarray) -> Var:
+    """The projected input, `assemble_input`'s rows @ proj.W + proj.b, as one
+    tape node over pos.table, proj.W and proj.b: [n, l, d_model].
+
+    One GEMM on the concatenated rows. Equal bit for bit, forward and
+    backward, to a linear node over the concatenation of the data blocks and
+    pos.table's rows, sliced, reshaped and tiled, that it replaces
+    (tests/helpers.py): the position rows' gradient is the input gradient's
+    position columns, summed over the batch.
+    """
+    table, weight, bias = params["pos.table"], params["proj.W"], params["proj.b"]
+    x = assemble_input(config, params, e_item, user, e_score)
+    n, l, d_in = x.shape
+    if d_in != weight.shape[0]:
+        raise ConfigError("feature width mismatch")
+    x2 = x.reshape(-1, d_in)
+    w = weight.value
+
+    def bw(g):
+        g2 = g.reshape(-1, w.shape[1])
+        if table.requires_grad:
+            g_x = (g2 @ w.T).reshape(x.shape)
+            start = config.d_emb
+            g_pos = nn._unbroadcast(g_x[..., start:start + config.d_position],
+                                    (1, l, config.d_position))
+            full = np.zeros_like(table.value)
+            full[:l] = g_pos.reshape(l, config.d_position)
+            table._accum(full)
+        if weight.requires_grad:
+            weight._accum(x2.T @ g2)
+        bias._accum(g2.sum(axis=0))
+
+    return Var((x2 @ w + bias.value).reshape(n, l, w.shape[1]), (table, weight, bias), bw)
+
+
+def _monotone_forward(score: np.ndarray, thresholds: Var):
+    """The monotone ordinal link on the shared scores [n, l, 1]: the scores
     minus strictly increasing cutpoints [max_count], the running sum of the
-    first threshold and the softplus of the others.
+    first threshold and the softplus of the others. Returns the logits and
+    their backward: a function of the logits' gradient that adds the
+    thresholds' gradient and returns the scores'.
 
-    Equal bit for bit, forward and backward, to the chain of slices, exp,
-    log, concat, a lower-triangular matmul and add that it replaces
-    (tests/helpers.py): the cutpoints are that matmul, not `_cutpoints`'
+    The cutpoints are the tape's lower-triangular matmul, not `_cutpoints`'
     cumsum, which rounds differently.
     """
     t = thresholds.value
@@ -151,24 +184,66 @@ def _monotone_logits(score: Var, thresholds: Var) -> Var:
     steps = np.concatenate([t[:1], np.log(softplus_in)])
     cut = np.matmul(lower, steps.reshape(k, 1)).reshape(k)
 
-    def bw(g):
-        score._accum(nn._unbroadcast(g, score.shape))
+    def grads(g: np.ndarray) -> np.ndarray:
         g_cut = -nn._unbroadcast(g, (k,))
         g_steps = np.matmul(lower.T, g_cut.reshape(k, 1)).reshape(k)
         thresholds._accum(np.concatenate([g_steps[:1], g_steps[1:] / softplus_in * e]))
+        return nn._unbroadcast(g, score.shape)
 
-    return Var(score.value + -cut, (score, thresholds), bw)
-
-
-def _ffn(x: Var, params: dict, prefix: str) -> Var:
-    return nn.ffn(x, *(params[f"{prefix}.{name}"] for name in ("W1", "b1", "W2", "b2")))
+    return score + -cut, grads
 
 
-def _head_logits(x: Var, params: dict, head: str, config: EngineConfig) -> Var:
-    out = _ffn(x, params, head)
-    if config.head_mode == "literal":
-        return out  # [n, l, max_count], independent logits per threshold
-    return _monotone_logits(out, params[f"{head}.thresholds"])
+HEADS = ("head_click", "head_pay")
+
+
+def _heads_node(config: EngineConfig, params: dict, x: Var,
+                mask: np.ndarray) -> tuple[Var, Var, Var, Var]:
+    """The final layer norm and both heads as one tape node over x [n, l,
+    d_model]: each head's MLP, then its cutpoints (monotone) or its literal
+    logits, then the sigmoid times the 0/1 `mask` [l, max_count]. Returns
+    the click and pay probabilities and the click and pay logits, each
+    [n, l, max_count], as the node's four outputs (`nn.fused_outputs`).
+
+    Equal bit for bit, forward and backward, to the layer norm, FFN,
+    cutpoint, sigmoid and mul nodes that it replaces (tests/helpers.py).
+    """
+    gain, bias = params["final_ln.g"], params["final_ln.b"]
+    h, xhat, inv = nn._layer_norm_forward(x.value, gain, bias)
+    h2 = h.reshape(-1, h.shape[-1])
+    need_h = any(v.requires_grad for v in (x, gain, bias))
+    parents, probs, logits, backs = [x, gain, bias], [], [], []
+    for head in HEADS:
+        weights = [params[f"{head}.{name}"] for name in ("W1", "b1", "W2", "b2")]
+        out, ffn_grads = nn._ffn_forward(h2, *weights)
+        z, link_grads = out.reshape(x.shape[:-1] + (out.shape[1],)), None
+        if config.head_mode == "monotone":
+            weights.append(params[f"{head}.thresholds"])
+            z, link_grads = _monotone_forward(z, weights[-1])
+        s = 1.0 / (1.0 + np.exp(-z))
+        parents += weights
+        probs.append(s * mask)
+        logits.append(z)
+        backs.append((s, ffn_grads, link_grads))
+
+    def bw(grads):
+        g_h = None
+        for (s, ffn_grads, link_grads), g_p, g_z in zip(backs, grads[:2], grads[2:]):
+            if g_p is not None:  # the sigmoid's share, then the logits' own
+                g_p = g_p * mask * s * (1.0 - s)
+                g_z = g_p if g_z is None else g_p + g_z
+            if g_z is None:
+                continue
+            g_out = g_z if link_grads is None else link_grads(g_z)
+            g = ffn_grads(g_out.reshape(-1, g_out.shape[-1]), need_h)
+            if g is not None:
+                g = g.reshape(x.shape)
+                g_h = g if g_h is None else g_h + g
+        if g_h is not None:
+            g_x = nn._layer_norm_grads(g_h, xhat, inv, gain, bias, x.requires_grad)
+            if g_x is not None:
+                x._accum(g_x)
+
+    return nn.fused_outputs(probs + logits, parents, bw)
 
 
 def valid_mask(l: int, max_count: int) -> np.ndarray:
@@ -178,9 +253,9 @@ def valid_mask(l: int, max_count: int) -> np.ndarray:
 
 def forward(config: EngineConfig, params: dict, e_item: np.ndarray,
             user: np.ndarray, e_score: np.ndarray) -> ModelOutput:
-    """Full forward pass for a batch of (sub-)lists of common length l."""
-    x = assemble_input(config, params, e_item, user, e_score)
-    x = nn.linear(x, params["proj.W"], params["proj.b"])
+    """Full forward pass for a batch of (sub-)lists of common length l: the
+    input node, two nodes per block and the heads node."""
+    x = _input_node(config, params, e_item, user, e_score)
     for i in range(config.n_layers):
         pre = f"layer{i}"
         x = nn.attention_block(x, *(params[f"{pre}.{name}"] for name in (
@@ -188,14 +263,9 @@ def forward(config: EngineConfig, params: dict, e_item: np.ndarray,
             "attn.bq", "attn.bk", "attn.bv", "attn.bo")), config.n_heads)
         x = nn.ffn_block(x, *(params[f"{pre}.{name}"] for name in (
             "ln2.g", "ln2.b", "ffn.W1", "ffn.b1", "ffn.W2", "ffn.b2")))
-    x = nn.layer_norm(x, params["final_ln.g"], params["final_ln.b"])
-
-    l = e_item.shape[1]
-    mask = valid_mask(l, config.max_count)
-    click_logits = _head_logits(x, params, "head_click", config)
-    pay_logits = _head_logits(x, params, "head_pay", config)
-    click = nn.sigmoid_masked(click_logits, mask.astype(np.float64))
-    pay = nn.sigmoid_masked(pay_logits, mask.astype(np.float64))
+    mask = valid_mask(e_item.shape[1], config.max_count)
+    click, pay, click_logits, pay_logits = _heads_node(config, params, x,
+                                                       mask.astype(np.float64))
     for out in (click, pay):
         if not np.isfinite(out.value).all():
             raise FloatingPointError("non-finite activations in forward pass")
@@ -355,7 +425,7 @@ class InferenceWeights:
                 *_fold_norm(w(f"layer{i}.ln2.g") * root_d, w(f"layer{i}.ln2.b"), w(f"{f}.W1"),
                             w(f"{f}.b1")),
                 _centred(w(f"{f}.W2")), _centred(w(f"{f}.b2"))))
-        heads, lmax = ("head_click", "head_pay"), config.max_count
+        heads, lmax = HEADS, config.max_count
         head_w1, head_b1 = _fold_norm(w("final_ln.g") * root_d, w("final_ln.b"),
                                       joined([f"{h}.W1" for h in heads]),
                                       joined([f"{h}.b1" for h in heads]))
@@ -533,7 +603,7 @@ def save_checkpoint(path: str | Path, params: dict, config: EngineConfig) -> Non
         "config_hash": config_hash(config),
         "config": to_dict(config),
         "params": {
-            name: {"shape": list(p.value.shape), "data": [repr(float(v)) for v in p.value.ravel()]}
+            name: {"shape": list(p.value.shape), "data": list(map(repr, p.value.ravel().tolist()))}
             for name, p in params.items()
         },
     }
@@ -578,7 +648,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Var], EngineConfig]:
     params = {}
     for name, entry in stored.items():
         try:
-            arr = np.array([float(v) for v in entry["data"]], dtype=np.float64)
+            arr = np.array(list(map(float, entry["data"])), dtype=np.float64)
             shape = tuple(entry["shape"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"checkpoint parameter {name!r}: {exc}") from None

@@ -1,16 +1,18 @@
 """Minimal dense-tensor kernel: reverse-mode autodiff over float64 numpy arrays.
 
-Covers exactly the forward operations the value model needs, plus Adam:
-linear, layer norm, the feed-forward block, and each half of a pre-norm
-transformer block (layer norm, then causal multi-head attention or the
-feed-forward block, then the residual) as one tape node, with the
-primitives the rest of the model is built from. Each fused node equals the
+Covers exactly the operations the model's tape needs, plus Adam: each half
+of a pre-norm transformer block (layer norm, then causal multi-head
+attention or the feed-forward block, then the residual) as one tape node,
+the layer norm and feed-forward pieces that the model's input and heads
+nodes reuse, `fused_outputs` for a node with several outputs, and the
+primitives the pointwise loss is built from. Each fused node equals the
 unfused tape it replaced bit for bit, forward and backward. Adam keeps every
 parameter in one flat buffer, whose views the parameters' arrays become,
 and updates it in place. No GPU, no mixed precision. tests/helpers.py holds
 the test-only ops: the references for the fused nodes (the one-node
-attention, and the primitive compositions with matmul, exp, masked_softmax
-and relu), the per-array Adam, a finite-difference gradient check and a
+attention, linear, layer norm and FFN, and the primitive compositions with
+concat, reshape, tile_to, slice_axis0, matmul, exp, masked_softmax and
+relu), the per-array Adam, a finite-difference gradient check and a
 parameter count.
 """
 
@@ -111,14 +113,6 @@ def sigmoid(a) -> Var:
     return Var(s, (a,), lambda g: a._accum(g * s * (1.0 - s)))
 
 
-def sigmoid_masked(a, mask: np.ndarray) -> Var:
-    """sigmoid(a) * mask for a constant mask that broadcasts to a, as one
-    tape node: equal bit for bit to mul(sigmoid(a), mask)."""
-    a = as_var(a)
-    s = 1.0 / (1.0 + np.exp(-a.value))
-    return Var(s * mask, (a,), lambda g: a._accum(g * mask * s * (1.0 - s)))
-
-
 def log(a) -> Var:
     a = as_var(a)
     return Var(np.log(a.value), (a,), lambda g: a._accum(g / a.value))
@@ -131,26 +125,6 @@ def clip(a, lo: float, hi: float) -> Var:
     return Var(np.clip(a.value, lo, hi), (a,), lambda g: a._accum(g * inside))
 
 
-def concat(parts, axis: int = -1) -> Var:
-    parts = [as_var(p) for p in parts]
-    sizes = [p.value.shape[axis] for p in parts]
-
-    def bw(g):
-        offset = 0
-        for p, size in zip(parts, sizes):
-            idx = [slice(None)] * g.ndim
-            idx[axis if axis >= 0 else g.ndim + axis] = slice(offset, offset + size)
-            p._accum(g[tuple(idx)])
-            offset += size
-
-    return Var(np.concatenate([p.value for p in parts], axis=axis), tuple(parts), bw)
-
-
-def reshape(a, shape) -> Var:
-    a = as_var(a)
-    return Var(a.value.reshape(shape), (a,), lambda g: a._accum(g.reshape(a.shape)))
-
-
 def sum_(a, axis=None, keepdims: bool = False) -> Var:
     a = as_var(a)
 
@@ -160,23 +134,6 @@ def sum_(a, axis=None, keepdims: bool = False) -> Var:
         a._accum(np.broadcast_to(g, a.shape).copy())
 
     return Var(a.value.sum(axis=axis, keepdims=keepdims), (a,), bw)
-
-
-def tile_to(a, shape) -> Var:
-    a = as_var(a)
-    return Var(np.broadcast_to(a.value, shape).copy(), (a,),
-               lambda g: a._accum(_unbroadcast(g, a.shape)))
-
-
-def slice_axis0(a, start: int, stop: int) -> Var:
-    a = as_var(a)
-
-    def bw(g):
-        full = np.zeros_like(a.value)
-        full[start:stop] = g
-        a._accum(full)
-
-    return Var(a.value[start:stop], (a,), bw)
 
 
 def index_last(a, i: int) -> Var:
@@ -240,44 +197,6 @@ def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: Va
     gx_mean = np.add.reduce(gx, axis=-1, keepdims=True) / d
     gx_xhat_mean = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d
     return inv * (gx - gx_mean - xhat * gx_xhat_mean)
-
-
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Var:
-    """Normalize the last axis to zero mean / unit variance, then scale + shift."""
-    x, gain, bias = as_var(x), as_var(gain), as_var(bias)
-    y, xhat, inv = _layer_norm_forward(x.value, gain, bias, eps)
-
-    def bw(g):
-        g_x = _layer_norm_grads(g, xhat, inv, gain, bias, x.requires_grad)
-        if g_x is not None:
-            x._accum(g_x)
-
-    return Var(y, (x, gain, bias), bw)
-
-
-def linear(x, W, b) -> Var:
-    """y = xW + b over the last axis of x (b is [d_out]), as one tape node.
-
-    The leading axes of x fold into one 2-D GEMM, for the forward and for
-    the weight gradient alike.
-    """
-    x, W, b = as_var(x), as_var(W), as_var(b)
-    d_in, d_out = W.value.shape
-    if x.value.shape[-1] != d_in:
-        raise ValueError(f"linear: inner extents differ ({x.value.shape[-1]} vs {d_in})")
-    x2 = x.value.reshape(-1, d_in)
-    w = W.value
-
-    def bw(g):
-        g2 = g.reshape(-1, d_out)
-        if x.requires_grad:
-            x._accum((g2 @ w.T).reshape(x.shape))
-        if W.requires_grad:
-            W._accum(x2.T @ g2)
-        b._accum(g2.sum(axis=0).reshape(b.shape))
-
-    y = x2 @ w + b.value
-    return Var(y.reshape(x.shape[:-1] + (d_out,)), (x, W, b), bw)
 
 
 def attention_block(x, gain, bias, wq, wk, wv, wo, bq, bk, bv, bo, n_heads: int) -> Var:
@@ -350,24 +269,10 @@ def _ffn_forward(x2: np.ndarray, w1: Var, b1: Var, w2: Var, b2: Var):
     return h @ w_2 + b2.value, grads
 
 
-def ffn(x, w1, b1, w2, b2) -> Var:
-    """relu(x W1 + b1) W2 + b2 over the last axis of x, as one tape node."""
-    x, w1, b1, w2, b2 = (as_var(v) for v in (x, w1, b1, w2, b2))
-    y, grads = _ffn_forward(x.value.reshape(-1, w1.value.shape[0]), w1, b1, w2, b2)
-    d_out = y.shape[1]
-
-    def bw(g):
-        g_x = grads(g.reshape(-1, d_out), x.requires_grad)
-        if g_x is not None:
-            x._accum(g_x.reshape(x.shape))
-
-    return Var(y.reshape(x.shape[:-1] + (d_out,)), (x, w1, b1, w2, b2), bw)
-
-
 def ffn_block(x, gain, bias, w1, b1, w2, b2) -> Var:
     """x + ffn(layer_norm(x)): a pre-norm block's second half, as one tape
     node; equal bit for bit, forward and backward, to add(x, ffn(layer_norm(
-    x)))."""
+    x))) over the one-node layer norm and FFN in tests/helpers.py."""
     x, gain, bias, w1, b1, w2, b2 = (as_var(v) for v in (x, gain, bias, w1, b1, w2, b2))
     d = x.value.shape[-1]
     h, xhat, inv = _layer_norm_forward(x.value, gain, bias)
@@ -379,6 +284,26 @@ def ffn_block(x, gain, bias, w1, b1, w2, b2) -> Var:
         x._accum(g if g_x is None else g + g_x)  # the residual, plus the norm's path
 
     return Var(x.value + y.reshape(x.shape), (x, gain, bias, w1, b1, w2, b2), bw)
+
+
+def fused_outputs(values, parents, bw) -> tuple[Var, ...]:
+    """One tape node with several outputs, a Var each, over `parents`.
+
+    `bw` runs once per backward, after every output's own gradient is in,
+    and gets the list of them: None for an output that received none, so
+    that it can skip that output's share of the work.
+    """
+    grads = [None] * len(values)
+    node = Var(np.zeros(0), tuple(parents), lambda _: bw(grads))
+
+    def output(i: int) -> Var:
+        def out_bw(g):
+            grads[i] = g
+            node._accum(node.value)  # any gradient, so that `backward` calls bw
+
+        return Var(values[i], (node,), out_bw)
+
+    return tuple(output(i) for i in range(len(values)))
 
 
 def backward(loss: Var) -> None:
@@ -441,22 +366,29 @@ class AdamState:
     views: dict = field(default_factory=dict)  # name -> (its value view, its grads view)
 
 
+def flat_views(params: ParamStore, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Each parameter's view of `flat` in `adam_init`'s layout: the
+    parameters one after another, in the order of `params`."""
+    views, offset = {}, 0
+    for name, p in params.items():
+        size = p.value.size
+        views[name] = flat[offset:offset + size].reshape(p.value.shape)
+        offset += size
+    return views
+
+
 def adam_init(params: ParamStore, lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
     """Adam state over `params`, whose arrays become views of its flat buffer:
     write a parameter in place from now on, never replace its array."""
-    sizes = [p.value.size for p in params.values()]
-    total = sum(sizes)
+    total = sum(p.value.size for p in params.values())
     state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, values=np.empty(total),
                       grads=np.zeros(total), m=np.zeros(total), v=np.zeros(total))
-    offset = 0
-    for (name, p), size in zip(params.items(), sizes):
-        part = slice(offset, offset + size)
-        value = state.values[part].reshape(p.value.shape)
-        value[...] = p.value
-        p.value = value
-        state.views[name] = (value, state.grads[part].reshape(value.shape))
-        offset += size
+    grads = flat_views(params, state.grads)
+    for name, value in flat_views(params, state.values).items():
+        value[...] = params[name].value
+        params[name].value = value
+        state.views[name] = (value, grads[name])
     return state
 
 

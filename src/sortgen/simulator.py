@@ -306,10 +306,34 @@ def _stack(rows: list, dtype) -> np.ndarray:
     return np.array(rows, dtype=dtype).reshape(len(rows), len(rows[0]) if rows else 0)
 
 
+def _check_labels(clicks: list, pays: list) -> None:
+    """A session's labels: every click and pay is the integer 0 or 1, and no
+    position has a pay without a click."""
+    for name, labels in (("clicks", clicks), ("pays", pays)):
+        for i, v in enumerate(labels):
+            if type(v) is not int or v not in (0, 1):
+                raise ValueError(f"{name}[{i}] is {v!r}, not 0 or 1")
+    for i, (click, pay) in enumerate(zip(clicks, pays)):
+        if pay > click:
+            raise ValueError(f"a pay without a click at position {i}")
+
+
+def _check_header(doc: dict, keys: tuple[str, ...] = ()) -> None:
+    if doc.get("format_version") != DATA_FORMAT:
+        raise ValueError(f"unsupported format {doc.get('format_version')!r}")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"the header lacks the key {key!r}")
+
+
 def read_dataset(path: str | Path) -> Dataset:
     """A file that write_dataset wrote. A session item whose id and every
     field match a catalog record is that catalog row of the item table; any
-    other session item gets a row of its own."""
+    other session item gets a row of its own.
+
+    Any fault in a record, including an item that breaks an Item rule and a
+    session whose labels are not 0 or 1 or hold a pay without a click, is a
+    ConfigError naming the file and the line."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ConfigError(f"{path}: empty dataset file")
@@ -323,8 +347,7 @@ def read_dataset(path: str | Path) -> Dataset:
             doc = json.loads(line)
             kind = doc.pop("kind")
             if kind == "header":
-                if doc.get("format_version") != DATA_FORMAT:
-                    raise ConfigError(f"unsupported format {doc.get('format_version')!r}")
+                _check_header(doc, ("engine_config", "sim_config"))
                 header = doc
             elif kind == "item":
                 catalog_rows[doc["id"]] = (doc, len(items))
@@ -332,8 +355,7 @@ def read_dataset(path: str | Path) -> Dataset:
                 items.append(catalog[-1])
             elif kind == "sample":
                 user = [float(v) for v in doc["user"]]
-                session_clicks = np.array(doc["clicks"], dtype=np.int64)
-                session_pays = np.array(doc["pays"], dtype=np.int64)
+                session_clicks, session_pays = doc["clicks"], doc["pays"]
                 if not all(map(math.isfinite, user)):
                     raise ValueError("user features must be finite")
                 if len(session_clicks) != len(session_pays):
@@ -345,6 +367,7 @@ def read_dataset(path: str | Path) -> Dataset:
                     raise ValueError(f"{len(user)} user features and {len(session_clicks)} "
                                      f"items, where the first session has {len(users[0])} "
                                      f"and {len(rows[0])}")
+                _check_labels(session_clicks, session_pays)
                 session = []
                 for item in doc["items"]:
                     fields, row = catalog_rows.get(item["id"], (None, None))
@@ -358,9 +381,7 @@ def read_dataset(path: str | Path) -> Dataset:
                 pays.append(session_pays)
             else:
                 raise KeyError(f"unknown record kind {kind!r}")
-        except ConfigError:
-            raise
-        except Exception as exc:
+        except Exception as exc:  # a ConfigError from an Item rule too
             raise ConfigError(f"{path}: malformed record at line {lineno}: {exc}") from exc
     if header is None:
         raise ConfigError(f"{path}: missing header record at line 1")
@@ -381,7 +402,9 @@ def read_catalog(path: str | Path) -> list[Item]:
                                   start=1):
         try:
             doc = json.loads(line)
-            if doc["kind"] == "item":
+            if doc["kind"] == "header":
+                _check_header(doc)
+            elif doc["kind"] == "item":
                 catalog.append(_item_from_doc(doc))
         except Exception as exc:
             raise ConfigError(f"{path}: malformed record at line {lineno}: {exc}") from exc

@@ -130,11 +130,14 @@ def evaluate_model(config: EngineConfig, params: dict, arrays: _Arrays,
 
 def train(dataset: Dataset, params: dict, engine: EngineConfig, tconf: TrainConfig,
           ckpt_path: str | Path | None = None) -> TrainReport:
-    """Adam over the configured loss; checkpoints at the best eval loss.
+    """Adam over the configured loss; checkpoints the epoch of best eval loss.
 
     Every parameter in `params` is trained, so each is marked requires_grad,
     and its array becomes a view of the optimiser's flat buffer
-    (`nn.adam_init`), updated in place.
+    (`nn.adam_init`), updated in place. With `ckpt_path`, the best epoch's
+    parameters are kept as one flat copy of that buffer, and written once:
+    after the last epoch, or when training raises after an epoch that
+    improved the eval loss.
     """
     if not len(dataset):
         raise ConfigError("empty dataset")
@@ -145,47 +148,57 @@ def train(dataset: Dataset, params: dict, engine: EngineConfig, tconf: TrainConf
         if not idx:
             raise ConfigError(f"empty {name} split: {len(dataset)} sessions at "
                               f"eval_fraction {tconf.eval_fraction}")
+    if ckpt_path is not None and not Path(ckpt_path).parent.is_dir():
+        # Checked now, since the one write comes after the last epoch.
+        raise ConfigError(f"checkpoint directory {Path(ckpt_path).parent} does not exist")
     train_arr = _to_arrays(dataset, train_idx)
     eval_arr = _to_arrays(dataset, eval_idx)
 
     state = nn.adam_init(params, lr=tconf.lr)
+    best = None if ckpt_path is None else np.empty_like(state.values)
     rng = np.random.default_rng(tconf.seed)
     report = TrainReport(loss_mode=engine.loss_mode)
     best_eval = np.inf
     start = time.perf_counter()
 
-    for epoch in range(tconf.epochs):
-        epoch_start = time.perf_counter()
-        order = rng.permutation(len(train_arr))
-        epoch_loss, seen, grad_norms = 0.0, 0, []
-        for bstart in range(0, len(order), tconf.batch_size):
-            batch = train_arr.take(order[bstart:bstart + tconf.batch_size])
-            nn.zero_grads(params)
-            try:
-                loss = _batch_loss(engine, params, batch)
-                fault = None if np.isfinite(loss.value) else "non-finite loss"
-            except FloatingPointError as exc:  # the forward's non-finite activations
-                fault = str(exc)
-            if fault:
-                raise FloatingPointError(
-                    f"{fault} at epoch {epoch}, batch {bstart // tconf.batch_size}; "
-                    f"total parameter norm {np.linalg.norm(state.values):.3e}")
-            nn.backward(loss)
-            nn.adam_step(params, state)
-            grad_norms.append(np.linalg.norm(state.grads))  # after the step, outside its time
-            epoch_loss += float(loss.value) * len(batch)
-            seen += len(batch)
-        metrics = evaluate_model(engine, params, eval_arr)
-        report.train_losses.append(epoch_loss / seen)
-        report.eval_losses.append(metrics["eval_loss"])
-        report.calib_gaps.append(metrics["calib_gap"])
-        report.calib_click.append(metrics["calib_click"])
-        report.calib_pay.append(metrics["calib_pay"])
-        report.grad_norms.append(float(np.mean(grad_norms)))
-        if ckpt_path is not None and metrics["eval_loss"] < best_eval:
-            best_eval = metrics["eval_loss"]
-            sortmodel.save_checkpoint(ckpt_path, params, engine)
-        report.epoch_seconds.append(time.perf_counter() - epoch_start)
+    try:
+        for epoch in range(tconf.epochs):
+            epoch_start = time.perf_counter()
+            order = rng.permutation(len(train_arr))
+            epoch_loss, seen, grad_norms = 0.0, 0, []
+            for bstart in range(0, len(order), tconf.batch_size):
+                batch = train_arr.take(order[bstart:bstart + tconf.batch_size])
+                nn.zero_grads(params)
+                try:
+                    loss = _batch_loss(engine, params, batch)
+                    fault = None if np.isfinite(loss.value) else "non-finite loss"
+                except FloatingPointError as exc:  # the forward's non-finite activations
+                    fault = str(exc)
+                if fault:
+                    raise FloatingPointError(
+                        f"{fault} at epoch {epoch}, batch {bstart // tconf.batch_size}; "
+                        f"total parameter norm {np.linalg.norm(state.values):.3e}")
+                nn.backward(loss)
+                nn.adam_step(params, state)
+                grad_norms.append(np.linalg.norm(state.grads))  # after the step, outside its time
+                epoch_loss += float(loss.value) * len(batch)
+                seen += len(batch)
+            metrics = evaluate_model(engine, params, eval_arr)
+            report.train_losses.append(epoch_loss / seen)
+            report.eval_losses.append(metrics["eval_loss"])
+            report.calib_gaps.append(metrics["calib_gap"])
+            report.calib_click.append(metrics["calib_click"])
+            report.calib_pay.append(metrics["calib_pay"])
+            report.grad_norms.append(float(np.mean(grad_norms)))
+            if best is not None and metrics["eval_loss"] < best_eval:
+                best_eval = metrics["eval_loss"]
+                best[...] = state.values
+            report.epoch_seconds.append(time.perf_counter() - epoch_start)
+    finally:
+        if best is not None and best_eval < np.inf:  # some epoch improved
+            best_params = {name: nn.Var(value, requires_grad=False)
+                           for name, value in nn.flat_views(params, best).items()}
+            sortmodel.save_checkpoint(ckpt_path, best_params, engine)
 
     report.seconds = time.perf_counter() - start
     return report

@@ -7,6 +7,7 @@ imported conftest would load it a second time under another name.
 
 import hashlib
 import importlib.util
+import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ import numpy as np
 
 from sortgen import model as sortmodel
 from sortgen import nn, simulator, trainer, values
-from sortgen.core import ConfigError, Item, ObjectiveWeights, UserContext
+from sortgen.core import ConfigError, Item, ObjectiveWeights, UserContext, config_hash, to_dict
 from sortgen.nn import Var
 from sortgen.server import MAX_CANDIDATES, RequestError
 
@@ -289,6 +290,100 @@ def to_arrays_reference(samples):
 # Tape ops and checks that only the tests use.
 
 
+def concat(parts, axis: int = -1) -> Var:
+    parts = [nn.as_var(p) for p in parts]
+    sizes = [p.value.shape[axis] for p in parts]
+
+    def bw(g):
+        offset = 0
+        for p, size in zip(parts, sizes):
+            idx = [slice(None)] * g.ndim
+            idx[axis if axis >= 0 else g.ndim + axis] = slice(offset, offset + size)
+            p._accum(g[tuple(idx)])
+            offset += size
+
+    return Var(np.concatenate([p.value for p in parts], axis=axis), tuple(parts), bw)
+
+
+def reshape(a, shape) -> Var:
+    a = nn.as_var(a)
+    return Var(a.value.reshape(shape), (a,), lambda g: a._accum(g.reshape(a.shape)))
+
+
+def tile_to(a, shape) -> Var:
+    a = nn.as_var(a)
+    return Var(np.broadcast_to(a.value, shape).copy(), (a,),
+               lambda g: a._accum(nn._unbroadcast(g, a.shape)))
+
+
+def slice_axis0(a, start: int, stop: int) -> Var:
+    a = nn.as_var(a)
+
+    def bw(g):
+        full = np.zeros_like(a.value)
+        full[start:stop] = g
+        a._accum(full)
+
+    return Var(a.value[start:stop], (a,), bw)
+
+
+def linear(x, W, b) -> Var:
+    """y = xW + b over the last axis of x (b is [d_out]), as one tape node.
+
+    The leading axes of x fold into one 2-D GEMM, for the forward and for
+    the weight gradient alike.
+    """
+    x, W, b = nn.as_var(x), nn.as_var(W), nn.as_var(b)
+    d_in, d_out = W.value.shape
+    if x.value.shape[-1] != d_in:
+        raise ValueError(f"linear: inner extents differ ({x.value.shape[-1]} vs {d_in})")
+    x2 = x.value.reshape(-1, d_in)
+    w = W.value
+
+    def bw(g):
+        g2 = g.reshape(-1, d_out)
+        if x.requires_grad:
+            x._accum((g2 @ w.T).reshape(x.shape))
+        if W.requires_grad:
+            W._accum(x2.T @ g2)
+        b._accum(g2.sum(axis=0).reshape(b.shape))
+
+    y = x2 @ w + b.value
+    return Var(y.reshape(x.shape[:-1] + (d_out,)), (x, W, b), bw)
+
+
+def layer_norm(x, gain, bias, eps: float = 1e-5) -> Var:
+    """Normalize the last axis to zero mean / unit variance, then scale + shift."""
+    x, gain, bias = nn.as_var(x), nn.as_var(gain), nn.as_var(bias)
+    y, xhat, inv = nn._layer_norm_forward(x.value, gain, bias, eps)
+
+    def bw(g):
+        g_x = nn._layer_norm_grads(g, xhat, inv, gain, bias, x.requires_grad)
+        if g_x is not None:
+            x._accum(g_x)
+
+    return Var(y, (x, gain, bias), bw)
+
+
+def ffn(x, w1, b1, w2, b2) -> Var:
+    """relu(x W1 + b1) W2 + b2 over the last axis of x, as one tape node."""
+    x, w1, b1, w2, b2 = (nn.as_var(v) for v in (x, w1, b1, w2, b2))
+    y, grads = nn._ffn_forward(x.value.reshape(-1, w1.value.shape[0]), w1, b1, w2, b2)
+    d_out = y.shape[1]
+
+    def bw(g):
+        g_x = grads(g.reshape(-1, d_out), x.requires_grad)
+        if g_x is not None:
+            x._accum(g_x.reshape(x.shape))
+
+    return Var(y.reshape(x.shape[:-1] + (d_out,)), (x, w1, b1, w2, b2), bw)
+
+
+def ffn_node(x: Var, params: dict, prefix: str) -> Var:
+    """`ffn` on the parameters under `prefix`, with the signature of ffn_reference."""
+    return ffn(x, *(params[f"{prefix}.{name}"] for name in ("W1", "b1", "W2", "b2")))
+
+
 def matmul(a, b) -> Var:
     a, b = nn.as_var(a), nn.as_var(b)
 
@@ -386,8 +481,8 @@ def finite_diff_check(params, loss_fn, step: float = 1e-4,
     return worst
 
 
-# Primitive-op references for the one-node attention below and nn.ffn, with
-# the signature of model._ffn.
+# Primitive-op references for the one-node attention below and `ffn`, with
+# the signature of ffn_node.
 
 
 def mhsa_reference(x: Var, params: dict, prefix: str, n_heads: int) -> Var:
@@ -395,28 +490,28 @@ def mhsa_reference(x: Var, params: dict, prefix: str, n_heads: int) -> Var:
     dh = dm // n_heads
 
     def split(v: Var) -> Var:
-        return transpose(nn.reshape(v, (n, l, n_heads, dh)), (0, 2, 1, 3))
+        return transpose(reshape(v, (n, l, n_heads, dh)), (0, 2, 1, 3))
 
-    q = split(nn.linear(x, params[f"{prefix}.Wq"], params[f"{prefix}.bq"]))
-    k = split(nn.linear(x, params[f"{prefix}.Wk"], params[f"{prefix}.bk"]))
-    v = split(nn.linear(x, params[f"{prefix}.Wv"], params[f"{prefix}.bv"]))
+    q = split(linear(x, params[f"{prefix}.Wq"], params[f"{prefix}.bq"]))
+    k = split(linear(x, params[f"{prefix}.Wk"], params[f"{prefix}.bk"]))
+    v = split(linear(x, params[f"{prefix}.Wv"], params[f"{prefix}.bv"]))
     scores = nn.mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
     causal = np.tril(np.ones((l, l), dtype=bool))[None, None, :, :]
     att = masked_softmax(scores, causal)
     out = transpose(matmul(att, v), (0, 2, 1, 3))
-    out = nn.reshape(out, (n, l, dm))
-    return nn.linear(out, params[f"{prefix}.Wo"], params[f"{prefix}.bo"])
+    out = reshape(out, (n, l, dm))
+    return linear(out, params[f"{prefix}.Wo"], params[f"{prefix}.bo"])
 
 
 def ffn_reference(x: Var, params: dict, prefix: str) -> Var:
-    h = relu(nn.linear(x, params[f"{prefix}.W1"], params[f"{prefix}.b1"]))
-    return nn.linear(h, params[f"{prefix}.W2"], params[f"{prefix}.b2"])
+    h = relu(linear(x, params[f"{prefix}.W1"], params[f"{prefix}.b1"]))
+    return linear(h, params[f"{prefix}.W2"], params[f"{prefix}.b2"])
 
 
 # The unfused tape that model.forward and values.ordered_regression_loss
-# were before their layer norms, residuals, cutpoints and loss became single
-# nodes (nn.attention_block, nn.ffn_block, model._monotone_logits,
-# nn.sigmoid_masked and the loss node): each fused node must equal its part
+# were before their input, layer norms, residuals, heads and loss became
+# single nodes (model._input_node, nn.attention_block, nn.ffn_block,
+# model._heads_node and the loss node): each fused node must equal its part
 # of it bit for bit, forward and backward.
 
 
@@ -472,43 +567,70 @@ def mhsa_node(x: Var, params: dict, prefix: str, n_heads: int) -> Var:
 def monotone_logits_reference(out, thresholds, max_count: int) -> Var:
     """out minus the monotone head's cutpoints, as the primitive chain."""
     t = thresholds
-    first = nn.slice_axis0(t, 0, 1)
-    rest = t if max_count == 1 else nn.slice_axis0(t, 1, max_count)
+    first = slice_axis0(t, 0, 1)
+    rest = t if max_count == 1 else slice_axis0(t, 1, max_count)
     if max_count > 1:
         softplus = nn.log(nn.add(1.0, exp(rest)))
-        steps = nn.concat([first, softplus], axis=0)
+        steps = concat([first, softplus], axis=0)
     else:
         steps = first
     lower = np.tril(np.ones((max_count, max_count)))
-    cutpoints = matmul(lower, nn.reshape(steps, (max_count, 1)))
-    return nn.add(out, nn.neg(nn.reshape(cutpoints, (max_count,))))
+    cutpoints = matmul(lower, reshape(steps, (max_count, 1)))
+    return nn.add(out, nn.neg(reshape(cutpoints, (max_count,))))
 
 
-def forward_reference(config, params: dict, e_item, user, e_score,
-                      primitive: bool = False) -> sortmodel.ModelOutput:
-    """model.forward as the unfused tape: per block half, layer_norm, then the
-    one-node attention or nn.ffn, then add; the cutpoint chain; sigmoid, then
-    mul by the mask. With primitive=True, attention and the FFNs are
-    mhsa_reference and ffn_reference instead, which round differently."""
-    mhsa, ffn = (mhsa_reference, ffn_reference) if primitive else (mhsa_node, sortmodel._ffn)
-    x = sortmodel.assemble_input(config, params, e_item, user, e_score)
-    x = nn.linear(x, params["proj.W"], params["proj.b"])
-    for i in range(config.n_layers):
-        pre = f"layer{i}"
-        h = nn.layer_norm(x, params[f"{pre}.ln1.g"], params[f"{pre}.ln1.b"])
-        x = nn.add(x, mhsa(h, params, f"{pre}.attn", config.n_heads))
-        h = nn.layer_norm(x, params[f"{pre}.ln2.g"], params[f"{pre}.ln2.b"])
-        x = nn.add(x, ffn(h, params, f"{pre}.ffn"))
-    x = nn.layer_norm(x, params["final_ln.g"], params["final_ln.b"])
-    mask = sortmodel.valid_mask(e_item.shape[1], config.max_count)
+def monotone_logits(score, thresholds) -> Var:
+    """model._monotone_forward as a tape node of its own, as model.forward
+    ran it before the heads became one node."""
+    score, thresholds = nn.as_var(score), nn.as_var(thresholds)
+    logits, grads = sortmodel._monotone_forward(score.value, thresholds)
+    return Var(logits, (score, thresholds), lambda g: score._accum(grads(g)))
+
+
+def input_reference(config, params: dict, e_item, user, e_score) -> Var:
+    """model._input_node as the tape of concat, slice, reshape, tile and linear."""
+    n, l = e_item.shape[0], e_item.shape[1]
+    sortmodel.assemble_input(config, params, e_item, user, e_score)  # its checks
+    pos = tile_to(reshape(slice_axis0(params["pos.table"], 0, l), (1, l, config.d_position)),
+                  (n, l, config.d_position))
+    user_block = np.broadcast_to(user[:, None, :], (n, l, config.d_user))
+    x = concat([e_item, pos, user_block, e_score], axis=-1)
+    return linear(x, params["proj.W"], params["proj.b"])
+
+
+def heads_reference(config, params: dict, x, mask: np.ndarray,
+                    ffn=ffn_node) -> tuple[Var, Var, Var, Var]:
+    """model._heads_node as the tape of layer_norm, the head FFNs, the
+    cutpoint chain and sigmoid, then mul by the mask. Returns click, pay,
+    click logits and pay logits."""
+    x = layer_norm(x, params["final_ln.g"], params["final_ln.b"])
     logits = []
-    for head in ("head_click", "head_pay"):
+    for head in sortmodel.HEADS:
         out = ffn(x, params, head)
         if config.head_mode == "monotone":
             out = monotone_logits_reference(out, params[f"{head}.thresholds"], config.max_count)
         logits.append(out)
-    click, pay = (nn.mul(nn.sigmoid(z), mask.astype(np.float64)) for z in logits)
-    return sortmodel.ModelOutput(click, pay, logits[0], logits[1], mask)
+    click, pay = (nn.mul(nn.sigmoid(z), mask) for z in logits)
+    return click, pay, logits[0], logits[1]
+
+
+def forward_reference(config, params: dict, e_item, user, e_score,
+                      primitive: bool = False) -> sortmodel.ModelOutput:
+    """model.forward as the unfused tape: the input's concat and linear; per
+    block half, layer_norm, then the one-node attention or `ffn`, then add;
+    heads_reference. With primitive=True, attention and the FFNs are
+    mhsa_reference and ffn_reference instead, which round differently."""
+    mhsa, ffn = (mhsa_reference, ffn_reference) if primitive else (mhsa_node, ffn_node)
+    x = input_reference(config, params, e_item, user, e_score)
+    for i in range(config.n_layers):
+        pre = f"layer{i}"
+        h = layer_norm(x, params[f"{pre}.ln1.g"], params[f"{pre}.ln1.b"])
+        x = nn.add(x, mhsa(h, params, f"{pre}.attn", config.n_heads))
+        h = layer_norm(x, params[f"{pre}.ln2.g"], params[f"{pre}.ln2.b"])
+        x = nn.add(x, ffn(h, params, f"{pre}.ffn"))
+    mask = sortmodel.valid_mask(e_item.shape[1], config.max_count)
+    outs = heads_reference(config, params, x, mask.astype(np.float64), ffn)
+    return sortmodel.ModelOutput(*outs, mask)
 
 
 def _masked_bce_reference(probs, targets: np.ndarray, mask: np.ndarray) -> Var:
@@ -528,6 +650,27 @@ def ordered_regression_loss_reference(output, cum_clicks, cum_pays) -> Var:
         term = nn.sum_(_masked_bce_reference(probs, targets, mask))
         total = term if total is None else nn.add(total, term)
     return nn.mul(total, 1.0 / n)
+
+
+# The per-element bodies of model.save_checkpoint and of load_checkpoint's
+# parameter parse: the references for their formatting and parsing.
+
+
+def save_checkpoint_reference(path, params: dict, config) -> None:
+    doc = {
+        "format_version": sortmodel.CKPT_FORMAT,
+        "config_hash": config_hash(config),
+        "config": to_dict(config),
+        "params": {
+            name: {"shape": list(p.value.shape), "data": [repr(float(v)) for v in p.value.ravel()]}
+            for name, p in params.items()
+        },
+    }
+    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+
+
+def parse_values_reference(data) -> np.ndarray:
+    return np.array([float(v) for v in data], dtype=np.float64)
 
 
 @dataclass

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import math
 
 import numpy as np
 import pytest
@@ -8,20 +10,26 @@ from sortgen import nn, simulator, values
 from sortgen.core import ConfigError, EngineConfig, ObjectiveWeights, UserContext
 from sortgen.nn import Var
 from tests.helpers import (
+    ffn_node,
     ffn_reference,
     finite_diff_check,
     forward_reference,
+    heads_reference,
+    input_reference,
     mhsa_node,
     mhsa_reference,
+    monotone_logits,
     monotone_logits_reference,
     ordered_regression_loss_reference,
     param_count,
+    parse_values_reference,
     same_bits,
+    save_checkpoint_reference,
 )
 
 # Each block as one tape node, and its primitive-op reference.
 MHSA_IMPLS = [mhsa_node, mhsa_reference]
-FFN_IMPLS = [sortmodel._ffn, ffn_reference]
+FFN_IMPLS = [ffn_node, ffn_reference]
 
 
 def _random_inputs(config, n, l, seed=0):
@@ -235,7 +243,7 @@ def test_monotone_logits_node_equals_the_cutpoint_chain_bit_for_bit(max_count):
     results = []
     for fused in (True, False):
         nn.zero_grads(params)
-        out = (sortmodel._monotone_logits(params["score"], params["t"]) if fused else
+        out = (monotone_logits(params["score"], params["t"]) if fused else
                monotone_logits_reference(params["score"], params["t"], max_count))
         nn.backward(nn.sum_(nn.mul(out, target)))
         results.append((out.value, params["score"].grad, params["t"].grad))
@@ -243,10 +251,111 @@ def test_monotone_logits_node_equals_the_cutpoint_chain_bit_for_bit(max_count):
         assert same_bits(fused, ref)
 
     def loss_fn():
-        return nn.sum_(nn.mul(nn.sigmoid(sortmodel._monotone_logits(params["score"], params["t"])),
+        return nn.sum_(nn.mul(nn.sigmoid(monotone_logits(params["score"], params["t"])),
                               target))
 
     assert finite_diff_check(params, loss_fn, step=1e-5, n_coords=17) < 1e-6
+
+
+def _grads(params: dict) -> dict:
+    return {name: p.grad for name, p in params.items() if p.grad is not None}
+
+
+def _assert_same_grads(grads: dict, ref_grads: dict) -> None:
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert same_bits(grads[name], ref_grads[name]), name
+
+
+# Which outputs of the heads node the loss reads: the ordered loss reads the
+# probabilities, the pointwise loss the logits.
+HEAD_OUTPUTS = {"probs": (0, 1), "logits": (2, 3), "all": (0, 1, 2, 3)}
+
+
+@pytest.mark.parametrize("head_mode", ["monotone", "literal"])
+@pytest.mark.parametrize("used", list(HEAD_OUTPUTS))
+def test_heads_node_equals_the_head_tape_bit_for_bit(small_config, head_mode, used):
+    cfg = dataclasses.replace(small_config, head_mode=head_mode)
+    rng = np.random.default_rng(31)
+    params = _perturbed_params(cfg, seed=32)
+    params["x"] = Var(rng.normal(size=(3, cfg.l_o, cfg.d_model)))
+    mask = sortmodel.valid_mask(cfg.l_o, cfg.max_count).astype(np.float64)
+    targets = rng.normal(size=(4, 3, cfg.l_o, cfg.max_count))
+
+    def loss(node):
+        outs = node(cfg, params, params["x"], mask)
+        total = None
+        for k in HEAD_OUTPUTS[used]:
+            term = nn.sum_(nn.mul(outs[k], targets[k]))
+            total = term if total is None else nn.add(total, term)
+        return outs, total
+
+    results = []
+    for node in (sortmodel._heads_node, heads_reference):
+        nn.zero_grads(params)
+        outs, total = loss(node)
+        nn.backward(total)
+        results.append(([o.value for o in outs], total.value, _grads(params)))
+    (outs, total, grads), (ref_outs, ref_total, ref_grads) = results
+    for a, b in zip(outs, ref_outs):
+        assert same_bits(a, b)
+    assert same_bits(total, ref_total)
+    _assert_same_grads(grads, ref_grads)
+    assert "x" in grads and "final_ln.g" in grads and "head_pay.W1" in grads
+    assert finite_diff_check(params, lambda: loss(sortmodel._heads_node)[1],
+                             step=1e-6, n_coords=80) < 1e-5
+
+
+def test_heads_node_without_input_gradient_still_trains_the_heads(small_config):
+    rng = np.random.default_rng(35)
+    params = _perturbed_params(small_config, seed=36)
+    x = Var(rng.normal(size=(2, small_config.l_o, small_config.d_model)), requires_grad=False)
+    mask = sortmodel.valid_mask(small_config.l_o, small_config.max_count).astype(np.float64)
+    results = []
+    for node in (sortmodel._heads_node, heads_reference):
+        nn.zero_grads(params)
+        nn.backward(nn.sum_(node(small_config, params, x, mask)[1]))  # the pay probabilities
+        results.append(_grads(params))
+    _assert_same_grads(*results)
+    assert x.grad is None
+    assert not any(name.startswith("head_click") for name in results[0])
+
+
+@pytest.mark.parametrize("n, l", [(4, 3), (1, 5)])
+def test_input_node_equals_the_concat_and_linear_tape_bit_for_bit(small_config, n, l):
+    params = _perturbed_params(small_config, seed=33)
+    emb, user, score = _random_inputs(small_config, n, l, seed=34)
+    target = np.random.default_rng(37).normal(size=(n, l, small_config.d_model))
+
+    def loss(node):
+        x = node(small_config, params, emb, user, score)
+        return x, nn.sum_(nn.mul(x, target))
+
+    results = []
+    for node in (sortmodel._input_node, input_reference):
+        nn.zero_grads(params)
+        x, total = loss(node)
+        nn.backward(total)
+        results.append((x.value, _grads(params)))
+    (x, grads), (ref_x, ref_grads) = results
+    assert x.shape == (n, l, small_config.d_model)
+    assert same_bits(x, ref_x)
+    _assert_same_grads(grads, ref_grads)
+    assert grads.keys() == {"pos.table", "proj.W", "proj.b"}
+    assert (grads["pos.table"][l:] == 0.0).all()
+    used = {name: params[name] for name in grads}
+    assert finite_diff_check(used, lambda: loss(sortmodel._input_node)[1],
+                             step=1e-6, n_coords=60) < 1e-6
+
+
+def test_input_node_with_a_frozen_position_table_skips_its_gradient(small_config):
+    params = _perturbed_params(small_config, seed=38)
+    params["pos.table"].requires_grad = False
+    emb, user, score = _random_inputs(small_config, 2, 4, seed=39)
+    for node in (sortmodel._input_node, input_reference):
+        nn.zero_grads(params)
+        nn.backward(nn.sum_(node(small_config, params, emb, user, score)))
+        assert params["pos.table"].grad is None and params["proj.W"].grad is not None
 
 
 # ---------------------------- input assembly --------------------------------
@@ -263,7 +372,7 @@ def test_assemble_user_block_replicated(small_config, small_params):
     emb, user, score = _random_inputs(small_config, 1, 3)
     x = sortmodel.assemble_input(small_config, small_params, emb, user, score)
     u0 = small_config.d_emb + small_config.d_position
-    block = x.value[0, :, u0:u0 + small_config.d_user]
+    block = x[0, :, u0:u0 + small_config.d_user]
     assert (block == block[0]).all()
 
 
@@ -381,9 +490,50 @@ def test_checkpoint_round_trip(tmp_path, small_config, small_params):
     np.testing.assert_allclose(a.pay.value, b.pay.value, atol=1e-12)
 
 
-def test_checkpoint_hash_verified(tmp_path, small_config, small_params):
-    import json
+def _params_with_special_values(config, seed):
+    """Parameters with entries over the whole float64 range, and -0.0, the
+    smallest subnormal, 1e308 and 0.1 among them."""
+    rng = np.random.default_rng(seed)
+    specials = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 0.0]
+    params = {}
+    for name, shape in sortmodel.param_shapes(config).items():
+        flat = rng.normal(size=shape).ravel() * 10.0 ** rng.integers(-320, 300, size=math.prod(shape))
+        picks = rng.choice(flat.size, size=min(flat.size, len(specials)), replace=False)
+        flat[picks] = specials[:len(picks)]
+        params[name] = Var(flat.reshape(shape))
+    return params
 
+
+@pytest.mark.parametrize("seed", [41, 42])
+def test_checkpoint_bytes_and_loads_equal_the_per_element_reference(tmp_path, small_config, seed):
+    params = _params_with_special_values(small_config, seed)
+    path, ref_path = tmp_path / "model.ckpt", tmp_path / "reference.ckpt"
+    sortmodel.save_checkpoint(path, params, small_config)
+    save_checkpoint_reference(ref_path, params, small_config)
+    assert path.read_bytes() == ref_path.read_bytes()
+    doc = json.loads(path.read_text())
+    loaded, _ = sortmodel.load_checkpoint(path)
+    for name, p in params.items():
+        assert same_bits(loaded[name].value, p.value), name
+        assert same_bits(loaded[name].value,
+                         parse_values_reference(doc["params"][name]["data"]).reshape(p.shape))
+
+
+@pytest.mark.parametrize("bad", ["abc", None, [1.0]], ids=["string", "null", "nested"])
+def test_checkpoint_value_errors_equal_the_per_element_reference(tmp_path, small_config, bad):
+    path = tmp_path / "model.ckpt"
+    sortmodel.save_checkpoint(path, sortmodel.init_params(small_config, seed=1), small_config)
+    doc = json.loads(path.read_text())
+    doc["params"]["proj.W"]["data"][3] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises((TypeError, ValueError)) as ref:
+        parse_values_reference(doc["params"]["proj.W"]["data"])
+    with pytest.raises(ConfigError) as info:
+        sortmodel.load_checkpoint(path)
+    assert str(info.value) == f"checkpoint parameter 'proj.W': {ref.value}"
+
+
+def test_checkpoint_hash_verified(tmp_path, small_config, small_params):
     path = tmp_path / "model.ckpt"
     sortmodel.save_checkpoint(path, small_params, small_config)
     doc = json.loads(path.read_text())

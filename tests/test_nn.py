@@ -7,54 +7,58 @@ from tests.helpers import (
     adam_init_reference,
     adam_step_reference,
     attention,
+    ffn,
     finite_diff_check,
+    layer_norm,
+    linear,
     masked_softmax,
     matmul,
     relu,
+    reshape,
     same_bits,
     transpose,
 )
 
 
 def test_linear_identity():
-    y = nn.linear(Var([[1.0, 2.0]]), Var(np.eye(2)), Var(np.zeros(2)))
+    y = linear(Var([[1.0, 2.0]]), Var(np.eye(2)), Var(np.zeros(2)))
     np.testing.assert_array_equal(y.value, [[1.0, 2.0]])
 
 
 def test_linear_hand_value():
-    y = nn.linear(Var([[1.0, 1.0]]), Var([[2.0, 0.0], [0.0, 3.0]]), Var([1.0, 1.0]))
+    y = linear(Var([[1.0, 1.0]]), Var([[2.0, 0.0], [0.0, 3.0]]), Var([1.0, 1.0]))
     np.testing.assert_array_equal(y.value, [[3.0, 4.0]])
 
 
 def test_linear_zero_input_broadcasts_bias():
-    y = nn.linear(Var(np.zeros((3, 2))), Var(np.ones((2, 4))), Var(np.arange(4.0)))
+    y = linear(Var(np.zeros((3, 2))), Var(np.ones((2, 4))), Var(np.arange(4.0)))
     np.testing.assert_array_equal(y.value, np.tile(np.arange(4.0), (3, 1)))
 
 
 def test_linear_shape_mismatch():
     with pytest.raises(ValueError, match="inner extents"):
-        nn.linear(Var(np.zeros((1, 3))), Var(np.zeros((2, 2))), Var(np.zeros(2)))
+        linear(Var(np.zeros((1, 3))), Var(np.zeros((2, 2))), Var(np.zeros(2)))
 
 
 def test_layer_norm_constant_input():
-    y = nn.layer_norm(Var([3.0, 3.0, 3.0]), Var(np.ones(3)), Var(np.zeros(3)))
+    y = layer_norm(Var([3.0, 3.0, 3.0]), Var(np.ones(3)), Var(np.zeros(3)))
     np.testing.assert_allclose(y.value, 0.0, atol=1e-12)
 
 
 def test_layer_norm_unit_variance_preserved():
-    y = nn.layer_norm(Var([1.0, -1.0]), Var(np.ones(2)), Var(np.zeros(2)))
+    y = layer_norm(Var([1.0, -1.0]), Var(np.ones(2)), Var(np.zeros(2)))
     np.testing.assert_allclose(y.value, [1.0, -1.0], atol=1e-4)
 
 
 def test_layer_norm_zero_gain_gives_bias():
     bias = np.array([5.0, 6.0, 7.0])
-    y = nn.layer_norm(Var([1.0, 2.0, 9.0]), Var(np.zeros(3)), Var(bias))
+    y = layer_norm(Var([1.0, 2.0, 9.0]), Var(np.zeros(3)), Var(bias))
     np.testing.assert_array_equal(y.value, bias)
 
 
 def test_layer_norm_rejects_scalar_axis():
     with pytest.raises(ValueError):
-        nn.layer_norm(Var([1.0]), Var([1.0]), Var([0.0]))
+        layer_norm(Var([1.0]), Var([1.0]), Var([0.0]))
 
 
 def test_masked_softmax_rows_sum_to_one_over_prefix():
@@ -108,9 +112,9 @@ def test_finite_diff_small_net():
     x = np.random.default_rng(3).normal(size=(4, 6))
 
     def loss_fn():
-        h = relu(nn.linear(Var(x), params["W1"], params["b1"]))
-        h = nn.layer_norm(h, params["g"], params["b"])
-        out = nn.sigmoid(nn.linear(h, params["W2"], params["b2"]))
+        h = relu(linear(Var(x), params["W1"], params["b1"]))
+        h = layer_norm(h, params["g"], params["b"])
+        out = nn.sigmoid(linear(h, params["W2"], params["b2"]))
         return nn.sum_(nn.mul(out, out))
 
     err = finite_diff_check(params, loss_fn, step=1e-4, n_coords=60, seed=0)
@@ -172,7 +176,7 @@ def test_finite_diff_fused_linear(x_shape):
     target = rng.normal(size=x_shape[:-1] + (7,))
 
     def loss_fn():
-        y = nn.linear(params["x"], params["W"], params["b"])
+        y = linear(params["x"], params["W"], params["b"])
         return nn.sum_(nn.mul(nn.sigmoid(y), target))
 
     assert finite_diff_check(params, loss_fn, step=1e-5, n_coords=80, seed=1) < 1e-6
@@ -184,7 +188,7 @@ def test_linear_gradient_matches_unfused_ops():
     grads = []
     for fused in (True, False):
         xs, ws, bs = Var(x), Var(w), Var(b)
-        y = nn.linear(xs, ws, bs) if fused else nn.add(matmul(xs, ws), bs)
+        y = linear(xs, ws, bs) if fused else nn.add(matmul(xs, ws), bs)
         nn.backward(nn.sum_(nn.mul(y, y)))
         grads.append((y.value, xs.grad, ws.grad, bs.grad))
     for fused, plain in zip(*grads):
@@ -224,7 +228,7 @@ def test_view_gradients_accumulate_into_new_arrays():
     x = Var(np.arange(6.0).reshape(2, 3))
     c1 = np.arange(1.0, 7.0).reshape(3, 2)
     c2 = np.arange(10.0, 16.0).reshape(3, 2)
-    y = nn.reshape(x, (3, 2))
+    y = reshape(x, (3, 2))
     nn.backward(nn.sum_(nn.mul(y, c1)))
     assert np.shares_memory(x.grad, y.grad)
     z = transpose(x, (1, 0))
@@ -253,7 +257,7 @@ def test_finite_diff_attention_and_ffn_nodes():
         p = params
         h = attention(p["x"], p["Wq"], p["Wk"], p["Wv"], p["Wo"],
                       p["bq"], p["bk"], p["bv"], p["bo"], n_heads=2)
-        y = nn.ffn(h, p["W1"], p["b1"], p["W2"], p["b2"])
+        y = ffn(h, p["W1"], p["b1"], p["W2"], p["b2"])
         return nn.sum_(nn.mul(nn.sigmoid(y), target))
 
     assert finite_diff_check(params, loss_fn, step=1e-5, n_coords=120, seed=2) < 1e-6
@@ -286,11 +290,11 @@ def _block(kind, p, fused):
         weights = [p[name] for name in ATTN]
         if fused:
             return nn.attention_block(p["x"], p["g"], p["b"], *weights, n_heads=2)
-        return nn.add(p["x"], attention(nn.layer_norm(p["x"], p["g"], p["b"]), *weights, 2))
+        return nn.add(p["x"], attention(layer_norm(p["x"], p["g"], p["b"]), *weights, 2))
     weights = [p[name] for name in FFN]
     if fused:
         return nn.ffn_block(p["x"], p["g"], p["b"], *weights)
-    return nn.add(p["x"], nn.ffn(nn.layer_norm(p["x"], p["g"], p["b"]), *weights))
+    return nn.add(p["x"], ffn(layer_norm(p["x"], p["g"], p["b"]), *weights))
 
 
 def _value_and_grads(build, params, seed=11):
@@ -338,17 +342,33 @@ def test_block_node_without_input_gradient_still_trains_its_weights():
             assert same_bits(fused_grads[name], ref_grads[name]), name
 
 
-def test_sigmoid_masked_equals_sigmoid_then_mul_bit_for_bit():
-    rng = np.random.default_rng(8)
-    params = {"a": Var(rng.normal(size=(4, 5, 3)) * 3.0)}
-    mask = np.tril(np.ones((5, 3)))
-    fused, fused_grads = _value_and_grads(lambda: nn.sigmoid_masked(params["a"], mask), params)
-    ref, ref_grads = _value_and_grads(lambda: nn.mul(nn.sigmoid(params["a"]), mask), params)
-    assert same_bits(fused, ref)
-    assert same_bits(fused_grads["a"], ref_grads["a"])
-    target = rng.normal(size=(4, 5, 3))
-    assert finite_diff_check(params, lambda: nn.sum_(nn.mul(
-        nn.sigmoid_masked(params["a"], mask), target)), step=1e-5, n_coords=60) < 1e-6
+def test_fused_outputs_run_one_backward_with_each_outputs_gradient():
+    a = Var(np.array([1.0, 2.0]))
+    calls = []
+
+    def bw(grads):
+        calls.append(list(grads))
+        a._accum(grads[0] * 2.0)
+
+    y, z = nn.fused_outputs([a.value * 2.0, a.value + 1.0], [a], bw)
+    assert same_bits(y.value, [2.0, 4.0]) and same_bits(z.value, [2.0, 3.0])
+    nn.backward(nn.add(nn.sum_(nn.mul(y, 3.0)), nn.sum_(y)))
+    assert len(calls) == 1 and calls[0][1] is None  # z got no gradient
+    assert same_bits(calls[0][0], [4.0, 4.0]) and same_bits(a.grad, [8.0, 8.0])
+    frozen = nn.fused_outputs([np.ones(2)], [Var(np.ones(2), requires_grad=False)], bw)[0]
+    assert not frozen.requires_grad and frozen._parents == ()
+
+
+def test_flat_views_follow_adam_inits_layout():
+    params = {"a": Var(np.arange(6.0).reshape(2, 3)), "b": Var(np.array([7.0]))}
+    state = nn.adam_init(params)
+    flat = np.arange(7.0) * 10.0
+    views = nn.flat_views(params, flat)
+    assert same_bits(views["a"], flat[:6].reshape(2, 3)) and same_bits(views["b"], flat[6:])
+    assert all(np.shares_memory(views[name], flat) for name in params)
+    for name, view in nn.flat_views(params, state.values).items():
+        assert view.shape == params[name].shape
+        assert same_bits(view, params[name].value)
 
 
 def test_masked_softmax_rows_equal_the_minus_infinity_form_bit_for_bit():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -312,6 +313,73 @@ def test_read_dataset_rejects_a_session_that_does_not_fit_the_arrays(tmp_path, e
     lineno = _edited_session(ds, path, edit, session=1)
     with pytest.raises(ConfigError, match=f"at line {lineno}: {message}$"):
         simulator.read_dataset(path)
+
+
+def _set_labels(clicks, pays):
+    def edit(doc):
+        doc["clicks"], doc["pays"] = clicks, pays
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["clicks"].__setitem__(0, 7), "clicks[0] is 7, not 0 or 1"),
+    (lambda doc: doc["pays"].__setitem__(2, -1), "pays[2] is -1, not 0 or 1"),
+    (lambda doc: doc["clicks"].__setitem__(1, 0.5), "clicks[1] is 0.5, not 0 or 1"),
+    (lambda doc: doc["clicks"].__setitem__(3, True), "clicks[3] is True, not 0 or 1"),
+    (_set_labels([0, 0, 1, 0, 0], [0, 1, 1, 0, 0]), "a pay without a click at position 1"),
+], ids=["count", "negative", "fraction", "boolean", "pay_without_click"])
+def test_read_dataset_rejects_labels_that_are_not_clicks_and_pays(tmp_path, edit, message):
+    ds = simulator.build_dataset(ENGINE, dataclasses.replace(SIM, sessions=5))
+    path = tmp_path / "data.jsonl"
+    lineno = _edited_session(ds, path, edit, session=2)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: malformed record at line {lineno}: "
+                                          f"{re.escape(message)}$"):
+        simulator.read_dataset(path)
+
+
+def _edited_line(ds, path, index, edit):
+    """Write `ds` to `path` with `edit` applied to the record at 0-based line `index`."""
+    simulator.write_dataset(ds, path)
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[index])
+    edit(doc)
+    lines[index] = json.dumps(doc, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("index, edit, message", [
+    (3, lambda doc: doc.update(price="-1.0"), r"item \d+: negative price"),
+    (0, lambda doc: doc.update(format_version="sortgen-data-v0"),
+     "unsupported format 'sortgen-data-v0'"),
+    (0, lambda doc: doc.pop("engine_config"), "the header lacks the key 'engine_config'"),
+    (0, lambda doc: doc.pop("sim_config"), "the header lacks the key 'sim_config'"),
+], ids=["negative_price", "format_version", "no_engine_config", "no_sim_config"])
+def test_read_dataset_names_the_line_of_a_faulty_record(tmp_path, index, edit, message):
+    path = tmp_path / "data.jsonl"
+    _edited_line(simulator.build_dataset(ENGINE, dataclasses.replace(SIM, sessions=5)), path,
+                 index, edit)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: malformed record at line {index + 1}: "
+                                          f"{message}$"):
+        simulator.read_dataset(path)
+
+
+@pytest.mark.parametrize("index, edit, message", [
+    (0, lambda doc: doc.update(format_version="sortgen-data-v0"),
+     "unsupported format 'sortgen-data-v0'"),
+    (0, lambda doc: doc.pop("format_version"), "unsupported format None"),
+    (3, lambda doc: doc.update(price="-1.0"), r"item \d+: negative price"),
+], ids=["format_version", "no_format_version", "negative_price"])
+def test_read_catalog_names_the_line_of_a_faulty_record(tmp_path, index, edit, message):
+    path = tmp_path / "catalog.jsonl"
+    simulator.write_catalog(simulator.sample_catalog(10, ENGINE.d_emb, 3, seed=4), path)
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[index])
+    edit(doc)
+    lines[index] = json.dumps(doc, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: malformed record at line {index + 1}: "
+                                          f"{message}$"):
+        simulator.read_catalog(path)
 
 
 def test_dataset_truncated_line_reports_lineno(tmp_path):

@@ -79,6 +79,73 @@ def test_checkpoint_written_at_best_eval(dataset, tmp_path):
     assert set(loaded) == set(params)
 
 
+def _scripted_evaluation(monkeypatch, eval_losses, snapshots, then=None):
+    """Make trainer.evaluate_model report `eval_losses` in turn, and record
+    the parameters at each evaluation in `snapshots`. After the last scripted
+    one, `then()` runs, if given."""
+    evaluate = trainer.evaluate_model
+    losses = iter(eval_losses)
+
+    def scripted(config, params, arrays):
+        snapshots.append({name: p.value.copy() for name, p in params.items()})
+        metrics = dict(evaluate(config, params, arrays), eval_loss=next(losses))
+        if then is not None and len(snapshots) == len(eval_losses):
+            then()
+        return metrics
+
+    monkeypatch.setattr(trainer, "evaluate_model", scripted)
+
+
+def test_train_writes_one_checkpoint_of_the_best_epoch(dataset, tmp_path, monkeypatch):
+    saved, snapshots = [], []
+    save = sortmodel.save_checkpoint
+
+    def spy(path, params, config):
+        saved.append({name: p.value.copy() for name, p in params.items()})
+        save(path, params, config)
+
+    monkeypatch.setattr(sortmodel, "save_checkpoint", spy)
+    _scripted_evaluation(monkeypatch, [3.0, 1.0, 2.0], snapshots)
+    params = sortmodel.init_params(ENGINE, seed=13)
+    ckpt = tmp_path / "best.ckpt"
+    trainer.train(dataset, params, ENGINE, trainer.TrainConfig(epochs=3), ckpt_path=ckpt)
+    assert len(saved) == 1
+    loaded, _ = sortmodel.load_checkpoint(ckpt)
+    for name, value in saved[0].items():
+        assert helpers.same_bits(value, snapshots[1][name]), name  # epoch 1, the best
+        assert helpers.same_bits(loaded[name].value, value), name
+    assert any(not np.array_equal(saved[0][name], p.value) for name, p in params.items())
+
+
+def test_a_run_that_raises_in_its_third_epoch_leaves_the_best_earlier_epoch(
+        dataset, tmp_path, monkeypatch):
+    snapshots = []
+    batch_loss = trainer._batch_loss
+
+    def fail():  # every later step's forward
+        monkeypatch.setattr(trainer, "_batch_loss",
+                            lambda config, params, batch: nn.Var(np.array(np.nan)))
+
+    _scripted_evaluation(monkeypatch, [2.0, 1.5], snapshots, then=fail)
+    ckpt = tmp_path / "best.ckpt"
+    with pytest.raises(FloatingPointError, match="epoch 2, batch 0"):
+        trainer.train(dataset, sortmodel.init_params(ENGINE, seed=14), ENGINE,
+                      trainer.TrainConfig(epochs=4), ckpt_path=ckpt)
+    assert trainer._batch_loss is not batch_loss
+    loaded, _ = sortmodel.load_checkpoint(ckpt)
+    for name, value in snapshots[1].items():
+        assert helpers.same_bits(loaded[name].value, value), name
+
+
+def test_a_run_that_raises_before_any_evaluation_writes_no_checkpoint(dataset, tmp_path):
+    params = sortmodel.init_params(ENGINE, seed=7)
+    params["proj.W"].value[...] = np.inf
+    ckpt = tmp_path / "best.ckpt"
+    with pytest.warns(RuntimeWarning), pytest.raises(FloatingPointError, match="epoch 0"):
+        trainer.train(dataset, params, ENGINE, trainer.TrainConfig(epochs=2), ckpt_path=ckpt)
+    assert not ckpt.exists()
+
+
 def test_eval_split_stable(dataset):
     a = trainer._session_hash_split(dataset.users, 0.1)
     b = trainer._session_hash_split(dataset.users, 0.1)
@@ -118,6 +185,41 @@ def test_train_command_on_an_empty_split_is_a_config_error(dataset, tmp_path, ca
     assert rc == 2
     assert "config error: empty evaluation split" in capsys.readouterr().err
     assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("index, edit, message", [
+    (0, lambda doc: doc.pop("engine_config"), "line 1: the header lacks the key 'engine_config'"),
+    (1 + SIM.n_items, lambda doc: doc.update(clicks=[7, 0, 0, 0, 0]),
+     f"line {2 + SIM.n_items}: clicks[0] is 7, not 0 or 1"),
+    (1 + SIM.n_items, lambda doc: doc.update(clicks=[0] * 5, pays=[0, 1, 0, 0, 0]),
+     f"line {2 + SIM.n_items}: a pay without a click at position 1"),
+], ids=["no_engine_config", "click_count", "pay_without_click"])
+def test_train_command_on_a_faulty_data_file_is_a_config_error(dataset, tmp_path, capsys,
+                                                               index, edit, message):
+    data = tmp_path / "data.jsonl"
+    simulator.write_dataset(dataset, data)
+    lines = data.read_text().splitlines()
+    doc = json.loads(lines[index])
+    edit(doc)
+    lines[index] = json.dumps(doc)
+    data.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["train", "--data", str(data), "--ckpt", str(tmp_path / "m.ckpt")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"config error: {data}: malformed record at {message}"), err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_train_command_into_a_missing_directory_is_a_config_error_before_training(
+        dataset, tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data.jsonl"
+    simulator.write_dataset(dataset, data)
+    monkeypatch.setattr(trainer, "evaluate_model", None)  # no epoch may run
+    ckpt = tmp_path / "missing" / "m.ckpt"
+    rc = cli.main(["train", "--data", str(data), "--ckpt", str(ckpt)])
+    assert rc == 2
+    assert (f"config error: checkpoint directory {ckpt.parent} does not exist"
+            in capsys.readouterr().err)
 
 
 def test_sessions_whose_items_and_labels_differ_in_length_rejected(dataset, tmp_path):
