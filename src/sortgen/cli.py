@@ -114,9 +114,9 @@ def cmd_simulate(args) -> int:
     out = Path(args.out or "dataset.jsonl")
     simulator.write_dataset(dataset, out)
     catalog_path = out.with_suffix(".catalog.jsonl")
-    simulator.write_catalog(dataset.catalog, catalog_path)
+    simulator.write_catalog(dataset.features, catalog_path)  # a built table is its catalog
     print(f"wrote {len(dataset)} sessions to {out}")
-    print(f"wrote {len(dataset.catalog)} catalog items to {catalog_path}")
+    print(f"wrote {dataset.n_catalog} catalog items to {catalog_path}")
     return 0
 
 

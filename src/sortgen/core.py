@@ -53,6 +53,15 @@ def item_fault(emb: np.ndarray, score: np.ndarray,
     return i, field, reason.format(norm=norm[i])
 
 
+def check_items(ids, emb: np.ndarray, score: np.ndarray, price: np.ndarray) -> None:
+    """Raise the ConfigError "item <id>: <reason>" for the first row of a
+    packed block of items (the arrays of `item_fault`, with the ids `ids`)
+    that breaks an item rule."""
+    fault = item_fault(emb, score, price) if len(ids) else None
+    if fault is not None:
+        raise ConfigError(f"item {ids[fault[0]]}: {fault[2]}")
+
+
 @dataclass(frozen=True)
 class Item:
     """One candidate: identity, unit-norm embedding, price, prior scores."""
@@ -68,11 +77,9 @@ class Item:
         emb = np.array(self.embedding, dtype=np.float64)  # a copy: the caller's stays writable
         object.__setattr__(self, "embedding", emb)
         emb.flags.writeable = False
-        fault = item_fault(emb.reshape(1, -1),
-                           np.array([[self.prior_ctr, self.prior_cvr]], dtype=np.float64),
-                           np.array([self.price], dtype=np.float64))
-        if fault is not None:
-            raise ConfigError(f"item {self.id}: {fault[2]}")
+        check_items([self.id], emb.reshape(1, -1),
+                    np.array([[self.prior_ctr, self.prior_cvr]], dtype=np.float64),
+                    np.array([self.price], dtype=np.float64))
 
 
 @dataclass(frozen=True)

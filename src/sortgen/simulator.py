@@ -12,12 +12,21 @@ resulting `BoundTruth` gives the click and pay probabilities of any list of
 its rows; `simulate_session` and `ground_truth_slate_value` take the bound
 form. tests/helpers.py holds the scalar per-Item reference.
 
-A `Dataset` is columnar: one packed item table (for a built dataset, the
-catalog), and per session a row of user features, a row of table indices and
+The world is drawn straight into arrays. `catalog_table` draws the catalog
+into one packed `ItemFeatures` table whose row i is the item with id i, and
+`sample_catalog` builds its `Item`s from that table. A session's labels
+(`simulate_session`, and `build_dataset` through the same `_draw_labels`) draw
+their uniforms in blocks, the same stream as one draw at a time.
+tests/helpers.py keeps the per-Item catalog loop and the per-draw label loop
+as the references both are tested against, bit for bit.
+
+A `Dataset` is columnar: one packed item table whose first rows are the
+catalog, and per session a row of user features, a row of table indices and
 the two label rows. `build_dataset` writes each session straight into those
-arrays, and the trainer gathers its batches from them. `Dataset.samples`
-rebuilds the sessions as `ImpressionSample` objects for the readers that
-still want them.
+arrays (the labels through two flat lists, converted once) and builds no
+`Item`; the trainer gathers its batches from them. The `items`, `catalog`
+and `samples` views build objects from the arrays for the readers that still
+want them.
 """
 
 from __future__ import annotations
@@ -30,9 +39,11 @@ from pathlib import Path
 
 import numpy as np
 
-from sortgen.core import ConfigError, EngineConfig, Item, ObjectiveWeights, UserContext, to_dict
+from sortgen.core import (
+    ConfigError, EngineConfig, Item, ObjectiveWeights, UserContext, check_items, to_dict,
+)
 from sortgen.generation import window_similarities
-from sortgen.model import ItemFeatures, item_features
+from sortgen.model import ItemFeatures
 from sortgen.values import LabelVector
 
 DATA_FORMAT = "sortgen-data-v1"
@@ -51,12 +62,16 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("n_items", 1), ("n_categories", 1), ("sessions", 0)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"sim.{name} must be >= {least}")
         for name in ("rho", "kappa", "base_pay", "exposure_noise"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"sim.{name} must be finite, got {getattr(self, name)!r}")
+        # gt_window 0 means no contrast window.
+        for name, least in (("n_items", 1), ("n_categories", 1), ("sessions", 0),
+                            ("gt_window", 0), ("base_pay", 0), ("exposure_noise", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"sim.{name} must be >= {least}")
+        if not 0.0 < self.rho <= 1.0:
+            raise ConfigError(f"sim.rho must be in (0, 1], got {self.rho!r}")
 
 
 @dataclass
@@ -127,25 +142,37 @@ def make_ground_truth(engine: EngineConfig, sim: SimConfig) -> GroundTruthModel:
 # ------------------------------ sampling ------------------------------------
 
 
-def sample_catalog(n_items: int, d_emb: int, n_categories: int, seed: int) -> list[Item]:
-    """Items clustered by category, log-normal prices, Beta prior scores."""
+def catalog_table(n_items: int, d_emb: int, n_categories: int, seed: int) -> ItemFeatures:
+    """Items clustered by category, log-normal prices, Beta prior scores, drawn
+    into one packed table whose row i is the item with id i. The item rules
+    are checked once over the table."""
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(n_categories, d_emb))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-    items = []
+    table = ItemFeatures(np.arange(n_items, dtype=np.int64), np.empty((n_items, d_emb)),
+                         np.empty((n_items, 2)), np.empty(n_items),
+                         np.empty(n_items, dtype=np.int64))
     for i in range(n_items):
-        cat = int(rng.integers(n_categories))
+        cat = table.cat[i] = rng.integers(n_categories)
         raw = centers[cat] + 0.35 * rng.normal(size=d_emb)
-        emb = raw / np.linalg.norm(raw)
-        items.append(Item(
-            id=i,
-            embedding=emb,
-            price=float(rng.lognormal(mean=3.0, sigma=0.6)),
-            prior_ctr=float(rng.beta(2.0, 8.0)),
-            prior_cvr=float(rng.beta(2.0, 10.0)),
-            category=cat,
-        ))
-    return items
+        table.emb[i] = raw / np.linalg.norm(raw)
+        table.price[i] = rng.lognormal(mean=3.0, sigma=0.6)
+        table.score[i] = rng.beta(2.0, 8.0), rng.beta(2.0, 10.0)  # prior_ctr, prior_cvr
+    check_items(table.ids, table.emb, table.score, table.price)
+    return table
+
+
+def _table_items(features: ItemFeatures) -> list[Item]:
+    """The rows of a packed item table as Items."""
+    return [Item(i, emb, price, ctr, cvr, cat)
+            for i, emb, price, (ctr, cvr), cat in zip(
+                features.ids.tolist(), features.emb, features.price.tolist(),
+                features.score.tolist(), features.cat.tolist())]
+
+
+def sample_catalog(n_items: int, d_emb: int, n_categories: int, seed: int) -> list[Item]:
+    """The Items of catalog_table(n_items, d_emb, n_categories, seed)."""
+    return _table_items(catalog_table(n_items, d_emb, n_categories, seed))
 
 
 def sample_user(rng: np.random.Generator, d_user: int) -> UserContext:
@@ -157,30 +184,52 @@ def sample_pool(catalog: list[Item], l_s: int, rng: np.random.Generator) -> list
     return [catalog[i] for i in idx]
 
 
-def exposure_list(features: ItemFeatures, pool: np.ndarray, l_o: int,
+def exposure_list(ctr: np.ndarray, pool: np.ndarray, l_o: int,
                   rng: np.random.Generator, noise: float) -> np.ndarray:
-    """The first l_o of the rows `pool` of `features` in noisy prior-CTR order,
-    standing in for an upstream ranking stage."""
-    scores = features.score[:, 0][pool] + noise * rng.normal(size=len(pool))
+    """The first l_o of the table rows `pool` in noisy prior-CTR order, where
+    `ctr` is the table's prior-CTR column (`features.score[:, 0]`), standing in
+    for an upstream ranking stage."""
+    scores = ctr[pool] + noise * rng.normal(size=len(pool))
     return pool[(-scores).argsort(kind="stable")[:l_o]]
 
 
 def simulate_session(user: np.ndarray, truth: BoundTruth, rows,
                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Click and pay labels, [l] int64 each, of the list exposed as the rows
-    `rows` of the bound catalog to the user features `user`: per position one
-    click draw, then a pay draw only after a click."""
+    `rows` of the bound catalog to the user features `user`, drawn by
+    `_draw_labels`."""
     rows = np.asarray(rows, dtype=np.int64)
     if not len(rows):
         raise ConfigError("empty exposed list")
-    click, pay = truth.list_probs(user, rows)
-    draw = rng.random
-    clicks, pays = [], []
-    for pc, pp in zip(click.tolist(), pay.tolist()):
-        clicked = draw() < pc
-        clicks.append(clicked)
-        pays.append(clicked and draw() < pp)
+    clicks, pays = _draw_labels(*truth.list_probs(user, rows), rng)
     return np.array(clicks, dtype=np.int64), np.array(pays, dtype=np.int64)
+
+
+def _draw_labels(click: np.ndarray, pay: np.ndarray,
+                 rng: np.random.Generator) -> tuple[list, list]:
+    """Click and pay labels, as lists of 0/1 ints or bools, of a list whose
+    positions have the click and pay-given-click probabilities `click` and
+    `pay`: per position one click draw, then a pay draw only after a click.
+
+    The uniforms come in blocks, which is the same stream as one
+    `rng.random()` a draw. Every position takes at least one draw, so the
+    first block has one per position; when a click's pay or a later click
+    finds the block used up, the next block has one for that draw and one for
+    each later position. So no draw goes unused, and the generator ends in the
+    same state as with one draw at a time."""
+    n, pay = len(click), pay.tolist()
+    draws, k = rng.random(n).tolist(), 0  # draws[k] is the next draw
+    clicks, pays = [0] * n, [0] * n
+    for j, pc in enumerate(click.tolist()):
+        if k == len(draws):
+            draws += rng.random(n - j).tolist()
+        k += 1
+        if draws[k - 1] < pc:
+            if k == len(draws):
+                draws += rng.random(n - j).tolist()
+            clicks[j], pays[j] = 1, draws[k] < pay[j]
+            k += 1
+    return clicks, pays
 
 
 # ------------------------------- datasets -----------------------------------
@@ -200,23 +249,33 @@ class Dataset:
     """Simulated sessions as packed arrays over one item table.
 
     Session i showed the table rows `rows[i]` to the user features `users[i]`
-    and drew the labels `clicks[i]` and `pays[i]`. For a built dataset the
-    table is the catalog, packed once; a read one adds a row for each session
-    item that is not a catalog record. The trainer gathers from these arrays.
+    and drew the labels `clicks[i]` and `pays[i]`. The table's first
+    `n_catalog` rows are the catalog; a built dataset has no other rows, and a
+    read one adds a row for each session item that is not a catalog record.
+    The trainer gathers from these arrays.
     """
 
     features: ItemFeatures  # the item table, packed
-    items: list[Item]       # the same table's rows, as Items
+    n_catalog: int          # the catalog's rows: the table's first n_catalog
     users: np.ndarray       # [N, d_user] float64
     rows: np.ndarray        # [N, l_o] int64 rows of the item table
     clicks: np.ndarray      # [N, l_o] int64
     pays: np.ndarray        # [N, l_o] int64
-    catalog: list[Item]
     engine_config: dict
     sim_config: dict
 
     def __len__(self) -> int:
         return len(self.users)
+
+    @functools.cached_property
+    def items(self) -> list[Item]:
+        """The item table's rows as Items, built on the first access."""
+        return _table_items(self.features)
+
+    @property
+    def catalog(self) -> list[Item]:
+        """The catalog's rows of `items`."""
+        return self.items[:self.n_catalog]
 
     @property
     def samples(self) -> list[ImpressionSample]:
@@ -229,30 +288,28 @@ class Dataset:
                                                      self.clicks.copy(), self.pays.copy())]
 
 
-def _pack(items: list[Item]) -> ItemFeatures:
-    """item_features(items), or an empty table for no items."""
-    if items:
-        return item_features(items)
-    return ItemFeatures(np.zeros(0, np.int64), np.zeros((0, 0)), np.zeros((0, 2)),
-                        np.zeros(0), np.zeros(0, np.int64))
-
-
 def build_dataset(engine: EngineConfig, sim: SimConfig) -> Dataset:
-    catalog = sample_catalog(sim.n_items, engine.d_emb, sim.n_categories, sim.seed)
     if sim.n_items < engine.l_s:
         raise ConfigError("n_items smaller than l_s")
-    features = item_features(catalog)
+    if engine.l_o < 1:
+        raise ConfigError("empty exposed list")
+    features = catalog_table(sim.n_items, engine.d_emb, sim.n_categories, sim.seed)
     truth = make_ground_truth(engine, sim).bind(features)
+    ctr = features.score[:, 0].copy()
     rng = np.random.default_rng(sim.seed + 1)
     users = np.empty((sim.sessions, engine.d_user))
     rows = np.empty((sim.sessions, engine.l_o), dtype=np.int64)
-    clicks, pays = np.empty_like(rows), np.empty_like(rows)
+    clicks, pays = [], []  # every session's labels, one after the other
     for i in range(sim.sessions):
         user = users[i] = rng.normal(size=engine.d_user)  # sample_user's draw
-        pool = rng.choice(len(catalog), size=engine.l_s, replace=False)
-        exposed = rows[i] = exposure_list(features, pool, engine.l_o, rng, sim.exposure_noise)
-        clicks[i], pays[i] = simulate_session(user, truth, exposed, rng)
-    return Dataset(features, catalog, users, rows, clicks, pays, catalog,
+        pool = rng.choice(sim.n_items, size=engine.l_s, replace=False)
+        exposed = rows[i] = exposure_list(ctr, pool, engine.l_o, rng, sim.exposure_noise)
+        session_clicks, session_pays = _draw_labels(*truth.list_probs(user, exposed), rng)
+        clicks += session_clicks
+        pays += session_pays
+    return Dataset(features, sim.n_items, users, rows,
+                   np.array(clicks, dtype=np.int64).reshape(rows.shape),
+                   np.array(pays, dtype=np.int64).reshape(rows.shape),
                    to_dict(engine), to_dict(sim))
 
 
@@ -265,20 +322,27 @@ def _item_docs(features: ItemFeatures) -> list[dict]:
                 features.score.tolist(), features.cat.tolist())]
 
 
-def _catalog_lines(catalog: list[Item]) -> list[str]:
-    return [json.dumps({"kind": "item", **doc}, sort_keys=True)
-            for doc in _item_docs(_pack(catalog))]
+def _item_lines(docs: list[dict]) -> list[str]:
+    """The catalog records of the item fields `docs`."""
+    return [json.dumps({"kind": "item", **doc}, sort_keys=True) for doc in docs]
 
 
-def _item_from_doc(doc: dict) -> Item:
-    return Item(
-        id=int(doc["id"]),
-        embedding=np.array([float(v) for v in doc["emb"]]),
-        price=float(doc["price"]),
-        prior_ctr=float(doc["ctr"]),
-        prior_cvr=float(doc["cvr"]),
-        category=int(doc["cat"]),
-    )
+def _item_row(doc: dict) -> tuple:
+    """An item record's fields in Item's order: id, embedding, price,
+    prior_ctr, prior_cvr, category."""
+    return (int(doc["id"]), [float(v) for v in doc["emb"]], float(doc["price"]),
+            float(doc["ctr"]), float(doc["cvr"]), int(doc["cat"]))
+
+
+def _checked_row(doc: dict, table: list[tuple]) -> tuple:
+    """_item_row(doc), checked by the item rules, and for an embedding as long
+    as that of the first row of `table`."""
+    item_id, emb, price, ctr, cvr, _ = row = _item_row(doc)
+    check_items([item_id], np.array([emb]), np.array([[ctr, cvr]]), np.array([price]))
+    if table and len(emb) != len(table[0][1]):
+        raise ValueError(f"item {item_id}: {len(emb)} embedding components, where the "
+                         f"first item has {len(table[0][1])}")
+    return row
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -287,8 +351,8 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
         "format_version": DATA_FORMAT, "kind": "header",
         "engine_config": dataset.engine_config, "sim_config": dataset.sim_config,
     }, sort_keys=True)]
-    lines += _catalog_lines(dataset.catalog)
     table = _item_docs(dataset.features)
+    lines += _item_lines(table[:dataset.n_catalog])
     for user, rows, clicks, pays in zip(dataset.users.tolist(), dataset.rows.tolist(),
                                         dataset.clicks.tolist(), dataset.pays.tolist()):
         lines.append(json.dumps({
@@ -331,15 +395,16 @@ def read_dataset(path: str | Path) -> Dataset:
     field match a catalog record is that catalog row of the item table; any
     other session item gets a row of its own.
 
-    Any fault in a record, including an item that breaks an Item rule and a
-    session whose labels are not 0 or 1 or hold a pay without a click, is a
-    ConfigError naming the file and the line."""
+    Any fault in a record, including an item that breaks an Item rule, an
+    embedding whose length differs from the first item's, a catalog record
+    after a session and a session whose labels are not 0 or 1 or hold a pay
+    without a click, is a ConfigError naming the file and the line."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ConfigError(f"{path}: empty dataset file")
-    catalog: list[Item] = []
-    items: list[Item] = []  # the item table
+    table: list[tuple] = []  # the item table's rows, as _item_row gives them
     catalog_rows: dict = {}  # id -> (catalog record fields, table row)
+    n_catalog = 0
     users, rows, clicks, pays = [], [], [], []
     header = None
     for lineno, line in enumerate(lines, start=1):
@@ -350,9 +415,11 @@ def read_dataset(path: str | Path) -> Dataset:
                 _check_header(doc, ("engine_config", "sim_config"))
                 header = doc
             elif kind == "item":
-                catalog_rows[doc["id"]] = (doc, len(items))
-                catalog.append(_item_from_doc(doc))
-                items.append(catalog[-1])
+                if users:
+                    raise ValueError("a catalog record after the first session")
+                catalog_rows[doc["id"]] = (doc, len(table))
+                table.append(_checked_row(doc, table))
+                n_catalog += 1
             elif kind == "sample":
                 user = [float(v) for v in doc["user"]]
                 session_clicks, session_pays = doc["clicks"], doc["pays"]
@@ -372,8 +439,8 @@ def read_dataset(path: str | Path) -> Dataset:
                 for item in doc["items"]:
                     fields, row = catalog_rows.get(item["id"], (None, None))
                     if fields != item:
-                        row = len(items)
-                        items.append(_item_from_doc(item))
+                        row = len(table)
+                        table.append(_checked_row(item, table))
                     session.append(row)
                 users.append(user)
                 rows.append(session)
@@ -385,14 +452,20 @@ def read_dataset(path: str | Path) -> Dataset:
             raise ConfigError(f"{path}: malformed record at line {lineno}: {exc}") from exc
     if header is None:
         raise ConfigError(f"{path}: missing header record at line 1")
-    return Dataset(_pack(items), items, _stack(users, np.float64), _stack(rows, np.int64),
-                   _stack(clicks, np.int64), _stack(pays, np.int64), catalog,
+    features = ItemFeatures(np.array([r[0] for r in table], dtype=np.int64),
+                            _stack([r[1] for r in table], np.float64),
+                            np.array([r[3:5] for r in table], dtype=np.float64).reshape(-1, 2),
+                            np.array([r[2] for r in table], dtype=np.float64),
+                            np.array([r[5] for r in table], dtype=np.int64))
+    return Dataset(features, n_catalog, _stack(users, np.float64), _stack(rows, np.int64),
+                   _stack(clicks, np.int64), _stack(pays, np.int64),
                    header["engine_config"], header["sim_config"])
 
 
-def write_catalog(catalog: list[Item], path: str | Path) -> None:
+def write_catalog(catalog: ItemFeatures, path: str | Path) -> None:
+    """The packed items `catalog` as a catalog file."""
     lines = [json.dumps({"format_version": DATA_FORMAT, "kind": "header"}, sort_keys=True)]
-    lines += _catalog_lines(catalog)
+    lines += _item_lines(_item_docs(catalog))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -405,7 +478,7 @@ def read_catalog(path: str | Path) -> list[Item]:
             if doc["kind"] == "header":
                 _check_header(doc)
             elif doc["kind"] == "item":
-                catalog.append(_item_from_doc(doc))
+                catalog.append(Item(*_item_row(doc)))
         except Exception as exc:
             raise ConfigError(f"{path}: malformed record at line {lineno}: {exc}") from exc
     return catalog

@@ -242,6 +242,44 @@ def pay_prob_given_click(gt, user: UserContext, item: Item) -> float:
     return float(np.clip(gt.base_pay * _pay_affinity(gt, user, item), 0.0, 1.0))
 
 
+# Per-item and per-draw references for the simulator's array draws: the
+# catalog as one Item a loop step, and a session's labels one rng.random() a
+# draw.
+
+
+def sample_catalog_reference(n_items: int, d_emb: int, n_categories: int,
+                             seed: int) -> list[Item]:
+    """simulator.catalog_table's items, drawn and built one Item at a time."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(n_categories, d_emb))
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    items = []
+    for i in range(n_items):
+        cat = int(rng.integers(n_categories))
+        raw = centers[cat] + 0.35 * rng.normal(size=d_emb)
+        emb = raw / np.linalg.norm(raw)
+        items.append(Item(
+            id=i,
+            embedding=emb,
+            price=float(rng.lognormal(mean=3.0, sigma=0.6)),
+            prior_ctr=float(rng.beta(2.0, 8.0)),
+            prior_cvr=float(rng.beta(2.0, 10.0)),
+            category=cat,
+        ))
+    return items
+
+
+def simulate_session_reference(user, truth, rows, rng) -> tuple[np.ndarray, np.ndarray]:
+    """simulator.simulate_session with one rng.random() a draw."""
+    click, pay = truth.list_probs(user, np.asarray(rows, dtype=np.int64))
+    clicks, pays = [], []
+    for pc, pp in zip(click.tolist(), pay.tolist()):
+        clicked = rng.random() < pc
+        clicks.append(clicked)
+        pays.append(clicked and rng.random() < pp)
+    return np.array(clicks, dtype=np.int64), np.array(pays, dtype=np.int64)
+
+
 # Per-session references for the columnar simulator.Dataset: the sessions as
 # objects, as build_dataset made them before it wrote arrays, and the trainer's
 # split and arrays computed from those objects, item by item.
@@ -249,17 +287,18 @@ def pay_prob_given_click(gt, user: UserContext, item: Item) -> float:
 
 def samples_reference(engine, sim) -> list:
     """build_dataset's sessions as ImpressionSamples over the catalog's Items,
-    drawn with the same RNG calls in the same order."""
-    catalog = simulator.sample_catalog(sim.n_items, engine.d_emb, sim.n_categories, sim.seed)
+    drawn with the same RNG calls in the same order, item by item and draw by
+    draw."""
+    catalog = sample_catalog_reference(sim.n_items, engine.d_emb, sim.n_categories, sim.seed)
     truth = simulator.make_ground_truth(engine, sim).bind(sortmodel.item_features(catalog))
     rng = np.random.default_rng(sim.seed + 1)
     samples = []
     for _ in range(sim.sessions):
         user = simulator.sample_user(rng, engine.d_user)
         pool = rng.choice(len(catalog), size=engine.l_s, replace=False)
-        exposed = simulator.exposure_list(truth.features, pool, engine.l_o, rng,
+        exposed = simulator.exposure_list(truth.features.score[:, 0], pool, engine.l_o, rng,
                                           sim.exposure_noise)
-        clicks, pays = simulator.simulate_session(user.user_features, truth, exposed, rng)
+        clicks, pays = simulate_session_reference(user.user_features, truth, exposed, rng)
         samples.append(simulator.ImpressionSample(
             user, tuple(catalog[i] for i in exposed.tolist()), values.LabelVector(clicks, pays)))
     return samples

@@ -893,7 +893,7 @@ def test_a_connection_that_sends_nothing_is_closed_without_a_reply(stalling_serv
     assert 0.5 <= elapsed < 0.5 + 5.0, elapsed
 
 
-def test_internal_fault_gets_json_500(workdir):
+def test_internal_fault_gets_json_500(workdir, capfd):
     server = srv.make_server(str(workdir["ckpt"]), 0)
     server.RequestHandlerClass.state.params = {}  # every forward now fails with KeyError
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -907,3 +907,7 @@ def test_internal_fault_gets_json_500(workdir):
         server.server_close()
     assert status == 500
     assert doc["error"].startswith("internal error: KeyError")
+    # The handler logs the traceback of the fault this test provokes.
+    err = capfd.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "\nKeyError: " in err

@@ -12,6 +12,7 @@ from sortgen.core import (
     ObjectiveWeights,
     QueueSpec,
     UserContext,
+    check_items,
     config_from_raw,
     config_hash,
     engine_config_from_raw,
@@ -105,6 +106,16 @@ def test_item_rejects_non_finite(field, value):
     kwargs[field] = value
     with pytest.raises(ConfigError, match=f"{field}.*finite"):
         Item(**kwargs)
+
+
+def test_check_items_names_the_first_faulty_item_by_id():
+    emb = np.eye(4)
+    score = np.full((4, 2), 0.5)
+    price = np.array([1.0, 2.0, -1.0, -3.0])
+    with pytest.raises(ConfigError, match="^item 12: negative price$"):
+        check_items(np.array([10, 11, 12, 13]), emb, score, price)
+    check_items(np.array([10, 11]), emb[:2], score[:2], price[:2])
+    check_items(np.zeros(0, np.int64), np.zeros((0, 4)), np.zeros((0, 2)), np.zeros(0))
 
 
 def test_user_context_rejects_non_finite():

@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sortgen import simulator
+from sortgen import core, simulator
 from sortgen.core import ConfigError, EngineConfig, ObjectiveWeights
 from sortgen.model import ItemFeatures, item_features
 from sortgen.simulator import SimConfig
-from tests.helpers import click_prob, pay_prob_given_click, same_bits, samples_reference
+from tests.helpers import (
+    click_prob, pay_prob_given_click, same_bits, sample_catalog_reference, samples_reference,
+    simulate_session_reference,
+)
 
 
 ENGINE = EngineConfig(l_s=10, l_o=5, max_count=5)
@@ -47,6 +50,66 @@ def test_catalog_category_clustering():
         sim = float(catalog[a].embedding @ catalog[b].embedding)
         (intra if catalog[a].category == catalog[b].category else inter).append(sim)
     assert np.mean(intra) > np.mean(inter)
+
+
+@pytest.mark.parametrize("n_items, d_emb, n_categories, seed",
+                         [(1, 8, 1, 0), (30, 8, 4, 1), (200, 8, 8, 0), (57, 3, 5, 21)])
+def test_catalog_table_equals_the_per_item_reference(n_items, d_emb, n_categories, seed):
+    want = sample_catalog_reference(n_items, d_emb, n_categories, seed)
+    table = simulator.catalog_table(n_items, d_emb, n_categories, seed)
+    for got, ref in zip(table, item_features(want)):
+        assert got.dtype == ref.dtype and same_bits(got, ref)
+    got = simulator.sample_catalog(n_items, d_emb, n_categories, seed)
+    assert len(got) == len(want) == n_items
+    for a, b in zip(got, want):
+        assert (a.id, a.price, a.prior_ctr, a.prior_cvr, a.category) \
+            == (b.id, b.price, b.prior_ctr, b.prior_cvr, b.category)
+        assert same_bits(a.embedding, b.embedding)
+
+
+class _FixedTruth:
+    """A bound truth whose click and pay probabilities are fixed per position."""
+
+    def __init__(self, click, pay):
+        self.click, self.pay = np.array(click, dtype=float), np.array(pay, dtype=float)
+
+    def list_probs(self, user, rows):
+        return self.click[:len(rows)], self.pay[:len(rows)]
+
+
+_CERTAIN = _FixedTruth([1.0] * 10, [1.0] * 10)  # every position clicks and pays
+
+
+@pytest.mark.parametrize("sim, length", [
+    (SIM, ENGINE.l_o),
+    (SIM, 1),
+    # Many clicks, and each with a high pay probability.
+    (dataclasses.replace(SIM, base_pay=1.0, rho=1.0, kappa=0.0), ENGINE.l_o),
+    (dataclasses.replace(SIM, base_pay=1.0, rho=1.0, kappa=0.0), 1),
+    (None, ENGINE.l_o),
+    (None, 1),
+], ids=["default", "default_one_position", "all_pay", "all_pay_one_position",
+        "certain", "certain_one_position"])
+def test_simulate_session_equals_the_per_draw_reference(sim, length):
+    features = item_features(simulator.sample_catalog(40, ENGINE.d_emb, 4, seed=13))
+    truth = (_CERTAIN if sim is None
+             else simulator.make_ground_truth(ENGINE, sim).bind(features))
+    draws = np.random.default_rng(14)
+    block, one = np.random.default_rng(15), np.random.default_rng(15)
+    clicked = paid = 0
+    for _ in range(300):
+        user = draws.normal(size=ENGINE.d_user)
+        rows = draws.choice(len(features.ids), size=length, replace=False)
+        got = simulator.simulate_session(user, truth, rows, block)
+        want = simulate_session_reference(user, truth, rows, one)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.int64 and same_bits(a, b)
+        assert block.bit_generator.state == one.bit_generator.state
+        clicked, paid = clicked + got[0].sum(), paid + got[1].sum()
+    # The refill draws ran: a click takes a second draw at its position.
+    assert paid > 0 and clicked > 0
+    if sim is None:
+        assert clicked == paid == 300 * length
 
 
 def test_session_position_decay_off():
@@ -84,7 +147,7 @@ def test_session_counts_properties():
     for _ in range(500):
         user = simulator.sample_user(rng, ENGINE.d_user)
         pool = rng.choice(len(features.ids), size=ENGINE.l_s, replace=False)
-        exposed = simulator.exposure_list(features, pool, ENGINE.l_o, rng, 0.1)
+        exposed = simulator.exposure_list(features.score[:, 0], pool, ENGINE.l_o, rng, 0.1)
         clicks, pays = simulator.simulate_session(user.user_features, truth, exposed, rng)
         cum_c, cum_p = np.cumsum(clicks), np.cumsum(pays)
         assert (np.diff(cum_c) >= 0).all()
@@ -103,7 +166,7 @@ def test_position_bias_visible():
     for _ in range(n):
         user = simulator.sample_user(rng, ENGINE.d_user)
         pool = rng.choice(len(features.ids), size=ENGINE.l_s, replace=False)
-        exposed = simulator.exposure_list(features, pool, ENGINE.l_o, rng, 0.5)
+        exposed = simulator.exposure_list(features.score[:, 0], pool, ENGINE.l_o, rng, 0.5)
         clicks, _ = simulator.simulate_session(user.user_features, truth, exposed, rng)
         first += clicks[0]
         last += clicks[-1]
@@ -117,6 +180,8 @@ def test_empty_exposed_list_rejected():
     with pytest.raises(ConfigError):
         simulator.simulate_session(user.user_features, gt.bind(features), [],
                                    np.random.default_rng(6))
+    with pytest.raises(ConfigError, match="^empty exposed list$"):
+        simulator.build_dataset(dataclasses.replace(ENGINE, l_o=0), SIM)
 
 
 # ------------------------- vectorised ground truth ---------------------------
@@ -208,6 +273,46 @@ def test_sim_config_rejects_out_of_range_values(field, value):
     rule = "must be >= " if math.isfinite(value) else "must be finite"
     with pytest.raises(ConfigError, match=f"^sim.{field} {rule}"):
         SimConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("rho", 0.0), ("rho", -0.5), ("rho", 1.5),
+                                          ("gt_window", -3), ("base_pay", -0.3),
+                                          ("exposure_noise", -0.1)])
+def test_sim_config_rejects_values_that_build_a_wrong_dataset(field, value):
+    rule = r"must be in \(0, 1\]" if field == "rho" else "must be >= 0"
+    with pytest.raises(ConfigError, match=f"^sim.{field} {rule}"):
+        SimConfig(**{field: value})
+
+
+def test_sim_config_keeps_the_edge_values():
+    # gt_window 0 means no contrast window; rho 1 means no position decay.
+    SimConfig(rho=1.0, gt_window=0, base_pay=0.0, exposure_noise=0.0)
+
+
+def test_build_dataset_constructs_no_item(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("an Item was built")
+
+    monkeypatch.setattr(core.Item, "__post_init__", refuse)
+    ds = simulator.build_dataset(ENGINE, SIM)
+    simulator.write_dataset(ds, tmp_path / "data.jsonl")
+    assert len(simulator.read_dataset(tmp_path / "data.jsonl")) == len(ds) == SIM.sessions
+
+
+@pytest.mark.parametrize("read_back", [False, True])
+def test_item_views_equal_the_per_item_catalog(tmp_path, read_back):
+    ds = simulator.build_dataset(ENGINE, SIM)
+    if read_back:
+        simulator.write_dataset(ds, tmp_path / "data.jsonl")
+        ds = simulator.read_dataset(tmp_path / "data.jsonl")
+    want = sample_catalog_reference(SIM.n_items, ENGINE.d_emb, SIM.n_categories, SIM.seed)
+    assert ds.n_catalog == len(ds.catalog) == len(ds.items) == len(want)
+    for view in (ds.items, ds.catalog):
+        for a, b in zip(view, want):
+            assert (a.id, a.price, a.prior_ctr, a.prior_cvr, a.category) \
+                == (b.id, b.price, b.prior_ctr, b.prior_cvr, b.category)
+            assert same_bits(a.embedding, b.embedding)
+    assert ds.items is ds.items  # built once
 
 
 def test_dataset_deterministic():
@@ -353,13 +458,29 @@ def _edited_line(ds, path, index, edit):
      "unsupported format 'sortgen-data-v0'"),
     (0, lambda doc: doc.pop("engine_config"), "the header lacks the key 'engine_config'"),
     (0, lambda doc: doc.pop("sim_config"), "the header lacks the key 'sim_config'"),
-], ids=["negative_price", "format_version", "no_engine_config", "no_sim_config"])
+    (3, lambda doc: doc.update(emb=["1.0"]),
+     r"item 2: 1 embedding components, where the first item has 8"),
+], ids=["negative_price", "format_version", "no_engine_config", "no_sim_config",
+        "embedding_length"])
 def test_read_dataset_names_the_line_of_a_faulty_record(tmp_path, index, edit, message):
     path = tmp_path / "data.jsonl"
     _edited_line(simulator.build_dataset(ENGINE, dataclasses.replace(SIM, sessions=5)), path,
                  index, edit)
     with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: malformed record at line {index + 1}: "
                                           f"{message}$"):
+        simulator.read_dataset(path)
+
+
+def test_read_dataset_rejects_a_catalog_record_after_a_session(tmp_path):
+    # The item table's first rows are the catalog.
+    path = tmp_path / "data.jsonl"
+    simulator.write_dataset(simulator.build_dataset(ENGINE, dataclasses.replace(SIM, sessions=3)),
+                            path)
+    lines = path.read_text().splitlines()
+    lines.append(lines.pop(1))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: malformed record at line "
+                                          f"{len(lines)}: a catalog record after the first session$"):
         simulator.read_dataset(path)
 
 
@@ -371,7 +492,7 @@ def test_read_dataset_names_the_line_of_a_faulty_record(tmp_path, index, edit, m
 ], ids=["format_version", "no_format_version", "negative_price"])
 def test_read_catalog_names_the_line_of_a_faulty_record(tmp_path, index, edit, message):
     path = tmp_path / "catalog.jsonl"
-    simulator.write_catalog(simulator.sample_catalog(10, ENGINE.d_emb, 3, seed=4), path)
+    simulator.write_catalog(simulator.catalog_table(10, ENGINE.d_emb, 3, seed=4), path)
     lines = path.read_text().splitlines()
     doc = json.loads(lines[index])
     edit(doc)

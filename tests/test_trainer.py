@@ -155,8 +155,8 @@ def test_eval_split_stable(dataset):
 
 def test_empty_dataset_rejected(dataset):
     no_rows = np.zeros((0, ENGINE.l_o), dtype=np.int64)
-    empty = simulator.Dataset(dataset.features, dataset.items, np.zeros((0, ENGINE.d_user)),
-                              no_rows, no_rows, no_rows, [], to_dict(ENGINE), to_dict(SIM))
+    empty = simulator.Dataset(dataset.features, 0, np.zeros((0, ENGINE.d_user)),
+                              no_rows, no_rows, no_rows, to_dict(ENGINE), to_dict(SIM))
     with pytest.raises(ConfigError):
         trainer.train(empty, sortmodel.init_params(ENGINE, seed=0), ENGINE,
                       trainer.TrainConfig(epochs=1))
