@@ -20,14 +20,14 @@ weights = ObjectiveWeights(alpha=5.0, beta=1.0, gamma=1.0)
 params = sortmodel.init_params(engine)
 
 rng = np.random.default_rng(2)
-catalog = simulator.sample_catalog(60, engine.d_emb, 8, seed=2)
-pool = simulator.sample_pool(catalog, engine.l_s, rng)
+catalog = simulator.catalog_table(60, engine.d_emb, 8, seed=2)
+pool = simulator.sample_pool(catalog, engine.l_s, rng)  # packed rows of the catalog
 user = simulator.sample_user(rng, engine.d_user)
 
-queues = generation.build_queues(sortmodel.item_features(pool), engine.queue_specs,
-                                 engine.partition_strategy, engine.l_o)
+queues = generation.build_queues(pool, engine.queue_specs, engine.partition_strategy,
+                                 engine.l_o)
 for spec, queue in zip(engine.queue_specs, queues.queues):
-    ids = [pool[i].id for i in queue]
+    ids = pool.ids[queue].tolist()
     print(f"queue {spec.name!r} ({spec.coeffs}): items {ids}")
 
 vm = generation.ValueModel(engine, params)

@@ -18,7 +18,7 @@ from sortgen.core import EngineConfig, ObjectiveWeights
 engine = EngineConfig(l_s=15, l_o=6, d_model=16, n_layers=1, max_count=6, seed=3)
 weights = ObjectiveWeights()
 params = sortmodel.init_params(engine)
-catalog = simulator.sample_catalog(80, engine.d_emb, 8, seed=3)
+catalog = simulator.catalog_table(80, engine.d_emb, 8, seed=3)
 
 N_POOLS = 150
 print(f"{'lambda':>7} {'mean window similarity':>23} {'mean distinct categories':>25}")
@@ -27,7 +27,7 @@ for lam in (1.0, 0.8, 0.5):
     sims, cats = [], []
     for _ in range(N_POOLS):
         user = simulator.sample_user(rng, engine.d_user)
-        features = sortmodel.item_features(simulator.sample_pool(catalog, engine.l_s, rng))
+        features = simulator.sample_pool(catalog, engine.l_s, rng)
         queues = generation.build_queues(features, engine.queue_specs,
                                          engine.partition_strategy, engine.l_o)
         vm = generation.ValueModel(engine, params)

@@ -18,13 +18,13 @@ L_S, L_O = 8, 4
 engine = EngineConfig(l_s=L_S, l_o=L_O, d_model=16, n_layers=1, max_count=4, seed=4)
 weights = ObjectiveWeights()
 params = sortmodel.init_params(engine)
-catalog = simulator.sample_catalog(50, engine.d_emb, 8, seed=4)
+catalog = simulator.catalog_table(50, engine.d_emb, 8, seed=4)
 
 rng = np.random.default_rng(44)
 greedy_ratios, random_ratios = [], []
 for trial in range(25):
     user = simulator.sample_user(rng, engine.d_user)
-    features = sortmodel.item_features(simulator.sample_pool(catalog, L_S, rng))
+    features = simulator.sample_pool(catalog, L_S, rng)
     vm = generation.ValueModel(engine, params)
 
     best_value, best = generation.exhaustive_oracle(features, user, vm, weights, L_O)

@@ -16,7 +16,7 @@ from sortgen.core import EngineConfig, ObjectiveWeights
 engine = EngineConfig(l_s=15, l_o=5, d_model=16, n_layers=1, max_count=5, seed=5)
 weights = ObjectiveWeights()
 params = sortmodel.init_params(engine)
-catalog = simulator.sample_catalog(60, engine.d_emb, 8, seed=5)
+catalog = simulator.catalog_table(60, engine.d_emb, 8, seed=5)
 
 # Simulate a 1 ms fixed cost per model call, typical of a remote scorer.
 report = run_bench(engine, weights, params, catalog, slates=50,

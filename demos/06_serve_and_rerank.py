@@ -35,14 +35,13 @@ print(f"healthz: status={health['status']} "
       f"checkpoint_hash={health['checkpoint_hash'][:12]}...")
 
 rng = np.random.default_rng(6)
-catalog = simulator.sample_catalog(40, engine.d_emb, 8, seed=6)
+catalog = simulator.catalog_table(40, engine.d_emb, 8, seed=6)
 pool = simulator.sample_pool(catalog, engine.l_s, rng)
 user = simulator.sample_user(rng, engine.d_user)
 request_doc = {
     "user": [float(v) for v in user.user_features],
-    "candidates": [{"id": it.id, "emb": [float(v) for v in it.embedding],
-                    "price": it.price, "ctr": it.prior_ctr,
-                    "cvr": it.prior_cvr, "cat": it.category} for it in pool],
+    "candidates": [{"id": i, "emb": emb, "price": price, "ctr": ctr, "cvr": cvr, "cat": cat}
+                   for i, emb, (ctr, cvr), price, cat in zip(*(col.tolist() for col in pool))],
     "lambda": 0.8,
 }
 

@@ -173,7 +173,8 @@ def _cumulative_curves(packed, features, rows, user) -> dict[str, np.ndarray]:
 
 
 def evaluate_curves(engine: EngineConfig, weights: ObjectiveWeights, params: dict,
-                    catalog, n_pools: int, seed: int) -> dict[str, dict[str, np.ndarray]]:
+                    catalog: sortmodel.ItemFeatures, n_pools: int,
+                    seed: int) -> dict[str, dict[str, np.ndarray]]:
     """Mean cumulative value curves per method over sampled evaluation pools."""
     rng = np.random.default_rng(seed)
     methods = ("sortgen", "baseline", "template", "top_queue")
@@ -181,7 +182,7 @@ def evaluate_curves(engine: EngineConfig, weights: ObjectiveWeights, params: dic
     vm = generation.ValueModel(engine, params)
     for _ in range(n_pools):
         user = simulator.sample_user(rng, engine.d_user)
-        features = sortmodel.item_features(simulator.sample_pool(catalog, engine.l_s, rng))
+        features = simulator.sample_pool(catalog, engine.l_s, rng)
         slates = _method_slates(engine, weights, vm, features, user)
         for m, rows in slates.items():
             curves = _cumulative_curves(vm.weights, features, rows, user)
@@ -221,14 +222,15 @@ def cmd_evaluate(args) -> int:
 
 
 def run_bench(engine: EngineConfig, weights: ObjectiveWeights, params: dict,
-              catalog, slates: int, overhead_us: float, seed: int) -> dict:
+              catalog: sortmodel.ItemFeatures, slates: int, overhead_us: float,
+              seed: int) -> dict:
     rng = np.random.default_rng(seed)
     rows = {"generate": [], "reference": []}
     invocations = {"generate": [], "reference": []}
     vm = generation.ValueModel(engine, params)
     for _ in range(slates):
         user = simulator.sample_user(rng, engine.d_user)
-        features = sortmodel.item_features(simulator.sample_pool(catalog, engine.l_s, rng))
+        features = simulator.sample_pool(catalog, engine.l_s, rng)
         queues = generation.build_queues(features, engine.queue_specs,
                                          engine.partition_strategy, engine.l_o)
         for name, fn in (("generate", generation.generate),
@@ -255,8 +257,7 @@ def cmd_bench(args) -> int:
     params, engine, weights, raw = _load_with_checkpoint(args)
     slates = _count(args, raw, "slates", "bench.slates")
     overhead_us = _amount(args, raw, "overhead_us", "bench.overhead_us")
-    catalog = simulator.sample_catalog(max(engine.l_s * 4, 50), engine.d_emb, 8,
-                                       engine.seed)
+    catalog = simulator.catalog_table(max(engine.l_s * 4, 50), engine.d_emb, 8, engine.seed)
     report = run_bench(engine, weights, params, catalog, slates, overhead_us,
                        seed=engine.seed)
     for name in ("generate", "reference"):
@@ -274,13 +275,13 @@ def run_oracle_study(engine: EngineConfig, weights: ObjectiveWeights, params: di
     # Keep max_count (head shapes) from the checkpoint; thresholds beyond the
     # prefix length are zero-masked anyway.
     small = dataclasses.replace(engine, l_s=l_s, l_o=l_o)
-    catalog = simulator.sample_catalog(max(l_s * 4, 50), engine.d_emb, 8, seed)
+    catalog = simulator.catalog_table(max(l_s * 4, 50), engine.d_emb, 8, seed)
     rng = np.random.default_rng(seed + 1)
     greedy_ratios, random_ratios = [], []
     vm = generation.ValueModel(small, params)
     for _ in range(pools):
         user = simulator.sample_user(rng, engine.d_user)
-        features = sortmodel.item_features(simulator.sample_pool(catalog, l_s, rng))
+        features = simulator.sample_pool(catalog, l_s, rng)
         best_val, _ = generation.exhaustive_oracle(features, user, vm, weights, l_o)
         queues = generation.build_queues(features, small.queue_specs,
                                          small.partition_strategy, l_o)
@@ -303,6 +304,9 @@ def cmd_oracle(args) -> int:
     params, engine, weights, raw = _load_with_checkpoint(args)
     pools = _count(args, raw, "pools")
     small_ls, small_lo = _count(args, raw, "small_ls"), _count(args, raw, "small_lo")
+    if small_lo > engine.l_o:  # the checkpoint's position table has l_o rows
+        raise ConfigError(f"--small-lo must be <= the checkpoint's l_o {engine.l_o}, "
+                          f"got {small_lo}")
     study = run_oracle_study(engine, weights, params, pools=pools,
                              l_s=small_ls, l_o=small_lo, seed=engine.seed)
     if study["max_greedy"] > 1.0 + 1e-9:

@@ -9,24 +9,23 @@ a click. Everything is deterministic per seed.
 The ground truth works on packed catalog rows. `GroundTruthModel.bind`
 computes its per-item terms over one packed catalog or pool once, and the
 resulting `BoundTruth` gives the click and pay probabilities of any list of
-its rows; `simulate_session` and `ground_truth_slate_value` take the bound
-form. tests/helpers.py holds the scalar per-Item reference.
+its rows; `simulate_session` takes the bound form.
 
-The world is drawn straight into arrays. `catalog_table` draws the catalog
-into one packed `ItemFeatures` table whose row i is the item with id i, and
-`sample_catalog` builds its `Item`s from that table. A session's labels
-(`simulate_session`, and `build_dataset` through the same `_draw_labels`) draw
-their uniforms in blocks, the same stream as one draw at a time.
-tests/helpers.py keeps the per-Item catalog loop and the per-draw label loop
-as the references both are tested against, bit for bit.
+A catalog and a pool are packed `ItemFeatures` rows, never `Item`s:
+`catalog_table` draws the catalog into one table whose row i is the item
+with id i, `sample_pool` picks a pool's rows of a table, and `read_catalog`
+and `read_dataset` parse item records with one parser. A session's labels
+(`simulate_session`, and `build_dataset` through `_draw_labels`) draw their
+uniforms in blocks, the same stream as one draw at a time. tests/helpers.py
+keeps the per-Item references all of these are tested against, bit for bit.
 
 A `Dataset` is columnar: one packed item table whose first rows are the
 catalog, and per session a row of user features, a row of table indices and
 the two label rows. `build_dataset` writes each session straight into those
 arrays (the labels through two flat lists, converted once) and builds no
-`Item`; the trainer gathers its batches from them. The `items`, `catalog`
-and `samples` views build objects from the arrays for the readers that still
-want them.
+`Item`; the trainer gathers its batches from them. `catalog` views the
+table's catalog rows, and `samples`, the one place that builds `Item`s,
+builds the sessions as objects for the readers that still want them.
 """
 
 from __future__ import annotations
@@ -39,9 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sortgen.core import (
-    ConfigError, EngineConfig, Item, ObjectiveWeights, UserContext, check_items, to_dict,
-)
+from sortgen.core import ConfigError, EngineConfig, Item, UserContext, check_items, to_dict
 from sortgen.generation import window_similarities
 from sortgen.model import ItemFeatures
 from sortgen.values import LabelVector
@@ -162,26 +159,18 @@ def catalog_table(n_items: int, d_emb: int, n_categories: int, seed: int) -> Ite
     return table
 
 
-def _table_items(features: ItemFeatures) -> list[Item]:
-    """The rows of a packed item table as Items."""
-    return [Item(i, emb, price, ctr, cvr, cat)
-            for i, emb, price, (ctr, cvr), cat in zip(
-                features.ids.tolist(), features.emb, features.price.tolist(),
-                features.score.tolist(), features.cat.tolist())]
-
-
-def sample_catalog(n_items: int, d_emb: int, n_categories: int, seed: int) -> list[Item]:
-    """The Items of catalog_table(n_items, d_emb, n_categories, seed)."""
-    return _table_items(catalog_table(n_items, d_emb, n_categories, seed))
-
-
 def sample_user(rng: np.random.Generator, d_user: int) -> UserContext:
     return UserContext(rng.normal(size=d_user))
 
 
-def sample_pool(catalog: list[Item], l_s: int, rng: np.random.Generator) -> list[Item]:
-    idx = rng.choice(len(catalog), size=l_s, replace=False)
-    return [catalog[i] for i in idx]
+def sample_pool(table: ItemFeatures, size: int, rng: np.random.Generator) -> ItemFeatures:
+    """`size` distinct rows of the packed items `table`, drawn uniformly; a
+    pool larger than the table is a ConfigError."""
+    if size > len(table.ids):
+        raise ConfigError(f"a pool of {size} items cannot be drawn from a catalog of "
+                          f"{len(table.ids)} items")
+    rows = rng.choice(len(table.ids), size=size, replace=False)
+    return ItemFeatures(*(column[rows] for column in table))
 
 
 def exposure_list(ctr: np.ndarray, pool: np.ndarray, l_o: int,
@@ -267,22 +256,22 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.users)
 
-    @functools.cached_property
-    def items(self) -> list[Item]:
-        """The item table's rows as Items, built on the first access."""
-        return _table_items(self.features)
-
     @property
-    def catalog(self) -> list[Item]:
-        """The catalog's rows of `items`."""
-        return self.items[:self.n_catalog]
+    def catalog(self) -> ItemFeatures:
+        """The catalog: the table's first n_catalog rows, as views."""
+        return ItemFeatures(*(column[:self.n_catalog] for column in self.features))
 
     @property
     def samples(self) -> list[ImpressionSample]:
-        """The sessions as ImpressionSamples, for the readers that want objects:
-        the benchmark's untimed served_eval_loss, the demos and the tests. The
-        list is rebuilt on every access, so read it once, never in a loop."""
-        return [ImpressionSample(UserContext(user), tuple(self.items[r] for r in rows),
+        """The sessions as ImpressionSamples over one shared Item per table row,
+        for the readers that want objects: the benchmark's untimed
+        served_eval_loss, a demo and the tests. The list is rebuilt on every
+        access, so read it once, never in a loop."""
+        f = self.features
+        items = [Item(i, emb, price, ctr, cvr, cat)
+                 for i, emb, price, (ctr, cvr), cat in zip(
+                     f.ids.tolist(), f.emb, f.price.tolist(), f.score.tolist(), f.cat.tolist())]
+        return [ImpressionSample(UserContext(user), tuple(items[r] for r in rows),
                                  LabelVector(clicks, pays))
                 for user, rows, clicks, pays in zip(self.users, self.rows.tolist(),
                                                      self.clicks.copy(), self.pays.copy())]
@@ -327,22 +316,27 @@ def _item_lines(docs: list[dict]) -> list[str]:
     return [json.dumps({"kind": "item", **doc}, sort_keys=True) for doc in docs]
 
 
-def _item_row(doc: dict) -> tuple:
-    """An item record's fields in Item's order: id, embedding, price,
-    prior_ctr, prior_cvr, category."""
-    return (int(doc["id"]), [float(v) for v in doc["emb"]], float(doc["price"]),
-            float(doc["ctr"]), float(doc["cvr"]), int(doc["cat"]))
-
-
 def _checked_row(doc: dict, table: list[tuple]) -> tuple:
-    """_item_row(doc), checked by the item rules, and for an embedding as long
-    as that of the first row of `table`."""
-    item_id, emb, price, ctr, cvr, _ = row = _item_row(doc)
+    """An item record's fields in Item's order (id, embedding, price,
+    prior_ctr, prior_cvr, category), checked by the item rules, and for an
+    embedding as long as that of the first row of `table`."""
+    item_id, emb, price, ctr, cvr, _ = row = (
+        int(doc["id"]), [float(v) for v in doc["emb"]], float(doc["price"]),
+        float(doc["ctr"]), float(doc["cvr"]), int(doc["cat"]))
     check_items([item_id], np.array([emb]), np.array([[ctr, cvr]]), np.array([price]))
     if table and len(emb) != len(table[0][1]):
         raise ValueError(f"item {item_id}: {len(emb)} embedding components, where the "
                          f"first item has {len(table[0][1])}")
     return row
+
+
+def _table(rows: list[tuple]) -> ItemFeatures:
+    """The item rows `rows`, as _checked_row gives them, packed into one table."""
+    return ItemFeatures(np.array([r[0] for r in rows], dtype=np.int64),
+                        _stack([r[1] for r in rows], np.float64),
+                        np.array([r[3:5] for r in rows], dtype=np.float64).reshape(-1, 2),
+                        np.array([r[2] for r in rows], dtype=np.float64),
+                        np.array([r[5] for r in rows], dtype=np.int64))
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -402,7 +396,7 @@ def read_dataset(path: str | Path) -> Dataset:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ConfigError(f"{path}: empty dataset file")
-    table: list[tuple] = []  # the item table's rows, as _item_row gives them
+    table: list[tuple] = []  # the item table's rows, as _checked_row gives them
     catalog_rows: dict = {}  # id -> (catalog record fields, table row)
     n_catalog = 0
     users, rows, clicks, pays = [], [], [], []
@@ -452,12 +446,7 @@ def read_dataset(path: str | Path) -> Dataset:
             raise ConfigError(f"{path}: malformed record at line {lineno}: {exc}") from exc
     if header is None:
         raise ConfigError(f"{path}: missing header record at line 1")
-    features = ItemFeatures(np.array([r[0] for r in table], dtype=np.int64),
-                            _stack([r[1] for r in table], np.float64),
-                            np.array([r[3:5] for r in table], dtype=np.float64).reshape(-1, 2),
-                            np.array([r[2] for r in table], dtype=np.float64),
-                            np.array([r[5] for r in table], dtype=np.int64))
-    return Dataset(features, n_catalog, _stack(users, np.float64), _stack(rows, np.int64),
+    return Dataset(_table(table), n_catalog, _stack(users, np.float64), _stack(rows, np.int64),
                    _stack(clicks, np.int64), _stack(pays, np.int64),
                    header["engine_config"], header["sim_config"])
 
@@ -469,8 +458,12 @@ def write_catalog(catalog: ItemFeatures, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_catalog(path: str | Path) -> list[Item]:
-    catalog: list[Item] = []
+def read_catalog(path: str | Path) -> ItemFeatures:
+    """A file that write_catalog wrote, as one packed table. Any fault in a
+    record, including an item that breaks an Item rule and an embedding whose
+    length differs from the first item's, is a ConfigError naming the file
+    and the line."""
+    table: list[tuple] = []  # as _checked_row gives them
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(),
                                   start=1):
         try:
@@ -478,21 +471,7 @@ def read_catalog(path: str | Path) -> list[Item]:
             if doc["kind"] == "header":
                 _check_header(doc)
             elif doc["kind"] == "item":
-                catalog.append(Item(*_item_row(doc)))
+                table.append(_checked_row(doc, table))
         except Exception as exc:
             raise ConfigError(f"{path}: malformed record at line {lineno}: {exc}") from exc
-    return catalog
-
-
-# ------------------------- ground-truth list values -------------------------
-
-
-def ground_truth_slate_value(truth: BoundTruth, user: UserContext, rows,
-                             weights: ObjectiveWeights) -> float:
-    """Deterministic expected combined value under the simulator of the slate
-    made of the rows `rows` of the bound pool."""
-    rows = np.asarray(rows, dtype=np.int64)
-    click, pay_given_click = truth.list_probs(user.user_features, rows)
-    pay = click * pay_given_click
-    return float(weights.alpha * click.sum() + weights.beta * pay.sum()
-                 + weights.gamma * (truth.features.price[rows] * pay).sum())
+    return _table(table)

@@ -28,7 +28,7 @@ def small_params(small_config):
 
 @pytest.fixture(scope="session")
 def small_catalog(small_config):
-    return simulator.sample_catalog(60, small_config.d_emb, 4, seed=3)
+    return simulator.catalog_table(60, small_config.d_emb, 4, seed=3)
 
 
 @pytest.fixture(scope="session")

@@ -243,8 +243,34 @@ def pay_prob_given_click(gt, user: UserContext, item: Item) -> float:
 
 
 # Per-item and per-draw references for the simulator's array draws: the
-# catalog as one Item a loop step, and a session's labels one rng.random() a
-# draw.
+# catalog as one Item a loop step, a pool as a list of Items, and a session's
+# labels one rng.random() a draw.
+
+
+def table_items(features) -> list[Item]:
+    """The rows of the packed items `features` as Items, for the tests that
+    want objects."""
+    return [Item(i, emb, price, ctr, cvr, cat)
+            for i, emb, price, (ctr, cvr), cat in zip(
+                features.ids.tolist(), features.emb, features.price.tolist(),
+                features.score.tolist(), features.cat.tolist())]
+
+
+def sample_pool_reference(catalog: list[Item], size: int, rng) -> list[Item]:
+    """simulator.sample_pool over a list of Items."""
+    idx = rng.choice(len(catalog), size=size, replace=False)
+    return [catalog[i] for i in idx]
+
+
+def ground_truth_slate_value(truth, user: UserContext, rows, weights: ObjectiveWeights) -> float:
+    """Deterministic expected combined value under the simulator of the slate
+    made of the rows `rows` of the pool bound in the simulator.BoundTruth
+    `truth`."""
+    rows = np.asarray(rows, dtype=np.int64)
+    click, pay_given_click = truth.list_probs(user.user_features, rows)
+    pay = click * pay_given_click
+    return float(weights.alpha * click.sum() + weights.beta * pay.sum()
+                 + weights.gamma * (truth.features.price[rows] * pay).sum())
 
 
 def sample_catalog_reference(n_items: int, d_emb: int, n_categories: int,

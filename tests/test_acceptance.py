@@ -31,7 +31,7 @@ from sortgen import (
 from sortgen.core import EngineConfig, ObjectiveWeights, QueueSpec
 from sortgen.simulator import SimConfig
 from sortgen.trainer import TrainConfig
-from tests.helpers import finite_diff_check
+from tests.helpers import finite_diff_check, ground_truth_slate_value, table_items
 
 WEIGHTS = ObjectiveWeights(alpha=5.0, beta=1.0, gamma=1.0)
 
@@ -169,7 +169,7 @@ def _specs(q):
 
 
 def test_criterion_03_single_pass_equivalence(small_params):
-    catalog = simulator.sample_catalog(80, SMALL.d_emb, 8, seed=30)
+    catalog = simulator.catalog_table(80, SMALL.d_emb, 8, seed=30)
     rng = np.random.default_rng(31)
     grid = list(itertools.product((1, 2, 3), (1.0, 0.8, 0.5), ("dfs", "bfs")))
     per_cell = -(-1000 // len(grid))  # ceil -> 1008 instances total
@@ -178,8 +178,7 @@ def test_criterion_03_single_pass_equivalence(small_params):
         for _ in range(per_cell):
             pool = simulator.sample_pool(catalog, SMALL.l_s, rng)
             user = simulator.sample_user(rng, SMALL.d_user)
-            queues = generation.build_queues(sortmodel.item_features(pool), _specs(q),
-                                             strategy, SMALL.l_o)
+            queues = generation.build_queues(pool, _specs(q), strategy, SMALL.l_o)
             vm = generation.ValueModel(SMALL, small_params)
             fast = generation.generate(user, queues, vm, WEIGHTS, lam=lam)
             ref = generation.generate_iterative_reference(user, queues, vm, WEIGHTS, lam=lam)
@@ -197,12 +196,11 @@ def test_criterion_03_single_pass_equivalence(small_params):
 
 def test_criterion_04_invocation_budget(small_params):
     q = len(SMALL.queue_specs)
-    catalog = simulator.sample_catalog(80, SMALL.d_emb, 8, seed=40)
+    catalog = simulator.catalog_table(80, SMALL.d_emb, 8, seed=40)
     rng = np.random.default_rng(41)
     pool = simulator.sample_pool(catalog, q * SMALL.l_o, rng)
     user = simulator.sample_user(rng, SMALL.d_user)
-    queues = generation.build_queues(sortmodel.item_features(pool), SMALL.queue_specs, "dfs",
-                                     SMALL.l_o)
+    queues = generation.build_queues(pool, SMALL.queue_specs, "dfs", SMALL.l_o)
     vm = generation.ValueModel(SMALL, small_params)
     fast = generation.generate(user, queues, vm, WEIGHTS)
     ref = generation.generate_iterative_reference(user, queues, vm, WEIGHTS)
@@ -286,8 +284,7 @@ def test_criterion_07_training_efficacy(trained):
     vals = {m: [] for m in ("ordered", "pointwise", "template", "top_queue")}
     for _ in range(200):
         user = simulator.sample_user(rng, engine.d_user)
-        features = sortmodel.item_features(
-            simulator.sample_pool(trained["dataset"].catalog, engine.l_s, rng))
+        features = simulator.sample_pool(trained["dataset"].catalog, engine.l_s, rng)
         queues = generation.build_queues(features, engine.queue_specs,
                                          engine.partition_strategy, engine.l_o)
         vm = generation.ValueModel(engine, trained["params_or"])
@@ -301,7 +298,7 @@ def test_criterion_07_training_efficacy(trained):
             "top_queue": generation.top_queue_generate(features, WEIGHTS, engine.l_o),
         }
         for name, slate in slates.items():
-            vals[name].append(simulator.ground_truth_slate_value(
+            vals[name].append(ground_truth_slate_value(
                 gt.bind(features), user, slate.rows, WEIGHTS))
     means = {m: float(np.mean(v)) for m, v in vals.items()}
     margins = {m: means["ordered"] - means[m]
@@ -326,8 +323,7 @@ def test_criterion_08_diversity(trained):
     rng = np.random.default_rng(80)
     for _ in range(500):
         user = simulator.sample_user(rng, engine.d_user)
-        features = sortmodel.item_features(
-            simulator.sample_pool(trained["dataset"].catalog, engine.l_s, rng))
+        features = simulator.sample_pool(trained["dataset"].catalog, engine.l_s, rng)
         queues = generation.build_queues(features, engine.queue_specs,
                                          engine.partition_strategy, engine.l_o)
         for lam in lambdas:
@@ -394,7 +390,7 @@ def test_criterion_10_persistence_and_serving(trained):
 
     # The HTTP service and the CLI rerank path return the same slate.
     rng = np.random.default_rng(101)
-    pool = simulator.sample_pool(trained["dataset"].catalog, engine.l_s, rng)
+    pool = table_items(simulator.sample_pool(trained["dataset"].catalog, engine.l_s, rng))
     user_ctx = simulator.sample_user(rng, engine.d_user)
     doc = {
         "user": [float(v) for v in user_ctx.user_features],

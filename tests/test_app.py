@@ -16,7 +16,7 @@ import pytest
 
 from sortgen import cli, core, model as sortmodel, server as srv, simulator, values
 from sortgen.core import ConfigError, EngineConfig, ObjectiveWeights, load_config_file
-from tests.helpers import parse_request_reference
+from tests.helpers import parse_request_reference, table_items
 
 SMALL_CONFIG_TEXT = """\
 # tiny end-to-end configuration
@@ -58,7 +58,7 @@ def _request_doc(workdir, n_candidates=None, seed=12):
     catalog = simulator.read_catalog(workdir["data"].with_suffix(".catalog.jsonl"))
     rng = np.random.default_rng(seed)
     n = n_candidates if n_candidates is not None else engine.l_s
-    pool = simulator.sample_pool(catalog, n, rng)
+    pool = table_items(simulator.sample_pool(catalog, n, rng))
     user = simulator.sample_user(rng, engine.d_user)
     return {
         "user": [float(v) for v in user.user_features],
@@ -72,7 +72,7 @@ def _request_doc(workdir, n_candidates=None, seed=12):
 def test_simulate_writes_dataset_and_catalog(workdir):
     dataset = simulator.read_dataset(workdir["data"])
     assert len(dataset.samples) == 120
-    assert len(dataset.catalog) == 40
+    assert len(dataset.catalog.ids) == 40
     assert workdir["data"].with_suffix(".catalog.jsonl").exists()
 
 
@@ -215,11 +215,29 @@ def test_oracle_with_no_pools_is_a_config_error(workdir, tmp_path, capsys):
         2, "config error: --pools must be >= 1, got 0\n")
 
 
-@pytest.mark.parametrize("option", ["--small-ls", "--small-lo"])
+@pytest.mark.parametrize("option, value, message", [
+    ("--small-ls", "0", "must be >= 1, got 0"),
+    ("--small-lo", "0", "must be >= 1, got 0"),
+    # The checkpoint's l_o is 4: its position table has no fifth row.
+    ("--small-lo", "5", "must be <= the checkpoint's l_o 4, got 5"),
+], ids=["--small-ls", "--small-lo", "--small-lo-above-l_o"])
 def test_oracle_with_an_empty_small_pool_or_slate_is_a_config_error(workdir, tmp_path, capsys,
-                                                                   option):
-    assert _count_of_zero(workdir, tmp_path, capsys, "oracle", option) == (
-        2, f"config error: {option} must be >= 1, got 0\n")
+                                                                   option, value, message):
+    assert _count_of_zero(workdir, tmp_path, capsys, "oracle", option, value) == (
+        2, f"config error: {option} {message}\n")
+
+
+def test_evaluate_on_a_catalog_smaller_than_the_pool_is_a_config_error(workdir, tmp_path,
+                                                                       capsys):
+    # The checkpoint's l_s is 10; this dataset's catalog holds 6 items.
+    data = tmp_path / "small.jsonl"
+    simulator.write_dataset(simulator.build_dataset(
+        EngineConfig(l_s=5, l_o=4, max_count=4), simulator.SimConfig(n_items=6, sessions=3)),
+        data)
+    assert cli.main(["evaluate", "--ckpt", str(workdir["ckpt"]), "--data", str(data),
+                     "--pools", "2"]) == 2
+    assert capsys.readouterr().err == ("config error: a pool of 10 items cannot be drawn "
+                                       "from a catalog of 6 items\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-5"])

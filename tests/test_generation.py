@@ -20,6 +20,7 @@ from tests.helpers import (
     queue_ranking_reference,
     same_bits,
     similarity,
+    table_items,
 )
 
 
@@ -93,7 +94,7 @@ def test_build_queues_partition_disjoint(small_catalog):
     rng = np.random.default_rng(1)
     pool = sample_pool(small_catalog, 12, rng)
     cfg = EngineConfig()
-    q = generation.build_queues(sortmodel.item_features(pool), cfg.queue_specs, "bfs", l_o=5)
+    q = generation.build_queues(pool, cfg.queue_specs, "bfs", l_o=5)
     seen = list(itertools.chain.from_iterable(q.queues))
     assert len(seen) == len(set(seen))
     assert all(len(queue) <= 5 for queue in q.queues)
@@ -103,7 +104,7 @@ def test_build_queues_sorted_within_queue(small_catalog):
     rng = np.random.default_rng(2)
     pool = sample_pool(small_catalog, 12, rng)
     spec = QueueSpec("click", {"ctr": 1.0}, 0)
-    q = generation.build_queues(sortmodel.item_features(pool), [spec], "dfs", l_o=8)
+    q = generation.build_queues(pool, [spec], "dfs", l_o=8)
     scores = generation.composite_score(q.features, spec)[q.queues[0]]
     assert all(a >= b for a, b in zip(scores, scores[1:]))
 
@@ -216,7 +217,7 @@ def test_mmr_window_limits_lookback():
 def test_generate_single_queue_is_queue_order(small_config, small_params,
                                               small_catalog, weights):
     rng = np.random.default_rng(3)
-    pool = sample_pool(small_catalog, small_config.l_s, rng)
+    pool = table_items(sample_pool(small_catalog, small_config.l_s, rng))
     user = sample_user(rng, small_config.d_user)
     spec = [QueueSpec("click", {"ctr": 1.0}, 0)]
     q = generation.build_queues(sortmodel.item_features(pool), spec, "dfs", small_config.l_o)
@@ -231,7 +232,7 @@ def test_generate_matches_iterative_reference(small_config, small_params,
                                               small_catalog, weights):
     rng = np.random.default_rng(4)
     for trial in range(20):
-        pool = sample_pool(small_catalog, small_config.l_s, rng)
+        pool = table_items(sample_pool(small_catalog, small_config.l_s, rng))
         user = sample_user(rng, small_config.d_user)
         lam = [1.0, 0.8, 0.5][trial % 3]
         strategy = ["dfs", "bfs"][trial % 2]
@@ -260,7 +261,7 @@ def test_generate_on_packed_pool_equals_item_pool(small_config, small_params,
     rng = np.random.default_rng(12)
     vm = ValueModel(small_config, small_params)
     for lam in (1.0, 0.8, 0.5):
-        pool = sample_pool(small_catalog, small_config.l_s, rng)
+        pool = table_items(sample_pool(small_catalog, small_config.l_s, rng))
         user = sample_user(rng, small_config.d_user)
         queues = generation.build_queues(sortmodel.item_features(pool), small_config.queue_specs,
                                          "dfs", small_config.l_o)
@@ -285,8 +286,7 @@ def test_window_below_one_is_rejected(small_config, small_params, small_catalog,
     # The window slice chosen[-0:] would be the whole prefix, not an empty one.
     rng = np.random.default_rng(13)
     pool = sample_pool(small_catalog, small_config.l_s, rng)
-    queues = generation.build_queues(sortmodel.item_features(pool), small_config.queue_specs,
-                                     "dfs", small_config.l_o)
+    queues = generation.build_queues(pool, small_config.queue_specs, "dfs", small_config.l_o)
     vm = ValueModel(small_config, small_params)
     with pytest.raises(ConfigError, match="window_w"):
         fn(sample_user(rng, small_config.d_user), queues, vm, weights, lam=0.0,
@@ -298,7 +298,7 @@ def test_window_of_one_sees_only_the_last_item(small_config, small_params, small
     rng = np.random.default_rng(14)
     vm = ValueModel(small_config, small_params)
     for lam in (0.0, 0.5):
-        pool = sample_pool(small_catalog, small_config.l_s, rng)
+        pool = table_items(sample_pool(small_catalog, small_config.l_s, rng))
         queues = generation.build_queues(sortmodel.item_features(pool), small_config.queue_specs,
                                          "dfs", small_config.l_o)
         trace = generation.generate(sample_user(rng, small_config.d_user), queues, vm, weights,
@@ -323,7 +323,7 @@ def test_generate_matches_iterative_reference_at_any_window(small_config, small_
     window_w = data.draw(st.integers(1, cfg.l_o + 1), label="window_w")
     rng = np.random.default_rng(seed)
     vm = ValueModel(cfg, sortmodel.init_params(cfg, seed=int(rng.integers(1000))))
-    pool = sample_pool(small_catalog, cfg.l_s, rng)
+    pool = table_items(sample_pool(small_catalog, cfg.l_s, rng))
     user = sample_user(rng, cfg.d_user)
     queues = generation.build_queues(sortmodel.item_features(pool), cfg.queue_specs, strategy,
                                      cfg.l_o)
@@ -351,7 +351,7 @@ def test_trace_ids_are_the_chosen_candidates(small_config, small_params, small_c
     rng = np.random.default_rng(15)
     vm = ValueModel(small_config, small_params)
     for lam in (1.0, 0.5):
-        pool = sample_pool(small_catalog, small_config.l_s, rng)
+        pool = table_items(sample_pool(small_catalog, small_config.l_s, rng))
         user = sample_user(rng, small_config.d_user)
         queues = generation.build_queues(sortmodel.item_features(pool), small_config.queue_specs,
                                          strategy, small_config.l_o)
@@ -369,8 +369,7 @@ def test_invocation_budget(small_config, small_params, small_catalog, weights):
     n_queues = len(small_config.queue_specs)
     pool = sample_pool(small_catalog, n_queues * small_config.l_o, rng)
     user = sample_user(rng, small_config.d_user)
-    q = generation.build_queues(sortmodel.item_features(pool), small_config.queue_specs, "dfs",
-                                small_config.l_o)
+    q = generation.build_queues(pool, small_config.queue_specs, "dfs", small_config.l_o)
     vm = ValueModel(small_config, small_params)
     fast = generation.generate(user, q, vm, weights)
     ref = generation.generate_iterative_reference(user, q, vm, weights)
@@ -383,8 +382,7 @@ def test_generate_leaves_its_queues_unchanged(small_config, small_params, small_
     rng = np.random.default_rng(17)
     pool = sample_pool(small_catalog, small_config.l_s, rng)
     user = sample_user(rng, small_config.d_user)
-    queues = generation.build_queues(sortmodel.item_features(pool), small_config.queue_specs,
-                                     "bfs", small_config.l_o)
+    queues = generation.build_queues(pool, small_config.queue_specs, "bfs", small_config.l_o)
     before = pickle.dumps(queues)  # every field, the pool's arrays included
     vm = ValueModel(small_config, small_params)
     for fn in (generation.generate, generation.generate_iterative_reference):
@@ -400,8 +398,7 @@ def test_generators_share_one_queues_object(small_config, small_params, small_ca
     rng = np.random.default_rng(18)
     pool = sample_pool(small_catalog, small_config.l_s, rng)
     user = sample_user(rng, small_config.d_user)
-    queues = generation.build_queues(sortmodel.item_features(pool), small_config.queue_specs,
-                                     "dfs", small_config.l_o)
+    queues = generation.build_queues(pool, small_config.queue_specs, "dfs", small_config.l_o)
     vm = ValueModel(small_config, small_params)
     first = generation.generate(user, queues, vm, weights, lam=0.8)
     template = generation.template_generate(queues, (1, 0, 1))
@@ -422,8 +419,7 @@ def test_one_value_model_serves_concurrent_generations(small_config, small_param
     for _ in range(6):
         pool = sample_pool(small_catalog, n_queues * small_config.l_o, rng)
         requests.append((sample_user(rng, small_config.d_user),
-                         generation.build_queues(sortmodel.item_features(pool),
-                                                 small_config.queue_specs, "dfs",
+                         generation.build_queues(pool, small_config.queue_specs, "dfs",
                                                  small_config.l_o)))
     vm = ValueModel(small_config, small_params)
     serial = [generation.generate(user, queues, vm, weights, lam=0.8) for user, queues in requests]
@@ -461,8 +457,7 @@ def test_generate_no_duplicate_ids(small_config, small_params, small_catalog, we
     for _ in range(25):
         pool = sample_pool(small_catalog, small_config.l_s, rng)
         user = sample_user(rng, small_config.d_user)
-        q = generation.build_queues(sortmodel.item_features(pool), small_config.queue_specs, "bfs",
-                                    small_config.l_o)
+        q = generation.build_queues(pool, small_config.queue_specs, "bfs", small_config.l_o)
         vm = ValueModel(small_config, small_params)
         ids = generation.generate(user, q, vm, weights).ids
         assert len(ids) == len(set(ids)) == small_config.l_o
@@ -484,8 +479,7 @@ def test_trace_serializes(small_config, small_params, small_catalog, weights):
     rng = np.random.default_rng(8)
     pool = sample_pool(small_catalog, small_config.l_s, rng)
     user = sample_user(rng, small_config.d_user)
-    q = generation.build_queues(sortmodel.item_features(pool), small_config.queue_specs, "dfs",
-                                small_config.l_o)
+    q = generation.build_queues(pool, small_config.queue_specs, "dfs", small_config.l_o)
     vm = ValueModel(small_config, small_params)
     trace = generation.generate(user, q, vm, weights)
     doc = json.loads(trace.to_record())
@@ -501,7 +495,7 @@ def test_template_generate_follows_pattern(small_catalog):
     rng = np.random.default_rng(9)
     pool = sample_pool(small_catalog, 12, rng)
     cfg = EngineConfig()
-    q = generation.build_queues(sortmodel.item_features(pool), cfg.queue_specs, "dfs", 5)
+    q = generation.build_queues(pool, cfg.queue_specs, "dfs", 5)
     pattern = (0, 1, 0, 2, 0)
     slate = generation.template_generate(q, pattern)
     assert slate.sources == pattern
@@ -511,7 +505,7 @@ def test_template_generate_follows_pattern(small_catalog):
 def test_top_queue_generate_is_pointwise_order(small_catalog, weights):
     rng = np.random.default_rng(10)
     pool = sample_pool(small_catalog, 12, rng)
-    slate = generation.top_queue_generate(sortmodel.item_features(pool), weights, 5)
+    slate = generation.top_queue_generate(pool, weights, 5)
     spec = generation.top_queue_spec(weights)
     scores = generation.composite_score(slate.features, spec)[list(slate.rows)]
     assert all(a >= b for a, b in zip(scores, scores[1:]))
@@ -573,7 +567,7 @@ def test_oracle_dominates_greedy(small_config, small_params, small_catalog, weig
     rng = np.random.default_rng(14)
     cfg = dataclasses.replace(small_config, l_s=6, l_o=3)
     for _ in range(5):
-        pool = sample_pool(small_catalog, 6, rng)
+        pool = table_items(sample_pool(small_catalog, 6, rng))
         user = sample_user(rng, cfg.d_user)
         vm = ValueModel(cfg, small_params)
         features = sortmodel.item_features(pool)

@@ -15,8 +15,9 @@ from sortgen.core import ConfigError, EngineConfig, ObjectiveWeights
 from sortgen.model import ItemFeatures, item_features
 from sortgen.simulator import SimConfig
 from tests.helpers import (
-    click_prob, pay_prob_given_click, same_bits, sample_catalog_reference, samples_reference,
-    simulate_session_reference,
+    click_prob, ground_truth_slate_value, pay_prob_given_click, same_bits,
+    sample_catalog_reference, sample_pool_reference, samples_reference,
+    simulate_session_reference, table_items,
 )
 
 
@@ -30,25 +31,24 @@ def _click_prob(gt, user, features, rows, t):
 
 
 def test_catalog_deterministic():
-    a = simulator.sample_catalog(30, 8, 4, seed=1)
-    b = simulator.sample_catalog(30, 8, 4, seed=1)
-    for x, y in zip(a, b):
-        assert (x.embedding == y.embedding).all() and x.price == y.price
+    a = simulator.catalog_table(30, 8, 4, seed=1)
+    b = simulator.catalog_table(30, 8, 4, seed=1)
+    assert (a.emb == b.emb).all() and (a.price == b.price).all()
 
 
 def test_catalog_unit_norm():
-    for it in simulator.sample_catalog(100, 8, 4, seed=2):
-        assert abs(np.linalg.norm(it.embedding) - 1.0) < 1e-6
+    assert (abs(np.linalg.norm(simulator.catalog_table(100, 8, 4, seed=2).emb, axis=1) - 1.0)
+            < 1e-6).all()
 
 
 def test_catalog_category_clustering():
-    catalog = simulator.sample_catalog(150, 8, 4, seed=3)
+    catalog = simulator.catalog_table(150, 8, 4, seed=3)
     rng = np.random.default_rng(0)
     intra, inter = [], []
     for _ in range(1000):
-        a, b = rng.choice(len(catalog), size=2, replace=False)
-        sim = float(catalog[a].embedding @ catalog[b].embedding)
-        (intra if catalog[a].category == catalog[b].category else inter).append(sim)
+        a, b = rng.choice(len(catalog.ids), size=2, replace=False)
+        sim = float(catalog.emb[a] @ catalog.emb[b])
+        (intra if catalog.cat[a] == catalog.cat[b] else inter).append(sim)
     assert np.mean(intra) > np.mean(inter)
 
 
@@ -59,12 +59,25 @@ def test_catalog_table_equals_the_per_item_reference(n_items, d_emb, n_categorie
     table = simulator.catalog_table(n_items, d_emb, n_categories, seed)
     for got, ref in zip(table, item_features(want)):
         assert got.dtype == ref.dtype and same_bits(got, ref)
-    got = simulator.sample_catalog(n_items, d_emb, n_categories, seed)
+    got = table_items(table)
     assert len(got) == len(want) == n_items
     for a, b in zip(got, want):
         assert (a.id, a.price, a.prior_ctr, a.prior_cvr, a.category) \
             == (b.id, b.price, b.prior_ctr, b.prior_cvr, b.category)
         assert same_bits(a.embedding, b.embedding)
+
+
+@pytest.mark.parametrize("n_items, size, seed", [(1, 1, 0), (40, 10, 1), (40, 40, 2),
+                                                  (200, 30, 3), (57, 8, 4)])
+def test_sample_pool_equals_the_per_item_reference(n_items, size, seed):
+    table = simulator.catalog_table(n_items, ENGINE.d_emb, 4, seed)
+    packed, listed = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+    for _ in range(3):
+        got = simulator.sample_pool(table, size, packed)
+        want = item_features(sample_pool_reference(table_items(table), size, listed))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and same_bits(a, b)
+        assert packed.bit_generator.state == listed.bit_generator.state
 
 
 class _FixedTruth:
@@ -91,7 +104,7 @@ _CERTAIN = _FixedTruth([1.0] * 10, [1.0] * 10)  # every position clicks and pays
 ], ids=["default", "default_one_position", "all_pay", "all_pay_one_position",
         "certain", "certain_one_position"])
 def test_simulate_session_equals_the_per_draw_reference(sim, length):
-    features = item_features(simulator.sample_catalog(40, ENGINE.d_emb, 4, seed=13))
+    features = simulator.catalog_table(40, ENGINE.d_emb, 4, seed=13)
     truth = (_CERTAIN if sim is None
              else simulator.make_ground_truth(ENGINE, sim).bind(features))
     draws = np.random.default_rng(14)
@@ -114,7 +127,7 @@ def test_simulate_session_equals_the_per_draw_reference(sim, length):
 
 def test_session_position_decay_off():
     gt = simulator.make_ground_truth(ENGINE, dataclasses.replace(SIM, rho=1.0, kappa=0.0))
-    features = item_features(simulator.sample_catalog(40, 8, 4, seed=4))
+    features = simulator.catalog_table(40, 8, 4, seed=4)
     rng = np.random.default_rng(1)
     user = simulator.sample_user(rng, ENGINE.d_user)
     # With rho=1 and kappa=0 the click probability of an item is the same
@@ -126,7 +139,7 @@ def test_session_position_decay_off():
 
 def test_contrast_penalizes_duplicates():
     gt = simulator.make_ground_truth(ENGINE, dataclasses.replace(SIM, kappa=0.8))
-    features = item_features(simulator.sample_catalog(40, 8, 4, seed=5))
+    features = simulator.catalog_table(40, 8, 4, seed=5)
     rng = np.random.default_rng(2)
     user = simulator.sample_user(rng, ENGINE.d_user)
     target = 0
@@ -141,7 +154,7 @@ def test_contrast_penalizes_duplicates():
 
 def test_session_counts_properties():
     gt = simulator.make_ground_truth(ENGINE, SIM)
-    features = item_features(simulator.sample_catalog(40, 8, 4, seed=6))
+    features = simulator.catalog_table(40, 8, 4, seed=6)
     truth = gt.bind(features)
     rng = np.random.default_rng(3)
     for _ in range(500):
@@ -158,7 +171,7 @@ def test_session_counts_properties():
 def test_position_bias_visible():
     sim = dataclasses.replace(SIM, rho=0.8, sessions=0)
     gt = simulator.make_ground_truth(ENGINE, sim)
-    features = item_features(simulator.sample_catalog(40, 8, 4, seed=7))
+    features = simulator.catalog_table(40, 8, 4, seed=7)
     truth = gt.bind(features)
     rng = np.random.default_rng(4)
     first, last = 0, 0
@@ -175,7 +188,7 @@ def test_position_bias_visible():
 
 def test_empty_exposed_list_rejected():
     gt = simulator.make_ground_truth(ENGINE, SIM)
-    features = item_features(simulator.sample_catalog(40, 8, 4, seed=8))
+    features = simulator.catalog_table(40, 8, 4, seed=8)
     user = simulator.sample_user(np.random.default_rng(5), ENGINE.d_user)
     with pytest.raises(ConfigError):
         simulator.simulate_session(user.user_features, gt.bind(features), [],
@@ -187,8 +200,8 @@ def test_empty_exposed_list_rejected():
 # ------------------------- vectorised ground truth ---------------------------
 
 GT_ENGINE = EngineConfig()
-GT_CATALOG = simulator.sample_catalog(40, GT_ENGINE.d_emb, 4, seed=9)
-GT_FEATURES = item_features(GT_CATALOG)
+GT_FEATURES = simulator.catalog_table(40, GT_ENGINE.d_emb, 4, seed=9)
+GT_CATALOG = table_items(GT_FEATURES)
 
 
 @settings(max_examples=300, deadline=None)
@@ -221,7 +234,7 @@ def test_list_probs_match_scalar_reference(data):
     paid = [c * p for c, p in zip(want_click, want_pay)]
     want_value = (w.alpha * sum(want_click) + w.beta * sum(paid)
                   + w.gamma * sum(it.price * p for it, p in zip(items, paid)))
-    value = simulator.ground_truth_slate_value(gt.bind(GT_FEATURES), user, rows, w)
+    value = ground_truth_slate_value(gt.bind(GT_FEATURES), user, rows, w)
     assert abs(value - want_value) <= 1e-12 * abs(want_value)
 
 
@@ -306,13 +319,11 @@ def test_item_views_equal_the_per_item_catalog(tmp_path, read_back):
         simulator.write_dataset(ds, tmp_path / "data.jsonl")
         ds = simulator.read_dataset(tmp_path / "data.jsonl")
     want = sample_catalog_reference(SIM.n_items, ENGINE.d_emb, SIM.n_categories, SIM.seed)
-    assert ds.n_catalog == len(ds.catalog) == len(ds.items) == len(want)
-    for view in (ds.items, ds.catalog):
-        for a, b in zip(view, want):
-            assert (a.id, a.price, a.prior_ctr, a.prior_cvr, a.category) \
-                == (b.id, b.price, b.prior_ctr, b.prior_cvr, b.category)
-            assert same_bits(a.embedding, b.embedding)
-    assert ds.items is ds.items  # built once
+    assert ds.n_catalog == len(ds.catalog.ids) == len(want)
+    for got, ref in zip(ds.catalog, item_features(want)):
+        assert got.dtype == ref.dtype and same_bits(got, ref)
+    # Views of the item table's rows, not copies.
+    assert all(np.shares_memory(view, column) for view, column in zip(ds.catalog, ds.features))
 
 
 def test_dataset_deterministic():
@@ -348,9 +359,10 @@ def test_samples_view_equals_the_per_session_objects(tmp_path, read_back):
     want = samples_reference(ENGINE, SIM)
     got = ds.samples
     assert len(got) == len(want) == len(ds) == SIM.sessions
+    shared = {}  # id -> the one Item built for that table row
     for g, w in zip(got, want):
         assert [it.id for it in g.items] == [it.id for it in w.items]
-        assert all(it is ds.catalog[it.id] for it in g.items)
+        assert all(shared.setdefault(it.id, it) is it for it in g.items)
         assert g.user.user_features.tobytes() == w.user.user_features.tobytes()
         for a, b in ((g.labels.clicks, w.labels.clicks), (g.labels.pays, w.labels.pays)):
             assert a.dtype == b.dtype == np.int64 and same_bits(a, b)
@@ -376,7 +388,7 @@ def _edited_session(ds, path, edit, session=0):
     `session`; the record's 1-based line number."""
     simulator.write_dataset(ds, path)
     lines = path.read_text().splitlines()
-    index = 1 + len(ds.catalog) + session
+    index = 1 + ds.n_catalog + session
     doc = json.loads(lines[index])
     edit(doc)
     lines[index] = json.dumps(doc, sort_keys=True)
@@ -391,8 +403,8 @@ def test_read_dataset_maps_only_matching_items_onto_catalog_rows(tmp_path):
     again = simulator.read_dataset(path)
     # Every item that matches its catalog record is that row; the edited one
     # gets a row of its own after the catalog.
-    assert len(again.items) == len(again.features.ids) == SIM.n_items + 1
-    assert (again.rows[3, 2] == SIM.n_items) and again.items[-1].price == 123.5
+    assert len(again.features.ids) == SIM.n_items + 1
+    assert (again.rows[3, 2] == SIM.n_items) and again.features.price[-1] == 123.5
     expected = ds.rows.copy()
     expected[3, 2] = SIM.n_items
     assert (again.rows == expected).all()
@@ -489,7 +501,9 @@ def test_read_dataset_rejects_a_catalog_record_after_a_session(tmp_path):
      "unsupported format 'sortgen-data-v0'"),
     (0, lambda doc: doc.pop("format_version"), "unsupported format None"),
     (3, lambda doc: doc.update(price="-1.0"), r"item \d+: negative price"),
-], ids=["format_version", "no_format_version", "negative_price"])
+    (3, lambda doc: doc.update(emb=["1.0"]),
+     r"item 2: 1 embedding components, where the first item has 8"),
+], ids=["format_version", "no_format_version", "negative_price", "embedding_length"])
 def test_read_catalog_names_the_line_of_a_faulty_record(tmp_path, index, edit, message):
     path = tmp_path / "catalog.jsonl"
     simulator.write_catalog(simulator.catalog_table(10, ENGINE.d_emb, 3, seed=4), path)
@@ -501,6 +515,17 @@ def test_read_catalog_names_the_line_of_a_faulty_record(tmp_path, index, edit, m
     with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: malformed record at line {index + 1}: "
                                           f"{message}$"):
         simulator.read_catalog(path)
+
+
+def test_catalog_round_trip(tmp_path):
+    table = simulator.catalog_table(30, ENGINE.d_emb, 4, seed=5)
+    path, path2 = tmp_path / "catalog.jsonl", tmp_path / "catalog2.jsonl"
+    simulator.write_catalog(table, path)
+    again = simulator.read_catalog(path)
+    for got, want in zip(again, table):
+        assert got.dtype == want.dtype and same_bits(got, want)
+    simulator.write_catalog(again, path2)
+    assert path2.read_bytes() == path.read_bytes()
 
 
 def test_dataset_truncated_line_reports_lineno(tmp_path):
@@ -520,7 +545,7 @@ def test_empty_dataset_round_trip(tmp_path):
     simulator.write_dataset(ds, path)
     again = simulator.read_dataset(path)
     assert again.samples == []
-    assert len(again.catalog) == SIM.n_items
+    assert len(again.catalog.ids) == SIM.n_items
 
 
 def test_catalog_smaller_than_pool_rejected():
@@ -530,6 +555,6 @@ def test_catalog_smaller_than_pool_rejected():
 
 def test_every_sample_item_in_catalog():
     ds = simulator.build_dataset(ENGINE, dataclasses.replace(SIM, sessions=20))
-    ids = {it.id for it in ds.catalog}
+    ids = set(ds.catalog.ids.tolist())
     for s in ds.samples:
         assert all(it.id in ids for it in s.items)
