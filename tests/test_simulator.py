@@ -363,6 +363,8 @@ def test_samples_view_equals_the_per_session_objects(tmp_path, read_back):
     for g, w in zip(got, want):
         assert [it.id for it in g.items] == [it.id for it in w.items]
         assert all(shared.setdefault(it.id, it) is it for it in g.items)
+        for a, b in zip(item_features(g.items), item_features(w.items)):
+            assert a.dtype == b.dtype and same_bits(a, b)
         assert g.user.user_features.tobytes() == w.user.user_features.tobytes()
         for a, b in ((g.labels.clicks, w.labels.clicks), (g.labels.pays, w.labels.pays)):
             assert a.dtype == b.dtype == np.int64 and same_bits(a, b)
