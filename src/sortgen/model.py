@@ -117,8 +117,10 @@ def _check_input(config: EngineConfig, end: int, e_item: np.ndarray, user: np.nd
 
 
 def assemble_input(config: EngineConfig, params: dict, e_item: np.ndarray,
-                   user: np.ndarray, e_score: np.ndarray) -> np.ndarray:
-    """The input rows [item | position | user | prior score], [n, l, d_input].
+                   user: np.ndarray, e_score: np.ndarray, ws: nn.NewArrays = nn.NEW
+                   ) -> np.ndarray:
+    """The input rows [item | position | user | prior score], [n, l, d_input],
+    a `ws.kept` array.
 
     e_item: [n, l, d_emb]; user: [n, d_user]; e_score: [n, l, 2]. The
     position block is pos.table's first l rows, the same for every row.
@@ -127,13 +129,16 @@ def assemble_input(config: EngineConfig, params: dict, e_item: np.ndarray,
     _check_input(config, l, e_item, user)
     pos = np.broadcast_to(params["pos.table"].value[:l], (n, l, config.d_position))
     user_block = np.broadcast_to(user[:, None, :], (n, l, config.d_user))
-    return np.concatenate([e_item, pos, user_block, e_score], axis=-1)
+    blocks = [e_item, pos, user_block, e_score]
+    width = sum(block.shape[-1] for block in blocks)
+    return np.concatenate(blocks, axis=-1, out=ws.kept((n, l, width)))
 
 
 def _input_node(config: EngineConfig, params: dict, e_item: np.ndarray,
-                user: np.ndarray, e_score: np.ndarray) -> Var:
+                user: np.ndarray, e_score: np.ndarray, ws: nn.NewArrays = nn.NEW) -> Var:
     """The projected input, `assemble_input`'s rows @ proj.W + proj.b, as one
-    tape node over pos.table, proj.W and proj.b: [n, l, d_model].
+    tape node over pos.table, proj.W and proj.b: [n, l, d_model]. Its arrays
+    come from `ws`.
 
     One GEMM on the concatenated rows. Equal bit for bit, forward and
     backward, to a linear node over the concatenation of the data blocks and
@@ -142,7 +147,7 @@ def _input_node(config: EngineConfig, params: dict, e_item: np.ndarray,
     position columns, summed over the batch.
     """
     table, weight, bias = params["pos.table"], params["proj.W"], params["proj.b"]
-    x = assemble_input(config, params, e_item, user, e_score)
+    x = assemble_input(config, params, e_item, user, e_score, ws)
     n, l, d_in = x.shape
     if d_in != weight.shape[0]:
         raise ConfigError("feature width mismatch")
@@ -152,7 +157,7 @@ def _input_node(config: EngineConfig, params: dict, e_item: np.ndarray,
     def bw(g):
         g2 = g.reshape(-1, w.shape[1])
         if table.requires_grad:
-            g_x = (g2 @ w.T).reshape(x.shape)
+            g_x = np.matmul(g2, w.T, out=ws.scratch("input.g_x", x2.shape)).reshape(x.shape)
             start = config.d_emb
             g_pos = nn._unbroadcast(g_x[..., start:start + config.d_position],
                                     (1, l, config.d_position))
@@ -163,15 +168,17 @@ def _input_node(config: EngineConfig, params: dict, e_item: np.ndarray,
             weight._accum(x2.T @ g2)
         bias._accum(g2.sum(axis=0))
 
-    return Var((x2 @ w + bias.value).reshape(n, l, w.shape[1]), (table, weight, bias), bw)
+    y = np.matmul(x2, w, out=ws.kept((n * l, w.shape[1])))
+    y += bias.value
+    return Var(y.reshape(n, l, w.shape[1]), (table, weight, bias), bw)
 
 
-def _monotone_forward(score: np.ndarray, thresholds: Var):
+def _monotone_forward(score: np.ndarray, thresholds: Var, ws: nn.NewArrays = nn.NEW):
     """The monotone ordinal link on the shared scores [n, l, 1]: the scores
     minus strictly increasing cutpoints [max_count], the running sum of the
-    first threshold and the softplus of the others. Returns the logits and
-    their backward: a function of the logits' gradient that adds the
-    thresholds' gradient and returns the scores'.
+    first threshold and the softplus of the others. Returns the logits (a
+    `ws.kept` array) and their backward: a function of the logits' gradient
+    that adds the thresholds' gradient and returns the scores'.
 
     The cutpoints are the tape's lower-triangular matmul, not `_cutpoints`'
     cumsum, which rounds differently.
@@ -190,56 +197,65 @@ def _monotone_forward(score: np.ndarray, thresholds: Var):
         thresholds._accum(np.concatenate([g_steps[:1], g_steps[1:] / softplus_in * e]))
         return nn._unbroadcast(g, score.shape)
 
-    return score + -cut, grads
+    return np.add(score, -cut, out=ws.kept(score.shape[:-1] + (k,))), grads
 
 
 HEADS = ("head_click", "head_pay")
 
 
-def _heads_node(config: EngineConfig, params: dict, x: Var,
-                mask: np.ndarray) -> tuple[Var, Var, Var, Var]:
+def _heads_node(config: EngineConfig, params: dict, x: Var, mask: np.ndarray,
+                ws: nn.NewArrays = nn.NEW) -> tuple[Var, Var, Var, Var]:
     """The final layer norm and both heads as one tape node over x [n, l,
     d_model]: each head's MLP, then its cutpoints (monotone) or its literal
     logits, then the sigmoid times the 0/1 `mask` [l, max_count]. Returns
     the click and pay probabilities and the click and pay logits, each
-    [n, l, max_count], as the node's four outputs (`nn.fused_outputs`).
+    [n, l, max_count], as the node's four outputs (`nn.fused_outputs`). Its
+    arrays come from `ws`.
 
     Equal bit for bit, forward and backward, to the layer norm, FFN,
     cutpoint, sigmoid and mul nodes that it replaces (tests/helpers.py).
     """
     gain, bias = params["final_ln.g"], params["final_ln.b"]
-    h, xhat, inv = nn._layer_norm_forward(x.value, gain, bias)
+    h, xhat, inv = nn._layer_norm_forward(x.value, gain, bias, ws=ws)
     h2 = h.reshape(-1, h.shape[-1])
     need_h = any(v.requires_grad for v in (x, gain, bias))
     parents, probs, logits, backs = [x, gain, bias], [], [], []
     for head in HEADS:
         weights = [params[f"{head}.{name}"] for name in ("W1", "b1", "W2", "b2")]
-        out, ffn_grads = nn._ffn_forward(h2, *weights)
+        out, ffn_grads = nn._ffn_forward(h2, *weights, ws)
         z, link_grads = out.reshape(x.shape[:-1] + (out.shape[1],)), None
         if config.head_mode == "monotone":
             weights.append(params[f"{head}.thresholds"])
-            z, link_grads = _monotone_forward(z, weights[-1])
-        s = 1.0 / (1.0 + np.exp(-z))
+            z, link_grads = _monotone_forward(z, weights[-1], ws)
+        s = np.negative(z, out=ws.kept(z.shape))  # s = 1 / (1 + exp(-z))
+        np.exp(s, out=s)
+        s += 1.0
+        np.divide(1.0, s, out=s)
         parents += weights
-        probs.append(s * mask)
+        probs.append(np.multiply(s, mask, out=ws.kept(s.shape)))
         logits.append(z)
         backs.append((s, ffn_grads, link_grads))
 
     def bw(grads):
         g_h = None
-        for (s, ffn_grads, link_grads), g_p, g_z in zip(backs, grads[:2], grads[2:]):
-            if g_p is not None:  # the sigmoid's share, then the logits' own
-                g_p = g_p * mask * s * (1.0 - s)
-                g_z = g_p if g_z is None else g_p + g_z
+        for i, ((s, ffn_grads, link_grads), g_p, g_z) in enumerate(
+                zip(backs, grads[:2], grads[2:])):
+            if g_p is not None:  # the sigmoid's share g_p * mask * s * (1 - s), then
+                # the logits' own
+                g_p = np.multiply(g_p, mask, out=ws.scratch("heads.g_z", s.shape))
+                g_p *= s
+                g_p *= np.subtract(1.0, s, out=ws.scratch("heads.q", s.shape))
+                g_z = g_p if g_z is None else np.add(g_p, g_z, out=g_p)
             if g_z is None:
                 continue
             g_out = g_z if link_grads is None else link_grads(g_z)
-            g = ffn_grads(g_out.reshape(-1, g_out.shape[-1]), need_h)
+            g = ffn_grads(g_out.reshape(-1, g_out.shape[-1]), need_h,
+                          ws.scratch(f"heads.g_h{i}", h2.shape))
             if g is not None:
-                g = g.reshape(x.shape)
-                g_h = g if g_h is None else g_h + g
+                g_h = g if g_h is None else np.add(g_h, g, out=g_h)
         if g_h is not None:
-            g_x = nn._layer_norm_grads(g_h, xhat, inv, gain, bias, x.requires_grad)
+            g_x = nn._layer_norm_grads(g_h.reshape(x.shape), xhat, inv, gain, bias,
+                                       x.requires_grad, ws)
             if g_x is not None:
                 x._accum(g_x)
 
@@ -252,20 +268,28 @@ def valid_mask(l: int, max_count: int) -> np.ndarray:
 
 
 def forward(config: EngineConfig, params: dict, e_item: np.ndarray,
-            user: np.ndarray, e_score: np.ndarray) -> ModelOutput:
+            user: np.ndarray, e_score: np.ndarray,
+            workspace: nn.Workspace | None = None) -> ModelOutput:
     """Full forward pass for a batch of (sub-)lists of common length l: the
-    input node, two nodes per block and the heads node."""
-    x = _input_node(config, params, e_item, user, e_score)
+    input node, two nodes per block and the heads node.
+
+    Without a workspace every array is new. With one, the forward starts a
+    training step that reuses the workspace's arrays (`nn.Workspace`), so
+    the previous step's tape must be dead.
+    """
+    ws = nn.NEW if workspace is None else workspace
+    ws.begin_step()
+    x = _input_node(config, params, e_item, user, e_score, ws)
     for i in range(config.n_layers):
         pre = f"layer{i}"
         x = nn.attention_block(x, *(params[f"{pre}.{name}"] for name in (
             "ln1.g", "ln1.b", "attn.Wq", "attn.Wk", "attn.Wv", "attn.Wo",
-            "attn.bq", "attn.bk", "attn.bv", "attn.bo")), config.n_heads)
+            "attn.bq", "attn.bk", "attn.bv", "attn.bo")), config.n_heads, ws)
         x = nn.ffn_block(x, *(params[f"{pre}.{name}"] for name in (
-            "ln2.g", "ln2.b", "ffn.W1", "ffn.b1", "ffn.W2", "ffn.b2")))
+            "ln2.g", "ln2.b", "ffn.W1", "ffn.b1", "ffn.W2", "ffn.b2")), ws)
     mask = valid_mask(e_item.shape[1], config.max_count)
     click, pay, click_logits, pay_logits = _heads_node(config, params, x,
-                                                       mask.astype(np.float64))
+                                                       mask.astype(np.float64), ws)
     for out in (click, pay):
         if not np.isfinite(out.value).all():
             raise FloatingPointError("non-finite activations in forward pass")

@@ -1,8 +1,17 @@
-"""Mini-batch Adam training of the value model on simulated impressions."""
+"""Mini-batch Adam training of the value model on simulated impressions.
+
+One training tape is alive at a time: `train` drops each step's loss, and
+with it the step's tape, before the next forward, and holds none while it
+evaluates or writes the checkpoint. The steps' fused nodes take their
+arrays from one `nn.Workspace` per epoch, so a step does not allocate, free
+and fault in its tape again; the workspace is dropped before the epoch's
+evaluation, whose tape-free forward allocates as it goes.
+"""
 
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +37,11 @@ class TrainConfig:
             raise ConfigError("eval_fraction must be in (0,1)")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ConfigError(f"train.epochs must be >= 1, got {self.epochs!r}")
+        # lr 0 stays valid: a run that evaluates without training.
+        if not (math.isfinite(self.lr) and self.lr >= 0.0):
+            raise ConfigError(f"train.lr must be finite and >= 0, got {self.lr!r}")
 
 
 @dataclass
@@ -83,17 +97,21 @@ def _session_hash_split(users: np.ndarray, eval_fraction: float
     return train_idx, eval_idx
 
 
-def _output_loss(config: EngineConfig, out: sortmodel.ModelOutput, batch: _Arrays) -> nn.Var:
+def _output_loss(config: EngineConfig, out: sortmodel.ModelOutput, batch: _Arrays,
+                 workspace: nn.Workspace | None = None) -> nn.Var:
     if config.loss_mode == "pointwise":
         return values.pointwise_loss(
             nn.index_last(out.click_logits, 0), nn.index_last(out.pay_logits, 0),
             batch.clicks, batch.pays)
-    return values.ordered_regression_loss(out, batch.cum_clicks, batch.cum_pays)
+    return values.ordered_regression_loss(out, batch.cum_clicks, batch.cum_pays,
+                                          nn.NEW if workspace is None else workspace)
 
 
-def _batch_loss(config: EngineConfig, params: dict, batch: _Arrays) -> nn.Var:
-    out = sortmodel.forward(config, params, batch.emb, batch.user, batch.score)
-    return _output_loss(config, out, batch)
+def _batch_loss(config: EngineConfig, params: dict, batch: _Arrays,
+                workspace: nn.Workspace | None = None) -> nn.Var:
+    out = sortmodel.forward(config, params, batch.emb, batch.user, batch.score,
+                            workspace=workspace)
+    return _output_loss(config, out, batch, workspace)
 
 
 def evaluate_model(config: EngineConfig, params: dict, arrays: _Arrays,
@@ -166,11 +184,12 @@ def train(dataset: Dataset, params: dict, engine: EngineConfig, tconf: TrainConf
             epoch_start = time.perf_counter()
             order = rng.permutation(len(train_arr))
             epoch_loss, seen, grad_norms = 0.0, 0, []
+            workspace = nn.Workspace()
             for bstart in range(0, len(order), tconf.batch_size):
                 batch = train_arr.take(order[bstart:bstart + tconf.batch_size])
                 nn.zero_grads(params)
                 try:
-                    loss = _batch_loss(engine, params, batch)
+                    loss = _batch_loss(engine, params, batch, workspace=workspace)
                     fault = None if np.isfinite(loss.value) else "non-finite loss"
                 except FloatingPointError as exc:  # the forward's non-finite activations
                     fault = str(exc)
@@ -183,6 +202,8 @@ def train(dataset: Dataset, params: dict, engine: EngineConfig, tconf: TrainConf
                 grad_norms.append(np.linalg.norm(state.grads))  # after the step, outside its time
                 epoch_loss += float(loss.value) * len(batch)
                 seen += len(batch)
+                del loss  # the step's tape, whose arrays the next forward reuses
+            del workspace
             metrics = evaluate_model(engine, params, eval_arr)
             report.train_losses.append(epoch_loss / seen)
             report.eval_losses.append(metrics["eval_loss"])
@@ -205,9 +226,13 @@ def train(dataset: Dataset, params: dict, engine: EngineConfig, tconf: TrainConf
 
 
 def write_metrics(report: TrainReport, path: str | Path) -> None:
-    lines = ["epoch\ttrain_loss\teval_loss\tcalib_gap\tseconds"]
+    """One tab-separated row per epoch; calib_click and calib_pay hold the
+    per-position gaps, joined by commas."""
+    lines = ["epoch\ttrain_loss\teval_loss\tcalib_gap\tseconds\tgrad_norm\t"
+             "calib_click\tcalib_pay"]
     rows = zip(report.train_losses, report.eval_losses, report.calib_gaps,
-               report.epoch_seconds)
-    for i, (tl, el, cg, secs) in enumerate(rows):
-        lines.append(f"{i}\t{tl:.6f}\t{el:.6f}\t{cg:.6f}\t{secs:.2f}")
+               report.epoch_seconds, report.grad_norms, report.calib_click, report.calib_pay)
+    for i, (tl, el, cg, secs, gn, click, pay) in enumerate(rows):
+        lines.append(f"{i}\t{tl:.6f}\t{el:.6f}\t{cg:.6f}\t{secs:.2f}\t{gn:.6f}\t"
+                     + "\t".join(",".join(f"{v:.6f}" for v in gaps) for gaps in (click, pay)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

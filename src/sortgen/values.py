@@ -98,9 +98,9 @@ def _threshold_targets(cum_counts: np.ndarray, max_count: int) -> np.ndarray:
 
 
 def ordered_regression_loss(output: ModelOutput, cum_clicks: np.ndarray,
-                            cum_pays: np.ndarray) -> Var:
+                            cum_pays: np.ndarray, ws: nn.NewArrays = nn.NEW) -> Var:
     """Sum of effective (i <= j) threshold cross-entropies, averaged over the batch,
-    as one tape node.
+    as one tape node whose arrays come from `ws`.
 
     cum_clicks/cum_pays: [n, l] cumulative action counts per prefix length.
     Equal bit for bit, forward and backward, to the chain of clip, log, mul,
@@ -108,25 +108,38 @@ def ordered_regression_loss(output: ModelOutput, cum_clicks: np.ndarray,
     objective's term is -sum(t * log(p) + (1 - t) * log(1 - p)) over the
     valid entries, with p clipped to [PROB_CLAMP, 1 - PROB_CLAMP].
     """
-    n, l, max_count = output.click.shape
+    shape = output.click.shape
     mask = output.valid.astype(np.float64)
-    scale = 1.0 / n
+    scale = 1.0 / shape[0]
     terms = []  # per objective: its probs Var, clipped p, 1 - p, and the two weights
     total = None
     for probs, cum in ((output.click, cum_clicks), (output.pay, cum_pays)):
-        targets = _threshold_targets(np.asarray(cum), max_count)
-        p = np.clip(probs.value, PROB_CLAMP, 1.0 - PROB_CLAMP)
-        pos, negt = targets * mask, (1.0 - targets) * mask
-        q = 1.0 - p
-        term = (-(pos * np.log(p) + negt * np.log(q))).sum()
+        targets = _threshold_targets(np.asarray(cum), shape[2])
+        p = np.clip(probs.value, PROB_CLAMP, 1.0 - PROB_CLAMP, out=ws.kept(shape))
+        pos = np.multiply(targets, mask, out=ws.kept(shape))
+        negt = np.multiply(np.subtract(1.0, targets, out=targets), mask, out=ws.kept(shape))
+        q = np.subtract(1.0, p, out=ws.kept(shape))
+        # -(pos * log(p) + negt * log(q)), summed
+        bce = np.log(p, out=ws.scratch("loss.a", shape))
+        bce *= pos
+        bce_q = np.log(q, out=ws.scratch("loss.b", shape))
+        bce_q *= negt
+        bce += bce_q
+        term = np.negative(bce, out=bce).sum()
         total = term if total is None else total + term
         terms.append((probs, p, q, pos, negt))
 
     def bw(g):
-        g_bce = -np.broadcast_to(g * scale, output.click.shape)
+        g_bce = -(g * scale)
         for probs, p, q, pos, negt in terms:
             inside = (probs.value > PROB_CLAMP) & (probs.value < 1.0 - PROB_CLAMP)
-            probs._accum((g_bce * pos / p - g_bce * negt / q) * inside)
+            # (g_bce * pos / p - g_bce * negt / q) * inside
+            g_p = np.multiply(g_bce, pos, out=ws.scratch("loss.a", shape))
+            g_p /= p
+            g_q = np.multiply(g_bce, negt, out=ws.scratch("loss.b", shape))
+            g_q /= q
+            g_p -= g_q
+            probs._accum(np.multiply(g_p, inside, out=ws.kept(shape)))
 
     return Var(total * scale, (output.click, output.pay), bw)
 

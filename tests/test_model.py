@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sortgen import model as sortmodel
-from sortgen import nn, simulator, values
+from sortgen import nn, simulator, trainer, values
 from sortgen.core import ConfigError, EngineConfig, ObjectiveWeights, UserContext
 from sortgen.nn import Var
 from tests.helpers import (
@@ -385,6 +385,59 @@ def test_assemble_rejects_empty_and_overlong(small_config, small_params):
 
 
 # ------------------------------- forward ------------------------------------
+
+
+def _step(config, params, batch, workspace):
+    """One training step's forward, loss and backward; copies of the four
+    outputs, the loss and every parameter gradient."""
+    nn.zero_grads(params)
+    out = sortmodel.forward(config, params, batch.emb, batch.user, batch.score,
+                            workspace=workspace)
+    loss = trainer._output_loss(config, out, batch, workspace)
+    nn.backward(loss)
+    values_ = [v.value.copy() for v in (out.click, out.pay, out.click_logits, out.pay_logits,
+                                        loss)]
+    return values_, {name: p.grad.copy() for name, p in params.items()}
+
+
+@pytest.mark.parametrize("head_mode", ["monotone", "literal"])
+@pytest.mark.parametrize("loss_mode", ["ordered_regression", "pointwise"])
+def test_workspace_steps_equal_allocating_steps_bit_for_bit(small_config, head_mode,
+                                                            loss_mode):
+    # Two full batches and a shorter final one through one workspace, each
+    # against the same step with new arrays: outputs, loss and every
+    # parameter gradient have the same bits.
+    config = dataclasses.replace(small_config, head_mode=head_mode, loss_mode=loss_mode)
+    params = sortmodel.init_params(config, seed=11)
+    rng = np.random.default_rng(11)
+    workspace = nn.Workspace()
+    for step, n in enumerate((6, 6, 4)):
+        emb, user, score = _random_inputs(config, n, config.l_o, seed=step)
+        clicks = rng.integers(0, 2, size=(n, config.l_o))
+        pays = clicks * rng.integers(0, 2, size=(n, config.l_o))
+        batch = trainer._Arrays(emb, score, user, clicks, pays, np.cumsum(clicks, axis=1),
+                                np.cumsum(pays, axis=1))
+        want_values, want_grads = _step(config, params, batch, None)
+        got_values, got_grads = _step(config, params, batch, workspace)
+        assert all(same_bits(a, b) for a, b in zip(got_values, want_values)), step
+        assert want_grads.keys() == got_grads.keys()
+        for name, grad in want_grads.items():
+            assert same_bits(got_grads[name], grad), (step, name)
+
+
+def test_forwards_share_memory_only_through_a_workspace(small_config, small_params):
+    emb, user, score = _random_inputs(small_config, 3, 4)
+
+    def outputs(workspace):
+        out = sortmodel.forward(small_config, small_params, emb, user, score,
+                                workspace=workspace)
+        return [v.value for v in (out.click, out.pay, out.click_logits, out.pay_logits)]
+
+    first, second = outputs(None), outputs(None)
+    assert not any(np.shares_memory(a, b) for a in first for b in second)
+    workspace = nn.Workspace()
+    first, second = outputs(workspace), outputs(workspace)
+    assert all(np.shares_memory(a, b) for a, b in zip(first, second))
 
 
 def test_forward_causality_rows(small_config, small_params):

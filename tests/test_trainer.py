@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -124,7 +126,7 @@ def test_a_run_that_raises_in_its_third_epoch_leaves_the_best_earlier_epoch(
 
     def fail():  # every later step's forward
         monkeypatch.setattr(trainer, "_batch_loss",
-                            lambda config, params, batch: nn.Var(np.array(np.nan)))
+                            lambda config, params, batch, workspace: nn.Var(np.array(np.nan)))
 
     _scripted_evaluation(monkeypatch, [2.0, 1.5], snapshots, then=fail)
     ckpt = tmp_path / "best.ckpt"
@@ -310,7 +312,7 @@ def test_nonfinite_loss_reports_the_global_parameter_norm(dataset, monkeypatch):
     params = sortmodel.init_params(ENGINE, seed=7)
     expected = np.linalg.norm(np.concatenate([p.value.ravel() for p in params.values()]))
     monkeypatch.setattr(trainer, "_batch_loss",
-                        lambda config, params, batch: nn.Var(np.array(np.nan)))
+                        lambda config, params, batch, workspace: nn.Var(np.array(np.nan)))
     message = f"non-finite loss at epoch 0, batch 0; total parameter norm {expected:.3e}"
     with pytest.raises(FloatingPointError, match=re.escape(message) + "$"):
         trainer.train(dataset, params, ENGINE, trainer.TrainConfig(epochs=1))
@@ -339,9 +341,16 @@ def test_metrics_file_format(dataset, tmp_path):
     path = tmp_path / "metrics.tsv"
     trainer.write_metrics(report, path)
     lines = path.read_text().splitlines()
-    assert lines[0].split("\t") == ["epoch", "train_loss", "eval_loss",
-                                    "calib_gap", "seconds"]
+    assert lines[0].split("\t") == ["epoch", "train_loss", "eval_loss", "calib_gap",
+                                    "seconds", "grad_norm", "calib_click", "calib_pay"]
     assert len(lines) == 3
+    for row, norm, click, pay in zip(lines[1:], report.grad_norms, report.calib_click,
+                                     report.calib_pay):
+        cells = row.split("\t")
+        assert len(cells) == 8
+        assert float(cells[5]) == round(norm, 6)
+        for cell, gaps in ((cells[6], click), (cells[7], pay)):
+            assert [float(v) for v in cell.split(",")] == [round(v, 6) for v in gaps]
 
 
 def test_metrics_file_has_each_epochs_own_seconds(dataset, tmp_path):
@@ -382,3 +391,65 @@ def test_evaluate_model_records_no_tape(dataset, monkeypatch):
     assert len(outputs) == 3  # one forward per eval batch
     assert not any(out.click.requires_grad for out in outputs)
     assert all(p.requires_grad for p in params.values())
+
+
+@pytest.mark.parametrize("field, value, rule", [
+    ("epochs", 0, "must be >= 1"), ("epochs", -2, "must be >= 1"),
+    ("lr", -1e-3, "must be finite and >= 0"), ("lr", float("nan"), "must be finite and >= 0"),
+    ("lr", float("inf"), "must be finite and >= 0")])
+def test_train_config_rejects_out_of_range_values(field, value, rule):
+    with pytest.raises(ConfigError, match=f"^train.{field} {rule}, got {value!r}$"):
+        trainer.TrainConfig(**{field: value})
+
+
+def test_train_command_with_no_epochs_is_a_config_error(dataset, tmp_path, capsys):
+    data, cfg = tmp_path / "data.jsonl", tmp_path / "train.cfg"
+    simulator.write_dataset(dataset, data)
+    cfg.write_text("train.epochs = 0\n")
+    rc = cli.main(["train", "--config", str(cfg), "--data", str(data),
+                   "--ckpt", str(tmp_path / "m.ckpt")])
+    assert rc == 2
+    assert "config error: train.epochs must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_each_steps_tape_is_dead_before_the_next_forward(dataset, tmp_path, monkeypatch):
+    # A weak reference to every step's loss: when a forward starts (a step's
+    # or an evaluation's) and when the checkpoint is written, each must be dead.
+    losses, checks = [], []
+    batch_loss, forward, save = trainer._batch_loss, sortmodel.forward, sortmodel.save_checkpoint
+
+    def recorded_loss(*args, **kwargs):
+        loss = batch_loss(*args, **kwargs)
+        losses.append(weakref.ref(loss))
+        return loss
+
+    def check(call, *args, **kwargs):
+        checks.append(all(ref() is None for ref in losses))
+        return call(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "_batch_loss", recorded_loss)
+    monkeypatch.setattr(trainer.sortmodel, "forward", lambda *a, **k: check(forward, *a, **k))
+    monkeypatch.setattr(trainer.sortmodel, "save_checkpoint", lambda *a: check(save, *a))
+    trainer.train(dataset, sortmodel.init_params(ENGINE, seed=15), ENGINE,
+                  trainer.TrainConfig(batch_size=32, epochs=2), ckpt_path=tmp_path / "m.ckpt")
+    steps = 2 * -(-len(trainer._session_hash_split(dataset.users, 0.1)[0]) // 32)
+    assert len(losses) == steps and len(checks) == steps + 2 + 1  # + an evaluation an epoch
+    assert all(checks)
+
+
+def test_train_holds_one_tape_at_a_time():
+    # Batches of 128 ten-item lists over two layers make the tape the bulk of
+    # what train() holds. With the next step's forward running while the
+    # last step's loss is still bound, two tapes are alive at once and the
+    # peak is ~17.6 MB; with one tape, in a reused workspace, ~12.5 MB.
+    engine = dataclasses.replace(ENGINE, l_o=10, max_count=10, n_layers=2)
+    data = simulator.build_dataset(engine, dataclasses.replace(SIM, sessions=600))
+    params = sortmodel.init_params(engine, seed=16)
+    tracemalloc.start()
+    try:
+        trainer.train(data, params, engine, trainer.TrainConfig(batch_size=128, epochs=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * 2**20, f"{peak / 2**20:.2f} MB"
