@@ -1,21 +1,34 @@
 """Minimal HTTP rerank service: POST /rerank, GET /healthz.
 
 Stateless per request; model parameters are loaded once, as read-only
-arrays, and shared across the threaded handler pool. The first request packs
+arrays, and shared across the handler threads. The first request packs
 them into `model.InferenceWeights` (`model.packed_weights`), and later
 requests reuse that packing. A request's generation keeps its queue cursors,
 KV cache and invocation count to itself, so the handler threads share only
 read-only state.
+
+Each connection is served by a handler thread that is kept for the next one:
+an idle thread if there is one, else a new thread while fewer than
+`MAX_HANDLERS` run. A connection that finds all `MAX_HANDLERS` busy gets a
+JSON 503 from the accepting thread and is closed. `server_close()` stops and
+joins the handler threads. A reply's status line, headers and body leave in
+one socket write.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import queue
+import socket
+import struct
+import threading
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from itertools import chain
 
 import numpy as np
 
@@ -39,6 +52,12 @@ MAX_CANDIDATES = 10_000
 # request that stalls in its request line, headers or body gets a 408, and an
 # idle connection is closed.
 SOCKET_TIMEOUT_S = 10.0
+# Handler threads, each serving one connection at a time. Past them a
+# connection gets a 503, so stalled connections hold at most this many threads.
+MAX_HANDLERS = 16
+# Seconds a refused connection stays half-closed after its 503, so that a
+# client still sending its body can read the 503 rather than a reset.
+REFUSED_LINGER_S = 1.0
 
 
 class RequestError(ValueError):
@@ -106,12 +125,12 @@ def _parse_weights(w) -> ObjectiveWeights:
         raise RequestError(f"weights{'.' if named else ': '}{exc}") from exc
 
 
-# A candidate pool is packed column by column and validated in one vectorised
-# pass: the item rules (core.item_fault) and duplicate ids over the packed
-# rows. A fault is reported for the lowest-index faulty candidate, and within
-# one candidate in the order id, emb, price, ctr, cvr, cat, then the item
-# rules, then a duplicate id. Only a pool whose columns do not pack into
-# numbers of the right shape is scanned row by row, to find the first
+# A candidate pool is packed in one pass over the candidates and validated in
+# one vectorised pass: the item rules (core.item_fault) and duplicate ids over
+# the packed rows. A fault is reported for the lowest-index faulty candidate,
+# and within one candidate in the order id, emb, price, ctr, cvr, cat, then
+# the item rules, then a duplicate id. Only a pool whose fields do not pack
+# into numbers of the right shape is scanned row by row, to find the first
 # malformed candidate.
 
 
@@ -127,25 +146,28 @@ def _parse_candidates(cands: list, d_emb: int) -> ItemFeatures:
 
 
 def _pack_columns(cands: list, d_emb: int) -> ItemFeatures | None:
-    """The pool packed column by column, or None when a column does not pack
-    into plain numbers of its shape: a missing key, a string or other
-    non-number, a ragged emb, or an id or cat that is not an int64 integer."""
-    try:
-        ids = np.array([c["id"] for c in cands])
-        emb = np.array([c["emb"] for c in cands])
-        score = np.array([[c["ctr"], c["cvr"]] for c in cands])
-        price = np.array([c["price"] for c in cands])
-        cat = np.array([c.get("cat", 0) for c in cands])
-    except (KeyError, TypeError, ValueError):
-        return None
+    """The pool packed in one pass over the candidates, or None when a field
+    does not pack into plain numbers of its shape: a missing key, a string or
+    other non-number, an emb that is not d_emb numbers, or an id or cat that
+    is not an int64 integer (`_pack_rows` reads an integral float as one).
+
+    struct reads a number as float() does and an id or cat as an exact int,
+    and refuses the rest: a string, None, a list, an int past the range of
+    its field. A bool reads as 1 or 0, as it does in `_pack_rows`."""
     n = len(cands)
-    if (ids.dtype != np.int64 or cat.dtype != np.int64 or ids.shape != (n,) or cat.shape != (n,)
-            or emb.shape != (n, d_emb) or score.shape != (n, 2) or price.shape != (n,)
-            or any(a.dtype.kind not in "if" for a in (emb, score, price))):
+    ints, floats = np.empty(2 * n, np.int64), np.empty((3 + d_emb) * n)
+    try:
+        ids, cat, price, ctr, cvr, emb = zip(*[
+            (c["id"], c.get("cat", 0), c["price"], c["ctr"], c["cvr"], c["emb"]) for c in cands])
+        if any(len(e) != d_emb for e in emb):  # a ragged emb would shift the rows after it
+            return None
+        struct.pack_into(f"{2 * n}q", ints, 0, *ids, *cat)
+        struct.pack_into(f"{(3 + d_emb) * n}d", floats, 0, *price,
+                         *chain.from_iterable(zip(ctr, cvr)), *chain.from_iterable(emb))
+    except (KeyError, TypeError, ValueError, struct.error):
         return None
-    return ItemFeatures(ids, np.asarray(emb, dtype=np.float64),
-                        np.asarray(score, dtype=np.float64),
-                        np.asarray(price, dtype=np.float64), cat)
+    return ItemFeatures(ints[:n], floats[3 * n:].reshape(n, d_emb),
+                        floats[n:3 * n].reshape(n, 2), floats[:n], ints[n:])
 
 
 class _Malformed(Exception):
@@ -224,10 +246,12 @@ def _pool_fault(pool: ItemFeatures) -> tuple[int, str, str] | None:
     if not len(pool.ids):
         return None
     fault = item_fault(pool.emb, pool.score, pool.price)
+    if len(set(pool.ids.tolist())) == len(pool.ids):  # no repeat, so no np.unique and its sorts
+        return fault
     _, first, inverse = np.unique(pool.ids, return_index=True, return_inverse=True)
     repeat = first[inverse] != np.arange(len(pool.ids))
     i = int(np.argmax(repeat))
-    if repeat[i] and (fault is None or i < fault[0]):
+    if fault is None or i < fault[0]:
         return i, "id", f"duplicate of candidates[{first[inverse[i]]}].id"
     return fault
 
@@ -266,6 +290,10 @@ class _State:
 
 class RerankHandler(BaseHTTPRequestHandler):
     state: _State
+    # A buffered wfile (io.DEFAULT_BUFFER_SIZE, 8 KiB): a reply that fits, as
+    # all do but an error quoting a long value, leaves in one socket write when
+    # the stdlib flushes it after the request.
+    wbufsize = -1
 
     def log_message(self, fmt, *args):  # keep the test output quiet
         pass
@@ -379,8 +407,92 @@ class RerankHandler(BaseHTTPRequestHandler):
         return length
 
 
+class RerankServer(HTTPServer):
+    """An HTTP server that serves each connection on a handler thread kept
+    for reuse: an idle one if there is one, else a new one while fewer than
+    MAX_HANDLERS run. Past that, the accepting thread answers a JSON 503 and
+    closes the connection. `server_close()` stops and joins the threads."""
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._connections = queue.SimpleQueue()  # (request, address), or None to stop
+        self._lock = threading.Lock()  # guards _handlers and _idle
+        self._handlers: list[threading.Thread] = []
+        self._idle = 0
+        self._refused = deque()  # (monotonic time of the 503, half-closed socket)
+
+    def process_request(self, request, client_address):
+        with self._lock:
+            accepted = self._idle > 0 or len(self._handlers) < MAX_HANDLERS
+            if self._idle:
+                self._idle -= 1
+            elif accepted:
+                thread = threading.Thread(target=self._serve_connections, name="rerank-handler",
+                                          daemon=True)
+                thread.start()
+                self._handlers.append(thread)
+        if not accepted:
+            self._refuse(request)
+            return
+        self._connections.put((request, client_address))
+
+    def _serve_connections(self) -> None:
+        while (item := self._connections.get()) is not None:
+            request, client_address = item
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                # Idle before the close, so that a client that reconnects once
+                # it has its reply finds this thread idle.
+                with self._lock:
+                    self._idle += 1
+                self.shutdown_request(request)
+
+    def _refuse(self, request) -> None:
+        """The JSON 503 for a connection past the cap, sent by the accepting
+        thread without waiting on the client. The socket is half-closed and
+        kept for REFUSED_LINGER_S: closing it while the client still sends
+        would reset the connection before the client reads the 503."""
+        body = json.dumps({"error": f"server busy: all {MAX_HANDLERS} handler threads "
+                                    f"(MAX_HANDLERS) are serving other connections; "
+                                    f"connection closed"}).encode("utf-8")
+        head = (f"HTTP/1.0 503 Service Unavailable\r\nContent-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n")
+        request.setblocking(False)
+        try:
+            request.sendall(head.encode("ascii") + body)
+            request.shutdown(socket.SHUT_WR)
+        except OSError:  # the client is gone, or not reading
+            self.close_request(request)
+            return
+        self._refused.append((time.monotonic(), request))
+        self.service_actions()
+
+    def service_actions(self):
+        """Close the refused sockets held longer than REFUSED_LINGER_S, and
+        the oldest past MAX_HANDLERS of them; serve_forever calls this on
+        every pass of its loop."""
+        now = time.monotonic()
+        while self._refused and (len(self._refused) > MAX_HANDLERS
+                                 or now - self._refused[0][0] > REFUSED_LINGER_S):
+            self.close_request(self._refused.popleft()[1])
+
+    def server_close(self):
+        super().server_close()
+        while self._refused:
+            self.close_request(self._refused.popleft()[1])
+        with self._lock:
+            handlers, self._handlers, self._idle = self._handlers, [], 0
+        for _ in handlers:
+            self._connections.put(None)
+        for thread in handlers:
+            thread.join()
+
+
 def make_server(ckpt_path: str, port: int,
-                weights: ObjectiveWeights | None = None) -> ThreadingHTTPServer:
+                weights: ObjectiveWeights | None = None) -> RerankServer:
     """Build (but do not start) the rerank server; checkpoint loads eagerly."""
     import hashlib
     from pathlib import Path
@@ -390,4 +502,4 @@ def make_server(ckpt_path: str, port: int,
                    weights or ObjectiveWeights())
     handler = type("BoundHandler", (RerankHandler,),
                    {"state": state, "timeout": SOCKET_TIMEOUT_S})
-    return ThreadingHTTPServer(("127.0.0.1", port), handler)
+    return RerankServer(("127.0.0.1", port), handler)

@@ -17,9 +17,11 @@ import numpy as np
 
 from sortgen import model as sortmodel
 from sortgen import nn, simulator, trainer, values
-from sortgen.core import ConfigError, Item, ObjectiveWeights, UserContext, config_hash, to_dict
+from sortgen.core import (ConfigError, Item, ObjectiveWeights, UserContext, config_hash,
+                          item_fault, to_dict)
+from sortgen.model import ItemFeatures
 from sortgen.nn import Var
-from sortgen.server import MAX_CANDIDATES, RequestError
+from sortgen.server import MAX_CANDIDATES, RequestError, _pack_rows
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -178,6 +180,51 @@ def parse_request_reference(doc, config):
         if not 0.0 <= lam <= 1.0:
             raise RequestError("lambda: outside [0,1]")
     return user, items, weights, lam
+
+
+def parse_candidates_reference(cands: list, d_emb: int) -> ItemFeatures:
+    """server._parse_candidates with its earlier column packer and pool check:
+    a numpy array per column, and np.unique over every pool. The reference
+    for the one-pass packer; both fall back to server._pack_rows."""
+    pool, malformed = _pack_columns_reference(cands, d_emb), None
+    if pool is None:
+        pool, malformed = _pack_rows(cands, d_emb)
+    fault = _pool_fault_reference(pool) or malformed
+    if fault is not None:
+        i, field, reason = fault
+        raise RequestError(f"candidates[{i}]{'.' + field if field else ''}: {reason}")
+    return pool
+
+
+def _pack_columns_reference(cands: list, d_emb: int) -> ItemFeatures | None:
+    try:
+        ids = np.array([c["id"] for c in cands])
+        emb = np.array([c["emb"] for c in cands])
+        score = np.array([[c["ctr"], c["cvr"]] for c in cands])
+        price = np.array([c["price"] for c in cands])
+        cat = np.array([c.get("cat", 0) for c in cands])
+    except (KeyError, TypeError, ValueError):
+        return None
+    n = len(cands)
+    if (ids.dtype != np.int64 or cat.dtype != np.int64 or ids.shape != (n,) or cat.shape != (n,)
+            or emb.shape != (n, d_emb) or score.shape != (n, 2) or price.shape != (n,)
+            or any(a.dtype.kind not in "if" for a in (emb, score, price))):
+        return None
+    return ItemFeatures(ids, np.asarray(emb, dtype=np.float64),
+                        np.asarray(score, dtype=np.float64),
+                        np.asarray(price, dtype=np.float64), cat)
+
+
+def _pool_fault_reference(pool: ItemFeatures) -> tuple[int, str, str] | None:
+    if not len(pool.ids):
+        return None
+    fault = item_fault(pool.emb, pool.score, pool.price)
+    _, first, inverse = np.unique(pool.ids, return_index=True, return_inverse=True)
+    repeat = first[inverse] != np.arange(len(pool.ids))
+    i = int(np.argmax(repeat))
+    if repeat[i] and (fault is None or i < fault[0]):
+        return i, "id", f"duplicate of candidates[{first[inverse[i]]}].id"
+    return fault
 
 
 # Per-Item references for the similarity and MMR arithmetic of the greedy loop

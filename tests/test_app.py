@@ -9,6 +9,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +350,7 @@ def live_server(workdir):
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 def _post(url, doc):
@@ -929,3 +931,147 @@ def test_internal_fault_gets_json_500(workdir, capfd):
     err = capfd.readouterr().err
     assert "Traceback (most recent call last)" in err
     assert "\nKeyError: " in err
+
+
+@contextmanager
+def _serving(workdir, monkeypatch):
+    """A live server whose do_POST records the thread that runs it; yields
+    the server and that list of threads, and shuts down and closes the server
+    on exit."""
+    served_by = []
+    post = srv.RerankHandler.do_POST
+
+    def recording_post(handler):
+        served_by.append(threading.current_thread())
+        post(handler)
+
+    monkeypatch.setattr(srv.RerankHandler, "do_POST", recording_post)
+    server = srv.make_server(str(workdir["ckpt"]), 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server, served_by
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def _rerank_over_socket(server, workdir, doc=None) -> tuple[int, dict]:
+    """One POST /rerank (a valid one by default); returns once the server has
+    closed the connection."""
+    body = json.dumps(_request_doc(workdir)[0] if doc is None else doc).encode("utf-8")
+    return _raw_post(f"http://127.0.0.1:{server.server_address[1]}",
+                     b"Content-Length: %d" % len(body), body)
+
+
+def _stall_in_body(address) -> socket.socket:
+    """A connection whose request stops one byte into a 100-byte body."""
+    conn = socket.create_connection(address, timeout=10)
+    conn.sendall(b"POST /rerank HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{")
+    return conn
+
+
+def _until(condition) -> None:
+    deadline = time.monotonic() + 10
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+def test_consecutive_requests_are_served_by_one_handler_thread(workdir, monkeypatch):
+    with _serving(workdir, monkeypatch) as (server, served_by):
+        for _ in range(3):
+            assert _rerank_over_socket(server, workdir)[0] == 200
+    assert len(served_by) == 3
+    assert served_by[1] is served_by[0] and served_by[2] is served_by[0]
+
+
+def test_server_close_joins_the_handler_threads(workdir, monkeypatch):
+    # One handler thread is idle and one still holds a stalled connection
+    # when the server closes; server_close waits for both to end.
+    monkeypatch.setattr(srv, "SOCKET_TIMEOUT_S", 1.0)
+    with _serving(workdir, monkeypatch) as (server, served_by):
+        stalled = _stall_in_body(server.server_address)
+        _until(lambda: len(served_by) == 1)
+        assert _rerank_over_socket(server, workdir)[0] == 200
+    stalled.close()
+    assert len(set(served_by)) == 2
+    assert not any(thread.is_alive() for thread in served_by)
+
+
+def test_a_connection_past_the_handler_cap_gets_a_json_503(workdir, monkeypatch):
+    # Two connections stall mid-body and hold both handler threads; a third
+    # gets a 503 naming the cap and is closed, and so does a fourth that
+    # sends a large body, which the server never reads. Once the stalls time
+    # out, a request is served again.
+    monkeypatch.setattr(srv, "MAX_HANDLERS", 2)
+    monkeypatch.setattr(srv, "SOCKET_TIMEOUT_S", 1.0)
+    busy = {"error": "server busy: all 2 handler threads (MAX_HANDLERS) are serving other "
+                     "connections; connection closed"}
+    with _serving(workdir, monkeypatch) as (server, served_by):
+        stalled = [_stall_in_body(server.server_address) for _ in range(2)]
+        _until(lambda: len(served_by) == 2)
+        reply, elapsed = _sent_then_silent(server.server_address,
+                                           b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert int(status_line.split()[1]) == 503
+        assert json.loads(rest.partition(b"\r\n\r\n")[2]) == busy
+        assert elapsed < 1.0
+        with pytest.raises(urllib.error.HTTPError) as refused:
+            _post(f"http://127.0.0.1:{server.server_address[1]}",
+                  {"user": [0.0] * 8, "pad": "x" * 100_000})
+        with refused.value:
+            assert refused.value.code == 503 and json.loads(refused.value.read()) == busy
+        for conn in stalled:
+            with conn:
+                assert conn.recv(65536).startswith(b"HTTP/1.0 408 ")
+        assert _rerank_over_socket(server, workdir)[0] == 200
+    assert len(set(served_by)) == 2
+
+
+def test_concurrent_connections_leave_every_handler_thread_idle(workdir, monkeypatch):
+    # Four clients against two handler threads, with frequent thread switches:
+    # each reply is a 200 or a 503, and once every connection has closed each
+    # started thread counts as idle, which a lost update of the count breaks.
+    monkeypatch.setattr(srv, "MAX_HANDLERS", 2)
+    statuses, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with _serving(workdir, monkeypatch) as (server, _):
+            def client():
+                for _ in range(5):
+                    reply, _ = _sent_then_silent(server.server_address,
+                                                 b"GET /healthz HTTP/1.0\r\n\r\n")
+                    statuses.append(int(reply.split()[1]))
+
+            clients = [threading.Thread(target=client) for _ in range(4)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in clients)
+            assert server._idle == len(server._handlers) <= 2
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(statuses) == 20 and set(statuses) <= {200, 503} and 200 in statuses
+
+
+@pytest.mark.parametrize("valid", [True, False], ids=["200", "400"])
+def test_a_reply_leaves_in_one_socket_write(workdir, monkeypatch, valid):
+    writes = []
+    with _serving(workdir, monkeypatch) as (server, _):
+        port = server.server_address[1]
+        for name in ("send", "sendall"):
+            def counting(sock, data, *args, _write=getattr(socket.socket, name)):
+                if sock.getsockname()[1] == port:  # the server's end of a connection
+                    writes.append(bytes(data))
+                return _write(sock, data, *args)
+
+            monkeypatch.setattr(socket.socket, name, counting)
+        status, doc = _rerank_over_socket(server, workdir, None if valid else {})
+    assert status == (200 if valid else 400)
+    assert len(writes) == 1
+    head, _, body = writes[0].partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.0 %d " % status)
+    assert b"\r\nContent-Length: %d\r\n" % len(body) in head + b"\r\n"
+    assert json.loads(body) == doc

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sortgen import model as sortmodel, server as srv
 from sortgen.core import ObjectiveWeights
-from tests.helpers import parse_request_reference
+from tests.helpers import parse_candidates_reference, parse_request_reference
 
 FAULTS = ("missing", "string", "null", "nan", "inf", "off_norm", "ctr_range", "cvr_range",
           "negative_price", "duplicate_id", "fractional_id", "id_beyond_int64", "ragged_emb",
@@ -98,7 +98,10 @@ def _where(error: str) -> str:
 
 
 def _assert_same_pool(pool, items):
-    expected = sortmodel.item_features(items)
+    _assert_same_features(pool, sortmodel.item_features(items))
+
+
+def _assert_same_features(pool, expected):
     for name, got, want in zip(expected._fields, pool, expected):
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
@@ -137,6 +140,79 @@ def test_faulty_document_names_the_reference_fault(small_config, small_params, d
     _assert_same_pool(got[1], ref[1])
     reply = srv.rerank(small_config, small_params, got[0], got[1], ObjectiveWeights())
     assert math.isfinite(reply["combined_value"])
+
+
+MALFORMED = ("missing", "numeric_string", "bool", "null", "nested_list", "ragged_emb",
+             "short_emb", "fractional", "beyond_int64", "beyond_float", "nan", "inf",
+             "duplicate_id", "not_an_object")
+
+
+@st.composite
+def malformed_pools(draw):
+    """A valid document with one to four of the MALFORMED faults at its
+    candidates (most often one), round-tripped through JSON. A fault of a
+    scalar kind goes to one component when the field drawn is emb. A few
+    leave the pool valid: a numeric string, a bool, a fractional price."""
+    doc = draw(documents())
+    cands = doc["candidates"]
+    for _ in range(draw(st.sampled_from([1, 1, 2, 3, 4]))):
+        i = draw(st.integers(0, 1) | st.integers(0, len(cands) - 1))
+        kind, field = draw(st.sampled_from(MALFORMED)), draw(st.sampled_from(FIELDS + ("cat",)))
+        cand = cands[i]
+        if kind == "not_an_object":
+            cands[i] = draw(st.sampled_from([[], [1.0, 2.0], "x", 7, None, True]))
+        elif not isinstance(cand, dict):
+            continue
+        elif kind == "missing":
+            cand.pop(field, None)
+        elif kind == "duplicate_id" and i > 0 and isinstance(cands[i - 1], dict):
+            cand["id"] = cands[i - 1].get("id", 0)
+        elif kind in ("ragged_emb", "short_emb") and isinstance(cand.get("emb"), list):
+            cand["emb"] = cand["emb"][:2] if kind == "short_emb" else cand["emb"] + [0.0]
+        elif kind in ("numeric_string", "bool", "null", "nested_list", "fractional",
+                      "beyond_int64", "beyond_float", "nan", "inf"):
+            emb = cand.get("emb")
+            k = (draw(st.integers(0, len(emb) - 1))
+                 if field == "emb" and isinstance(emb, list) and emb else None)
+            old = emb[k] if k is not None else cand.get(field, 0)
+            value = {"numeric_string": repr(old), "bool": draw(st.booleans()), "null": None,
+                     "nested_list": [old], "fractional": 12.5, "beyond_int64": 2**63,
+                     "beyond_float": 10**400, "nan": math.nan,
+                     "inf": draw(st.sampled_from([math.inf, -math.inf]))}[kind]
+            if k is not None:
+                emb[k] = value
+            elif field != "emb":
+                cand[field] = value
+    return json.loads(json.dumps(doc))
+
+
+@settings(max_examples=200, **FUZZ)
+@given(doc=documents(), int_ids=st.booleans())
+def test_valid_pool_packs_like_the_column_reference(small_config, doc, int_ids):
+    # Bit for bit against the packer of numpy arrays per column. An id given
+    # as an integral float sends both to the row reader, so half the pools
+    # have none.
+    if int_ids:
+        for cand in doc["candidates"]:
+            cand["id"] = int(cand["id"])
+    doc = json.loads(json.dumps(doc))
+    _, pool, _, _ = srv.parse_rerank_request(doc, small_config)
+    _assert_same_features(pool, parse_candidates_reference(doc["candidates"],
+                                                           small_config.d_emb))
+
+
+@settings(max_examples=1000, **FUZZ)
+@given(doc=malformed_pools())
+def test_malformed_pool_gets_the_column_reference_error(small_config, doc):
+    # The same error text as the packer of numpy arrays per column, or, where
+    # the faults left the pool valid, the same packed pool.
+    got, error = _outcome(srv.parse_rerank_request, doc, small_config)
+    ref, ref_error = _outcome(lambda d, config: parse_candidates_reference(d["candidates"],
+                                                                          config.d_emb),
+                              doc, small_config)
+    assert error == ref_error
+    if error is None:
+        _assert_same_features(got[1], ref)
 
 
 def parse_doc(config, n=6):
@@ -217,6 +293,20 @@ def test_fault_in_an_earlier_row_beats_a_malformed_later_row(small_config):
     del doc["candidates"][4]["ctr"]
     with pytest.raises(srv.RequestError, match=r"^candidates\[1\]\.price: negative price"):
         srv.parse_rerank_request(doc, small_config)
+
+
+@pytest.mark.parametrize("duplicate, fault", [(2, 4), (4, 2)])
+def test_the_lower_of_a_duplicate_id_and_a_rule_fault_is_named(small_config, duplicate, fault):
+    # Both rows pack; the duplicate is found over the packed ids, the rule
+    # fault by item_fault, and the lower row wins.
+    doc = parse_doc(small_config)
+    doc["candidates"][duplicate]["id"] = doc["candidates"][0]["id"]
+    doc["candidates"][fault]["price"] = math.nan
+    where = (rf"candidates\[{duplicate}\]\.id" if duplicate < fault
+             else rf"candidates\[{fault}\]\.price")
+    for parse in (srv.parse_rerank_request, parse_request_reference):
+        with pytest.raises(srv.RequestError, match=rf"^{where}: "):
+            parse(doc, small_config)
 
 
 @pytest.mark.parametrize("value", [True, False])
