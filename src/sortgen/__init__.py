@@ -13,7 +13,6 @@ from sortgen.core import (
     ObjectiveWeights,
     QueueSpec,
     UserContext,
-    validate_config,
 )
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "ObjectiveWeights",
     "QueueSpec",
     "UserContext",
-    "validate_config",
 ]
 
 __version__ = "0.1.0"

@@ -19,7 +19,6 @@ from sortgen.core import (
     config_from_raw,
     load_config_file,
     raw_value,
-    validate_config,
 )
 from sortgen.simulator import SimConfig
 
@@ -35,7 +34,6 @@ def _load(args) -> tuple[EngineConfig, ObjectiveWeights, dict[str, str]]:
         engine, weights, raw = EngineConfig(), ObjectiveWeights(), {}
     if args.seed is not None:
         engine = dataclasses.replace(engine, seed=args.seed)
-    validate_config(engine)
     return engine, weights, raw
 
 
@@ -271,20 +269,19 @@ def cmd_bench(args) -> int:
 
 def run_oracle_study(engine: EngineConfig, weights: ObjectiveWeights, params: dict,
                      pools: int, l_s: int, l_o: int, seed: int) -> dict:
-    """Greedy-vs-exhaustive regret over small pools, plus a random-list floor."""
-    # Keep max_count (head shapes) from the checkpoint; thresholds beyond the
-    # prefix length are zero-masked anyway.
-    small = dataclasses.replace(engine, l_s=l_s, l_o=l_o)
+    """Greedy-vs-exhaustive regret over small pools, plus a random-list floor.
+    Slates of l_o items are scored by the checkpoint's own value model: its
+    thresholds beyond the prefix length are zero-masked."""
     catalog = simulator.catalog_table(max(l_s * 4, 50), engine.d_emb, 8, seed)
     rng = np.random.default_rng(seed + 1)
     greedy_ratios, random_ratios = [], []
-    vm = generation.ValueModel(small, params)
+    vm = generation.ValueModel(engine, params)
     for _ in range(pools):
         user = simulator.sample_user(rng, engine.d_user)
         features = simulator.sample_pool(catalog, l_s, rng)
         best_val, _ = generation.exhaustive_oracle(features, user, vm, weights, l_o)
-        queues = generation.build_queues(features, small.queue_specs,
-                                         small.partition_strategy, l_o)
+        queues = generation.build_queues(features, engine.queue_specs,
+                                         engine.partition_strategy, l_o)
         trace = generation.generate(user, queues, vm, weights, lam=1.0)
         greedy_val = float(vm.pool_values(features, np.array([trace.rows]), user, weights)[0])
         perm = rng.permutation(l_s)[:l_o]

@@ -1,7 +1,7 @@
 """Domain types, engine configuration, and validation.
 
-Everything here is immutable after construction and safe to share
-across threads.
+Everything here checks itself when it is built (a fault is a ConfigError)
+and is immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -36,6 +36,11 @@ def item_fault(emb: np.ndarray, score: np.ndarray,
     rerank request: emb, ctr, cvr, price.
     """
     norm = np.sqrt(np.einsum("ij,ij->i", emb, emb))
+    # A few reductions decide that every row holds (a non-finite component
+    # makes its norm non-finite; NaN fails every comparison); masks name a fault.
+    if (np.abs(norm - 1.0).max() <= 1e-6 and score.min() >= 0.0 and score.max() <= 1.0
+            and price.min() >= 0.0 and price.max() < np.inf):
+        return None
     prior = ~((score >= 0.0) & (score <= 1.0))
     rules = (
         (~np.isfinite(emb).all(axis=1), "emb", "embedding components must be finite"),
@@ -45,10 +50,7 @@ def item_fault(emb: np.ndarray, score: np.ndarray,
         (~np.isfinite(price), "price", "price must be finite"),
         (price < 0.0, "price", "negative price"),
     )
-    bad = np.logical_or.reduce([mask for mask, _, _ in rules])
-    i = int(np.argmax(bad))
-    if not bad[i]:
-        return None
+    i = int(np.argmax(np.logical_or.reduce([mask for mask, _, _ in rules])))
     field, reason = next((field, reason) for mask, field, reason in rules if mask[i])
     return i, field, reason.format(norm=norm[i])
 
@@ -144,6 +146,19 @@ DEFAULT_QUEUE_SPECS = (
 )
 
 
+def _type_fault(value, default) -> str | None:
+    """The type `value` should have, or None when it has the type of `default`
+    as `_cast` reads it (a float field also takes an int; no field takes a
+    bool; an empty tuple is one of ints)."""
+    if isinstance(default, tuple):
+        item = default[0] if default else 0
+        ok = isinstance(value, tuple) and not any(_type_fault(x, item) for x in value)
+        return None if ok else f"a tuple of {type(item).__name__}"
+    types = (int, float) if isinstance(default, float) else type(default)
+    ok = isinstance(value, types) and not isinstance(value, bool)
+    return None if ok else type(default).__name__
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Shapes, generation knobs, and mode switches shared by all modules."""
@@ -166,6 +181,44 @@ class EngineConfig:
     head_mode: str = "monotone"  # monotone | literal
     template_pattern: tuple[int, ...] = ()
     seed: int = 0
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):  # the types first: the rules compare values
+            if kind := _type_fault(getattr(self, f.name), f.default):
+                raise ConfigError(f"{f.name} must be {kind}, got {getattr(self, f.name)!r}")
+        if self.l_o > self.l_s:
+            raise ConfigError("l_o exceeds l_s")
+        if self.max_count > self.l_o:
+            raise ConfigError("max_count exceeds l_o")
+        if self.window_w < 1:
+            raise ConfigError("window_w must be >= 1")
+        if not 0.0 <= self.lambda_mmr <= 1.0:
+            raise ConfigError("lambda_mmr outside [0,1]")
+        # n_heads = 0 is left to the positivity rule below.
+        if self.n_heads and self.d_model % self.n_heads != 0:
+            raise ConfigError("d_model not divisible by n_heads")
+        for dim_name in ("l_s", "l_o", "d_emb", "d_user", "d_position", "d_model",
+                         "n_layers", "n_heads", "max_count"):
+            if getattr(self, dim_name) < 1:
+                raise ConfigError(f"{dim_name} must be positive")
+        if self.d_score != 2:
+            raise ConfigError("d_score must be 2 (prior_ctr, prior_cvr)")
+        if not self.queue_specs:
+            raise ConfigError("empty queue_specs")
+        priorities = [q.priority for q in self.queue_specs]
+        if len(set(priorities)) != len(priorities):
+            raise ConfigError("duplicate queue priorities")
+        if self.partition_strategy not in ("dfs", "bfs"):
+            raise ConfigError(f"unknown partition_strategy {self.partition_strategy!r}")
+        if self.loss_mode not in ("ordered_regression", "pointwise"):
+            raise ConfigError(f"unknown loss_mode {self.loss_mode!r}")
+        if self.head_mode not in ("monotone", "literal"):
+            raise ConfigError(f"unknown head_mode {self.head_mode!r}")
+        if self.template_pattern:
+            if len(self.template_pattern) != self.l_o:
+                raise ConfigError("template_pattern length must equal l_o")
+            if any(not 0 <= t < len(self.queue_specs) for t in self.template_pattern):
+                raise ConfigError("template_pattern indexes a missing queue")
 
     @property
     def d_input(self) -> int:
@@ -198,43 +251,6 @@ def to_dict(config) -> dict:
 def config_hash(config: EngineConfig) -> str:
     blob = json.dumps(to_dict(config), sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def validate_config(config: EngineConfig) -> None:
-    """Raise ConfigError naming the first violated invariant."""
-    if config.l_o > config.l_s:
-        raise ConfigError("l_o exceeds l_s")
-    if config.max_count > config.l_o:
-        raise ConfigError("max_count exceeds l_o")
-    if config.window_w < 1:
-        raise ConfigError("window_w must be >= 1")
-    if not 0.0 <= config.lambda_mmr <= 1.0:
-        raise ConfigError("lambda_mmr outside [0,1]")
-    if config.d_model % config.n_heads != 0:
-        raise ConfigError("d_model not divisible by n_heads")
-    for dim_name in ("l_s", "l_o", "d_emb", "d_user", "d_position", "d_model",
-                     "n_layers", "n_heads", "max_count"):
-        if getattr(config, dim_name) < 1:
-            raise ConfigError(f"{dim_name} must be positive")
-    if config.d_score != 2:
-        raise ConfigError("d_score must be 2 (prior_ctr, prior_cvr)")
-    if not config.queue_specs:
-        raise ConfigError("empty queue_specs")
-    priorities = [q.priority for q in config.queue_specs]
-    if len(set(priorities)) != len(priorities):
-        raise ConfigError("duplicate queue priorities")
-    q = len(config.queue_specs)
-    if config.partition_strategy not in ("dfs", "bfs"):
-        raise ConfigError(f"unknown partition_strategy {config.partition_strategy!r}")
-    if config.loss_mode not in ("ordered_regression", "pointwise"):
-        raise ConfigError(f"unknown loss_mode {config.loss_mode!r}")
-    if config.head_mode not in ("monotone", "literal"):
-        raise ConfigError(f"unknown head_mode {config.head_mode!r}")
-    if config.template_pattern:
-        if len(config.template_pattern) != config.l_o:
-            raise ConfigError("template_pattern length must equal l_o")
-        if any(not 0 <= t < q for t in config.template_pattern):
-            raise ConfigError("template_pattern indexes a missing queue")
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +332,12 @@ def engine_config_from_raw(raw: dict[str, str]) -> EngineConfig:
     for key in raw:
         if not (key in top or key in _OPTION_KEYS or key.startswith(("queue.", "sim.", "train."))):
             raise ConfigError(f"unknown config key {key!r}")
-    config = config_from_raw(EngineConfig, raw)
+    values = {f.name: raw_value(raw, f.name, f.default) for f in dataclasses.fields(EngineConfig)}
     queues = [(key[6:], value) for key, value in raw.items() if key.startswith("queue.")]
     if queues:
-        config = dataclasses.replace(config, queue_specs=tuple(
-            _parse_queue_value(name, value, i) for i, (name, value) in enumerate(queues)))
-    validate_config(config)
-    return config
+        values["queue_specs"] = tuple(
+            _parse_queue_value(name, value, i) for i, (name, value) in enumerate(queues))
+    return EngineConfig(**values)
 
 
 def load_config_file(path: str | Path) -> tuple[EngineConfig, ObjectiveWeights, dict[str, str]]:

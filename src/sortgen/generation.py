@@ -59,11 +59,13 @@ class CandidateQueues:
 
     queues: list[list[int]]  # pool indices, per queue, score-descending
     features: sortmodel.ItemFeatures  # the packed pool
+    l_o: int  # the slate length: a generation's number of steps
 
 
 def build_queues(features: sortmodel.ItemFeatures, specs, strategy: str,
                  l_o: int) -> CandidateQueues:
-    """Partition the packed pool into disjoint per-objective queues of size <= l_o.
+    """Partition the packed pool into disjoint per-objective queues of size
+    <= l_o, the length of the slates generated from them.
 
     DFS fills whole queues in priority order; BFS deals one item per queue
     per round, again in priority order. Ties break by ascending item id.
@@ -105,7 +107,7 @@ def build_queues(features: sortmodel.ItemFeatures, specs, strategy: str,
     else:
         raise ConfigError(f"unknown partition strategy {strategy!r}")
 
-    return CandidateQueues(queues, features)
+    return CandidateQueues(queues, features, l_o)
 
 
 # Similarity is cosine similarity, a dot product of unit-norm embeddings.
@@ -252,7 +254,7 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
         cache = sortmodel.Prefix.empty(vm.weights, user.user_features, len(queues.queues))
         pay_count, gmv = 0.0, 0.0  # the chosen prefix's expected pay count and GMV
 
-    for _ in range(cfg.l_o):
+    for _ in range(queues.l_o):
         heads = [(qi, queue[cur]) for qi, (queue, cur) in enumerate(zip(queues.queues, cursors))
                  if cur < len(queue)]
         if not heads:
@@ -298,8 +300,9 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
 def generate(user: UserContext, queues: CandidateQueues, vm: ValueModel,
              weights: ObjectiveWeights, lam: float | None = None,
              window_w: int | None = None) -> GenerationTrace:
-    """Greedy slate construction: one incremental step per position (<= l_o
-    model calls), each scoring every queue head over the cached prefix."""
+    """Greedy slate construction: one incremental step per position of the
+    queues' slate length l_o (<= l_o model calls), each scoring every queue
+    head over the cached prefix."""
     return _run_greedy(user, queues, vm, weights, lam, window_w, cached=True)
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from sortgen import nn
-from sortgen.core import ConfigError, EngineConfig, config_hash, to_dict, validate_config
+from sortgen.core import ConfigError, EngineConfig, config_hash, to_dict
 from sortgen.nn import Var
 
 HEAD_HIDDEN = 32
@@ -642,10 +642,11 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Var], EngineConfig]:
     (`nn.adam_init` copies them into its writable flat buffer and rebinds
     each to its view of it). Their arrays are read-only, which lets
     `packed_weights` pack them once, however many requests they serve.
-    The config must pass `validate_config`, every parameter's name and shape
-    is checked against `param_shapes(config)`, and its values must be finite
-    numbers, so a malformed or damaged checkpoint raises ConfigError here,
-    not on its first use.
+    The config checks itself as `EngineConfig.from_dict` builds it (a fault
+    reads "checkpoint: <rule>"), every parameter's name and shape is checked
+    against `param_shapes(config)`, and its values must be finite numbers, so
+    a malformed or damaged checkpoint raises ConfigError here, not on its
+    first use.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -657,7 +658,6 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Var], EngineConfig]:
     try:
         config = EngineConfig.from_dict(doc["config"])
         stored_hash, stored = doc["config_hash"], dict(doc["params"])
-        validate_config(config)
     except KeyError as exc:
         raise ConfigError(f"checkpoint lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:  # an unknown config key, or an invalid config

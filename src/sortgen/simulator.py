@@ -280,8 +280,6 @@ class Dataset:
 def build_dataset(engine: EngineConfig, sim: SimConfig) -> Dataset:
     if sim.n_items < engine.l_s:
         raise ConfigError("n_items smaller than l_s")
-    if engine.l_o < 1:
-        raise ConfigError("empty exposed list")
     features = catalog_table(sim.n_items, engine.d_emb, sim.n_categories, sim.seed)
     truth = make_ground_truth(engine, sim).bind(features)
     ctr = features.score[:, 0].copy()

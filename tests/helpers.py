@@ -49,6 +49,47 @@ def make_item(i, emb, price=10.0, ctr=0.2, cvr=0.1, cat=0):
                 prior_ctr=ctr, prior_cvr=cvr, category=cat)
 
 
+def validate_config_reference(config) -> None:
+    """The engine config rules as a check apart from the config, which
+    `EngineConfig.__post_init__` replaced. `config` is anything with the
+    fields of an EngineConfig, so a config that breaks a rule can be given.
+    Raise ConfigError naming the first violated invariant; n_heads = 0 raises
+    ZeroDivisionError."""
+    if config.l_o > config.l_s:
+        raise ConfigError("l_o exceeds l_s")
+    if config.max_count > config.l_o:
+        raise ConfigError("max_count exceeds l_o")
+    if config.window_w < 1:
+        raise ConfigError("window_w must be >= 1")
+    if not 0.0 <= config.lambda_mmr <= 1.0:
+        raise ConfigError("lambda_mmr outside [0,1]")
+    if config.d_model % config.n_heads != 0:
+        raise ConfigError("d_model not divisible by n_heads")
+    for dim_name in ("l_s", "l_o", "d_emb", "d_user", "d_position", "d_model",
+                     "n_layers", "n_heads", "max_count"):
+        if getattr(config, dim_name) < 1:
+            raise ConfigError(f"{dim_name} must be positive")
+    if config.d_score != 2:
+        raise ConfigError("d_score must be 2 (prior_ctr, prior_cvr)")
+    if not config.queue_specs:
+        raise ConfigError("empty queue_specs")
+    priorities = [q.priority for q in config.queue_specs]
+    if len(set(priorities)) != len(priorities):
+        raise ConfigError("duplicate queue priorities")
+    q = len(config.queue_specs)
+    if config.partition_strategy not in ("dfs", "bfs"):
+        raise ConfigError(f"unknown partition_strategy {config.partition_strategy!r}")
+    if config.loss_mode not in ("ordered_regression", "pointwise"):
+        raise ConfigError(f"unknown loss_mode {config.loss_mode!r}")
+    if config.head_mode not in ("monotone", "literal"):
+        raise ConfigError(f"unknown head_mode {config.head_mode!r}")
+    if config.template_pattern:
+        if len(config.template_pattern) != config.l_o:
+            raise ConfigError("template_pattern length must equal l_o")
+        if any(not 0 <= t < q for t in config.template_pattern):
+            raise ConfigError("template_pattern indexes a missing queue")
+
+
 def queue_ranking_reference(pool: list[Item], spec) -> list[int]:
     """Pool indices in one queue's order, scored one item at a time: highest
     score first, then ascending id. The reference for build_queues' ranking."""

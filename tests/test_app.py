@@ -321,6 +321,17 @@ def test_non_finite_config_weight_returns_config_error_code(tmp_path, capsys):
     assert "config error: alpha: objective weight nan is not finite" in capsys.readouterr().err
 
 
+def test_zero_heads_in_a_config_file_returns_config_error_code(tmp_path, capsys):
+    # Once a ZeroDivisionError traceback from the divisibility rule.
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("n_heads = 0\n", encoding="utf-8")
+    out = tmp_path / "d.jsonl"
+    rc = cli.main(["simulate", "--config", str(bad), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: n_heads must be positive\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["sim.n_items = 0", "sim.n_categories = 0",
                                   "sim.sessions = -4", "sim.rho = nan", "sim.kappa = inf"])
 def test_out_of_range_sim_value_returns_config_error_code(tmp_path, capsys, line):
@@ -763,12 +774,14 @@ def test_make_server_rejects_bad_checkpoint(tmp_path, damage, name):
 
 def _malformed_checkpoint(tmp_path, kind):
     config = EngineConfig(l_s=10, l_o=4, max_count=4, d_model=16, n_layers=1, n_heads=2)
-    if kind == "invalid_config":  # saved whole, with a matching hash
-        config = dataclasses.replace(config, d_model=8, n_heads=3)
     path = tmp_path / "model.ckpt"
     sortmodel.save_checkpoint(path, sortmodel.init_params(config), config)
     doc = json.loads(path.read_text(encoding="utf-8"))
-    if kind == "no_config_hash":
+    if kind == "invalid_config":
+        doc["config"].update(d_model=8, n_heads=3)
+    elif kind == "zero_heads":
+        doc["config"]["n_heads"] = 0
+    elif kind == "no_config_hash":
         del doc["config_hash"]
     elif kind == "no_queue_specs":
         del doc["config"]["queue_specs"]
@@ -788,6 +801,7 @@ def _malformed_checkpoint(tmp_path, kind):
     ("unknown_config_key", "d_modle"),
     ("non_numeric_value", "proj.W.*abc"),
     ("invalid_config", "d_model not divisible by n_heads"),
+    ("zero_heads", "^checkpoint: n_heads must be positive$"),
 ])
 def test_malformed_checkpoint_is_a_config_error(tmp_path, capsys, kind, name):
     path = _malformed_checkpoint(tmp_path, kind)

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sortgen.core import (
+    DEFAULT_QUEUE_SPECS,
     ConfigError,
     EngineConfig,
     Item,
@@ -19,47 +22,129 @@ from sortgen.core import (
     load_config_file,
     parse_config_text,
     to_dict,
-    validate_config,
 )
 from sortgen.simulator import SimConfig
 from sortgen.trainer import TrainConfig
+from tests.helpers import validate_config_reference
 
 
 def test_default_config_valid():
-    validate_config(EngineConfig())
+    EngineConfig()
 
 
 def test_paper_style_shape_accepted():
     # 10-position lists drawn from 3 queues over a 30-item pool.
     cfg = EngineConfig(l_s=30, l_o=10, max_count=10)
     assert len(cfg.queue_specs) == 3
-    validate_config(cfg)
 
 
 def test_l_o_exceeds_l_s():
     with pytest.raises(ConfigError, match="l_o exceeds l_s"):
-        validate_config(EngineConfig(l_s=5, l_o=10, max_count=5))
+        EngineConfig(l_s=5, l_o=10, max_count=5)
 
 
 def test_head_split_arithmetic():
     with pytest.raises(ConfigError, match="not divisible"):
-        validate_config(EngineConfig(d_model=10, n_heads=3))
+        EngineConfig(d_model=10, n_heads=3)
 
 
 def test_max_count_capped_at_l_o():
     with pytest.raises(ConfigError, match="max_count"):
-        validate_config(EngineConfig(l_o=10, max_count=11))
+        EngineConfig(l_o=10, max_count=11)
 
 
 def test_empty_queue_specs():
     with pytest.raises(ConfigError, match="queue_specs"):
-        validate_config(EngineConfig(queue_specs=()))
+        EngineConfig(queue_specs=())
 
 
 def test_duplicate_queue_priorities():
     specs = (QueueSpec("a", {"ctr": 1.0}, 0), QueueSpec("b", {"cvr": 1.0}, 0))
     with pytest.raises(ConfigError, match="duplicate"):
-        validate_config(EngineConfig(queue_specs=specs))
+        EngineConfig(queue_specs=specs)
+
+
+ENGINE_DEFAULTS = {f.name: f.default for f in dataclasses.fields(EngineConfig)}
+
+
+def _builds(fields: dict):
+    """Every way a config is built from the fields `fields` changes."""
+    return (lambda: EngineConfig(**fields),
+            lambda: dataclasses.replace(EngineConfig(), **fields),
+            lambda: EngineConfig.from_dict({**to_dict(EngineConfig()), **fields}))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"head_mode": "Monotone"}, "unknown head_mode 'Monotone'"),
+    ({"loss_mode": "pointwize"}, "unknown loss_mode 'pointwize'"),
+    ({"partition_strategy": "bfz"}, "unknown partition_strategy 'bfz'"),
+    ({"d_model": 32, "n_heads": 3}, "d_model not divisible by n_heads"),
+    ({"n_heads": 0}, "n_heads must be positive"),
+])
+def test_a_broken_rule_fails_wherever_a_config_is_built(fields, message):
+    # The typos once trained with the ordered loss or literal heads without a
+    # word, and n_heads = 0 escaped as a ZeroDivisionError.
+    for build in _builds(fields):
+        with pytest.raises(ConfigError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("field, value", [
+    ("l_s", 30.5), ("n_heads", 2.0), ("window_w", True), ("seed", None), ("l_o", "10"),
+    ("lambda_mmr", "x"), ("lambda_mmr", False), ("head_mode", 1), ("loss_mode", None),
+    ("queue_specs", list(DEFAULT_QUEUE_SPECS)), ("queue_specs", ({"name": "a"},)),
+    ("template_pattern", [0, 1]), ("template_pattern", (0, 1.0)),
+    ("template_pattern", (True,) * 10),
+])
+def test_an_ill_typed_field_is_a_config_error_naming_it(field, value):
+    # l_s = 30.5 once passed, and a string lambda_mmr escaped as a TypeError.
+    with pytest.raises(ConfigError, match=f"^{field} must be "):
+        EngineConfig(**{field: value})
+    with pytest.raises(ConfigError, match=f"^{field} must be "):
+        dataclasses.replace(EngineConfig(), **{field: value})
+
+
+_INT = st.one_of(st.integers(-2, 12), st.integers(13, 10**12))
+_FIELDS = st.fixed_dictionaries({}, optional={
+    **{name: _INT for name in ("l_s", "l_o", "d_emb", "d_user", "d_position", "d_score",
+                               "d_model", "n_layers", "max_count", "window_w", "seed")},
+    "n_heads": st.one_of(st.just(0), _INT),
+    "lambda_mmr": st.one_of(st.floats(-0.5, 1.5), st.floats(), st.integers(-1, 2)),
+    "queue_specs": st.sampled_from([
+        (), DEFAULT_QUEUE_SPECS[:1], DEFAULT_QUEUE_SPECS[::-1],
+        (DEFAULT_QUEUE_SPECS[0], dataclasses.replace(DEFAULT_QUEUE_SPECS[1], priority=0))]),
+    "partition_strategy": st.sampled_from(["dfs", "bfs", "bfz", "DFS", ""]),
+    "loss_mode": st.sampled_from(["ordered_regression", "pointwise", "ordered", "pointwize"]),
+    "head_mode": st.sampled_from(["monotone", "literal", "Monotone"]),
+    "template_pattern": st.lists(st.integers(-1, 3), max_size=12).map(tuple),
+})
+
+
+@settings(max_examples=400, deadline=None)
+@given(fields=_FIELDS)
+def test_a_config_checks_itself_as_the_reference_check_does(fields):
+    """Construction and dataclasses.replace raise the reference's ConfigError
+    text, pass where it passes, and raise a ConfigError naming a field where
+    it fails otherwise (n_heads = 0 divides by zero)."""
+    try:
+        validate_config_reference(SimpleNamespace(**{**ENGINE_DEFAULTS, **fields}))
+        want = None
+    except ConfigError as exc:
+        want = str(exc)
+    except ZeroDivisionError:
+        want = re.compile(rf"^({'|'.join(ENGINE_DEFAULTS)}) ")
+    for build in _builds(fields)[:2]:  # from_dict reads queues as dicts, not QueueSpecs
+        if want is None:
+            built = build()  # each value stored as given
+            assert {name: getattr(built, name) for name in fields} == fields
+            continue
+        with pytest.raises(ConfigError) as exc:
+            build()
+        if isinstance(want, str):
+            assert str(exc.value) == want
+        else:
+            assert want.match(str(exc.value))
 
 
 def test_item_requires_unit_norm():
@@ -167,6 +252,13 @@ gamma = 0.5
     assert weights.alpha == 2.0 and weights.gamma == 0.5
 
 
+def test_config_file_template_may_index_its_own_queues():
+    # The file's queues and template are checked together, as one config.
+    queues = "".join(f"queue.q{i} = ctr:1.0\n" for i in range(4))
+    raw = parse_config_text(f"l_o = 4\nmax_count = 4\ntemplate_pattern = 3,2,1,0\n{queues}")
+    assert engine_config_from_raw(raw).template_pattern == (3, 2, 1, 0)
+
+
 def test_config_file_unknown_key():
     with pytest.raises(ConfigError, match="unknown config key"):
         engine_config_from_raw(parse_config_text("bogus = 1"))
@@ -242,7 +334,6 @@ def test_random_valid_configs_are_consumable(l_o, extra, n_heads, strategy):
 
     cfg = EngineConfig(l_s=l_o + extra, l_o=l_o, max_count=l_o, d_model=8 * n_heads,
                        n_heads=n_heads, n_layers=1, partition_strategy=strategy)
-    validate_config(cfg)
     params = sortmodel.init_params(cfg, seed=0)
     assert "pos.table" in params
     assert EngineConfig.from_dict(to_dict(cfg)) == cfg

@@ -466,8 +466,9 @@ def test_generate_no_duplicate_ids(small_config, small_params, small_catalog, we
 def test_generate_infeasible_when_queues_too_small(small_config, small_params, weights):
     pool = _abcd_pool()
     spec = [QueueSpec("click", {"ctr": 1.0}, 0)]
-    q = generation.build_queues(sortmodel.item_features(pool), spec, "dfs", l_o=2)
-    vm = ValueModel(dataclasses.replace(small_config, l_s=4), small_params)
+    # One queue holds all 4 items of the pool, one short of a 5-item slate.
+    q = generation.build_queues(sortmodel.item_features(pool), spec, "dfs", l_o=5)
+    vm = ValueModel(small_config, small_params)
     user = sample_user(np.random.default_rng(7), small_config.d_user)
     with pytest.raises(generation.InfeasibleConfig):
         generation.generate(user, q, vm, weights)
@@ -518,8 +519,7 @@ def test_oracle_three_choose_two(small_config, small_params, weights):
     es = np.eye(8)
     pool = [make_item(i, es[i], ctr=0.3 + 0.1 * i, cvr=0.1) for i in range(3)]
     user = sample_user(np.random.default_rng(11), small_config.d_user)
-    cfg = dataclasses.replace(small_config, l_s=3, l_o=2)
-    vm = ValueModel(cfg, small_params)
+    vm = ValueModel(small_config, small_params)
     best_val, best = generation.exhaustive_oracle(sortmodel.item_features(pool), user, vm,
                                                   weights, 2)
     # brute force over the 6 arrangements with the same value model
@@ -535,8 +535,7 @@ def test_oracle_single_item(small_config, small_params, weights):
     es = np.eye(8)
     pool = [make_item(0, es[0], ctr=0.4)]
     user = sample_user(np.random.default_rng(12), small_config.d_user)
-    cfg = dataclasses.replace(small_config, l_s=1, l_o=1)
-    vm = ValueModel(cfg, small_params)
+    vm = ValueModel(small_config, small_params)
     best_val, best = generation.exhaustive_oracle(sortmodel.item_features(pool), user, vm,
                                                   weights, 1)
     own = float(vm.combined_values([[pool[0]]], user, weights)[0])
@@ -565,15 +564,16 @@ def test_oracle_pool_smaller_than_l_o(small_config, small_params, weights):
 
 def test_oracle_dominates_greedy(small_config, small_params, small_catalog, weights):
     rng = np.random.default_rng(14)
-    cfg = dataclasses.replace(small_config, l_s=6, l_o=3)
+    l_o = 3
     for _ in range(5):
         pool = table_items(sample_pool(small_catalog, 6, rng))
-        user = sample_user(rng, cfg.d_user)
-        vm = ValueModel(cfg, small_params)
+        user = sample_user(rng, small_config.d_user)
+        vm = ValueModel(small_config, small_params)
         features = sortmodel.item_features(pool)
-        best_val, _ = generation.exhaustive_oracle(features, user, vm, weights, 3)
-        q = generation.build_queues(features, cfg.queue_specs, "dfs", 3)
+        best_val, _ = generation.exhaustive_oracle(features, user, vm, weights, l_o)
+        q = generation.build_queues(features, small_config.queue_specs, "dfs", l_o)
         trace = generation.generate(user, q, vm, weights, lam=1.0)
+        assert len(trace.rows) == l_o  # the queues' slate length, not the model's 5
         greedy = float(vm.combined_values([[pool[i] for i in trace.rows]], user, weights)[0])
         assert greedy <= best_val + 1e-9
 

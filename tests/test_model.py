@@ -200,7 +200,8 @@ def test_forward_matches_primitive_op_reference(small_config, head_mode):
 
 
 @pytest.mark.parametrize("max_count", [5, 1])
-@pytest.mark.parametrize("loss_mode", ["ordered", "pointwise"])
+@pytest.mark.parametrize("loss_mode", ["ordered_regression", "pointwise"],
+                         ids=["ordered", "pointwise"])
 @pytest.mark.parametrize("head_mode", ["monotone", "literal"])
 def test_fused_forward_and_loss_equal_the_unfused_tape_bit_for_bit(small_config, head_mode,
                                                                   loss_mode, max_count):

@@ -193,8 +193,8 @@ def test_empty_exposed_list_rejected():
     with pytest.raises(ConfigError):
         simulator.simulate_session(user.user_features, gt.bind(features), [],
                                    np.random.default_rng(6))
-    with pytest.raises(ConfigError, match="^empty exposed list$"):
-        simulator.build_dataset(dataclasses.replace(ENGINE, l_o=0), SIM)
+    with pytest.raises(ConfigError, match="^l_o must be positive$"):
+        dataclasses.replace(ENGINE, l_o=0, max_count=0)
 
 
 # ------------------------- vectorised ground truth ---------------------------
