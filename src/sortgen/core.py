@@ -123,29 +123,6 @@ class ObjectiveWeights:
             raise ConfigError("objective weights sum to zero")
 
 
-@dataclass(frozen=True)
-class QueueSpec:
-    """An objective queue: a weighted score over item fields plus a priority rank."""
-
-    name: str
-    coeffs: dict[str, float]
-    priority: int
-
-    def __post_init__(self):
-        for key in self.coeffs:
-            if key not in SCORE_TERMS:
-                raise ConfigError(f"queue {self.name}: unknown score term {key!r}")
-        if not any(c != 0.0 for c in self.coeffs.values()):
-            raise ConfigError(f"queue {self.name}: all coefficients zero")
-
-
-DEFAULT_QUEUE_SPECS = (
-    QueueSpec("combined", {"ctr": 5.0, "ctr_cvr": 1.0, "ctr_cvr_price": 1.0}, priority=0),
-    QueueSpec("pay", {"ctr_cvr": 1.0}, priority=1),
-    QueueSpec("gmv", {"ctr_cvr_price": 1.0}, priority=2),
-)
-
-
 def _type_fault(value, default) -> str | None:
     """The type `value` should have, or None when it has the type of `default`
     as `_cast` reads it (a float field also takes an int; no field takes a
@@ -157,6 +134,49 @@ def _type_fault(value, default) -> str | None:
     types = (int, float) if isinstance(default, float) else type(default)
     ok = isinstance(value, types) and not isinstance(value, bool)
     return None if ok else type(default).__name__
+
+
+def _finite(value: int | float) -> bool:
+    """math.isfinite, and False for an int past the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+@dataclass(frozen=True)
+class QueueSpec:
+    """An objective queue: a weighted score over item fields plus a priority
+    rank. A fault names the queue and the field: a name that is not a str, a
+    priority that is not an int, or a coefficient that is not a finite int or
+    float (no field takes a bool)."""
+
+    name: str
+    coeffs: dict[str, float]
+    priority: int
+
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigError(f"queue {self.name!r}: name must be str, got {self.name!r}")
+        if _type_fault(self.priority, 0):
+            raise ConfigError(f"queue {self.name}: priority must be int, got {self.priority!r}")
+        if not isinstance(self.coeffs, dict):
+            raise ConfigError(f"queue {self.name}: coeffs must be a dict, got {self.coeffs!r}")
+        for key, c in self.coeffs.items():
+            if key not in SCORE_TERMS:
+                raise ConfigError(f"queue {self.name}: unknown score term {key!r}")
+            if _type_fault(c, 0.0) or not _finite(c):
+                raise ConfigError(f"queue {self.name}: coeffs.{key} must be a finite number, "
+                                  f"got {c!r}")
+        if not any(c != 0.0 for c in self.coeffs.values()):
+            raise ConfigError(f"queue {self.name}: all coefficients zero")
+
+
+DEFAULT_QUEUE_SPECS = (
+    QueueSpec("combined", {"ctr": 5.0, "ctr_cvr": 1.0, "ctr_cvr_price": 1.0}, priority=0),
+    QueueSpec("pay", {"ctr_cvr": 1.0}, priority=1),
+    QueueSpec("gmv", {"ctr_cvr_price": 1.0}, priority=2),
+)
 
 
 @dataclass(frozen=True)

@@ -37,17 +37,21 @@ class InfeasibleConfig(ConfigError):
     """All queues exhausted before the slate reached l_o items."""
 
 
+# Each score term as a function of the packed pool's (ctr, cvr, price) columns.
+_TERMS = {
+    "ctr": lambda ctr, cvr, price: ctr,
+    "cvr": lambda ctr, cvr, price: cvr,
+    "ctr_cvr": lambda ctr, cvr, price: ctr * cvr,
+    "price": lambda ctr, cvr, price: price,
+    "ctr_cvr_price": lambda ctr, cvr, price: ctr * cvr * price,
+}
+
+
 def composite_score(features: sortmodel.ItemFeatures, spec: QueueSpec) -> np.ndarray:
-    """The queue's score of every packed item, [n]."""
-    ctr, cvr, price = features.score[:, 0], features.score[:, 1], features.price
-    terms = {
-        "ctr": ctr,
-        "cvr": cvr,
-        "ctr_cvr": ctr * cvr,
-        "price": price,
-        "ctr_cvr_price": ctr * cvr * price,
-    }
-    return sum(c * terms[k] for k, c in spec.coeffs.items())
+    """The queue's score of every packed item, [n], from only the terms the
+    spec names."""
+    columns = features.score[:, 0], features.score[:, 1], features.price
+    return sum(c * _TERMS[k](*columns) for k, c in spec.coeffs.items())
 
 
 @dataclass(frozen=True)
@@ -79,26 +83,26 @@ def build_queues(features: sortmodel.ItemFeatures, specs, strategy: str,
     # Per queue: pool indices sorted by that queue's score desc, id asc.
     rankings = [np.lexsort((features.ids, -composite_score(features, s))).tolist()
                 for s in specs]
-    assigned = np.zeros(len(features.ids), dtype=bool)
+    assigned = [False] * len(features.ids)
     queues: list[list[int]] = [[] for _ in specs]
 
     if strategy == "dfs":
-        for qi, ranking in enumerate(rankings):
+        for queue, ranking in zip(queues, rankings):
             for idx in ranking:
-                if len(queues[qi]) >= l_o:
+                if len(queue) >= l_o:
                     break
                 if not assigned[idx]:
-                    queues[qi].append(idx)
+                    queue.append(idx)
                     assigned[idx] = True
     elif strategy == "bfs":
         while True:
             progressed = False
-            for qi, ranking in enumerate(rankings):
-                if len(queues[qi]) >= l_o:
+            for queue, ranking in zip(queues, rankings):
+                if len(queue) >= l_o:
                     continue
                 for idx in ranking:
                     if not assigned[idx]:
-                        queues[qi].append(idx)
+                        queue.append(idx)
                         assigned[idx] = True
                         progressed = True
                         break
@@ -229,10 +233,20 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
     if window_w < 1:
         raise ConfigError(f"window_w must be >= 1, got {window_w}")
     features = queues.features
-    cursors = [0] * len(queues.queues)
-    invocations = 0
     start = time.perf_counter_ns()
-    chosen: list[int] = []  # pool indices
+    # Every row a step can score is in a queue: the held rows, queue after
+    # queue, so queue qi's head is held slot cursors[qi] while it is below
+    # ends[qi]. What a step reads of them is gathered once, here.
+    held = [idx for queue in queues.queues for idx in queue]
+    ends = list(itertools.accumulate(len(queue) for queue in queues.queues))
+    cursors = [end - len(queue) for end, queue in zip(ends, queues.queues)]
+    held_ids = features.ids[held].tolist()
+    emb = features.emb[held]
+    held_emb = list(emb)  # row views, for the similarities
+    prices = features.price[held]
+    off_lam = 1.0 - lam
+    invocations = 0
+    picked: list[int] = []  # held slots, in slate order
     sources: list[int] = []
     steps: list[StepRecord] = []
     # A queue head stays in place until it is chosen, so each (candidate,
@@ -240,53 +254,49 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
     # item is in the window.
     sims: dict[tuple[int, int], float] = {}
 
-    def similarity(a: int, b: int) -> float:
-        if (a, b) not in sims:
-            sims[a, b] = float(np.dot(features.emb[a], features.emb[b]))
-        return sims[a, b]
-
     if cached:
-        # Every row a step can score is in a queue: project those rows once,
-        # queue after queue, so queue qi's head is row offsets[qi] + its cursor.
-        held = [idx for queue in queues.queues for idx in queue]
-        offsets = list(itertools.accumulate((len(q) for q in queues.queues), initial=0))
-        inputs = vm.weights.project(features.emb[held], features.score[held])
+        inputs = vm.weights.project(emb, features.score[held])
         cache = sortmodel.Prefix.empty(vm.weights, user.user_features, len(queues.queues))
         pay_count, gmv = 0.0, 0.0  # the chosen prefix's expected pay count and GMV
 
     for _ in range(queues.l_o):
-        heads = [(qi, queue[cur]) for qi, (queue, cur) in enumerate(zip(queues.queues, cursors))
-                 if cur < len(queue)]
-        if not heads:
+        live = [qi for qi, (cur, end) in enumerate(zip(cursors, ends)) if cur < end]
+        if not live:
             raise InfeasibleConfig("all queues exhausted before l_o selections")
 
-        rows = [idx for _, idx in heads]
+        slots = [cursors[qi] for qi in live]
         if cached:
-            slots = [offsets[qi] + cursors[qi] for qi, _ in heads]
             click, pay = sortmodel.extend(vm.weights, cache, inputs[slots])
-            vals, pay_counts, gmvs = listvalue.step_values(click, pay, features.price[rows],
+            vals, pay_counts, gmvs = listvalue.step_values(click, pay, prices[slots],
                                                            pay_count, gmv, weights)
             invocations += 1
         else:
-            vals = np.array([vm.pool_values(features, np.array([chosen + [r]]), user, weights)[0]
-                             for r in rows])
-            invocations += len(rows)
+            prefix = [held[s] for s in picked]
+            vals = np.array([vm.pool_values(features, np.array([prefix + [held[slot]]]), user,
+                                            weights)[0] for slot in slots])
+            invocations += len(slots)
 
-        recent = chosen[-window_w:]
+        recent = picked[-window_w:]
         records = []
         best = None
-        for k, ((qi, idx), value) in enumerate(zip(heads, vals)):
-            max_sim = max((similarity(idx, j) for j in recent), default=0.0)
-            score = lam * float(value) - (1.0 - lam) * max_sim
-            records.append((qi, int(features.ids[idx]), float(value), score))
+        for k, (qi, slot, value) in enumerate(zip(live, slots, vals.tolist())):
+            max_sim = -math.inf if recent else 0.0
+            for j in recent:
+                sim = sims.get((slot, j))
+                if sim is None:
+                    sim = sims[slot, j] = float(np.dot(held_emb[slot], held_emb[j]))
+                if sim > max_sim:
+                    max_sim = sim
+            score = lam * value - off_lam * max_sim
+            records.append((qi, held_ids[slot], value, score))
             # Queues are disjoint, so per-step candidates are distinct items;
             # strict > keeps the lowest queue index on score ties, and within
             # a queue the head is already the lowest-id top scorer.
             if best is None or score > best[0]:
-                best = (score, k, qi, idx)
-        _, k, qi, idx = best
+                best = (score, k, qi)
+        _, k, qi = best
+        picked.append(cursors[qi])
         cursors[qi] += 1
-        chosen.append(idx)
         sources.append(qi)
         steps.append(StepRecord(records, qi))
         if cached:
@@ -294,7 +304,8 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
             pay_count, gmv = pay_counts[k], gmvs[k]
 
     wall = time.perf_counter_ns() - start
-    return GenerationTrace(features, tuple(chosen), tuple(sources), steps, invocations, wall)
+    rows = tuple(held[s] for s in picked)
+    return GenerationTrace(features, rows, tuple(sources), steps, invocations, wall)
 
 
 def generate(user: UserContext, queues: CandidateQueues, vm: ValueModel,

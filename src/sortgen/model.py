@@ -307,14 +307,15 @@ class ItemFeatures(NamedTuple):
 
 
 def item_features(items) -> ItemFeatures:
-    """Pack a sequence of items; the only place that reads Item fields into arrays."""
+    """Pack a sequence of items in one pass; the only place that reads Item
+    fields into arrays."""
     if not len(items):
         raise ConfigError("empty candidate pool")
-    return ItemFeatures(np.array([it.id for it in items], dtype=np.int64),
-                        np.stack([it.embedding for it in items]),
-                        np.array([[it.prior_ctr, it.prior_cvr] for it in items], dtype=np.float64),
-                        np.array([it.price for it in items], dtype=np.float64),
-                        np.array([it.category for it in items], dtype=np.int64))
+    ids, emb, score, price, cat = zip(*[(it.id, it.embedding, (it.prior_ctr, it.prior_cvr),
+                                         it.price, it.category) for it in items])
+    return ItemFeatures(np.array(ids, dtype=np.int64), np.array(emb, dtype=np.float64),
+                        np.array(score, dtype=np.float64), np.array(price, dtype=np.float64),
+                        np.array(cat, dtype=np.int64))
 
 
 # --------------------------- tape-free inference -----------------------------
@@ -334,11 +335,16 @@ def item_features(items) -> ItemFeatures:
 # end in valid / (1 + exp(h @ W2 + b2)). `infer` is the full causal forward
 # over whole sequences. `extend` is the greedy step: it computes only the new
 # position of each candidate and attends over the keys and values of the
-# chosen prefix, which a `Prefix` caches in buffers filled in place (KV
-# caching), so no step copies the cache. The two share the block and head
-# code and differ only in where attention's keys and values come from; the
-# model is causal and everything but attention is per position, so `extend`
-# equals `infer` over prefix + candidate.
+# chosen prefix, which a `Prefix` caches in one buffer for every layer,
+# filled in place (KV caching), so no step copies the cache. The two share
+# the block and head code and differ only in where attention's keys and
+# values come from; the model is causal and everything but attention is per
+# position, so `extend` equals `infer` over prefix + candidate. At serving
+# sizes a step costs what its NumPy calls cost, not what its arithmetic
+# does, so the shared code makes few calls: biases, residuals and
+# activations are added or applied in place to the array the GEMM before
+# them made, and attention over every key (no mask, as in `extend`) divides
+# by the softmax's row sums after the product with the values.
 
 
 def _cutpoints(thresholds: np.ndarray) -> np.ndarray:
@@ -356,7 +362,8 @@ def _norm_rows(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Zero-mean rows x [m, d] scaled to x / sqrt(sum(x^2) + d * eps): the
     layer norm's `nn.normalize_rows(x)[0]` divided by sqrt(d), without its
     centring."""
-    return x / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) + x.shape[-1] * eps)
+    s = np.add.reduce(x * x, axis=-1, keepdims=True, initial=x.shape[-1] * eps)
+    return x / np.sqrt(s, out=s)
 
 
 def _fold_norm(g: np.ndarray, b: np.ndarray, w: np.ndarray,
@@ -509,11 +516,26 @@ def _finish_block(b: Block, x: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.n
     1/sqrt(d_head)) and the keys k and values v they attend over, each
     [n, n_heads, positions, d_head], with keys outside `mask` (None: none)
     ignored: attention, the output projection and its residual, then the
-    FFN half."""
-    attended = (nn.softmax_rows(q @ k.swapaxes(-1, -2), mask) @ v).swapaxes(1, 2).reshape(x.shape)
-    x = x + (attended @ b.out_w + b.out_b)
-    h = np.maximum(_norm_rows(x) @ b.ffn_w1 + b.ffn_b1, 0.0)
-    return x + (h @ b.ffn_w2 + b.ffn_b2)
+    FFN half. With no mask, the softmax is normalised after its product with
+    v. Every step after the first GEMM works in place on the array it makes."""
+    e = q @ k.swapaxes(-1, -2)
+    if mask is None:
+        e -= np.maximum.reduce(e, axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        attended = e @ v
+        attended /= np.add.reduce(e, axis=-1, keepdims=True)
+    else:
+        attended = nn.softmax_rows(e, mask, out=e) @ v
+    y = attended.swapaxes(1, 2).reshape(x.shape) @ b.out_w
+    y += b.out_b
+    y += x
+    h = _norm_rows(y) @ b.ffn_w1
+    h += b.ffn_b1
+    np.maximum(h, 0.0, out=h)
+    out = h @ b.ffn_w2
+    out += b.ffn_b2
+    out += y
+    return out
 
 
 def _survival(weights: InferenceWeights, x: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -521,8 +543,14 @@ def _survival(weights: InferenceWeights, x: np.ndarray, valid: np.ndarray) -> np
     head MLP, then the sigmoid of the thresholds' logits, which the packed
     output layer emits negated, times `valid` (which broadcasts to the
     result). Returns [m, 2 * max_count]: click, then pay."""
-    h = np.maximum(_norm_rows(x) @ weights.head_w1 + weights.head_b1, 0.0)
-    probs = valid / (1.0 + np.exp(h @ weights.head_w2 + weights.head_b2))
+    h = _norm_rows(x) @ weights.head_w1
+    h += weights.head_b1
+    np.maximum(h, 0.0, out=h)
+    z = h @ weights.head_w2
+    z += weights.head_b2
+    np.exp(z, out=z)
+    z += 1.0
+    probs = np.divide(valid, z, out=z)
     if not np.isfinite(probs).all():
         raise FloatingPointError("non-finite activations in forward pass")
     return probs
@@ -554,15 +582,14 @@ class Prefix:
     """A chosen prefix for one user, cached so that the next position can be
     scored without recomputing it.
 
-    The keys and values are buffers of l_o slots, allocated once per request,
-    with one row per candidate that a step can score: slots [:t] of every row
-    hold the prefix's keys and values, and `extend` writes candidate k's into
-    slot t of row k.
+    The keys and values are one buffer of l_o slots, allocated once per
+    request, with one row per layer and candidate that a step can score:
+    slots [:t] of every row hold the prefix's keys and values, and `extend`
+    writes candidate k's into slot t of row k.
     """
 
-    inputs: np.ndarray      # [l_o, d_model]: each position's row plus the user's row
-    keys: list[np.ndarray]  # per layer [width, n_heads, l_o, d_head]
-    vals: list[np.ndarray]  # per layer [width, n_heads, l_o, d_head]
+    inputs: np.ndarray  # [l_o, d_model]: each position's row plus the user's row
+    kv: np.ndarray      # [n_layers, width, 2 (key, value), n_heads, l_o, d_head]
     length: int = 0
 
     @classmethod
@@ -572,21 +599,19 @@ class Prefix:
         user = np.asarray(user, dtype=np.float64)
         if user.shape != (config.d_user,):
             raise ConfigError("feature width mismatch")
-        shape = (width, config.n_heads, config.l_o, config.d_model // config.n_heads)
         return cls(weights.pos + user @ weights.user,
-                   [np.empty(shape) for _ in range(config.n_layers)],
-                   [np.empty(shape) for _ in range(config.n_layers)])
+                   np.empty((config.n_layers, width, 2, config.n_heads, config.l_o,
+                             config.d_model // config.n_heads)))
 
     def __len__(self) -> int:
         return self.length
 
     def choose(self, k: int) -> None:
         """Extend the prefix by candidate k of the last `extend`, in place: row
-        k's slot t is copied into every row. Call it once per `extend`,
-        before the next one."""
+        k's slot t is copied into every row of every layer. Call it once per
+        `extend`, before the next one."""
         t = self.length
-        for cache in (*self.keys, *self.vals):
-            cache[:, :, t] = cache[k, :, t]
+        self.kv[:, :, :, :, t] = self.kv[:, k:k + 1, :, :, t]
         self.length = t + 1
 
 
@@ -596,24 +621,26 @@ def extend(weights: InferenceWeights, prefix: Prefix,
     new position: each candidate's new click and pay survival rows, each
     [n, max_count]. x: [n, d_model], the candidates' `InferenceWeights.project`
     rows. Writes each candidate's key and value into slot t of its row of the
-    prefix's cache, and leaves slots [:t] as they are."""
+    prefix's buffer, one assignment per layer, and leaves slots [:t] as they
+    are."""
     config = weights.config
     n, t = x.shape[0], len(prefix)
     if t + 1 > config.l_o:
         raise ConfigError(f"sequence length {t + 1} exceeds position table size {config.l_o}")
     if x.shape != (n, config.d_model):
         raise ConfigError("feature width mismatch")
-    width = prefix.keys[0].shape[0]
+    width = prefix.kv.shape[1]
     if n > width:
         raise ConfigError(f"{n} candidates exceed the prefix's width of {width}")
     heads, dh = config.n_heads, config.d_model // config.n_heads
     x = x + prefix.inputs[t]
-    for b, cache_k, cache_v in zip(weights.blocks, prefix.keys, prefix.vals):
-        qkv = (_norm_rows(x) @ b.qkv_w + b.qkv_b).reshape(n, 3, heads, 1, dh)
-        cache_k[:n, :, t] = qkv[:, 1, :, 0]
-        cache_v[:n, :, t] = qkv[:, 2, :, 0]
+    for b, kv in zip(weights.blocks, prefix.kv[:, :n]):
+        qkv = _norm_rows(x) @ b.qkv_w
+        qkv += b.qkv_b
+        qkv = qkv.reshape(n, 3, heads, 1, dh)
+        kv[:, :, :, t] = qkv[:, 1:, :, 0]
         # The new position sees every key, so no entry is masked.
-        x = _finish_block(b, x, qkv[:, 0], cache_k[:n, :, :t + 1], cache_v[:n, :, :t + 1], None)
+        x = _finish_block(b, x, qkv[:, 0], kv[:, 0, :, :t + 1], kv[:, 1, :, :t + 1], None)
     probs = _survival(weights, x, weights.valid[t])
     return probs[:, :config.max_count], probs[:, config.max_count:]
 

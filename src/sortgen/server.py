@@ -312,6 +312,11 @@ class RerankHandler(BaseHTTPRequestHandler):
         self.end_headers()
         if self.command != "HEAD":  # a reply to HEAD has headers only
             self.wfile.write(body)
+        if self.close_connection:
+            # The connection's last reply, still in the buffer: this thread
+            # counts as idle before the flush sends it, so a client that
+            # reconnects as soon as it has its reply finds the thread idle.
+            self.server.connection_served()
 
     def send_error(self, code, message=None, explain=None):
         """The refusals that the stdlib handler makes before a do_* method
@@ -419,6 +424,7 @@ class RerankServer(HTTPServer):
         self._lock = threading.Lock()  # guards _handlers and _idle
         self._handlers: list[threading.Thread] = []
         self._idle = 0
+        self._serving = threading.local()  # .busy: this thread's connection is not yet idle
         self._refused = deque()  # (monotonic time of the 503, half-closed socket)
 
     def process_request(self, request, client_address):
@@ -439,16 +445,21 @@ class RerankServer(HTTPServer):
     def _serve_connections(self) -> None:
         while (item := self._connections.get()) is not None:
             request, client_address = item
+            self._serving.busy = True
             try:
                 self.finish_request(request, client_address)
             except Exception:
                 self.handle_error(request, client_address)
             finally:
-                # Idle before the close, so that a client that reconnects once
-                # it has its reply finds this thread idle.
-                with self._lock:
-                    self._idle += 1
+                self.connection_served()  # if no reply was written, or it raised first
                 self.shutdown_request(request)
+
+    def connection_served(self) -> None:
+        """Count the calling handler thread idle, once per connection."""
+        if self._serving.busy:
+            self._serving.busy = False
+            with self._lock:
+                self._idle += 1
 
     def _refuse(self, request) -> None:
         """The JSON 503 for a connection past the cap, sent by the accepting

@@ -110,6 +110,67 @@ def queue_ranking_reference(pool: list[Item], spec) -> list[int]:
     return sorted(range(len(pool)), key=lambda i: (-score(pool[i]), pool[i].id))
 
 
+def item_features_reference(items) -> ItemFeatures:
+    """Items packed one field at a time: the reference for
+    `model.item_features`, which packs them in one pass."""
+    if not len(items):
+        raise ConfigError("empty candidate pool")
+    return ItemFeatures(np.array([it.id for it in items], dtype=np.int64),
+                        np.stack([it.embedding for it in items]),
+                        np.array([[it.prior_ctr, it.prior_cvr] for it in items], dtype=np.float64),
+                        np.array([it.price for it in items], dtype=np.float64),
+                        np.array([it.category for it in items], dtype=np.int64))
+
+
+def composite_score_reference(features: ItemFeatures, spec) -> np.ndarray:
+    """A queue's score of every packed item, with every score term computed
+    whether the spec names it or not: the reference for
+    `generation.composite_score`, which computes only the named ones."""
+    ctr, cvr, price = features.score[:, 0], features.score[:, 1], features.price
+    terms = {
+        "ctr": ctr,
+        "cvr": cvr,
+        "ctr_cvr": ctr * cvr,
+        "price": price,
+        "ctr_cvr_price": ctr * cvr * price,
+    }
+    return sum(c * terms[k] for k, c in spec.coeffs.items())
+
+
+def build_queues_reference(features: ItemFeatures, specs, strategy: str,
+                           l_o: int) -> list[list[int]]:
+    """The queues of `generation.build_queues` from the reference scores, with
+    assigned rows marked in a NumPy array where it marks them in a list."""
+    specs = sorted(specs, key=lambda s: s.priority)
+    rankings = [np.lexsort((features.ids, -composite_score_reference(features, s))).tolist()
+                for s in specs]
+    assigned = np.zeros(len(features.ids), dtype=bool)
+    queues: list[list[int]] = [[] for _ in specs]
+    if strategy == "dfs":
+        for qi, ranking in enumerate(rankings):
+            for idx in ranking:
+                if len(queues[qi]) >= l_o:
+                    break
+                if not assigned[idx]:
+                    queues[qi].append(idx)
+                    assigned[idx] = True
+    else:
+        while True:
+            progressed = False
+            for qi, ranking in enumerate(rankings):
+                if len(queues[qi]) >= l_o:
+                    continue
+                for idx in ranking:
+                    if not assigned[idx]:
+                        queues[qi].append(idx)
+                        assigned[idx] = True
+                        progressed = True
+                        break
+            if not progressed:
+                break
+    return queues
+
+
 def parse_request_reference(doc, config):
     """server.parse_rerank_request one candidate at a time, with one validated
     Item per candidate: the reference for the packed parser.

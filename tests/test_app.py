@@ -1,6 +1,7 @@
 """End-to-end checks for the command-line pipeline and the HTTP service."""
 
 import dataclasses
+import http.client
 import json
 import math
 import socket
@@ -1068,6 +1069,32 @@ def test_concurrent_connections_leave_every_handler_thread_idle(workdir, monkeyp
     finally:
         sys.setswitchinterval(interval)
     assert len(statuses) == 20 and set(statuses) <= {200, 503} and 200 in statuses
+
+
+def test_closed_loop_clients_start_no_more_handler_threads_than_clients(workdir, monkeypatch):
+    # Each client reconnects as soon as it has read its reply by its
+    # Content-Length, which can be before the server has closed the last
+    # connection. A thread counted idle only after its reply's flush would be
+    # missed by such a reconnect, and a new thread started.
+    statuses = []
+    with _serving(workdir, monkeypatch) as (server, _):
+        def client():
+            for _ in range(300):
+                conn = http.client.HTTPConnection(*server.server_address, timeout=10)
+                conn.request("GET", "/healthz")
+                reply = conn.getresponse()
+                reply.read()
+                statuses.append(reply.status)
+                conn.close()
+
+        clients = [threading.Thread(target=client) for _ in range(2)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in clients)
+        assert len(server._handlers) <= 2
+    assert statuses == [200] * 600
 
 
 @pytest.mark.parametrize("valid", [True, False], ids=["200", "400"])

@@ -64,6 +64,34 @@ def test_duplicate_queue_priorities():
         EngineConfig(queue_specs=specs)
 
 
+# A queue field of the wrong type, or a coefficient that is not a finite
+# number, each as (name, coeffs, priority) and the field the fault names.
+BAD_QUEUES = [
+    (("q", {"ctr": "5"}, 0), "queue q: coeffs.ctr"),
+    (("q", {"ctr": float("nan")}, 0), "queue q: coeffs.ctr"),
+    (("q", {"ctr": 1.0, "cvr": float("inf")}, 0), "queue q: coeffs.cvr"),
+    (("q", {"ctr": True}, 0), "queue q: coeffs.ctr"),
+    (("q", {"ctr": [1]}, 0), "queue q: coeffs.ctr"),
+    (("q", {"ctr": 10**400}, 0), "queue q: coeffs.ctr"),
+    (("q", [("ctr", 1.0)], 0), "queue q: coeffs"),
+    ((3, {"ctr": 1.0}, 0), "queue 3: name"),
+    (("q", {"ctr": 1.0}, "0"), "queue q: priority"),
+    (("q", {"ctr": 1.0}, True), "queue q: priority"),
+    (("q", {"ctr": 1.0}, 0.0), "queue q: priority"),
+]
+
+
+@pytest.mark.parametrize("args, named", BAD_QUEUES)
+def test_queue_spec_names_a_field_of_the_wrong_type(args, named):
+    with pytest.raises(ConfigError) as info:
+        QueueSpec(*args)
+    assert str(info.value).startswith(named + " must be")
+
+
+def test_queue_spec_takes_int_and_float_coefficients():
+    assert QueueSpec("q", {"ctr": 2, "cvr": -0.5}, 1).coeffs == {"ctr": 2, "cvr": -0.5}
+
+
 ENGINE_DEFAULTS = {f.name: f.default for f in dataclasses.fields(EngineConfig)}
 
 

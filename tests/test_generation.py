@@ -11,10 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sortgen import generation, model as sortmodel, simulator
-from sortgen.core import SCORE_TERMS, ConfigError, EngineConfig, ObjectiveWeights, QueueSpec
+from sortgen.core import (SCORE_TERMS, ConfigError, EngineConfig, ObjectiveWeights, QueueSpec,
+                          UserContext)
 from sortgen.generation import ValueModel
 from sortgen.simulator import sample_pool, sample_user
 from tests.helpers import (
+    build_queues_reference,
+    composite_score_reference,
+    item_features_reference,
+    load_bench_workloads,
     make_item,
     mmr_score,
     queue_ranking_reference,
@@ -165,6 +170,83 @@ def test_build_queues_matches_per_item_reference(data):
     queues = generation.build_queues(sortmodel.item_features(pool), specs, strategy, l_o).queues
     rankings = [queue_ranking_reference(pool, s) for s in sorted(specs, key=lambda s: s.priority)]
     assert queues == _fill_reference(rankings, strategy, l_o)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_scores_and_queues_equal_the_all_terms_form(data):
+    # Random packed pools and random coefficients over all five score terms.
+    # With `tied`, prices and prior scores come from a few levels, so that
+    # equal scores (broken by id) are common.
+    n = data.draw(st.integers(1, 40), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if data.draw(st.booleans(), label="tied"):
+        score = rng.choice([0.0, 0.1, 0.5, 1.0], size=(n, 2))
+        price = rng.choice([0.0, 2.0, 10.0], size=n)
+    else:
+        score, price = rng.uniform(size=(n, 2)), rng.lognormal(3.0, 1.0, size=n)
+    emb = rng.normal(size=(n, 8))
+    pool = sortmodel.ItemFeatures(rng.permutation(10 * n)[:n] - 5 * n,
+                                  emb / np.linalg.norm(emb, axis=1, keepdims=True),
+                                  score, price, np.zeros(n, dtype=np.int64))
+    coeff = st.one_of(st.sampled_from([-1.0, 0.5, 1.0, 2.0]), st.integers(-3, 3),
+                      st.floats(-10.0, 10.0, allow_nan=False))
+    specs = []
+    for p in data.draw(st.permutations(range(data.draw(st.integers(1, 5)))), label="priorities"):
+        terms = data.draw(st.lists(st.sampled_from(SCORE_TERMS), min_size=1, max_size=5,
+                                   unique=True), label="terms")
+        coeffs = {term: data.draw(coeff) for term in terms}
+        if not any(coeffs.values()):
+            coeffs[terms[0]] = 1.0
+        specs.append(QueueSpec(f"q{p}", coeffs, p))
+    for spec in specs:
+        assert same_bits(generation.composite_score(pool, spec),
+                         composite_score_reference(pool, spec))
+    l_o = data.draw(st.integers(1, n), label="l_o")
+    for strategy in ("dfs", "bfs"):
+        assert (generation.build_queues(pool, specs, strategy, l_o).queues
+                == build_queues_reference(pool, specs, strategy, l_o))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_item_features_equal_the_field_by_field_packing(data):
+    n = data.draw(st.integers(1, 20), label="n")
+    ids = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n,
+                             unique=True), label="ids")
+    unit = st.floats(0.0, 1.0)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    items = [make_item(ids[i], rng.normal(size=8),
+                       price=data.draw(st.one_of(st.integers(0, 100), st.floats(0.0, 1e6))),
+                       ctr=data.draw(unit), cvr=data.draw(unit),
+                       cat=data.draw(st.integers(0, 7))) for i in range(n)]
+    got, want = sortmodel.item_features(items), item_features_reference(items)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert same_bits(a, b) if a.dtype == np.float64 else np.array_equal(a, b)
+
+
+def test_generate_matches_the_iterative_reference_at_the_served_shape(monkeypatch):
+    # The default config on the benchmark's init checkpoint, replayed on its
+    # request pools of 30 (rerank) and 300 (serve) candidates.
+    workloads = load_bench_workloads(monkeypatch)
+    common, config = workloads.common, EngineConfig()
+    vm = ValueModel(config, sortmodel.init_params(config, seed=common.CHECKPOINT_SEED))
+    weights = ObjectiveWeights()
+    for seed in (1, 2):
+        for size, catalog in ((config.l_s, workloads.RERANK_CATALOG),
+                              (workloads.SERVE_POOL, workloads.SERVE_CATALOG)):
+            for u, pool in common.make_requests(seed, 64, size, catalog):
+                user, features = UserContext(u), sortmodel.item_features(common.to_items(pool))
+                queues = generation.build_queues(features, config.queue_specs,
+                                                 config.partition_strategy, config.l_o)
+                fast = generation.generate(user, queues, vm, weights)
+                ref = generation.generate_iterative_reference(user, queues, vm, weights)
+                assert fast.rows == ref.rows and fast.sources == ref.sources
+                for step, ref_step in zip(fast.steps, ref.steps):
+                    got = [v for _, _, v, _ in step.candidates]
+                    want = [v for _, _, v, _ in ref_step.candidates]
+                    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_combined_values_rejects_sequences_of_different_lengths(small_config, small_params,

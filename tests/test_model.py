@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -598,6 +599,28 @@ def test_checkpoint_hash_verified(tmp_path, small_config, small_params):
         sortmodel.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("coeffs, priority, named", [
+    ({"ctr": "5"}, 0, "coeffs.ctr"), ({"ctr": float("nan")}, 0, "coeffs.ctr"),
+    ({"ctr": True}, 0, "coeffs.ctr"), ({"ctr": [1]}, 0, "coeffs.ctr"),
+    ({"ctr": 1.0}, "0", "priority"),
+], ids=["str", "nan", "bool", "list", "str_priority"])
+def test_checkpoint_with_a_bad_queue_field_is_a_config_error(tmp_path, small_config,
+                                                             small_params, coeffs, priority,
+                                                             named):
+    # The config hash is recomputed over the edited config, so only the
+    # queue's own check can refuse it, at load and not on the first rerank.
+    path = tmp_path / "model.ckpt"
+    sortmodel.save_checkpoint(path, small_params, small_config)
+    doc = json.loads(path.read_text())
+    queue = doc["config"]["queue_specs"][0]
+    queue.update(coeffs=coeffs, priority=priority)
+    blob = json.dumps(doc["config"], sort_keys=True)
+    doc["config_hash"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=f"^checkpoint: queue {queue['name']}: {named} "):
+        sortmodel.load_checkpoint(path)
+
+
 def test_loaded_checkpoint_is_frozen(tmp_path, small_config, small_params):
     path = tmp_path / "model.ckpt"
     sortmodel.save_checkpoint(path, small_params, small_config)
@@ -660,6 +683,29 @@ def test_extend_matches_full_recomputation(small_config, head_mode):
         emb = np.concatenate([emb, cand_emb[k:k + 1]])
         score = np.concatenate([score, cand_score[k:k + 1]])
         assert len(prefix) == t + 1
+
+
+def test_choose_copies_the_chosen_slot_into_every_row_of_every_layer(small_config):
+    cfg = small_config
+    packed = sortmodel.InferenceWeights.from_params(cfg, sortmodel.init_params(cfg, seed=23))
+    rng = np.random.default_rng(24)
+    n = 3
+    prefix = sortmodel.Prefix.empty(packed, rng.normal(size=cfg.d_user), n)
+    assert prefix.kv.shape == (cfg.n_layers, n, 2, cfg.n_heads, cfg.l_o,
+                               cfg.d_model // cfg.n_heads)
+    kept = None
+    for t in range(cfg.l_o):
+        sortmodel.extend(packed, prefix, packed.project(rng.normal(size=(n, cfg.d_emb)),
+                                                        rng.uniform(size=(n, 2))))
+        written = prefix.kv[:, :, :, :, t].copy()  # each candidate's key and value at slot t
+        assert kept is None or same_bits(prefix.kv[:, :, :, :, :t], kept)
+        k = (2 * t + 1) % n
+        prefix.choose(k)
+        # Slots [:t + 1] are the same in every row of every layer, and slot t
+        # is what the chosen candidate wrote there.
+        kept = prefix.kv[:, :, :, :, :t + 1].copy()
+        assert same_bits(kept, np.broadcast_to(kept[:, k:k + 1], kept.shape))
+        assert same_bits(kept[:, k, :, :, t], written[:, k])
 
 
 def test_extend_rejects_overlong_prefix(small_config, small_params):
