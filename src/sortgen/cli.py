@@ -157,17 +157,15 @@ def _method_slates(engine, weights, vm, features, user) -> dict:
 
 
 def _cumulative_curves(packed, features, rows, user) -> dict[str, np.ndarray]:
-    """Per-position cumulative click/pay/gmv from clamped model increments,
-    on a value model's packed weights."""
+    """Per-position expected click and pay counts and GMV of one slate, on a
+    value model's packed weights, unclipped: their weighted sum at l_o is the
+    slate's combined value (`values.combined_values_batch`)."""
     rows = np.asarray(rows)
     click, pay = sortmodel.infer(packed, features.emb[rows][None],
                                  user.user_features[None], features.score[rows][None])
-    e_click = values.expected_counts_batch(click)[0]
     e_pay = values.expected_counts_batch(pay)[0]
-    click_incr = np.clip(np.diff(e_click, prepend=0.0), 0.0, None)
-    pay_incr = np.clip(np.diff(e_pay, prepend=0.0), 0.0, None)
-    return {"click": np.cumsum(click_incr), "pay": np.cumsum(pay_incr),
-            "gmv": np.cumsum(features.price[rows] * pay_incr)}
+    return {"click": values.expected_counts_batch(click)[0], "pay": e_pay,
+            "gmv": np.cumsum(features.price[rows] * np.diff(e_pay, prepend=0.0))}
 
 
 def evaluate_curves(engine: EngineConfig, weights: ObjectiveWeights, params: dict,

@@ -10,8 +10,10 @@ import dataclasses
 import hashlib
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -149,10 +151,14 @@ class QueueSpec:
     """An objective queue: a weighted score over item fields plus a priority
     rank. A fault names the queue and the field: a name that is not a str, a
     priority that is not an int, or a coefficient that is not a finite int or
-    float (no field takes a bool)."""
+    float (no field takes a bool).
+
+    `coeffs` is kept as a read-only copy of the mapping given, in its order,
+    which is the order a queue's score adds its terms in.
+    """
 
     name: str
-    coeffs: dict[str, float]
+    coeffs: Mapping[str, float]
     priority: int
 
     def __post_init__(self):
@@ -160,8 +166,9 @@ class QueueSpec:
             raise ConfigError(f"queue {self.name!r}: name must be str, got {self.name!r}")
         if _type_fault(self.priority, 0):
             raise ConfigError(f"queue {self.name}: priority must be int, got {self.priority!r}")
-        if not isinstance(self.coeffs, dict):
+        if not isinstance(self.coeffs, Mapping):
             raise ConfigError(f"queue {self.name}: coeffs must be a dict, got {self.coeffs!r}")
+        object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
         for key, c in self.coeffs.items():
             if key not in SCORE_TERMS:
                 raise ConfigError(f"queue {self.name}: unknown score term {key!r}")
@@ -170,6 +177,12 @@ class QueueSpec:
                                   f"got {c!r}")
         if not any(c != 0.0 for c in self.coeffs.values()):
             raise ConfigError(f"queue {self.name}: all coefficients zero")
+
+    def __hash__(self):
+        return hash((self.name, frozenset(self.coeffs.items()), self.priority))
+
+    def __reduce__(self):  # a read-only mapping does not pickle; its copy does
+        return QueueSpec, (self.name, dict(self.coeffs), self.priority)
 
 
 DEFAULT_QUEUE_SPECS = (
@@ -262,7 +275,7 @@ def to_dict(config) -> dict:
             return {f.name: plain(getattr(v, f.name)) for f in dataclasses.fields(v)}
         if isinstance(v, (tuple, list)):
             return [plain(x) for x in v]
-        if isinstance(v, dict):
+        if isinstance(v, Mapping):
             return {k: plain(x) for k, x in sorted(v.items())}
         return v
     return plain(config)

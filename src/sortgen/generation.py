@@ -363,11 +363,11 @@ def top_queue_generate(features: sortmodel.ItemFeatures, weights: ObjectiveWeigh
 
 
 ORACLE_GUARD = 10**6
+ORACLE_BATCH = 4096  # arrangements valued per forward
 
 
 def exhaustive_oracle(features: sortmodel.ItemFeatures, user: UserContext, vm: ValueModel,
-                      weights: ObjectiveWeights, l_o: int,
-                      batch_size: int = 4096) -> tuple[float, Slate]:
+                      weights: ObjectiveWeights, l_o: int) -> tuple[float, Slate]:
     """Evaluate every ordered selection of l_o items; return the best.
 
     Feasible only at desk scale: the arrangement count P(l_s, l_o) is
@@ -385,7 +385,7 @@ def exhaustive_oracle(features: sortmodel.ItemFeatures, user: UserContext, vm: V
     best_val, best_perm = -np.inf, None
     perms = itertools.permutations(order, l_o)
     while True:
-        chunk = list(itertools.islice(perms, batch_size))
+        chunk = list(itertools.islice(perms, ORACLE_BATCH))
         if not chunk:
             break
         vals = vm.pool_values(features, np.array(chunk), user, weights)

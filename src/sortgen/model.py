@@ -33,8 +33,6 @@ class ModelOutput:
 
     click: Var  # [n, l, max_count]
     pay: Var
-    click_logits: Var
-    pay_logits: Var
     valid: np.ndarray  # [l, max_count] bool, True where i <= j
 
 
@@ -204,13 +202,12 @@ HEADS = ("head_click", "head_pay")
 
 
 def _heads_node(config: EngineConfig, params: dict, x: Var, mask: np.ndarray,
-                ws: nn.NewArrays = nn.NEW) -> tuple[Var, Var, Var, Var]:
+                ws: nn.NewArrays = nn.NEW) -> tuple[Var, Var]:
     """The final layer norm and both heads as one tape node over x [n, l,
     d_model]: each head's MLP, then its cutpoints (monotone) or its literal
     logits, then the sigmoid times the 0/1 `mask` [l, max_count]. Returns
-    the click and pay probabilities and the click and pay logits, each
-    [n, l, max_count], as the node's four outputs (`nn.fused_outputs`). Its
-    arrays come from `ws`.
+    the click and pay probabilities, each [n, l, max_count], as the node's
+    two outputs (`nn.fused_outputs`). Its arrays come from `ws`.
 
     Equal bit for bit, forward and backward, to the layer norm, FFN,
     cutpoint, sigmoid and mul nodes that it replaces (tests/helpers.py).
@@ -219,7 +216,7 @@ def _heads_node(config: EngineConfig, params: dict, x: Var, mask: np.ndarray,
     h, xhat, inv = nn._layer_norm_forward(x.value, gain, bias, ws=ws)
     h2 = h.reshape(-1, h.shape[-1])
     need_h = any(v.requires_grad for v in (x, gain, bias))
-    parents, probs, logits, backs = [x, gain, bias], [], [], []
+    parents, probs, backs = [x, gain, bias], [], []
     for head in HEADS:
         weights = [params[f"{head}.{name}"] for name in ("W1", "b1", "W2", "b2")]
         out, ffn_grads = nn._ffn_forward(h2, *weights, ws)
@@ -233,21 +230,17 @@ def _heads_node(config: EngineConfig, params: dict, x: Var, mask: np.ndarray,
         np.divide(1.0, s, out=s)
         parents += weights
         probs.append(np.multiply(s, mask, out=ws.kept(s.shape)))
-        logits.append(z)
         backs.append((s, ffn_grads, link_grads))
 
     def bw(grads):
         g_h = None
-        for i, ((s, ffn_grads, link_grads), g_p, g_z) in enumerate(
-                zip(backs, grads[:2], grads[2:])):
-            if g_p is not None:  # the sigmoid's share g_p * mask * s * (1 - s), then
-                # the logits' own
-                g_p = np.multiply(g_p, mask, out=ws.scratch("heads.g_z", s.shape))
-                g_p *= s
-                g_p *= np.subtract(1.0, s, out=ws.scratch("heads.q", s.shape))
-                g_z = g_p if g_z is None else np.add(g_p, g_z, out=g_p)
-            if g_z is None:
+        for i, ((s, ffn_grads, link_grads), g_p) in enumerate(zip(backs, grads)):
+            if g_p is None:
                 continue
+            # the sigmoid's share: g_p * mask * s * (1 - s)
+            g_z = np.multiply(g_p, mask, out=ws.scratch("heads.g_z", s.shape))
+            g_z *= s
+            g_z *= np.subtract(1.0, s, out=ws.scratch("heads.q", s.shape))
             g_out = g_z if link_grads is None else link_grads(g_z)
             g = ffn_grads(g_out.reshape(-1, g_out.shape[-1]), need_h,
                           ws.scratch(f"heads.g_h{i}", h2.shape))
@@ -259,7 +252,7 @@ def _heads_node(config: EngineConfig, params: dict, x: Var, mask: np.ndarray,
             if g_x is not None:
                 x._accum(g_x)
 
-    return nn.fused_outputs(probs + logits, parents, bw)
+    return nn.fused_outputs(probs, parents, bw)
 
 
 def valid_mask(l: int, max_count: int) -> np.ndarray:
@@ -288,12 +281,11 @@ def forward(config: EngineConfig, params: dict, e_item: np.ndarray,
         x = nn.ffn_block(x, *(params[f"{pre}.{name}"] for name in (
             "ln2.g", "ln2.b", "ffn.W1", "ffn.b1", "ffn.W2", "ffn.b2")), ws)
     mask = valid_mask(e_item.shape[1], config.max_count)
-    click, pay, click_logits, pay_logits = _heads_node(config, params, x,
-                                                       mask.astype(np.float64), ws)
+    click, pay = _heads_node(config, params, x, mask.astype(np.float64), ws)
     for out in (click, pay):
         if not np.isfinite(out.value).all():
             raise FloatingPointError("non-finite activations in forward pass")
-    return ModelOutput(click, pay, click_logits, pay_logits, mask)
+    return ModelOutput(click, pay, mask)
 
 
 class ItemFeatures(NamedTuple):

@@ -4,16 +4,16 @@ Covers exactly the operations the model's tape needs, plus Adam: each half
 of a pre-norm transformer block (layer norm, then causal multi-head
 attention or the feed-forward block, then the residual) as one tape node,
 the layer norm and feed-forward pieces that the model's input and heads
-nodes reuse, `fused_outputs` for a node with several outputs, and the
-primitives the pointwise loss is built from. Each fused node equals the
-unfused tape it replaced bit for bit, forward and backward. Adam keeps every
-parameter in one flat buffer, whose views the parameters' arrays become,
-and updates it in place. No GPU, no mixed precision. tests/helpers.py holds
-the test-only ops: the references for the fused nodes (the one-node
-attention, linear, layer norm and FFN, and the primitive compositions with
-concat, reshape, tile_to, slice_axis0, matmul, exp, masked_softmax and
-relu), the per-array Adam, a finite-difference gradient check and a
-parameter count.
+nodes reuse, and `fused_outputs` for a node with several outputs. Each
+fused node equals the unfused tape it replaced bit for bit, forward and
+backward. Adam keeps every parameter in one flat buffer, whose views the
+parameters' arrays become, and updates it in place. No GPU, no mixed
+precision. tests/helpers.py holds the test-only ops: the references for the
+fused nodes (the one-node attention, linear, layer norm and FFN, and the
+primitive compositions with add, neg, sub, mul, sigmoid, log, clip, sum_,
+index_last, concat, reshape, tile_to, slice_axis0, matmul, exp,
+masked_softmax and relu), the per-array Adam, a finite-difference gradient
+check and a parameter count.
 
 A tape lives as long as its loss: every node keeps its parents, the arrays
 its backward reads and, after `backward`, its gradient, so dropping the loss
@@ -81,79 +81,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if extent == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
     return g.reshape(shape)
-
-
-# ----------------------------- primitives ---------------------------------
-
-
-def add(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-
-    def bw(g):
-        a._accum(_unbroadcast(g, a.shape))
-        b._accum(_unbroadcast(g, b.shape))
-
-    return Var(a.value + b.value, (a, b), bw)
-
-
-def neg(a) -> Var:
-    a = as_var(a)
-    return Var(-a.value, (a,), lambda g: a._accum(-g))
-
-
-def sub(a, b) -> Var:
-    return add(a, neg(b))
-
-
-def mul(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-
-    def bw(g):
-        a._accum(_unbroadcast(g * b.value, a.shape))
-        b._accum(_unbroadcast(g * a.value, b.shape))
-
-    return Var(a.value * b.value, (a, b), bw)
-
-
-def sigmoid(a) -> Var:
-    a = as_var(a)
-    s = 1.0 / (1.0 + np.exp(-a.value))
-    return Var(s, (a,), lambda g: a._accum(g * s * (1.0 - s)))
-
-
-def log(a) -> Var:
-    a = as_var(a)
-    return Var(np.log(a.value), (a,), lambda g: a._accum(g / a.value))
-
-
-def clip(a, lo: float, hi: float) -> Var:
-    """Clamp with pass-through gradient strictly inside (lo, hi)."""
-    a = as_var(a)
-    inside = (a.value > lo) & (a.value < hi)
-    return Var(np.clip(a.value, lo, hi), (a,), lambda g: a._accum(g * inside))
-
-
-def sum_(a, axis=None, keepdims: bool = False) -> Var:
-    a = as_var(a)
-
-    def bw(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        a._accum(np.broadcast_to(g, a.shape).copy())
-
-    return Var(a.value.sum(axis=axis, keepdims=keepdims), (a,), bw)
-
-
-def index_last(a, i: int) -> Var:
-    """Select one index along the last axis (keeps remaining axes)."""
-    a = as_var(a)
-
-    def bw(g):
-        full = np.zeros_like(a.value)
-        full[..., i] = g
-        a._accum(full)
-
-    return Var(a.value[..., i], (a,), bw)
 
 
 class NewArrays:
@@ -458,9 +385,15 @@ def zero_grads(params: ParamStore) -> None:
         p.grad = None
 
 
+# Adam's moment decay rates, and the term that keeps its denominator off zero.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam's hyper-parameters, step count and moments, over one flat buffer.
+    """Adam's learning rate, step count and moments, over one flat buffer.
 
     `adam_init` copies every parameter into `values` and rebinds each
     `Var.value` to its view of it, so an update is a few vector operations
@@ -468,9 +401,6 @@ class AdamState:
     """
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     values: np.ndarray | None = None  # every parameter, flat
     grads: np.ndarray | None = None   # their gradients at the last step, flat
@@ -490,13 +420,12 @@ def flat_views(params: ParamStore, flat: np.ndarray) -> dict[str, np.ndarray]:
     return views
 
 
-def adam_init(params: ParamStore, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def adam_init(params: ParamStore, lr: float = 1e-3) -> AdamState:
     """Adam state over `params`, whose arrays become views of its flat buffer:
     write a parameter in place from now on, never replace its array."""
     total = sum(p.value.size for p in params.values())
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, values=np.empty(total),
-                      grads=np.zeros(total), m=np.zeros(total), v=np.zeros(total))
+    state = AdamState(lr=lr, values=np.empty(total), grads=np.zeros(total),
+                      m=np.zeros(total), v=np.zeros(total))
     grads = flat_views(params, state.grads)
     for name, value in flat_views(params, state.values).items():
         value[...] = params[name].value
@@ -528,16 +457,16 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
     state.step += 1
     t = state.step
     g, m, v = state.grads, state.m, state.v
-    m *= state.beta1
-    m += (1 - state.beta1) * g
-    v *= state.beta2
-    gg = (1 - state.beta2) * g
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    gg = (1 - ADAM_BETA2) * g
     gg *= g
     v += gg
-    update = m / (1 - state.beta1 ** t)
+    update = m / (1 - ADAM_BETA1 ** t)
     update *= state.lr
-    denom = np.sqrt(v / (1 - state.beta2 ** t))
-    denom += state.eps
+    denom = np.sqrt(v / (1 - ADAM_BETA2 ** t))
+    denom += ADAM_EPS
     update /= denom
     state.values -= update
     zero_grads(params)

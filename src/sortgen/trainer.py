@@ -5,7 +5,8 @@ with it the step's tape, before the next forward, and holds none while it
 evaluates or writes the checkpoint. The steps' fused nodes take their
 arrays from one `nn.Workspace` per epoch, so a step does not allocate, free
 and fault in its tape again; the workspace is dropped before the epoch's
-evaluation, whose tape-free forward allocates as it goes.
+evaluation, whose forward (the tape forward over frozen copies of the
+parameters, which records no tape) allocates as it goes.
 """
 
 from __future__ import annotations
@@ -99,12 +100,10 @@ def _session_hash_split(users: np.ndarray, eval_fraction: float
 
 def _output_loss(config: EngineConfig, out: sortmodel.ModelOutput, batch: _Arrays,
                  workspace: nn.Workspace | None = None) -> nn.Var:
+    ws = nn.NEW if workspace is None else workspace
     if config.loss_mode == "pointwise":
-        return values.pointwise_loss(
-            nn.index_last(out.click_logits, 0), nn.index_last(out.pay_logits, 0),
-            batch.clicks, batch.pays)
-    return values.ordered_regression_loss(out, batch.cum_clicks, batch.cum_pays,
-                                          nn.NEW if workspace is None else workspace)
+        return values.pointwise_loss(out, batch.clicks, batch.pays, ws)
+    return values.ordered_regression_loss(out, batch.cum_clicks, batch.cum_pays, ws)
 
 
 def _batch_loss(config: EngineConfig, params: dict, batch: _Arrays,

@@ -97,6 +97,38 @@ def _threshold_targets(cum_counts: np.ndarray, max_count: int) -> np.ndarray:
     return (cum_counts[:, :, None] >= np.arange(1, max_count + 1)[None, None, :]).astype(np.float64)
 
 
+def _clipped_bce(probs: np.ndarray, targets: np.ndarray, mask, out: np.ndarray,
+                 ws: nn.NewArrays):
+    """-(pos * log(p) + negt * log(1 - p)) into `out`, with p the
+    probabilities `probs` clipped to [PROB_CLAMP, 1 - PROB_CLAMP], pos
+    `targets` times `mask` and negt (1 - targets) times `mask`; `targets` is
+    overwritten. Also returns its backward: a function of each entry's
+    gradient g (a scalar) that writes the gradient of `probs` into an array
+    it is given, zero where the clip is active. The arrays come from `ws`."""
+    shape = probs.shape
+    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP, out=ws.kept(shape))
+    pos = np.multiply(targets, mask, out=ws.kept(shape))
+    negt = np.multiply(np.subtract(1.0, targets, out=targets), mask, out=ws.kept(shape))
+    q = np.subtract(1.0, p, out=ws.kept(shape))
+    bce = np.log(p, out=out)
+    bce *= pos
+    bce_q = np.log(q, out=ws.scratch("loss.b", shape))
+    bce_q *= negt
+    bce += bce_q
+
+    def grad(g, into: np.ndarray) -> np.ndarray:
+        inside = (probs > PROB_CLAMP) & (probs < 1.0 - PROB_CLAMP)
+        # (-g * pos / p - -g * negt / q) * inside
+        g_p = np.multiply(-g, pos, out=ws.scratch("loss.a", shape))
+        g_p /= p
+        g_q = np.multiply(-g, negt, out=ws.scratch("loss.b", shape))
+        g_q /= q
+        g_p -= g_q
+        return np.multiply(g_p, inside, out=into)
+
+    return np.negative(bce, out=bce), grad
+
+
 def ordered_regression_loss(output: ModelOutput, cum_clicks: np.ndarray,
                             cum_pays: np.ndarray, ws: nn.NewArrays = nn.NEW) -> Var:
     """Sum of effective (i <= j) threshold cross-entropies, averaged over the batch,
@@ -111,55 +143,50 @@ def ordered_regression_loss(output: ModelOutput, cum_clicks: np.ndarray,
     shape = output.click.shape
     mask = output.valid.astype(np.float64)
     scale = 1.0 / shape[0]
-    terms = []  # per objective: its probs Var, clipped p, 1 - p, and the two weights
-    total = None
+    grads, total = [], None
     for probs, cum in ((output.click, cum_clicks), (output.pay, cum_pays)):
         targets = _threshold_targets(np.asarray(cum), shape[2])
-        p = np.clip(probs.value, PROB_CLAMP, 1.0 - PROB_CLAMP, out=ws.kept(shape))
-        pos = np.multiply(targets, mask, out=ws.kept(shape))
-        negt = np.multiply(np.subtract(1.0, targets, out=targets), mask, out=ws.kept(shape))
-        q = np.subtract(1.0, p, out=ws.kept(shape))
-        # -(pos * log(p) + negt * log(q)), summed
-        bce = np.log(p, out=ws.scratch("loss.a", shape))
-        bce *= pos
-        bce_q = np.log(q, out=ws.scratch("loss.b", shape))
-        bce_q *= negt
-        bce += bce_q
-        term = np.negative(bce, out=bce).sum()
+        bce, grad = _clipped_bce(probs.value, targets, mask, ws.scratch("loss.a", shape), ws)
+        term = bce.sum()
         total = term if total is None else total + term
-        terms.append((probs, p, q, pos, negt))
+        grads.append(grad)
 
     def bw(g):
-        g_bce = -(g * scale)
-        for probs, p, q, pos, negt in terms:
-            inside = (probs.value > PROB_CLAMP) & (probs.value < 1.0 - PROB_CLAMP)
-            # (g_bce * pos / p - g_bce * negt / q) * inside
-            g_p = np.multiply(g_bce, pos, out=ws.scratch("loss.a", shape))
-            g_p /= p
-            g_q = np.multiply(g_bce, negt, out=ws.scratch("loss.b", shape))
-            g_q /= q
-            g_p -= g_q
-            probs._accum(np.multiply(g_p, inside, out=ws.kept(shape)))
+        for probs, grad in zip((output.click, output.pay), grads):
+            probs._accum(grad(g * scale, ws.kept(shape)))
 
     return Var(total * scale, (output.click, output.pay), bw)
 
 
-def pointwise_loss(click_logits, pay_logits, clicks: np.ndarray, pays: np.ndarray) -> Var:
-    """Mean per-position binary cross-entropy on marginal action indicators.
+def pointwise_loss(output: ModelOutput, clicks: np.ndarray, pays: np.ndarray,
+                   ws: nn.NewArrays = nn.NEW) -> Var:
+    """Mean per-position binary cross-entropy on marginal action indicators,
+    as one tape node whose arrays come from `ws`.
 
-    click_logits/pay_logits: [n, l] position scores (threshold channel 0).
+    clicks/pays: [n, l] 0/1 labels, scored against threshold channel 0 of
+    the click and pay probabilities, the sigmoid of the heads' first logit
+    (channel 0 is never masked). Equal bit for bit, forward and backward, to
+    the chain of index_last, sigmoid, clip, log, mul, sub, add, neg, sum_ and
+    mul on the logits that it replaces (tests/helpers.py), which adds the
+    two objectives' BCEs entry by entry, then sums.
     """
-    click_logits, pay_logits = nn.as_var(click_logits), nn.as_var(pay_logits)
-    n, l = click_logits.shape
-    clicks = np.asarray(clicks, dtype=np.float64)
-    pays = np.asarray(pays, dtype=np.float64)
-    if clicks.shape != (n, l) or pays.shape != (n, l):
+    n, l = output.click.shape[:2]
+    if np.shape(clicks) != (n, l) or np.shape(pays) != (n, l):
         raise ValueError("label shape mismatch")
-    total = None
-    ones = np.ones((n, l))
-    for logits, labels in ((click_logits, clicks), (pay_logits, pays)):
-        p = nn.clip(nn.sigmoid(logits), PROB_CLAMP, 1.0 - PROB_CLAMP)
-        bce = nn.neg(nn.add(nn.mul(labels, nn.log(p)),
-                            nn.mul(ones - labels, nn.log(nn.sub(1.0, p)))))
-        total = bce if total is None else nn.add(total, bce)
-    return nn.mul(nn.sum_(total), 1.0 / (2 * n * l))
+    scale = 1.0 / (2 * n * l)
+    grads, bces = [], []
+    for probs, labels, name in ((output.click, clicks, "loss.c"), (output.pay, pays, "loss.a")):
+        targets = np.array(labels, dtype=np.float64)
+        bce, grad = _clipped_bce(probs.value[..., 0], targets, 1.0, ws.scratch(name, (n, l)), ws)
+        bces.append(bce)
+        grads.append(grad)
+    total = np.add(bces[0], bces[1], out=bces[0]).sum()
+
+    def bw(g):
+        for probs, grad in zip((output.click, output.pay), grads):
+            full = ws.kept(probs.shape)
+            full.fill(0.0)
+            grad(g * scale, full[..., 0])
+            probs._accum(full)
+
+    return Var(total * scale, (output.click, output.pay), bw)

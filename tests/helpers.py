@@ -501,7 +501,78 @@ def to_arrays_reference(samples):
                            pays, np.cumsum(clicks, axis=1), np.cumsum(pays, axis=1))
 
 
-# Tape ops and checks that only the tests use.
+# Tape ops and checks that only the tests use: the generic primitives the
+# unfused references are composed of, each its own tape node.
+
+
+def add(a, b) -> Var:
+    a, b = nn.as_var(a), nn.as_var(b)
+
+    def bw(g):
+        a._accum(nn._unbroadcast(g, a.shape))
+        b._accum(nn._unbroadcast(g, b.shape))
+
+    return Var(a.value + b.value, (a, b), bw)
+
+
+def neg(a) -> Var:
+    a = nn.as_var(a)
+    return Var(-a.value, (a,), lambda g: a._accum(-g))
+
+
+def sub(a, b) -> Var:
+    return add(a, neg(b))
+
+
+def mul(a, b) -> Var:
+    a, b = nn.as_var(a), nn.as_var(b)
+
+    def bw(g):
+        a._accum(nn._unbroadcast(g * b.value, a.shape))
+        b._accum(nn._unbroadcast(g * a.value, b.shape))
+
+    return Var(a.value * b.value, (a, b), bw)
+
+
+def sigmoid(a) -> Var:
+    a = nn.as_var(a)
+    s = 1.0 / (1.0 + np.exp(-a.value))
+    return Var(s, (a,), lambda g: a._accum(g * s * (1.0 - s)))
+
+
+def log(a) -> Var:
+    a = nn.as_var(a)
+    return Var(np.log(a.value), (a,), lambda g: a._accum(g / a.value))
+
+
+def clip(a, lo: float, hi: float) -> Var:
+    """Clamp with pass-through gradient strictly inside (lo, hi)."""
+    a = nn.as_var(a)
+    inside = (a.value > lo) & (a.value < hi)
+    return Var(np.clip(a.value, lo, hi), (a,), lambda g: a._accum(g * inside))
+
+
+def sum_(a, axis=None, keepdims: bool = False) -> Var:
+    a = nn.as_var(a)
+
+    def bw(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        a._accum(np.broadcast_to(g, a.shape).copy())
+
+    return Var(a.value.sum(axis=axis, keepdims=keepdims), (a,), bw)
+
+
+def index_last(a, i: int) -> Var:
+    """Select one index along the last axis (keeps remaining axes)."""
+    a = nn.as_var(a)
+
+    def bw(g):
+        full = np.zeros_like(a.value)
+        full[..., i] = g
+        a._accum(full)
+
+    return Var(a.value[..., i], (a,), bw)
 
 
 def concat(parts, axis: int = -1) -> Var:
@@ -709,7 +780,7 @@ def mhsa_reference(x: Var, params: dict, prefix: str, n_heads: int) -> Var:
     q = split(linear(x, params[f"{prefix}.Wq"], params[f"{prefix}.bq"]))
     k = split(linear(x, params[f"{prefix}.Wk"], params[f"{prefix}.bk"]))
     v = split(linear(x, params[f"{prefix}.Wv"], params[f"{prefix}.bv"]))
-    scores = nn.mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+    scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
     causal = np.tril(np.ones((l, l), dtype=bool))[None, None, :, :]
     att = masked_softmax(scores, causal)
     out = transpose(matmul(att, v), (0, 2, 1, 3))
@@ -784,13 +855,13 @@ def monotone_logits_reference(out, thresholds, max_count: int) -> Var:
     first = slice_axis0(t, 0, 1)
     rest = t if max_count == 1 else slice_axis0(t, 1, max_count)
     if max_count > 1:
-        softplus = nn.log(nn.add(1.0, exp(rest)))
+        softplus = log(add(1.0, exp(rest)))
         steps = concat([first, softplus], axis=0)
     else:
         steps = first
     lower = np.tril(np.ones((max_count, max_count)))
     cutpoints = matmul(lower, reshape(steps, (max_count, 1)))
-    return nn.add(out, nn.neg(reshape(cutpoints, (max_count,))))
+    return add(out, neg(reshape(cutpoints, (max_count,))))
 
 
 def monotone_logits(score, thresholds) -> Var:
@@ -812,11 +883,9 @@ def input_reference(config, params: dict, e_item, user, e_score) -> Var:
     return linear(x, params["proj.W"], params["proj.b"])
 
 
-def heads_reference(config, params: dict, x, mask: np.ndarray,
-                    ffn=ffn_node) -> tuple[Var, Var, Var, Var]:
-    """model._heads_node as the tape of layer_norm, the head FFNs, the
-    cutpoint chain and sigmoid, then mul by the mask. Returns click, pay,
-    click logits and pay logits."""
+def head_logits_reference(config, params: dict, x, ffn=ffn_node) -> list[Var]:
+    """The click and pay logits of model._heads_node as the tape of
+    layer_norm, the head FFNs and the cutpoint chain."""
     x = layer_norm(x, params["final_ln.g"], params["final_ln.b"])
     logits = []
     for head in sortmodel.HEADS:
@@ -824,34 +893,52 @@ def heads_reference(config, params: dict, x, mask: np.ndarray,
         if config.head_mode == "monotone":
             out = monotone_logits_reference(out, params[f"{head}.thresholds"], config.max_count)
         logits.append(out)
-    click, pay = (nn.mul(nn.sigmoid(z), mask) for z in logits)
-    return click, pay, logits[0], logits[1]
+    return logits
+
+
+def heads_reference(config, params: dict, x, mask: np.ndarray,
+                    ffn=ffn_node) -> tuple[Var, Var]:
+    """model._heads_node as the tape: head_logits_reference, then sigmoid
+    and mul by the mask. Returns click and pay."""
+    click, pay = (mul(sigmoid(z), mask) for z in head_logits_reference(config, params, x, ffn))
+    return click, pay
+
+
+@dataclass
+class ReferenceOutput(sortmodel.ModelOutput):
+    """forward_reference's outputs: a ModelOutput, and the logits that the
+    probabilities are the masked sigmoid of."""
+
+    click_logits: Var | None = None
+    pay_logits: Var | None = None
 
 
 def forward_reference(config, params: dict, e_item, user, e_score,
-                      primitive: bool = False) -> sortmodel.ModelOutput:
+                      primitive: bool = False) -> ReferenceOutput:
     """model.forward as the unfused tape: the input's concat and linear; per
     block half, layer_norm, then the one-node attention or `ffn`, then add;
-    heads_reference. With primitive=True, attention and the FFNs are
-    mhsa_reference and ffn_reference instead, which round differently."""
+    the heads as head_logits_reference, sigmoid and mul by the mask. With
+    primitive=True, attention and the FFNs are mhsa_reference and
+    ffn_reference instead, which round differently."""
     mhsa, ffn = (mhsa_reference, ffn_reference) if primitive else (mhsa_node, ffn_node)
     x = input_reference(config, params, e_item, user, e_score)
     for i in range(config.n_layers):
         pre = f"layer{i}"
         h = layer_norm(x, params[f"{pre}.ln1.g"], params[f"{pre}.ln1.b"])
-        x = nn.add(x, mhsa(h, params, f"{pre}.attn", config.n_heads))
+        x = add(x, mhsa(h, params, f"{pre}.attn", config.n_heads))
         h = layer_norm(x, params[f"{pre}.ln2.g"], params[f"{pre}.ln2.b"])
-        x = nn.add(x, ffn(h, params, f"{pre}.ffn"))
+        x = add(x, ffn(h, params, f"{pre}.ffn"))
     mask = sortmodel.valid_mask(e_item.shape[1], config.max_count)
-    outs = heads_reference(config, params, x, mask.astype(np.float64), ffn)
-    return sortmodel.ModelOutput(*outs, mask)
+    logits = head_logits_reference(config, params, x, ffn)
+    click, pay = (mul(sigmoid(z), mask.astype(np.float64)) for z in logits)
+    return ReferenceOutput(click, pay, mask, *logits)
 
 
 def _masked_bce_reference(probs, targets: np.ndarray, mask: np.ndarray) -> Var:
-    p = nn.clip(probs, values.PROB_CLAMP, 1.0 - values.PROB_CLAMP)
-    pos = nn.mul(targets * mask, nn.log(p))
-    negt = nn.mul((1.0 - targets) * mask, nn.log(nn.sub(1.0, p)))
-    return nn.neg(nn.add(pos, negt))
+    p = clip(probs, values.PROB_CLAMP, 1.0 - values.PROB_CLAMP)
+    pos = mul(targets * mask, log(p))
+    negt = mul((1.0 - targets) * mask, log(sub(1.0, p)))
+    return neg(add(pos, negt))
 
 
 def ordered_regression_loss_reference(output, cum_clicks, cum_pays) -> Var:
@@ -861,9 +948,27 @@ def ordered_regression_loss_reference(output, cum_clicks, cum_pays) -> Var:
     total = None
     for probs, cum in ((output.click, cum_clicks), (output.pay, cum_pays)):
         targets = values._threshold_targets(np.asarray(cum), max_count)
-        term = nn.sum_(_masked_bce_reference(probs, targets, mask))
-        total = term if total is None else nn.add(total, term)
-    return nn.mul(total, 1.0 / n)
+        term = sum_(_masked_bce_reference(probs, targets, mask))
+        total = term if total is None else add(total, term)
+    return mul(total, 1.0 / n)
+
+
+def pointwise_loss_reference(output: ReferenceOutput, clicks, pays) -> Var:
+    """values.pointwise_loss as the tape's chain on threshold channel 0 of
+    forward_reference's logits: index_last, sigmoid, clip and the BCE."""
+    click_logits, pay_logits = index_last(output.click_logits, 0), index_last(output.pay_logits, 0)
+    n, l = click_logits.shape
+    clicks = np.asarray(clicks, dtype=np.float64)
+    pays = np.asarray(pays, dtype=np.float64)
+    if clicks.shape != (n, l) or pays.shape != (n, l):
+        raise ValueError("label shape mismatch")
+    total = None
+    ones = np.ones((n, l))
+    for logits, labels in ((click_logits, clicks), (pay_logits, pays)):
+        p = clip(sigmoid(logits), values.PROB_CLAMP, 1.0 - values.PROB_CLAMP)
+        bce = neg(add(mul(labels, log(p)), mul(ones - labels, log(sub(1.0, p)))))
+        total = bce if total is None else add(total, bce)
+    return mul(sum_(total), 1.0 / (2 * n * l))
 
 
 # The per-element bodies of model.save_checkpoint and of load_checkpoint's

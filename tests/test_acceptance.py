@@ -125,9 +125,7 @@ def test_criterion_01_gradient_correctness():
 
     def pointwise_loss():
         out = sortmodel.forward(literal, params_pw, emb, user, score)
-        return values.pointwise_loss(nn.index_last(out.click_logits, 0),
-                                     nn.index_last(out.pay_logits, 0),
-                                     clicks, pays)
+        return values.pointwise_loss(out, clicks, pays)
 
     err_pw = finite_diff_check(params_pw, pointwise_loss, n_coords=60, seed=4)
     _report("1 gradient correctness", err_or < 1e-4 and err_pw < 1e-4,
@@ -259,10 +257,8 @@ def test_criterion_06_loss_identities(small_params):
     p[0, 0, 0] = 0.5
     p[0, 1, 0] = 0.5
     p[0, 1, 1] = 0.5
-    out_hand = sortmodel.ModelOutput(
-        click=nn.Var(p), pay=nn.Var(np.zeros_like(p)),
-        click_logits=nn.Var(np.zeros_like(p)), pay_logits=nn.Var(np.zeros_like(p)),
-        valid=sortmodel.valid_mask(2, SMALL.max_count))
+    out_hand = sortmodel.ModelOutput(click=nn.Var(p), pay=nn.Var(np.zeros_like(p)),
+                                     valid=sortmodel.valid_mask(2, SMALL.max_count))
     cum = np.array([[1, 2]])
     loss = values.ordered_regression_loss(out_hand, cum, np.zeros_like(cum))
     hand = abs(float(loss.value) - 2.0794415416798357)

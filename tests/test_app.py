@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sortgen import cli, core, model as sortmodel, server as srv, simulator, values
+from sortgen import cli, core, generation, model as sortmodel, server as srv, simulator, values
 from sortgen.core import ConfigError, EngineConfig, ObjectiveWeights, load_config_file
 from tests.helpers import parse_request_reference, table_items
 
@@ -144,6 +144,26 @@ def test_config_matching_checkpoint_engine_is_accepted(workdir, capsys):
                    "--data", str(req)])
     assert rc == 0
     assert len(json.loads(capsys.readouterr().out)["item_ids"]) == engine.l_o
+
+
+def test_evaluate_curves_end_at_each_slates_combined_value(workdir):
+    # The curves come from the value calculus that generation optimises,
+    # with no clip: per pool and method, the combined value at l_o is the
+    # slate's own value (the sums run in another order).
+    params, engine = sortmodel.load_checkpoint(workdir["ckpt"])
+    catalog = simulator.read_catalog(workdir["data"].with_suffix(".catalog.jsonl"))
+    weights = ObjectiveWeights()
+    vm = generation.ValueModel(engine, params)
+    rng = np.random.default_rng(91)
+    for _ in range(20):
+        user = simulator.sample_user(rng, engine.d_user)
+        features = simulator.sample_pool(catalog, engine.l_s, rng)
+        for method, rows in cli._method_slates(engine, weights, vm, features, user).items():
+            curves = cli._cumulative_curves(vm.weights, features, rows, user)
+            end = (weights.alpha * curves["click"][-1] + weights.beta * curves["pay"][-1]
+                   + weights.gamma * curves["gmv"][-1])
+            value = vm.pool_values(features, np.asarray(rows)[None], user, weights)[0]
+            assert end == pytest.approx(value, rel=1e-9, abs=0.0), method
 
 
 def test_evaluate_command_table_shape(workdir, capsys):

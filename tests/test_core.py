@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import re
 from types import SimpleNamespace
 
@@ -90,6 +91,30 @@ def test_queue_spec_names_a_field_of_the_wrong_type(args, named):
 
 def test_queue_spec_takes_int_and_float_coefficients():
     assert QueueSpec("q", {"ctr": 2, "cvr": -0.5}, 1).coeffs == {"ctr": 2, "cvr": -0.5}
+
+
+def test_queue_spec_keeps_a_read_only_copy_of_its_coefficients_in_order():
+    given = {"ctr_cvr": 1.0, "ctr": 2.0}
+    spec = QueueSpec("q", given, 0)
+    given["ctr"] = 9.0
+    assert list(spec.coeffs.items()) == [("ctr_cvr", 1.0), ("ctr", 2.0)]
+    with pytest.raises(TypeError):
+        spec.coeffs["ctr"] = 5.0
+    # The default queues are shared by every default config.
+    with pytest.raises(TypeError):
+        EngineConfig().queue_specs[0].coeffs["ctr"] = "5"
+    assert EngineConfig().queue_specs[0].coeffs["ctr"] == 5.0
+    assert QueueSpec("q", spec.coeffs, 0) == spec
+    assert to_dict(spec) == {"name": "q", "coeffs": {"ctr": 2.0, "ctr_cvr": 1.0}, "priority": 0}
+
+
+def test_equal_configs_hash_equal():
+    assert hash(EngineConfig()) == hash(EngineConfig())
+    a = EngineConfig(queue_specs=(QueueSpec("q", {"ctr": 1.0, "cvr": 2.0}, 0),))
+    b = EngineConfig(queue_specs=(QueueSpec("q", {"cvr": 2.0, "ctr": 1.0}, 0),))
+    assert a == b and hash(a) == hash(b) and config_hash(a) == config_hash(b)
+    assert len({a, b, EngineConfig(), dataclasses.replace(a, l_s=31)}) == 3
+    assert pickle.loads(pickle.dumps(a)) == a
 
 
 ENGINE_DEFAULTS = {f.name: f.default for f in dataclasses.fields(EngineConfig)}

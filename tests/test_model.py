@@ -11,6 +11,7 @@ from sortgen import nn, simulator, trainer, values
 from sortgen.core import ConfigError, EngineConfig, ObjectiveWeights, UserContext
 from sortgen.nn import Var
 from tests.helpers import (
+    add,
     ffn_node,
     ffn_reference,
     finite_diff_check,
@@ -21,11 +22,15 @@ from tests.helpers import (
     mhsa_reference,
     monotone_logits,
     monotone_logits_reference,
+    mul,
     ordered_regression_loss_reference,
     param_count,
     parse_values_reference,
+    pointwise_loss_reference,
     same_bits,
     save_checkpoint_reference,
+    sigmoid,
+    sum_,
 )
 
 # Each block as one tape node, and its primitive-op reference.
@@ -134,7 +139,7 @@ def _block_grads(block, x, params):
     xv = Var(x)
     out = block(xv, params)
     proj = np.random.default_rng(99).normal(size=out.shape)
-    nn.backward(nn.sum_(nn.mul(out, proj)))
+    nn.backward(sum_(mul(out, proj)))
     return out.value, {"x": xv.grad, **{k: p.grad for k, p in params.items()}}
 
 
@@ -191,13 +196,51 @@ def test_forward_matches_primitive_op_reference(small_config, head_mode):
     for forward in (sortmodel.forward, lambda *args: forward_reference(*args, primitive=True)):
         params = sortmodel.init_params(cfg, seed=23)
         out = forward(cfg, params, emb, user, score)
-        nn.backward(nn.sum_(nn.mul(nn.add(out.click, out.pay), target)))
+        nn.backward(sum_(mul(add(out.click, out.pay), target)))
         results.append((out, {name: p.grad for name, p in params.items()}))
     (out, grads), (ref_out, ref_grads) = results
     assert np.abs(out.click.value - ref_out.click.value).max() <= 1e-12
     assert np.abs(out.pay.value - ref_out.pay.value).max() <= 1e-12
     _assert_grads_close(grads, ref_grads,
                         zero=tuple(f"layer{i}.attn.bk" for i in range(cfg.n_layers)))
+
+
+def _fused_and_unfused(cfg, shifts=(0.0, 0.0)):
+    """One step through the fused forward and loss, and one through the
+    unfused tape, from the same perturbed parameters, with each head's first
+    logit moved by its entry of `shifts`: asserts that the loss, the click
+    and pay outputs and every parameter gradient have the same bits, and
+    returns the click and pay outputs."""
+    emb, user, score = _random_inputs(cfg, 7, cfg.l_o, seed=26)
+    rng = np.random.default_rng(28)
+    clicks = rng.integers(0, 2, size=(7, cfg.l_o))
+    pays = clicks * rng.integers(0, 2, size=clicks.shape)
+    results = []
+    for fused in (True, False):
+        params = _perturbed_params(cfg, seed=27)
+        for head, shift in zip(sortmodel.HEADS, shifts):
+            if cfg.head_mode == "monotone":
+                params[f"{head}.thresholds"].value[0] -= shift  # the first cutpoint
+            else:
+                params[f"{head}.b2"].value[0] += shift
+        out = (sortmodel.forward if fused else forward_reference)(cfg, params, emb, user, score)
+        if cfg.loss_mode == "pointwise":
+            loss = (values.pointwise_loss if fused else pointwise_loss_reference)(
+                out, clicks, pays)
+        else:
+            ordered = values.ordered_regression_loss if fused else ordered_regression_loss_reference
+            loss = ordered(out, np.cumsum(clicks, axis=1), np.cumsum(pays, axis=1))
+        nn.backward(loss)
+        results.append((loss.value, [out.click.value, out.pay.value],
+                        {name: p.grad for name, p in params.items()}))
+    (loss, outs, grads), (ref_loss, ref_outs, ref_grads) = results
+    assert same_bits(loss, ref_loss)
+    for a, b in zip(outs, ref_outs):
+        assert same_bits(a, b)
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert same_bits(grads[name], ref_grads[name]), name
+    return outs
 
 
 @pytest.mark.parametrize("max_count", [5, 1])
@@ -207,34 +250,30 @@ def test_forward_matches_primitive_op_reference(small_config, head_mode):
 def test_fused_forward_and_loss_equal_the_unfused_tape_bit_for_bit(small_config, head_mode,
                                                                   loss_mode, max_count):
     # The block halves, cutpoints, masked sigmoid and loss as single nodes
-    # change no bit of any output, loss or gradient.
-    cfg = dataclasses.replace(small_config, head_mode=head_mode, loss_mode=loss_mode,
+    # change no bit of any output, loss or gradient. The unfused pointwise
+    # loss reads the logits, the pointwise node the probabilities.
+    _fused_and_unfused(dataclasses.replace(small_config, head_mode=head_mode,
+                                           loss_mode=loss_mode, max_count=max_count))
+
+
+@pytest.mark.parametrize("max_count", [5, 1])
+@pytest.mark.parametrize("head_mode", ["monotone", "literal"])
+def test_pointwise_node_equals_the_unfused_tape_with_the_clip_active(small_config, head_mode,
+                                                                    max_count):
+    # Each head's first logit is moved so that its median sits at a clip
+    # bound, the click's upper and the pay's lower: about half the positions
+    # clip, and their gradient is zero on both sides.
+    cfg = dataclasses.replace(small_config, head_mode=head_mode, loss_mode="pointwise",
                               max_count=max_count)
     emb, user, score = _random_inputs(cfg, 7, cfg.l_o, seed=26)
-    rng = np.random.default_rng(28)
-    clicks = rng.integers(0, 2, size=(7, cfg.l_o))
-    pays = clicks * rng.integers(0, 2, size=clicks.shape)
-    results = []
-    for fused in (True, False):
-        params = _perturbed_params(cfg, seed=27)
-        out = (sortmodel.forward if fused else forward_reference)(cfg, params, emb, user, score)
-        if loss_mode == "pointwise":
-            loss = values.pointwise_loss(nn.index_last(out.click_logits, 0),
-                                         nn.index_last(out.pay_logits, 0), clicks, pays)
-        else:
-            ordered = values.ordered_regression_loss if fused else ordered_regression_loss_reference
-            loss = ordered(out, np.cumsum(clicks, axis=1), np.cumsum(pays, axis=1))
-        nn.backward(loss)
-        results.append((loss.value, [getattr(out, f).value for f in
-                                     ("click", "pay", "click_logits", "pay_logits")],
-                        {name: p.grad for name, p in params.items()}))
-    (loss, outs, grads), (ref_loss, ref_outs, ref_grads) = results
-    assert same_bits(loss, ref_loss)
-    for a, b in zip(outs, ref_outs):
-        assert same_bits(a, b)
-    assert grads.keys() == ref_grads.keys()
-    for name in grads:
-        assert same_bits(grads[name], ref_grads[name]), name
+    ref = forward_reference(cfg, _perturbed_params(cfg, seed=27), emb, user, score)
+    bound = math.log((1.0 - values.PROB_CLAMP) / values.PROB_CLAMP)
+    shifts = (bound - np.median(ref.click_logits.value[..., 0]),
+              -bound - np.median(ref.pay_logits.value[..., 0]))
+    click, pay = (p[..., 0] for p in _fused_and_unfused(cfg, shifts))
+    top, bottom = 1.0 - values.PROB_CLAMP, values.PROB_CLAMP
+    assert (click >= top).any() and (click < top).any()
+    assert (pay <= bottom).any() and (pay > bottom).any()
 
 
 @pytest.mark.parametrize("max_count", [5, 1])
@@ -247,13 +286,13 @@ def test_monotone_logits_node_equals_the_cutpoint_chain_bit_for_bit(max_count):
         nn.zero_grads(params)
         out = (monotone_logits(params["score"], params["t"]) if fused else
                monotone_logits_reference(params["score"], params["t"], max_count))
-        nn.backward(nn.sum_(nn.mul(out, target)))
+        nn.backward(sum_(mul(out, target)))
         results.append((out.value, params["score"].grad, params["t"].grad))
     for fused, ref in zip(*results):
         assert same_bits(fused, ref)
 
     def loss_fn():
-        return nn.sum_(nn.mul(nn.sigmoid(monotone_logits(params["score"], params["t"])),
+        return sum_(mul(sigmoid(monotone_logits(params["score"], params["t"])),
                               target))
 
     assert finite_diff_check(params, loss_fn, step=1e-5, n_coords=17) < 1e-6
@@ -269,9 +308,9 @@ def _assert_same_grads(grads: dict, ref_grads: dict) -> None:
         assert same_bits(grads[name], ref_grads[name]), name
 
 
-# Which outputs of the heads node the loss reads: the ordered loss reads the
-# probabilities, the pointwise loss the logits.
-HEAD_OUTPUTS = {"probs": (0, 1), "logits": (2, 3), "all": (0, 1, 2, 3)}
+# Which outputs of the heads node the loss reads: both losses read the
+# probabilities.
+HEAD_OUTPUTS = {"probs": (0, 1)}
 
 
 @pytest.mark.parametrize("head_mode", ["monotone", "literal"])
@@ -288,8 +327,8 @@ def test_heads_node_equals_the_head_tape_bit_for_bit(small_config, head_mode, us
         outs = node(cfg, params, params["x"], mask)
         total = None
         for k in HEAD_OUTPUTS[used]:
-            term = nn.sum_(nn.mul(outs[k], targets[k]))
-            total = term if total is None else nn.add(total, term)
+            term = sum_(mul(outs[k], targets[k]))
+            total = term if total is None else add(total, term)
         return outs, total
 
     results = []
@@ -316,7 +355,7 @@ def test_heads_node_without_input_gradient_still_trains_the_heads(small_config):
     results = []
     for node in (sortmodel._heads_node, heads_reference):
         nn.zero_grads(params)
-        nn.backward(nn.sum_(node(small_config, params, x, mask)[1]))  # the pay probabilities
+        nn.backward(sum_(node(small_config, params, x, mask)[1]))  # the pay probabilities
         results.append(_grads(params))
     _assert_same_grads(*results)
     assert x.grad is None
@@ -331,7 +370,7 @@ def test_input_node_equals_the_concat_and_linear_tape_bit_for_bit(small_config, 
 
     def loss(node):
         x = node(small_config, params, emb, user, score)
-        return x, nn.sum_(nn.mul(x, target))
+        return x, sum_(mul(x, target))
 
     results = []
     for node in (sortmodel._input_node, input_reference):
@@ -356,7 +395,7 @@ def test_input_node_with_a_frozen_position_table_skips_its_gradient(small_config
     emb, user, score = _random_inputs(small_config, 2, 4, seed=39)
     for node in (sortmodel._input_node, input_reference):
         nn.zero_grads(params)
-        nn.backward(nn.sum_(node(small_config, params, emb, user, score)))
+        nn.backward(sum_(node(small_config, params, emb, user, score)))
         assert params["pos.table"].grad is None and params["proj.W"].grad is not None
 
 
@@ -390,15 +429,14 @@ def test_assemble_rejects_empty_and_overlong(small_config, small_params):
 
 
 def _step(config, params, batch, workspace):
-    """One training step's forward, loss and backward; copies of the four
+    """One training step's forward, loss and backward; copies of the two
     outputs, the loss and every parameter gradient."""
     nn.zero_grads(params)
     out = sortmodel.forward(config, params, batch.emb, batch.user, batch.score,
                             workspace=workspace)
     loss = trainer._output_loss(config, out, batch, workspace)
     nn.backward(loss)
-    values_ = [v.value.copy() for v in (out.click, out.pay, out.click_logits, out.pay_logits,
-                                        loss)]
+    values_ = [v.value.copy() for v in (out.click, out.pay, loss)]
     return values_, {name: p.grad.copy() for name, p in params.items()}
 
 
@@ -433,7 +471,7 @@ def test_forwards_share_memory_only_through_a_workspace(small_config, small_para
     def outputs(workspace):
         out = sortmodel.forward(small_config, small_params, emb, user, score,
                                 workspace=workspace)
-        return [v.value for v in (out.click, out.pay, out.click_logits, out.pay_logits)]
+        return [v.value for v in (out.click, out.pay)]
 
     first, second = outputs(None), outputs(None)
     assert not any(np.shares_memory(a, b) for a in first for b in second)
@@ -527,7 +565,7 @@ def test_init_logits_unsaturated(small_config):
     for seed in range(100):
         params = sortmodel.init_params(small_config, seed=seed)
         emb, user, score = _random_inputs(small_config, 1, 5, seed=seed)
-        out = sortmodel.forward(small_config, params, emb, user, score)
+        out = forward_reference(small_config, params, emb, user, score)  # it keeps the logits
         worst = max(worst, np.abs(out.click_logits.value).max(),
                     np.abs(out.pay_logits.value).max())
     assert worst < 20.0
@@ -629,9 +667,9 @@ def test_loaded_checkpoint_is_frozen(tmp_path, small_config, small_params):
     assert not any(p.value.flags.writeable for p in loaded.values())
     emb, user, score = _random_inputs(cfg, 2, cfg.l_o, seed=17)
     out = sortmodel.forward(cfg, loaded, emb, user, score)
-    for v in (out.click, out.pay, out.click_logits, out.pay_logits):
+    for v in (out.click, out.pay):
         assert not v.requires_grad and v._parents == () and v._bw is None
-    loss = nn.sum_(out.click)
+    loss = sum_(out.click)
     with pytest.raises(ValueError, match="does not require grad"):
         nn.backward(loss)
 
@@ -892,7 +930,7 @@ def test_inference_weights_match_their_parameters(small_config, head_mode):
         for name in ("W2", "b2"):
             zeroed[f"{head}.{name}"] = Var(np.zeros_like(params[f"{head}.{name}"].value))
     cutpoints = sortmodel.InferenceWeights.from_params(cfg, zeroed).head_b2
-    tape = sortmodel.forward(cfg, zeroed, *_random_inputs(cfg, 1, 1, seed=25))
+    tape = forward_reference(cfg, zeroed, *_random_inputs(cfg, 1, 1, seed=25))
     np.testing.assert_allclose(
         cutpoints, -np.concatenate([tape.click_logits.value[0, 0], tape.pay_logits.value[0, 0]]),
         rtol=1e-14, atol=0.0)

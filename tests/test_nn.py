@@ -6,6 +6,7 @@ from sortgen.nn import Var
 from tests.helpers import (
     adam_init_reference,
     adam_step_reference,
+    add,
     attention,
     ffn,
     finite_diff_check,
@@ -13,9 +14,12 @@ from tests.helpers import (
     linear,
     masked_softmax,
     matmul,
+    mul,
     relu,
     reshape,
     same_bits,
+    sigmoid,
+    sum_,
     transpose,
 )
 
@@ -71,13 +75,13 @@ def test_masked_softmax_rows_sum_to_one_over_prefix():
 
 def test_backward_sum_gives_ones():
     w = Var(np.random.default_rng(1).normal(size=(3, 4)))
-    nn.backward(nn.sum_(w))
+    nn.backward(sum_(w))
     np.testing.assert_array_equal(w.grad, np.ones((3, 4)))
 
 
 def test_backward_zero_scale_gives_zero_grads():
     w = Var(np.random.default_rng(2).normal(size=(5,)))
-    nn.backward(nn.mul(nn.sum_(nn.mul(w, w)), 0.0))
+    nn.backward(mul(sum_(mul(w, w)), 0.0))
     np.testing.assert_array_equal(w.grad, np.zeros(5))
 
 
@@ -88,9 +92,9 @@ def test_backward_requires_scalar():
 
 def test_backward_accumulates_across_calls():
     w = Var(np.ones(3))
-    loss = nn.sum_(w)
+    loss = sum_(w)
     nn.backward(loss)
-    loss2 = nn.sum_(nn.mul(w, 2.0))
+    loss2 = sum_(mul(w, 2.0))
     nn.backward(loss2)
     np.testing.assert_array_equal(w.grad, 3.0 * np.ones(3))
 
@@ -114,8 +118,8 @@ def test_finite_diff_small_net():
     def loss_fn():
         h = relu(linear(Var(x), params["W1"], params["b1"]))
         h = layer_norm(h, params["g"], params["b"])
-        out = nn.sigmoid(linear(h, params["W2"], params["b2"]))
-        return nn.sum_(nn.mul(out, out))
+        out = sigmoid(linear(h, params["W2"], params["b2"]))
+        return sum_(mul(out, out))
 
     err = finite_diff_check(params, loss_fn, step=1e-4, n_coords=60, seed=0)
     assert err < 1e-4
@@ -125,7 +129,7 @@ def test_finite_diff_quadratic_exact():
     w = {"W": Var(np.random.default_rng(4).normal(size=(5, 5)))}
 
     def loss_fn():
-        return nn.mul(nn.sum_(nn.mul(w["W"], w["W"])), 0.5)
+        return mul(sum_(mul(w["W"], w["W"])), 0.5)
 
     assert finite_diff_check(w, loss_fn, step=1e-4, n_coords=25) < 1e-9
 
@@ -133,7 +137,7 @@ def test_finite_diff_quadratic_exact():
 def test_finite_diff_zero_step_rejected():
     w = {"W": Var(np.ones(2))}
     with pytest.raises(ValueError):
-        finite_diff_check(w, lambda: nn.sum_(w["W"]), step=0.0)
+        finite_diff_check(w, lambda: sum_(w["W"]), step=0.0)
 
 
 def test_adam_zero_gradients_leave_params():
@@ -177,7 +181,7 @@ def test_finite_diff_fused_linear(x_shape):
 
     def loss_fn():
         y = linear(params["x"], params["W"], params["b"])
-        return nn.sum_(nn.mul(nn.sigmoid(y), target))
+        return sum_(mul(sigmoid(y), target))
 
     assert finite_diff_check(params, loss_fn, step=1e-5, n_coords=80, seed=1) < 1e-6
 
@@ -188,8 +192,8 @@ def test_linear_gradient_matches_unfused_ops():
     grads = []
     for fused in (True, False):
         xs, ws, bs = Var(x), Var(w), Var(b)
-        y = linear(xs, ws, bs) if fused else nn.add(matmul(xs, ws), bs)
-        nn.backward(nn.sum_(nn.mul(y, y)))
+        y = linear(xs, ws, bs) if fused else add(matmul(xs, ws), bs)
+        nn.backward(sum_(mul(y, y)))
         grads.append((y.value, xs.grad, ws.grad, bs.grad))
     for fused, plain in zip(*grads):
         np.testing.assert_allclose(fused, plain, rtol=1e-12, atol=1e-12)
@@ -198,16 +202,16 @@ def test_linear_gradient_matches_unfused_ops():
 def test_constants_record_no_tape():
     c = nn.as_var(np.ones(3))
     assert not c.requires_grad
-    y = nn.mul(nn.add(c, 1.0), c)
+    y = mul(add(c, 1.0), c)
     assert not y.requires_grad and y._parents == () and y._bw is None
     with pytest.raises(ValueError, match="does not require grad"):
-        nn.backward(nn.sum_(y))
+        nn.backward(sum_(y))
 
 
 def test_frozen_leaf_gets_no_grad():
     w = Var(np.ones(3))
     frozen = Var(np.full(3, 2.0), requires_grad=False)
-    nn.backward(nn.sum_(nn.mul(w, frozen)))
+    nn.backward(sum_(mul(w, frozen)))
     np.testing.assert_array_equal(w.grad, np.full(3, 2.0))
     assert frozen.grad is None
 
@@ -215,10 +219,10 @@ def test_frozen_leaf_gets_no_grad():
 def test_gradient_shared_by_add_is_not_written_through():
     # add hands one gradient array to both parents, and each stores it as is.
     a, b = Var(np.ones(3)), Var(np.full(3, 2.0))
-    nn.backward(nn.sum_(nn.add(a, b)))
+    nn.backward(sum_(add(a, b)))
     assert np.shares_memory(a.grad, b.grad)
     # A second backward through a alone must leave b's stored gradient alone.
-    nn.backward(nn.sum_(nn.mul(a, np.array([3.0, 4.0, 5.0]))))
+    nn.backward(sum_(mul(a, np.array([3.0, 4.0, 5.0]))))
     np.testing.assert_array_equal(a.grad, [4.0, 5.0, 6.0])
     np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
 
@@ -229,15 +233,15 @@ def test_view_gradients_accumulate_into_new_arrays():
     c1 = np.arange(1.0, 7.0).reshape(3, 2)
     c2 = np.arange(10.0, 16.0).reshape(3, 2)
     y = reshape(x, (3, 2))
-    nn.backward(nn.sum_(nn.mul(y, c1)))
+    nn.backward(sum_(mul(y, c1)))
     assert np.shares_memory(x.grad, y.grad)
     z = transpose(x, (1, 0))
-    nn.backward(nn.sum_(nn.mul(z, c2)))
+    nn.backward(sum_(mul(z, c2)))
     np.testing.assert_array_equal(x.grad, c1.reshape(2, 3) + c2.T)
     np.testing.assert_array_equal(y.grad, c1)
     # Twice more, through a new transpose: x sums three gradients, and neither
     # earlier node's gradient changes.
-    nn.backward(nn.sum_(nn.mul(transpose(x, (1, 0)), c2)))
+    nn.backward(sum_(mul(transpose(x, (1, 0)), c2)))
     np.testing.assert_array_equal(x.grad, c1.reshape(2, 3) + 2.0 * c2.T)
     np.testing.assert_array_equal(y.grad, c1)
     np.testing.assert_array_equal(z.grad, c2)
@@ -258,7 +262,7 @@ def test_finite_diff_attention_and_ffn_nodes():
         h = attention(p["x"], p["Wq"], p["Wk"], p["Wv"], p["Wo"],
                       p["bq"], p["bk"], p["bv"], p["bo"], n_heads=2)
         y = ffn(h, p["W1"], p["b1"], p["W2"], p["b2"])
-        return nn.sum_(nn.mul(nn.sigmoid(y), target))
+        return sum_(mul(sigmoid(y), target))
 
     assert finite_diff_check(params, loss_fn, step=1e-5, n_coords=120, seed=2) < 1e-6
 
@@ -290,11 +294,11 @@ def _block(kind, p, fused):
         weights = [p[name] for name in ATTN]
         if fused:
             return nn.attention_block(p["x"], p["g"], p["b"], *weights, n_heads=2)
-        return nn.add(p["x"], attention(layer_norm(p["x"], p["g"], p["b"]), *weights, 2))
+        return add(p["x"], attention(layer_norm(p["x"], p["g"], p["b"]), *weights, 2))
     weights = [p[name] for name in FFN]
     if fused:
         return nn.ffn_block(p["x"], p["g"], p["b"], *weights)
-    return nn.add(p["x"], ffn(layer_norm(p["x"], p["g"], p["b"]), *weights))
+    return add(p["x"], ffn(layer_norm(p["x"], p["g"], p["b"]), *weights))
 
 
 def _value_and_grads(build, params, seed=11):
@@ -304,7 +308,7 @@ def _value_and_grads(build, params, seed=11):
     nn.zero_grads(params)
     out = build()
     proj = np.random.default_rng(seed).normal(size=out.shape)
-    nn.backward(nn.add(nn.sum_(nn.mul(out, proj)), nn.sum_(nn.mul(out, out))))
+    nn.backward(add(sum_(mul(out, proj)), sum_(mul(out, out))))
     return out.value, {name: p.grad for name, p in params.items()}
 
 
@@ -324,7 +328,7 @@ def test_finite_diff_block_nodes(kind):
     target = np.random.default_rng(4).normal(size=params["x"].shape)
 
     def loss_fn():
-        return nn.sum_(nn.mul(nn.sigmoid(_block(kind, params, True)), target))
+        return sum_(mul(sigmoid(_block(kind, params, True)), target))
 
     assert finite_diff_check(params, loss_fn, step=1e-5, n_coords=120, seed=5) < 1e-6
 
@@ -352,7 +356,7 @@ def test_fused_outputs_run_one_backward_with_each_outputs_gradient():
 
     y, z = nn.fused_outputs([a.value * 2.0, a.value + 1.0], [a], bw)
     assert same_bits(y.value, [2.0, 4.0]) and same_bits(z.value, [2.0, 3.0])
-    nn.backward(nn.add(nn.sum_(nn.mul(y, 3.0)), nn.sum_(y)))
+    nn.backward(add(sum_(mul(y, 3.0)), sum_(y)))
     assert len(calls) == 1 and calls[0][1] is None  # z got no gradient
     assert same_bits(calls[0][0], [4.0, 4.0]) and same_bits(a.grad, [8.0, 8.0])
     frozen = nn.fused_outputs([np.ones(2)], [Var(np.ones(2), requires_grad=False)], bw)[0]

@@ -286,8 +286,7 @@ def test_evaluate_model_perfect_oracle_zero_gap(monkeypatch):
         thresh = np.arange(1, config.max_count + 1)
         click = (arrays.cum_clicks[start:start + n, :, None] >= thresh).astype(float)
         pay = (arrays.cum_pays[start:start + n, :, None] >= thresh).astype(float)
-        return ModelOutput(Var(click), Var(pay), Var((click * 2 - 1) * 30.0),
-                           Var((pay * 2 - 1) * 30.0), valid_mask(l, config.max_count))
+        return ModelOutput(Var(click), Var(pay), valid_mask(l, config.max_count))
 
     monkeypatch.setattr(trainer.sortmodel, "forward", fake_forward)
     monkeypatch.setattr(trainer, "_batch_loss",

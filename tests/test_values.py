@@ -9,7 +9,8 @@ from sortgen import nn, values
 from sortgen.core import ObjectiveWeights
 from sortgen.model import ModelOutput, valid_mask
 from sortgen.nn import Var
-from tests.helpers import finite_diff_check, ordered_regression_loss_reference, same_bits
+from tests.helpers import (finite_diff_check, mul, ordered_regression_loss_reference,
+                           same_bits, sigmoid)
 
 
 def _counts(rows):
@@ -134,7 +135,7 @@ def test_argmax_invariant_under_positive_scaling():
 def _fake_output(click_probs, pay_probs, l, max_count):
     click = Var(np.asarray(click_probs, dtype=np.float64))
     pay = Var(np.asarray(pay_probs, dtype=np.float64))
-    return ModelOutput(click, pay, click, pay, valid_mask(l, max_count))
+    return ModelOutput(click, pay, valid_mask(l, max_count))
 
 
 def test_ordered_regression_hand_worked():
@@ -182,7 +183,7 @@ def test_ordered_loss_node_equals_the_bce_chain_bit_for_bit():
     for loss_fn in (values.ordered_regression_loss, ordered_regression_loss_reference):
         out = _fake_output(*probs, 4, 3)
         # Scaled by 3 inside a larger tape, so the node's incoming gradient is not 1.
-        loss = nn.mul(loss_fn(out, cum_clicks, cum_pays), 3.0)
+        loss = mul(loss_fn(out, cum_clicks, cum_pays), 3.0)
         nn.backward(loss)
         results.append((loss.value, out.click.grad, out.pay.grad))
     for fused, ref in zip(*results):
@@ -194,8 +195,7 @@ def test_finite_diff_ordered_loss_node():
     params = {"click": Var(0.05 + 0.9 * probs[0]), "pay": Var(0.05 + 0.9 * probs[1])}
 
     def loss_fn():
-        out = ModelOutput(params["click"], params["pay"], params["click"], params["pay"],
-                          valid_mask(4, 3))
+        out = ModelOutput(params["click"], params["pay"], valid_mask(4, 3))
         return values.ordered_regression_loss(out, cum_clicks, cum_pays)
 
     assert finite_diff_check(params, loss_fn, step=1e-6, n_coords=60) < 1e-6
@@ -212,9 +212,17 @@ def test_ordered_regression_gradient_direction():
     assert grad[0, 0, 0] < 0.0  # increasing p decreases loss -> lowering it increases
 
 
+def _logit_output(click_logits, pay_logits):
+    """A ModelOutput whose one threshold channel holds the sigmoid of the
+    given [n, l] logits, as the heads compute it."""
+    click, pay = (Var(sigmoid(np.asarray(z, dtype=np.float64)[..., None]).value)
+                  for z in (click_logits, pay_logits))
+    return ModelOutput(click, pay, valid_mask(click.shape[1], 1))
+
+
 def test_pointwise_half_probability():
     logits = np.zeros((1, 3))
-    loss = values.pointwise_loss(Var(logits), Var(logits),
+    loss = values.pointwise_loss(_logit_output(logits, logits),
                                  np.array([[1, 0, 1]]), np.array([[0, 0, 0]]))
     assert abs(float(loss.value) - math.log(2.0)) < 1e-9
 
@@ -223,22 +231,49 @@ def test_pointwise_perfect_predictions():
     big = 40.0
     labels = np.array([[1, 0]])
     logits = np.where(labels == 1, big, -big).astype(np.float64)
-    loss = values.pointwise_loss(Var(logits), Var(logits), labels, labels)
+    loss = values.pointwise_loss(_logit_output(logits, logits), labels, labels)
     assert float(loss.value) < 1e-5
 
 
 def test_pointwise_quarter_probability_all_zero_labels():
     logit = math.log(0.25 / 0.75)
     logits = np.full((1, 4), logit)
-    loss = values.pointwise_loss(Var(logits), Var(logits),
+    loss = values.pointwise_loss(_logit_output(logits, logits),
                                  np.zeros((1, 4)), np.zeros((1, 4)))
     assert abs(float(loss.value) - (-math.log(0.75))) < 1e-9
 
 
 def test_pointwise_length_mismatch():
     with pytest.raises(ValueError):
-        values.pointwise_loss(Var(np.zeros((1, 3))), Var(np.zeros((1, 3))),
+        values.pointwise_loss(_logit_output(np.zeros((1, 3)), np.zeros((1, 3))),
                               np.zeros((1, 2)), np.zeros((1, 2)))
+
+
+def test_pointwise_gradient_is_zero_where_the_clip_is_active():
+    # Logits of +-40 put the probability past a clip bound, so of the three
+    # positions only the middle one has a gradient, and only on threshold
+    # channel 0, the one the loss reads.
+    logits = np.array([[40.0, 0.5, -40.0]])
+    out = _logit_output(logits, -logits)
+    out = ModelOutput(*(Var(np.concatenate([v.value, v.value], axis=-1))
+                        for v in (out.click, out.pay)), valid_mask(3, 2))
+    nn.backward(values.pointwise_loss(out, np.array([[1, 0, 1]]), np.array([[0, 1, 0]])))
+    for probs in (out.click, out.pay):
+        assert (probs.grad[0, [0, 2]] == 0.0).all()
+        assert probs.grad[0, 1, 0] != 0.0 and (probs.grad[..., 1] == 0.0).all()
+
+
+def test_finite_diff_pointwise_loss_node():
+    probs, _ = _loss_inputs(5)
+    params = {"click": Var(0.05 + 0.9 * probs[0]), "pay": Var(0.05 + 0.9 * probs[1])}
+    rng = np.random.default_rng(6)
+    clicks, pays = rng.integers(0, 2, size=(2, 5, 4))
+
+    def loss_fn():
+        out = ModelOutput(params["click"], params["pay"], valid_mask(4, 3))
+        return values.pointwise_loss(out, clicks, pays)
+
+    assert finite_diff_check(params, loss_fn, step=1e-6, n_coords=60) < 1e-6
 
 
 # ---------------------------- label vectors ----------------------------------
