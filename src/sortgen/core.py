@@ -153,8 +153,10 @@ class QueueSpec:
     priority that is not an int, or a coefficient that is not a finite int or
     float (no field takes a bool).
 
-    `coeffs` is kept as a read-only copy of the mapping given, in its order,
-    which is the order a queue's score adds its terms in.
+    `coeffs` is kept as a read-only copy of the mapping given, its keys
+    sorted: the order `to_dict` writes them in, and the order a queue's score
+    adds its terms in, so a config read back from a checkpoint scores as the
+    one it was written from.
     """
 
     name: str
@@ -168,15 +170,16 @@ class QueueSpec:
             raise ConfigError(f"queue {self.name}: priority must be int, got {self.priority!r}")
         if not isinstance(self.coeffs, Mapping):
             raise ConfigError(f"queue {self.name}: coeffs must be a dict, got {self.coeffs!r}")
-        object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
-        for key, c in self.coeffs.items():
+        coeffs = dict(self.coeffs)
+        for key, c in coeffs.items():
             if key not in SCORE_TERMS:
                 raise ConfigError(f"queue {self.name}: unknown score term {key!r}")
             if _type_fault(c, 0.0) or not _finite(c):
                 raise ConfigError(f"queue {self.name}: coeffs.{key} must be a finite number, "
                                   f"got {c!r}")
-        if not any(c != 0.0 for c in self.coeffs.values()):
+        if not any(c != 0.0 for c in coeffs.values()):
             raise ConfigError(f"queue {self.name}: all coefficients zero")
+        object.__setattr__(self, "coeffs", MappingProxyType(dict(sorted(coeffs.items()))))
 
     def __hash__(self):
         return hash((self.name, frozenset(self.coeffs.items()), self.priority))

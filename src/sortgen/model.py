@@ -10,6 +10,7 @@ length-j prefix cannot contain more than j actions.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -325,18 +326,24 @@ def item_features(items) -> ItemFeatures:
 # which is 1/sqrt(d) times the layer norm's rows, and that sqrt(d) is folded
 # into its gain. So a block's halves start from `_norm_rows`, and the heads
 # end in valid / (1 + exp(h @ W2 + b2)). `infer` is the full causal forward
-# over whole sequences. `extend` is the greedy step: it computes only the new
-# position of each candidate and attends over the keys and values of the
-# chosen prefix, which a `Prefix` caches in one buffer for every layer,
-# filled in place (KV caching), so no step copies the cache. The two share
-# the block and head code and differ only in where attention's keys and
-# values come from; the model is causal and everything but attention is per
-# position, so `extend` equals `infer` over prefix + candidate. At serving
-# sizes a step costs what its NumPy calls cost, not what its arithmetic
-# does, so the shared code makes few calls: biases, residuals and
+# over whole sequences. `extend` is the greedy step: it computes only new
+# positions, a tree of rows that extend the chosen prefix (each queue head at
+# position t and, under each, the heads that follow it at t + 1), and attends
+# over the prefix's keys and values, which a `Prefix` caches in one buffer
+# for every layer, filled in place (KV caching), so no step copies the cache.
+# Every tree row writes its key and value to its own slot after the prefix,
+# and an additive 0/-inf mask lets each row see the prefix, its parent and
+# itself (tree attention), so each row is scored as the last position of its
+# own path. `infer` uses the same attention with a causal mask. The two
+# share the block and head code and differ only in where attention's keys
+# and values come from and in their masks; the model is causal and
+# everything but attention is per position, so `extend` equals `infer` over
+# each row's path. At serving sizes a step costs what its NumPy calls cost,
+# not what its arithmetic does (a 12-row tree costs about 1.35 times a 3-row
+# step), so the shared code makes few calls: biases, residuals and
 # activations are added or applied in place to the array the GEMM before
-# them made, and attention over every key (no mask, as in `extend`) divides
-# by the softmax's row sums after the product with the values.
+# them made, a tree's mask is memoised, and attention divides by the
+# softmax's row sums after the product with the values.
 
 
 def _cutpoints(thresholds: np.ndarray) -> np.ndarray:
@@ -503,22 +510,22 @@ def packed_weights(config: EngineConfig, params: dict) -> InferenceWeights:
 
 
 def _finish_block(b: Block, x: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                  mask: np.ndarray | None) -> np.ndarray:
+                  mask: np.ndarray) -> np.ndarray:
     """Block b on rows x [m, d_model], given their queries q (scaled by
-    1/sqrt(d_head)) and the keys k and values v they attend over, each
-    [n, n_heads, positions, d_head], with keys outside `mask` (None: none)
-    ignored: attention, the output projection and its residual, then the
-    FFN half. With no mask, the softmax is normalised after its product with
-    v. Every step after the first GEMM works in place on the array it makes."""
+    1/sqrt(d_head)), the keys k and values v they attend over, and the
+    additive attention mask `mask` (0 where a query sees a key, -inf where it
+    does not), which broadcasts to the scores q @ k^T: attention, the output
+    projection and its residual, then the FFN half. The softmax is
+    normalised after its product with v; a masked key's exp is 0, and every
+    query sees at least itself. Every step after the first GEMM works in
+    place on the array it makes."""
     e = q @ k.swapaxes(-1, -2)
-    if mask is None:
-        e -= np.maximum.reduce(e, axis=-1, keepdims=True)
-        np.exp(e, out=e)
-        attended = e @ v
-        attended /= np.add.reduce(e, axis=-1, keepdims=True)
-    else:
-        attended = nn.softmax_rows(e, mask, out=e) @ v
-    y = attended.swapaxes(1, 2).reshape(x.shape) @ b.out_w
+    e += mask
+    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    attended = e @ v
+    attended /= np.add.reduce(e, axis=-1, keepdims=True)
+    y = attended.swapaxes(-3, -2).reshape(x.shape) @ b.out_w
     y += b.out_b
     y += x
     h = _norm_rows(y) @ b.ffn_w1
@@ -561,7 +568,7 @@ def infer(weights: InferenceWeights, e_item: np.ndarray, user: np.ndarray,
     dm, heads = config.d_model, config.n_heads
     x = weights.project(e_item.reshape(n * l, -1), e_score.reshape(n * l, -1)).reshape(n, l, dm)
     x = (x + (weights.pos[:l] + (user @ weights.user)[:, None])).reshape(n * l, dm)
-    causal = np.arange(l)[None, :] <= np.arange(l)[:, None]
+    causal = np.where(np.tri(l, dtype=bool), 0.0, -np.inf)
     for b in weights.blocks:
         qkv = (_norm_rows(x) @ b.qkv_w + b.qkv_b).reshape(n, l, 3, heads, -1)
         x = _finish_block(b, x, *qkv.transpose(2, 0, 3, 1, 4), causal)
@@ -571,69 +578,103 @@ def infer(weights: InferenceWeights, e_item: np.ndarray, user: np.ndarray,
 
 @dataclass
 class Prefix:
-    """A chosen prefix for one user, cached so that the next position can be
+    """A chosen prefix for one user, cached so that the next positions can be
     scored without recomputing it.
 
-    The keys and values are one buffer of l_o slots, allocated once per
-    request, with one row per layer and candidate that a step can score:
-    slots [:t] of every row hold the prefix's keys and values, and `extend`
-    writes candidate k's into slot t of row k.
+    The keys and values are one buffer, allocated once per request and shared
+    by every row a step scores: slots [:t] hold the prefix's keys and values,
+    and `extend` writes row r's into slot t + r. `choose` copies a scored
+    row's slot to the end of the prefix.
     """
 
     inputs: np.ndarray  # [l_o, d_model]: each position's row plus the user's row
-    kv: np.ndarray      # [n_layers, width, 2 (key, value), n_heads, l_o, d_head]
+    kv: np.ndarray      # [n_layers, 2 (key, value), n_heads, l_o + width, d_head]
     length: int = 0
+    base: int = 0       # the prefix's length at the last `extend`: its row 0's slot
+    parents: tuple[int, ...] = ()  # the last `extend`'s parents
+    chosen: int = -1    # the row of the last `extend` chosen last, -1 for none
 
     @classmethod
     def empty(cls, weights: InferenceWeights, user: np.ndarray, width: int) -> "Prefix":
-        """An empty prefix whose steps score at most `width` candidates each."""
+        """An empty prefix whose steps score at most `width` rows each."""
         config = weights.config
         user = np.asarray(user, dtype=np.float64)
         if user.shape != (config.d_user,):
             raise ConfigError("feature width mismatch")
         return cls(weights.pos + user @ weights.user,
-                   np.empty((config.n_layers, width, 2, config.n_heads, config.l_o,
+                   np.empty((config.n_layers, 2, config.n_heads, config.l_o + width,
                              config.d_model // config.n_heads)))
 
     def __len__(self) -> int:
         return self.length
 
-    def choose(self, k: int) -> None:
-        """Extend the prefix by candidate k of the last `extend`, in place: row
-        k's slot t is copied into every row of every layer. Call it once per
-        `extend`, before the next one."""
-        t = self.length
-        self.kv[:, :, :, :, t] = self.kv[:, k:k + 1, :, :, t]
-        self.length = t + 1
+    def choose(self, r: int) -> None:
+        """Extend the prefix by row r of the last `extend`, in place: its slot
+        is copied to the end of the prefix, in every layer. Choose a root
+        row, then, while the tree has them, one of its children."""
+        if not 0 <= r < len(self.parents) or self.parents[r] != self.chosen:
+            raise ConfigError(f"row {r} of the last extend does not follow the prefix")
+        self.kv[:, :, :, self.length] = self.kv[:, :, :, self.base + r]
+        self.length += 1
+        self.chosen = r
 
 
-def extend(weights: InferenceWeights, prefix: Prefix,
-           x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Score the prefix extended by each of n candidates, computing only the
-    new position: each candidate's new click and pay survival rows, each
-    [n, max_count]. x: [n, d_model], the candidates' `InferenceWeights.project`
-    rows. Writes each candidate's key and value into slot t of its row of the
-    prefix's buffer, one assignment per layer, and leaves slots [:t] as they
-    are."""
+@functools.lru_cache(maxsize=256)
+def _tree_mask(t: int, parents: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, int]:
+    """For a tree of rows after a prefix of length t (`extend`'s), the
+    additive attention mask [m, t + m], 0 where a row sees a key and -inf
+    where it does not, each row's position [m], and the sequence length the
+    tree reaches; memoised, so the arrays are read-only. A ConfigError if a
+    parent is neither -1 nor an earlier root."""
+    parents = np.array(parents, dtype=np.int64)
+    rows = np.arange(len(parents))
+    child = parents >= 0
+    if (parents.ndim != 1 or (parents < -1).any() or (parents >= rows).any()
+            or (parents[parents[child]] >= 0).any()):
+        raise ConfigError("a row's parent must be -1 or an earlier root row")
+    mask = np.zeros((len(rows), t + len(rows)))
+    mask[:, t:] = np.where((rows[:, None] == rows) | (parents[:, None] == rows), 0.0, -np.inf)
+    position = t + child
+    mask.flags.writeable = position.flags.writeable = False
+    return mask, position, t + 1 + int(child.any())
+
+
+def extend(weights: InferenceWeights, prefix: Prefix, x: np.ndarray,
+           parents=None) -> tuple[np.ndarray, np.ndarray]:
+    """Score a tree of rows that extend the prefix, computing only their new
+    positions: each row's click and pay survival rows, each [m, max_count].
+
+    x: [m, d_model], the rows' `InferenceWeights.project` rows. parents: [m]
+    ints (None: all -1). A root row (-1) is at position t, the prefix's
+    length; any other row is at position t + 1 and follows the earlier root
+    row it names. Every row attends over the prefix, its parent and itself,
+    so each is scored as the last row of its own path. Writes row r's key and
+    value into slot t + r of the prefix's buffer, one assignment per layer,
+    and leaves slots [:t] as they are.
+    """
     config = weights.config
-    n, t = x.shape[0], len(prefix)
-    if t + 1 > config.l_o:
-        raise ConfigError(f"sequence length {t + 1} exceeds position table size {config.l_o}")
-    if x.shape != (n, config.d_model):
+    m, t = x.shape[0], len(prefix)
+    if x.shape != (m, config.d_model):
         raise ConfigError("feature width mismatch")
-    width = prefix.kv.shape[1]
-    if n > width:
-        raise ConfigError(f"{n} candidates exceed the prefix's width of {width}")
+    width = prefix.kv.shape[3] - config.l_o
+    if not 0 < m <= width:
+        raise ConfigError(f"{m} rows, outside 1 to the prefix's width of {width}")
+    parents = (-1,) * m if parents is None else tuple(parents)
+    if len(parents) != m:
+        raise ConfigError(f"{len(parents)} parents for {m} rows")
+    mask, position, end = _tree_mask(t, parents)
+    if end > config.l_o:
+        raise ConfigError(f"sequence length {end} exceeds position table size {config.l_o}")
     heads, dh = config.n_heads, config.d_model // config.n_heads
-    x = x + prefix.inputs[t]
-    for b, kv in zip(weights.blocks, prefix.kv[:, :n]):
+    x = x + prefix.inputs[position]
+    for b, kv in zip(weights.blocks, prefix.kv):
         qkv = _norm_rows(x) @ b.qkv_w
         qkv += b.qkv_b
-        qkv = qkv.reshape(n, 3, heads, 1, dh)
-        kv[:, :, :, t] = qkv[:, 1:, :, 0]
-        # The new position sees every key, so no entry is masked.
-        x = _finish_block(b, x, qkv[:, 0], kv[:, 0, :, :t + 1], kv[:, 1, :, :t + 1], None)
-    probs = _survival(weights, x, weights.valid[t])
+        qkv = qkv.reshape(m, 3, heads, dh).transpose(1, 2, 0, 3)  # [3, n_heads, m, d_head]
+        kv[:, :, t:t + m] = qkv[1:]
+        x = _finish_block(b, x, qkv[0], kv[0, :, :t + m], kv[1, :, :t + m], mask)
+    probs = _survival(weights, x, weights.valid[position])
+    prefix.base, prefix.parents, prefix.chosen = t, parents, -1
     return probs[:, :config.max_count], probs[:, config.max_count:]
 
 

@@ -583,7 +583,7 @@ def test_replies_from_the_reused_packing_equal_fresh_ones(workdir):
 def test_concurrent_reranks_share_only_the_packing(workdir, monkeypatch):
     # Threads rerank on one loaded checkpoint: one packing serves them all,
     # each reply equals the serial one, and each request's trace counts its
-    # own l_o model invocations.
+    # own model invocations, one per two positions.
     params, engine = sortmodel.load_checkpoint(workdir["ckpt"])
     requests = [_parsed(workdir, engine, seed) for seed in range(50, 56)]
     serial = [_body(srv.rerank(engine, params, user, pool, ObjectiveWeights()))
@@ -622,7 +622,8 @@ def test_concurrent_reranks_share_only_the_packing(workdir, monkeypatch):
     assert not errors
     assert len(results) == 4 * len(requests)
     assert all(body == serial[k] for (_, k), body in results.items())
-    assert invocations == [engine.l_o] * len(results)
+    assert invocations == [(engine.l_o + 1) // 2] * len(results)
+    assert all(n <= engine.l_o for n in invocations)
     assert packs == []
 
 

@@ -94,10 +94,11 @@ def test_queue_spec_takes_int_and_float_coefficients():
 
 
 def test_queue_spec_keeps_a_read_only_copy_of_its_coefficients_in_order():
+    # In sorted key order, the order `to_dict` writes them in.
     given = {"ctr_cvr": 1.0, "ctr": 2.0}
     spec = QueueSpec("q", given, 0)
     given["ctr"] = 9.0
-    assert list(spec.coeffs.items()) == [("ctr_cvr", 1.0), ("ctr", 2.0)]
+    assert list(spec.coeffs.items()) == [("ctr", 2.0), ("ctr_cvr", 1.0)]
     with pytest.raises(TypeError):
         spec.coeffs["ctr"] = 5.0
     # The default queues are shared by every default config.

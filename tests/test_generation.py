@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sortgen import generation, model as sortmodel, simulator
 from sortgen.core import (SCORE_TERMS, ConfigError, EngineConfig, ObjectiveWeights, QueueSpec,
-                          UserContext)
+                          UserContext, config_hash, to_dict)
 from sortgen.generation import ValueModel
 from sortgen.simulator import sample_pool, sample_user
 from tests.helpers import (
@@ -45,6 +45,24 @@ def test_composite_score_single_terms():
     features = sortmodel.item_features([item])
     assert generation.composite_score(features, QueueSpec("c", {"ctr": 1.0}, 0))[0] == 0.3
     assert generation.composite_score(features, QueueSpec("p", {"price": 1.0}, 0))[0] == 12.5
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_queue_scores_survive_a_config_round_trip_bit_for_bit(small_catalog, data):
+    # A checkpoint stores a queue's coefficients with sorted keys; the queue
+    # keeps them in that order, so its scores add the terms in one order
+    # before and after the round trip.
+    terms = data.draw(st.permutations(SCORE_TERMS), label="order")
+    n = data.draw(st.integers(1, len(terms)), label="terms")
+    coeffs = {term: data.draw(st.floats(0.01, 10.0), label=term) for term in terms[:n]}
+    for given_coeffs in (coeffs, {"ctr_cvr_price": 1.0, "price": 0.01, "ctr": 5.0}):
+        config = EngineConfig(queue_specs=(QueueSpec("x", given_coeffs, 0),))
+        back = EngineConfig.from_dict(to_dict(config))
+        assert back == config and config_hash(back) == config_hash(config)
+        assert list(back.queue_specs[0].coeffs) == sorted(given_coeffs)
+        assert same_bits(generation.composite_score(small_catalog, config.queue_specs[0]),
+                         generation.composite_score(small_catalog, back.queue_specs[0]))
 
 
 # ------------------------------ build_queues ---------------------------------
@@ -493,8 +511,8 @@ def test_generators_share_one_queues_object(small_config, small_params, small_ca
 def test_one_value_model_serves_concurrent_generations(small_config, small_params,
                                                        small_catalog, weights):
     # Four threads share one ValueModel and generate over the same requests:
-    # each slate equals the serial one, and each trace counts its own l_o
-    # model invocations.
+    # each slate equals the serial one, and each trace counts its own model
+    # invocations, one per two positions.
     rng = np.random.default_rng(19)
     n_queues = len(small_config.queue_specs)
     requests = []
@@ -531,7 +549,7 @@ def test_one_value_model_serves_concurrent_generations(small_config, small_param
     for (_, k), trace in results.items():
         assert (trace.rows, trace.sources) == (serial[k].rows, serial[k].sources)
         assert trace.final_value == serial[k].final_value
-        assert trace.invocations == small_config.l_o
+        assert trace.invocations == (small_config.l_o + 1) // 2 <= small_config.l_o
 
 
 def test_generate_no_duplicate_ids(small_config, small_params, small_catalog, weights):
@@ -556,6 +574,59 @@ def test_generate_infeasible_when_queues_too_small(small_config, small_params, w
         generation.generate(user, q, vm, weights)
 
 
+# Seven queues in priority order: one per score term, then two mixed ones.
+_QUEUE_SPECS = tuple(QueueSpec(f"q{p}", coeffs, p) for p, coeffs in enumerate(
+    [{term: 1.0} for term in SCORE_TERMS] + [{"ctr": 1.0, "price": 0.01},
+                                             {"cvr": 1.0, "price": 0.01}]))
+
+
+@pytest.mark.parametrize("l_o, n_queues, strategy, lam", [
+    (1, 3, "dfs", 0.8), (2, 3, "dfs", 0.8), (4, 3, "bfs", 0.5), (5, 3, "dfs", 0.8),
+    (5, 1, "dfs", 0.8), (4, 1, "bfs", 0.5), (5, 2, "bfs", 0.0), (4, 3, "dfs", 1.0),
+    (5, 3, "bfs", 0.0), (5, 5, "dfs", 0.8), (4, 6, "bfs", 0.5), (5, 7, "dfs", 1.0)])
+def test_generate_equals_the_reference_at_edge_shapes(small_config, small_catalog, weights,
+                                                      l_o, n_queues, strategy, lam):
+    # Odd and even slate lengths (an odd one ends in a one-level step), one
+    # queue, more queues than a tree's rows allow, and pools so small that
+    # queues run dry in the middle of a slate, or all of them before its end.
+    cfg = dataclasses.replace(small_config, l_o=l_o, max_count=l_o,
+                              queue_specs=_QUEUE_SPECS[:n_queues])
+    vm = ValueModel(cfg, sortmodel.init_params(cfg, seed=l_o + 10 * n_queues))
+    rng = np.random.default_rng(l_o + 10 * n_queues)
+    tree = n_queues * (n_queues + 1) <= generation.TREE_ROWS
+    for size in (n_queues * l_o, l_o + 1, l_o, l_o - 1):
+        if size < 1:
+            continue
+        pool = sample_pool(small_catalog, size, rng)
+        user = sample_user(rng, cfg.d_user)
+        queues = generation.build_queues(pool, cfg.queue_specs, strategy, l_o)
+        if size < l_o:
+            # Every queue runs dry after `size` selections, in both generators.
+            for fn in (generation.generate, generation.generate_iterative_reference):
+                with pytest.raises(generation.InfeasibleConfig,
+                                   match=f"after {size} of {l_o} selections"):
+                    fn(user, queues, vm, weights, lam=lam)
+            continue
+        fast = generation.generate(user, queues, vm, weights, lam=lam)
+        ref = generation.generate_iterative_reference(user, queues, vm, weights, lam=lam)
+        assert fast.rows == ref.rows and fast.sources == ref.sources
+        assert len(fast.steps) == len(ref.steps) == l_o
+        for got, want in zip(fast.steps, ref.steps):
+            assert got.chosen_queue == want.chosen_queue
+            assert [c[:2] for c in got.candidates] == [c[:2] for c in want.candidates]
+            np.testing.assert_allclose([c[2] for c in got.candidates],
+                                       [c[2] for c in want.candidates], rtol=1e-12, atol=0.0)
+        useful = sum(len(step.candidates) for step in fast.steps)
+        assert ref.invocations == useful
+        assert ref.scored_rows == sum(len(step.candidates) * (t + 1)
+                                      for t, step in enumerate(fast.steps))
+        assert fast.scored_rows >= useful
+        if size == n_queues * l_o:  # no queue runs dry
+            assert fast.invocations == ((l_o + 1) // 2 if tree else l_o)
+            # A tree wastes the branches not chosen, which one queue never has.
+            assert (fast.scored_rows > useful) == (tree and n_queues > 1 and l_o > 1)
+
+
 def test_trace_serializes(small_config, small_params, small_catalog, weights):
     import json
 
@@ -568,7 +639,8 @@ def test_trace_serializes(small_config, small_params, small_catalog, weights):
     doc = json.loads(trace.to_record())
     assert len(doc["item_ids"]) == small_config.l_o
     assert len(doc["source_queues"]) == small_config.l_o
-    assert doc["invocations"] <= small_config.l_o
+    assert doc["invocations"] == trace.invocations <= small_config.l_o
+    assert doc["scored_rows"] == trace.scored_rows >= small_config.l_o
 
 
 # ----------------------------- template / top-queue --------------------------

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sortgen import model as sortmodel
-from sortgen import nn, simulator, trainer, values
+from sortgen import generation, nn, simulator, trainer, values
 from sortgen.core import ConfigError, EngineConfig, ObjectiveWeights, UserContext
 from sortgen.nn import Var
 from tests.helpers import (
@@ -723,27 +725,121 @@ def test_extend_matches_full_recomputation(small_config, head_mode):
         assert len(prefix) == t + 1
 
 
-def test_choose_copies_the_chosen_slot_into_every_row_of_every_layer(small_config):
+def test_choose_copies_the_chosen_rows_slot_to_the_end_of_the_prefix(small_config):
     cfg = small_config
     packed = sortmodel.InferenceWeights.from_params(cfg, sortmodel.init_params(cfg, seed=23))
     rng = np.random.default_rng(24)
-    n = 3
-    prefix = sortmodel.Prefix.empty(packed, rng.normal(size=cfg.d_user), n)
-    assert prefix.kv.shape == (cfg.n_layers, n, 2, cfg.n_heads, cfg.l_o,
+    width = 6
+    prefix = sortmodel.Prefix.empty(packed, rng.normal(size=cfg.d_user), width)
+    assert prefix.kv.shape == (cfg.n_layers, 2, cfg.n_heads, cfg.l_o + width,
                                cfg.d_model // cfg.n_heads)
     kept = None
-    for t in range(cfg.l_o):
-        sortmodel.extend(packed, prefix, packed.project(rng.normal(size=(n, cfg.d_emb)),
-                                                        rng.uniform(size=(n, 2))))
-        written = prefix.kv[:, :, :, :, t].copy()  # each candidate's key and value at slot t
-        assert kept is None or same_bits(prefix.kv[:, :, :, :, :t], kept)
-        k = (2 * t + 1) % n
-        prefix.choose(k)
-        # Slots [:t + 1] are the same in every row of every layer, and slot t
-        # is what the chosen candidate wrote there.
-        kept = prefix.kv[:, :, :, :, :t + 1].copy()
-        assert same_bits(kept, np.broadcast_to(kept[:, k:k + 1], kept.shape))
-        assert same_bits(kept[:, k, :, :, t], written[:, k])
+    while len(prefix) < cfg.l_o:
+        t = len(prefix)
+        parents = [-1, -1, 0, 1, 1, 1] if t + 1 < cfg.l_o else [-1, -1, -1]
+        m = len(parents)
+        sortmodel.extend(packed, prefix, packed.project(rng.normal(size=(m, cfg.d_emb)),
+                                                        rng.uniform(size=(m, 2))), parents)
+        written = prefix.kv[:, :, :, t:t + m].copy()  # row r's key and value: slot t + r
+        assert kept is None or same_bits(prefix.kv[:, :, :, :t], kept)
+        root = t % 2
+        prefix.choose(root)
+        assert same_bits(prefix.kv[:, :, :, t], written[:, :, :, root])
+        children = [r for r, p in enumerate(parents) if p == root]
+        if children:
+            prefix.choose(children[-1])
+            assert same_bits(prefix.kv[:, :, :, t + 1], written[:, :, :, children[-1]])
+        kept = prefix.kv[:, :, :, :len(prefix)].copy()
+
+
+def test_choose_follows_the_tree_of_the_last_extend(small_config, small_params):
+    # A root first, then one of its children; nothing else extends the prefix.
+    packed = sortmodel.InferenceWeights.from_params(small_config, small_params)
+    rows = packed.project(np.ones((5, small_config.d_emb)), np.ones((5, 2)))
+    parents = [-1, -1, 0, 1, 1]
+    prefix = sortmodel.Prefix.empty(packed, np.zeros(small_config.d_user), 5)
+    with pytest.raises(ConfigError, match="does not follow"):
+        prefix.choose(0)  # nothing scored yet
+    for path in ([2], [5], [-1], [0, 3], [1, 2], [0, 2, 2]):
+        prefix = sortmodel.Prefix.empty(packed, np.zeros(small_config.d_user), 5)
+        sortmodel.extend(packed, prefix, rows, parents)
+        for r in path[:-1]:
+            prefix.choose(r)
+        with pytest.raises(ConfigError, match="does not follow"):
+            prefix.choose(path[-1])
+        assert len(prefix) == len(path) - 1
+    prefix = sortmodel.Prefix.empty(packed, np.zeros(small_config.d_user), 5)
+    sortmodel.extend(packed, prefix, rows, parents)
+    prefix.choose(1)
+    prefix.choose(4)
+    assert len(prefix) == 2
+
+
+def test_extend_rejects_a_tree_past_the_last_position(small_config, small_params):
+    packed = sortmodel.InferenceWeights.from_params(small_config, small_params)
+    prefix = sortmodel.Prefix.empty(packed, np.zeros(small_config.d_user), 2)
+    row = packed.project(np.ones((1, small_config.d_emb)), np.ones((1, 2)))
+    for _ in range(small_config.l_o - 1):
+        sortmodel.extend(packed, prefix, row)
+        prefix.choose(0)
+    with pytest.raises(ConfigError, match=f"sequence length {small_config.l_o + 1} exceeds"):
+        sortmodel.extend(packed, prefix, np.concatenate([row, row]), [-1, 0])
+    assert sortmodel.extend(packed, prefix, np.concatenate([row, row]))[0].shape == (
+        2, small_config.max_count)
+
+
+@pytest.mark.parametrize("parents", [[-1, 0, 1], [0, -1, -1], [-1, -2, 0], [-1, 2, -1],
+                                     [-1, -1, 5], [-1, 0]])
+def test_extend_rejects_a_parent_that_is_not_an_earlier_root(small_config, small_params,
+                                                             parents):
+    packed = sortmodel.InferenceWeights.from_params(small_config, small_params)
+    prefix = sortmodel.Prefix.empty(packed, np.zeros(small_config.d_user), 3)
+    rows = packed.project(np.ones((3, small_config.d_emb)), np.ones((3, 2)))
+    with pytest.raises(ConfigError, match="parent"):
+        sortmodel.extend(packed, prefix, rows, parents)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1),
+       head_mode=st.sampled_from(["monotone", "literal"]))
+def test_every_tree_row_equals_infer_over_its_own_path(small_config, data, seed, head_mode):
+    # The greedy tree of 1-5 live queues at prefix length t: each head at
+    # position t, and under each head the heads live once it is chosen (a
+    # queue without a next item shortens its own branch). Each row's survival
+    # rows equal the last row of `infer` over its own path: the prefix, its
+    # parent if any, then the row. Slots [:t] keep their bits.
+    cfg = dataclasses.replace(small_config, head_mode=head_mode)
+    n_queues = data.draw(st.integers(1, 5), label="queues")
+    t = data.draw(st.integers(0, cfg.l_o - 2), label="t")
+    has_next = data.draw(st.lists(st.booleans(), min_size=n_queues, max_size=n_queues),
+                         label="has_next")
+    live = list(range(n_queues))
+    cursors = [2 * q for q in live]
+    ends = [2 * q + 1 + nxt for q, nxt in zip(live, has_next)]
+    nxt, branch = generation._tree(live, cursors, ends)
+    slots, parents = cursors + nxt, [-1] * n_queues + branch
+    packed = sortmodel.InferenceWeights.from_params(cfg, _perturbed_params(cfg, seed % 1000))
+    emb, users, score = _random_inputs(cfg, 1, 2 * n_queues + t, seed=seed % 997)
+    emb, score, user = emb[0], score[0], users[0]  # held rows, then the prefix's rows
+    path = list(range(2 * n_queues, 2 * n_queues + t))
+    prefix = sortmodel.Prefix.empty(packed, user, len(slots))
+    for row in path:
+        sortmodel.extend(packed, prefix, packed.project(emb[[row]], score[[row]]))
+        prefix.choose(0)
+    kept = prefix.kv[:, :, :, :t].copy()
+    click, pay = sortmodel.extend(packed, prefix, packed.project(emb[slots], score[slots]),
+                                  parents)
+    assert same_bits(prefix.kv[:, :, :, :t], kept)
+    assert click.shape == pay.shape == (len(slots), cfg.max_count)
+    for depth in (0, 1):
+        rows = [r for r, p in enumerate(parents) if (p >= 0) == depth]
+        if not rows:
+            continue
+        seqs = np.array([path + [slots[parents[r]]] * depth + [slots[r]] for r in rows])
+        want_click, want_pay = sortmodel.infer(packed, emb[seqs], np.tile(user, (len(rows), 1)),
+                                               score[seqs])
+        assert np.abs(click[rows] - want_click[:, -1]).max() <= 1e-12
+        assert np.abs(pay[rows] - want_pay[:, -1]).max() <= 1e-12
 
 
 def test_extend_rejects_overlong_prefix(small_config, small_params):
@@ -763,6 +859,8 @@ def test_extend_rejects_more_candidates_than_the_width(small_config, small_param
     rows = packed.project(np.ones((3, small_config.d_emb)), np.ones((3, 2)))
     with pytest.raises(ConfigError, match="width of 2"):
         sortmodel.extend(packed, prefix, rows)
+    with pytest.raises(ConfigError, match="width of 2"):
+        sortmodel.extend(packed, prefix, rows[:0])
     assert sortmodel.extend(packed, prefix, rows[:2])[0].shape == (2, small_config.max_count)
 
 
