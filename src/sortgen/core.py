@@ -66,6 +66,24 @@ def check_items(ids, emb: np.ndarray, score: np.ndarray, price: np.ndarray) -> N
         raise ConfigError(f"item {ids[fault[0]]}: {fault[2]}")
 
 
+def as_integer(value) -> int:
+    """The rule for an item id or category, in a request and in a data file:
+    an int, a float with an integral value, or a string that int() reads,
+    inside int64. Anything else is a ValueError saying why."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    elif isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    if not isinstance(value, int):
+        raise ValueError(f"{value!r} is not an integer")
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{value} is outside int64")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Item:
     """One candidate: identity, unit-norm embedding, price, prior scores."""
@@ -111,6 +129,7 @@ class ObjectiveWeights:
     gamma: float = 1.0
 
     def __post_init__(self):
+        check_field_types(self, "{}: objective weight")
         total = 0.0
         for name in ("alpha", "beta", "gamma"):
             w = getattr(self, name)
@@ -136,6 +155,16 @@ def _type_fault(value, default) -> str | None:
     types = (int, float) if isinstance(default, float) else type(default)
     ok = isinstance(value, types) and not isinstance(value, bool)
     return None if ok else type(default).__name__
+
+
+def check_field_types(config, name_form: str = "{}") -> None:
+    """Raise the ConfigError "<name> must be <type>, got <value>" for the
+    first field of the config dataclass `config` whose value does not have
+    the type of its default (`_type_fault`); `name_form` formats the name."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if kind := _type_fault(value, f.default):
+            raise ConfigError(f"{name_form.format(f.name)} must be {kind}, got {value!r}")
 
 
 def _finite(value: int | float) -> bool:
@@ -219,9 +248,7 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):  # the types first: the rules compare values
-            if kind := _type_fault(getattr(self, f.name), f.default):
-                raise ConfigError(f"{f.name} must be {kind}, got {getattr(self, f.name)!r}")
+        check_field_types(self)  # the types first: the rules compare values
         if self.l_o > self.l_s:
             raise ConfigError("l_o exceeds l_s")
         if self.max_count > self.l_o:

@@ -248,18 +248,14 @@ def _tree(live: list[int], cursors: list[int], ends: list[int]) -> tuple[list[in
 
 
 def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
-                weights: ObjectiveWeights, lam: float | None, window_w: int | None,
-                cached: bool) -> GenerationTrace:
-    """The greedy loop over the queues' packed pool, queues.features. Its
-    cursors, similarities, KV cache and counts are its own: the queues and
-    the value model are only read."""
+                weights: ObjectiveWeights, lam: float | None, cached: bool) -> GenerationTrace:
+    """The greedy loop over the queues' packed pool, queues.features, with
+    the MMR window of the model's config. Its cursors, similarities, KV cache
+    and counts are its own: the queues and the value model are only read."""
     cfg = vm.weights.config
     lam = cfg.lambda_mmr if lam is None else lam
     if not 0.0 <= lam <= 1.0:
         raise ConfigError("lambda outside [0,1]")
-    window_w = cfg.window_w if window_w is None else window_w
-    if window_w < 1:
-        raise ConfigError(f"window_w must be >= 1, got {window_w}")
     features = queues.features
     start = time.perf_counter_ns()
     # Every row a step can score is in a queue: the held rows, queue after
@@ -325,7 +321,7 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
             invocations += 1
             scored_rows += len(rows)
 
-        recent = picked[-window_w:]
+        recent = picked[-cfg.window_w:]
         records = []
         best = None
         for k, (qi, slot, value) in enumerate(zip(live, slots, vals.tolist())):
@@ -363,21 +359,19 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
 
 
 def generate(user: UserContext, queues: CandidateQueues, vm: ValueModel,
-             weights: ObjectiveWeights, lam: float | None = None,
-             window_w: int | None = None) -> GenerationTrace:
+             weights: ObjectiveWeights, lam: float | None = None) -> GenerationTrace:
     """Greedy slate construction over the queues' slate length l_o: each
     model call scores every queue head over the cached prefix and, while the
     tree fits under TREE_ROWS, every head that could follow each one, so
     (l_o + 1) // 2 calls at the default three queues, and at most l_o."""
-    return _run_greedy(user, queues, vm, weights, lam, window_w, cached=True)
+    return _run_greedy(user, queues, vm, weights, lam, cached=True)
 
 
 def generate_iterative_reference(user: UserContext, queues: CandidateQueues,
                                  vm: ValueModel, weights: ObjectiveWeights,
-                                 lam: float | None = None,
-                                 window_w: int | None = None) -> GenerationTrace:
+                                 lam: float | None = None) -> GenerationTrace:
     """Same selection semantics, but one full forward per candidate per step."""
-    return _run_greedy(user, queues, vm, weights, lam, window_w, cached=False)
+    return _run_greedy(user, queues, vm, weights, lam, cached=False)
 
 
 def template_generate(queues: CandidateQueues, pattern: tuple[int, ...]) -> Slate:

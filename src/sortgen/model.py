@@ -322,7 +322,7 @@ def item_features(items) -> ItemFeatures:
 # (each row minus its mean: the input projection's blocks, `pos`, and each
 # block's output and second FFN layer), so every row of the stream has zero
 # mean. A layer norm reads the stream only through x - mean(x), so the norms
-# drop their centring: each is `_norm_rows`, x / sqrt(sum(x^2) + d * eps),
+# drop their centring: each is `_norm_rows`, x / sqrt(sum(x^2) + d * nn.LN_EPS),
 # which is 1/sqrt(d) times the layer norm's rows, and that sqrt(d) is folded
 # into its gain. So a block's halves start from `_norm_rows`, and the heads
 # end in valid / (1 + exp(h @ W2 + b2)). `infer` is the full causal forward
@@ -357,11 +357,11 @@ def _centred(a: np.ndarray) -> np.ndarray:
     return a - a.mean(axis=-1, keepdims=True)
 
 
-def _norm_rows(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Zero-mean rows x [m, d] scaled to x / sqrt(sum(x^2) + d * eps): the
-    layer norm's `nn.normalize_rows(x)[0]` divided by sqrt(d), without its
-    centring."""
-    s = np.add.reduce(x * x, axis=-1, keepdims=True, initial=x.shape[-1] * eps)
+def _norm_rows(x: np.ndarray) -> np.ndarray:
+    """Zero-mean rows x [m, d] scaled to x / sqrt(sum(x^2) + d * nn.LN_EPS):
+    the layer norm's `nn.normalize_rows(x)[0]` divided by sqrt(d), without
+    its centring."""
+    s = np.add.reduce(x * x, axis=-1, keepdims=True, initial=x.shape[-1] * nn.LN_EPS)
     return x / np.sqrt(s, out=s)
 
 
@@ -482,29 +482,36 @@ class InferenceWeights:
         return emb @ self.item + score @ self.score
 
 
-# The last packing of read-only parameters: (config, {name: array}, weights).
+# The last packing of immutable parameters: (config, {name: array}, weights).
 # It lives here because callers such as `server.rerank` pass only the
 # parameter dict. The entry is replaced whole, so a thread reads a consistent
 # one; two threads that miss at once both pack, and either packing is right.
 _last_packed: tuple[EngineConfig, dict, InferenceWeights] | None = None
 
 
+def _immutable(a: np.ndarray) -> bool:
+    """Whether `a` views a `bytes` buffer, as `load_checkpoint`'s arrays do:
+    NumPy refuses to make such an array writable, so its values never change."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return isinstance(a.base, bytes)
+
+
 def packed_weights(config: EngineConfig, params: dict) -> InferenceWeights:
     """`InferenceWeights.from_params(config, params)`, packed once per loaded
     checkpoint: the last packing is reused while the config is equal and every
-    parameter array is the same object as then and still read-only, as
-    `load_checkpoint`'s are. Writable parameters (`init_params`, training) may
-    be written in place, so they are packed afresh on every call. An array
-    made writable, written and then frozen again between two calls is not
-    noticed: replace a parameter's array to change it."""
+    parameter array is the same object as then, and it is kept only when
+    every array is immutable, as `load_checkpoint`'s are. Any other array
+    (`init_params`, training, one a caller froze) may be written between two
+    calls, so such parameters are packed afresh on every call."""
     global _last_packed
     arrays = {name: p.value for name, p in params.items()}
     last = _last_packed
     if (last is not None and last[0] == config and last[1].keys() == arrays.keys()
-            and all(a is last[1][name] and not a.flags.writeable for name, a in arrays.items())):
+            and all(a is last[1][name] for name, a in arrays.items())):
         return last[2]
     weights = InferenceWeights.from_params(config, params)
-    if not any(a.flags.writeable for a in arrays.values()):
+    if all(map(_immutable, arrays.values())):
         _last_packed = (config, arrays, weights)
     return weights
 
@@ -700,8 +707,9 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Var], EngineConfig]:
     The parameters come back frozen (requires_grad=False), so a forward over
     them records no tape; set requires_grad=True on each to fine-tune them
     (`nn.adam_init` copies them into its writable flat buffer and rebinds
-    each to its view of it). Their arrays are read-only, which lets
-    `packed_weights` pack them once, however many requests they serve.
+    each to its view of it). Their arrays view immutable `bytes`, so no one
+    can make them writable again, which lets `packed_weights` pack them
+    once, however many requests they serve.
     The config checks itself as `EngineConfig.from_dict` builds it (a fault
     reads "checkpoint: <rule>"), every parameter's name and shape is checked
     against `param_shapes(config)`, and its values must be finite numbers, so
@@ -741,5 +749,6 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Var], EngineConfig]:
                               f"{arr.size} values, expected shape {list(shapes[name])}")
         if not np.isfinite(arr).all():
             raise ConfigError(f"checkpoint parameter {name!r} has a non-finite value")
-        params[name] = Var(_frozen(arr.reshape(shapes[name])), requires_grad=False)
+        params[name] = Var(np.frombuffer(arr.tobytes()).reshape(shapes[name]),
+                           requires_grad=False)
     return params, config

@@ -147,44 +147,44 @@ def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return buffer[:size].reshape(shape) if size <= buffer.size else np.empty(shape)
 
 
-def softmax_rows(logits: np.ndarray, mask: np.ndarray | None,
+def softmax_rows(logits: np.ndarray, mask: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis of a raw array, into `out` if given (which
-    may be `logits` itself); entries outside `mask` (None: no entry) get 0.
+    may be `logits` itself); entries outside `mask` get 0.
 
     Masked entries are exponentiated as exp(0) and then zeroed, not as
     exp(-inf), which is several times slower; the bits are the same.
     """
-    if mask is None:
-        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    else:
-        z = logits - np.where(mask, logits, -np.inf).max(axis=-1, keepdims=True)
-        e = np.exp(np.where(mask, z, 0.0)) * mask
+    z = logits - np.where(mask, logits, -np.inf).max(axis=-1, keepdims=True)
+    e = np.exp(np.where(mask, z, 0.0)) * mask
     return np.divide(e, e.sum(axis=-1, keepdims=True), out=out)
 
 
-def normalize_rows(x: np.ndarray, eps: float = 1e-5,
-                   ws: NewArrays = NEW) -> tuple[np.ndarray, np.ndarray]:
+# The layer norm's variance offset, read by the tape's norms and by the packed
+# model's (`model._norm_rows`), so that `model.infer` equals `model.forward`.
+LN_EPS = 1e-5
+
+
+def normalize_rows(x: np.ndarray, ws: NewArrays = NEW) -> tuple[np.ndarray, np.ndarray]:
     """Zero-mean, unit-variance rows of a raw array (a `ws.kept` array), and
     the inverse std.
 
-    Equal to (x - x.mean) / sqrt(x.var + eps) bit for bit, in fewer calls.
+    Equal to (x - x.mean) / sqrt(x.var + LN_EPS) bit for bit, in fewer calls.
     """
     d = x.shape[-1]
     xhat = np.subtract(x, np.add.reduce(x, axis=-1, keepdims=True) / d, out=ws.kept(x.shape))
     sq = np.multiply(xhat, xhat, out=ws.scratch("ln.t", x.shape))
-    inv = 1.0 / np.sqrt(np.add.reduce(sq, axis=-1, keepdims=True) / d + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(sq, axis=-1, keepdims=True) / d + LN_EPS)
     xhat *= inv
     return xhat, inv
 
 
-def _layer_norm_forward(x: np.ndarray, gain: Var, bias: Var, eps: float = 1e-5,
-                        ws: NewArrays = NEW):
+def _layer_norm_forward(x: np.ndarray, gain: Var, bias: Var, ws: NewArrays = NEW):
     """gain * xhat + bias over the last axis of x, with xhat and the inverse
     std that `_layer_norm_grads` needs."""
     if x.shape[-1] < 2:
         raise ValueError("layer_norm needs a feature axis of at least 2")
-    xhat, inv = normalize_rows(x, eps, ws)
+    xhat, inv = normalize_rows(x, ws)
     h = np.multiply(xhat, gain.value, out=ws.kept(x.shape))
     h += bias.value
     return h, xhat, inv

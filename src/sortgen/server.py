@@ -39,6 +39,7 @@ from sortgen.core import (
     Item,
     ObjectiveWeights,
     UserContext,
+    as_integer,
     config_hash,
     item_fault,
 )
@@ -225,20 +226,11 @@ def _number(value, field: str) -> float:
 
 
 def _integer(value, field: str) -> int:
-    """An int, a float with an integral value, or a string that int() reads,
-    inside int64."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    elif isinstance(value, str):
-        try:
-            value = int(value)
-        except ValueError:
-            pass
-    if not isinstance(value, int):
-        raise _Malformed(field, f"{value!r} is not an integer")
-    if not -2**63 <= value < 2**63:
-        raise _Malformed(field, f"{value} is outside int64")
-    return int(value)
+    """`core.as_integer(value)`; a fault names the field."""
+    try:
+        return as_integer(value)
+    except ValueError as exc:
+        raise _Malformed(field, str(exc)) from None
 
 
 def _pool_fault(pool: ItemFeatures) -> tuple[int, str, str] | None:

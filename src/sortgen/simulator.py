@@ -38,7 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from sortgen.core import ConfigError, EngineConfig, Item, UserContext, check_items, to_dict
+from sortgen.core import (ConfigError, EngineConfig, Item, UserContext, as_integer,
+                          check_field_types, check_items, to_dict)
 from sortgen.generation import window_similarities
 from sortgen.model import ItemFeatures
 from sortgen.values import LabelVector
@@ -59,6 +60,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self, "sim.{}")
         for name in ("rho", "kappa", "base_pay", "exposure_noise"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"sim.{name} must be finite, got {getattr(self, name)!r}")
@@ -314,18 +316,40 @@ def _item_lines(docs: list[dict]) -> list[str]:
     return [json.dumps({"kind": "item", **doc}, sort_keys=True) for doc in docs]
 
 
+def _integer_field(doc: dict, key: str) -> int:
+    """doc[key] read by the rule of a request's item ids (`as_integer`); a
+    fault names the key."""
+    try:
+        return as_integer(doc[key])
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def _checked_row(doc: dict, table: list[tuple]) -> tuple:
     """An item record's fields in Item's order (id, embedding, price,
     prior_ctr, prior_cvr, category), checked by the item rules, and for an
     embedding as long as that of the first row of `table`."""
     item_id, emb, price, ctr, cvr, _ = row = (
-        int(doc["id"]), [float(v) for v in doc["emb"]], float(doc["price"]),
-        float(doc["ctr"]), float(doc["cvr"]), int(doc["cat"]))
+        _integer_field(doc, "id"), [float(v) for v in doc["emb"]], float(doc["price"]),
+        float(doc["ctr"]), float(doc["cvr"]), _integer_field(doc, "cat"))
     check_items([item_id], np.array([emb]), np.array([[ctr, cvr]]), np.array([price]))
     if table and len(emb) != len(table[0][1]):
         raise ValueError(f"item {item_id}: {len(emb)} embedding components, where the "
                          f"first item has {len(table[0][1])}")
     return row
+
+
+def _add_catalog_row(doc: dict, table: list[tuple], catalog: dict, lineno: int) -> None:
+    """Append the catalog record `doc`, at line `lineno`, to `table` as
+    `_checked_row` reads it, and enter it in `catalog`: id -> (line, record,
+    table row). An id that an earlier catalog record holds is an error that
+    names both lines."""
+    row = _checked_row(doc, table)
+    if row[0] in catalog:
+        raise ValueError(f"item id {row[0]} repeats the catalog record at line "
+                         f"{catalog[row[0]][0]}")
+    catalog[row[0]] = (lineno, doc, len(table))
+    table.append(row)
 
 
 def _table(rows: list[tuple]) -> ItemFeatures:
@@ -388,14 +412,16 @@ def read_dataset(path: str | Path) -> Dataset:
     other session item gets a row of its own.
 
     Any fault in a record, including an item that breaks an Item rule, an
-    embedding whose length differs from the first item's, a catalog record
-    after a session and a session whose labels are not 0 or 1 or hold a pay
-    without a click, is a ConfigError naming the file and the line."""
+    id or category that is not an integer, an embedding whose length differs
+    from the first item's, a catalog id that an earlier catalog record holds,
+    a catalog record after a session and a session whose labels are not 0 or
+    1 or hold a pay without a click, is a ConfigError naming the file and the
+    line."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ConfigError(f"{path}: empty dataset file")
     table: list[tuple] = []  # the item table's rows, as _checked_row gives them
-    catalog_rows: dict = {}  # id -> (catalog record fields, table row)
+    catalog: dict = {}  # id -> (line, catalog record fields, table row)
     n_catalog = 0
     users, rows, clicks, pays = [], [], [], []
     header = None
@@ -409,8 +435,7 @@ def read_dataset(path: str | Path) -> Dataset:
             elif kind == "item":
                 if users:
                     raise ValueError("a catalog record after the first session")
-                catalog_rows[doc["id"]] = (doc, len(table))
-                table.append(_checked_row(doc, table))
+                _add_catalog_row(doc, table, catalog, lineno)
                 n_catalog += 1
             elif kind == "sample":
                 user = [float(v) for v in doc["user"]]
@@ -429,7 +454,7 @@ def read_dataset(path: str | Path) -> Dataset:
                 _check_labels(session_clicks, session_pays)
                 session = []
                 for item in doc["items"]:
-                    fields, row = catalog_rows.get(item["id"], (None, None))
+                    _, fields, row = catalog.get(item["id"], (None, None, None))
                     if fields != item:
                         row = len(table)
                         table.append(_checked_row(item, table))
@@ -439,7 +464,7 @@ def read_dataset(path: str | Path) -> Dataset:
                 clicks.append(session_clicks)
                 pays.append(session_pays)
             else:
-                raise KeyError(f"unknown record kind {kind!r}")
+                raise ValueError(f"unknown record kind {kind!r}")
         except Exception as exc:  # a ConfigError from an Item rule too
             raise ConfigError(f"{path}: malformed record at line {lineno}: {exc}") from exc
     if header is None:
@@ -458,10 +483,12 @@ def write_catalog(catalog: ItemFeatures, path: str | Path) -> None:
 
 def read_catalog(path: str | Path) -> ItemFeatures:
     """A file that write_catalog wrote, as one packed table. Any fault in a
-    record, including an item that breaks an Item rule and an embedding whose
-    length differs from the first item's, is a ConfigError naming the file
-    and the line."""
+    record, including an item that breaks an Item rule, an id or category
+    that is not an integer, an embedding whose length differs from the first
+    item's and an id that an earlier record holds, is a ConfigError naming
+    the file and the line."""
     table: list[tuple] = []  # as _checked_row gives them
+    catalog: dict = {}  # as _add_catalog_row fills it
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(),
                                   start=1):
         try:
@@ -469,7 +496,7 @@ def read_catalog(path: str | Path) -> ItemFeatures:
             if doc["kind"] == "header":
                 _check_header(doc)
             elif doc["kind"] == "item":
-                table.append(_checked_row(doc, table))
+                _add_catalog_row(doc, table, catalog, lineno)
         except Exception as exc:
             raise ConfigError(f"{path}: malformed record at line {lineno}: {exc}") from exc
     return _table(table)

@@ -21,7 +21,7 @@ import numpy as np
 
 from sortgen import model as sortmodel
 from sortgen import nn, values
-from sortgen.core import ConfigError, EngineConfig
+from sortgen.core import ConfigError, EngineConfig, check_field_types
 from sortgen.simulator import Dataset
 
 
@@ -34,10 +34,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self, "train.{}")
         if not 0.0 < self.eval_fraction < 1.0:
-            raise ConfigError("eval_fraction must be in (0,1)")
+            raise ConfigError(f"train.eval_fraction must be in (0,1), got {self.eval_fraction!r}")
         if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+            raise ConfigError(f"train.batch_size must be >= 1, got {self.batch_size!r}")
         if self.epochs < 1:
             raise ConfigError(f"train.epochs must be >= 1, got {self.epochs!r}")
         # lr 0 stays valid: a run that evaluates without training.
@@ -113,12 +114,15 @@ def _batch_loss(config: EngineConfig, params: dict, batch: _Arrays,
     return _output_loss(config, out, batch, workspace)
 
 
-def evaluate_model(config: EngineConfig, params: dict, arrays: _Arrays,
-                   batch_size: int = 256) -> dict:
+# Sessions per evaluation forward.
+EVAL_BATCH = 256
+
+
+def evaluate_model(config: EngineConfig, params: dict, arrays: _Arrays) -> dict:
     """Eval loss plus per-position calibration of expected vs empirical counts.
 
-    One forward per batch over constant views of the parameters, so
-    evaluation records no tape.
+    One forward per batch of EVAL_BATCH sessions over constant views of the
+    parameters, so evaluation records no tape.
     """
     if len(arrays) == 0:
         raise ConfigError("empty evaluation split")
@@ -126,8 +130,8 @@ def evaluate_model(config: EngineConfig, params: dict, arrays: _Arrays,
     total, n = 0.0, 0
     pred_click = np.zeros(arrays.emb.shape[1])
     pred_pay = np.zeros(arrays.emb.shape[1])
-    for start in range(0, len(arrays), batch_size):
-        batch = arrays.take(slice(start, start + batch_size))
+    for start in range(0, len(arrays), EVAL_BATCH):
+        batch = arrays.take(slice(start, start + EVAL_BATCH))
         out = sortmodel.forward(config, frozen, batch.emb, batch.user, batch.score)
         total += float(_output_loss(config, out, batch).value) * len(batch)
         pred_click += values.expected_counts_batch(out.click.value).sum(axis=0)

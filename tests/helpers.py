@@ -637,10 +637,10 @@ def linear(x, W, b) -> Var:
     return Var(y.reshape(x.shape[:-1] + (d_out,)), (x, W, b), bw)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Var:
+def layer_norm(x, gain, bias) -> Var:
     """Normalize the last axis to zero mean / unit variance, then scale + shift."""
     x, gain, bias = nn.as_var(x), nn.as_var(gain), nn.as_var(bias)
-    y, xhat, inv = nn._layer_norm_forward(x.value, gain, bias, eps)
+    y, xhat, inv = nn._layer_norm_forward(x.value, gain, bias)
 
     def bw(g):
         g_x = nn._layer_norm_grads(g, xhat, inv, gain, bias, x.requires_grad)

@@ -498,7 +498,7 @@ def test_rerank_reply_lists_have_no_spare_slots(workdir):
 
 
 # A loaded checkpoint is packed once (`model.packed_weights`): the packing is
-# reused while the config and every parameter array are the same read-only
+# reused while the config and every parameter array are the same immutable
 # objects as when it was made.
 
 
@@ -532,13 +532,6 @@ def test_replacing_a_parameter_array_repacks(workdir, monkeypatch):
     after = srv.rerank(engine, params, user, pool, ObjectiveWeights())
     assert len(packs) == 2
     assert after["combined_value"] != before["combined_value"]
-    # A read-only replacement is a new object too; it is packed, then reused.
-    replaced = p.value + 1
-    replaced.flags.writeable = False
-    p.value = replaced
-    srv.rerank(engine, params, user, pool, ObjectiveWeights())
-    srv.rerank(engine, params, user, pool, ObjectiveWeights())
-    assert len(packs) == 3
 
 
 def test_writable_parameters_are_packed_on_every_call(workdir, monkeypatch):
@@ -557,14 +550,27 @@ def test_writable_parameters_are_packed_on_every_call(workdir, monkeypatch):
     assert _body(after) == _body(srv.rerank(engine, copies, user, pool, ObjectiveWeights()))
 
 
-def test_an_array_made_writable_again_is_not_reused(workdir, monkeypatch):
+def test_a_loaded_array_cannot_be_made_writable_again(workdir):
+    # Its packing would be reused after a write.
+    params, _ = sortmodel.load_checkpoint(workdir["ckpt"])
+    for p in params.values():
+        with pytest.raises(ValueError, match="cannot set WRITEABLE flag to True"):
+            p.value.flags.writeable = True
+
+
+def test_a_caller_frozen_array_written_between_calls_is_repacked(workdir, monkeypatch):
+    # A caller may make an array it froze writable again, so only immutable
+    # arrays keep their packing.
     params, engine = sortmodel.load_checkpoint(workdir["ckpt"])
     user, pool = _parsed(workdir, engine, seed=27)
+    b2 = params["head_pay.b2"].value.copy()
+    b2.flags.writeable = False
+    params["head_pay.b2"].value = b2
     packs = _counting_packs(monkeypatch)
     before = srv.rerank(engine, params, user, pool, ObjectiveWeights())
-    b2 = params["head_pay.b2"].value
     b2.flags.writeable = True
     b2 += 1.0
+    b2.flags.writeable = False
     after = srv.rerank(engine, params, user, pool, ObjectiveWeights())
     assert len(packs) == 2
     assert after["combined_value"] != before["combined_value"]
@@ -666,6 +672,8 @@ def _malformed(doc, kind):
         doc["candidates"][4]["id"] = doc["candidates"][1]["id"]
     elif kind == "lambda_not_number":
         doc["lambda"] = "x"
+    elif kind == "lambda_above_one":
+        doc["lambda"] = 1.5
     elif kind == "weights_bool":
         doc["weights"] = {"alpha": True, "beta": False, "gamma": False}
     elif kind == "emb_nan":
@@ -696,6 +704,7 @@ def _malformed(doc, kind):
     ("id_outside_int64", ("candidates[3].id", "int64")),
     ("id_fractional", ("candidates[6].id", "not an integer")),
     ("weights_bool", ("weights.alpha", "true")),
+    ("lambda_above_one", ("lambda: outside [0,1]",)),
 ])
 def test_rerank_endpoint_rejects_malformed_field(live_server, workdir, kind, fragments):
     doc, _, _ = _request_doc(workdir, seed=29)

@@ -89,6 +89,16 @@ def test_queue_spec_names_a_field_of_the_wrong_type(args, named):
     assert str(info.value).startswith(named + " must be")
 
 
+@pytest.mark.parametrize("coeffs, message", [
+    ({"ctr": 1.0, "clicks": 2.0}, "queue q: unknown score term 'clicks'"),
+    ({"ctr": 0.0, "cvr": 0}, "queue q: all coefficients zero"),
+])
+def test_queue_spec_rejects_an_unknown_term_and_all_zero_coefficients(coeffs, message):
+    with pytest.raises(ConfigError) as exc:
+        QueueSpec("q", coeffs, 0)
+    assert str(exc.value) == message
+
+
 def test_queue_spec_takes_int_and_float_coefficients():
     assert QueueSpec("q", {"ctr": 2, "cvr": -0.5}, 1).coeffs == {"ctr": 2, "cvr": -0.5}
 
@@ -340,6 +350,37 @@ def test_config_value_that_does_not_cast(text):
     key = text.partition(" = ")[0]
     with pytest.raises(ConfigError, match=f"^{key}: cannot read"):
         _parse_all(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("l_s = 30\nl_o 10", "config line 2: expected 'key = value'"),
+    ("queue.click = ctr", "queue.click: expected 'term:coefficient' pairs"),
+])
+def test_config_text_that_does_not_parse(text, message):
+    with pytest.raises(ConfigError) as exc:
+        _parse_all(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("cls, field, value, message", [
+    (TrainConfig, "batch_size", 2.5, "train.batch_size must be int, got 2.5"),
+    (TrainConfig, "seed", 1.5, "train.seed must be int, got 1.5"),
+    (TrainConfig, "epochs", "3", "train.epochs must be int, got '3'"),
+    (TrainConfig, "lr", "1e-3", "train.lr must be float, got '1e-3'"),
+    (SimConfig, "sessions", 2.5, "sim.sessions must be int, got 2.5"),
+    (SimConfig, "n_items", True, "sim.n_items must be int, got True"),
+    (SimConfig, "rho", "0.9", "sim.rho must be float, got '0.9'"),
+    (ObjectiveWeights, "alpha", True, "alpha: objective weight must be float, got True"),
+    (ObjectiveWeights, "alpha", "5", "alpha: objective weight must be float, got '5'"),
+])
+def test_an_ill_typed_sim_train_or_weight_field_is_a_config_error_naming_it(cls, field, value,
+                                                                            message):
+    # A fractional batch size or session count once passed, and a string
+    # escaped as a TypeError. A weight's message starts with its name, which
+    # a rerank request's fault reads as weights.<name>.
+    with pytest.raises(ConfigError) as exc:
+        cls(**{field: value})
+    assert str(exc.value) == message
 
 
 def test_option_keys_accepted():

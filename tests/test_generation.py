@@ -141,6 +141,18 @@ def test_build_queues_empty_pool():
         generation.build_queues(empty, [QueueSpec("c", {"ctr": 1.0}, 0)], "dfs", 2)
 
 
+@pytest.mark.parametrize("priorities, strategy, message", [
+    ((0, 0), "dfs", "duplicate queue priorities"),
+    ((0, 1), "random", "unknown partition strategy 'random'"),
+])
+def test_build_queues_rejects_a_fault_in_its_arguments(priorities, strategy, message):
+    specs = [QueueSpec("click", {"ctr": 1.0}, priorities[0]),
+             QueueSpec("pay", {"cvr": 1.0}, priorities[1])]
+    with pytest.raises(ConfigError) as exc:
+        generation.build_queues(sortmodel.item_features(_abcd_pool()), specs, strategy, 2)
+    assert str(exc.value) == message
+
+
 def _fill_reference(rankings: list[list[int]], strategy: str, l_o: int) -> list[list[int]]:
     """DFS: each queue in turn takes its best l_o unassigned items. BFS: each
     round, every queue not yet full takes its best unassigned item."""
@@ -381,28 +393,40 @@ def test_generate_on_packed_pool_equals_item_pool(small_config, small_params,
 
 @pytest.mark.parametrize("window_w", [0, -1])
 @pytest.mark.parametrize("fn", [generation.generate, generation.generate_iterative_reference])
-def test_window_below_one_is_rejected(small_config, small_params, small_catalog, weights,
-                                      window_w, fn):
+def test_window_below_one_is_rejected(small_config, small_params, weights, window_w, fn):
     # The window slice chosen[-0:] would be the whole prefix, not an empty one.
-    rng = np.random.default_rng(13)
-    pool = sample_pool(small_catalog, small_config.l_s, rng)
-    queues = generation.build_queues(pool, small_config.queue_specs, "dfs", small_config.l_o)
-    vm = ValueModel(small_config, small_params)
-    with pytest.raises(ConfigError, match="window_w"):
-        fn(sample_user(rng, small_config.d_user), queues, vm, weights, lam=0.0,
+    # A generation takes no window of its own: it reads the model's config,
+    # which refuses one below one.
+    queues = generation.build_queues(sortmodel.item_features(_abcd_pool()),
+                                     [QueueSpec("click", {"ctr": 1.0}, 0)], "dfs", 2)
+    user = sample_user(np.random.default_rng(13), small_config.d_user)
+    with pytest.raises(TypeError, match="window_w"):
+        fn(user, queues, ValueModel(small_config, small_params), weights, lam=0.0,
            window_w=window_w)
+    with pytest.raises(ConfigError, match="^window_w must be >= 1$"):
+        dataclasses.replace(small_config, window_w=window_w)
+
+
+@pytest.mark.parametrize("fn", [generation.generate, generation.generate_iterative_reference])
+def test_lambda_outside_zero_one_is_rejected(small_config, small_params, weights, fn):
+    queues = generation.build_queues(sortmodel.item_features(_abcd_pool()),
+                                     [QueueSpec("click", {"ctr": 1.0}, 0)], "dfs", 2)
+    user = sample_user(np.random.default_rng(13), small_config.d_user)
+    with pytest.raises(ConfigError) as exc:
+        fn(user, queues, ValueModel(small_config, small_params), weights, lam=1.5)
+    assert str(exc.value) == "lambda outside [0,1]"
 
 
 def test_window_of_one_sees_only_the_last_item(small_config, small_params, small_catalog,
                                                weights):
     rng = np.random.default_rng(14)
-    vm = ValueModel(small_config, small_params)
+    vm = ValueModel(dataclasses.replace(small_config, window_w=1), small_params)
     for lam in (0.0, 0.5):
         pool = table_items(sample_pool(small_catalog, small_config.l_s, rng))
         queues = generation.build_queues(sortmodel.item_features(pool), small_config.queue_specs,
                                          "dfs", small_config.l_o)
         trace = generation.generate(sample_user(rng, small_config.d_user), queues, vm, weights,
-                                    lam=lam, window_w=1)
+                                    lam=lam)
         by_id = {it.id: it for it in pool}
         for t, step in enumerate(trace.steps):
             prefix = [pool[i] for i in trace.rows[:t]]
@@ -419,17 +443,16 @@ def test_generate_matches_iterative_reference_at_any_window(small_config, small_
                                                             head_mode):
     # The cached step, its running list values and its reused similarities
     # against one full forward per candidate and the per-Item MMR reference.
-    cfg = dataclasses.replace(small_config, head_mode=head_mode)
-    window_w = data.draw(st.integers(1, cfg.l_o + 1), label="window_w")
+    window_w = data.draw(st.integers(1, small_config.l_o + 1), label="window_w")
+    cfg = dataclasses.replace(small_config, head_mode=head_mode, window_w=window_w)
     rng = np.random.default_rng(seed)
     vm = ValueModel(cfg, sortmodel.init_params(cfg, seed=int(rng.integers(1000))))
     pool = table_items(sample_pool(small_catalog, cfg.l_s, rng))
     user = sample_user(rng, cfg.d_user)
     queues = generation.build_queues(sortmodel.item_features(pool), cfg.queue_specs, strategy,
                                      cfg.l_o)
-    fast = generation.generate(user, queues, vm, weights, lam=lam, window_w=window_w)
-    ref = generation.generate_iterative_reference(user, queues, vm, weights, lam=lam,
-                                                  window_w=window_w)
+    fast = generation.generate(user, queues, vm, weights, lam=lam)
+    ref = generation.generate_iterative_reference(user, queues, vm, weights, lam=lam)
     assert fast.ids == ref.ids
     assert fast.sources == ref.sources
     by_id = {it.id: it for it in pool}
@@ -655,6 +678,21 @@ def test_template_generate_follows_pattern(small_catalog):
     slate = generation.template_generate(q, pattern)
     assert slate.sources == pattern
     assert len(set(slate.ids)) == 5
+
+
+def test_template_generate_with_every_queue_dry_is_infeasible():
+    # One queue of two items, and a three-item pattern.
+    q = generation.build_queues(sortmodel.item_features(_abcd_pool()),
+                                [QueueSpec("click", {"ctr": 1.0}, 0)], "dfs", 2)
+    with pytest.raises(generation.InfeasibleConfig) as exc:
+        generation.template_generate(q, (0, 0, 0))
+    assert str(exc.value) == "all queues exhausted during template generation"
+
+
+def test_top_queue_generate_on_a_pool_smaller_than_l_o_is_infeasible(weights):
+    with pytest.raises(generation.InfeasibleConfig) as exc:
+        generation.top_queue_generate(sortmodel.item_features(_abcd_pool()), weights, 5)
+    assert str(exc.value) == "pool smaller than l_o"
 
 
 def test_top_queue_generate_is_pointwise_order(small_catalog, weights):

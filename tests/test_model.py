@@ -427,6 +427,15 @@ def test_assemble_rejects_empty_and_overlong(small_config, small_params):
         sortmodel.assemble_input(small_config, small_params, emb[:, :0], user, score[:, :0])
 
 
+def test_forward_rejects_a_wrong_feature_width(small_config, small_params):
+    emb, user, score = _random_inputs(small_config, 2, 3)
+    for args in ((emb[..., :-1], user, score), (emb, user[:, :-1], score),
+                 (emb, user, np.concatenate([score, score[..., :1]], axis=-1))):
+        with pytest.raises(ConfigError) as exc:
+            sortmodel.forward(small_config, small_params, *args)
+        assert str(exc.value) == "feature width mismatch"
+
+
 # ------------------------------- forward ------------------------------------
 
 
@@ -628,6 +637,17 @@ def test_checkpoint_value_errors_equal_the_per_element_reference(tmp_path, small
     assert str(info.value) == f"checkpoint parameter 'proj.W': {ref.value}"
 
 
+def test_checkpoint_of_another_format_is_rejected(tmp_path, small_config, small_params):
+    path = tmp_path / "model.ckpt"
+    sortmodel.save_checkpoint(path, small_params, small_config)
+    doc = json.loads(path.read_text())
+    doc["format_version"] = "sortgen-ckpt-v0"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as exc:
+        sortmodel.load_checkpoint(path)
+    assert str(exc.value) == "unsupported checkpoint format 'sortgen-ckpt-v0'"
+
+
 def test_checkpoint_hash_verified(tmp_path, small_config, small_params):
     path = tmp_path / "model.ckpt"
     sortmodel.save_checkpoint(path, small_params, small_config)
@@ -674,6 +694,24 @@ def test_loaded_checkpoint_is_frozen(tmp_path, small_config, small_params):
     loss = sum_(out.click)
     with pytest.raises(ValueError, match="does not require grad"):
         nn.backward(loss)
+
+
+def test_adam_init_fine_tunes_a_loaded_checkpoint(tmp_path, small_config, small_params):
+    # The loaded arrays are immutable; adam_init copies them into its own buffer.
+    path = tmp_path / "model.ckpt"
+    sortmodel.save_checkpoint(path, small_params, small_config)
+    loaded, cfg = sortmodel.load_checkpoint(path)
+    before = {name: p.value for name, p in loaded.items()}
+    for p in loaded.values():
+        p.requires_grad = True
+    state = nn.adam_init(loaded, lr=1e-2)
+    emb, user, score = _random_inputs(cfg, 2, cfg.l_o, seed=17)
+    nn.backward(sum_(sortmodel.forward(cfg, loaded, emb, user, score).click))
+    nn.adam_step(loaded, state)
+    assert all(p.value.flags.writeable for p in loaded.values())
+    assert not all(np.array_equal(p.value, before[name]) for name, p in loaded.items())
+    again, _ = sortmodel.load_checkpoint(path)
+    assert all(np.array_equal(before[name], p.value) for name, p in again.items())
 
 
 # -------------------------- tape-free inference ------------------------------

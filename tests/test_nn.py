@@ -199,6 +199,13 @@ def test_linear_gradient_matches_unfused_ops():
         np.testing.assert_allclose(fused, plain, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_backward_rejects_a_non_finite_loss(value):
+    with pytest.raises(FloatingPointError) as exc:
+        nn.backward(mul(Var(np.array([1.0])), value))
+    assert str(exc.value) == "non-finite loss"
+
+
 def test_constants_record_no_tape():
     c = nn.as_var(np.ones(3))
     assert not c.requires_grad

@@ -474,14 +474,30 @@ def _edited_line(ds, path, index, edit):
     (0, lambda doc: doc.pop("sim_config"), "the header lacks the key 'sim_config'"),
     (3, lambda doc: doc.update(emb=["1.0"]),
      r"item 2: 1 embedding components, where the first item has 8"),
+    (2, lambda doc: doc.update(id=3.7), r"id: 3\.7 is not an integer"),
+    (2, lambda doc: doc.update(cat="x"), "cat: 'x' is not an integer"),
+    (3, lambda doc: doc.update(id=0), "item id 0 repeats the catalog record at line 2"),
+    (3, lambda doc: doc.update(kind="user"), "unknown record kind 'user'"),
 ], ids=["negative_price", "format_version", "no_engine_config", "no_sim_config",
-        "embedding_length"])
+        "embedding_length", "fractional_id", "string_cat", "repeated_id", "unknown_kind"])
 def test_read_dataset_names_the_line_of_a_faulty_record(tmp_path, index, edit, message):
     path = tmp_path / "data.jsonl"
     _edited_line(simulator.build_dataset(ENGINE, dataclasses.replace(SIM, sessions=5)), path,
                  index, edit)
     with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: malformed record at line {index + 1}: "
                                           f"{message}$"):
+        simulator.read_dataset(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty dataset file"),
+    ('{"kind": "sample", "user": [], "items": [], "clicks": [], "pays": []}\n',
+     "missing header record at line 1"),
+], ids=["empty", "no_header"])
+def test_read_dataset_rejects_a_file_without_a_header(tmp_path, text, message):
+    path = tmp_path / "data.jsonl"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {message}$"):
         simulator.read_dataset(path)
 
 
@@ -505,7 +521,10 @@ def test_read_dataset_rejects_a_catalog_record_after_a_session(tmp_path):
     (3, lambda doc: doc.update(price="-1.0"), r"item \d+: negative price"),
     (3, lambda doc: doc.update(emb=["1.0"]),
      r"item 2: 1 embedding components, where the first item has 8"),
-], ids=["format_version", "no_format_version", "negative_price", "embedding_length"])
+    (2, lambda doc: doc.update(id=3.7), r"id: 3\.7 is not an integer"),
+    (3, lambda doc: doc.update(id=0), "item id 0 repeats the catalog record at line 2"),
+], ids=["format_version", "no_format_version", "negative_price", "embedding_length",
+        "fractional_id", "repeated_id"])
 def test_read_catalog_names_the_line_of_a_faulty_record(tmp_path, index, edit, message):
     path = tmp_path / "catalog.jsonl"
     simulator.write_catalog(simulator.catalog_table(10, ENGINE.d_emb, 3, seed=4), path)

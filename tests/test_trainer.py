@@ -386,16 +386,25 @@ def test_evaluate_model_records_no_tape(dataset, monkeypatch):
         return outputs[-1]
 
     monkeypatch.setattr(trainer.sortmodel, "forward", spy)
-    trainer.evaluate_model(ENGINE, params, arrays, batch_size=16)
+    monkeypatch.setattr(trainer, "EVAL_BATCH", 16)
+    trainer.evaluate_model(ENGINE, params, arrays)
     assert len(outputs) == 3  # one forward per eval batch
     assert not any(out.click.requires_grad for out in outputs)
     assert all(p.requires_grad for p in params.values())
 
 
+def test_evaluate_model_rejects_an_empty_split(dataset):
+    with pytest.raises(ConfigError) as exc:
+        trainer.evaluate_model(ENGINE, sortmodel.init_params(ENGINE, seed=11),
+                               trainer._to_arrays(dataset, np.arange(0)))
+    assert str(exc.value) == "empty evaluation split"
+
+
 @pytest.mark.parametrize("field, value, rule", [
     ("epochs", 0, "must be >= 1"), ("epochs", -2, "must be >= 1"),
     ("lr", -1e-3, "must be finite and >= 0"), ("lr", float("nan"), "must be finite and >= 0"),
-    ("lr", float("inf"), "must be finite and >= 0")])
+    ("lr", float("inf"), "must be finite and >= 0"), ("batch_size", 0, "must be >= 1"),
+    ("eval_fraction", 0, r"must be in \(0,1\)")])
 def test_train_config_rejects_out_of_range_values(field, value, rule):
     with pytest.raises(ConfigError, match=f"^train.{field} {rule}, got {value!r}$"):
         trainer.TrainConfig(**{field: value})

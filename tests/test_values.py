@@ -286,6 +286,12 @@ def test_label_vector_cumulative_counts():
     assert (lv.cum_clicks <= np.arange(1, 4)).all()
 
 
+def test_label_vector_rejects_lengths_that_differ():
+    with pytest.raises(ValueError) as exc:
+        values.LabelVector(np.array([1, 0, 1]), np.array([0, 0]))
+    assert str(exc.value) == "clicks and pays lengths differ"
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=12))
 def test_label_vector_counts_bounded_by_position(bits):
