@@ -84,6 +84,67 @@ def as_integer(value) -> int:
     return int(value)
 
 
+class ItemRecordError(ValueError):
+    """An item record that does not read: args (field, reason), field "" when
+    the record is not a key/value document; it reads as "<field>: <reason>"."""
+
+    def __str__(self):
+        return ": ".join(filter(None, self.args))
+
+
+def _as_number(value) -> float:
+    """float(value) for a number or a string that float() reads (a bool is an
+    int, as in a packed column); anything else is a ValueError."""
+    if isinstance(value, (int, float, str)):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"{value!r} does not read as a number")
+
+
+def read_item(record, d_emb: int | None) -> tuple:
+    """The one reader of an item record, a rerank request's candidate and a
+    data file's item alike: (id, emb, (ctr, cvr), price, cat), with an emb of
+    d_emb numbers (any length for None) and cat 0 when it is absent. The
+    first field that does not read, in the order id, emb, price, ctr, cvr,
+    cat, is an ItemRecordError; the item rules are the caller's."""
+    if not isinstance(record, dict):
+        raise ItemRecordError("", "expected a key/value document")
+
+    def field(key, read, default=None):
+        if key not in record and default is None:
+            raise ItemRecordError(key, "missing")
+        try:
+            return read(record.get(key, default))
+        except ValueError as exc:
+            raise ItemRecordError(key, str(exc)) from None
+
+    def embedding(emb):
+        if not isinstance(emb, list):
+            raise ValueError(f"expected a list of numbers, got {emb!r}")
+        emb = [_as_number(v) for v in emb]
+        if d_emb is not None and len(emb) != d_emb:
+            raise ValueError(f"expected {d_emb} components")
+        return emb
+
+    item_id, emb = field("id", as_integer), field("emb", embedding)
+    price = field("price", _as_number)
+    score = field("ctr", _as_number), field("cvr", _as_number)
+    return item_id, emb, score, price, field("cat", as_integer, 0)
+
+
+def repeated_id(ids: list) -> tuple[int, int] | None:
+    """The first position of `ids` whose id an earlier position holds, and
+    that earlier position, or None when no id repeats."""
+    if len(set(ids)) == len(ids):
+        return None
+    first = {}
+    for i, item_id in enumerate(ids):
+        if (j := first.setdefault(item_id, i)) != i:
+            return i, j
+
+
 @dataclass(frozen=True)
 class Item:
     """One candidate: identity, unit-norm embedding, price, prior scores."""

@@ -299,16 +299,25 @@ class ItemFeatures(NamedTuple):
     cat: np.ndarray    # [n] int64
 
 
+def pack_items(rows, d_emb: int) -> ItemFeatures:
+    """The item rows `rows`, each (id, emb, (ctr, cvr), price, cat) as
+    `core.read_item` gives them, packed into one ItemFeatures; no rows pack
+    into empty columns with d_emb embedding columns."""
+    ids, emb, score, price, cat = zip(*rows) if rows else ((),) * 5
+    return ItemFeatures(np.array(ids, dtype=np.int64),
+                        np.array(emb, dtype=np.float64).reshape(len(ids), d_emb),
+                        np.array(score, dtype=np.float64).reshape(len(ids), 2),
+                        np.array(price, dtype=np.float64),
+                        np.array(cat, dtype=np.int64))
+
+
 def item_features(items) -> ItemFeatures:
     """Pack a sequence of items in one pass; the only place that reads Item
     fields into arrays."""
     if not len(items):
         raise ConfigError("empty candidate pool")
-    ids, emb, score, price, cat = zip(*[(it.id, it.embedding, (it.prior_ctr, it.prior_cvr),
-                                         it.price, it.category) for it in items])
-    return ItemFeatures(np.array(ids, dtype=np.int64), np.array(emb, dtype=np.float64),
-                        np.array(score, dtype=np.float64), np.array(price, dtype=np.float64),
-                        np.array(cat, dtype=np.int64))
+    return pack_items([(it.id, it.embedding, (it.prior_ctr, it.prior_cvr), it.price, it.category)
+                       for it in items], len(items[0].embedding))
 
 
 # --------------------------- tape-free inference -----------------------------

@@ -37,13 +37,15 @@ from sortgen.core import (
     ConfigError,
     EngineConfig,
     Item,
+    ItemRecordError,
     ObjectiveWeights,
     UserContext,
-    as_integer,
     config_hash,
     item_fault,
+    read_item,
+    repeated_id,
 )
-from sortgen.model import ItemFeatures, load_checkpoint
+from sortgen.model import ItemFeatures, load_checkpoint, pack_items
 
 
 # Caps on one request, far above a 300-candidate pool (~75 KB of JSON).
@@ -127,12 +129,13 @@ def _parse_weights(w) -> ObjectiveWeights:
 
 
 # A candidate pool is packed in one pass over the candidates and validated in
-# one vectorised pass: the item rules (core.item_fault) and duplicate ids over
-# the packed rows. A fault is reported for the lowest-index faulty candidate,
-# and within one candidate in the order id, emb, price, ctr, cvr, cat, then
-# the item rules, then a duplicate id. Only a pool whose fields do not pack
-# into numbers of the right shape is scanned row by row, to find the first
-# malformed candidate.
+# one vectorised pass: the item rules (core.item_fault) and repeated ids
+# (core.repeated_id) over the packed rows. A fault is reported for the
+# lowest-index faulty candidate, and within one candidate in the order id,
+# emb, price, ctr, cvr, cat, then the item rules, then a duplicate id. Only a
+# pool whose fields do not pack into numbers of the right shape is read row by
+# row, by the item-record reader that data files use too (core.read_item), to
+# find the first malformed candidate; its rows pack by model.pack_items.
 
 
 def _parse_candidates(cands: list, d_emb: int) -> ItemFeatures:
@@ -171,66 +174,17 @@ def _pack_columns(cands: list, d_emb: int) -> ItemFeatures | None:
                         floats[n:3 * n].reshape(n, 2), floats[:n], ints[n:])
 
 
-class _Malformed(Exception):
-    """A candidate field that does not read: (field, reason)."""
-
-
 def _pack_rows(cands: list, d_emb: int) -> tuple[ItemFeatures, tuple[int, str, str] | None]:
     """Read the pool one candidate at a time: the rows before the first
     malformed candidate, packed, and that candidate's (index, field, reason)."""
     rows, malformed = [], None
     for i, cand in enumerate(cands):
         try:
-            rows.append(_read_row(cand, d_emb))
-        except _Malformed as exc:
+            rows.append(read_item(cand, d_emb))
+        except ItemRecordError as exc:
             malformed = (i, *exc.args)
             break
-    ids, emb, score, price, cat = zip(*rows) if rows else ((),) * 5
-    return ItemFeatures(np.array(ids, dtype=np.int64),
-                        np.array(emb, dtype=np.float64).reshape(-1, d_emb),
-                        np.array(score, dtype=np.float64).reshape(-1, 2),
-                        np.array(price, dtype=np.float64),
-                        np.array(cat, dtype=np.int64)), malformed
-
-
-def _read_row(cand, d_emb: int) -> tuple:
-    if not isinstance(cand, dict):
-        raise _Malformed("", "expected a key/value document")
-
-    def field(key):
-        if key not in cand:
-            raise _Malformed(key, "missing")
-        return cand[key]
-
-    item_id = _integer(field("id"), "id")
-    emb = field("emb")
-    if not isinstance(emb, list):
-        raise _Malformed("emb", f"expected a list of numbers, got {emb!r}")
-    emb = [_number(v, "emb") for v in emb]
-    if len(emb) != d_emb:
-        raise _Malformed("emb", f"expected {d_emb} components")
-    price = _number(field("price"), "price")
-    score = (_number(field("ctr"), "ctr"), _number(field("cvr"), "cvr"))
-    return item_id, emb, score, price, _integer(cand.get("cat", 0), "cat")
-
-
-def _number(value, field: str) -> float:
-    """A number, or a string that float() reads (bool is an int, as in a
-    packed column)."""
-    if isinstance(value, (int, float, str)):
-        try:
-            return float(value)
-        except (ValueError, OverflowError):
-            pass
-    raise _Malformed(field, f"{value!r} does not read as a number")
-
-
-def _integer(value, field: str) -> int:
-    """`core.as_integer(value)`; a fault names the field."""
-    try:
-        return as_integer(value)
-    except ValueError as exc:
-        raise _Malformed(field, str(exc)) from None
+    return pack_items(rows, d_emb), malformed
 
 
 def _pool_fault(pool: ItemFeatures) -> tuple[int, str, str] | None:
@@ -238,13 +192,9 @@ def _pool_fault(pool: ItemFeatures) -> tuple[int, str, str] | None:
     if not len(pool.ids):
         return None
     fault = item_fault(pool.emb, pool.score, pool.price)
-    if len(set(pool.ids.tolist())) == len(pool.ids):  # no repeat, so no np.unique and its sorts
-        return fault
-    _, first, inverse = np.unique(pool.ids, return_index=True, return_inverse=True)
-    repeat = first[inverse] != np.arange(len(pool.ids))
-    i = int(np.argmax(repeat))
-    if fault is None or i < fault[0]:
-        return i, "id", f"duplicate of candidates[{first[inverse[i]]}].id"
+    repeat = repeated_id(pool.ids.tolist())
+    if repeat is not None and (fault is None or repeat[0] < fault[0]):
+        return repeat[0], "id", f"duplicate of candidates[{repeat[1]}].id"
     return fault
 
 

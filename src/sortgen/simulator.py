@@ -14,7 +14,9 @@ its rows; `simulate_session` takes the bound form.
 A catalog and a pool are packed `ItemFeatures` rows, never `Item`s:
 `catalog_table` draws the catalog into one table whose row i is the item
 with id i, `sample_pool` picks a pool's rows of a table, and `read_catalog`
-and `read_dataset` parse item records with one parser. A session's labels
+and `read_dataset` read item records by the grammar of a rerank request's
+candidates (`core.read_item`) and pack them with `model.pack_items`. A
+data file has one header, on line 1. A session's labels
 (`simulate_session`, and `build_dataset` through `_draw_labels`) draw their
 uniforms in blocks, the same stream as one draw at a time. tests/helpers.py
 keeps the per-Item references all of these are tested against, bit for bit.
@@ -38,10 +40,10 @@ from pathlib import Path
 
 import numpy as np
 
-from sortgen.core import (ConfigError, EngineConfig, Item, UserContext, as_integer,
-                          check_field_types, check_items, to_dict)
+from sortgen.core import (ConfigError, EngineConfig, Item, UserContext, check_field_types,
+                          check_items, read_item, repeated_id, to_dict)
 from sortgen.generation import window_similarities
-from sortgen.model import ItemFeatures
+from sortgen.model import ItemFeatures, pack_items
 from sortgen.values import LabelVector
 
 DATA_FORMAT = "sortgen-data-v1"
@@ -316,26 +318,11 @@ def _item_lines(docs: list[dict]) -> list[str]:
     return [json.dumps({"kind": "item", **doc}, sort_keys=True) for doc in docs]
 
 
-def _integer_field(doc: dict, key: str) -> int:
-    """doc[key] read by the rule of a request's item ids (`as_integer`); a
-    fault names the key."""
-    try:
-        return as_integer(doc[key])
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from None
-
-
-def _checked_row(doc: dict, table: list[tuple]) -> tuple:
-    """An item record's fields in Item's order (id, embedding, price,
-    prior_ctr, prior_cvr, category), checked by the item rules, and for an
-    embedding as long as that of the first row of `table`."""
-    item_id, emb, price, ctr, cvr, _ = row = (
-        _integer_field(doc, "id"), [float(v) for v in doc["emb"]], float(doc["price"]),
-        float(doc["ctr"]), float(doc["cvr"]), _integer_field(doc, "cat"))
-    check_items([item_id], np.array([emb]), np.array([[ctr, cvr]]), np.array([price]))
-    if table and len(emb) != len(table[0][1]):
-        raise ValueError(f"item {item_id}: {len(emb)} embedding components, where the "
-                         f"first item has {len(table[0][1])}")
+def _checked_row(doc, table: list[tuple]) -> tuple:
+    """The item record `doc` as `core.read_item` reads it, with an embedding
+    as long as that of the first row of `table`, checked by the item rules."""
+    row = item_id, emb, score, price, _ = read_item(doc, len(table[0][1]) if table else None)
+    check_items([item_id], np.array([emb]), np.array([score]), np.array([price]))
     return row
 
 
@@ -350,15 +337,6 @@ def _add_catalog_row(doc: dict, table: list[tuple], catalog: dict, lineno: int) 
                          f"{catalog[row[0]][0]}")
     catalog[row[0]] = (lineno, doc, len(table))
     table.append(row)
-
-
-def _table(rows: list[tuple]) -> ItemFeatures:
-    """The item rows `rows`, as _checked_row gives them, packed into one table."""
-    return ItemFeatures(np.array([r[0] for r in rows], dtype=np.int64),
-                        _stack([r[1] for r in rows], np.float64),
-                        np.array([r[3:5] for r in rows], dtype=np.float64).reshape(-1, 2),
-                        np.array([r[2] for r in rows], dtype=np.float64),
-                        np.array([r[5] for r in rows], dtype=np.int64))
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -398,7 +376,19 @@ def _check_labels(clicks: list, pays: list) -> None:
             raise ValueError(f"a pay without a click at position {i}")
 
 
-def _check_header(doc: dict, keys: tuple[str, ...] = ()) -> None:
+def _record(line: str) -> tuple[object, dict]:
+    """The kind and the other fields of the record on one line of a data file."""
+    doc = json.loads(line)
+    if not isinstance(doc, dict):
+        raise ValueError("expected a key/value document")
+    return doc.pop("kind"), doc
+
+
+def _check_header(doc: dict, lineno: int, keys: tuple[str, ...] = ()) -> None:
+    """The header record `doc`, read at line `lineno`: a file has one, on
+    line 1, of this format and with the keys `keys`."""
+    if lineno != 1:
+        raise ValueError("a header record after line 1")
     if doc.get("format_version") != DATA_FORMAT:
         raise ValueError(f"unsupported format {doc.get('format_version')!r}")
     for key in keys:
@@ -411,12 +401,13 @@ def read_dataset(path: str | Path) -> Dataset:
     field match a catalog record is that catalog row of the item table; any
     other session item gets a row of its own.
 
-    Any fault in a record, including an item that breaks an Item rule, an
-    id or category that is not an integer, an embedding whose length differs
-    from the first item's, a catalog id that an earlier catalog record holds,
-    a catalog record after a session and a session whose labels are not 0 or
-    1 or hold a pay without a click, is a ConfigError naming the file and the
-    line."""
+    Any fault in a record is a ConfigError naming the file and the line:
+    among them an item record that `core.read_item` does not read (the
+    reader's "<field>: <reason>" follows the line) or that breaks an Item
+    rule, a catalog id that an earlier catalog record holds, a catalog
+    record after a session, a session that shows one id twice or whose
+    labels are not 0 or 1 or hold a pay without a click, and a header
+    anywhere but line 1."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ConfigError(f"{path}: empty dataset file")
@@ -427,10 +418,9 @@ def read_dataset(path: str | Path) -> Dataset:
     header = None
     for lineno, line in enumerate(lines, start=1):
         try:
-            doc = json.loads(line)
-            kind = doc.pop("kind")
+            kind, doc = _record(line)
             if kind == "header":
-                _check_header(doc, ("engine_config", "sim_config"))
+                _check_header(doc, lineno, ("engine_config", "sim_config"))
                 header = doc
             elif kind == "item":
                 if users:
@@ -454,11 +444,16 @@ def read_dataset(path: str | Path) -> Dataset:
                 _check_labels(session_clicks, session_pays)
                 session = []
                 for item in doc["items"]:
-                    _, fields, row = catalog.get(item["id"], (None, None, None))
-                    if fields != item:
+                    try:
+                        _, fields, row = catalog[item["id"]]
+                    except (TypeError, KeyError):  # not a record, no hashable id, no catalog id
+                        fields = None
+                    if fields is None or fields != item:
                         row = len(table)
                         table.append(_checked_row(item, table))
                     session.append(row)
+                if repeat := repeated_id([table[row][0] for row in session]):
+                    raise ValueError(f"items[{repeat[0]}].id: duplicate of items[{repeat[1]}].id")
                 users.append(user)
                 rows.append(session)
                 clicks.append(session_clicks)
@@ -469,7 +464,8 @@ def read_dataset(path: str | Path) -> Dataset:
             raise ConfigError(f"{path}: malformed record at line {lineno}: {exc}") from exc
     if header is None:
         raise ConfigError(f"{path}: missing header record at line 1")
-    return Dataset(_table(table), n_catalog, _stack(users, np.float64), _stack(rows, np.int64),
+    return Dataset(pack_items(table, len(table[0][1]) if table else 0), n_catalog,
+                   _stack(users, np.float64), _stack(rows, np.int64),
                    _stack(clicks, np.int64), _stack(pays, np.int64),
                    header["engine_config"], header["sim_config"])
 
@@ -482,21 +478,23 @@ def write_catalog(catalog: ItemFeatures, path: str | Path) -> None:
 
 
 def read_catalog(path: str | Path) -> ItemFeatures:
-    """A file that write_catalog wrote, as one packed table. Any fault in a
-    record, including an item that breaks an Item rule, an id or category
-    that is not an integer, an embedding whose length differs from the first
-    item's and an id that an earlier record holds, is a ConfigError naming
-    the file and the line."""
+    """A file that write_catalog wrote, as one packed table. A header
+    anywhere but line 1 and any fault in an item record, as `read_dataset`
+    reads them, are ConfigErrors naming the file and the line."""
     table: list[tuple] = []  # as _checked_row gives them
     catalog: dict = {}  # as _add_catalog_row fills it
+    header = False
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(),
                                   start=1):
         try:
-            doc = json.loads(line)
-            if doc["kind"] == "header":
-                _check_header(doc)
-            elif doc["kind"] == "item":
+            kind, doc = _record(line)
+            if kind == "header":
+                _check_header(doc, lineno)
+                header = True
+            elif kind == "item":
                 _add_catalog_row(doc, table, catalog, lineno)
         except Exception as exc:
             raise ConfigError(f"{path}: malformed record at line {lineno}: {exc}") from exc
-    return _table(table)
+    if not header:
+        raise ConfigError(f"{path}: missing header record at line 1")
+    return pack_items(table, len(table[0][1]) if table else 0)

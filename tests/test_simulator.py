@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sortgen import core, simulator
+from sortgen import core, server, simulator
 from sortgen.core import ConfigError, EngineConfig, ObjectiveWeights
 from sortgen.model import ItemFeatures, item_features
 from sortgen.simulator import SimConfig
@@ -473,7 +473,7 @@ def _edited_line(ds, path, index, edit):
     (0, lambda doc: doc.pop("engine_config"), "the header lacks the key 'engine_config'"),
     (0, lambda doc: doc.pop("sim_config"), "the header lacks the key 'sim_config'"),
     (3, lambda doc: doc.update(emb=["1.0"]),
-     r"item 2: 1 embedding components, where the first item has 8"),
+     "emb: expected 8 components"),
     (2, lambda doc: doc.update(id=3.7), r"id: 3\.7 is not an integer"),
     (2, lambda doc: doc.update(cat="x"), "cat: 'x' is not an integer"),
     (3, lambda doc: doc.update(id=0), "item id 0 repeats the catalog record at line 2"),
@@ -520,7 +520,7 @@ def test_read_dataset_rejects_a_catalog_record_after_a_session(tmp_path):
     (0, lambda doc: doc.pop("format_version"), "unsupported format None"),
     (3, lambda doc: doc.update(price="-1.0"), r"item \d+: negative price"),
     (3, lambda doc: doc.update(emb=["1.0"]),
-     r"item 2: 1 embedding components, where the first item has 8"),
+     "emb: expected 8 components"),
     (2, lambda doc: doc.update(id=3.7), r"id: 3\.7 is not an integer"),
     (3, lambda doc: doc.update(id=0), "item id 0 repeats the catalog record at line 2"),
 ], ids=["format_version", "no_format_version", "negative_price", "embedding_length",
@@ -538,6 +538,105 @@ def test_read_catalog_names_the_line_of_a_faulty_record(tmp_path, index, edit, m
         simulator.read_catalog(path)
 
 
+def _without(key):
+    return lambda record: {k: v for k, v in record.items() if k != key}
+
+
+@pytest.mark.parametrize("edit, fault", [
+    (_without("price"), "price: missing"),
+    (lambda record: {**record, "ctr": "x"}, "ctr: 'x' does not read as a number"),
+    (lambda record: {**record, "emb": "0.5"}, "emb: expected a list of numbers, got '0.5'"),
+    (lambda record: list(record.values()), "expected a key/value document"),
+    (lambda record: {**record, "id": 3.7}, "id: 3.7 is not an integer"),
+    (lambda record: {**record, "emb": record["emb"][:4]}, "emb: expected 8 components"),
+    (_without("cat"), None),
+], ids=["no_price", "string_ctr", "string_emb", "list", "fractional_id", "embedding_length",
+        "no_cat"])
+def test_an_item_record_reads_alike_in_a_request_and_in_data_files(tmp_path, edit, fault):
+    # One item record, as a request's candidates[1] and as the second catalog
+    # record (line 3) of a dataset file and of a catalog file: the same
+    # "<field>: <reason>" after each path's prefix, or category 0 without cat.
+    data, catalog = tmp_path / "data.jsonl", tmp_path / "catalog.jsonl"
+    simulator.write_dataset(simulator.build_dataset(ENGINE, dataclasses.replace(SIM, sessions=3)),
+                            data)
+    simulator.write_catalog(simulator.catalog_table(10, ENGINE.d_emb, 3, seed=4), catalog)
+    records = [json.loads(line) for line in catalog.read_text().splitlines()[1:]]
+    candidates = [_without("kind")(record) for record in records]
+    candidates[1] = edit(candidates[1])
+    doc = {"user": [0.0] * ENGINE.d_user, "candidates": candidates}
+    for path in (data, catalog):
+        lines = path.read_text().splitlines()
+        lines[2] = json.dumps(edit(json.loads(lines[2])), sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+    if fault is None:
+        assert server.parse_rerank_request(doc, ENGINE)[1].cat[1] == 0
+        assert simulator.read_dataset(data).catalog.cat[1] == 0
+        assert simulator.read_catalog(catalog).cat[1] == 0
+        return
+    field, _, reason = fault.rpartition(": ")
+    with pytest.raises(server.RequestError,
+                       match=f"^candidates\\[1\\]{re.escape('.' + field if field else '')}: "
+                             f"{re.escape(reason)}$"):
+        server.parse_rerank_request(doc, ENGINE)
+    for path, read in ((data, simulator.read_dataset), (catalog, simulator.read_catalog)):
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: malformed record at "
+                                              f"line 3: {re.escape(fault)}$"):
+            read(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["items"].__setitem__(2, [1, 2]), "expected a key/value document"),
+    (lambda doc: doc["items"].__setitem__(0, None), "expected a key/value document"),
+    (lambda doc: doc["items"][2].pop("id"), "id: missing"),
+    (lambda doc: doc["items"].__setitem__(1, doc["items"][0]),
+     r"items\[1\]\.id: duplicate of items\[0\]\.id"),
+    (lambda doc: doc["items"][3].update(id=doc["items"][1]["id"], price="1.5"),
+     r"items\[3\]\.id: duplicate of items\[1\]\.id"),
+], ids=["list", "null_first", "no_id", "repeated_record", "repeated_id"])
+def test_read_dataset_reads_each_session_item_as_an_item_record(tmp_path, edit, message):
+    # A session item reaches the item-record reader before any catalog
+    # lookup, and a session may show an id once, as a request's pool may.
+    ds = simulator.build_dataset(ENGINE, dataclasses.replace(SIM, sessions=3))
+    path = tmp_path / "data.jsonl"
+    lineno = _edited_session(ds, path, edit, session=2)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: malformed record at line "
+                                          f"{lineno}: {message}$"):
+        simulator.read_dataset(path)
+
+
+def _header_moved_last(lines):
+    lines.append(lines.pop(0))
+    return f"malformed record at line {len(lines)}: a header record after line 1"
+
+
+def _header_repeated(lines):
+    lines.append(lines[0])
+    return f"malformed record at line {len(lines)}: a header record after line 1"
+
+
+def _header_dropped(lines):
+    lines.pop(0)
+    return "missing header record at line 1"
+
+
+@pytest.mark.parametrize("read", [simulator.read_dataset, simulator.read_catalog],
+                         ids=["dataset", "catalog"])
+@pytest.mark.parametrize("move", [_header_moved_last, _header_repeated, _header_dropped],
+                         ids=["moved_last", "repeated", "dropped"])
+def test_a_data_file_has_one_header_on_line_1(tmp_path, read, move):
+    path = tmp_path / "data.jsonl"
+    ds = simulator.build_dataset(ENGINE, dataclasses.replace(SIM, sessions=3))
+    if read is simulator.read_dataset:
+        simulator.write_dataset(ds, path)
+    else:
+        simulator.write_catalog(ds.catalog, path)
+    lines = path.read_text().splitlines()
+    message = move(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {message}$"):
+        read(path)
+
+
 def test_catalog_round_trip(tmp_path):
     table = simulator.catalog_table(30, ENGINE.d_emb, 4, seed=5)
     path, path2 = tmp_path / "catalog.jsonl", tmp_path / "catalog2.jsonl"
@@ -547,6 +646,9 @@ def test_catalog_round_trip(tmp_path):
         assert got.dtype == want.dtype and same_bits(got, want)
     simulator.write_catalog(again, path2)
     assert path2.read_bytes() == path.read_bytes()
+    empty = simulator.catalog_table(0, ENGINE.d_emb, 4, seed=5)
+    simulator.write_catalog(empty, path)
+    assert [a.shape for a in simulator.read_catalog(path)] == [(0,), (0, 0), (0, 2), (0,), (0,)]
 
 
 def test_dataset_truncated_line_reports_lineno(tmp_path):
