@@ -309,15 +309,12 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
                 nxt, branch = [], []
             rows = slots + nxt
             click, pay = sortmodel.extend(vm.weights, cache, inputs[rows], [-1] * m + branch)
-            row_prices = prices[rows]
+            # Each root extends the chosen list; each branch row extends its root's.
+            scored = listvalue.step_values(click, pay, prices[rows], pay_count, gmv, branch,
+                                           weights)
             first = 0
-            vals, pay_counts, gmvs = listvalue.step_values(click[:m], pay[:m], row_prices[:m],
-                                                           pay_count, gmv, weights)
-            tree = None
-            if nxt:
-                # Each branch's rows extend the list by their root's pay count and GMV.
-                tree = branch, listvalue.step_values(click[m:], pay[m:], row_prices[m:],
-                                                     pay_counts[branch], gmvs[branch], weights)
+            vals, pay_counts, gmvs = (a[:m] for a in scored)
+            tree = (branch, scored) if nxt else None
             invocations += 1
             scored_rows += len(rows)
 
@@ -351,7 +348,7 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
             if tree is not None:  # the next step is branch k, scored already
                 branch, scored = tree
                 lo, hi = bisect.bisect_left(branch, k), bisect.bisect_right(branch, k)
-                pending = (m + lo, *(a[lo:hi] for a in scored))
+                pending = (m + lo, *(a[m + lo:m + hi] for a in scored))
 
     wall = time.perf_counter_ns() - start
     rows = tuple(held[s] for s in picked)

@@ -351,8 +351,15 @@ def item_features(items) -> ItemFeatures:
 # not what its arithmetic does (a 12-row tree costs about 1.35 times a 3-row
 # step), so the shared code makes few calls: biases, residuals and
 # activations are added or applied in place to the array the GEMM before
-# them made, a tree's mask is memoised, and attention divides by the
-# softmax's row sums after the product with the values.
+# them made, a tree's mask is memoised, and attention makes no reduction.
+# Its softmax needs a shift only to keep exp in range, and a fixed one per
+# head does (softmax is shift-invariant): a normed row has norm < 1, so
+# |q . k| < B_h, the product of the spectral norm plus the bias norm of head
+# h's packed Q columns and of its K columns. The QKV GEMM writes one more
+# column per head in each of Q, K and V, with zero weights and biases -B_h, 1
+# and 1, so q . k comes out shifted into (-2 B_h, 0], and the last column of
+# exp(scores) @ v is the softmax's row sum, which attention divides by.
+# Packing refuses a head with B_h >= SHIFT_LIMIT.
 
 
 def _cutpoints(thresholds: np.ndarray) -> np.ndarray:
@@ -382,19 +389,49 @@ def _fold_norm(g: np.ndarray, b: np.ndarray, w: np.ndarray,
     return g[:, None] * w, b @ w + c
 
 
-class Block(NamedTuple):
-    """One transformer block's weights, with Q, K and V in one GEMM, each
-    layer norm folded into the GEMM after it, and the residual writers
-    centred."""
+# The largest attention-logit bound B_h that packing accepts: exp(-2 B_h),
+# the smallest shifted exp, stays a normal double (the least is ~e^-708), and
+# every row sees its own key, so no row sum underflows.
+SHIFT_LIMIT = 350.0
 
-    qkv_w: np.ndarray  # [d_model, 3 * d_model]: ln1 folded into Wq / sqrt(d_head) | Wk | Wv
-    qkv_b: np.ndarray  # [3 * d_model]
+
+class Block(NamedTuple):
+    """One transformer block's weights, with Q, K and V in one GEMM that
+    also writes each head's softmax shift and row-sum column
+    (`_softmax_columns`), each layer norm folded into the GEMM after it, and
+    the residual writers centred."""
+
+    # [d_model, 3 * n_heads * (d_head + 1)]: ln1 folded into Wq / sqrt(d_head)
+    # | Wk | Wv, each head's d_head columns then its zero extra column
+    qkv_w: np.ndarray
+    qkv_b: np.ndarray  # [3 * n_heads * (d_head + 1)]: extra columns -B_h (Q), 1 (K, V)
     out_w: np.ndarray   # attn.Wo, centred
     out_b: np.ndarray   # attn.bo, centred
     ffn_w1: np.ndarray  # ln2 folded into ffn.W1
     ffn_b1: np.ndarray
     ffn_w2: np.ndarray  # ffn.W2, centred
     ffn_b2: np.ndarray  # ffn.b2, centred
+
+
+def _softmax_columns(qkv_w: np.ndarray, qkv_b: np.ndarray, heads: int,
+                     layer: int) -> tuple[np.ndarray, np.ndarray]:
+    """The folded QKV GEMM `qkv_w` [d_model, 3 * d_model], `qkv_b` with one
+    extra column after each head's d_head columns in each of Q, K and V: its
+    weights 0, its bias -B_h in Q and 1 in K and V. B_h bounds head h's
+    |q . k| over normed rows (norm < 1): (|Wq_h|_2 + |bq_h|)(|Wk_h|_2 + |bk_h|).
+    A ConfigError naming the layer and head if B_h >= SHIFT_LIMIT."""
+    d = qkv_w.shape[0]
+    w, b = qkv_w.reshape(d, 3, heads, -1), qkv_b.reshape(3, heads, -1)
+    reach = [[np.linalg.norm(w[:, j, h], 2) + np.linalg.norm(b[j, h]) for h in range(heads)]
+             for j in (0, 1)]
+    bound = np.multiply(*reach)
+    for h, b_h in enumerate(bound.tolist()):
+        if not b_h < SHIFT_LIMIT:
+            raise ConfigError(f"layer {layer} head {h}: attention logit bound {b_h:.6g} "
+                              f"is not below {SHIFT_LIMIT:g}, so its softmax could underflow")
+    extra = np.stack([-bound, np.ones(heads), np.ones(heads)])[..., None]
+    return (np.concatenate([w, np.zeros((d, 3, heads, 1))], axis=-1).reshape(d, -1),
+            np.concatenate([b, extra], axis=-1).reshape(-1))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -419,7 +456,8 @@ class InferenceWeights:
     emits minus each threshold's logit: -W2 (a monotone head's single column
     repeated max_count times) with bias cutpoints - b2. Every array is new,
     none a view of a parameter, so the weights do not follow training:
-    derive them again from the trained parameters.
+    derive them again from the trained parameters. A ConfigError if a head's
+    attention-logit bound reaches SHIFT_LIMIT (`_softmax_columns`).
     """
 
     config: EngineConfig
@@ -459,7 +497,9 @@ class InferenceWeights:
             qkv_w = np.concatenate([w(f"{a}.Wq") * scale, w(f"{a}.Wk"), w(f"{a}.Wv")], axis=1)
             qkv_b = np.concatenate([w(f"{a}.bq") * scale, w(f"{a}.bk"), w(f"{a}.bv")])
             blocks.append(Block(
-                *_fold_norm(w(f"layer{i}.ln1.g") * root_d, w(f"layer{i}.ln1.b"), qkv_w, qkv_b),
+                *_softmax_columns(*_fold_norm(w(f"layer{i}.ln1.g") * root_d,
+                                              w(f"layer{i}.ln1.b"), qkv_w, qkv_b),
+                                  config.n_heads, i),
                 _centred(w(f"{a}.Wo")), _centred(w(f"{a}.bo")),
                 *_fold_norm(w(f"layer{i}.ln2.g") * root_d, w(f"layer{i}.ln2.b"), w(f"{f}.W1"),
                             w(f"{f}.b1")),
@@ -528,20 +568,22 @@ def packed_weights(config: EngineConfig, params: dict) -> InferenceWeights:
 def _finish_block(b: Block, x: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
                   mask: np.ndarray) -> np.ndarray:
     """Block b on rows x [m, d_model], given their queries q (scaled by
-    1/sqrt(d_head)), the keys k and values v they attend over, and the
-    additive attention mask `mask` (0 where a query sees a key, -inf where it
-    does not), which broadcasts to the scores q @ k^T: attention, the output
-    projection and its residual, then the FFN half. The softmax is
-    normalised after its product with v; a masked key's exp is 0, and every
-    query sees at least itself. Every step after the first GEMM works in
-    place on the array it makes."""
+    1/sqrt(d_head)), the keys k and values v they attend over, each [...,
+    n_heads, rows, d_head + 1] with the packed extra column (`Block`), and
+    the additive attention mask `mask` (0 where a query sees a key, -inf
+    where it does not), which broadcasts to the scores q @ k^T: attention,
+    the output projection and its residual, then the FFN half. The scores
+    come out of the GEMM already shifted, and the softmax is normalised
+    after its product with v, by that product's last column; a masked key's
+    exp is 0, and every query sees at least itself. Every step after the
+    first GEMM but the divide works in place on the array it makes. (Dividing
+    straight into the [m, d_model] rows that the output projection reads
+    saves the reshape's copy but costs more calls than it saves.)"""
     e = q @ k.swapaxes(-1, -2)
     e += mask
-    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    attended = e @ v
-    attended /= np.add.reduce(e, axis=-1, keepdims=True)
-    y = attended.swapaxes(-3, -2).reshape(x.shape) @ b.out_w
+    summed = e @ v  # its last column: each row's sum of exp
+    y = (summed[..., :-1] / summed[..., -1:]).swapaxes(-3, -2).reshape(x.shape) @ b.out_w
     y += b.out_b
     y += x
     h = _norm_rows(y) @ b.ffn_w1
@@ -604,7 +646,9 @@ class Prefix:
     """
 
     inputs: np.ndarray  # [l_o, d_model]: each position's row plus the user's row
-    kv: np.ndarray      # [n_layers, 2 (key, value), n_heads, l_o + width, d_head]
+    # [n_layers, 2 (key, value), n_heads, l_o + width, d_head + 1]: the
+    # packed extra column (`Block`) too
+    kv: np.ndarray
     length: int = 0
     base: int = 0       # the prefix's length at the last `extend`: its row 0's slot
     parents: tuple[int, ...] = ()  # the last `extend`'s parents
@@ -619,7 +663,7 @@ class Prefix:
             raise ConfigError("feature width mismatch")
         return cls(weights.pos + user @ weights.user,
                    np.empty((config.n_layers, 2, config.n_heads, config.l_o + width,
-                             config.d_model // config.n_heads)))
+                             config.d_model // config.n_heads + 1)))
 
     def __len__(self) -> int:
         return self.length
@@ -681,12 +725,12 @@ def extend(weights: InferenceWeights, prefix: Prefix, x: np.ndarray,
     mask, position, end = _tree_mask(t, parents)
     if end > config.l_o:
         raise ConfigError(f"sequence length {end} exceeds position table size {config.l_o}")
-    heads, dh = config.n_heads, config.d_model // config.n_heads
     x = x + prefix.inputs[position]
     for b, kv in zip(weights.blocks, prefix.kv):
         qkv = _norm_rows(x) @ b.qkv_w
         qkv += b.qkv_b
-        qkv = qkv.reshape(m, 3, heads, dh).transpose(1, 2, 0, 3)  # [3, n_heads, m, d_head]
+        # [3, n_heads, m, d_head + 1]
+        qkv = qkv.reshape(m, 3, config.n_heads, -1).transpose(1, 2, 0, 3)
         kv[:, :, t:t + m] = qkv[1:]
         x = _finish_block(b, x, qkv[0], kv[0, :, :t + m], kv[1, :, :t + m], mask)
     probs = _survival(weights, x, weights.valid[position])

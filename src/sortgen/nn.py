@@ -397,7 +397,9 @@ class AdamState:
 
     `adam_init` copies every parameter into `values` and rebinds each
     `Var.value` to its view of it, so an update is a few vector operations
-    on whole buffers, in place. `grads` holds the last step's gradients.
+    on whole buffers, in place. `grads` holds the last step's gradients;
+    `update` and `denom` are the flat buffers a step computes into, so a step
+    allocates no array of the parameters' size.
     """
 
     lr: float = 1e-3
@@ -406,6 +408,8 @@ class AdamState:
     grads: np.ndarray | None = None   # their gradients at the last step, flat
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+    update: np.ndarray | None = None  # scratch: the step's update, flat
+    denom: np.ndarray | None = None   # scratch: its denominator, flat
     views: dict = field(default_factory=dict)  # name -> (its value view, its grads view)
 
 
@@ -425,7 +429,8 @@ def adam_init(params: ParamStore, lr: float = 1e-3) -> AdamState:
     write a parameter in place from now on, never replace its array."""
     total = sum(p.value.size for p in params.values())
     state = AdamState(lr=lr, values=np.empty(total), grads=np.zeros(total),
-                      m=np.zeros(total), v=np.zeros(total))
+                      m=np.zeros(total), v=np.zeros(total), update=np.empty(total),
+                      denom=np.empty(total))
     grads = flat_views(params, state.grads)
     for name, value in flat_views(params, state.values).items():
         value[...] = params[name].value
@@ -440,7 +445,8 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
 
     Each value is computed as p - (lr * mhat) / (sqrt(vhat) + eps) with
     m = beta1 * m + (1 - beta1) * g and v = beta2 * v + ((1 - beta2) * g) * g,
-    operation for operation, so the update is the same as on separate arrays.
+    operation for operation, so the update is the same as on separate arrays;
+    every intermediate is written into `state.update` or `state.denom`.
     """
     if state.m is None:
         raise ValueError("adam_step on uninitialized state")
@@ -456,16 +462,16 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
             grad[...] = p.grad
     state.step += 1
     t = state.step
-    g, m, v = state.grads, state.m, state.v
+    g, m, v, update, denom = state.grads, state.m, state.v, state.update, state.denom
     m *= ADAM_BETA1
-    m += (1 - ADAM_BETA1) * g
+    m += np.multiply(1 - ADAM_BETA1, g, out=update)
     v *= ADAM_BETA2
-    gg = (1 - ADAM_BETA2) * g
+    gg = np.multiply(1 - ADAM_BETA2, g, out=update)
     gg *= g
     v += gg
-    update = m / (1 - ADAM_BETA1 ** t)
+    np.divide(m, 1 - ADAM_BETA1 ** t, out=update)
     update *= state.lr
-    denom = np.sqrt(v / (1 - ADAM_BETA2 ** t))
+    np.sqrt(np.divide(v, 1 - ADAM_BETA2 ** t, out=denom), out=denom)
     denom += ADAM_EPS
     update /= denom
     state.values -= update

@@ -1,9 +1,10 @@
 """Minimal HTTP rerank service: POST /rerank, GET /healthz.
 
 Stateless per request; model parameters are loaded once, as read-only
-arrays, and shared across the handler threads. The first request packs
-them into `model.InferenceWeights` (`model.packed_weights`), and later
-requests reuse that packing. A request's generation keeps its queue cursors,
+arrays, and shared across the handler threads. `make_server` packs them
+into `model.InferenceWeights` (`model.packed_weights`) before it binds, so
+a checkpoint that packing refuses fails at start, and every request reuses
+that packing. A request's generation keeps its queue cursors,
 KV cache and invocation count to itself, so the handler threads share only
 read-only state.
 
@@ -446,11 +447,14 @@ class RerankServer(HTTPServer):
 
 def make_server(ckpt_path: str, port: int,
                 weights: ObjectiveWeights | None = None) -> RerankServer:
-    """Build (but do not start) the rerank server; checkpoint loads eagerly."""
+    """Build (but do not start) the rerank server. The checkpoint loads and
+    packs eagerly: a ConfigError from either comes from here, not from the
+    first request."""
     import hashlib
     from pathlib import Path
 
     params, config = load_checkpoint(ckpt_path)
+    sortmodel.packed_weights(config, params)
     state = _State(config, params, hashlib.sha256(Path(ckpt_path).read_bytes()).hexdigest(),
                    weights or ObjectiveWeights())
     handler = type("BoundHandler", (RerankHandler,),

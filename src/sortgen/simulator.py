@@ -479,8 +479,9 @@ def write_catalog(catalog: ItemFeatures, path: str | Path) -> None:
 
 def read_catalog(path: str | Path) -> ItemFeatures:
     """A file that write_catalog wrote, as one packed table. A header
-    anywhere but line 1 and any fault in an item record, as `read_dataset`
-    reads them, are ConfigErrors naming the file and the line."""
+    anywhere but line 1, a record of any other kind than header or item, and
+    any fault in an item record, as `read_dataset` reads them, are
+    ConfigErrors naming the file and the line."""
     table: list[tuple] = []  # as _checked_row gives them
     catalog: dict = {}  # as _add_catalog_row fills it
     header = False
@@ -493,6 +494,8 @@ def read_catalog(path: str | Path) -> ItemFeatures:
                 header = True
             elif kind == "item":
                 _add_catalog_row(doc, table, catalog, lineno)
+            else:
+                raise ValueError(f"unknown record kind {kind!r}")
         except Exception as exc:
             raise ConfigError(f"{path}: malformed record at line {lineno}: {exc}") from exc
     if not header:

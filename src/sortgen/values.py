@@ -5,8 +5,8 @@ E[Y] = sum_i P(Y >= i); per-step incremental value is the difference of
 expected counts at consecutive prefix lengths, GMV value is the
 price-weighted sum of pay increments, and the combined list value is the
 weighted sum over objectives. All of it works on batches of survival
-matrices, [B, l, max_count]; `step_values` extends a list by one position
-from running sums, for the greedy step.
+matrices, [B, l, max_count]; `step_values` values a greedy model call's
+tree of rows from running sums, extending each row's list by one position.
 """
 
 from __future__ import annotations
@@ -72,21 +72,30 @@ def combined_values_batch(click: np.ndarray, pay: np.ndarray, prices: np.ndarray
 
 
 def step_values(click: np.ndarray, pay: np.ndarray, prices: np.ndarray, pay_count: float,
-                gmv: float, weights: ObjectiveWeights) -> tuple[np.ndarray, np.ndarray,
-                                                               np.ndarray]:
-    """Combined values of one list extended by each of B candidates, in
-    O(B * max_count): `combined_values_batch` over the whole extended lists,
-    up to the order of the GMV sum.
+                gmv: float, branch, weights: ObjectiveWeights) -> tuple[np.ndarray, np.ndarray,
+                                                                       np.ndarray]:
+    """Combined values of the lists that a greedy model call's tree of rows
+    extends, in O(rows * max_count): `combined_values_batch` over the whole
+    extended lists, up to the order of the GMV sum.
 
-    click/pay: [B, max_count], the survival rows of the new position;
-    prices: [B], the candidates' prices; pay_count and gmv: the list's
-    expected pay count and GMV (0 for the empty list). Returns the values and
-    each extended list's expected pay count and GMV, all [B].
+    click/pay: [B, max_count], each row's survival row at its new position;
+    prices: [B], the rows' prices; pay_count and gmv: the chosen list's
+    expected pay count and GMV (0 for the empty list). The first
+    B - len(branch) rows are roots, which extend the chosen list; row
+    B - len(branch) + i is a child, which extends the list of the root
+    `branch[i]`. Returns the values and each extended list's expected pay
+    count and GMV, all [B].
     """
     e_click = expected_counts_batch(click)
     e_pay = expected_counts_batch(pay)
-    gmv = gmv + prices * (e_pay - pay_count)
-    return weights.alpha * e_click + weights.beta * e_pay + weights.gamma * gmv, e_pay, gmv
+    m = len(e_pay) - len(branch)
+    base = np.full(len(e_pay), pay_count)
+    base[m:] = e_pay[branch]
+    gmvs = np.subtract(e_pay, base, out=base)
+    gmvs *= prices
+    gmvs[:m] += gmv
+    gmvs[m:] += gmvs[branch]
+    return weights.alpha * e_click + weights.beta * e_pay + weights.gamma * gmvs, e_pay, gmvs
 
 
 # ------------------------------- losses ------------------------------------

@@ -971,6 +971,26 @@ def pointwise_loss_reference(output: ReferenceOutput, clicks, pays) -> Var:
     return mul(sum_(total), 1.0 / (2 * n * l))
 
 
+def _one_list_step_values(click, pay, prices, pay_count, gmv, weights):
+    """The values of lists that each extend a list with expected pay count
+    `pay_count` and GMV `gmv` (scalars or one per row) by one row."""
+    e_click = values.expected_counts_batch(click)
+    e_pay = values.expected_counts_batch(pay)
+    gmv = gmv + prices * (e_pay - pay_count)
+    return weights.alpha * e_click + weights.beta * e_pay + weights.gamma * gmv, e_pay, gmv
+
+
+def step_values_reference(click, pay, prices, pay_count, gmv, branch, weights):
+    """values.step_values as two calls of the one-list form: the roots over
+    the chosen list, then the branch rows over their roots' pay counts and
+    GMVs. The reference for the one-pass tree values."""
+    m = len(click) - len(branch)
+    roots = _one_list_step_values(click[:m], pay[:m], prices[:m], pay_count, gmv, weights)
+    children = _one_list_step_values(click[m:], pay[m:], prices[m:], roots[1][branch],
+                                     roots[2][branch], weights)
+    return tuple(np.concatenate(pair) for pair in zip(roots, children))
+
+
 # The per-element bodies of model.save_checkpoint and of load_checkpoint's
 # parameter parse: the references for their formatting and parsing.
 

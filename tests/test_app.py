@@ -791,16 +791,38 @@ def _bad_checkpoint(tmp_path, damage):
     return path
 
 
+def _scale_qk(params, factor=100.0):
+    """Layer 0's Wq and Wk entries times `factor`: its heads' attention-logit
+    bounds times factor squared, past model.SHIFT_LIMIT."""
+    for name in ("layer0.attn.Wq", "layer0.attn.Wk"):
+        params[name]["data"] = [repr(float(v) * factor) for v in params[name]["data"]]
+
+
 @pytest.mark.parametrize("damage, name", [
     (lambda params: params.pop("layer0.ffn.W2"), "layer0.ffn.W2"),
     (lambda params: params.update({"layer9.ffn.W2": params["layer0.ffn.W2"]}), "layer9.ffn.W2"),
     (lambda params: params["layer0.ffn.W2"].update(shape=[16, 64]), "layer0.ffn.W2"),
     (lambda params: params["proj.W"]["data"].__setitem__(5, "nan"), "proj.W.*non-finite"),
-], ids=["missing", "extra", "misshaped", "non_finite"])
+    (_scale_qk, "^layer 0 head 0: attention logit bound"),
+], ids=["missing", "extra", "misshaped", "non_finite", "logit_bound"])
 def test_make_server_rejects_bad_checkpoint(tmp_path, damage, name):
     # A damaged checkpoint fails the server at start, not on its first request.
     with pytest.raises(ConfigError, match=name):
         srv.make_server(str(_bad_checkpoint(tmp_path, damage)), 0)
+
+
+def test_serve_command_refuses_a_checkpoint_that_packing_refuses(tmp_path, capsys, monkeypatch):
+    # The checkpoint loads, but its attention logits are unbounded for the
+    # packed softmax: `sortgen serve` exits with the config error at start.
+    def no_serving(self, *args, **kwargs):
+        raise AssertionError("served a checkpoint that packing refuses")
+
+    monkeypatch.setattr(srv.RerankServer, "serve_forever", no_serving)
+    path = _bad_checkpoint(tmp_path, _scale_qk)
+    sortmodel.load_checkpoint(path)
+    assert cli.main(["serve", "--ckpt", str(path), "--port", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: layer 0 head 0: attention logit bound")
 
 
 def _malformed_checkpoint(tmp_path, kind):

@@ -733,6 +733,76 @@ def test_infer_matches_tape_forward(small_config, head_mode):
         assert np.abs(pay - out.pay.value).max() <= 1e-12
 
 
+def _logit_bounds(packed):
+    """Each block's per-head bound B_h on |q . k|: minus the packed Q bias's
+    extra column, [n_layers, n_heads]."""
+    heads = packed.config.n_heads
+    return np.array([-b.qkv_b.reshape(3, heads, -1)[0, :, -1] for b in packed.blocks])
+
+
+def _scaled_qk(cfg, params, factors):
+    """params with each head's Wq, bq, Wk and bk columns times
+    factors[layer][head], which scales its bound B_h by that factor squared."""
+    dh = cfg.d_model // cfg.n_heads
+    scaled = dict(params)
+    for i, row in enumerate(factors):
+        for name in ("Wq", "bq", "Wk", "bk"):
+            value = params[f"layer{i}.attn.{name}"].value.copy()
+            for h, c in enumerate(row):
+                value[..., h * dh:(h + 1) * dh] *= c
+            scaled[f"layer{i}.attn.{name}"] = Var(value)
+    return scaled
+
+
+def test_packing_refuses_a_head_whose_logit_bound_reaches_the_limit(small_config):
+    # Head 1 of layer 1 alone is pushed past SHIFT_LIMIT; the error names it.
+    params = _perturbed_params(small_config, seed=26)
+    bounds = _logit_bounds(sortmodel.InferenceWeights.from_params(small_config, params))
+    assert (bounds < 10.0).all()
+    factors = np.ones_like(bounds)
+    factors[1, 1] = math.sqrt(1.01 * sortmodel.SHIFT_LIMIT / bounds[1, 1])
+    with pytest.raises(ConfigError, match=r"layer 1 head 1: attention logit bound 35\d\.\d+ "):
+        sortmodel.InferenceWeights.from_params(small_config,
+                                               _scaled_qk(small_config, params, factors))
+    factors[1, 1] = math.sqrt(0.99 * sortmodel.SHIFT_LIMIT / bounds[1, 1])
+    sortmodel.InferenceWeights.from_params(small_config, _scaled_qk(small_config, params, factors))
+
+
+@pytest.mark.parametrize("head_mode", ["monotone", "literal"])
+def test_packed_forwards_match_the_tape_at_the_edge_of_the_logit_bound(small_config, head_mode):
+    # Every head's Q and K scaled so that B_h is just under SHIFT_LIMIT: the
+    # GEMM shifts every score by about -350 (the shifted scores span about
+    # -394 to -299 here), yet infer and extend stay finite and match the tape
+    # forward, which takes each row's max, to 1e-12 relative.
+    cfg = dataclasses.replace(small_config, head_mode=head_mode)
+    params = _perturbed_params(cfg, seed=27)
+    bounds = _logit_bounds(sortmodel.InferenceWeights.from_params(cfg, params))
+    params = _scaled_qk(cfg, params, np.sqrt(0.999 * sortmodel.SHIFT_LIMIT / bounds))
+    packed = sortmodel.InferenceWeights.from_params(cfg, params)
+    edge = _logit_bounds(packed)
+    assert ((edge > 0.998 * sortmodel.SHIFT_LIMIT) & (edge < sortmodel.SHIFT_LIMIT)).all()
+    n = 3
+    emb, users, score = _random_inputs(cfg, n, cfg.l_o, seed=28)
+    users[:] = users[0]
+    prefix = sortmodel.Prefix.empty(packed, users[0], n)
+    path: list[int] = []  # the candidate chosen at each earlier step
+    for t in range(cfg.l_o):
+        def full(a):
+            """Each candidate's whole sequence: the chosen rows, then its own."""
+            return np.concatenate([np.repeat(a[path, np.arange(t)][None], n, axis=0),
+                                   a[:, t, None]], axis=1)
+
+        tape = sortmodel.forward(cfg, params, full(emb), users, full(score))
+        whole = sortmodel.infer(packed, full(emb), users, full(score))
+        step = sortmodel.extend(packed, prefix, packed.project(emb[:, t], score[:, t]))
+        for want, got_whole, got_step in zip((tape.click.value, tape.pay.value), whole, step):
+            assert np.isfinite(got_whole).all() and np.isfinite(got_step).all()
+            np.testing.assert_allclose(got_whole, want, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got_step, want[:, -1], rtol=1e-12, atol=0.0)
+        path.append(t % n)
+        prefix.choose(t % n)
+
+
 @pytest.mark.parametrize("head_mode", ["monotone", "literal"])
 def test_extend_matches_full_recomputation(small_config, head_mode):
     cfg = dataclasses.replace(small_config, head_mode=head_mode)
@@ -769,8 +839,9 @@ def test_choose_copies_the_chosen_rows_slot_to_the_end_of_the_prefix(small_confi
     rng = np.random.default_rng(24)
     width = 6
     prefix = sortmodel.Prefix.empty(packed, rng.normal(size=cfg.d_user), width)
+    # Each head's key and value carry the packed softmax column after d_head.
     assert prefix.kv.shape == (cfg.n_layers, 2, cfg.n_heads, cfg.l_o + width,
-                               cfg.d_model // cfg.n_heads)
+                               cfg.d_model // cfg.n_heads + 1)
     kept = None
     while len(prefix) < cfg.l_o:
         t = len(prefix)
@@ -945,7 +1016,7 @@ def test_packed_step_matches_full_forward(small_config, head_mode):
         rows = packed.project(emb[:, t], score[:, t])
         ext_click, ext_pay = sortmodel.extend(packed, prefix, rows)
         got, pay_counts, gmvs = values.step_values(ext_click, ext_pay, price[:, t], pay_count,
-                                                   gmv, weights)
+                                                   gmv, [], weights)
 
         def full(a):
             """Each candidate's whole sequence: the chosen rows, then its own."""
@@ -1013,8 +1084,10 @@ def _centred(a):
 @pytest.mark.parametrize("head_mode", ["monotone", "literal"])
 def test_inference_weights_match_their_parameters(small_config, head_mode):
     # Each packed array equals its formula over the parameters exactly: the
-    # residual writers centred (each row minus its mean), and each layer
-    # norm's gain times sqrt(d_model) folded into the GEMM after it.
+    # residual writers centred (each row minus its mean), each layer norm's
+    # gain times sqrt(d_model) folded into the GEMM after it, and the QKV
+    # GEMM's extra column after each head's, with zero weights and biases
+    # -B_h, 1 and 1, B_h the head's spectral bound on |q . k|.
     cfg = dataclasses.replace(small_config, head_mode=head_mode)
     params = _perturbed_params(cfg, seed=24)
     packed = sortmodel.InferenceWeights.from_params(cfg, params)
@@ -1029,13 +1102,25 @@ def test_inference_weights_match_their_parameters(small_config, head_mode):
                                                + w("proj.b")))
     assert np.array_equal(packed.user, _centred(proj[d_emb + d_pos:d_emb + d_pos + d_user]))
     assert np.array_equal(packed.score, _centred(proj[d_emb + d_pos + d_user:]))
-    scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
+    heads, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
+    scale = 1.0 / np.sqrt(dh)
     for i, block in enumerate(packed.blocks):
         a, g1, b1 = f"layer{i}.attn", w(f"layer{i}.ln1.g") * root_d, w(f"layer{i}.ln1.b")
         qkv_w = np.concatenate([w(f"{a}.Wq") * scale, w(f"{a}.Wk"), w(f"{a}.Wv")], axis=1)
         qkv_b = np.concatenate([w(f"{a}.bq") * scale, w(f"{a}.bk"), w(f"{a}.bv")])
-        assert np.array_equal(block.qkv_w, g1[:, None] * qkv_w)
-        assert np.array_equal(block.qkv_b, b1 @ qkv_w + qkv_b)
+        assert block.qkv_w.shape == (cfg.d_model, 3 * heads * (dh + 1))
+        packed_w = block.qkv_w.reshape(cfg.d_model, 3, heads, dh + 1)
+        packed_b = block.qkv_b.reshape(3, heads, dh + 1)
+        folded_w, folded_b = g1[:, None] * qkv_w, b1 @ qkv_w + qkv_b
+        assert np.array_equal(packed_w[..., :dh].reshape(cfg.d_model, -1), folded_w)
+        assert np.array_equal(packed_b[..., :dh].reshape(-1), folded_b)
+        assert (packed_w[..., dh] == 0.0).all()
+        assert (packed_b[1:, :, dh] == 1.0).all()
+        for h in range(heads):
+            reach = [np.linalg.norm(folded_w[:, c * dh:(c + 1) * dh], 2)
+                     + np.linalg.norm(folded_b[c * dh:(c + 1) * dh])
+                     for c in (h, heads + h)]  # head h's Q columns, then its K columns
+            assert packed_b[0, h, dh] == -reach[0] * reach[1]
         assert np.array_equal(block.out_w, _centred(w(f"{a}.Wo")))
         assert np.array_equal(block.out_b, _centred(w(f"{a}.bo")))
         f, g2, b2 = f"layer{i}.ffn", w(f"layer{i}.ln2.g") * root_d, w(f"layer{i}.ln2.b")

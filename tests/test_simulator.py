@@ -523,8 +523,9 @@ def test_read_dataset_rejects_a_catalog_record_after_a_session(tmp_path):
      "emb: expected 8 components"),
     (2, lambda doc: doc.update(id=3.7), r"id: 3\.7 is not an integer"),
     (3, lambda doc: doc.update(id=0), "item id 0 repeats the catalog record at line 2"),
+    (3, lambda doc: doc.update(kind="itme"), "unknown record kind 'itme'"),
 ], ids=["format_version", "no_format_version", "negative_price", "embedding_length",
-        "fractional_id", "repeated_id"])
+        "fractional_id", "repeated_id", "mistyped_kind"])
 def test_read_catalog_names_the_line_of_a_faulty_record(tmp_path, index, edit, message):
     path = tmp_path / "catalog.jsonl"
     simulator.write_catalog(simulator.catalog_table(10, ENGINE.d_emb, 3, seed=4), path)

@@ -10,7 +10,7 @@ from sortgen.core import ObjectiveWeights
 from sortgen.model import ModelOutput, valid_mask
 from sortgen.nn import Var
 from tests.helpers import (finite_diff_check, mul, ordered_regression_loss_reference,
-                           same_bits, sigmoid)
+                           same_bits, sigmoid, step_values_reference)
 
 
 def _counts(rows):
@@ -95,6 +95,34 @@ def test_list_value_weighted_combination():
     assert math.isclose(_value(*lists, 0.0, 1.0, 0.0), 0.2)   # v_pay
     assert math.isclose(_value(*lists, 0.0, 0.0, 1.0), 40.0 * 0.1 + 60.0 * 0.1)  # v_gmv
     assert math.isclose(_value(*lists, 5.0, 1.0, 1.0), 17.2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_tree_step_values_equal_the_two_call_form_bit_for_bit(data):
+    # One pass over a greedy call's tree (1 to 5 roots, each with 0 to 5
+    # children, so some branches empty) equals the roots' call and then the
+    # children's over their roots' counts, bit for bit, for monotone heads'
+    # non-increasing survival rows and literal heads' unordered ones.
+    m = data.draw(st.integers(1, 5), label="roots")
+    counts = data.draw(st.lists(st.integers(0, 5), min_size=m, max_size=m), label="children")
+    monotone = data.draw(st.booleans(), label="monotone")
+    empty_prefix = data.draw(st.booleans(), label="empty prefix")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    branch = [k for k, c in enumerate(counts) for _ in range(c)]
+    rows, max_count = m + len(branch), data.draw(st.integers(1, 5), label="max_count")
+    click, pay = rng.uniform(size=(2, rows, max_count))
+    if monotone:
+        click, pay = -np.sort(-click, axis=-1), -np.sort(-pay, axis=-1)
+    prices = rng.lognormal(3.0, 0.6, size=rows)
+    pay_count, gmv = (0.0, 0.0) if empty_prefix else (rng.uniform(0.0, 2.0),
+                                                     rng.lognormal(3.0, 0.6))
+    weights = ObjectiveWeights(*rng.uniform(0.0, 3.0, size=3))
+    got = values.step_values(click, pay, prices, pay_count, gmv, branch, weights)
+    want = step_values_reference(click, pay, prices, pay_count, gmv, branch, weights)
+    for a, b in zip(got, want):
+        assert a.shape == (rows,)
+        assert same_bits(a, b)
 
 
 def test_list_value_all_zero_survival():
