@@ -156,41 +156,25 @@ def _method_slates(engine, weights, vm, features, user) -> dict:
     }
 
 
-def _cumulative_curves(packed, features, rows, user) -> dict[str, np.ndarray]:
-    """Per-position expected click and pay counts and GMV of one slate, on a
-    value model's packed weights, unclipped: their weighted sum at l_o is the
-    slate's combined value (`values.combined_values_batch`)."""
-    rows = np.asarray(rows)
-    click, pay = sortmodel.infer(packed, features.emb[rows][None],
-                                 user.user_features[None], features.score[rows][None])
-    e_pay = values.expected_counts_batch(pay)[0]
-    return {"click": values.expected_counts_batch(click)[0], "pay": e_pay,
-            "gmv": np.cumsum(features.price[rows] * np.diff(e_pay, prepend=0.0))}
-
-
 def evaluate_curves(engine: EngineConfig, weights: ObjectiveWeights, params: dict,
                     catalog: sortmodel.ItemFeatures, n_pools: int,
                     seed: int) -> dict[str, dict[str, np.ndarray]]:
-    """Mean cumulative value curves per method over sampled evaluation pools."""
+    """Each method's mean `values.value_curves` over sampled evaluation pools."""
     rng = np.random.default_rng(seed)
     methods = ("sortgen", "baseline", "template", "top_queue")
-    sums = {m: {k: np.zeros(engine.l_o) for k in ("click", "pay", "gmv")} for m in methods}
+    sums = dict.fromkeys(("click", "pay", "gmv", "combined"), 0.0)  # each [method, l_o]
     vm = generation.ValueModel(engine, params)
     for _ in range(n_pools):
         user = simulator.sample_user(rng, engine.d_user)
         features = simulator.sample_pool(catalog, engine.l_s, rng)
         slates = _method_slates(engine, weights, vm, features, user)
-        for m, rows in slates.items():
-            curves = _cumulative_curves(vm.weights, features, rows, user)
-            for k in sums[m]:
-                sums[m][k] += curves[k]
-    for m in methods:
-        for k in sums[m]:
-            sums[m][k] /= n_pools
-        sums[m]["combined"] = (weights.alpha * sums[m]["click"]
-                               + weights.beta * sums[m]["pay"]
-                               + weights.gamma * sums[m]["gmv"])
-    return sums
+        rows = np.array([slates[m] for m in methods])
+        click, pay = sortmodel.infer(vm.weights, features.emb[rows],
+                                     np.stack([user.user_features] * len(methods)),
+                                     features.score[rows])
+        for k, curves in values.value_curves(click, pay, features.price[rows], weights).items():
+            sums[k] += curves
+    return {m: {k: sums[k][i] / n_pools for k in sums} for i, m in enumerate(methods)}
 
 
 def format_curves(curves: dict, l_o: int) -> str:

@@ -218,7 +218,7 @@ class ValueModel:
     def pool_values(self, features: sortmodel.ItemFeatures, rows: np.ndarray,
                     user: UserContext, weights: ObjectiveWeights) -> np.ndarray:
         """Combined values of sequences of packed pool rows ([n, l] indices),
-        from one batched full forward."""
+        from one batched full forward, summed in the greedy's order."""
         n = rows.shape[0]
         u = np.stack([user.user_features] * n)
         click, pay = sortmodel.infer(self.weights, features.emb[rows], u, features.score[rows])

@@ -354,12 +354,14 @@ def item_features(items) -> ItemFeatures:
 # them made, a tree's mask is memoised, and attention makes no reduction.
 # Its softmax needs a shift only to keep exp in range, and a fixed one per
 # head does (softmax is shift-invariant): a normed row has norm < 1, so
-# |q . k| < B_h, the product of the spectral norm plus the bias norm of head
-# h's packed Q columns and of its K columns. The QKV GEMM writes one more
-# column per head in each of Q, K and V, with zero weights and biases -B_h, 1
-# and 1, so q . k comes out shifted into (-2 B_h, 0], and the last column of
-# exp(scores) @ v is the softmax's row sum, which attention divides by.
-# Packing refuses a head with B_h >= SHIFT_LIMIT.
+# |q . k| < B_h, the product of a bound on the spectral norm plus the bias
+# norm of head h's packed Q columns and of its K columns. The bound comes
+# from matrix products (`_spectral_bound`), not an SVD, so packing loads no
+# LAPACK routine. The QKV GEMM writes one more column per head in each of Q,
+# K and V, with zero weights and biases -B_h, 1 and 1, so q . k comes out
+# shifted into (-2 B_h, 0], and the last column of exp(scores) @ v is the
+# softmax's row sum, which attention divides by. Packing refuses a head with
+# B_h >= SHIFT_LIMIT.
 
 
 def _cutpoints(thresholds: np.ndarray) -> np.ndarray:
@@ -413,16 +415,34 @@ class Block(NamedTuple):
     ffn_b2: np.ndarray  # ffn.b2, centred
 
 
+def _spectral_bound(a: np.ndarray) -> float:
+    """An upper bound on the spectral norm of `a` [m, n] from matrix products
+    alone: f * |G^8|_F^(1/16), with f = |a|_F and G = (a/f)^T (a/f), which
+    is at most n^(1/32) times the norm. G's eigenvalues are sigma_i^2 / f^2,
+    in [0, 1] and the largest at least 1/n, so its squarings neither
+    overflow nor underflow. 0 for a zero block, and nan, which packing
+    refuses, for one whose |a|_F overflows."""
+    f = np.linalg.norm(a)
+    if f == 0.0:
+        return 0.0
+    g = a / f
+    g = g.T @ g
+    for _ in range(3):
+        g = g @ g
+    return f * np.linalg.norm(g) ** (1 / 16)
+
+
 def _softmax_columns(qkv_w: np.ndarray, qkv_b: np.ndarray, heads: int,
                      layer: int) -> tuple[np.ndarray, np.ndarray]:
     """The folded QKV GEMM `qkv_w` [d_model, 3 * d_model], `qkv_b` with one
     extra column after each head's d_head columns in each of Q, K and V: its
     weights 0, its bias -B_h in Q and 1 in K and V. B_h bounds head h's
-    |q . k| over normed rows (norm < 1): (|Wq_h|_2 + |bq_h|)(|Wk_h|_2 + |bk_h|).
-    A ConfigError naming the layer and head if B_h >= SHIFT_LIMIT."""
+    |q . k| over normed rows (norm < 1): (s(Wq_h) + |bq_h|)(s(Wk_h) + |bk_h|),
+    with s the `_spectral_bound` of the head's columns. A ConfigError naming
+    the layer and head if B_h >= SHIFT_LIMIT."""
     d = qkv_w.shape[0]
     w, b = qkv_w.reshape(d, 3, heads, -1), qkv_b.reshape(3, heads, -1)
-    reach = [[np.linalg.norm(w[:, j, h], 2) + np.linalg.norm(b[j, h]) for h in range(heads)]
+    reach = [[_spectral_bound(w[:, j, h]) + np.linalg.norm(b[j, h]) for h in range(heads)]
              for j in (0, 1)]
     bound = np.multiply(*reach)
     for h, b_h in enumerate(bound.tolist()):

@@ -326,19 +326,6 @@ def _checked_row(doc, table: list[tuple]) -> tuple:
     return row
 
 
-def _add_catalog_row(doc: dict, table: list[tuple], catalog: dict, lineno: int) -> None:
-    """Append the catalog record `doc`, at line `lineno`, to `table` as
-    `_checked_row` reads it, and enter it in `catalog`: id -> (line, record,
-    table row). An id that an earlier catalog record holds is an error that
-    names both lines."""
-    row = _checked_row(doc, table)
-    if row[0] in catalog:
-        raise ValueError(f"item id {row[0]} repeats the catalog record at line "
-                         f"{catalog[row[0]][0]}")
-    catalog[row[0]] = (lineno, doc, len(table))
-    table.append(row)
-
-
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
     """Line-delimited self-describing records; first line is the header."""
     lines = [json.dumps({
@@ -408,26 +395,36 @@ def read_dataset(path: str | Path) -> Dataset:
     record after a session, a session that shows one id twice or whose
     labels are not 0 or 1 or hold a pay without a click, and a header
     anywhere but line 1."""
+    return _read_data_file(path, sessions=True)
+
+
+def _read_data_file(path: str | Path, sessions: bool) -> Dataset:
+    """The records of a data file, read as `read_dataset` reads them; with
+    `sessions` False, a catalog file: its header needs no configs, and a
+    session record is an unknown kind."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
+    if not lines and sessions:
         raise ConfigError(f"{path}: empty dataset file")
     table: list[tuple] = []  # the item table's rows, as _checked_row gives them
     catalog: dict = {}  # id -> (line, catalog record fields, table row)
-    n_catalog = 0
     users, rows, clicks, pays = [], [], [], []
     header = None
     for lineno, line in enumerate(lines, start=1):
         try:
             kind, doc = _record(line)
             if kind == "header":
-                _check_header(doc, lineno, ("engine_config", "sim_config"))
+                _check_header(doc, lineno, ("engine_config", "sim_config") if sessions else ())
                 header = doc
             elif kind == "item":
                 if users:
                     raise ValueError("a catalog record after the first session")
-                _add_catalog_row(doc, table, catalog, lineno)
-                n_catalog += 1
-            elif kind == "sample":
+                row = _checked_row(doc, table)
+                if row[0] in catalog:
+                    raise ValueError(f"item id {row[0]} repeats the catalog record at line "
+                                     f"{catalog[row[0]][0]}")
+                catalog[row[0]] = (lineno, doc, len(table))
+                table.append(row)
+            elif kind == "sample" and sessions:
                 user = [float(v) for v in doc["user"]]
                 session_clicks, session_pays = doc["clicks"], doc["pays"]
                 if not all(map(math.isfinite, user)):
@@ -464,10 +461,10 @@ def read_dataset(path: str | Path) -> Dataset:
             raise ConfigError(f"{path}: malformed record at line {lineno}: {exc}") from exc
     if header is None:
         raise ConfigError(f"{path}: missing header record at line 1")
-    return Dataset(pack_items(table, len(table[0][1]) if table else 0), n_catalog,
+    return Dataset(pack_items(table, len(table[0][1]) if table else 0), len(catalog),
                    _stack(users, np.float64), _stack(rows, np.int64),
                    _stack(clicks, np.int64), _stack(pays, np.int64),
-                   header["engine_config"], header["sim_config"])
+                   header.get("engine_config"), header.get("sim_config"))
 
 
 def write_catalog(catalog: ItemFeatures, path: str | Path) -> None:
@@ -482,22 +479,4 @@ def read_catalog(path: str | Path) -> ItemFeatures:
     anywhere but line 1, a record of any other kind than header or item, and
     any fault in an item record, as `read_dataset` reads them, are
     ConfigErrors naming the file and the line."""
-    table: list[tuple] = []  # as _checked_row gives them
-    catalog: dict = {}  # as _add_catalog_row fills it
-    header = False
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(),
-                                  start=1):
-        try:
-            kind, doc = _record(line)
-            if kind == "header":
-                _check_header(doc, lineno)
-                header = True
-            elif kind == "item":
-                _add_catalog_row(doc, table, catalog, lineno)
-            else:
-                raise ValueError(f"unknown record kind {kind!r}")
-        except Exception as exc:
-            raise ConfigError(f"{path}: malformed record at line {lineno}: {exc}") from exc
-    if not header:
-        raise ConfigError(f"{path}: missing header record at line 1")
-    return pack_items(table, len(table[0][1]) if table else 0)
+    return _read_data_file(path, sessions=False).features

@@ -1,12 +1,11 @@
 """List-value calculus and training losses.
 
 Expected action counts come from the ordinal-threshold identity
-E[Y] = sum_i P(Y >= i); per-step incremental value is the difference of
-expected counts at consecutive prefix lengths, GMV value is the
-price-weighted sum of pay increments, and the combined list value is the
-weighted sum over objectives. All of it works on batches of survival
-matrices, [B, l, max_count]; `step_values` values a greedy model call's
-tree of rows from running sums, extending each row's list by one position.
+E[Y] = sum_i P(Y >= i). `value_curves` gives a batch of lists' expected
+counts, GMV (price times pay increment, added in position order) and
+combined value (`mix`) after every position, from survival matrices
+[B, l, max_count]; `step_values` values a greedy model call's tree of rows
+from running sums, with the same additions in the same order.
 """
 
 from __future__ import annotations
@@ -57,26 +56,38 @@ def expected_counts_batch(values: np.ndarray) -> np.ndarray:
     return np.minimum.accumulate(values, axis=-1).sum(axis=-1)
 
 
-def combined_values_batch(click: np.ndarray, pay: np.ndarray, prices: np.ndarray,
-                          weights: ObjectiveWeights) -> np.ndarray:
-    """Combined list value at full length for each sequence in the batch.
+def mix(weights: ObjectiveWeights, click, pay, gmv):
+    """The combined value alpha * clicks + beta * pays + gamma * GMV, elementwise."""
+    return weights.alpha * click + weights.beta * pay + weights.gamma * gmv
 
-    click/pay: [B, l, max_count]; prices: [B, l].
+
+def value_curves(click: np.ndarray, pay: np.ndarray, prices: np.ndarray,
+                 weights: ObjectiveWeights) -> dict[str, np.ndarray]:
+    """Each list's expected click and pay counts, GMV and combined value
+    after each position, keyed "click", "pay", "gmv" and "combined", each
+    [B, l], from click/pay [B, l, max_count] and prices [B, l]. GMV adds
+    price times pay increment in position order, as `step_values` does.
     """
     e_click = expected_counts_batch(click)
     e_pay = expected_counts_batch(pay)
-    pay_incr = e_pay.copy()
-    pay_incr[:, 1:] -= e_pay[:, :-1]
-    v_gmv = (prices * pay_incr).sum(axis=1)
-    return weights.alpha * e_click[:, -1] + weights.beta * e_pay[:, -1] + weights.gamma * v_gmv
+    gmv = np.cumsum(prices * np.diff(e_pay, axis=-1, prepend=0.0), axis=-1)
+    return {"click": e_click, "pay": e_pay, "gmv": gmv,
+            "combined": mix(weights, e_click, e_pay, gmv)}
+
+
+def combined_values_batch(click: np.ndarray, pay: np.ndarray, prices: np.ndarray,
+                          weights: ObjectiveWeights) -> np.ndarray:
+    """Combined list value at full length for each sequence in the batch,
+    [B]: the last column of `value_curves`' combined curve."""
+    return value_curves(click, pay, prices, weights)["combined"][:, -1]
 
 
 def step_values(click: np.ndarray, pay: np.ndarray, prices: np.ndarray, pay_count: float,
                 gmv: float, branch, weights: ObjectiveWeights) -> tuple[np.ndarray, np.ndarray,
                                                                        np.ndarray]:
     """Combined values of the lists that a greedy model call's tree of rows
-    extends, in O(rows * max_count): `combined_values_batch` over the whole
-    extended lists, up to the order of the GMV sum.
+    extends, in O(rows * max_count): equal bit for bit to the last position
+    of `value_curves` over the whole extended lists' survival rows.
 
     click/pay: [B, max_count], each row's survival row at its new position;
     prices: [B], the rows' prices; pay_count and gmv: the chosen list's
@@ -95,7 +106,7 @@ def step_values(click: np.ndarray, pay: np.ndarray, prices: np.ndarray, pay_coun
     gmvs *= prices
     gmvs[:m] += gmv
     gmvs[m:] += gmvs[branch]
-    return weights.alpha * e_click + weights.beta * e_pay + weights.gamma * gmvs, e_pay, gmvs
+    return mix(weights, e_click, e_pay, gmvs), e_pay, gmvs
 
 
 # ------------------------------- losses ------------------------------------

@@ -147,23 +147,30 @@ def test_config_matching_checkpoint_engine_is_accepted(workdir, capsys):
 
 
 def test_evaluate_curves_end_at_each_slates_combined_value(workdir):
-    # The curves come from the value calculus that generation optimises,
-    # with no clip: per pool and method, the combined value at l_o is the
-    # slate's own value (the sums run in another order).
+    # The curves are `values.value_curves`, unclipped, the calculus that
+    # generation optimises: over one pool, each method's curves are its
+    # slate's value curves, and its combined curve ends at the slate's own
+    # value, bit for bit.
     params, engine = sortmodel.load_checkpoint(workdir["ckpt"])
     catalog = simulator.read_catalog(workdir["data"].with_suffix(".catalog.jsonl"))
     weights = ObjectiveWeights()
     vm = generation.ValueModel(engine, params)
-    rng = np.random.default_rng(91)
-    for _ in range(20):
+    for seed in range(20):
+        curves = cli.evaluate_curves(engine, weights, params, catalog, 1, seed)
+        rng = np.random.default_rng(seed)
         user = simulator.sample_user(rng, engine.d_user)
         features = simulator.sample_pool(catalog, engine.l_s, rng)
-        for method, rows in cli._method_slates(engine, weights, vm, features, user).items():
-            curves = cli._cumulative_curves(vm.weights, features, rows, user)
-            end = (weights.alpha * curves["click"][-1] + weights.beta * curves["pay"][-1]
-                   + weights.gamma * curves["gmv"][-1])
-            value = vm.pool_values(features, np.asarray(rows)[None], user, weights)[0]
-            assert end == pytest.approx(value, rel=1e-9, abs=0.0), method
+        slates = cli._method_slates(engine, weights, vm, features, user)
+        rows = np.array(list(slates.values()))
+        click, pay = sortmodel.infer(vm.weights, features.emb[rows],
+                                     np.stack([user.user_features] * len(rows)),
+                                     features.score[rows])
+        want = values.value_curves(click, pay, features.price[rows], weights)
+        ends = vm.pool_values(features, rows, user, weights)
+        for i, method in enumerate(slates):
+            for k, curve in want.items():
+                assert np.array_equal(curves[method][k], curve[i]), (method, k)
+            assert curves[method]["combined"][-1] == ends[i], method
 
 
 def test_evaluate_command_table_shape(workdir, capsys):

@@ -31,13 +31,13 @@ def _layers(values: dict) -> dict:
             "metrics": {name: {"value": v, "unit": "ms"} for name, v in values.items()}}
 
 
-def _body(bench_file, scales: list[float]) -> dict:
+def _body(bench_file, scales: list[float], env: dict | None = None) -> dict:
     runs = {"rerank": [{"seed": 101 + i, "summary": _summary(s, 1000 + i),
                         "raw": {"kernel_ms_median": 5.0 + i}}
                        for i, s in enumerate(scales)]}
     traced = {"rerank": {"seed": 101, "summary": _layers({"model.forward_ms": 0.0,
                                                           "generation.select_ms": 0.7})}}
-    return bench_file.summarise(SPEC, runs, traced, {"counts": {"passed": 3}}, {})
+    return bench_file.summarise(SPEC, runs, traced, {"counts": {"passed": 3}}, env or {})
 
 
 def test_summary_holds_medians_per_seed_values_counts_and_zero_layers(bench_file):
@@ -82,6 +82,29 @@ def test_comparison_flags_only_metrics_worse_past_their_bound(bench_file):
     back = bench_file.compare(SPEC, old, new)["workloads"]["rerank"]
     assert not any(row["past_bound"] for row in back.values())
     assert bench_file.compare(SPEC, new, {"workloads": {}})["workloads"] == {}
+
+
+def test_comparison_of_one_commit_flags_noise_past_a_bound_either_way(bench_file):
+    # Two runs of one commit: every metric equal except rerank's peak RSS at
+    # 0.89 times, an 11% fall. Lower is better, so it is no regression, but
+    # it is past the metric's 5% bound, so the runs spread wider than the
+    # bound can resolve, and only that metric is flagged.
+    env = {"commit": "a" * 40}
+    old = _body(bench_file, [1.0, 1.0, 1.0], env)
+    new = _body(bench_file, [1.0, 1.0, 1.0], env)
+    new["workloads"]["rerank"]["end_to_end"]["peak_rss_mb"]["median"] = 0.89
+    result = bench_file.compare(SPEC, new, old)
+    assert result["same_commit"] is True
+    rows = result["workloads"]["rerank"]
+    assert rows["peak_rss_mb"]["ratio"] == pytest.approx(0.89)
+    assert not any(row["past_bound"] for row in rows.values())
+    assert {name for name, row in rows.items() if row["noise_past_bound"]} == {"peak_rss_mb"}
+    # Files of two commits, or of unknown ones, are not same-commit.
+    other = _body(bench_file, [1.0, 1.0, 1.0], {"commit": "b" * 40})
+    for a, b in ((new, other), (_body(bench_file, [1.0] * 3), _body(bench_file, [1.0] * 3))):
+        result = bench_file.compare(SPEC, a, b)
+        assert result["same_commit"] is False
+        assert not any("noise_past_bound" in row for row in result["workloads"]["rerank"].values())
 
 
 def test_newest_other_file_is_read_from_its_created_time(bench_file, tmp_path):

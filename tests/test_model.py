@@ -754,6 +754,41 @@ def _scaled_qk(cfg, params, factors):
     return scaled
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_spectral_bound_is_never_below_the_spectral_norm(data):
+    # The bound is at least the SVD's spectral norm, up to rounding, and at
+    # most n^(1/32) times it for n columns, for blocks of any rank and of
+    # scales whose squared entries stay normal doubles, and 0 for a zero
+    # block.
+    m, n = data.draw(st.integers(1, 40), label="rows"), data.draw(st.integers(1, 24),
+                                                                   label="columns")
+    rank = data.draw(st.integers(0, min(m, n)), label="rank")
+    scale = 10.0 ** data.draw(st.integers(-100, 100), label="scale")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    a = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n)) * scale
+    if data.draw(st.booleans(), label="spiky"):
+        a *= rng.lognormal(0.0, 3.0, size=n)
+    got, sigma = sortmodel._spectral_bound(a), np.linalg.norm(a, 2)
+    assert got >= (1.0 - 1e-12) * sigma
+    assert got <= (1.0 + 1e-12) * n ** (1 / 32) * sigma
+    assert (got == 0.0) == (sigma == 0.0)
+
+
+def test_packing_computes_no_svd(monkeypatch):
+    # The logit bounds come from matrix products, so packing the default
+    # model loads no LAPACK SVD, whose pages an SVD faults into every
+    # process that packs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    for module in (np.linalg, getattr(np.linalg, "_linalg", np.linalg)):
+        monkeypatch.setattr(module, "svd", refuse)
+    config = EngineConfig()
+    packed = sortmodel.InferenceWeights.from_params(config, sortmodel.init_params(config))
+    assert (_logit_bounds(packed) > 0.0).all()
+
+
 def test_packing_refuses_a_head_whose_logit_bound_reaches_the_limit(small_config):
     # Head 1 of layer 1 alone is pushed past SHIFT_LIMIT; the error names it.
     params = _perturbed_params(small_config, seed=26)
@@ -1081,13 +1116,25 @@ def _centred(a):
     return a - a.mean(axis=-1, keepdims=True)
 
 
+def _spectral_bound_formula(a):
+    """f * |G^8|_F^(1/16), with f = |a|_F and G = (a/f)^T (a/f): G squared
+    three times."""
+    f = np.linalg.norm(a)
+    g = a / f
+    g = g.T @ g
+    for _ in range(3):
+        g = g @ g
+    return f * np.linalg.norm(g) ** (1 / 16)
+
+
 @pytest.mark.parametrize("head_mode", ["monotone", "literal"])
 def test_inference_weights_match_their_parameters(small_config, head_mode):
     # Each packed array equals its formula over the parameters exactly: the
     # residual writers centred (each row minus its mean), each layer norm's
     # gain times sqrt(d_model) folded into the GEMM after it, and the QKV
     # GEMM's extra column after each head's, with zero weights and biases
-    # -B_h, 1 and 1, B_h the head's spectral bound on |q . k|.
+    # -B_h, 1 and 1, B_h the head's bound on |q . k| from its Q and K
+    # columns' spectral-norm bounds.
     cfg = dataclasses.replace(small_config, head_mode=head_mode)
     params = _perturbed_params(cfg, seed=24)
     packed = sortmodel.InferenceWeights.from_params(cfg, params)
@@ -1117,7 +1164,7 @@ def test_inference_weights_match_their_parameters(small_config, head_mode):
         assert (packed_w[..., dh] == 0.0).all()
         assert (packed_b[1:, :, dh] == 1.0).all()
         for h in range(heads):
-            reach = [np.linalg.norm(folded_w[:, c * dh:(c + 1) * dh], 2)
+            reach = [_spectral_bound_formula(folded_w[:, c * dh:(c + 1) * dh])
                      + np.linalg.norm(folded_b[c * dh:(c + 1) * dh])
                      for c in (h, heads + h)]  # head h's Q columns, then its K columns
             assert packed_b[0, h, dh] == -reach[0] * reach[1]

@@ -125,6 +125,38 @@ def test_tree_step_values_equal_the_two_call_form_bit_for_bit(data):
         assert same_bits(a, b)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_chained_step_values_equal_the_value_curves_bit_for_bit(data):
+    # Valuing lists position by position, as the greedy does (one position a
+    # call, or a root and its child in one two-level call), gives the
+    # combined, pay and GMV curves of `value_curves` over the whole lists bit
+    # for bit, for monotone heads' rows and literal heads' unordered ones.
+    n, l = data.draw(st.integers(1, 4), label="lists"), data.draw(st.integers(1, 12), label="l")
+    max_count = data.draw(st.integers(1, 10), label="max_count")
+    monotone = data.draw(st.booleans(), label="monotone")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    click, pay = rng.uniform(size=(2, n, l, max_count))
+    if monotone:
+        click, pay = -np.sort(-click, axis=-1), -np.sort(-pay, axis=-1)
+    prices = rng.lognormal(3.0, 0.6, size=(n, l))
+    weights = ObjectiveWeights(*rng.uniform(0.0, 3.0, size=3))
+    curves = values.value_curves(click, pay, prices, weights)
+    for b in range(n):
+        got = np.empty((3, l))  # combined, pay count and GMV after each position
+        pay_count, gmv, t = 0.0, 0.0, 0
+        while t < l:
+            width = min(l - t, data.draw(st.integers(1, 2), label="positions per call"))
+            rows = slice(t, t + width)
+            scored = values.step_values(click[b, rows], pay[b, rows], prices[b, rows],
+                                        pay_count, gmv, [0] * (width - 1), weights)
+            got[:, rows] = scored
+            pay_count, gmv = scored[1][-1], scored[2][-1]
+            t += width
+        for row, key in zip(got, ("combined", "pay", "gmv")):
+            assert same_bits(row, curves[key][b]), key
+
+
 def test_list_value_all_zero_survival():
     _, _, prices = _two_position_lists()
     zero = np.zeros((1, 2, 2))

@@ -15,7 +15,9 @@ NumPy versions and the commit.
 
 Each new file is compared with the newest other BENCH_*.json in the same
 directory: a ratio per metric, new over old, flagged where it is worse than
-BENCHMARK.json's bound. The two files come from different sessions, often
+BENCHMARK.json's bound. Two files of one commit are marked same-commit, and
+each metric that moved past its bound in either direction between them is
+flagged `noise_past_bound`: that bound is narrower than the runs' spread. The two files come from different sessions, often
 on a host whose speed drifts, so the comparison is a trajectory, not a
 paired measurement, and claims no gain.
 """
@@ -133,8 +135,14 @@ def summarise(spec: dict, runs: dict, traced: dict, tier1: dict, env: dict) -> d
 
 def compare(spec: dict, new: dict, old: dict) -> dict:
     """Per workload and end-to-end metric, the ratio of new's median to
-    old's, flagged where the change is worse than the metric's bound."""
+    old's, flagged where the change is worse than the metric's bound. When
+    both files were made on one commit, the comparison is marked
+    same-commit, and a metric that moved by more than its bound either way
+    is flagged as noise past the bound: the runs spread more than the bound
+    allows."""
     rules = {m["name"]: m for m in spec["end_to_end"]}
+    commit = new.get("environment", {}).get("commit")
+    same_commit = commit is not None and commit == old.get("environment", {}).get("commit")
     out = {}
     for name, entry in new["workloads"].items():
         before = old.get("workloads", {}).get(name)
@@ -150,8 +158,10 @@ def compare(spec: dict, new: dict, old: dict) -> dict:
             rows[metric] = {"ratio": ratio, "new": value["median"], "old": base,
                             "bound": rules[metric]["bound"],
                             "past_bound": worse > rules[metric]["bound"]}
+            if same_commit:
+                rows[metric]["noise_past_bound"] = abs(ratio - 1.0) > rules[metric]["bound"]
         out[name] = rows
-    return {"kind": TRAJECTORY, "workloads": out}
+    return {"kind": TRAJECTORY, "same_commit": same_commit, "workloads": out}
 
 
 def newest_other(directory: Path, label: str) -> Path | None:
