@@ -250,8 +250,9 @@ def _tree(live: list[int], cursors: list[int], ends: list[int]) -> tuple[list[in
 def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
                 weights: ObjectiveWeights, lam: float | None, cached: bool) -> GenerationTrace:
     """The greedy loop over the queues' packed pool, queues.features, with
-    the MMR window of the model's config. Its cursors, similarities, KV cache
-    and counts are its own: the queues and the value model are only read."""
+    the MMR window of the model's config. Its cursors, similarity rows, KV
+    cache and counts are its own: the queues and the value model are only
+    read."""
     cfg = vm.weights.config
     lam = cfg.lambda_mmr if lam is None else lam
     if not 0.0 <= lam <= 1.0:
@@ -266,17 +267,17 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
     cursors = [end - len(queue) for end, queue in zip(ends, queues.queues)]
     held_ids = features.ids[held].tolist()
     emb = features.emb[held]
-    held_emb = list(emb)  # row views, for the similarities
     prices = features.price[held]
     off_lam = 1.0 - lam
     invocations = scored_rows = 0
     picked: list[int] = []  # held slots, in slate order
     sources: list[int] = []
     steps: list[StepRecord] = []
-    # A queue head stays in place until it is chosen, so each (candidate,
-    # chosen item) similarity is computed once and reused while the chosen
-    # item is in the window.
-    sims: dict[tuple[int, int], float] = {}
+    # Each picked item's similarity to every held row, in slate order, from
+    # one `np.vecdot` per pick, whose bits equal a per-pair `np.dot`'s (a
+    # GEMV's may differ in the last place): a candidate's window maximum
+    # reads its slot in the last window_w rows.
+    sim_rows: list[list[float]] = []
 
     if cached:
         inputs = vm.weights.project(emb, features.score[held])
@@ -308,25 +309,23 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
             if m + len(nxt) > TREE_ROWS:
                 nxt, branch = [], []
             rows = slots + nxt
-            click, pay = sortmodel.extend(vm.weights, cache, inputs[rows], [-1] * m + branch)
+            survival = sortmodel.extend(vm.weights, cache, inputs[rows], [-1] * m + branch)
             # Each root extends the chosen list; each branch row extends its root's.
-            scored = listvalue.step_values(click, pay, prices[rows], pay_count, gmv, branch,
-                                           weights)
+            scored = listvalue.step_values(survival, prices[rows], pay_count, gmv,
+                                           np.array(branch, dtype=np.intp), weights)
             first = 0
             vals, pay_counts, gmvs = (a[:m] for a in scored)
             tree = (branch, scored) if nxt else None
             invocations += 1
             scored_rows += len(rows)
 
-        recent = picked[-cfg.window_w:]
+        recent = sim_rows[-cfg.window_w:]
         records = []
         best = None
         for k, (qi, slot, value) in enumerate(zip(live, slots, vals.tolist())):
             max_sim = -math.inf if recent else 0.0
-            for j in recent:
-                sim = sims.get((slot, j))
-                if sim is None:
-                    sim = sims[slot, j] = float(np.dot(held_emb[slot], held_emb[j]))
+            for row in recent:
+                sim = row[slot]
                 if sim > max_sim:
                     max_sim = sim
             score = lam * value - off_lam * max_sim
@@ -338,6 +337,8 @@ def _run_greedy(user: UserContext, queues: CandidateQueues, vm: ValueModel,
                 best = (score, k, qi)
         _, k, qi = best
         picked.append(cursors[qi])
+        if t + 1 < queues.l_o:
+            sim_rows.append(np.vecdot(emb, emb[cursors[qi]]).tolist())
         cursors[qi] += 1
         sources.append(qi)
         steps.append(StepRecord(records, qi))

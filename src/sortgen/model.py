@@ -348,10 +348,13 @@ def item_features(items) -> ItemFeatures:
 # and values come from and in their masks; the model is causal and
 # everything but attention is per position, so `extend` equals `infer` over
 # each row's path. At serving sizes a step costs what its NumPy calls cost,
-# not what its arithmetic does (a 12-row tree costs about 1.35 times a 3-row
-# step), so the shared code makes few calls: biases, residuals and
-# activations are added or applied in place to the array the GEMM before
-# them made, a tree's mask is memoised, and attention makes no reduction.
+# not what its arithmetic does (a 12-row tree costs about 1.4 times a 3-row
+# step), so the shared code makes few calls: every bias is its GEMM's last
+# input row, fed by a column that is exactly 1 (`_with_bias`; the norms'
+# buffer ends in it, and each MLP's first layer and attention's normalised
+# row-sum column carry it on), residuals and activations are added or
+# applied in place to the array the GEMM before them made, a tree's mask is
+# memoised, and attention makes no reduction.
 # Its softmax needs a shift only to keep exp in range, and a fixed one per
 # head does (softmax is shift-invariant): a normed row has norm < 1, so
 # |q . k| < B_h, the product of a bound on the spectral norm plus the bias
@@ -360,8 +363,8 @@ def item_features(items) -> ItemFeatures:
 # LAPACK routine. The QKV GEMM writes one more column per head in each of Q,
 # K and V, with zero weights and biases -B_h, 1 and 1, so q . k comes out
 # shifted into (-2 B_h, 0], and the last column of exp(scores) @ v is the
-# softmax's row sum, which attention divides by. Packing refuses a head with
-# B_h >= SHIFT_LIMIT.
+# softmax's row sum, which attention divides the whole product by, that
+# column included. Packing refuses a head with B_h >= SHIFT_LIMIT.
 
 
 def _cutpoints(thresholds: np.ndarray) -> np.ndarray:
@@ -375,12 +378,22 @@ def _centred(a: np.ndarray) -> np.ndarray:
     return a - a.mean(axis=-1, keepdims=True)
 
 
-def _norm_rows(x: np.ndarray) -> np.ndarray:
+def _norm_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Zero-mean rows x [m, d] scaled to x / sqrt(sum(x^2) + d * nn.LN_EPS):
     the layer norm's `nn.normalize_rows(x)[0]` divided by sqrt(d), without
-    its centring."""
+    its centring, written into out[:, :d] of `out` [m, d + 1], whose last
+    column the caller holds at 1, the input of the bias row of the GEMM
+    after it (`_with_bias`). Returns `out`."""
     s = np.add.reduce(x * x, axis=-1, keepdims=True, initial=x.shape[-1] * nn.LN_EPS)
-    return x / np.sqrt(s, out=s)
+    np.divide(x, np.sqrt(s, out=s), out=out[:, :-1])
+    return out
+
+
+def _ones_column(rows: int, d: int) -> np.ndarray:
+    """A `_norm_rows` buffer [rows, d + 1] whose last column is 1."""
+    out = np.empty((rows, d + 1))
+    out[:, -1] = 1.0
+    return out
 
 
 def _fold_norm(g: np.ndarray, b: np.ndarray, w: np.ndarray,
@@ -389,6 +402,19 @@ def _fold_norm(g: np.ndarray, b: np.ndarray, w: np.ndarray,
     (g[:, None] * w, b @ w + c). Pass g * sqrt(d_model) to read xhat from
     `_norm_rows`."""
     return g[:, None] * w, b @ w + c
+
+
+def _with_bias(w: np.ndarray, b: np.ndarray, keep_one: bool = False) -> np.ndarray:
+    """The GEMM x @ w + b as one product [x, 1] @ [w; b]: w [d, k] with b as
+    one more row, [d + 1, k]. With keep_one, one more column too, 0 but for
+    a 1 in the bias row, so the product's last column is the 1 again: after
+    a ReLU (relu(1) = 1) it feeds the next GEMM's bias row."""
+    a = np.concatenate([w, b[None]])
+    if keep_one:
+        one = np.zeros((len(a), 1))
+        one[-1] = 1.0
+        a = np.concatenate([a, one], axis=1)
+    return a
 
 
 # The largest attention-logit bound B_h that packing accepts: exp(-2 B_h),
@@ -400,19 +426,19 @@ SHIFT_LIMIT = 350.0
 class Block(NamedTuple):
     """One transformer block's weights, with Q, K and V in one GEMM that
     also writes each head's softmax shift and row-sum column
-    (`_softmax_columns`), each layer norm folded into the GEMM after it, and
-    the residual writers centred."""
+    (`_softmax_columns`), each layer norm folded into the GEMM after it, the
+    residual writers centred, and every bias the last input row of its GEMM
+    (`_with_bias`), fed by a column that is 1."""
 
-    # [d_model, 3 * n_heads * (d_head + 1)]: ln1 folded into Wq / sqrt(d_head)
-    # | Wk | Wv, each head's d_head columns then its zero extra column
+    # [d_model + 1, 3 * n_heads * (d_head + 1)]: ln1 folded into Wq / sqrt(d_head)
+    # | Wk | Wv, each head's d_head columns then its extra column (weights 0),
+    # and the bias row, -B_h (Q), 1 (K, V) in the extra columns
     qkv_w: np.ndarray
-    qkv_b: np.ndarray  # [3 * n_heads * (d_head + 1)]: extra columns -B_h (Q), 1 (K, V)
-    out_w: np.ndarray   # attn.Wo, centred
-    out_b: np.ndarray   # attn.bo, centred
-    ffn_w1: np.ndarray  # ln2 folded into ffn.W1
-    ffn_b1: np.ndarray
-    ffn_w2: np.ndarray  # ffn.W2, centred
-    ffn_b2: np.ndarray  # ffn.b2, centred
+    # [n_heads * (d_head + 1), d_model]: attn.Wo centred, each head's d_head
+    # rows then one row: attn.bo centred for head 0, 0 for the others
+    out_w: np.ndarray
+    ffn_w1: np.ndarray  # [d_model + 1, 4 * d_model + 1]: ln2 folded into ffn.W1 | ffn.b1, kept 1
+    ffn_w2: np.ndarray  # [4 * d_model + 1, d_model]: ffn.W2 | ffn.b2, centred
 
 
 def _spectral_bound(a: np.ndarray) -> float:
@@ -433,13 +459,14 @@ def _spectral_bound(a: np.ndarray) -> float:
 
 
 def _softmax_columns(qkv_w: np.ndarray, qkv_b: np.ndarray, heads: int,
-                     layer: int) -> tuple[np.ndarray, np.ndarray]:
+                     layer: int) -> np.ndarray:
     """The folded QKV GEMM `qkv_w` [d_model, 3 * d_model], `qkv_b` with one
     extra column after each head's d_head columns in each of Q, K and V: its
-    weights 0, its bias -B_h in Q and 1 in K and V. B_h bounds head h's
-    |q . k| over normed rows (norm < 1): (s(Wq_h) + |bq_h|)(s(Wk_h) + |bk_h|),
-    with s the `_spectral_bound` of the head's columns. A ConfigError naming
-    the layer and head if B_h >= SHIFT_LIMIT."""
+    weights 0, its bias -B_h in Q and 1 in K and V; the bias is the last row
+    (`_with_bias`). B_h bounds head h's |q . k| over normed rows (norm < 1):
+    (s(Wq_h) + |bq_h|)(s(Wk_h) + |bk_h|), with s the `_spectral_bound` of the
+    head's columns. A ConfigError naming the layer and head if
+    B_h >= SHIFT_LIMIT."""
     d = qkv_w.shape[0]
     w, b = qkv_w.reshape(d, 3, heads, -1), qkv_b.reshape(3, heads, -1)
     reach = [[_spectral_bound(w[:, j, h]) + np.linalg.norm(b[j, h]) for h in range(heads)]
@@ -450,8 +477,18 @@ def _softmax_columns(qkv_w: np.ndarray, qkv_b: np.ndarray, heads: int,
             raise ConfigError(f"layer {layer} head {h}: attention logit bound {b_h:.6g} "
                               f"is not below {SHIFT_LIMIT:g}, so its softmax could underflow")
     extra = np.stack([-bound, np.ones(heads), np.ones(heads)])[..., None]
-    return (np.concatenate([w, np.zeros((d, 3, heads, 1))], axis=-1).reshape(d, -1),
-            np.concatenate([b, extra], axis=-1).reshape(-1))
+    return _with_bias(np.concatenate([w, np.zeros((d, 3, heads, 1))], axis=-1).reshape(d, -1),
+                      np.concatenate([b, extra], axis=-1).reshape(-1))
+
+
+def _head_rows(out_w: np.ndarray, out_b: np.ndarray, heads: int) -> np.ndarray:
+    """The output projection `out_w` [d_model, d_model] with one more row
+    after each head's d_head rows, to read the head's normalised softmax
+    column, which is 1: `out_b` for head 0 and 0 for the others."""
+    w = out_w.reshape(heads, -1, out_w.shape[1])
+    extra = np.zeros((heads, 1, out_w.shape[1]))
+    extra[0, 0] = out_b
+    return np.concatenate([w, extra], axis=1).reshape(-1, out_w.shape[1])
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -467,17 +504,22 @@ class InferenceWeights:
 
     The input projection is split by feature block, so that an input row is a
     sum of projected rows. Every array that writes the residual stream (the
-    projection's blocks, `pos`, and each block's `out_*` and `ffn_w2`/`ffn_b2`)
-    is centred, each row minus its mean, so every stream row has zero mean
-    and the norms need no centring (`_norm_rows`). Each layer norm is folded
+    projection's blocks, `pos`, and each block's `out_w` and `ffn_w2`) is
+    centred, each row minus its mean, so every stream row has zero mean and
+    the norms need no centring (`_norm_rows`). Each layer norm is folded
     into the GEMM after it, its gain times sqrt(d_model); Q, K and V are one
     GEMM per block, with 1/sqrt(d_head) folded into the Q columns; and the
     click and pay heads are one MLP whose second layer is block-diagonal and
     emits minus each threshold's logit: -W2 (a monotone head's single column
-    repeated max_count times) with bias cutpoints - b2. Every array is new,
-    none a view of a parameter, so the weights do not follow training:
-    derive them again from the trained parameters. A ConfigError if a head's
-    attention-logit bound reaches SHIFT_LIMIT (`_softmax_columns`).
+    repeated max_count times) with bias cutpoints - b2. Every bias is the
+    last input row of its GEMM (`_with_bias`): the norms' buffers end in a
+    column of 1s, the first layer of each MLP keeps that 1 in its last
+    column for the second's bias row, and attention's normalised row-sum
+    column, s / s = 1, reads each block's attn.bo (`_head_rows`). Every
+    array is new, none a view of a parameter, so the weights do not follow
+    training: derive them again from the trained parameters. A ConfigError
+    if a head's attention-logit bound reaches SHIFT_LIMIT
+    (`_softmax_columns`).
     """
 
     config: EngineConfig
@@ -486,10 +528,12 @@ class InferenceWeights:
     user: np.ndarray    # [d_user, d_model]: its user rows, centred
     pos: np.ndarray     # [l_o, d_model]: pos.table through its position rows, plus proj.b, centred
     blocks: tuple[Block, ...]
-    head_w1: np.ndarray  # [d_model, 2 * HEAD_HIDDEN]: final_ln folded into click | pay W1
-    head_b1: np.ndarray
-    head_w2: np.ndarray  # [2 * HEAD_HIDDEN, 2 * max_count], block-diagonal
-    head_b2: np.ndarray  # [2 * max_count]: click, then pay
+    # [d_model + 1, 2 * HEAD_HIDDEN + 1]: final_ln folded into click | pay W1,
+    # then b1, kept 1
+    head_w1: np.ndarray
+    # [2 * HEAD_HIDDEN + 1, 2 * max_count]: block-diagonal, then the bias row
+    # (click, then pay)
+    head_w2: np.ndarray
     valid: np.ndarray    # [l_o, 2 * max_count]: valid_mask for both heads, as 1.0 and 0.0
 
     def __post_init__(self):
@@ -517,17 +561,17 @@ class InferenceWeights:
             qkv_w = np.concatenate([w(f"{a}.Wq") * scale, w(f"{a}.Wk"), w(f"{a}.Wv")], axis=1)
             qkv_b = np.concatenate([w(f"{a}.bq") * scale, w(f"{a}.bk"), w(f"{a}.bv")])
             blocks.append(Block(
-                *_softmax_columns(*_fold_norm(w(f"layer{i}.ln1.g") * root_d,
-                                              w(f"layer{i}.ln1.b"), qkv_w, qkv_b),
-                                  config.n_heads, i),
-                _centred(w(f"{a}.Wo")), _centred(w(f"{a}.bo")),
-                *_fold_norm(w(f"layer{i}.ln2.g") * root_d, w(f"layer{i}.ln2.b"), w(f"{f}.W1"),
-                            w(f"{f}.b1")),
-                _centred(w(f"{f}.W2")), _centred(w(f"{f}.b2"))))
+                _softmax_columns(*_fold_norm(w(f"layer{i}.ln1.g") * root_d,
+                                             w(f"layer{i}.ln1.b"), qkv_w, qkv_b),
+                                 config.n_heads, i),
+                _head_rows(_centred(w(f"{a}.Wo")), _centred(w(f"{a}.bo")), config.n_heads),
+                _with_bias(*_fold_norm(w(f"layer{i}.ln2.g") * root_d, w(f"layer{i}.ln2.b"),
+                                       w(f"{f}.W1"), w(f"{f}.b1")), keep_one=True),
+                _with_bias(_centred(w(f"{f}.W2")), _centred(w(f"{f}.b2")))))
         heads, lmax = HEADS, config.max_count
-        head_w1, head_b1 = _fold_norm(w("final_ln.g") * root_d, w("final_ln.b"),
-                                      joined([f"{h}.W1" for h in heads]),
-                                      joined([f"{h}.b1" for h in heads]))
+        head_w1 = _with_bias(*_fold_norm(w("final_ln.g") * root_d, w("final_ln.b"),
+                                         joined([f"{h}.W1" for h in heads]),
+                                         joined([f"{h}.b1" for h in heads])), keep_one=True)
         head_w2, head_b2 = np.zeros((2 * HEAD_HIDDEN, 2 * lmax)), np.zeros(2 * lmax)
         for k, h in enumerate(heads):
             rows = slice(k * HEAD_HIDDEN, (k + 1) * HEAD_HIDDEN)
@@ -539,8 +583,7 @@ class InferenceWeights:
             head_b2[cols] = cut - w(f"{h}.b2")
         return cls(config=config, item=_centred(item), score=_centred(score),
                    user=_centred(user), pos=_centred(w("pos.table") @ pos + w("proj.b")),
-                   blocks=tuple(blocks), head_w1=head_w1, head_b1=head_b1,
-                   head_w2=head_w2, head_b2=head_b2,
+                   blocks=tuple(blocks), head_w1=head_w1, head_w2=_with_bias(head_w2, head_b2),
                    valid=np.tile(valid_mask(config.l_o, lmax), 2).astype(np.float64))
 
     def project(self, emb: np.ndarray, score: np.ndarray) -> np.ndarray:
@@ -586,45 +629,45 @@ def packed_weights(config: EngineConfig, params: dict) -> InferenceWeights:
 
 
 def _finish_block(b: Block, x: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                  mask: np.ndarray) -> np.ndarray:
+                  mask: np.ndarray, norm: np.ndarray) -> np.ndarray:
     """Block b on rows x [m, d_model], given their queries q (scaled by
     1/sqrt(d_head)), the keys k and values v they attend over, each [...,
-    n_heads, rows, d_head + 1] with the packed extra column (`Block`), and
-    the additive attention mask `mask` (0 where a query sees a key, -inf
-    where it does not), which broadcasts to the scores q @ k^T: attention,
-    the output projection and its residual, then the FFN half. The scores
-    come out of the GEMM already shifted, and the softmax is normalised
-    after its product with v, by that product's last column; a masked key's
-    exp is 0, and every query sees at least itself. Every step after the
-    first GEMM but the divide works in place on the array it makes. (Dividing
-    straight into the [m, d_model] rows that the output projection reads
-    saves the reshape's copy but costs more calls than it saves.)"""
+    n_heads, rows, d_head + 1] with the packed extra column (`Block`), the
+    additive attention mask `mask` (0 where a query sees a key, -inf where it
+    does not), which broadcasts to the scores q @ k^T, and the `_norm_rows`
+    buffer `norm` [m, d_model + 1]: attention, the output projection and its
+    residual, then the FFN half. The scores come out of the GEMM already
+    shifted, and the softmax is normalised after its product with v, by that
+    product's last column, which so becomes s / s = 1 and reads attn.bo in
+    the output projection; a masked key's exp is 0, and every query sees at
+    least itself. Every step after the first GEMM works in place on the
+    array it makes. (Dividing straight into the [m, d_model] rows that the
+    output projection reads saves the reshape's copy but costs more calls
+    than it saves.)"""
     e = q @ k.swapaxes(-1, -2)
     e += mask
     np.exp(e, out=e)
     summed = e @ v  # its last column: each row's sum of exp
-    y = (summed[..., :-1] / summed[..., -1:]).swapaxes(-3, -2).reshape(x.shape) @ b.out_w
-    y += b.out_b
+    summed /= summed[..., -1:]
+    y = summed.swapaxes(-3, -2).reshape(len(x), -1) @ b.out_w
     y += x
-    h = _norm_rows(y) @ b.ffn_w1
-    h += b.ffn_b1
+    h = _norm_rows(y, norm) @ b.ffn_w1
     np.maximum(h, 0.0, out=h)
     out = h @ b.ffn_w2
-    out += b.ffn_b2
     out += y
     return out
 
 
-def _survival(weights: InferenceWeights, x: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """The fused heads on the last block's rows x [m, d_model]: final norm,
-    head MLP, then the sigmoid of the thresholds' logits, which the packed
-    output layer emits negated, times `valid` (which broadcasts to the
-    result). Returns [m, 2 * max_count]: click, then pay."""
-    h = _norm_rows(x) @ weights.head_w1
-    h += weights.head_b1
+def _survival(weights: InferenceWeights, x: np.ndarray, valid: np.ndarray,
+              norm: np.ndarray) -> np.ndarray:
+    """The fused heads on the last block's rows x [m, d_model], with the
+    `_norm_rows` buffer `norm`: final norm, head MLP, then the sigmoid of the
+    thresholds' logits, which the packed output layer emits negated, times
+    `valid` (which broadcasts to the result). Returns [m, 2 * max_count]:
+    click, then pay."""
+    h = _norm_rows(x, norm) @ weights.head_w1
     np.maximum(h, 0.0, out=h)
     z = h @ weights.head_w2
-    z += weights.head_b2
     np.exp(z, out=z)
     z += 1.0
     probs = np.divide(valid, z, out=z)
@@ -647,10 +690,11 @@ def infer(weights: InferenceWeights, e_item: np.ndarray, user: np.ndarray,
     x = weights.project(e_item.reshape(n * l, -1), e_score.reshape(n * l, -1)).reshape(n, l, dm)
     x = (x + (weights.pos[:l] + (user @ weights.user)[:, None])).reshape(n * l, dm)
     causal = np.where(np.tri(l, dtype=bool), 0.0, -np.inf)
+    norm = _ones_column(n * l, dm)
     for b in weights.blocks:
-        qkv = (_norm_rows(x) @ b.qkv_w + b.qkv_b).reshape(n, l, 3, heads, -1)
-        x = _finish_block(b, x, *qkv.transpose(2, 0, 3, 1, 4), causal)
-    probs = _survival(weights, x, np.tile(weights.valid[:l], (n, 1))).reshape(n, l, 2, -1)
+        qkv = (_norm_rows(x, norm) @ b.qkv_w).reshape(n, l, 3, heads, -1)
+        x = _finish_block(b, x, *qkv.transpose(2, 0, 3, 1, 4), causal, norm)
+    probs = _survival(weights, x, np.tile(weights.valid[:l], (n, 1)), norm).reshape(n, l, 2, -1)
     return probs[:, :, 0], probs[:, :, 1]
 
 
@@ -662,13 +706,15 @@ class Prefix:
     The keys and values are one buffer, allocated once per request and shared
     by every row a step scores: slots [:t] hold the prefix's keys and values,
     and `extend` writes row r's into slot t + r. `choose` copies a scored
-    row's slot to the end of the prefix.
+    row's slot to the end of the prefix. Every norm of a step writes into
+    the one `norm` buffer, allocated with them.
     """
 
     inputs: np.ndarray  # [l_o, d_model]: each position's row plus the user's row
     # [n_layers, 2 (key, value), n_heads, l_o + width, d_head + 1]: the
     # packed extra column (`Block`) too
     kv: np.ndarray
+    norm: np.ndarray    # [width, d_model + 1]: `_norm_rows`' buffer, its last column 1
     length: int = 0
     base: int = 0       # the prefix's length at the last `extend`: its row 0's slot
     parents: tuple[int, ...] = ()  # the last `extend`'s parents
@@ -683,7 +729,8 @@ class Prefix:
             raise ConfigError("feature width mismatch")
         return cls(weights.pos + user @ weights.user,
                    np.empty((config.n_layers, 2, config.n_heads, config.l_o + width,
-                             config.d_model // config.n_heads + 1)))
+                             config.d_model // config.n_heads + 1)),
+                   _ones_column(width, config.d_model))
 
     def __len__(self) -> int:
         return self.length
@@ -720,9 +767,10 @@ def _tree_mask(t: int, parents: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray
 
 
 def extend(weights: InferenceWeights, prefix: Prefix, x: np.ndarray,
-           parents=None) -> tuple[np.ndarray, np.ndarray]:
+           parents=None) -> np.ndarray:
     """Score a tree of rows that extend the prefix, computing only their new
-    positions: each row's click and pay survival rows, each [m, max_count].
+    positions: each row's click and pay survival rows, as one [m, 2,
+    max_count] array, click at [:, 0] and pay at [:, 1].
 
     x: [m, d_model], the rows' `InferenceWeights.project` rows. parents: [m]
     ints (None: all -1). A root row (-1) is at position t, the prefix's
@@ -736,7 +784,7 @@ def extend(weights: InferenceWeights, prefix: Prefix, x: np.ndarray,
     m, t = x.shape[0], len(prefix)
     if x.shape != (m, config.d_model):
         raise ConfigError("feature width mismatch")
-    width = prefix.kv.shape[3] - config.l_o
+    width = len(prefix.norm)
     if not 0 < m <= width:
         raise ConfigError(f"{m} rows, outside 1 to the prefix's width of {width}")
     parents = (-1,) * m if parents is None else tuple(parents)
@@ -746,16 +794,16 @@ def extend(weights: InferenceWeights, prefix: Prefix, x: np.ndarray,
     if end > config.l_o:
         raise ConfigError(f"sequence length {end} exceeds position table size {config.l_o}")
     x = x + prefix.inputs[position]
+    norm = prefix.norm[:m]
     for b, kv in zip(weights.blocks, prefix.kv):
-        qkv = _norm_rows(x) @ b.qkv_w
-        qkv += b.qkv_b
+        qkv = _norm_rows(x, norm) @ b.qkv_w
         # [3, n_heads, m, d_head + 1]
         qkv = qkv.reshape(m, 3, config.n_heads, -1).transpose(1, 2, 0, 3)
         kv[:, :, t:t + m] = qkv[1:]
-        x = _finish_block(b, x, qkv[0], kv[0, :, :t + m], kv[1, :, :t + m], mask)
-    probs = _survival(weights, x, weights.valid[position])
+        x = _finish_block(b, x, qkv[0], kv[0, :, :t + m], kv[1, :, :t + m], mask, norm)
+    probs = _survival(weights, x, weights.valid[position], norm)
     prefix.base, prefix.parents, prefix.chosen = t, parents, -1
-    return probs[:, :config.max_count], probs[:, config.max_count:]
+    return probs.reshape(m, 2, config.max_count)
 
 
 # ------------------------------ checkpoints --------------------------------

@@ -82,23 +82,23 @@ def combined_values_batch(click: np.ndarray, pay: np.ndarray, prices: np.ndarray
     return value_curves(click, pay, prices, weights)["combined"][:, -1]
 
 
-def step_values(click: np.ndarray, pay: np.ndarray, prices: np.ndarray, pay_count: float,
-                gmv: float, branch, weights: ObjectiveWeights) -> tuple[np.ndarray, np.ndarray,
+def step_values(survival: np.ndarray, prices: np.ndarray, pay_count: float, gmv: float,
+                branch: np.ndarray, weights: ObjectiveWeights) -> tuple[np.ndarray, np.ndarray,
                                                                        np.ndarray]:
     """Combined values of the lists that a greedy model call's tree of rows
     extends, in O(rows * max_count): equal bit for bit to the last position
     of `value_curves` over the whole extended lists' survival rows.
 
-    click/pay: [B, max_count], each row's survival row at its new position;
-    prices: [B], the rows' prices; pay_count and gmv: the chosen list's
-    expected pay count and GMV (0 for the empty list). The first
-    B - len(branch) rows are roots, which extend the chosen list; row
-    B - len(branch) + i is a child, which extends the list of the root
-    `branch[i]`. Returns the values and each extended list's expected pay
-    count and GMV, all [B].
+    survival: [B, 2, max_count], each row's click ([:, 0]) and pay ([:, 1])
+    survival rows at its new position, as `model.extend` returns them, whose
+    expected counts come from one pass; prices: [B], the rows' prices;
+    pay_count and gmv: the chosen list's expected pay count and GMV (0 for
+    the empty list). The first B - len(branch) rows are roots, which extend
+    the chosen list; row B - len(branch) + i is a child, which extends the
+    list of the root `branch[i]` (an intp array). Returns the values and each
+    extended list's expected pay count and GMV, all [B].
     """
-    e_click = expected_counts_batch(click)
-    e_pay = expected_counts_batch(pay)
+    e_click, e_pay = expected_counts_batch(survival).T
     m = len(e_pay) - len(branch)
     base = np.full(len(e_pay), pay_count)
     base[m:] = e_pay[branch]

@@ -735,9 +735,9 @@ def test_infer_matches_tape_forward(small_config, head_mode):
 
 def _logit_bounds(packed):
     """Each block's per-head bound B_h on |q . k|: minus the packed Q bias's
-    extra column, [n_layers, n_heads]."""
+    extra column, in the QKV GEMM's last row, [n_layers, n_heads]."""
     heads = packed.config.n_heads
-    return np.array([-b.qkv_b.reshape(3, heads, -1)[0, :, -1] for b in packed.blocks])
+    return np.array([-b.qkv_w[-1].reshape(3, heads, -1)[0, :, -1] for b in packed.blocks])
 
 
 def _scaled_qk(cfg, params, factors):
@@ -830,12 +830,87 @@ def test_packed_forwards_match_the_tape_at_the_edge_of_the_logit_bound(small_con
         tape = sortmodel.forward(cfg, params, full(emb), users, full(score))
         whole = sortmodel.infer(packed, full(emb), users, full(score))
         step = sortmodel.extend(packed, prefix, packed.project(emb[:, t], score[:, t]))
+        step = step.swapaxes(0, 1)  # click, then pay
         for want, got_whole, got_step in zip((tape.click.value, tape.pay.value), whole, step):
             assert np.isfinite(got_whole).all() and np.isfinite(got_step).all()
             np.testing.assert_allclose(got_whole, want, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(got_step, want[:, -1], rtol=1e-12, atol=0.0)
         path.append(t % n)
         prefix.choose(t % n)
+
+
+class _Operands(np.ndarray):
+    """A packed matrix that records, under its `name` in the dict `seen`, a
+    copy of the left operand of each product it is the right operand of."""
+
+    def __array_finalize__(self, obj):
+        self.name, self.seen = getattr(obj, "name", None), getattr(obj, "seen", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and inputs[1] is self:
+            self.seen.setdefault(self.name, []).append(np.array(inputs[0]))
+        inputs = [a.view(np.ndarray) if isinstance(a, _Operands) else a for a in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def _recording(packed, seen):
+    """packed with every GEMM matrix of the blocks and the heads recording
+    its left operands into `seen`."""
+    def rec(a, name):
+        r = np.array(a).view(_Operands)
+        r.name, r.seen = name, seen
+        return r
+
+    blocks = tuple(sortmodel.Block(*(rec(a, name) for name, a in zip(b._fields, b)))
+                   for b in packed.blocks)
+    return dataclasses.replace(packed, blocks=blocks, head_w1=rec(packed.head_w1, "head_w1"),
+                               head_w2=rec(packed.head_w2, "head_w2"))
+
+
+@pytest.mark.parametrize("edge", [False, True])
+@pytest.mark.parametrize("head_mode", ["monotone", "literal"])
+def test_the_columns_that_feed_the_bias_rows_are_exactly_one(small_config, head_mode, edge):
+    # Each bias is the last input row of its GEMM, so the column that feeds
+    # it must be exactly 1 in every product: the norms' constant column (into
+    # QKV, the FFN's W1 and the heads' W1), the hidden constant column after
+    # the ReLU (into the FFN's W2 and the heads' W2), and each head's
+    # normalised row-sum column s / s (into the output projection), through
+    # infer and through extend's roots and children, on perturbed parameters
+    # and with every B_h just under SHIFT_LIMIT. The recording changes no bit.
+    cfg = dataclasses.replace(small_config, head_mode=head_mode)
+    params = _perturbed_params(cfg, seed=36)
+    if edge:
+        bounds = _logit_bounds(sortmodel.InferenceWeights.from_params(cfg, params))
+        params = _scaled_qk(cfg, params, np.sqrt(0.999 * sortmodel.SHIFT_LIMIT / bounds))
+    packed = sortmodel.InferenceWeights.from_params(cfg, params)
+    assert (_logit_bounds(packed) > (0.998 * sortmodel.SHIFT_LIMIT if edge else 1.0)).all()
+    seen = {}
+    recording = _recording(packed, seen)
+    emb, users, score = _random_inputs(cfg, 3, cfg.l_o, seed=37)
+    for got, want in zip(sortmodel.infer(recording, emb, users, score),
+                         sortmodel.infer(packed, emb, users, score)):
+        assert same_bits(got, want)
+    parents = [-1, -1, -1, 0, 1, 1, 2]
+    row_emb, _, row_score = _random_inputs(cfg, 1, len(parents), seed=38)
+    rows = packed.project(row_emb[0], row_score[0])
+    prefixes = [sortmodel.Prefix.empty(p, users[0], len(parents)) for p in (recording, packed)]
+    while len(prefixes[0]) + 2 <= cfg.l_o:
+        got, want = (sortmodel.extend(p, prefix, rows, parents)
+                     for p, prefix in zip((recording, packed), prefixes))
+        assert same_bits(got, want)
+        for prefix in prefixes:
+            prefix.choose(1)
+            prefix.choose(4)
+    heads, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
+    calls = 1 + (cfg.l_o - 1) // 2  # one infer, then the extends
+    assert {name: len(ops) for name, ops in seen.items()} == {
+        **{name: calls * cfg.n_layers for name in sortmodel.Block._fields},
+        "head_w1": calls, "head_w2": calls}
+    for name, ops in seen.items():
+        for op in ops:
+            column = (op.reshape(len(op), heads, dh + 1)[..., dh] if name == "out_w"
+                      else op[:, -1])
+            assert (column == 1.0).all(), name
 
 
 @pytest.mark.parametrize("head_mode", ["monotone", "literal"])
@@ -852,7 +927,8 @@ def test_extend_matches_full_recomputation(small_config, head_mode):
     for t in range(cfg.l_o):
         cand_emb = rng.normal(size=(n, cfg.d_emb))
         cand_score = rng.uniform(size=(n, 2))
-        ext_click, ext_pay = sortmodel.extend(packed, prefix, packed.project(cand_emb, cand_score))
+        ext_click, ext_pay = sortmodel.extend(packed, prefix,
+                                              packed.project(cand_emb, cand_score)).swapaxes(0, 1)
         full_emb = np.concatenate([np.repeat(emb[None], n, axis=0), cand_emb[:, None]], axis=1)
         full_score = np.concatenate([np.repeat(score[None], n, axis=0), cand_score[:, None]],
                                     axis=1)
@@ -928,8 +1004,8 @@ def test_extend_rejects_a_tree_past_the_last_position(small_config, small_params
         prefix.choose(0)
     with pytest.raises(ConfigError, match=f"sequence length {small_config.l_o + 1} exceeds"):
         sortmodel.extend(packed, prefix, np.concatenate([row, row]), [-1, 0])
-    assert sortmodel.extend(packed, prefix, np.concatenate([row, row]))[0].shape == (
-        2, small_config.max_count)
+    assert sortmodel.extend(packed, prefix, np.concatenate([row, row])).shape == (
+        2, 2, small_config.max_count)
 
 
 @pytest.mark.parametrize("parents", [[-1, 0, 1], [0, -1, -1], [-1, -2, 0], [-1, 2, -1],
@@ -972,7 +1048,7 @@ def test_every_tree_row_equals_infer_over_its_own_path(small_config, data, seed,
         prefix.choose(0)
     kept = prefix.kv[:, :, :, :t].copy()
     click, pay = sortmodel.extend(packed, prefix, packed.project(emb[slots], score[slots]),
-                                  parents)
+                                  parents).swapaxes(0, 1)
     assert same_bits(prefix.kv[:, :, :, :t], kept)
     assert click.shape == pay.shape == (len(slots), cfg.max_count)
     for depth in (0, 1):
@@ -1005,7 +1081,7 @@ def test_extend_rejects_more_candidates_than_the_width(small_config, small_param
         sortmodel.extend(packed, prefix, rows)
     with pytest.raises(ConfigError, match="width of 2"):
         sortmodel.extend(packed, prefix, rows[:0])
-    assert sortmodel.extend(packed, prefix, rows[:2])[0].shape == (2, small_config.max_count)
+    assert sortmodel.extend(packed, prefix, rows[:2]).shape == (2, 2, small_config.max_count)
 
 
 def test_packed_step_rejects_a_wrong_feature_width(small_config, small_params):
@@ -1049,9 +1125,10 @@ def test_packed_step_matches_full_forward(small_config, head_mode):
     path: list[int] = []  # the candidate chosen at each earlier step
     for t in range(cfg.l_o):
         rows = packed.project(emb[:, t], score[:, t])
-        ext_click, ext_pay = sortmodel.extend(packed, prefix, rows)
-        got, pay_counts, gmvs = values.step_values(ext_click, ext_pay, price[:, t], pay_count,
-                                                   gmv, [], weights)
+        survival = sortmodel.extend(packed, prefix, rows)
+        ext_click, ext_pay = survival.swapaxes(0, 1)
+        got, pay_counts, gmvs = values.step_values(survival, price[:, t], pay_count, gmv,
+                                                   np.array([], dtype=np.intp), weights)
 
         def full(a):
             """Each candidate's whole sequence: the chosen rows, then its own."""
@@ -1090,7 +1167,7 @@ def test_packed_forwards_raise_on_non_finite_activations(small_config, head_mode
     rows = packed.project(emb[:, 2], score[:, 2])
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
         sortmodel.extend(packed, prefix, rows)
-    assert np.isfinite(sortmodel.extend(packed, prefix, rows[:1])[0]).all()
+    assert np.isfinite(sortmodel.extend(packed, prefix, rows[:1])).all()
 
 
 @pytest.mark.parametrize("head_mode", ["monotone", "literal"])
@@ -1107,8 +1184,7 @@ def test_extend_twice_on_one_prefix_gives_identical_rows(small_config, head_mode
         sortmodel.extend(packed, prefix, packed.project(rng.normal(size=(3, cfg.d_emb)),
                                                         rng.uniform(size=(3, 2))))
         second = sortmodel.extend(packed, prefix, rows)
-        assert np.array_equal(first[0], second[0])
-        assert np.array_equal(first[1], second[1])
+        assert np.array_equal(first, second)
         prefix.choose(t % 3)
 
 
@@ -1127,14 +1203,25 @@ def _spectral_bound_formula(a):
     return f * np.linalg.norm(g) ** (1 / 16)
 
 
+def _kept_one(a):
+    """The matrix of a packed GEMM whose product keeps the constant 1 for
+    the next GEMM's bias row, less that column, after checking the column:
+    zero weights and a 1 in the bias row."""
+    assert np.array_equal(a[:, -1], np.eye(len(a))[-1])
+    return a[:, :-1]
+
+
 @pytest.mark.parametrize("head_mode", ["monotone", "literal"])
 def test_inference_weights_match_their_parameters(small_config, head_mode):
     # Each packed array equals its formula over the parameters exactly: the
     # residual writers centred (each row minus its mean), each layer norm's
-    # gain times sqrt(d_model) folded into the GEMM after it, and the QKV
-    # GEMM's extra column after each head's, with zero weights and biases
-    # -B_h, 1 and 1, B_h the head's bound on |q . k| from its Q and K
-    # columns' spectral-norm bounds.
+    # gain times sqrt(d_model) folded into the GEMM after it, the QKV GEMM's
+    # extra column after each head's, with zero weights and biases -B_h, 1
+    # and 1, B_h the head's bound on |q . k| from its Q and K columns'
+    # spectral-norm bounds, and every bias the last input row of its GEMM.
+    # The first layer of each MLP keeps the constant 1 as its last column,
+    # and the output projection reads attention's normalised row-sum column
+    # through one more row a head: attn.bo for head 0, 0 for the others.
     cfg = dataclasses.replace(small_config, head_mode=head_mode)
     params = _perturbed_params(cfg, seed=24)
     packed = sortmodel.InferenceWeights.from_params(cfg, params)
@@ -1142,24 +1229,24 @@ def test_inference_weights_match_their_parameters(small_config, head_mode):
     def w(name):
         return params[name].value
 
-    d_emb, d_pos, d_user = cfg.d_emb, cfg.d_position, cfg.d_user
-    proj, root_d = w("proj.W"), np.sqrt(cfg.d_model)
+    d_emb, d_pos, d_user, dm = cfg.d_emb, cfg.d_position, cfg.d_user, cfg.d_model
+    proj, root_d = w("proj.W"), np.sqrt(dm)
     assert np.array_equal(packed.item, _centred(proj[:d_emb]))
     assert np.array_equal(packed.pos, _centred(w("pos.table") @ proj[d_emb:d_emb + d_pos]
                                                + w("proj.b")))
     assert np.array_equal(packed.user, _centred(proj[d_emb + d_pos:d_emb + d_pos + d_user]))
     assert np.array_equal(packed.score, _centred(proj[d_emb + d_pos + d_user:]))
-    heads, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
+    heads, dh = cfg.n_heads, dm // cfg.n_heads
     scale = 1.0 / np.sqrt(dh)
     for i, block in enumerate(packed.blocks):
         a, g1, b1 = f"layer{i}.attn", w(f"layer{i}.ln1.g") * root_d, w(f"layer{i}.ln1.b")
         qkv_w = np.concatenate([w(f"{a}.Wq") * scale, w(f"{a}.Wk"), w(f"{a}.Wv")], axis=1)
         qkv_b = np.concatenate([w(f"{a}.bq") * scale, w(f"{a}.bk"), w(f"{a}.bv")])
-        assert block.qkv_w.shape == (cfg.d_model, 3 * heads * (dh + 1))
-        packed_w = block.qkv_w.reshape(cfg.d_model, 3, heads, dh + 1)
-        packed_b = block.qkv_b.reshape(3, heads, dh + 1)
+        assert block.qkv_w.shape == (dm + 1, 3 * heads * (dh + 1))
+        packed_w = block.qkv_w[:-1].reshape(dm, 3, heads, dh + 1)
+        packed_b = block.qkv_w[-1].reshape(3, heads, dh + 1)
         folded_w, folded_b = g1[:, None] * qkv_w, b1 @ qkv_w + qkv_b
-        assert np.array_equal(packed_w[..., :dh].reshape(cfg.d_model, -1), folded_w)
+        assert np.array_equal(packed_w[..., :dh].reshape(dm, -1), folded_w)
         assert np.array_equal(packed_b[..., :dh].reshape(-1), folded_b)
         assert (packed_w[..., dh] == 0.0).all()
         assert (packed_b[1:, :, dh] == 1.0).all()
@@ -1168,28 +1255,36 @@ def test_inference_weights_match_their_parameters(small_config, head_mode):
                      + np.linalg.norm(folded_b[c * dh:(c + 1) * dh])
                      for c in (h, heads + h)]  # head h's Q columns, then its K columns
             assert packed_b[0, h, dh] == -reach[0] * reach[1]
-        assert np.array_equal(block.out_w, _centred(w(f"{a}.Wo")))
-        assert np.array_equal(block.out_b, _centred(w(f"{a}.bo")))
+        assert block.out_w.shape == (heads * (dh + 1), dm)
+        out_rows = block.out_w.reshape(heads, dh + 1, dm)
+        assert np.array_equal(out_rows[:, :dh].reshape(dm, dm), _centred(w(f"{a}.Wo")))
+        assert np.array_equal(out_rows[0, dh], _centred(w(f"{a}.bo")))
+        assert (out_rows[1:, dh] == 0.0).all()
         f, g2, b2 = f"layer{i}.ffn", w(f"layer{i}.ln2.g") * root_d, w(f"layer{i}.ln2.b")
-        assert np.array_equal(block.ffn_w1, g2[:, None] * w(f"{f}.W1"))
-        assert np.array_equal(block.ffn_b1, b2 @ w(f"{f}.W1") + w(f"{f}.b1"))
-        assert np.array_equal(block.ffn_w2, _centred(w(f"{f}.W2")))
-        assert np.array_equal(block.ffn_b2, _centred(w(f"{f}.b2")))
+        assert block.ffn_w1.shape == (dm + 1, 4 * dm + 1)
+        ffn_w1 = _kept_one(block.ffn_w1)
+        assert np.array_equal(ffn_w1[:-1], g2[:, None] * w(f"{f}.W1"))
+        assert np.array_equal(ffn_w1[-1], b2 @ w(f"{f}.W1") + w(f"{f}.b1"))
+        assert block.ffn_w2.shape == (4 * dm + 1, dm)
+        assert np.array_equal(block.ffn_w2[:-1], _centred(w(f"{f}.W2")))
+        assert np.array_equal(block.ffn_w2[-1], _centred(w(f"{f}.b2")))
     heads = ("head_click", "head_pay")
+    hidden, lmax = sortmodel.HEAD_HIDDEN, cfg.max_count
     head_w1 = np.concatenate([w(f"{h}.W1") for h in heads], axis=1)
-    assert np.array_equal(packed.head_w1, (w("final_ln.g") * root_d)[:, None] * head_w1)
-    assert np.array_equal(packed.head_b1, w("final_ln.b") @ head_w1
+    assert packed.head_w1.shape == (dm + 1, 2 * hidden + 1)
+    packed_w1 = _kept_one(packed.head_w1)
+    assert np.array_equal(packed_w1[:-1], (w("final_ln.g") * root_d)[:, None] * head_w1)
+    assert np.array_equal(packed_w1[-1], w("final_ln.b") @ head_w1
                           + np.concatenate([w(f"{h}.b1") for h in heads]))
     # The heads' second layer is -W2, widened to max_count columns a head (a
     # monotone head's one column repeated), block-diagonal with exact zeros
-    # off it; its bias is the cutpoints minus b2.
-    hidden, lmax = sortmodel.HEAD_HIDDEN, cfg.max_count
-    assert packed.head_w2.shape == (2 * hidden, 2 * lmax)
+    # off it; its bias row is the cutpoints minus b2.
+    assert packed.head_w2.shape == (2 * hidden + 1, 2 * lmax)
     for k, h in enumerate(heads):
         block_w2 = packed.head_w2[k * hidden:(k + 1) * hidden, k * lmax:(k + 1) * lmax]
         assert np.array_equal(block_w2, -np.broadcast_to(w(f"{h}.W2"), (hidden, lmax)))
     assert (packed.head_w2[:hidden, lmax:] == 0.0).all()
-    assert (packed.head_w2[hidden:, :lmax] == 0.0).all()
+    assert (packed.head_w2[hidden:-1, :lmax] == 0.0).all()
     # With the heads' outputs zeroed, the packed bias is the cutpoints alone,
     # and the tape forward's logits are minus its cutpoints (all 0 for literal
     # heads).
@@ -1197,12 +1292,12 @@ def test_inference_weights_match_their_parameters(small_config, head_mode):
     for head in heads:
         for name in ("W2", "b2"):
             zeroed[f"{head}.{name}"] = Var(np.zeros_like(params[f"{head}.{name}"].value))
-    cutpoints = sortmodel.InferenceWeights.from_params(cfg, zeroed).head_b2
+    cutpoints = sortmodel.InferenceWeights.from_params(cfg, zeroed).head_w2[-1]
     tape = forward_reference(cfg, zeroed, *_random_inputs(cfg, 1, 1, seed=25))
     np.testing.assert_allclose(
         cutpoints, -np.concatenate([tape.click_logits.value[0, 0], tape.pay_logits.value[0, 0]]),
         rtol=1e-14, atol=0.0)
-    assert np.array_equal(packed.head_b2, cutpoints - np.concatenate(
+    assert np.array_equal(packed.head_w2[-1], cutpoints - np.concatenate(
         [np.broadcast_to(w(f"{h}.b2"), lmax) for h in heads]))
     assert np.array_equal(packed.valid, np.tile(sortmodel.valid_mask(cfg.l_o, lmax), 2))
     arrays = [getattr(packed, f.name) for f in dataclasses.fields(packed)
@@ -1224,14 +1319,17 @@ def test_the_residual_stream_is_centred(small_config, head_mode):
                "pos": packed.pos}
     for i, block in enumerate(packed.blocks):
         writers.update({f"layer{i}.{name}": getattr(block, name)
-                        for name in ("out_w", "out_b", "ffn_w2", "ffn_b2")})
+                        for name in ("out_w", "ffn_w2")})  # their bias rows too
     for name, a in writers.items():
         assert a.shape[-1] == cfg.d_model, name
         assert np.abs(a.mean(axis=-1)).max() <= 1e-15 * np.abs(a).max(), name
     rng = np.random.default_rng(34)
     x = _centred(rng.normal(0.0, 3.0, size=(64, cfg.d_model)))
-    np.testing.assert_allclose(sortmodel._norm_rows(x) * np.sqrt(cfg.d_model),
+    out = np.ones((64, cfg.d_model + 1))
+    assert sortmodel._norm_rows(x, out) is out
+    np.testing.assert_allclose(out[:, :-1] * np.sqrt(cfg.d_model),
                                nn.normalize_rows(x)[0], rtol=0.0, atol=1e-15)
+    assert (out[:, -1] == 1.0).all()
 
 
 @pytest.mark.parametrize("head_mode", ["monotone", "literal"])

@@ -101,9 +101,11 @@ def test_list_value_weighted_combination():
 @given(st.data())
 def test_tree_step_values_equal_the_two_call_form_bit_for_bit(data):
     # One pass over a greedy call's tree (1 to 5 roots, each with 0 to 5
-    # children, so some branches empty) equals the roots' call and then the
-    # children's over their roots' counts, bit for bit, for monotone heads'
-    # non-increasing survival rows and literal heads' unordered ones.
+    # children, so some branches empty), with click and pay counted in one
+    # pass over [rows, 2, max_count], equals the roots' call and then the
+    # children's over their roots' counts, each objective on its own, bit
+    # for bit, for monotone heads' non-increasing survival rows and literal
+    # heads' unordered ones.
     m = data.draw(st.integers(1, 5), label="roots")
     counts = data.draw(st.lists(st.integers(0, 5), min_size=m, max_size=m), label="children")
     monotone = data.draw(st.booleans(), label="monotone")
@@ -118,7 +120,8 @@ def test_tree_step_values_equal_the_two_call_form_bit_for_bit(data):
     pay_count, gmv = (0.0, 0.0) if empty_prefix else (rng.uniform(0.0, 2.0),
                                                      rng.lognormal(3.0, 0.6))
     weights = ObjectiveWeights(*rng.uniform(0.0, 3.0, size=3))
-    got = values.step_values(click, pay, prices, pay_count, gmv, branch, weights)
+    got = values.step_values(np.stack([click, pay], axis=1), prices, pay_count, gmv,
+                             np.array(branch, dtype=np.intp), weights)
     want = step_values_reference(click, pay, prices, pay_count, gmv, branch, weights)
     for a, b in zip(got, want):
         assert a.shape == (rows,)
@@ -132,6 +135,8 @@ def test_chained_step_values_equal_the_value_curves_bit_for_bit(data):
     # call, or a root and its child in one two-level call), gives the
     # combined, pay and GMV curves of `value_curves` over the whole lists bit
     # for bit, for monotone heads' rows and literal heads' unordered ones.
+    # Each call counts click and pay in one pass, as `model.extend` returns
+    # them, [rows, 2, max_count].
     n, l = data.draw(st.integers(1, 4), label="lists"), data.draw(st.integers(1, 12), label="l")
     max_count = data.draw(st.integers(1, 10), label="max_count")
     monotone = data.draw(st.booleans(), label="monotone")
@@ -142,14 +147,15 @@ def test_chained_step_values_equal_the_value_curves_bit_for_bit(data):
     prices = rng.lognormal(3.0, 0.6, size=(n, l))
     weights = ObjectiveWeights(*rng.uniform(0.0, 3.0, size=3))
     curves = values.value_curves(click, pay, prices, weights)
+    survival = np.stack([click, pay], axis=-2)  # [n, l, 2, max_count]
     for b in range(n):
         got = np.empty((3, l))  # combined, pay count and GMV after each position
         pay_count, gmv, t = 0.0, 0.0, 0
         while t < l:
             width = min(l - t, data.draw(st.integers(1, 2), label="positions per call"))
             rows = slice(t, t + width)
-            scored = values.step_values(click[b, rows], pay[b, rows], prices[b, rows],
-                                        pay_count, gmv, [0] * (width - 1), weights)
+            scored = values.step_values(survival[b, rows], prices[b, rows], pay_count, gmv,
+                                        np.zeros(width - 1, dtype=np.intp), weights)
             got[:, rows] = scored
             pay_count, gmv = scored[1][-1], scored[2][-1]
             t += width
