@@ -103,6 +103,19 @@ def _as_number(value) -> float:
     raise ValueError(f"{value!r} does not read as a number")
 
 
+def as_scalar(value) -> float:
+    """The rule for a lone number, in a request's user features, lambda and
+    weights and in a data file's user features: float(value) for a number
+    or a string that float() reads, where JSON true and false are not
+    numbers. Anything else is a ValueError saying why."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(str(exc)) from None
+
+
 def read_item(record, d_emb: int | None) -> tuple:
     """The one reader of an item record, a rerank request's candidate and a
     data file's item alike: (id, emb, (ctr, cvr), price, cat), with an emb of

@@ -34,7 +34,7 @@ class ModelOutput:
 
     click: Var  # [n, l, max_count]
     pay: Var
-    valid: np.ndarray  # [l, max_count] bool, True where i <= j
+    valid: np.ndarray  # [l, max_count]: valid_mask, 1.0 where i <= j and 0.0 elsewhere
 
 
 # ------------------------------ parameters ---------------------------------
@@ -172,31 +172,33 @@ def _input_node(config: EngineConfig, params: dict, e_item: np.ndarray,
     return Var(y.reshape(n, l, w.shape[1]), (table, weight, bias), bw)
 
 
+def _cutpoints(thresholds: np.ndarray) -> np.ndarray:
+    """A monotone head's strictly increasing cutpoints, [max_count]: the
+    running sum of the first threshold and the softplus of the others, as a
+    lower-triangular matmul. The tape and the packed heads both call it, so
+    they round alike."""
+    k = thresholds.shape[0]
+    steps = np.concatenate([thresholds[:1], np.log(1.0 + np.exp(thresholds[1:]))])
+    return np.matmul(np.tri(k), steps.reshape(k, 1)).reshape(k)
+
+
 def _monotone_forward(score: np.ndarray, thresholds: Var, ws: nn.NewArrays = nn.NEW):
     """The monotone ordinal link on the shared scores [n, l, 1]: the scores
-    minus strictly increasing cutpoints [max_count], the running sum of the
-    first threshold and the softplus of the others. Returns the logits (a
+    minus the cutpoints (`_cutpoints`) [max_count]. Returns the logits (a
     `ws.kept` array) and their backward: a function of the logits' gradient
     that adds the thresholds' gradient and returns the scores'.
-
-    The cutpoints are the tape's lower-triangular matmul, not `_cutpoints`'
-    cumsum, which rounds differently.
     """
     t = thresholds.value
     k = t.shape[0]
-    lower = np.tri(k)
-    e = np.exp(t[1:])
-    softplus_in = 1.0 + e
-    steps = np.concatenate([t[:1], np.log(softplus_in)])
-    cut = np.matmul(lower, steps.reshape(k, 1)).reshape(k)
 
     def grads(g: np.ndarray) -> np.ndarray:
+        e = np.exp(t[1:])
         g_cut = -nn._unbroadcast(g, (k,))
-        g_steps = np.matmul(lower.T, g_cut.reshape(k, 1)).reshape(k)
-        thresholds._accum(np.concatenate([g_steps[:1], g_steps[1:] / softplus_in * e]))
+        g_steps = np.matmul(np.tri(k).T, g_cut.reshape(k, 1)).reshape(k)
+        thresholds._accum(np.concatenate([g_steps[:1], g_steps[1:] / (1.0 + e) * e]))
         return nn._unbroadcast(g, score.shape)
 
-    return np.add(score, -cut, out=ws.kept(score.shape[:-1] + (k,))), grads
+    return np.add(score, -_cutpoints(t), out=ws.kept(score.shape[:-1] + (k,))), grads
 
 
 HEADS = ("head_click", "head_pay")
@@ -256,9 +258,16 @@ def _heads_node(config: EngineConfig, params: dict, x: Var, mask: np.ndarray,
     return nn.fused_outputs(probs, parents, bw)
 
 
+def at_least(counts, max_count: int) -> np.ndarray:
+    """The survival rows of known counts [...]: [..., max_count], 1.0 where
+    the count is at least threshold i = 1..max_count and 0.0 elsewhere."""
+    return (np.asarray(counts)[..., None] >= np.arange(1, max_count + 1)).astype(np.float64)
+
+
 def valid_mask(l: int, max_count: int) -> np.ndarray:
-    """True where threshold index i (1-based) <= prefix length j (1-based)."""
-    return np.arange(1, max_count + 1)[None, :] <= np.arange(1, l + 1)[:, None]
+    """`at_least` over the prefix lengths 1..l, [l, max_count]: 1.0 where
+    threshold i <= prefix length j, the entries a length-j prefix can reach."""
+    return at_least(np.arange(1, l + 1), max_count)
 
 
 def forward(config: EngineConfig, params: dict, e_item: np.ndarray,
@@ -282,7 +291,7 @@ def forward(config: EngineConfig, params: dict, e_item: np.ndarray,
         x = nn.ffn_block(x, *(params[f"{pre}.{name}"] for name in (
             "ln2.g", "ln2.b", "ffn.W1", "ffn.b1", "ffn.W2", "ffn.b2")), ws)
     mask = valid_mask(e_item.shape[1], config.max_count)
-    click, pay = _heads_node(config, params, x, mask.astype(np.float64), ws)
+    click, pay = _heads_node(config, params, x, mask, ws)
     for out in (click, pay):
         if not np.isfinite(out.value).all():
             raise FloatingPointError("non-finite activations in forward pass")
@@ -365,11 +374,6 @@ def item_features(items) -> ItemFeatures:
 # shifted into (-2 B_h, 0], and the last column of exp(scores) @ v is the
 # softmax's row sum, which attention divides the whole product by, that
 # column included. Packing refuses a head with B_h >= SHIFT_LIMIT.
-
-
-def _cutpoints(thresholds: np.ndarray) -> np.ndarray:
-    """A monotone head's strictly increasing cutpoints, [max_count]."""
-    return np.cumsum(np.concatenate([thresholds[:1], np.log(1.0 + np.exp(thresholds[1:]))]))
 
 
 def _centred(a: np.ndarray) -> np.ndarray:
@@ -534,7 +538,7 @@ class InferenceWeights:
     # [2 * HEAD_HIDDEN + 1, 2 * max_count]: block-diagonal, then the bias row
     # (click, then pay)
     head_w2: np.ndarray
-    valid: np.ndarray    # [l_o, 2 * max_count]: valid_mask for both heads, as 1.0 and 0.0
+    valid: np.ndarray    # [l_o, 2 * max_count]: valid_mask, tiled for both heads
 
     def __post_init__(self):
         for f in fields(self):
@@ -584,7 +588,7 @@ class InferenceWeights:
         return cls(config=config, item=_centred(item), score=_centred(score),
                    user=_centred(user), pos=_centred(w("pos.table") @ pos + w("proj.b")),
                    blocks=tuple(blocks), head_w1=head_w1, head_w2=_with_bias(head_w2, head_b2),
-                   valid=np.tile(valid_mask(config.l_o, lmax), 2).astype(np.float64))
+                   valid=np.tile(valid_mask(config.l_o, lmax), 2))
 
     def project(self, emb: np.ndarray, score: np.ndarray) -> np.ndarray:
         """Item rows' share of the input projection: their embedding and
@@ -833,7 +837,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Var], EngineConfig]:
     once, however many requests they serve.
     The config checks itself as `EngineConfig.from_dict` builds it (a fault
     reads "checkpoint: <rule>"), every parameter's name and shape is checked
-    against `param_shapes(config)`, and its values must be finite numbers, so
+    against `param_shapes(config)`, and its values must be finite numbers,
+    where JSON true and false are neither a value nor a shape entry, so
     a malformed or damaged checkpoint raises ConfigError here, not on its
     first use.
     """
@@ -862,10 +867,13 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Var], EngineConfig]:
     for name, entry in stored.items():
         try:
             arr = np.array(list(map(float, entry["data"])), dtype=np.float64)
+            if bool in set(map(type, entry["data"])):
+                raise ValueError("expected numbers, got true or false")
             shape = tuple(entry["shape"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"checkpoint parameter {name!r}: {exc}") from None
-        if shape != shapes[name] or arr.size != math.prod(shapes[name]):
+        if (any(isinstance(v, bool) for v in shape) or shape != shapes[name]
+                or arr.size != math.prod(shapes[name])):
             raise ConfigError(f"checkpoint parameter {name!r} has shape {list(shape)} and "
                               f"{arr.size} values, expected shape {list(shapes[name])}")
         if not np.isfinite(arr).all():

@@ -41,6 +41,7 @@ from sortgen.core import (
     ItemRecordError,
     ObjectiveWeights,
     UserContext,
+    as_scalar,
     config_hash,
     item_fault,
     read_item,
@@ -103,13 +104,11 @@ def parse_rerank_request(doc: dict, config: EngineConfig) -> tuple[
 
 
 def _scalar(value, field: str) -> float:
-    """float(value) for the request's user entries, lambda and weights; JSON
-    true and false are not numbers here."""
-    if isinstance(value, bool):
-        raise RequestError(f"{field}: expected a number, got {json.dumps(value)}")
+    """The request's user entries, lambda and weights, by `core.as_scalar`;
+    a fault names `field`."""
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+        return as_scalar(value)
+    except ValueError as exc:
         raise RequestError(f"{field}: {exc}") from exc
 
 

@@ -40,8 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
-from sortgen.core import (ConfigError, EngineConfig, Item, UserContext, check_field_types,
-                          check_items, read_item, repeated_id, to_dict)
+from sortgen.core import (ConfigError, EngineConfig, Item, UserContext, as_scalar,
+                          check_field_types, check_items, read_item, repeated_id, to_dict)
 from sortgen.generation import window_similarities
 from sortgen.model import ItemFeatures, pack_items
 from sortgen.values import LabelVector
@@ -425,7 +425,10 @@ def _read_data_file(path: str | Path, sessions: bool) -> Dataset:
                 catalog[row[0]] = (lineno, doc, len(table))
                 table.append(row)
             elif kind == "sample" and sessions:
-                user = [float(v) for v in doc["user"]]
+                try:
+                    user = [as_scalar(v) for v in doc["user"]]
+                except ValueError as exc:
+                    raise ValueError(f"user: {exc}") from None
                 session_clicks, session_pays = doc["clicks"], doc["pays"]
                 if not all(map(math.isfinite, user)):
                     raise ValueError("user features must be finite")

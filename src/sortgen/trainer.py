@@ -176,6 +176,7 @@ def train(dataset: Dataset, params: dict, engine: EngineConfig, tconf: TrainConf
     eval_arr = _to_arrays(dataset, eval_idx)
 
     state = nn.adam_init(params, lr=tconf.lr)
+    nn.zero_grads(params)  # once: each adam_step ends by zeroing them
     best = None if ckpt_path is None else np.empty_like(state.values)
     rng = np.random.default_rng(tconf.seed)
     report = TrainReport(loss_mode=engine.loss_mode)
@@ -190,7 +191,6 @@ def train(dataset: Dataset, params: dict, engine: EngineConfig, tconf: TrainConf
             workspace = nn.Workspace()
             for bstart in range(0, len(order), tconf.batch_size):
                 batch = train_arr.take(order[bstart:bstart + tconf.batch_size])
-                nn.zero_grads(params)
                 try:
                     loss = _batch_loss(engine, params, batch, workspace=workspace)
                     fault = None if np.isfinite(loss.value) else "non-finite loss"

@@ -16,7 +16,7 @@ import numpy as np
 
 from sortgen import nn
 from sortgen.core import ObjectiveWeights
-from sortgen.model import ModelOutput
+from sortgen.model import ModelOutput, at_least
 from sortgen.nn import Var
 
 PROB_CLAMP = 1e-7
@@ -24,7 +24,7 @@ PROB_CLAMP = 1e-7
 
 @dataclass(frozen=True)
 class LabelVector:
-    """Binary per-position click/pay indicators plus cumulative counts."""
+    """Binary per-position click/pay indicators."""
 
     clicks: np.ndarray
     pays: np.ndarray
@@ -36,14 +36,6 @@ class LabelVector:
         object.__setattr__(self, "pays", pays)
         if clicks.shape != pays.shape:
             raise ValueError("clicks and pays lengths differ")
-
-    @property
-    def cum_clicks(self) -> np.ndarray:
-        return np.cumsum(self.clicks)
-
-    @property
-    def cum_pays(self) -> np.ndarray:
-        return np.cumsum(self.pays)
 
 
 def expected_counts_batch(values: np.ndarray) -> np.ndarray:
@@ -112,11 +104,6 @@ def step_values(survival: np.ndarray, prices: np.ndarray, pay_count: float, gmv:
 # ------------------------------- losses ------------------------------------
 
 
-def _threshold_targets(cum_counts: np.ndarray, max_count: int) -> np.ndarray:
-    """targets[n, j, i] = 1 if cumulative count at prefix j is >= i+1."""
-    return (cum_counts[:, :, None] >= np.arange(1, max_count + 1)[None, None, :]).astype(np.float64)
-
-
 def _clipped_bce(probs: np.ndarray, targets: np.ndarray, mask, out: np.ndarray,
                  ws: nn.NewArrays):
     """-(pos * log(p) + negt * log(1 - p)) into `out`, with p the
@@ -154,19 +141,20 @@ def ordered_regression_loss(output: ModelOutput, cum_clicks: np.ndarray,
     """Sum of effective (i <= j) threshold cross-entropies, averaged over the batch,
     as one tape node whose arrays come from `ws`.
 
-    cum_clicks/cum_pays: [n, l] cumulative action counts per prefix length.
+    cum_clicks/cum_pays: [n, l] cumulative action counts per prefix length,
+    whose survival rows (`model.at_least`) are the targets.
     Equal bit for bit, forward and backward, to the chain of clip, log, mul,
     add, neg, sum_ and mul that it replaces (tests/helpers.py): each
     objective's term is -sum(t * log(p) + (1 - t) * log(1 - p)) over the
     valid entries, with p clipped to [PROB_CLAMP, 1 - PROB_CLAMP].
     """
     shape = output.click.shape
-    mask = output.valid.astype(np.float64)
     scale = 1.0 / shape[0]
     grads, total = [], None
     for probs, cum in ((output.click, cum_clicks), (output.pay, cum_pays)):
-        targets = _threshold_targets(np.asarray(cum), shape[2])
-        bce, grad = _clipped_bce(probs.value, targets, mask, ws.scratch("loss.a", shape), ws)
+        targets = at_least(cum, shape[2])
+        bce, grad = _clipped_bce(probs.value, targets, output.valid,
+                                 ws.scratch("loss.a", shape), ws)
         term = bce.sum()
         total = term if total is None else total + term
         grads.append(grad)

@@ -930,7 +930,7 @@ def forward_reference(config, params: dict, e_item, user, e_score,
         x = add(x, ffn(h, params, f"{pre}.ffn"))
     mask = sortmodel.valid_mask(e_item.shape[1], config.max_count)
     logits = head_logits_reference(config, params, x, ffn)
-    click, pay = (mul(sigmoid(z), mask.astype(np.float64)) for z in logits)
+    click, pay = (mul(sigmoid(z), mask) for z in logits)
     return ReferenceOutput(click, pay, mask, *logits)
 
 
@@ -944,11 +944,10 @@ def _masked_bce_reference(probs, targets: np.ndarray, mask: np.ndarray) -> Var:
 def ordered_regression_loss_reference(output, cum_clicks, cum_pays) -> Var:
     """values.ordered_regression_loss as the tape's BCE chain."""
     n, l, max_count = output.click.shape
-    mask = output.valid.astype(np.float64)
     total = None
     for probs, cum in ((output.click, cum_clicks), (output.pay, cum_pays)):
-        targets = values._threshold_targets(np.asarray(cum), max_count)
-        term = sum_(_masked_bce_reference(probs, targets, mask))
+        targets = sortmodel.at_least(cum, max_count)
+        term = sum_(_masked_bce_reference(probs, targets, output.valid))
         total = term if total is None else add(total, term)
     return mul(total, 1.0 / n)
 

@@ -204,6 +204,30 @@ def test_bench_command_reports_ratio(workdir, capsys):
         or "invocations=2" in gen_line or "invocations=1" in gen_line
 
 
+def test_bench_summarises_every_slate(monkeypatch):
+    # At this config the reference makes 14 to 20 model calls a slate: the
+    # report gives the median count, and the overhead of the mean count,
+    # not the first slate's count.
+    engine = EngineConfig(l_s=14, l_o=10)
+    counts = {"generate": [], "reference": []}
+    for name, key in (("generate", "generate"), ("generate_iterative_reference", "reference")):
+        def counted(*args, _fn=getattr(generation, name), _key=key, **kwargs):
+            trace = _fn(*args, **kwargs)
+            counts[_key].append(trace.invocations)
+            return trace
+        monkeypatch.setattr(generation, name, counted)
+    report = cli.run_bench(engine, ObjectiveWeights(), sortmodel.init_params(engine, seed=3),
+                           simulator.catalog_table(100, 8, 8, 1), slates=30,
+                           overhead_us=1000.0, seed=0)
+    assert len(set(counts["reference"])) > 1
+    for key, seen in counts.items():
+        assert len(seen) == 30
+        assert report[key]["invocations"] == np.median(seen)
+        assert report[key]["overhead_ms"] == pytest.approx(np.mean(seen))
+    assert report["overhead_ratio"] == pytest.approx(np.mean(counts["reference"])
+                                                     / np.mean(counts["generate"]))
+
+
 def test_oracle_command(workdir, capsys):
     rc = cli.main(["oracle", "--ckpt", str(workdir["ckpt"]), "--pools", "5",
                    "--small-ls", "6", "--small-lo", "3"])

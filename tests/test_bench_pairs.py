@@ -95,3 +95,28 @@ def test_one_pair_has_its_values_as_quartiles(bench_pairs):
     assert latency["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0, "iqr": 0.0,
                                  "values": [2.0]}
     assert latency["wins"] == 1 and latency["gain_holds"]
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved(bench_pairs):
+    # Parent latencies 1.0..1.9 have quartiles 1.225 and 1.675: a distance
+    # of 0.45, past the 25% bound times the median 1.45 (0.3625).
+    parent = [1.0 + 0.1 * i for i in range(10)]
+    latency = bench_pairs.summarise(SPEC, _pairs(parent, parent))["metrics"]["latency_p50_ms"]
+    assert latency["unresolved"] and not latency["past_bound"]
+    # Unless every change run beats every parent run.
+    faster = [a - 1.0 + 0.05 for a in parent[::-1]]  # 0.95..0.05, below 1.0
+    latency = bench_pairs.summarise(SPEC, _pairs(parent, faster))["metrics"]["latency_p50_ms"]
+    assert not latency["unresolved"]
+    # A spread of 0.045 around 1.045 is inside the bound.
+    narrow = [1.0 + 0.01 * i for i in range(10)]
+    latency = bench_pairs.summarise(SPEC, _pairs(narrow, narrow))["metrics"]["latency_p50_ms"]
+    assert not latency["unresolved"]
+
+
+def test_all_names_every_workload_of_the_benchmark(bench_pairs):
+    names = [w["name"] for w in SPEC["workloads"]]
+    assert bench_pairs.workload_names(SPEC, ["all"]) == names
+    assert bench_pairs.workload_names(SPEC, [names[-1], names[0], names[-1]]) == [names[-1],
+                                                                              names[0]]
+    with pytest.raises(ValueError, match="unknown workload 'nope'"):
+        bench_pairs.workload_names(SPEC, ["nope"])

@@ -322,7 +322,7 @@ def test_heads_node_equals_the_head_tape_bit_for_bit(small_config, head_mode, us
     rng = np.random.default_rng(31)
     params = _perturbed_params(cfg, seed=32)
     params["x"] = Var(rng.normal(size=(3, cfg.l_o, cfg.d_model)))
-    mask = sortmodel.valid_mask(cfg.l_o, cfg.max_count).astype(np.float64)
+    mask = sortmodel.valid_mask(cfg.l_o, cfg.max_count)
     targets = rng.normal(size=(4, 3, cfg.l_o, cfg.max_count))
 
     def loss(node):
@@ -353,7 +353,7 @@ def test_heads_node_without_input_gradient_still_trains_the_heads(small_config):
     rng = np.random.default_rng(35)
     params = _perturbed_params(small_config, seed=36)
     x = Var(rng.normal(size=(2, small_config.l_o, small_config.d_model)), requires_grad=False)
-    mask = sortmodel.valid_mask(small_config.l_o, small_config.max_count).astype(np.float64)
+    mask = sortmodel.valid_mask(small_config.l_o, small_config.max_count)
     results = []
     for node in (sortmodel._heads_node, heads_reference):
         nn.zero_grads(params)
@@ -635,6 +635,25 @@ def test_checkpoint_value_errors_equal_the_per_element_reference(tmp_path, small
     with pytest.raises(ConfigError) as info:
         sortmodel.load_checkpoint(path)
     assert str(info.value) == f"checkpoint parameter 'proj.W': {ref.value}"
+
+
+@pytest.mark.parametrize("field", ["data", "shape"])
+def test_checkpoint_booleans_are_not_numbers(tmp_path, small_config, field):
+    # JSON true would read as the value 1.0, and as a shape entry 1, since
+    # (32, True) == (32, 1): a damaged checkpoint would load wrong weights.
+    path = tmp_path / "model.ckpt"
+    sortmodel.save_checkpoint(path, sortmodel.init_params(small_config, seed=1), small_config)
+    doc = json.loads(path.read_text())
+    shapes = sortmodel.param_shapes(small_config)
+    name = "proj.b" if field == "data" else next(n for n, s in shapes.items() if 1 in s)
+    entry = doc["params"][name]
+    entry[field][entry[field].index(1) if field == "shape" else 0] = True
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as info:
+        sortmodel.load_checkpoint(path)
+    assert str(info.value).startswith(f"checkpoint parameter {name!r}")
+    if field == "data":
+        assert str(info.value).endswith(": expected numbers, got true or false")
 
 
 def test_checkpoint_of_another_format_is_rejected(tmp_path, small_config, small_params):
@@ -1306,6 +1325,37 @@ def test_inference_weights_match_their_parameters(small_config, head_mode):
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0
+
+
+def test_the_packed_heads_and_the_tape_share_their_cutpoints(small_config):
+    # The monotone heads' packed bias row is _cutpoints(thresholds) - b2, and
+    # _cutpoints is the tape's cutpoint sum bit for bit, so the packed heads
+    # and the tape round alike (a cumsum differs in the last bit for most
+    # random thresholds).
+    lmax = small_config.max_count
+    params = _perturbed_params(small_config, seed=62)
+    row = sortmodel.InferenceWeights.from_params(small_config, params).head_w2[-1]
+    for k, head in enumerate(sortmodel.HEADS):
+        expected = (sortmodel._cutpoints(params[f"{head}.thresholds"].value)
+                    - params[f"{head}.b2"].value)
+        assert np.array_equal(row[k * lmax:(k + 1) * lmax], expected)
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        t = rng.normal(0.0, 2.0, size=lmax)
+        logits, _ = sortmodel._monotone_forward(np.zeros((1, 1, 1)), Var(t))
+        assert np.array_equal(-logits[0, 0], sortmodel._cutpoints(t))
+
+
+def test_valid_mask_is_the_survival_rows_of_the_prefix_lengths():
+    # One count matrix: the mask over prefix lengths 1..l and the ordered
+    # loss's targets over cumulative counts are both at_least, as 1.0 and 0.0.
+    mask = sortmodel.valid_mask(4, 6)
+    assert mask.dtype == np.float64
+    assert np.array_equal(mask, sortmodel.at_least(np.arange(1, 5), 6))
+    assert np.array_equal(mask, np.tri(4, 6))
+    counts = np.array([[0, 2], [5, 1]])
+    assert np.array_equal(sortmodel.at_least(counts, 3), [[[0, 0, 0], [1, 1, 0]],
+                                                          [[1, 1, 1], [1, 0, 0]]])
 
 
 @pytest.mark.parametrize("head_mode", ["monotone", "literal"])

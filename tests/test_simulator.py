@@ -425,6 +425,8 @@ def test_read_dataset_maps_only_matching_items_onto_catalog_rows(tmp_path):
     (lambda doc: doc["user"].append("0.5"),
      "9 user features and 5 items, where the first session has 8 and 5"),
     (lambda doc: doc["user"].__setitem__(0, "nan"), "user features must be finite"),
+    # JSON true is not 1.0, as in a rerank request's user features.
+    (lambda doc: doc["user"].__setitem__(2, True), "user: expected a number, got true"),
 ])
 def test_read_dataset_rejects_a_session_that_does_not_fit_the_arrays(tmp_path, edit, message):
     ds = simulator.build_dataset(ENGINE, dataclasses.replace(SIM, sessions=5))

@@ -345,23 +345,8 @@ def test_finite_diff_pointwise_loss_node():
 # ---------------------------- label vectors ----------------------------------
 
 
-def test_label_vector_cumulative_counts():
-    lv = values.LabelVector(np.array([1, 0, 1]), np.array([0, 0, 1]))
-    np.testing.assert_array_equal(lv.cum_clicks, [1, 1, 2])
-    np.testing.assert_array_equal(lv.cum_pays, [0, 0, 1])
-    assert (lv.cum_clicks <= np.arange(1, 4)).all()
-
-
 def test_label_vector_rejects_lengths_that_differ():
     with pytest.raises(ValueError) as exc:
         values.LabelVector(np.array([1, 0, 1]), np.array([0, 0]))
     assert str(exc.value) == "clicks and pays lengths differ"
 
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=12))
-def test_label_vector_counts_bounded_by_position(bits):
-    lv = values.LabelVector(np.array(bits), np.zeros(len(bits), dtype=int))
-    cum = lv.cum_clicks
-    assert (np.diff(cum) >= 0).all() if len(bits) > 1 else True
-    assert (cum <= np.arange(1, len(bits) + 1)).all()
